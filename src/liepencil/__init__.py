@@ -3,15 +3,16 @@
 The package works with finite-dimensional algebras given by rational
 structure constants.  Everything is exact: ranks and kernels run over the
 rationals, polynomial arithmetic is sparse with Fraction coefficients, and
-every published identity the modules rely on is rechecked at run time where
-it is cheap to do so.
+identities that guard a returned result raise when they fail (also under
+`python -O`); cross-checks between independent computations live in the
+tests.
 """
 
-from .exact import (Rat, RatMatrix, SparsePoly, format_rat, generic_rank,
+from .exact import (RatMatrix, SparsePoly, format_rat, generic_rank,
                     kernel_basis, mat_commutator, nilpotent_exp, parse_rat,
-                    rank_exact, rat, rational_sqrt, span_rank)
-from .tensors import (IrrationalEigenvalues, NormalizedPencil, PencilAction,
-                      PreconditionViolated, StructureTensor, ad,
+                    rank_exact, rational_sqrt)
+from .tensors import (IdentityFailed, IrrationalEigenvalues, NormalizedPencil,
+                      PencilAction, PreconditionViolated, StructureTensor, ad,
                       check_jacobi, check_skew, check_vanishing_propagation,
                       classify_operator, derived, derived_iter, is_derivation,
                       is_lie, normalize_pencil, shift_by_derivation,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (RatMatrix, SparsePoly, generic_rank, kernel_basis,
-                    rank_exact, span_rank)
+                    rank_exact, rref)
 from .tensors import ad, derived, is_lie
 
 
@@ -104,35 +104,13 @@ def lower_central_series(tensor):
     basis = [_unit(n, i) for i in range(n)]
     current = basis
     while True:
-        vecs = []
-        for x in current:
-            for j in range(n):
-                v = tensor.apply(x, basis[j])
-                if any(v):
-                    vecs.append(v)
-        if not vecs:
-            dims.append(0)
-            break
-        mat_rows = vecs
-        r = rank_exact(mat_rows)
+        red, pivots = rref([tensor.apply(x, e) for x in current for e in basis])
+        r = len(pivots)
         dims.append(r)
-        if r == dims[-2]:
+        if r == 0 or r == dims[-2]:
             break
-        if r == 0:
-            break
-        current = kernel_to_span(vecs, r)
+        current = red[:r]
     return dims
-
-
-def kernel_to_span(vecs, r):
-    """A size-r linearly independent subset of vecs (greedy)."""
-    chosen = []
-    for v in vecs:
-        if span_rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            if len(chosen) == r:
-                break
-    return chosen
 
 
 def _unit(n, i):
@@ -154,7 +132,7 @@ class IndexTheoremReport:
     consistent: bool
 
 
-def nilpotency_class(tensor, max_steps=None):
+def nilpotency_class(tensor):
     """Length of the lower central series until it hits zero.
 
     Abelian tensors have class 1; raises if the series stabilises above zero.

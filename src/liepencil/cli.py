@@ -80,11 +80,6 @@ def _scalar_text(value):
     return str(value)
 
 
-def _load_algebra(path):
-    tensor, meta = iomod.load_algebra(path)
-    return tensor, meta
-
-
 def _load_operator(path, dim):
     op = iomod.load_operator(path)
     if op.nrows != dim:
@@ -150,7 +145,7 @@ def _classify_doc(tensor, op):
 
 
 def cmd_classify(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
     _, _, doc = _classify_doc(tensor, op)
     _emit(doc, args)
@@ -158,7 +153,7 @@ def cmd_classify(args):
 
 
 def cmd_derive(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
     result = derived_iter(tensor, op, args.power)
     doc = {
@@ -180,7 +175,7 @@ def cmd_derive(args):
 
 
 def cmd_pencil(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
     act, norm, doc = _classify_doc(tensor, op)
     if act.tag == TAG_NOT_NEAR:
@@ -212,7 +207,7 @@ def cmd_pencil(args):
 
 
 def cmd_index(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
         raise InputProblem("index needs a Lie algebra file")
     rep = lie_index(tensor, mode=args.mode, samples=args.samples,
@@ -231,7 +226,7 @@ def cmd_index(args):
 
 
 def cmd_torsion(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
     tors = nij.torsion(tensor, op)
     doc = {
@@ -253,7 +248,7 @@ def cmd_torsion(args):
 
 
 def cmd_nijenhuis_check(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
     flat, witness = nij.is_nijenhuis(tensor, op)
     doc = {"nijenhuis": flat, "witness": list(witness) if witness else None}
@@ -279,7 +274,7 @@ def cmd_nijenhuis_check(args):
 
 
 def cmd_exp_check(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
     points = (_parse_rationals(args.points, "points") if args.points else None)
     if args.kind == "nijenhuis":
@@ -346,7 +341,7 @@ def _pc_parts(args, tensor):
 
 
 def cmd_pc_check(args):
-    tensor, _ = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
         raise InputProblem("pc-check needs a Lie algebra file")
     struct, operator, op_desc, seeds, seed_desc = _pc_parts(args, tensor)
@@ -494,7 +489,7 @@ def cmd_example(args):
 
 
 def cmd_report(args):
-    tensor, meta = _load_algebra(args.algebra)
+    tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
     checks = []
     diagnostics = {}
@@ -664,7 +659,6 @@ def build_parser():
 
     p = sub.add_parser("report", help="aggregate pipeline with one verdict per check")
     common(p)
-    p.add_argument("--mode", choices=("prob", "exact"), default="prob")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-exact-dim", type=int, default=12)
     p.add_argument("--pc", action="store_true",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import (ONE, ZERO, RatMatrix, kernel_basis, mat_commutator,
-                    nilpotent_index, solve_columns, span_rank)
+                    nilpotent_index, rref, solve_columns)
 from .tensors import (StructureTensor, TAG_NEAR, ad, check_jacobi, check_skew,
                       classify_operator, derived, tensor_combination)
 
@@ -452,10 +452,8 @@ class NilpotentSquareReport:
 
 def image_basis(op):
     """Canonical basis of the column space."""
-    cols = op.columns()
-    from .exact import rref
-    red, pivots = rref(cols)
-    return [red[i] for i in range(len(pivots))]
+    red, pivots = rref(op.columns())
+    return red[:len(pivots)]
 
 
 def nilpotent_square(tensor, e):

@@ -1,24 +1,22 @@
 """Exact rational arithmetic: matrices, ranks, kernels, sparse polynomials.
 
-Every coefficient in this package is a `fractions.Fraction`; nothing here
-ever touches floating point.  Matrices are dense row lists.  Polynomials are
-sparse maps from exponent tuples to nonzero coefficients with the graded
-lexicographic order fixing a canonical form.
+Every coefficient this module takes or returns is a `fractions.Fraction`;
+nothing here ever touches floating point.  Matrices are dense row lists.
+Elimination over Q runs on integers inside: one Gauss-Jordan routine clears
+each row's denominators and works on Python ints, and `rref`, `rank_exact`,
+`kernel_basis`, `solve_columns` and `RatMatrix.inverse` build a `Fraction`
+only for an entry they return.  Polynomials are sparse maps from exponent
+tuples to nonzero coefficients with the graded lexicographic order fixing a
+canonical form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-
-Rat = Fraction
+from math import gcd, isqrt, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rat(p, q=1):
-    return Fraction(p, q)
 
 
 def parse_rat(text):
@@ -145,12 +143,13 @@ class RatMatrix:
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+        aug = [row + [int(i == j) for j in range(n)]
                for i, row in enumerate(self.rows)]
-        red, pivots = rref(aug)
+        pivots, R = _reduce(aug)
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return RatMatrix([row[n:] for row in red])
+        return RatMatrix([[_ratio(x, row[i]) for x in row[n:]]
+                          for i, row in enumerate(R)])
 
     def __repr__(self):
         return "RatMatrix(%r)" % ([[format_rat(x) for x in row] for row in self.rows],)
@@ -160,72 +159,61 @@ def mat_commutator(a, b):
     return a * b - b * a
 
 
-def rref(rows):
-    """Reduced row echelon form over Q.  Returns (new rows, pivot columns)."""
-    R = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(R)
-    ncols = len(R[0]) if R else 0
+def _reduce(rows):
+    """Gauss-Jordan elimination of a rational matrix, run on integers.
+
+    Each row is first scaled to integers by the least common multiple of its
+    denominators.  A pivot then clears its column only from the rows that
+    have a nonzero entry there, and every updated row is divided by its
+    content (the gcd of its entries), which keeps the stored entries bounded
+    by minors of the scaled matrix.  Returns (pivots, R): R[r] is an integer
+    multiple of row r of the reduced row echelon form, whose entries are
+    therefore R[r][j] / R[r][pivots[r]].  Entries may be ints or Fractions.
+    """
+    M = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
     pivots = []
-    r = 0
     for c in range(ncols):
-        p = next((i for i in range(r, nrows) if R[i][c]), None)
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if M[i][c]), None)
         if p is None:
             continue
-        R[r], R[p] = R[p], R[r]
-        pv = R[r][c]
-        if pv != 1:
-            R[r] = [x / pv for x in R[r]]
+        M[r], M[p] = M[p], M[r]
+        prow = M[r]
+        piv = prow[c]
         for i in range(nrows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+            e = M[i][c]
+            if e and i != r:
+                row = [piv * a - e * b for a, b in zip(M[i], prow)]
+                g = gcd(*row)
+                M[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == nrows:
             break
-    return R, pivots
+    return pivots, M[:len(pivots)]
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+def _ratio(x, d):
+    return Fraction(x, d) if x else ZERO
+
+
+def rref(rows):
+    """Reduced row echelon form over Q.  Returns (new rows, pivot columns)."""
+    rows = list(rows)
+    pivots, R = _reduce(rows)
+    ncols = len(rows[0]) if rows else 0
+    red = [[_ratio(x, row[c]) for x in row] for row, c in zip(R, pivots)]
+    red += [[ZERO] * ncols for _ in range(len(rows) - len(pivots))]
+    return red, pivots
 
 
 def rank_exact(m):
-    """Rank by fraction-free (Bareiss) elimination over the integers.
-
-    Rows are cleared of denominators first; intermediate entries stay integral
-    minors of the scaled matrix, which bounds coefficient growth.
-    """
-    rows = m.rows if isinstance(m, RatMatrix) else m
-    M = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = _lcm(den, Fraction(x).denominator)
-        M.append([int(Fraction(x) * den) for x in row])
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        p = next((i for i in range(rank, nrows) if M[i][c]), None)
-        if p is None:
-            continue
-        M[rank], M[p] = M[p], M[rank]
-        piv = M[rank][c]
-        for i in range(rank + 1, nrows):
-            e = M[i][c]
-            for j in range(c + 1, ncols):
-                num = piv * M[i][j] - e * M[rank][j]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "bareiss exact division failed"
-                M[i][j] = q
-            M[i][c] = 0
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over Q of a RatMatrix or a list of rows."""
+    return len(_reduce(m.rows if isinstance(m, RatMatrix) else m)[0])
 
 
 def kernel_basis(m):
@@ -236,24 +224,16 @@ def kernel_basis(m):
     """
     rows = m.rows if isinstance(m, RatMatrix) else m
     ncols = len(rows[0]) if rows else 0
-    R, pivots = rref(rows)
+    pivots, R = _reduce(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [ZERO] * ncols
         v[fc] = ONE
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -R[r_idx][fc]
+        for row, pc in zip(R, pivots):
+            v[pc] = _ratio(-row[fc], row[pc])
         basis.append(v)
     return basis
-
-
-def span_rank(vectors):
-    """Rank of the span of a list of coordinate vectors."""
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        return 0
-    return rank_exact(vecs)
 
 
 def solve_columns(cols, target):
@@ -265,14 +245,13 @@ def solve_columns(cols, target):
     k = len(cols)
     if k == 0:
         return [] if not any(target) else None
-    nrows = len(cols[0])
-    aug = [[cols[c][r] for c in range(k)] + [target[r]] for r in range(nrows)]
-    R, pivots = rref(aug)
+    aug = [list(row) + [t] for row, t in zip(zip(*cols), target)]
+    pivots, R = _reduce(aug)
     if k in pivots:
         return None
     sol = [ZERO] * k
-    for r_idx, pc in enumerate(pivots):
-        sol[pc] = R[r_idx][k]
+    for row, pc in zip(R, pivots):
+        sol[pc] = _ratio(row[k], row[pc])
     return sol
 
 

@@ -57,27 +57,12 @@ def torsion(tensor, op):
 
 
 def is_nijenhuis(tensor, op):
-    """(vanishes, witness pair).  Cross-checks two torsion expansions."""
-    n = tensor.dim
-    tors = torsion(tensor, op)
-    cols = op.columns()
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            direct = tensor.apply(cols[i], cols[j])
-            mixed = [a + b for a, b in zip(
-                tensor.apply(cols[i], _unit(n, j)),
-                tensor.apply(_unit(n, i), cols[j]))]
-            base = tensor.apply(_unit(n, i), _unit(n, j))
-            inner = [p - q for p, q in zip(op.apply(base), mixed)]
-            expanded = [u + v for u, v in zip(direct, op.apply(inner))]
-            vec = tors.bracket(i, j)
-            got = [vec.get(k, Fraction(0)) for k in range(n)]
-            if got != expanded:
-                raise AssertionError("torsion expansions disagree at (%d, %d)"
-                                     % (i, j))
-            if witness is None and any(got):
-                witness = (i, j)
+    """(vanishes, witness pair or None).
+
+    The witness is the first basis pair, in row-major order, whose torsion
+    is nonzero.
+    """
+    witness = min(torsion(tensor, op).table, default=None)
     return witness is None, witness
 
 

@@ -187,11 +187,10 @@ def _monomial_union(polys):
 
 
 def _independent(polys, candidate):
-    monos = _monomial_union(polys + [candidate])
-    rows = [p.coeff_vector(monos) for p in polys]
-    cand = candidate.coeff_vector(monos)
-    before = rank_exact(rows) if rows else 0
-    return rank_exact(rows + [cand]) > before
+    """Whether candidate lies outside the span of the independent polys."""
+    family = polys + [candidate]
+    monos = _monomial_union(family)
+    return rank_exact([p.coeff_vector(monos) for p in family]) > len(polys)
 
 
 def pc_generate(struct, operator, seeds, max_steps=1000):

@@ -51,6 +51,10 @@ class PreconditionViolated(ValueError):
                          % (power, side))
 
 
+class IdentityFailed(ArithmeticError):
+    """An identity that guards a returned result does not hold (a bug)."""
+
+
 class StructureTensor:
     """Structure constants of a bilinear operation on a based vector space.
 
@@ -435,11 +439,15 @@ def normalize_pencil(action):
             raise IrrationalEigenvalues(a, b)
         lam1 = (b - root) / 2
         lam2 = (b + root) / 2
-    d1 = action.operator + RatMatrix.identity(action.operator.nrows).scale(lam1)
-    t1 = action.derived if lam1 == 0 else derived(action.tensor, d1)
+    if lam1 == 0:
+        d1, t1, t2 = action.operator, action.derived, action.second
+    else:
+        d1 = action.operator + RatMatrix.identity(action.operator.nrows).scale(lam1)
+        t1 = derived(action.tensor, d1)
+        t2 = derived(t1, d1)
     bnew = lam2 - lam1
-    # invariant of the normalization, cheap enough to recheck every time
-    assert derived(t1, d1) == t1.scale(bnew), "pencil normalization failed"
+    if t2 != t1.scale(bnew):
+        raise IdentityFailed("pencil normalization failed")
     mode = MODE_NILPOTENT if bnew == 0 else MODE_SEMISIMPLE
     lines = [t1]
     if mode == MODE_SEMISIMPLE:
@@ -485,7 +493,9 @@ def shift_by_derivation(tensor, op, der):
     t2 = derived(t1, shifted)
     base1 = derived(tensor, op)
     base2 = derived(base1, op)
-    assert t1 == base1, "first derived tensor moved under a derivation shift"
+    if t1 != base1:
+        raise IdentityFailed("first derived tensor moved under a derivation shift")
     corr = derived(tensor, mat_commutator(der, op))
-    assert t2 == base2 + corr, "second derived shift identity failed"
+    if t2 != base2 + corr:
+        raise IdentityFailed("second derived shift identity failed")
     return t1, t2

@@ -8,7 +8,7 @@ tolerances anywhere in this file.
 from fractions import Fraction as F
 import random
 
-from liepencil.exact import RatMatrix, SparsePoly, rational_sqrt, kernel_basis, span_rank
+from liepencil.exact import RatMatrix, SparsePoly, rational_sqrt, kernel_basis, rank_exact
 from liepencil.tensors import (
     ad, check_jacobi, check_skew, check_vanishing_propagation,
     classify_operator, derived, derived_iter, is_lie, tensor_combination,
@@ -184,7 +184,7 @@ def test_criterion_05_commutative_family_from_casimir():
     for g in fam.generators:
         comps.extend(bihomogeneous_components(g, Z2_SPEC.weights).values())
     monos = sorted({e for q in fam.generators + comps for e in q.terms})
-    rank = lambda polys: span_rank([q.coeff_vector(monos) for q in polys])
+    rank = lambda polys: rank_exact([q.coeff_vector(monos) for q in polys])
     ok = ok and rank(fam.generators) == rank(comps) == rank(fam.generators + comps)
 
     mf = pc_generate(struct, directional([F(0), F(0), F(1)]), [casimir])

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from liepencil.exact import RatMatrix
-from liepencil.tensors import classify_operator, derived
+from liepencil.tensors import StructureTensor, classify_operator, derived
 from liepencil.constructions import (GradingSpec, assoc_operators,
-                                     build_classical, grading_operator,
-                                     nilpotent_square)
+                                     build_classical, build_gl_associative,
+                                     grading_operator, nilpotent_square)
 from liepencil.nijenhuis import (
     torsion, is_nijenhuis, torsion_decomposition, check_N_properties,
     exp_identity_nijenhuis, certified_exp_identity_nijenhuis,
@@ -24,6 +24,55 @@ def sl2():
 
 
 GRADING = grading_operator(GradingSpec((1, 0, 1), "periodic", 2))
+
+
+def _unit(n, i):
+    return [F(int(k == i)) for k in range(n)]
+
+
+def expanded_torsion(tensor, op):
+    """Reference torsion: [Nx, Ny] + N(N[x, y] - [Nx, y] - [x, Ny]) expanded
+    densely on every ordered basis pair, skew or not."""
+    n = tensor.dim
+    cols = op.columns()
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            direct = tensor.apply(cols[i], cols[j])
+            mixed = [a + b for a, b in zip(tensor.apply(cols[i], _unit(n, j)),
+                                           tensor.apply(_unit(n, i), cols[j]))]
+            base = tensor.apply(_unit(n, i), _unit(n, j))
+            inner = [p - q for p, q in zip(op.apply(base), mixed)]
+            total = [u + v for u, v in zip(direct, op.apply(inner))]
+            table[(i, j)] = {k: c for k, c in enumerate(total) if c}
+    return StructureTensor(n, table, tensor.labels)
+
+
+def _torsion_fixtures():
+    rng = random.Random(37)
+    t = sl2()
+    yield t, GRADING
+    yield t, RatMatrix.diagonal([F(2), F(0), F(-2)])
+    yield t, nilpotent_square(t, [1, 0, 0])[0]
+    for _ in range(3):
+        yield t, rand_matrix(rng, 3)
+    for a in (RatMatrix([[F(1), F(0)], [F(0), F(0)]]),
+              RatMatrix([[F(0), F(1)], [F(0), F(0)]])):
+        ops = assoc_operators(2, a)
+        yield ops.gl_tensor, ops.left
+    # a non-skew tensor: the associative product of gl2
+    assoc = build_gl_associative(2)
+    assert not assoc.is_skew()
+    yield assoc, rand_matrix(rng, 4)
+    yield assoc, RatMatrix.diagonal([F(1), F(0), F(0), F(0)])
+
+
+def test_torsion_matches_dense_expansion():
+    for tensor, op in _torsion_fixtures():
+        ref = expanded_torsion(tensor, op)
+        assert torsion(tensor, op) == ref
+        nonzero = sorted(ref.table)
+        assert is_nijenhuis(tensor, op) == (not nonzero, nonzero[0] if nonzero else None)
 
 
 def test_grading_operator_torsion():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from liepencil.exact import SparsePoly, span_rank
+from liepencil.exact import SparsePoly, rank_exact
 from liepencil.tensors import StructureTensor, derived
 from liepencil.constructions import build_classical, GradingSpec, grading_operator, nilpotent_square
 from liepencil.exact import RatMatrix
@@ -173,7 +173,7 @@ def test_bihomogeneous_components():
     orbit = [casimir(), SparsePoly.const(3, 8) * x(0) * x(2)]
     both = orbit + [comps[0], comps[2]]
     monos = sorted({e for q in both for e in q.terms})
-    rank = lambda polys: span_rank([q.coeff_vector(monos) for q in polys])
+    rank = lambda polys: rank_exact([q.coeff_vector(monos) for q in polys])
     assert rank(orbit) == rank(list(comps.values())) == rank(both) == 2
 
 

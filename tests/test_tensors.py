@@ -1,10 +1,14 @@
 """Structure tensors, derived operations, classification, pencils."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import liepencil
 from liepencil.exact import RatMatrix, mat_commutator
 from liepencil.tensors import (IrrationalEigenvalues, PreconditionViolated,
                                StructureTensor, ad, check_jacobi, check_skew,
@@ -192,6 +196,35 @@ def test_normalize_refuses_other_tags():
     act = classify_operator(t, ad(t, [F(1), F(0), F(0)]))
     with pytest.raises(ValueError):
         normalize_pencil(act)
+
+
+# asserts are stripped under -O, so the script reports through its exit code
+OPTIMIZED_GUARD_SCRIPT = """
+import sys
+from dataclasses import replace
+from liepencil.constructions import build_classical
+from liepencil.exact import RatMatrix
+from liepencil.tensors import IdentityFailed, classify_operator, normalize_pencil
+if __debug__:
+    sys.exit("not running under -O")
+act = classify_operator(build_classical("sl", 2), RatMatrix.diagonal([1, 0, 1]))
+if (act.tag, act.a, act.b) != ("near", 0, -2):
+    sys.exit("unexpected classification")
+try:
+    normalize_pencil(replace(act, b=act.b - 1))
+except IdentityFailed:
+    print("raised")
+"""
+
+
+def test_normalize_guard_survives_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liepencil.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARD_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_vanishing_propagation():
