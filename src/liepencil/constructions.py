@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .exact import (ONE, ZERO, RatMatrix, kernel_basis, mat_commutator,
                     nilpotent_index, rref, solve_columns)
-from .tensors import (StructureTensor, TAG_NEAR, ad, check_jacobi, check_skew,
-                      classify_operator, derived, tensor_combination)
+from .tensors import (StructureTensor, TAG_NEAR, IdentityFailed, ad, check_jacobi,
+                      check_skew, classify_operator, derived, tensor_combination)
 
 
 def unit_matrix(n, i, j):
@@ -544,11 +544,11 @@ def sl2_complete(family, n, partition):
                        matrix_coords(mats, f_mat))
     tensor = build_classical("sl", n)
     if tensor.apply(triple.h, triple.e) != [2 * c for c in triple.e]:
-        raise AssertionError("[h,e] != 2e")
+        raise IdentityFailed("[h,e] != 2e")
     if tensor.apply(triple.h, triple.f) != [-2 * c for c in triple.f]:
-        raise AssertionError("[h,f] != -2f")
+        raise IdentityFailed("[h,f] != -2f")
     if tensor.apply(triple.e, triple.f) != triple.h:
-        raise AssertionError("[e,f] != h")
+        raise IdentityFailed("[e,f] != h")
     return triple
 
 
@@ -592,7 +592,7 @@ def involution_split(n, J=None):
     odd_vecs = kernel_basis(sigma + ident)
     even_vecs = kernel_basis(sigma - ident)
     if len(odd_vecs) + len(even_vecs) != n * n:
-        raise AssertionError("involution eigenspaces do not fill gl")
+        raise IdentityFailed("involution eigenspaces do not fill gl")
 
     def to_mats(vecs):
         return [RatMatrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in vecs]
@@ -603,7 +603,7 @@ def involution_split(n, J=None):
     for x in split.odd:
         for y in split.odd:
             if solve_columns(flat_odd, _flat(mat_commutator(x, y))) is None:
-                raise AssertionError("odd part is not a subalgebra")
+                raise IdentityFailed("odd part is not a subalgebra")
     return split
 
 

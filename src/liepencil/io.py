@@ -28,6 +28,11 @@ def _require(doc, key, context):
     return doc[key]
 
 
+def _is_int(x):
+    """A JSON integer; JSON true and false arrive as bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _rat(text, context):
     try:
         return parse_rat(text)
@@ -58,21 +63,28 @@ def algebra_to_dict(tensor, metadata=None):
 def algebra_from_dict(doc):
     """(tensor, metadata) from a parsed algebra document."""
     dim = _require(doc, "dim", "algebra")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise ParseError("dim must be a nonnegative integer", "algebra.dim")
     labels = _require(doc, "basis", "algebra")
     if not isinstance(labels, list) or len(labels) != dim:
         raise ParseError("basis must list %d labels" % dim, "algebra.basis")
+    brackets = _require(doc, "brackets", "algebra")
+    if not isinstance(brackets, list):
+        raise ParseError("brackets must be a list", "algebra.brackets")
     table = {}
-    for idx, entry in enumerate(_require(doc, "brackets", "algebra")):
+    for idx, entry in enumerate(brackets):
         ctx = "brackets[%d]" % idx
+        if not isinstance(entry, dict):
+            raise ParseError("bracket entry must be an object", ctx)
         i = _require(entry, "i", ctx)
         j = _require(entry, "j", ctx)
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < dim):
+        if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise ParseError("indices must satisfy 0 <= i < j < dim", ctx)
         if (i, j) in table:
             raise ParseError("duplicate pair (%d, %d)" % (i, j), ctx)
         coeffs = _require(entry, "coeffs", ctx)
+        if not isinstance(coeffs, dict):
+            raise ParseError("coeffs must be an object", ctx + ".coeffs")
         vec = {}
         for key, text in coeffs.items():
             try:
@@ -102,7 +114,7 @@ def operator_to_dict(mat):
 
 def operator_from_dict(doc):
     dim = _require(doc, "dim", "operator")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_int(dim) or dim < 0:
         raise ParseError("dim must be a nonnegative integer", "operator.dim")
     rows = _require(doc, "matrix", "operator")
     if not isinstance(rows, list) or len(rows) != dim:
@@ -128,7 +140,7 @@ def poly_from_list(nvars, data, context="poly"):
         ctx = "%s[%d]" % (context, idx)
         exps = _require(term, "exponents", ctx)
         if (not isinstance(exps, list) or len(exps) != nvars
-                or any(not isinstance(e, int) or e < 0 for e in exps)):
+                or any(not _is_int(e) or e < 0 for e in exps)):
             raise ParseError("exponents must be %d nonnegative integers" % nvars, ctx)
         c = _rat(_require(term, "coeff", ctx), ctx)
         key = tuple(exps)

@@ -10,12 +10,17 @@ the action of gl(V) on (1,2)-tensors.  Iterating it classifies D relative to
 psi: derivations (psi' = 0), quasi-derivations (psi'' = 0), and the wider
 class where psi'' = a*psi + b*psi' for scalars (a, b), which spans a pencil
 of operations with exactly one or two degenerate lines.
+
+The two hot kernels, `derived` and `check_jacobi`, clear each tensor's (and
+the operator's) denominators once and run their loops on integers over that
+common denominator; `Fraction` appears only in what they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import (ONE, ZERO, RatMatrix, mat_commutator, rank_exact,
                     rational_sqrt, solve_columns)
@@ -208,16 +213,35 @@ def tensor_combination(pairs):
     return out
 
 
+def _cleared(tensor):
+    """(L, {(i, j): {k: int}}): the table times L, the lcm of its denominators.
+
+    Integer arithmetic only; keys keep the table's insertion order.  The
+    tensor analogue of the row clearing in the elimination engine.
+    """
+    table = tensor.table
+    L = lcm(*(c.denominator for vec in table.values() for c in vec.values()))
+    return L, {ij: {k: c.numerator * (L // c.denominator) for k, c in vec.items()}
+               for ij, vec in table.items()}
+
+
 def derived(tensor, op):
     """The derived operation rho(D).T, as a structure tensor.
 
-    For a skew tensor only the upper triangle is computed and mirrored, since
-    the derived operation of a skew operation is again skew.
+    Runs on integers: T is cleared to T_int / L and D to D_int / d, so every
+    entry of rho(D).T is an integer over d * L.  Zero tests on the scaled
+    integers match those on the rationals, so the table keeps the key order
+    of the rational computation.  For a skew tensor only the upper triangle
+    is computed and mirrored, since the derived operation of a skew operation
+    is again skew.
     """
     n = tensor.dim
     if op.nrows != n or op.ncols != n:
         raise ValueError("operator shape mismatch")
-    cols = op.columns()
+    L, tab = _cleared(tensor)
+    d = lcm(*(x.denominator for row in op.rows for x in row))
+    cols = [[x.numerator * (d // x.denominator) for x in col] for col in op.columns()]
+    empty = {}
 
     def image(vec):
         out = {}
@@ -225,7 +249,7 @@ def derived(tensor, op):
             colk = cols[k]
             for r in range(n):
                 if colk[r]:
-                    s = out.get(r, ZERO) + c * colk[r]
+                    s = out.get(r, 0) + c * colk[r]
                     if s:
                         out[r] = s
                     else:
@@ -233,13 +257,13 @@ def derived(tensor, op):
         return out
 
     def entry(i, j):
-        acc = dict(image(tensor.bracket(i, j)))
+        acc = image(tab.get((i, j), empty))
         coli = cols[i]
         for k in range(n):
             dk = coli[k]
             if dk:
-                for m, cm in tensor.bracket(k, j).items():
-                    s = acc.get(m, ZERO) - dk * cm
+                for m, cm in tab.get((k, j), empty).items():
+                    s = acc.get(m, 0) - dk * cm
                     if s:
                         acc[m] = s
                     else:
@@ -248,20 +272,22 @@ def derived(tensor, op):
         for k in range(n):
             dk = colj[k]
             if dk:
-                for m, cm in tensor.bracket(i, k).items():
-                    s = acc.get(m, ZERO) - dk * cm
+                for m, cm in tab.get((i, k), empty).items():
+                    s = acc.get(m, 0) - dk * cm
                     if s:
                         acc[m] = s
                     else:
                         acc.pop(m, None)
         return acc
 
+    den = d * L
     table = {}
     if tensor.is_skew():
         for i in range(n):
             for j in range(i + 1, n):
                 vec = entry(i, j)
                 if vec:
+                    vec = {k: Fraction(v, den) for k, v in vec.items()}
                     table[(i, j)] = vec
                     table[(j, i)] = {k: -c for k, c in vec.items()}
     else:
@@ -269,7 +295,7 @@ def derived(tensor, op):
             for j in range(n):
                 vec = entry(i, j)
                 if vec:
-                    table[(i, j)] = vec
+                    table[(i, j)] = {k: Fraction(v, den) for k, v in vec.items()}
     out = StructureTensor(n, labels=tensor.labels)
     out.table = table
     return out
@@ -306,20 +332,23 @@ def check_skew(tensor):
 def check_jacobi(tensor):
     """Cyclic Jacobi sum over basis triples; returns (ok, witness or None).
 
-    For a skew tensor the triples i < j < k suffice; otherwise all ordered
-    triples are checked.
+    Runs on the table cleared to integers over L: each Jacobi sum times L^2
+    is an integer, zero exactly when the rational sum is.  For a skew tensor
+    the triples i < j < k suffice; otherwise all ordered triples are checked.
     """
     n = tensor.dim
     skew = tensor.is_skew()
+    _, tab = _cleared(tensor)
+    empty = {}
 
     def jac(i, j, k):
         acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = tensor.bracket(a, b)
+            inner = tab.get((a, b), empty)
             for m, cm in inner.items():
-                w = tensor.bracket(m, c)
+                w = tab.get((m, c), empty)
                 for r, cr in w.items():
-                    s = acc.get(r, ZERO) + cm * cr
+                    s = acc.get(r, 0) + cm * cr
                     if s:
                         acc[r] = s
                     else:

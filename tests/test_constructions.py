@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from liepencil import constructions
 from liepencil.constructions import (GradingSpec, assoc_operators,
                                      basis_matrices, build_classical,
                                      build_gl_associative, check_special,
@@ -15,7 +16,7 @@ from liepencil.constructions import (GradingSpec, assoc_operators,
                                      sl2_complete, splitting_operators,
                                      tensor_from_matrix_basis)
 from liepencil.exact import RatMatrix
-from liepencil.tensors import ad, classify_operator, derived, is_lie
+from liepencil.tensors import IdentityFailed, ad, classify_operator, derived, is_lie
 
 from helpers import rand_rat
 
@@ -141,6 +142,15 @@ def test_sl2_complete_partitions():
 def test_sl2_complete_rejects_tall_partitions():
     with pytest.raises(ValueError):
         sl2_complete("sl", 3, (3,))
+
+
+def test_sl2_complete_guard_raises_identity_failed(monkeypatch):
+    # a bracket scaled by 2 gives [h, e] = 4e, which the result guard rejects
+    real = constructions.build_classical
+    monkeypatch.setattr(constructions, "build_classical",
+                        lambda family, n: real(family, n).scale(2))
+    with pytest.raises(IdentityFailed):
+        sl2_complete("sl", 2, (2,))
 
 
 def test_principal_nilpotent_square_not_quasi():

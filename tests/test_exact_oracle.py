@@ -6,20 +6,18 @@ results must agree exactly.  sympy and Hypothesis are test-only; the
 library itself stays stdlib-only.
 """
 
-from datetime import timedelta
 from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from liepencil.exact import kernel_basis, rank_exact, rref, solve_columns
 
-# derandomized so Tier-1 is reproducible; both tests together take about 1.5 s
-BUDGET = settings(max_examples=40, deadline=timedelta(seconds=1),
-                  derandomize=True, database=None)
+# the example budget is the "liepencil" profile in conftest.py; both tests
+# together take about 1.5 s
 
 ENTRIES = st.one_of(st.just(Fraction(0)),
                     st.fractions(min_value=-9, max_value=9, max_denominator=6))
@@ -52,7 +50,6 @@ def columns_of(rows):
     return [list(col) for col in zip(*rows)]
 
 
-@BUDGET
 @given(matrices())
 def test_rref_rank_kernel_match_sympy(rows):
     ncols = len(rows[0])
@@ -68,7 +65,6 @@ def test_rref_rank_kernel_match_sympy(rows):
     assert rank + len(kernel) == ncols
 
 
-@BUDGET
 @given(matrices(), st.data())
 def test_solve_columns_matches_sympy(rows, data):
     nrows, ncols = len(rows), len(rows[0])

@@ -95,6 +95,8 @@ def test_operator_parse_errors():
         operator_from_dict({"dim": 2, "matrix": [["1", "2"], ["3"]]})
     with pytest.raises(ParseError):
         operator_from_dict({})
+    with pytest.raises(ParseError):
+        operator_from_dict({"dim": True, "matrix": [["1"]]})
 
 
 def run(args):
@@ -199,6 +201,18 @@ def test_cli_input_errors(workdir, capsys):
     # operator dimension does not match the algebra
     assert run(["classify", "--algebra", "sl3.json",
                 "--operator", "sl2-grading-op.json"]) == 2
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"dim": 2, "basis": ["a", "b"],
+      "brackets": [{"i": 0, "j": 1, "coeffs": ["1"]}]}, "brackets[0].coeffs"),
+    ({"dim": True, "basis": ["a"], "brackets": []}, "algebra.dim"),
+    ({"dim": 2, "basis": ["a", "b"], "brackets": {"x": 1}}, "algebra.brackets"),
+], ids=["coeffs-list", "dim-bool", "brackets-object"])
+def test_cli_bad_algebra_field_exits_2(workdir, capsys, doc, field):
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    assert run(["index", "--algebra", "bad.json"]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_cli_seed_env(workdir, capsys, monkeypatch):

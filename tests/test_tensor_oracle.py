@@ -1,0 +1,243 @@
+"""The integer kernels `derived` and `check_jacobi` against Fraction references.
+
+The references below are the plain Fraction versions of the two kernels.
+The library runs the same loops on integers over one common denominator, so
+on generated tensors (skew and not, mixed denominators, zero entries, Lie and
+forced non-Lie) and generated operators the results must agree exactly:
+equal tables with the same key order, and the same verdict and witness.
+Hypothesis is test-only; the library itself stays stdlib-only.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from liepencil.exact import ZERO, RatMatrix
+from liepencil.tensors import (StructureTensor, check_jacobi, derived,
+                               tensor_combination)
+
+# the example budget is the "liepencil" profile in conftest.py
+
+
+def reference_derived(tensor, op):
+    """rho(D).T computed entry by entry in Fraction arithmetic."""
+    n = tensor.dim
+    cols = op.columns()
+
+    def image(vec):
+        out = {}
+        for k, c in vec.items():
+            colk = cols[k]
+            for r in range(n):
+                if colk[r]:
+                    s = out.get(r, ZERO) + c * colk[r]
+                    if s:
+                        out[r] = s
+                    else:
+                        out.pop(r, None)
+        return out
+
+    def entry(i, j):
+        acc = dict(image(tensor.bracket(i, j)))
+        coli = cols[i]
+        for k in range(n):
+            dk = coli[k]
+            if dk:
+                for m, cm in tensor.bracket(k, j).items():
+                    s = acc.get(m, ZERO) - dk * cm
+                    if s:
+                        acc[m] = s
+                    else:
+                        acc.pop(m, None)
+        colj = cols[j]
+        for k in range(n):
+            dk = colj[k]
+            if dk:
+                for m, cm in tensor.bracket(i, k).items():
+                    s = acc.get(m, ZERO) - dk * cm
+                    if s:
+                        acc[m] = s
+                    else:
+                        acc.pop(m, None)
+        return acc
+
+    table = {}
+    if tensor.is_skew():
+        for i in range(n):
+            for j in range(i + 1, n):
+                vec = entry(i, j)
+                if vec:
+                    table[(i, j)] = vec
+                    table[(j, i)] = {k: -c for k, c in vec.items()}
+    else:
+        for i in range(n):
+            for j in range(n):
+                vec = entry(i, j)
+                if vec:
+                    table[(i, j)] = vec
+    out = StructureTensor(n, labels=tensor.labels)
+    out.table = table
+    return out
+
+
+def reference_check_jacobi(tensor):
+    """Cyclic Jacobi sums in Fraction arithmetic; (ok, first failing triple)."""
+    n = tensor.dim
+
+    def jac(i, j, k):
+        acc = {}
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in tensor.bracket(a, b).items():
+                for r, cr in tensor.bracket(m, c).items():
+                    s = acc.get(r, ZERO) + cm * cr
+                    if s:
+                        acc[r] = s
+                    else:
+                        acc.pop(r, None)
+        return acc
+
+    if tensor.is_skew():
+        triples = ((i, j, k) for i in range(n) for j in range(i + 1, n)
+                   for k in range(j + 1, n))
+    else:
+        triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    for (i, j, k) in triples:
+        if jac(i, j, k):
+            return False, (i, j, k)
+    return True, None
+
+
+ENTRIES = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+def skew_table(dim, triples):
+    """Skew table from upper-triangle entries (i, j, k, c) with i < j."""
+    table = {}
+    for i, j, k, c in triples:
+        table.setdefault((i, j), {})[k] = c
+        table.setdefault((j, i), {})[k] = -c
+    return table
+
+
+# Lie algebras of dim <= 5 on their standard bases, and one skew non-Lie
+# tensor: [x0, x1] = x1, [x1, x2] = x0 has Jacobi sum x0 on (x0, x1, x2)
+LIE = [
+    (3, [(0, 1, 0, -2), (0, 2, 1, 1), (1, 2, 2, -2)]),             # sl2
+    (3, [(0, 1, 2, 1)]),                                            # heisenberg
+    (4, [(0, 1, 0, -2), (0, 2, 1, 1), (1, 2, 2, -2)]),             # gl2 = sl2 + centre
+    (5, [(0, 1, 2, 1), (0, 3, 4, 1), (1, 2, 4, 2)]),                # nilpotent, class 3
+    (5, [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (0, 4, 4, 1)]),  # ad x0 = 1 on the rest
+]
+NON_LIE = (3, [(0, 1, 1, 1), (1, 2, 0, 1)])
+
+
+def standard(algebra):
+    dim, entries = algebra
+    return StructureTensor(dim, skew_table(dim, [(i, j, k, Fraction(c))
+                                                 for i, j, k, c in entries]))
+
+
+def transport(tensor, P):
+    """The same bracket on the basis given by the columns of P (invertible)."""
+    n = tensor.dim
+    Pinv = P.inverse()
+    cols = P.columns()
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            vec = Pinv.apply(tensor.apply(cols[i], cols[j]))
+            table[(i, j)] = {k: c for k, c in enumerate(vec) if c}
+    return StructureTensor(n, table)
+
+
+NONZERO = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]),
+                    st.fractions(min_value=Fraction(1, 12), max_value=9,
+                                 max_denominator=12))
+
+
+def fixed_lists(elements, size):
+    return st.lists(elements, min_size=size, max_size=size)
+
+
+@st.composite
+def change_of_basis(draw, n):
+    """A lower unitriangular times an upper triangular matrix with a nonzero
+    diagonal: always invertible, with mixed denominators."""
+    below = iter(draw(fixed_lists(ENTRIES, n * (n - 1) // 2)))
+    above = iter(draw(fixed_lists(ENTRIES, n * (n - 1) // 2)))
+    diagonal = draw(fixed_lists(NONZERO, n))
+    lower = [[next(below) if j < i else Fraction(int(i == j)) for j in range(n)]
+             for i in range(n)]
+    upper = [[diagonal[i] if j == i else next(above) if j > i else Fraction(0)
+              for j in range(n)] for i in range(n)]
+    return RatMatrix(lower) * RatMatrix(upper)
+
+
+@st.composite
+def tensors(draw):
+    """Skew or arbitrary tables of dim <= 5 with explicit zero entries, or a
+    Lie algebra (or the non-Lie tensor) moved to a random basis."""
+    kind = draw(st.sampled_from(["skew", "plain", "moved"]))
+    if kind == "moved":
+        base = standard(draw(st.sampled_from(LIE + [NON_LIE])))
+        return transport(base, draw(change_of_basis(base.dim)))
+    dim = draw(st.integers(1, 5))
+    if kind == "skew":
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    else:
+        pairs = [(i, j) for i in range(dim) for j in range(dim)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    vectors = draw(fixed_lists(st.dictionaries(st.integers(0, dim - 1), ENTRIES,
+                                               min_size=1, max_size=dim),
+                               len(chosen)))
+    if kind == "skew":
+        return StructureTensor(dim, skew_table(dim, [
+            (i, j, k, c) for (i, j), vec in zip(chosen, vectors) for k, c in vec.items()]))
+    return StructureTensor(dim, dict(zip(chosen, vectors)))
+
+
+def operators(n):
+    return fixed_lists(fixed_lists(ENTRIES, n), n).map(RatMatrix)
+
+
+def layout(tensor):
+    """The table with its key order at both levels made visible."""
+    return [(ij, list(vec.items())) for ij, vec in tensor.table.items()]
+
+
+@given(tensors(), st.data())
+def test_kernels_match_reference(tensor, data):
+    op = data.draw(operators(tensor.dim), label="op")
+    got = derived(tensor, op)
+    assert layout(got) == layout(reference_derived(tensor, op))
+    assert all(type(c) is Fraction for vec in got.table.values() for c in vec.values())
+    assert check_jacobi(tensor) == reference_check_jacobi(tensor)
+    assert check_jacobi(got) == reference_check_jacobi(got)
+
+
+@given(st.sampled_from(LIE + [NON_LIE]), st.data())
+def test_check_jacobi_on_a_new_basis(algebra, data):
+    # the Jacobi identity does not depend on the basis, so the forced
+    # non-Lie tensor fails on every basis and the Lie algebras pass
+    base = standard(algebra)
+    moved = transport(base, data.draw(change_of_basis(base.dim), label="P"))
+    verdict = reference_check_jacobi(moved)
+    assert verdict[0] is (algebra in LIE)
+    assert check_jacobi(moved) == verdict
+    expected = (True, None) if algebra in LIE else (False, (0, 1, 2))
+    assert check_jacobi(base) == reference_check_jacobi(base) == expected
+
+
+@given(tensors(), st.data())
+def test_derived_is_linear_in_operator(tensor, data):
+    n = tensor.dim
+    d1 = data.draw(operators(n), label="d1")
+    d2 = data.draw(operators(n), label="d2")
+    c = data.draw(ENTRIES, label="c")
+    lhs = derived(tensor, d1 + d2.scale(c))
+    rhs = tensor_combination([(1, derived(tensor, d1)), (c, derived(tensor, d2))])
+    assert lhs == rhs
