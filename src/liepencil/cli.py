@@ -4,7 +4,8 @@ Subcommands: classify, derive, pencil, index, torsion, nijenhuis-check,
 exp-check, pc-check, example, report.  All file formats are the JSON
 interchange of the io module; reports print as "key: value" text or as a JSON
 document with deterministic field order.  Exit codes: 0 all checks pass,
-1 a mathematical check failed (witness in the report), 2 input error.
+1 a mathematical check failed (witness in the report), 2 input error,
+3 an unexpected error (a bug; one stderr line names the exception type).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR,
 EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 SEED_ENV = "LIEPENCIL_SEED"
 
@@ -685,6 +687,10 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

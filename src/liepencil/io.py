@@ -68,6 +68,8 @@ def algebra_from_dict(doc):
     labels = _require(doc, "basis", "algebra")
     if not isinstance(labels, list) or len(labels) != dim:
         raise ParseError("basis must list %d labels" % dim, "algebra.basis")
+    if not all(isinstance(x, str) for x in labels) or len(set(labels)) != dim:
+        raise ParseError("basis labels must be distinct strings", "algebra.basis")
     brackets = _require(doc, "brackets", "algebra")
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list", "algebra.brackets")
@@ -99,7 +101,7 @@ def algebra_from_dict(doc):
         if vec:
             table[(i, j)] = vec
             table[(j, i)] = {k: -c for k, c in vec.items()}
-    tensor = StructureTensor(dim, table, [str(x) for x in labels])
+    tensor = StructureTensor(dim, table, labels)
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError("metadata must be an object", "algebra.metadata")

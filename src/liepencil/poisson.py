@@ -9,6 +9,10 @@ Linear tables come from structure tensors, constant tables from freezing a
 bracket at a covector.  Operators lift to derivations of the symmetric
 algebra; iterating a lifted operator on a central seed produces a
 Poisson-commutative family.
+
+The bracket and the centrality system run on the integer polynomials of
+`exact`, each input cleared once to integers over one denominator;
+`Fraction` is built only for a coefficient that is returned.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exact import ONE, ZERO, RatMatrix, SparsePoly, kernel_basis, rank_exact
+from .exact import ZERO, SparsePoly, _cleared, _muladd, kernel_basis, rank_exact
+from .tensors import StructureTensor, check_jacobi
 
 
 class SeedNotCentral(ValueError):
@@ -64,33 +69,40 @@ class PoissonStructure:
 
 
 def poisson_bracket(struct, f, g):
-    """Leibniz-extended bracket of two polynomials."""
+    """Leibniz-extended bracket of two polynomials, summed on integers."""
     n = struct.nvars
-    df = [f.partial(i) for i in range(n)]
-    dg = [g.partial(i) for i in range(n)]
-    total = SparsePoly.zero(n)
-    for (i, j), b in struct.table.items():
-        piece = df[i] * dg[j] - df[j] * dg[i]
-        if not piece.is_zero():
-            total = total + b * piece
-    return total
+    L, table = _cleared(struct.table.values())
+    Lf, df = _cleared([f.partial(i) for i in range(n)])
+    Lg, dg = _cleared([g.partial(i) for i in range(n)])
+    total = {}
+    for (i, j), b in zip(struct.table, table):
+        piece = _muladd(_muladd({}, df[i], dg[j]), df[j], dg[i], -1)
+        if piece:
+            _muladd(total, b, piece)
+    out = SparsePoly(n)
+    out.terms = {e: Fraction(v, L * Lf * Lg) for e, v in total.items()}
+    return out
 
 
 def from_tensor(tensor):
     """Linear Poisson structure {x_i, x_j} = sum_k c_ij^k x_k of a Lie tensor.
 
-    Jacobi on generator triples is checked and recorded.
+    Jacobi on generator triples, `check_jacobi` on the skew tensor of the
+    upper triangle i < j that the table reads, is checked and recorded.
     """
     n = tensor.dim
     table = {}
+    skew = {}
     for i in range(n):
         for j in range(i + 1, n):
             vec = tensor.bracket(i, j)
             if vec:
                 table[(i, j)] = SparsePoly.linear(
                     [vec.get(k, ZERO) for k in range(n)])
+                skew[(i, j)] = vec
+                skew[(j, i)] = {k: -c for k, c in vec.items()}
     struct = PoissonStructure(n, table, names=tensor.labels)
-    struct.jacobi_verified = _jacobi_generators(struct)
+    struct.jacobi_verified = check_jacobi(StructureTensor(n, skew, tensor.labels))[0]
     if not struct.jacobi_verified:
         raise ValueError("bracket table violates Jacobi on generators")
     return struct
@@ -114,22 +126,6 @@ def frozen_bracket(tensor, gamma):
     struct = PoissonStructure(n, table, names=tensor.labels)
     struct.jacobi_verified = True  # constant brackets satisfy Jacobi trivially
     return struct
-
-
-def _jacobi_generators(struct):
-    n = struct.nvars
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                xi = SparsePoly.variable(n, i)
-                xj = SparsePoly.variable(n, j)
-                xk = SparsePoly.variable(n, k)
-                s = (poisson_bracket(struct, poisson_bracket(struct, xi, xj), xk)
-                     + poisson_bracket(struct, poisson_bracket(struct, xj, xk), xi)
-                     + poisson_bracket(struct, poisson_bracket(struct, xk, xi), xj))
-                if not s.is_zero():
-                    return False
-    return True
 
 
 def lift_operator(op, f):
@@ -268,30 +264,44 @@ def centre_candidates(struct, max_degree=2):
 
     Requires a linear bracket table (degree is then preserved, so centrality
     decouples by degree).  Returns the canonical kernel bases as polynomials,
-    lowest degree first.
+    lowest degree first.  The system is built on integers from the cleared
+    table, {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one row per
+    nonzero (generator, result monomial) pair; the canonical kernel basis
+    does not depend on row order, row scaling or zero rows.
     """
     n = struct.nvars
-    for p in struct.table.values():
-        if any(sum(e) != 1 for e in p.terms):
-            raise ValueError("centre candidates need a linear bracket table")
+    _, table = _cleared(struct.table.values())
+    # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's lcm
+    lin = [[{} for _ in range(n)] for _ in range(n)]
+    for (a, b), terms in zip(struct.table, table):
+        for e, c in terms.items():
+            if sum(e) != 1:
+                raise ValueError("centre candidates need a linear bracket table")
+            k = e.index(1)
+            lin[a][b][k] = c
+            lin[b][a][k] = -c
     out = []
     for d in range(1, max_degree + 1):
         monos = [tuple(_exps(n, combo)) for combo in
                  combinations_with_replacement(range(n), d)]
-        mono_polys = [SparsePoly.monomial(n, m) for m in monos]
-        brackets = [[poisson_bracket(struct, mp, SparsePoly.variable(n, i))
-                     for i in range(n)] for mp in mono_polys]
-        result_monos = sorted({mm for row in brackets for p in row for mm in p.terms},
-                              key=lambda t: (sum(t), t))
-        if not result_monos:
-            out.extend(mono_polys)
+        rows = {}
+        for col, m in enumerate(monos):
+            for j, mj in enumerate(m):
+                if not mj:
+                    continue
+                for i in range(n):
+                    for k, c in lin[j][i].items():
+                        rm = list(m)
+                        rm[j] -= 1
+                        rm[k] += 1
+                        row = rows.setdefault((i, tuple(rm)), {})
+                        row[col] = row.get(col, 0) + mj * c
+        dense = [vec for vec in ([row.get(col, 0) for col in range(len(monos))]
+                                 for row in rows.values()) if any(vec)]
+        if not dense:
+            out.extend(SparsePoly.monomial(n, m) for m in monos)
             continue
-        rows = []
-        for i in range(n):
-            for rm in result_monos:
-                rows.append([brackets[c][i].terms.get(rm, ZERO)
-                             for c in range(len(monos))])
-        for vec in kernel_basis(RatMatrix(rows)):
+        for vec in kernel_basis(dense):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
     return out
 

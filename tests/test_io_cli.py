@@ -13,7 +13,9 @@ from liepencil.io import (
     seeds_from_dict, save_algebra, load_algebra, save_operator, load_operator,
     save_seeds, load_seeds,
 )
+from liepencil import cli
 from liepencil.cli import main
+from liepencil.tensors import IdentityFailed
 
 
 def sl2():
@@ -208,11 +210,31 @@ def test_cli_input_errors(workdir, capsys):
       "brackets": [{"i": 0, "j": 1, "coeffs": ["1"]}]}, "brackets[0].coeffs"),
     ({"dim": True, "basis": ["a"], "brackets": []}, "algebra.dim"),
     ({"dim": 2, "basis": ["a", "b"], "brackets": {"x": 1}}, "algebra.brackets"),
-], ids=["coeffs-list", "dim-bool", "brackets-object"])
+    ({"dim": 2, "basis": [1, {"a": 2}], "brackets": []}, "algebra.basis"),
+    ({"dim": 2, "basis": ["a", "a"], "brackets": []}, "algebra.basis"),
+], ids=["coeffs-list", "dim-bool", "brackets-object", "basis-not-strings",
+        "basis-duplicate"])
 def test_cli_bad_algebra_field_exits_2(workdir, capsys, doc, field):
     (workdir / "bad.json").write_text(json.dumps(doc))
     assert run(["index", "--algebra", "bad.json"]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [IdentityFailed("guard broke"),
+                                 ArithmeticError("inexact polynomial division"),
+                                 KeyError("two\nlines")],
+                         ids=["identity-failed", "arithmetic-error", "key-error"])
+def test_cli_unexpected_exception_exits_3(workdir, capsys, monkeypatch, exc):
+    run(["example", "sl", "2"])
+    capsys.readouterr()
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_index", broken)
+    assert run(["index", "--algebra", "sl2.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and type(exc).__name__ in err
 
 
 def test_cli_seed_env(workdir, capsys, monkeypatch):
