@@ -144,15 +144,14 @@ def nilpotency_class(tensor):
     return len(dims) - 1
 
 
-def verify_index_theorem(family, n, partition, seed=None, max_exact_dim=15):
+def verify_index_theorem(family, n, partition, seed=None):
     """Index of the derived bracket at (ad e)^2 for a standard triple.
 
     Builds the matrix algebra, takes the triple attached to the partition,
     forms the derived bracket, and checks that its index equals both the
     centraliser dimension of e and the dimension of its own centre, that
     the derived bracket is nilpotent of class at most two, and that the
-    probabilistic and exact index calculations agree.  The exact index is
-    refused (ValueError) above max_exact_dim, as in `lie_index`.
+    probabilistic and exact index calculations agree.
     """
     from .constructions import build_classical, nilpotent_square, sl2_complete
 
@@ -162,7 +161,9 @@ def verify_index_theorem(family, n, partition, seed=None, max_exact_dim=15):
     derived_tensor = derived(tensor, op)
 
     rep_p = lie_index(derived_tensor, mode="prob", seed=seed)
-    rep_e = lie_index(derived_tensor, mode="exact", max_exact_dim=max_exact_dim)
+    # the theorem check is never refused: the exact index is capped at the
+    # derived bracket's own dimension
+    rep_e = lie_index(derived_tensor, mode="exact", max_exact_dim=derived_tensor.dim)
     cent = centraliser(tensor, triple.e)
     centre = lie_centre(derived_tensor)
     cls = nilpotency_class(derived_tensor)

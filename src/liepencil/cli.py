@@ -22,11 +22,11 @@ from . import io as iomod
 from . import nijenhuis as nij
 from . import poisson as pois
 from .analysis import lie_centre, lie_index, lower_central_series
-from .exact import RatMatrix, format_rat, parse_rat
+from .exact import format_rat, parse_rat
 from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR,
                       TAG_NOT_NEAR, TAG_QUASI, TAG_SCALAR, check_jacobi,
-                      check_skew, classify_operator, derived, derived_iter,
-                      is_lie, normalize_pencil)
+                      check_skew, classify_operator, derived_iter, is_lie,
+                      normalize_pencil)
 
 EXIT_OK = 0
 EXIT_CHECK = 1

@@ -509,7 +509,7 @@ def generic_rank(mat):
     the lcm of their denominators, which changes neither the rank nor a term
     count; every Bareiss quotient is then a minor, so it stays in Z[x].
     """
-    M = [_cleared(row)[1] for row in mat]
+    M = [_cleared(p.terms for p in row)[1] for row in mat]
     nrows = len(M)
     ncols = len(M[0]) if M else 0
     rank = 0
@@ -541,14 +541,17 @@ def generic_rank(mat):
 
 # Integer polynomials {exponent tuple: nonzero int}: the kernels that clear a
 # polynomial's denominators once (generic_rank, poisson.poisson_bracket) run
-# on these and build a Fraction only for a coefficient they return.
+# on these and build a Fraction only for a coefficient they return.  The
+# clearing rule `_cleared` is shared with the tensor kernels.
 
-def _cleared(polys):
-    """(L, [terms of p times L for p in polys]), L the lcm of their
-    denominators; integer arithmetic only."""
-    L = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return L, [{e: c.numerator * (L // c.denominator) for e, c in p.terms.items()}
-               for p in polys]
+def _cleared(dicts):
+    """(L, [d times L for d in dicts]) for {key: Fraction} dicts, L the lcm
+    of all their denominators; integer arithmetic only, keys keep their
+    order."""
+    dicts = list(dicts)
+    L = lcm(*(c.denominator for d in dicts for c in d.values()))
+    return L, [{k: c.numerator * (L // c.denominator) for k, c in d.items()}
+               for d in dicts]
 
 
 def _muladd(acc, a, b, sign=1):

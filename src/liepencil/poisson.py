@@ -17,12 +17,12 @@ The bracket and the centrality system run on the integer polynomials of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exact import ZERO, SparsePoly, _cleared, _muladd, kernel_basis, rank_exact
-from .tensors import StructureTensor, check_jacobi
+from .tensors import StructureTensor, check_jacobi, is_lie
 
 
 class SeedNotCentral(ValueError):
@@ -71,9 +71,9 @@ class PoissonStructure:
 def poisson_bracket(struct, f, g):
     """Leibniz-extended bracket of two polynomials, summed on integers."""
     n = struct.nvars
-    L, table = _cleared(struct.table.values())
-    Lf, df = _cleared([f.partial(i) for i in range(n)])
-    Lg, dg = _cleared([g.partial(i) for i in range(n)])
+    L, table = _cleared(p.terms for p in struct.table.values())
+    Lf, df = _cleared(f.partial(i).terms for i in range(n))
+    Lg, dg = _cleared(g.partial(i).terms for i in range(n))
     total = {}
     for (i, j), b in zip(struct.table, table):
         piece = _muladd(_muladd({}, df[i], dg[j]), df[j], dg[i], -1)
@@ -110,7 +110,6 @@ def from_tensor(tensor):
 
 def frozen_bracket(tensor, gamma):
     """Constant bracket {x, y}_gamma = gamma([x, y]) at a covector gamma."""
-    from .tensors import is_lie
     if not is_lie(tensor):
         raise ValueError("frozen bracket needs a Lie tensor")
     n = tensor.dim
@@ -270,7 +269,7 @@ def centre_candidates(struct, max_degree=2):
     does not depend on row order, row scaling or zero rows.
     """
     n = struct.nvars
-    _, table = _cleared(struct.table.values())
+    _, table = _cleared(p.terms for p in struct.table.values())
     # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's lcm
     lin = [[{} for _ in range(n)] for _ in range(n)]
     for (a, b), terms in zip(struct.table, table):

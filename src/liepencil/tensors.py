@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import (ONE, ZERO, RatMatrix, mat_commutator, rank_exact,
-                    rational_sqrt, solve_columns)
+from .exact import (ONE, ZERO, RatMatrix, _cleared, mat_commutator,
+                    rank_exact, rational_sqrt, solve_columns)
 
 TAG_DERIVATION = "derivation"
 TAG_SCALAR = "scalar-type"
@@ -213,16 +213,14 @@ def tensor_combination(pairs):
     return out
 
 
-def _cleared(tensor):
+def _cleared_table(tensor):
     """(L, {(i, j): {k: int}}): the table times L, the lcm of its denominators.
 
     Integer arithmetic only; keys keep the table's insertion order.  The
-    tensor analogue of the row clearing in the elimination engine.
+    clearing rule is `exact._cleared`, applied to the table's vectors.
     """
-    table = tensor.table
-    L = lcm(*(c.denominator for vec in table.values() for c in vec.values()))
-    return L, {ij: {k: c.numerator * (L // c.denominator) for k, c in vec.items()}
-               for ij, vec in table.items()}
+    L, vecs = _cleared(tensor.table.values())
+    return L, dict(zip(tensor.table, vecs))
 
 
 def derived(tensor, op):
@@ -238,7 +236,7 @@ def derived(tensor, op):
     n = tensor.dim
     if op.nrows != n or op.ncols != n:
         raise ValueError("operator shape mismatch")
-    L, tab = _cleared(tensor)
+    L, tab = _cleared_table(tensor)
     d = lcm(*(x.denominator for row in op.rows for x in row))
     cols = [[x.numerator * (d // x.denominator) for x in col] for col in op.columns()]
     empty = {}
@@ -338,7 +336,7 @@ def check_jacobi(tensor):
     """
     n = tensor.dim
     skew = tensor.is_skew()
-    _, tab = _cleared(tensor)
+    _, tab = _cleared_table(tensor)
     empty = {}
 
     def jac(i, j, k):

@@ -101,11 +101,3 @@ def test_index_theorem_smallest_case():
     assert rep.centraliser_dim == rep.centre_dim == 1
     assert rep.nilpotency_class == 2
     assert rep.dim == 3
-
-
-def test_index_theorem_exact_cap_is_explicit():
-    # the derived bracket of sl2 has dim 3: the default cap of 15 admits it,
-    # an explicit cap below 3 refuses the exact index
-    assert verify_index_theorem("sl", 2, (2,), seed=3, max_exact_dim=3).index_exact == 1
-    with pytest.raises(ValueError, match="above dimension 2"):
-        verify_index_theorem("sl", 2, (2,), seed=3, max_exact_dim=2)

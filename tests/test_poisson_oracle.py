@@ -204,6 +204,8 @@ def test_poisson_bracket_matches_reference(struct, data):
     f = data.draw(polys(n), label="f")
     g = data.draw(polys(n), label="g")
     got = poisson_bracket(struct, f, g)
+    # term order is not compared: a term that cancels partway through the
+    # Leibniz sum may come back in another place, and io and format sort
     assert got.terms == reference_poisson_bracket(struct, f, g).terms
     assert got.nvars == n and only_fractions(got)
 
