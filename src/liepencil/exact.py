@@ -7,15 +7,15 @@ each row's denominators and works on Python ints, and `rref`, `rank_exact`,
 `kernel_basis`, `solve_columns` and `RatMatrix.inverse` build a `Fraction`
 only for an entry they return.  Polynomials are sparse maps from exponent
 tuples to nonzero coefficients with the graded lexicographic order fixing a
-canonical form; `generic_rank` and the Poisson bracket clear them to integer
-polynomials and run on the private helpers at the end of this module.
+canonical form; the Poisson bracket clears them to integer polynomials and
+runs on the private helpers at the end of this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -505,11 +505,9 @@ def generic_rank(mat):
     Fraction-free (Bareiss) elimination with exact polynomial division; the
     pivot with the fewest terms is chosen at each step to limit growth.
     A nonzero polynomial pivot is generically invertible, so the count of
-    pivots is the generic rank.  Rows are scaled to integer polynomials by
-    the lcm of their denominators, which changes neither the rank nor a term
-    count; every Bareiss quotient is then a minor, so it stays in Z[x].
+    pivots is the generic rank.
     """
-    M = [_cleared(p.terms for p in row)[1] for row in mat]
+    M = [list(row) for row in mat]
     nrows = len(M)
     ncols = len(M[0]) if M else 0
     rank = 0
@@ -517,21 +515,19 @@ def generic_rank(mat):
     for c in range(ncols):
         best = None
         for i in range(rank, nrows):
-            if M[i][c]:
-                if best is None or len(M[i][c]) < len(M[best][c]):
+            if not M[i][c].is_zero():
+                if best is None or len(M[i][c].terms) < len(M[best][c].terms):
                     best = i
         if best is None:
             continue
         M[rank], M[best] = M[best], M[rank]
-        prow = M[rank]
-        piv = prow[c]
+        piv = M[rank][c]
         for i in range(rank + 1, nrows):
-            row = M[i]
-            e = row[c]
+            e = M[i][c]
             for j in range(c + 1, ncols):
-                num = _muladd(_muladd({}, piv, row[j]), e, prow[j], -1)
-                row[j] = num if prev is None else _exact_quotient(num, prev)
-            row[c] = {}
+                num = piv * M[i][j] - e * M[rank][j]
+                M[i][j] = num if prev is None else num.exact_div(prev)
+            M[i][c] = SparsePoly.zero(piv.nvars)
         prev = piv
         rank += 1
         if rank == nrows:
@@ -539,10 +535,10 @@ def generic_rank(mat):
     return rank
 
 
-# Integer polynomials {exponent tuple: nonzero int}: the kernels that clear a
-# polynomial's denominators once (generic_rank, poisson.poisson_bracket) run
-# on these and build a Fraction only for a coefficient they return.  The
-# clearing rule `_cleared` is shared with the tensor kernels.
+# Integer polynomials {exponent tuple: nonzero int}: the Poisson kernels clear
+# a polynomial's denominators once, run on these and build a Fraction only
+# for a coefficient they return.  The clearing rule `_cleared` is shared with
+# the tensor kernels.
 
 def _cleared(dicts):
     """(L, [d times L for d in dicts]) for {key: Fraction} dicts, L the lcm
@@ -566,20 +562,3 @@ def _muladd(acc, a, b, sign=1):
             else:
                 del acc[e]
     return acc
-
-
-def _exact_quotient(a, d):
-    """a / d for integer polynomials; ArithmeticError unless it lies in Z[x]."""
-    lt_d = max(d, key=lambda t: (sum(t), t))
-    lc_d = d[lt_d]
-    rem = dict(a)
-    quot = {}
-    while rem:
-        lt_r = max(rem, key=lambda t: (sum(t), t))
-        diff = tuple(map(sub, lt_r, lt_d))
-        q, r = divmod(rem[lt_r], lc_d)
-        if r or any(x < 0 for x in diff):
-            raise ArithmeticError("inexact polynomial division")
-        quot[diff] = q
-        _muladd(rem, {diff: q}, d, -1)
-    return quot

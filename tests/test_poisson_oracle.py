@@ -1,11 +1,11 @@
-"""The integer Poisson kernels and `generic_rank` against Fraction references.
+"""The integer Poisson kernels against Fraction references.
 
 The references below are the plain Fraction versions of `poisson_bracket`,
-`centre_candidates`, `generic_rank` and the Jacobi gate of `from_tensor`.
-The library runs the same computations on integers over common
-denominators, so on generated inputs (polynomials with mixed denominators
-and zero terms; linear tables of Lie algebras moved to random rational
-bases, abelian tables and non-Lie tables) the results must agree exactly:
+`centre_candidates` and the Jacobi gate of `from_tensor`.  The library
+runs the same computations on integers over common denominators, so on
+generated inputs (polynomials with mixed denominators and zero terms;
+linear tables of Lie algebras moved to random rational bases, abelian
+tables and non-Lie tables) the results must agree exactly:
 equal term dicts, only `Fraction` coefficients, the same kernel-basis order
 and the same verdicts.  Hypothesis is test-only; the library itself stays
 stdlib-only.
@@ -13,7 +13,6 @@ stdlib-only.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 
 import pytest
 
@@ -21,14 +20,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from liepencil.analysis import structure_matrix
-from liepencil.exact import (ZERO, RatMatrix, SparsePoly, _exact_quotient,
-                             generic_rank, kernel_basis)
+from liepencil.exact import ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis
 from liepencil.poisson import (PoissonStructure, centre_candidates, from_tensor,
                                poisson_bracket)
 from liepencil.tensors import StructureTensor
 
-from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis,
-                                fixed_lists, standard, tensors, transport)
+from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis, standard,
+                                tensors, transport)
 
 # the example budget is the "liepencil" profile in conftest.py
 
@@ -74,36 +72,6 @@ def reference_centre_candidates(struct, max_degree):
         for vec in kernel_basis(RatMatrix(rows)):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
     return out
-
-
-def reference_generic_rank(mat):
-    """Bareiss elimination on SparsePoly entries with SparsePoly.exact_div."""
-    M = [list(row) for row in mat]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    rank = 0
-    prev = None
-    for c in range(ncols):
-        best = None
-        for i in range(rank, nrows):
-            if not M[i][c].is_zero():
-                if best is None or len(M[i][c].terms) < len(M[best][c].terms):
-                    best = i
-        if best is None:
-            continue
-        M[rank], M[best] = M[best], M[rank]
-        piv = M[rank][c]
-        for i in range(rank + 1, nrows):
-            e = M[i][c]
-            for j in range(c + 1, ncols):
-                num = piv * M[i][j] - e * M[rank][j]
-                M[i][j] = num if prev is None else num.exact_div(prev)
-            M[i][c] = SparsePoly.zero(piv.nvars)
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def linear_table(tensor):
@@ -229,45 +197,12 @@ def test_centre_candidates_on_standard_bases(algebra):
     check_centre_candidates(standard(algebra), 3 if algebra[0] <= 4 else 2)
 
 
-@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.data())
-def test_generic_rank_matches_reference(nvars, nrows, ncols, data):
-    entry = st.one_of(st.just(SparsePoly.zero(nvars)), polys(nvars, max_exp=1, max_terms=3))
-    mat = data.draw(fixed_lists(fixed_lists(entry, ncols), nrows), label="mat")
-    assert generic_rank(mat) == reference_generic_rank(mat)
-
-
 @given(st.sampled_from(LIE), st.data())
 def test_generic_rank_on_moved_structure_matrices(algebra, data):
     base = standard(algebra)
     moved = transport(base, data.draw(change_of_basis(base.dim), label="P"))
-    mat = structure_matrix(moved)
     # the generic rank of the bracket form does not depend on the basis
-    assert generic_rank(mat) == reference_generic_rank(mat) == generic_rank(
-        structure_matrix(base))
-
-
-def cleared(p):
-    """The terms of p times the lcm of its denominators, as ints."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {e: int(c * den) for e, c in p.terms.items()}
-
-
-@given(st.integers(1, 3), st.data())
-def test_exact_quotient_in_integer_polynomials(nvars, data):
-    a = cleared(data.draw(polys(nvars, max_terms=3), label="a"))
-    d = cleared(data.draw(polys(nvars, max_terms=3).filter(bool), label="d"))
-    product = SparsePoly(nvars, a) * SparsePoly(nvars, d)
-    assert _exact_quotient({e: int(c) for e, c in product.terms.items()}, d) == a
-
-
-@pytest.mark.parametrize("num, den", [
-    ({(2,): 1}, {(1,): 2}),              # x^2 / 2x = x/2 is not in Z[x]
-    ({(1, 0): 1}, {(0, 1): 1}),          # x / y is not a polynomial
-    ({(2,): 1, (0,): 1}, {(1,): 1}),     # (x^2 + 1) / x leaves a remainder
-])
-def test_exact_quotient_refuses_inexact(num, den):
-    with pytest.raises(ArithmeticError):
-        _exact_quotient(num, den)
+    assert generic_rank(structure_matrix(moved)) == generic_rank(structure_matrix(base))
 
 
 @given(st.one_of(tensors(), linear_tensors(), lower_junk()))
