@@ -7,8 +7,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (RatMatrix, SparsePoly, generic_rank, kernel_basis,
-                    rank_exact, rref)
+                    rank_exact, rref, unit_vector)
 from .tensors import ad, derived, is_lie
+
+# the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
+SAMPLE_BOUND = 10 ** 6
 
 
 @dataclass
@@ -58,8 +61,7 @@ def structure_matrix(tensor):
     return rows
 
 
-def lie_index(tensor, mode="prob", samples=5, bound=10 ** 6, rng=None,
-              seed=None, max_exact_dim=12):
+def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
     """dim minus the generic rank of the bracket form.
 
     mode "prob" samples integer covectors and takes the maximal rank of the
@@ -78,12 +80,11 @@ def lie_index(tensor, mode="prob", samples=5, bound=10 ** 6, rng=None,
         return IndexReport(n, r, n - r, "exact-symbolic")
     if mode != "prob":
         raise ValueError("unknown mode %r" % (mode,))
-    if rng is None:
-        rng = random.Random(seed)
+    rng = random.Random(seed)
     best = 0
     mat = structure_matrix(tensor)
     for _ in range(samples):
-        point = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+        point = [Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for _ in range(n)]
         rows = [[entry.eval_at(point) for entry in row] for row in mat]
         r = rank_exact(rows)
         if r > best:
@@ -101,7 +102,7 @@ def lower_central_series(tensor):
     """
     n = tensor.dim
     dims = [n]
-    basis = [_unit(n, i) for i in range(n)]
+    basis = [unit_vector(n, i) for i in range(n)]
     current = basis
     while True:
         red, pivots = rref([tensor.apply(x, e) for x in current for e in basis])
@@ -111,12 +112,6 @@ def lower_central_series(tensor):
             break
         current = red[:r]
     return dims
-
-
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
 
 
 @dataclass

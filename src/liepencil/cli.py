@@ -136,11 +136,9 @@ def _classify_doc(tensor, op):
         except IrrationalEigenvalues as exc:
             doc["mode"] = "irrational-eigenvalues"
             doc["note"] = str(exc)
-    sk, _ = check_skew(tensor)
-    jc, _ = check_jacobi(tensor)
-    checks = {"input_skew": sk, "input_jacobi": jc}
+    checks = {"input_skew": tensor.is_skew(), "input_jacobi": check_jacobi(tensor)[0]}
     if not act.derived.is_zero():
-        checks["derived_skew"] = check_skew(act.derived)[0]
+        checks["derived_skew"] = act.derived.is_skew()
         checks["derived_jacobi"] = check_jacobi(act.derived)[0]
     doc["jacobi_checks"] = checks
     return act, norm, doc
@@ -280,32 +278,16 @@ def cmd_exp_check(args):
     op = _load_operator(args.operator, tensor.dim)
     points = (_parse_rationals(args.points, "points") if args.points else None)
     if args.kind == "nijenhuis":
-        if args.certified:
-            rep = nij.certified_exp_identity_nijenhuis(tensor, op, points)
-        else:
-            if not points:
-                raise InputProblem("give --points or --certified")
-            rep = None
-            checked = []
-            for s in points:
-                rep = nij.exp_identity_nijenhuis(tensor, op, s)
-                checked.append(s)
-                if not rep.ok:
-                    break
-            rep.points = checked
+        if not (points or args.certified):
+            raise InputProblem("give --points or --certified")
+        rep = nij.certified_exp_identity_nijenhuis(tensor, op, points)
     else:
         if args.m is None:
             raise InputProblem("--kind near requires --m")
         if not points:
             raise InputProblem("--kind near requires --points")
-        rep = None
-        checked = []
-        for v in points:
-            rep = nij.exp_identity_near(tensor, op, args.m, v)
-            checked.append(v)
-            if not rep.ok:
-                break
-        rep.points = checked
+        rep = nij.check_points(lambda v: nij.exp_identity_near(tensor, op, args.m, v),
+                               points)
     doc = {
         "kind": args.kind,
         "ok": rep.ok,
@@ -541,7 +523,7 @@ def cmd_report(args):
     split = nij.torsion_decomposition(tensor, op)
     gate("torsion-decomposition", split.ok)
 
-    flat, wit = nij.is_nijenhuis(tensor, op)
+    flat, wit = nij.torsion_verdict(split.torsion)
     diagnostics["nijenhuis"] = flat
     if not flat:
         diagnostics["nijenhuis_witness"] = list(wit)

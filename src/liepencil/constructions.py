@@ -12,13 +12,14 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (ONE, ZERO, RatMatrix, kernel_basis, mat_commutator,
-                    nilpotent_index, rref, solve_columns)
+from .exact import (ONE, ZERO, RatMatrix, kernel_basis, mat_commutator, rref,
+                    solve_columns, unit_vector)
 from .tensors import (StructureTensor, TAG_NEAR, IdentityFailed, ad, check_jacobi,
-                      check_skew, classify_operator, derived, tensor_combination)
+                      check_skew, classify_operator, derived, pair_table,
+                      tensor_combination)
 
 
 def unit_matrix(n, i, j):
@@ -262,39 +263,29 @@ def quasi_grading_extension(tensor, spec):
     labels = []
     weights = []
     for pos, i in enumerate(zero_idx):
-        v = [ZERO] * big_dim
-        v[i] = ONE
+        v = unit_vector(big_dim, i)
         v[dim + pos] = ONE
         adapted.append(v)
         labels.append("%s+%s'" % (tensor.labels[i], tensor.labels[i]))
         weights.append(0)
     for w in range(1, n):
         for i in spec.eigenspace(w):
-            v = [ZERO] * big_dim
-            v[i] = ONE
-            adapted.append(v)
+            adapted.append(unit_vector(big_dim, i))
             labels.append(tensor.labels[i])
             weights.append(w)
     for i in zero_idx:
-        v = [ZERO] * big_dim
-        v[i] = ONE
-        adapted.append(v)
+        adapted.append(unit_vector(big_dim, i))
         labels.append(tensor.labels[i])
         weights.append(n)
     big = direct_sum(tensor, _restrict(tensor, zero_idx))
-    cols = adapted
-    table = {}
-    for a in range(big_dim):
-        for b in range(a + 1, big_dim):
-            out = big.apply(adapted[a], adapted[b])
-            coords = solve_columns(cols, out)
-            if coords is None:
-                raise ValueError("adapted basis failed to close")
-            vec = {k: c for k, c in enumerate(coords) if c}
-            if vec:
-                table[(a, b)] = vec
-                table[(b, a)] = {k: -c for k, c in vec.items()}
-    ext = StructureTensor(big_dim, table, labels)
+
+    def entry(a, b):
+        coords = solve_columns(adapted, big.apply(adapted[a], adapted[b]))
+        if coords is None:
+            raise ValueError("adapted basis failed to close")
+        return {k: c for k, c in enumerate(coords) if c}
+
+    ext = StructureTensor(big_dim, pair_table(big_dim, entry, skew=True), labels)
     new_spec = GradingSpec(tuple(weights), kind="quasi")
     ok, wit = new_spec.validate(ext)
     if not ok:
@@ -471,8 +462,8 @@ def nilpotent_square(tensor, e):
     formula_ok = True
     for i in range(n):
         for j in range(n):
-            lhs = [2 * c for c in tensor.apply(ade.apply(_unit_vec(n, i)),
-                                               ade.apply(_unit_vec(n, j)))]
+            lhs = [2 * c for c in tensor.apply(ade.apply(unit_vector(n, i)),
+                                               ade.apply(unit_vector(n, j)))]
             vec = t1.bracket(i, j)
             rhs = [ZERO] * n
             for k, c in vec.items():
@@ -484,7 +475,7 @@ def nilpotent_square(tensor, e):
     kernel_ok = True
     for u in img:
         for j in range(n):
-            w = tensor.apply(u, _unit_vec(n, j))
+            w = tensor.apply(u, unit_vector(n, j))
             if any(op.apply(w)):
                 kernel_ok = False
     return op, NilpotentSquareReport(
@@ -497,12 +488,6 @@ def nilpotent_square(tensor, e):
         image_in_kernel=kernel_ok,
         formula_check=formula_ok,
     )
-
-
-def _unit_vec(n, i):
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 @dataclass

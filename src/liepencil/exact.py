@@ -34,6 +34,13 @@ def format_rat(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+def unit_vector(n, i):
+    """The i-th standard basis vector of Q^n as a dense list."""
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
+
+
 def rational_sqrt(x):
     """Exact square root of a rational, or None when no rational root exists."""
     x = Fraction(x)
@@ -291,6 +298,8 @@ class SparsePoly:
 
     Terms live in a dict keyed by exponent tuples; zero coefficients are never
     stored.  Printing and leading-term selection use graded lex order.
+    `SparsePoly(nvars, terms)` validates and copies terms that arrive from
+    outside; the library builds its results with the trusted `_of`.
 
     Example: (x1 - 1)*(x1 + 1) multiplies out to x1^2 - 1::
 
@@ -314,6 +323,15 @@ class SparsePoly:
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError("bad exponent vector %r" % (exps,))
                 self.terms[exps] = c
+
+    @classmethod
+    def _of(cls, nvars, terms):
+        """Trusted constructor: terms is already clean (nonzero Fractions on
+        exponent tuples of length nvars) and is kept as it is, no copy."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     @classmethod
     def zero(cls, nvars):
@@ -356,9 +374,7 @@ class SparsePoly:
                 and self.terms == other.terms)
 
     def __neg__(self):
-        p = SparsePoly(self.nvars)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return SparsePoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
@@ -370,9 +386,7 @@ class SparsePoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        p = SparsePoly(self.nvars)
-        p.terms = out
-        return p
+        return SparsePoly._of(self.nvars, out)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SparsePoly) else SparsePoly.const(self.nvars, -Fraction(other)))
@@ -380,10 +394,8 @@ class SparsePoly:
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             c = Fraction(other)
-            p = SparsePoly(self.nvars)
-            if c:
-                p.terms = {e: c * v for e, v in self.terms.items()}
-            return p
+            return SparsePoly._of(self.nvars, {e: c * v for e, v in self.terms.items()}
+                                  if c else {})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -393,9 +405,7 @@ class SparsePoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        p = SparsePoly(self.nvars)
-        p.terms = out
-        return p
+        return SparsePoly._of(self.nvars, out)
 
     def __rmul__(self, other):
         return self * other
@@ -419,9 +429,7 @@ class SparsePoly:
                 ne = list(e)
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
-        p = SparsePoly(self.nvars)
-        p.terms = out
-        return p
+        return SparsePoly._of(self.nvars, out)
 
     def eval_at(self, point):
         """Evaluate at a rational point given as a sequence."""

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .exact import RatMatrix, SparsePoly, format_rat, parse_rat
-from .tensors import StructureTensor
+from .tensors import StructureTensor, skew_table
 
 
 class ParseError(ValueError):
@@ -34,9 +34,13 @@ def _is_int(x):
 
 
 def _rat(text, context):
+    """A rational written as a JSON string; any other JSON value is refused,
+    since a JSON number may have passed through a float."""
+    if not isinstance(text, str):
+        raise ParseError("rational must be a string, got %r" % (text,), context)
     try:
         return parse_rat(text)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise ParseError("bad rational %r" % (text,), context)
 
 
@@ -73,7 +77,7 @@ def algebra_from_dict(doc):
     brackets = _require(doc, "brackets", "algebra")
     if not isinstance(brackets, list):
         raise ParseError("brackets must be a list", "algebra.brackets")
-    table = {}
+    upper = {}
     for idx, entry in enumerate(brackets):
         ctx = "brackets[%d]" % idx
         if not isinstance(entry, dict):
@@ -82,7 +86,7 @@ def algebra_from_dict(doc):
         j = _require(entry, "j", ctx)
         if not (_is_int(i) and _is_int(j) and 0 <= i < j < dim):
             raise ParseError("indices must satisfy 0 <= i < j < dim", ctx)
-        if (i, j) in table:
+        if (i, j) in upper:
             raise ParseError("duplicate pair (%d, %d)" % (i, j), ctx)
         coeffs = _require(entry, "coeffs", ctx)
         if not isinstance(coeffs, dict):
@@ -95,13 +99,12 @@ def algebra_from_dict(doc):
                 raise ParseError("bad basis index %r" % (key,), ctx)
             if not 0 <= k < dim:
                 raise ParseError("basis index %d out of range" % k, ctx)
-            c = _rat(text, ctx)
+            c = _rat(text, ctx + ".coeffs")
             if c:
                 vec[k] = c
         if vec:
-            table[(i, j)] = vec
-            table[(j, i)] = {k: -c for k, c in vec.items()}
-    tensor = StructureTensor(dim, table, labels)
+            upper[(i, j)] = vec
+    tensor = StructureTensor(dim, skew_table(upper), labels)
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError("metadata must be an object", "algebra.metadata")
@@ -144,7 +147,7 @@ def poly_from_list(nvars, data, context="poly"):
         if (not isinstance(exps, list) or len(exps) != nvars
                 or any(not _is_int(e) or e < 0 for e in exps)):
             raise ParseError("exponents must be %d nonnegative integers" % nvars, ctx)
-        c = _rat(_require(term, "coeff", ctx), ctx)
+        c = _rat(_require(term, "coeff", ctx), ctx + ".coeff")
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + c
     return SparsePoly(nvars, {e: c for e, c in terms.items() if c})

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import RatMatrix, mat_commutator, nilpotent_exp
-from .tensors import (StructureTensor, derived, derived_iter, is_lie)
+from .exact import ZERO, RatMatrix, mat_commutator, nilpotent_exp, unit_vector
+from .tensors import StructureTensor, derived, derived_iter, is_lie, pair_table
 
 
 def torsion(tensor, op):
@@ -28,48 +28,31 @@ def torsion(tensor, op):
         raise ValueError("operator shape mismatch")
     t1 = derived(tensor, op)
     cols = op.columns()
-    table = {}
-    skew = tensor.is_skew()
 
     def entry(i, j):
         direct = tensor.apply(cols[i], cols[j])
         inner = t1.bracket(i, j)
         if inner:
-            dense = [inner.get(k, Fraction(0)) for k in range(n)]
-            shift = op.apply(dense)
+            shift = op.apply([inner.get(k, ZERO) for k in range(n)])
             direct = [u + v for u, v in zip(direct, shift)]
         return {k: c for k, c in enumerate(direct) if c}
 
-    if skew:
-        for i in range(n):
-            for j in range(i + 1, n):
-                vec = entry(i, j)
-                if vec:
-                    table[(i, j)] = dict(vec)
-                    table[(j, i)] = {k: -c for k, c in vec.items()}
-    else:
-        for i in range(n):
-            for j in range(n):
-                vec = entry(i, j)
-                if vec:
-                    table[(i, j)] = vec
-    return StructureTensor(n, table, tensor.labels)
+    return StructureTensor._of(n, pair_table(n, entry, tensor.is_skew()), tensor.labels)
 
 
-def is_nijenhuis(tensor, op):
-    """(vanishes, witness pair or None).
+def torsion_verdict(tors):
+    """(vanishes, witness pair or None) of a torsion tensor.
 
     The witness is the first basis pair, in row-major order, whose torsion
     is nonzero.
     """
-    witness = min(torsion(tensor, op).table, default=None)
+    witness = min(tors.table, default=None)
     return witness is None, witness
 
 
-def _unit(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return v
+def is_nijenhuis(tensor, op):
+    """(vanishes, witness pair or None); see `torsion_verdict`."""
+    return torsion_verdict(torsion(tensor, op))
 
 
 @dataclass
@@ -153,16 +136,12 @@ class ExpReport:
 
 def _conjugated(tensor, outer, inner):
     """outer . T(inner x, inner y) as a tensor over the basis."""
-    n = tensor.dim
     cols = inner.columns()
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            vec = outer.apply(tensor.apply(cols[i], cols[j]))
-            entry = {k: c for k, c in enumerate(vec) if c}
-            if entry:
-                table[(i, j)] = entry
-    return StructureTensor(n, table, tensor.labels)
+
+    def entry(i, j):
+        return {k: c for k, c in enumerate(outer.apply(tensor.apply(cols[i], cols[j]))) if c}
+
+    return StructureTensor._of(tensor.dim, pair_table(tensor.dim, entry), tensor.labels)
 
 
 def exp_identity_nijenhuis(tensor, op, s):
@@ -177,18 +156,15 @@ def exp_identity_nijenhuis(tensor, op, s):
     Einv = nilpotent_exp(op, -s)
     lhs = _conjugated(tensor, Einv, E)
     cols = E.columns()
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            base = tensor.apply(_unit(n, i), _unit(n, j))
-            vec = [a + b - c for a, b, c in zip(
-                tensor.apply(cols[i], _unit(n, j)),
-                tensor.apply(_unit(n, i), cols[j]),
-                E.apply(base))]
-            entry = {k: c for k, c in enumerate(vec) if c}
-            if entry:
-                table[(i, j)] = entry
-    rhs = StructureTensor(n, table, tensor.labels)
+
+    def entry(i, j):
+        ei, ej = unit_vector(n, i), unit_vector(n, j)
+        vec = [a + b - c for a, b, c in zip(tensor.apply(cols[i], ej),
+                                            tensor.apply(ei, cols[j]),
+                                            E.apply(tensor.apply(ei, ej)))]
+        return {k: c for k, c in enumerate(vec) if c}
+
+    rhs = StructureTensor._of(n, pair_table(n, entry), tensor.labels)
     if lhs == rhs:
         return ExpReport(True, points=[s])
     witness = _first_difference(lhs, rhs)
@@ -203,14 +179,24 @@ def certified_exp_identity_nijenhuis(tensor, op, points=None):
     """
     if points is None:
         points = [Fraction(k) for k in range(4 * tensor.dim + 1)]
+    return check_points(lambda s: exp_identity_nijenhuis(tensor, op, s), points)
+
+
+def check_points(check, points):
+    """Run check(s) at each point until the first failure.
+
+    Returns the report of the last point checked, its points field listing
+    every point checked so far; an empty point list passes.
+    """
+    rep = ExpReport(True)
     checked = []
     for s in points:
-        rep = exp_identity_nijenhuis(tensor, op, s)
+        rep = check(s)
         checked.append(Fraction(s))
         if not rep.ok:
-            rep.points = checked
-            return rep
-    return ExpReport(True, points=checked)
+            break
+    rep.points = checked
+    return rep
 
 
 def exp_identity_near(tensor, op, m, value):
@@ -317,21 +303,13 @@ def assoc_torsion_formula(n, a, J=None):
     tors = torsion(ops.odd_tensor, ops.d_a_odd)
 
     quarter = Fraction(-1, 4)
-    table = {}
-    double_table = {}
-    for i in range(dim):
-        for j in range(dim):
-            w = mat_commutator(mat_commutator(a, odd[i]),
-                               mat_commutator(a, odd[j]))
-            coords = split.odd_coords(w)
-            ent = {k: quarter * c for k, c in enumerate(coords) if c}
-            if ent:
-                table[(i, j)] = ent
-            ent2 = {k: 2 * c for k, c in enumerate(coords) if c}
-            if ent2:
-                double_table[(i, j)] = ent2
-    expected = StructureTensor(dim, table, ops.odd_tensor.labels)
-    double = StructureTensor(dim, double_table, ops.odd_tensor.labels)
+
+    def entry(i, j):
+        w = mat_commutator(mat_commutator(a, odd[i]), mat_commutator(a, odd[j]))
+        return {k: quarter * c for k, c in enumerate(split.odd_coords(w)) if c}
+
+    expected = StructureTensor._of(dim, pair_table(dim, entry), ops.odd_tensor.labels)
+    double = expected.scale(-8)     # 2 [[a, x], [a, y]]
 
     ada_cols = [split.odd_coords(mat_commutator(a, mat_commutator(a, b)))
                 for b in odd]

@@ -22,7 +22,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exact import ZERO, SparsePoly, _cleared, _muladd, kernel_basis, rank_exact
-from .tensors import StructureTensor, check_jacobi, is_lie
+from .tensors import StructureTensor, check_jacobi, is_lie, pair_table
+
+# pc_generate gives up on an orbit that has not closed after this many steps
+MAX_ORBIT_STEPS = 1000
 
 
 class SeedNotCentral(ValueError):
@@ -79,30 +82,24 @@ def poisson_bracket(struct, f, g):
         piece = _muladd(_muladd({}, df[i], dg[j]), df[j], dg[i], -1)
         if piece:
             _muladd(total, b, piece)
-    out = SparsePoly(n)
-    out.terms = {e: Fraction(v, L * Lf * Lg) for e, v in total.items()}
-    return out
+    return SparsePoly._of(n, {e: Fraction(v, L * Lf * Lg) for e, v in total.items()})
 
 
 def from_tensor(tensor):
     """Linear Poisson structure {x_i, x_j} = sum_k c_ij^k x_k of a Lie tensor.
 
     Jacobi on generator triples, `check_jacobi` on the skew tensor of the
-    upper triangle i < j that the table reads, is checked and recorded.
+    upper triangle i < j that the table reads, is checked and recorded.  A
+    skew tensor is its own upper-triangle tensor, so its own (cached) check
+    is read.
     """
     n = tensor.dim
-    table = {}
-    skew = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = tensor.bracket(i, j)
-            if vec:
-                table[(i, j)] = SparsePoly.linear(
-                    [vec.get(k, ZERO) for k in range(n)])
-                skew[(i, j)] = vec
-                skew[(j, i)] = {k: -c for k, c in vec.items()}
+    upper = pair_table(n, tensor.bracket, skew=True)
+    table = {(i, j): SparsePoly.linear([vec.get(k, ZERO) for k in range(n)])
+             for (i, j), vec in upper.items() if i < j}
     struct = PoissonStructure(n, table, names=tensor.labels)
-    struct.jacobi_verified = check_jacobi(StructureTensor(n, skew, tensor.labels))[0]
+    gate = tensor if tensor.is_skew() else StructureTensor._of(n, upper, tensor.labels)
+    struct.jacobi_verified = check_jacobi(gate)[0]
     if not struct.jacobi_verified:
         raise ValueError("bracket table violates Jacobi on generators")
     return struct
@@ -188,7 +185,7 @@ def _independent(polys, candidate):
     return rank_exact([p.coeff_vector(monos) for p in family]) > len(polys)
 
 
-def pc_generate(struct, operator, seeds, max_steps=1000):
+def pc_generate(struct, operator, seeds):
     """Iterate a derivation on central seeds until linear dependence.
 
     Each seed must commute with every generator (SeedNotCentral otherwise).
@@ -207,8 +204,8 @@ def pc_generate(struct, operator, seeds, max_steps=1000):
         current = seed
         power = 0
         while True:
-            if power > max_steps:
-                raise ValueError("orbit failed to close after %d steps" % max_steps)
+            if power > MAX_ORBIT_STEPS:
+                raise ValueError("orbit failed to close after %d steps" % MAX_ORBIT_STEPS)
             if current.is_zero() or (gens and not _independent(gens, current)):
                 break
             gens.append(current)

@@ -14,6 +14,12 @@ of operations with exactly one or two degenerate lines.
 The two hot kernels, `derived` and `check_jacobi`, clear each tensor's (and
 the operator's) denominators once and run their loops on integers over that
 common denominator; `Fraction` appears only in what they return.
+
+There is one way to build a tensor: the validating constructor for tables
+that arrive from outside, and the trusted `StructureTensor._of` for tables
+the library has already built clean.  Tables over basis pairs are filled by
+`pair_table`, and a skew table is always completed by `skew_table`, which
+writes each mirror entry (j, i) as the negated (i, j) vector.
 """
 
 from __future__ import annotations
@@ -65,11 +71,17 @@ class StructureTensor:
 
     The table maps ordered basis pairs (i, j) to sparse value vectors
     {k: c_ij^k}; zero vectors are never stored, so equality is literal
-    table equality.  Instances are immutable by convention: all operations
-    return new tensors.
+    table equality.  `StructureTensor(dim, table, labels)` validates and
+    copies a table from outside (files, tests); `_of` wraps a table the
+    library built clean, without a copy.
+
+    Instances are immutable: every operation returns a new tensor, and no
+    code assigns to or mutates `table` after construction.  The caches
+    rely on it: `_skew` holds the `is_skew` verdict and `_jacobi` the
+    `check_jacobi` result, each computed at most once per tensor.
     """
 
-    __slots__ = ("dim", "labels", "table", "_skew")
+    __slots__ = ("dim", "labels", "table", "_skew", "_jacobi")
 
     def __init__(self, dim, table=None, labels=None):
         self.dim = dim
@@ -90,7 +102,19 @@ class StructureTensor:
                         clean[k] = c
                 if clean:
                     self.table[(i, j)] = clean
-        self._skew = None
+        self._skew = self._jacobi = None
+
+    @classmethod
+    def _of(cls, dim, table, labels):
+        """Trusted constructor: table is already clean (nonzero Fraction
+        values, indices below dim) and labels a tuple of dim strings; the
+        table is kept as it is, no copy and no check."""
+        t = object.__new__(cls)
+        t.dim = dim
+        t.labels = labels
+        t.table = table
+        t._skew = t._jacobi = None
+        return t
 
     @classmethod
     def zero(cls, dim, labels=None):
@@ -138,16 +162,7 @@ class StructureTensor:
 
     def is_skew(self):
         if self._skew is None:
-            ok = True
-            for (i, j), vec in self.table.items():
-                if i == j:
-                    ok = False
-                    break
-                mirror = self.table.get((j, i), {})
-                if mirror != {k: -c for k, c in vec.items()}:
-                    ok = False
-                    break
-            self._skew = ok
+            self._skew = check_skew(self)[0]
         return self._skew
 
     def __eq__(self, other):
@@ -171,10 +186,9 @@ class StructureTensor:
         c = Fraction(c)
         if not c:
             return StructureTensor.zero(self.dim, self.labels)
-        t = StructureTensor(self.dim, labels=self.labels)
-        t.table = {ij: {k: c * v for k, v in vec.items()}
-                   for ij, vec in self.table.items()}
-        return t
+        return StructureTensor._of(self.dim, {ij: {k: c * v for k, v in vec.items()}
+                                              for ij, vec in self.table.items()},
+                                   self.labels)
 
     def support(self):
         for (i, j), vec in sorted(self.table.items()):
@@ -208,9 +222,33 @@ def tensor_combination(pairs):
                     slot[k] = s
                 else:
                     slot.pop(k, None)
-    out = StructureTensor(dim, labels=labels)
-    out.table = {ij: vec for ij, vec in acc.items() if vec}
-    return out
+    return StructureTensor._of(dim, {ij: vec for ij, vec in acc.items() if vec}, labels)
+
+
+def skew_table(upper):
+    """The skew table whose upper triangle is upper ({(i, j): vec}, i < j).
+
+    Each entry is followed by its mirror (j, i) with the vector negated, so
+    the key order is that of upper with every mirror right after its pair.
+    """
+    table = {}
+    for (i, j), vec in upper.items():
+        table[(i, j)] = vec
+        table[(j, i)] = {k: -c for k, c in vec.items()}
+    return table
+
+
+def pair_table(n, entry, skew=False):
+    """{(i, j): entry(i, j)} over basis pairs in row-major order, empty
+    entries dropped.  With skew, only the pairs i < j are computed and the
+    table is completed by `skew_table`."""
+    table = {}
+    for i in range(n):
+        for j in range(i + 1 if skew else 0, n):
+            vec = entry(i, j)
+            if vec:
+                table[(i, j)] = vec
+    return skew_table(table) if skew else table
 
 
 def _cleared_table(tensor):
@@ -230,8 +268,8 @@ def derived(tensor, op):
     entry of rho(D).T is an integer over d * L.  Zero tests on the scaled
     integers match those on the rationals, so the table keeps the key order
     of the rational computation.  For a skew tensor only the upper triangle
-    is computed and mirrored, since the derived operation of a skew operation
-    is again skew.
+    is computed and mirrored (`pair_table`), since the derived operation of a
+    skew operation is again skew.
     """
     n = tensor.dim
     if op.nrows != n or op.ncols != n:
@@ -279,24 +317,9 @@ def derived(tensor, op):
         return acc
 
     den = d * L
-    table = {}
-    if tensor.is_skew():
-        for i in range(n):
-            for j in range(i + 1, n):
-                vec = entry(i, j)
-                if vec:
-                    vec = {k: Fraction(v, den) for k, v in vec.items()}
-                    table[(i, j)] = vec
-                    table[(j, i)] = {k: -c for k, c in vec.items()}
-    else:
-        for i in range(n):
-            for j in range(n):
-                vec = entry(i, j)
-                if vec:
-                    table[(i, j)] = {k: Fraction(v, den) for k, v in vec.items()}
-    out = StructureTensor(n, labels=tensor.labels)
-    out.table = table
-    return out
+    table = pair_table(n, lambda i, j: {k: Fraction(v, den) for k, v in entry(i, j).items()},
+                       tensor.is_skew())
+    return StructureTensor._of(n, table, tensor.labels)
 
 
 def derived_iter(tensor, op, k):
@@ -333,7 +356,10 @@ def check_jacobi(tensor):
     Runs on the table cleared to integers over L: each Jacobi sum times L^2
     is an integer, zero exactly when the rational sum is.  For a skew tensor
     the triples i < j < k suffice; otherwise all ordered triples are checked.
+    The result is kept on the tensor, so each tensor is checked once.
     """
+    if tensor._jacobi is not None:
+        return tensor._jacobi
     n = tensor.dim
     skew = tensor.is_skew()
     _, tab = _cleared_table(tensor)
@@ -358,14 +384,13 @@ def check_jacobi(tensor):
                    for k in range(j + 1, n))
     else:
         triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-    for (i, j, k) in triples:
-        if jac(i, j, k):
-            return False, (i, j, k)
-    return True, None
+    witness = next((t for t in triples if jac(*t)), None)
+    tensor._jacobi = (witness is None, witness)
+    return tensor._jacobi
 
 
 def is_lie(tensor):
-    return check_skew(tensor)[0] and check_jacobi(tensor)[0]
+    return tensor.is_skew() and check_jacobi(tensor)[0]
 
 
 def ad(tensor, x):

@@ -212,11 +212,33 @@ def test_cli_input_errors(workdir, capsys):
     ({"dim": 2, "basis": ["a", "b"], "brackets": {"x": 1}}, "algebra.brackets"),
     ({"dim": 2, "basis": [1, {"a": 2}], "brackets": []}, "algebra.basis"),
     ({"dim": 2, "basis": ["a", "a"], "brackets": []}, "algebra.basis"),
+    # rationals are strings: a JSON number may have passed through a float
+    ({"dim": 2, "basis": ["a", "b"],
+      "brackets": [{"i": 0, "j": 1, "coeffs": {"1": 1.5}}]}, "brackets[0].coeffs"),
+    ({"dim": 2, "basis": ["a", "b"],
+      "brackets": [{"i": 0, "j": 1, "coeffs": {"1": 2}}]}, "brackets[0].coeffs"),
 ], ids=["coeffs-list", "dim-bool", "brackets-object", "basis-not-strings",
-        "basis-duplicate"])
+        "basis-duplicate", "coeff-float", "coeff-int"])
 def test_cli_bad_algebra_field_exits_2(workdir, capsys, doc, field):
     (workdir / "bad.json").write_text(json.dumps(doc))
     assert run(["index", "--algebra", "bad.json"]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, doc, argv, field", [
+    ("op.json", {"dim": 3, "matrix": [[1, 0, 0], ["0", "0", "0"], ["0", "0", "0"]]},
+     ["classify", "--algebra", "sl2.json", "--operator", "op.json"], "operator.matrix[0]"),
+    # the sl2 Casimir h^2 + 4ef, central, with its coefficients as JSON numbers
+    ("seeds.json", {"seeds": [[{"exponents": [0, 2, 0], "coeff": 1},
+                               {"exponents": [1, 0, 1], "coeff": 4}]]},
+     ["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--seed-file", "seeds.json"],
+     "seeds[0][0].coeff"),
+], ids=["operator-matrix", "seed-coeff"])
+def test_cli_number_as_rational_exits_2(workdir, capsys, name, doc, argv, field):
+    run(["example", "sl", "2"])
+    (workdir / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(argv) == 2
     assert field in capsys.readouterr().err
 
 

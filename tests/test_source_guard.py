@@ -1,0 +1,96 @@
+"""Source guard: no code changes a tensor's table or a polynomial's terms.
+
+`StructureTensor` caches its skew and Jacobi verdicts on the instance, which
+is sound only while nothing writes to a `table` once the tensor exists; the
+same rule holds for `SparsePoly.terms`.  This test scans the package source
+with `ast`.  A write to or into `.table` or `.terms` (an assignment, an
+augmented assignment, a subscript store or a `del`) is allowed only on
+`self` inside `__init__`/`__post_init__`, and anywhere inside the trusted
+constructors `_of`.
+"""
+
+import ast
+from pathlib import Path
+
+import liepencil
+
+GUARDED = {"table", "terms"}
+CONSTRUCTORS = {"__init__", "__post_init__"}
+TRUSTED = {"_of"}
+
+
+def _leaves(target):
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _leaves(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _leaves(target.value)
+    else:
+        yield target
+
+
+def _guarded_attribute(target):
+    """The `.table`/`.terms` attribute a target writes to or into, or None."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if isinstance(target, ast.Attribute) and target.attr in GUARDED:
+        return target
+    return None
+
+
+def _allowed(attr, func):
+    if func in TRUSTED:
+        return True
+    return (func in CONSTRUCTORS and isinstance(attr.value, ast.Name)
+            and attr.value.id == "self")
+
+
+def offences(source):
+    """(line, target) of every write the rule forbids."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            for leaf in _leaves(target):
+                attr = _guarded_attribute(leaf)
+                if attr is not None and not _allowed(attr, func):
+                    out.append((node.lineno, ast.unparse(leaf)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_guard_catches_writes_after_construction():
+    source = """
+def scale(self, c):
+    t = StructureTensor(self.dim)
+    t.table = {}
+    t.table[(0, 1)] = {}
+    p.terms, q = {}, None
+class Poly:
+    def __init__(self, other):
+        self.terms = {}
+        other.terms = {}
+    @classmethod
+    def _of(cls, terms):
+        p = object.__new__(cls)
+        p.terms = terms
+"""
+    assert [line for line, _ in offences(source)] == [4, 5, 6, 10]
+
+
+def test_no_table_or_terms_written_after_construction():
+    package = Path(liepencil.__file__).parent
+    found = {path.name: offences(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
