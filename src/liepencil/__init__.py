@@ -14,9 +14,9 @@ from .exact import (RatMatrix, SparsePoly, format_rat, generic_rank,
 from .tensors import (IdentityFailed, IrrationalEigenvalues, NormalizedPencil,
                       PencilAction, PreconditionViolated, StructureTensor, ad,
                       check_jacobi, check_skew, check_vanishing_propagation,
-                      classify_operator, derived, derived_iter, is_derivation,
-                      is_lie, normalize_pencil, shift_by_derivation,
-                      tensor_combination)
+                      classify_operator, contract, derived, derived_iter,
+                      is_derivation, is_lie, normalize_pencil,
+                      shift_by_derivation, tensor_combination)
 from .constructions import (AssocOperators, DeformationTable, GradingSpec,
                             InvolutionSplit, NilpotentSquareReport, Sl2Triple,
                             SpecialReport, assoc_operators, basis_matrices,

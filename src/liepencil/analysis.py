@@ -80,6 +80,8 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
         return IndexReport(n, r, n - r, "exact-symbolic")
     if mode != "prob":
         raise ValueError("unknown mode %r" % (mode,))
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     rng = random.Random(seed)
     best = 0
     mat = structure_matrix(tensor)

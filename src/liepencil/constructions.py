@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (ONE, ZERO, RatMatrix, kernel_basis, mat_commutator, rref,
+from .exact import (ONE, ZERO, RatMatrix, kernel_basis, mat_commutator,
                     solve_columns, unit_vector)
 from .tensors import (StructureTensor, TAG_NEAR, IdentityFailed, ad, check_jacobi,
-                      check_skew, classify_operator, derived, pair_table,
+                      check_skew, classify_operator, contract, derived, pair_table,
                       tensor_combination)
 
 
@@ -441,52 +441,27 @@ class NilpotentSquareReport:
     formula_check: bool
 
 
-def image_basis(op):
-    """Canonical basis of the column space."""
-    red, pivots = rref(op.columns())
-    return red[:len(pivots)]
-
-
 def nilpotent_square(tensor, e):
     """The operator D = (ad e)^2 together with its structural diagnostics.
 
     The derived bracket is cross-checked against 2[[e,x],[e,y]] on all basis
     pairs.  The three sufficient conditions reported (D^2 = 0, the image
-    bracketing to zero, the image landing in the kernel) each force D to be a
-    quasi-derivation when they hold.
+    bracketing to zero: [Dx, Dy] = 0, the image landing in the kernel:
+    D[Dx, y] = 0) each force D to be a quasi-derivation when they hold.  The
+    cross-check and both image conditions are `contract` calls.
     """
     ade = ad(tensor, e)
     op = ade * ade
     t1 = derived(tensor, op)
-    n = tensor.dim
-    formula_ok = True
-    for i in range(n):
-        for j in range(n):
-            lhs = [2 * c for c in tensor.apply(ade.apply(unit_vector(n, i)),
-                                               ade.apply(unit_vector(n, j)))]
-            vec = t1.bracket(i, j)
-            rhs = [ZERO] * n
-            for k, c in vec.items():
-                rhs[k] = c
-            if lhs != rhs:
-                formula_ok = False
-    img = image_basis(op)
-    image_abelian = all(not any(tensor.apply(u, v)) for u in img for v in img)
-    kernel_ok = True
-    for u in img:
-        for j in range(n):
-            w = tensor.apply(u, unit_vector(n, j))
-            if any(op.apply(w)):
-                kernel_ok = False
     return op, NilpotentSquareReport(
         ad_e=ade,
         operator=op,
         derived=t1,
         ad_e_cubed_zero=(ade * ade * ade).is_zero(),
         d_squared_zero=(op * op).is_zero(),
-        image_bracket_zero=image_abelian,
-        image_in_kernel=kernel_ok,
-        formula_check=formula_ok,
+        image_bracket_zero=contract(tensor, [(1, None, op, op)]).is_zero(),
+        image_in_kernel=contract(tensor, [(1, op, op, None)]).is_zero(),
+        formula_check=t1 == contract(tensor, [(2, None, ade, ade)]),
     )
 
 

@@ -10,6 +10,10 @@ the classification machinery.  Nilpotent Nijenhuis operators and operators
 with proportional first and second derived brackets both satisfy closed-form
 exponential deformation identities; the checkers here verify them pointwise
 with exact arithmetic.
+
+The torsion and both sides of each exponential identity (bar the tensor
+sum T + c(s) T' of the near case) are sums of terms c O psi(A., B.), so
+each is one call of the integer kernel `tensors.contract`.
 """
 
 from __future__ import annotations
@@ -17,27 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ZERO, RatMatrix, mat_commutator, nilpotent_exp, unit_vector
-from .tensors import StructureTensor, derived, derived_iter, is_lie, pair_table
+from .exact import RatMatrix, mat_commutator, nilpotent_exp
+from .tensors import StructureTensor, contract, derived, derived_iter, is_lie, pair_table
 
 
 def torsion(tensor, op):
-    """Torsion tensor of an operator against a bracket tensor."""
-    n = tensor.dim
-    if op.nrows != n or op.ncols != n:
-        raise ValueError("operator shape mismatch")
-    t1 = derived(tensor, op)
-    cols = op.columns()
+    """Torsion tensor of an operator against a bracket tensor.
 
-    def entry(i, j):
-        direct = tensor.apply(cols[i], cols[j])
-        inner = t1.bracket(i, j)
-        if inner:
-            shift = op.apply([inner.get(k, ZERO) for k in range(n)])
-            direct = [u + v for u, v in zip(direct, shift)]
-        return {k: c for k, c in enumerate(direct) if c}
-
-    return StructureTensor._of(n, pair_table(n, entry, tensor.is_skew()), tensor.labels)
+    psi(N., N.) + N^2 psi - N psi(N., .) - N psi(., N.), one `contract` call.
+    """
+    return contract(tensor, [(1, None, op, op), (1, op * op, None, None),
+                             (-1, op, op, None), (-1, op, None, op)])
 
 
 def torsion_verdict(tors):
@@ -99,6 +93,8 @@ class NPropertiesReport:
 
 
 def check_N_properties(tensor, op, depth=3):
+    if depth < 1:
+        raise ValueError("depth must be at least 1, got %d" % depth)
     iterates = [tensor]
     for _ in range(depth):
         iterates.append(derived(iterates[-1], op))
@@ -134,37 +130,17 @@ class ExpReport:
     points: list = field(default_factory=list)
 
 
-def _conjugated(tensor, outer, inner):
-    """outer . T(inner x, inner y) as a tensor over the basis."""
-    cols = inner.columns()
-
-    def entry(i, j):
-        return {k: c for k, c in enumerate(outer.apply(tensor.apply(cols[i], cols[j]))) if c}
-
-    return StructureTensor._of(tensor.dim, pair_table(tensor.dim, entry), tensor.labels)
-
-
 def exp_identity_nijenhuis(tensor, op, s):
     """One-point check of the deformation identity for nilpotent Nijenhuis ops.
 
     exp(-sN) [exp(sN) x, exp(sN) y]
         = [exp(sN) x, y] + [x, exp(sN) y] - exp(sN) [x, y].
     """
-    n = tensor.dim
     s = Fraction(s)
     E = nilpotent_exp(op, s)
     Einv = nilpotent_exp(op, -s)
-    lhs = _conjugated(tensor, Einv, E)
-    cols = E.columns()
-
-    def entry(i, j):
-        ei, ej = unit_vector(n, i), unit_vector(n, j)
-        vec = [a + b - c for a, b, c in zip(tensor.apply(cols[i], ej),
-                                            tensor.apply(ei, cols[j]),
-                                            E.apply(tensor.apply(ei, ej)))]
-        return {k: c for k, c in enumerate(vec) if c}
-
-    rhs = StructureTensor._of(n, pair_table(n, entry), tensor.labels)
+    lhs = contract(tensor, [(1, Einv, E, E)])
+    rhs = contract(tensor, [(1, None, E, None), (1, None, None, E), (-1, E, None, None)])
     if lhs == rhs:
         return ExpReport(True, points=[s])
     witness = _first_difference(lhs, rhs)
@@ -237,7 +213,7 @@ def exp_identity_near(tensor, op, m, value):
         coeff = (v ** m.numerator - 1) / m if m.denominator == 1 else None
         if coeff is None:
             raise ValueError("m must be an integer for the diagonal path")
-    lhs = _conjugated(tensor, E, Einv)
+    lhs = contract(tensor, [(1, E, Einv, Einv)])
     rhs = tensor + first.scale(coeff)
     if lhs == rhs:
         return ExpReport(True, precondition_ok=pre, points=[Fraction(value)])

@@ -11,9 +11,12 @@ psi: derivations (psi' = 0), quasi-derivations (psi'' = 0), and the wider
 class where psi'' = a*psi + b*psi' for scalars (a, b), which spans a pencil
 of operations with exactly one or two degenerate lines.
 
-The two hot kernels, `derived` and `check_jacobi`, clear each tensor's (and
-the operator's) denominators once and run their loops on integers over that
-common denominator; `Fraction` appears only in what they return.
+The two hot kernels run on integers: they clear each tensor's (and each
+operator's) denominators once, loop over integers, and build a `Fraction`
+only for a returned entry.  `contract` evaluates every tensor of the form
+sum_t c_t * O_t psi(A_t x, B_t y): the derived operation here, and the
+torsion, both sides of the exponential identities and the nilpotent-square
+checks elsewhere.  `check_jacobi` is the other kernel.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for tables
@@ -143,20 +146,6 @@ class StructureTensor:
                         out[k] += c * ck
         return out
 
-    def apply_basis(self, i, vec):
-        """psi(x_i, v) for a sparse value vector v; returns a sparse dict."""
-        out = {}
-        for j, vj in vec.items():
-            w = self.table.get((i, j))
-            if w:
-                for k, ck in w.items():
-                    s = out.get(k, ZERO) + vj * ck
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-        return out
-
     def is_zero(self):
         return not self.table
 
@@ -261,65 +250,86 @@ def _cleared_table(tensor):
     return L, dict(zip(tensor.table, vecs))
 
 
-def derived(tensor, op):
-    """The derived operation rho(D).T, as a structure tensor.
+def _swap_closed(terms):
+    """Whether terms, as a multiset, is unchanged by swapping A and B."""
+    swapped = [(c, o, b, a) for c, o, a, b in terms]
+    return all(terms.count(t) == swapped.count(t) for t in terms)
 
-    Runs on integers: T is cleared to T_int / L and D to D_int / d, so every
-    entry of rho(D).T is an integer over d * L.  Zero tests on the scaled
-    integers match those on the rationals, so the table keeps the key order
-    of the rational computation.  For a skew tensor only the upper triangle
-    is computed and mirrored (`pair_table`), since the derived operation of a
-    skew operation is again skew.
+
+def contract(tensor, terms):
+    """sum_t c_t * O_t psi(A_t x_i, B_t x_j) over basis pairs, as a tensor.
+
+    terms is a list of (c, O, A, B): a rational c and operators O, A, B,
+    each None for the identity.  Runs on integers: psi is cleared to T / L
+    and each distinct operator to M_int / d_M, so term t is an integer over
+    its denominator den_t (c's times those of O, A and B), and every entry
+    is an integer over lcm(den_t) * L; `Fraction` appears only in what is
+    returned.  Zero tests on the scaled integers match those on the
+    rationals, and terms accumulate in list order, so key order follows the
+    rational computation.  When psi is skew and the term list is unchanged
+    by swapping A and B, the result is skew: only the pairs i < j are
+    computed and `pair_table` mirrors them.
     """
     n = tensor.dim
-    if op.nrows != n or op.ncols != n:
-        raise ValueError("operator shape mismatch")
+    unit = [[(i, 1)] for i in range(n)]
+    # each operator as sparse integer columns over its denominator, keyed by
+    # id; id(None) keys the identity
+    cleared = {id(None): (1, unit)}
+    for m in (m for t in terms for m in t[1:]):
+        if id(m) in cleared:
+            continue
+        if m.nrows != n or m.ncols != n:
+            raise ValueError("operator shape mismatch")
+        d = lcm(*(x.denominator for row in m.rows for x in row))
+        cleared[id(m)] = d, [[(r, x.numerator * (d // x.denominator))
+                              for r, x in enumerate(col) if x] for col in m.columns()]
     L, tab = _cleared_table(tensor)
-    d = lcm(*(x.denominator for row in op.rows for x in row))
-    cols = [[x.numerator * (d // x.denominator) for x in col] for col in op.columns()]
+    scaled = []
+    for c, *ops in terms:
+        c = Fraction(c)
+        (do, O), (da, A), (db, B) = (cleared[id(m)] for m in ops)
+        scaled.append((c.numerator, c.denominator * do * da * db, O, A, B))
+    M = lcm(*(den for _, den, _, _, _ in scaled))
+    weighted = [(num * (M // den), O, A, B, O is unit) for num, den, O, A, B in scaled]
     empty = {}
 
-    def image(vec):
-        out = {}
-        for k, c in vec.items():
-            colk = cols[k]
-            for r in range(n):
-                if colk[r]:
-                    s = out.get(r, 0) + c * colk[r]
-                    if s:
-                        out[r] = s
-                    else:
-                        out.pop(r, None)
-        return out
-
     def entry(i, j):
-        acc = image(tab.get((i, j), empty))
-        coli = cols[i]
-        for k in range(n):
-            dk = coli[k]
-            if dk:
-                for m, cm in tab.get((k, j), empty).items():
-                    s = acc.get(m, 0) - dk * cm
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
-        colj = cols[j]
-        for k in range(n):
-            dk = colj[k]
-            if dk:
-                for m, cm in tab.get((i, k), empty).items():
-                    s = acc.get(m, 0) - dk * cm
-                    if s:
-                        acc[m] = s
-                    else:
-                        acc.pop(m, None)
+        acc = {}
+        for w, O, A, B, direct in weighted:
+            # psi(A x_i, B x_j), into acc when O is the identity
+            out = acc if direct else {}
+            for k, a in A[i]:
+                for l, b in B[j]:
+                    ab = w * a * b if direct else a * b
+                    for m, cm in tab.get((k, l), empty).items():
+                        s = out.get(m, 0) + ab * cm
+                        if s:
+                            out[m] = s
+                        else:
+                            out.pop(m, None)
+            if not direct:
+                for k, c in out.items():
+                    c *= w
+                    for r, o in O[k]:
+                        s = acc.get(r, 0) + c * o
+                        if s:
+                            acc[r] = s
+                        else:
+                            acc.pop(r, None)
         return acc
 
-    den = d * L
+    den = M * L
     table = pair_table(n, lambda i, j: {k: Fraction(v, den) for k, v in entry(i, j).items()},
-                       tensor.is_skew())
+                       _swap_closed(terms) and tensor.is_skew())
     return StructureTensor._of(n, table, tensor.labels)
+
+
+def derived(tensor, op):
+    """The derived operation rho(D).T = D T - T(D., .) - T(., D.), as a tensor.
+
+    One `contract` call; for a skew tensor the result is skew again.
+    """
+    return contract(tensor, [(1, op, None, None), (-1, None, op, None), (-1, None, None, op)])
 
 
 def derived_iter(tensor, op, k):

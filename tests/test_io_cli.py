@@ -242,6 +242,22 @@ def test_cli_number_as_rational_exits_2(workdir, capsys, name, doc, argv, field)
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["index", "--algebra", "sl2.json", "--samples", "0"], "samples"),
+    (["index", "--algebra", "sl2.json", "--samples", "-1"], "samples"),
+    (["nijenhuis-check", "--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json",
+      "--depth", "0"], "depth"),
+    (["nijenhuis-check", "--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json",
+      "--depth", "-1"], "depth"),
+], ids=["samples-0", "samples-negative", "depth-0", "depth-negative"])
+def test_cli_count_below_one_exits_2(workdir, capsys, argv, name):
+    # a count of zero would check nothing and still report a verdict
+    run(["example", "nilpotent-square", "sl", "2", "--partition", "2"])
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert name in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", [IdentityFailed("guard broke"),
                                  ArithmeticError("inexact polynomial division"),
                                  KeyError("two\nlines")],
