@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import (RatMatrix, SparsePoly, generic_rank, kernel_basis,
                     rank_exact, rref, unit_vector)
-from .tensors import ad, derived, is_lie
+from .tensors import _cleared_table, ad, derived, is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
 SAMPLE_BOUND = 10 ** 6
@@ -64,9 +63,13 @@ def structure_matrix(tensor):
 def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
     """dim minus the generic rank of the bracket form.
 
-    mode "prob" samples integer covectors and takes the maximal rank of the
-    evaluated structure matrix; mode "exact" runs fraction-free elimination
-    over polynomial entries and refuses dimensions above max_exact_dim.
+    mode "prob" samples integer covectors xi and takes the maximal rank of
+    the structure matrix evaluated at xi; mode "exact" runs fraction-free
+    elimination over polynomial entries (`generic_rank`) and refuses
+    dimensions above max_exact_dim.  The probabilistic mode runs on
+    integers: the table is cleared once to integers over its lcm L, and the
+    entry i < j at xi is the int sum_k L c_ij^k xi_k, mirrored with its sign
+    below the diagonal.  Scaling by L does not change the rank.
     """
     ok = is_lie(tensor)
     if not ok:
@@ -84,10 +87,15 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
         raise ValueError("samples must be at least 1, got %d" % samples)
     rng = random.Random(seed)
     best = 0
-    mat = structure_matrix(tensor)
+    _, tab = _cleared_table(tensor)
+    upper = [(i, j, list(vec.items())) for (i, j), vec in tab.items() if i < j]
     for _ in range(samples):
-        point = [Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for _ in range(n)]
-        rows = [[entry.eval_at(point) for entry in row] for row in mat]
+        point = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i, j, vec in upper:
+            v = sum(c * point[k] for k, c in vec)
+            rows[i][j] = v
+            rows[j][i] = -v
         r = rank_exact(rows)
         if r > best:
             best = r

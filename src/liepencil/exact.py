@@ -5,17 +5,25 @@ nothing here ever touches floating point.  Matrices are dense row lists.
 Elimination over Q runs on integers inside: one Gauss-Jordan routine clears
 each row's denominators and works on Python ints, and `rref`, `rank_exact`,
 `kernel_basis`, `solve_columns` and `RatMatrix.inverse` build a `Fraction`
-only for an entry they return.  Polynomials are sparse maps from exponent
-tuples to nonzero coefficients with the graded lexicographic order fixing a
-canonical form; the Poisson bracket clears them to integer polynomials and
-runs on the private helpers at the end of this module.
+only for an entry they return; the matrix product, likewise, clears each
+operand once and takes integer dot products.  Polynomials are sparse maps
+from exponent tuples to nonzero coefficients with the graded lexicographic
+order fixing a canonical form; the Poisson bracket clears them to integer
+polynomials and runs on the private helpers at the end of this module.
+`generic_rank` runs Bareiss elimination on integer polynomials whose
+monomials are packed into one int each (the total degree in the top field,
+then the exponents), so a monomial product is an int sum and the graded
+order is int order.  Each field is sized for the largest degree a product
+can reach before a division, plus one spare bit that the exact quotient
+uses to detect a negative exponent; a quotient that leaves Z[x] raises
+ArithmeticError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -109,9 +117,13 @@ class RatMatrix:
         if isinstance(other, RatMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            cols = list(zip(*other.rows))
-            return RatMatrix([[sum((a * b for a, b in zip(row, col)), ZERO)
-                               for col in cols] for row in self.rows])
+            # integer dot products over the two operands' denominators
+            da, A = _cleared_rows(self.rows)
+            db, B = _cleared_rows(other.rows)
+            d = da * db
+            cols = list(zip(*B))
+            return RatMatrix([[_ratio(sum(map(mul, row, col)), d) for col in cols]
+                              for row in A])
         return self.scale(other)
 
     def __rmul__(self, c):
@@ -164,6 +176,12 @@ class RatMatrix:
         return "RatMatrix(%r)" % ([[format_rat(x) for x in row] for row in self.rows],)
 
 
+def _cleared_rows(rows):
+    """(L, rows times L as ints), L the lcm of every denominator in rows."""
+    L = lcm(*(x.denominator for row in rows for x in row))
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
+
+
 def mat_commutator(a, b):
     return a * b - b * a
 
@@ -172,15 +190,19 @@ def _reduce(rows):
     """Gauss-Jordan elimination of a rational matrix, run on integers.
 
     Each row is first scaled to integers by the least common multiple of its
-    denominators.  A pivot then clears its column only from the rows that
-    have a nonzero entry there, and every updated row is divided by its
-    content (the gcd of its entries), which keeps the stored entries bounded
-    by minors of the scaled matrix.  Returns (pivots, R): R[r] is an integer
-    multiple of row r of the reduced row echelon form, whose entries are
-    therefore R[r][j] / R[r][pivots[r]].  Entries may be ints or Fractions.
+    denominators; a row of plain ints is copied as it is.  A pivot then
+    clears its column only from the rows that have a nonzero entry there,
+    and every updated row is divided by its content (the gcd of its
+    entries), which keeps the stored entries bounded by minors of the scaled
+    matrix.  Returns (pivots, R): R[r] is an integer multiple of row r of
+    the reduced row echelon form, whose entries are therefore
+    R[r][j] / R[r][pivots[r]].  Entries may be ints or Fractions.
     """
     M = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            M.append(list(row))
+            continue
         den = lcm(*(x.denominator for x in row))
         M.append([x.numerator * (den // x.denominator) for x in row])
     nrows = len(M)
@@ -514,28 +536,50 @@ def generic_rank(mat):
     pivot with the fewest terms is chosen at each step to limit growth.
     A nonzero polynomial pivot is generically invertible, so the count of
     pivots is the generic rank.
+
+    Runs on integer polynomials with packed monomials.  Each row is first
+    scaled to integer coefficients by the lcm of its denominators, which
+    changes neither the rank nor any entry's term count, so the pivots are
+    those of the rational elimination.  A monomial is one int: its total
+    degree in the top field, then one field per exponent, x_0 first, so a
+    product of monomials is a sum of ints and the graded lex order is int
+    order.  Every Bareiss entry is a minor of the scaled matrix, so no
+    product before a division has total degree above
+    2 * min(rows, cols) * (largest entry degree); each field is sized for
+    that degree plus one spare bit, which `_pdiv` uses to test for a
+    negative exponent.  The divisions are exact; `_pdiv` raises
+    ArithmeticError if one is not.
     """
-    M = [list(row) for row in mat]
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    polys = [p for row in mat for p in row if p.terms]
+    if not polys:
+        return 0
+    pack, guard = _packing(polys[0].nvars,
+                           2 * min(nrows, ncols) * max(p.total_degree() for p in polys))
+    M = []
+    for row in mat:
+        _, ints = _cleared(p.terms for p in row)
+        M.append([{pack(e): c for e, c in t.items()} for t in ints])
     rank = 0
     prev = None
     for c in range(ncols):
         best = None
         for i in range(rank, nrows):
-            if not M[i][c].is_zero():
-                if best is None or len(M[i][c].terms) < len(M[best][c].terms):
-                    best = i
+            if M[i][c] and (best is None or len(M[i][c]) < len(M[best][c])):
+                best = i
         if best is None:
             continue
         M[rank], M[best] = M[best], M[rank]
-        piv = M[rank][c]
+        prow = M[rank]
+        piv = prow[c]
         for i in range(rank + 1, nrows):
-            e = M[i][c]
+            row = M[i]
+            e = row[c]
             for j in range(c + 1, ncols):
-                num = piv * M[i][j] - e * M[rank][j]
-                M[i][j] = num if prev is None else num.exact_div(prev)
-            M[i][c] = SparsePoly.zero(piv.nvars)
+                num = _pmuladd(_pmuladd({}, piv, row[j]), e, prow[j], -1)
+                row[j] = num if prev is None else _pdiv(num, prev, guard)
+            row[c] = {}
         prev = piv
         rank += 1
         if rank == nrows:
@@ -570,3 +614,65 @@ def _muladd(acc, a, b, sign=1):
             else:
                 del acc[e]
     return acc
+
+
+# Packed integer polynomials {monomial int: nonzero int}, the monomials packed
+# by `generic_rank`: a product of monomials is a sum of ints and the graded
+# lex order is int order.
+
+def _packing(nvars, top):
+    """(pack, guard) for monomials in nvars variables of total degree <= top.
+
+    pack maps an exponent tuple to its int: the total degree, then each
+    exponent, in fields of top.bit_length() + 1 bits.  The spare top bit of
+    every field is set in guard and clear in every packed monomial.
+    """
+    width = top.bit_length() + 1
+    guard = 0
+    for _ in range(nvars + 1):
+        guard = (guard << width) | (1 << (width - 1))
+
+    def pack(exps):
+        m = sum(exps)
+        for e in exps:
+            m = (m << width) | e
+        return m
+    return pack, guard
+
+
+def _pmuladd(acc, a, b, sign=1):
+    """acc += sign * a * b on packed integer polynomials, in place; returns acc."""
+    for e1, c1 in a.items():
+        c1 *= sign
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = acc.get(e, 0) + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+    return acc
+
+
+def _pdiv(num, den, guard):
+    """Exact quotient num / den of packed integer polynomials.
+
+    guard has the spare top bit of every field set.  Setting it in the
+    remainder's leading monomial before subtracting den's keeps each field's
+    difference inside its own field, and the difference is negative exactly
+    where that bit is borrowed.  Raises ArithmeticError when the quotient
+    leaves Z[x]: a negative exponent or a coefficient that does not divide.
+    """
+    lt_d = max(den)
+    lc_d = den[lt_d]
+    quot = {}
+    rem = dict(num)
+    while rem:
+        lt_r = max(rem)
+        q, r = divmod(rem[lt_r], lc_d)
+        if r or ((lt_r | guard) - lt_d) & guard != guard:
+            raise ArithmeticError("inexact polynomial division")
+        shift = lt_r - lt_d
+        quot[shift] = q
+        _pmuladd(rem, {shift: q}, den, -1)
+    return quot

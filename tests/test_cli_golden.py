@@ -23,8 +23,10 @@ from liepencil.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
-# operators on sl2 (basis e, h, f) written by hand: a dense one with mixed
-# denominators, and the nilpotent shear h -> e, which is not Nijenhuis
+# written by hand: two operators on sl2 (basis e, h, f), a dense one with
+# mixed denominators and the nilpotent shear h -> e, which is not Nijenhuis;
+# and sl2 in the rational basis a = e/2, b = h/3, c = 5f, where
+# [a, b] = -2/3 a, [a, c] = 15/2 b and [b, c] = -2/3 c
 FILES = {
     "sl2-dense-op.json": {"dim": 3, "matrix": [["1/2", "-1", "2/3"],
                                                ["3", "0", "-1/4"],
@@ -32,12 +34,19 @@ FILES = {
     "sl2-shear-op.json": {"dim": 3, "matrix": [["0", "1", "0"],
                                                ["0", "0", "0"],
                                                ["0", "0", "0"]]},
+    "sl2-rational.json": {"dim": 3, "basis": ["a", "b", "c"],
+                          "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "-2/3"}},
+                                       {"i": 0, "j": 2, "coeffs": {"1": "15/2"}},
+                                       {"i": 1, "j": 2, "coeffs": {"2": "-2/3"}}]},
 }
 
 COMMANDS = [
     "example sl 2",
     "example sl 3 --json",
     "example sl 4",
+    "example sp 4 --json",
+    "example so 4",
+    "example gl 3 --json",
     "example grading sl 2 --weights 1,0,1 --modulus 2",
     "example grading sl 3 --weights 2,1,1,2,2,1,0,0 --modulus 3 --json",
     "example nilpotent-square sl 2 --partition 2",
@@ -54,6 +63,12 @@ COMMANDS = [
     "pencil --algebra sl4.json --operator sl4-nilsquare-op.json --json",
     "index --algebra sl3.json --mode exact --json",
     "index --algebra sl4.json --seed 7 --samples 3 --json",
+    "index --algebra sp4.json --mode exact --json",
+    "index --algebra so4.json --mode exact --json",
+    "index --algebra gl3.json --mode exact --json",
+    "index --algebra sl2-rational.json --mode exact --json",
+    "index --algebra sp4.json --seed 3 --json",
+    "index --algebra sl2-rational.json --seed 3 --json",
     "torsion --algebra sl2.json --operator sl2-dense-op.json --json",
     "torsion --algebra sl3.json --operator sl3-grading-op.json --json",
     "torsion --algebra sl4.json --operator sl4-nilsquare-op.json --out sl4-torsion.json",
