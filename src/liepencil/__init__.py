@@ -39,7 +39,8 @@ from .nijenhuis import (AssocTorsionReport, NPropertiesReport,
                         certified_exp_identity_nijenhuis,
                         check_N_properties, diagonal_torsion_witnesses,
                         exp_identity_near, exp_identity_nijenhuis,
-                        is_nijenhuis, torsion, torsion_decomposition)
+                        is_nijenhuis, torsion, torsion_decomposition,
+                        torsion_split)
 from .io import (ParseError, load_algebra, load_operator, load_seeds,
                  save_algebra, save_operator, save_seeds)
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import (RatMatrix, SparsePoly, generic_rank, kernel_basis,
-                    rank_exact, rref, unit_vector)
-from .tensors import _cleared_table, ad, derived, is_lie
+from .exact import (SparsePoly, generic_rank, kernel_basis, rank_exact, rref,
+                    unit_vector)
+from .tensors import ad, derived, is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
 SAMPLE_BOUND = 10 ** 6
@@ -32,13 +32,20 @@ class IndexReport:
 
 
 def lie_centre(tensor):
-    """Canonical basis of {x : [x, e_j] = 0 for all j}."""
+    """Canonical basis of {x : [x, e_j] = 0 for all j}.
+
+    The centrality system has one row per (j, k) and one column per i,
+    with entry c_ij^k; its rows are read as ints off the tensor's integer
+    form.  Scaling every row by the form's denominator leaves the reduced
+    row echelon form, hence the canonical kernel basis, unchanged.
+    """
     n = tensor.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([tensor.coeff(i, j, k) for i in range(n)])
-    return kernel_basis(RatMatrix(rows))
+    _, tab = tensor.integer_form()
+    rows = [[0] * n for _ in range(n * n)]
+    for (i, j), vec in tab.items():
+        for k, c in vec.items():
+            rows[j * n + k][i] = c
+    return kernel_basis(rows)
 
 
 def centraliser(tensor, x):
@@ -87,7 +94,7 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
         raise ValueError("samples must be at least 1, got %d" % samples)
     rng = random.Random(seed)
     best = 0
-    _, tab = _cleared_table(tensor)
+    _, tab = tensor.integer_form()
     upper = [(i, j, list(vec.items())) for (i, j), vec in tab.items() if i < j]
     for _ in range(samples):
         point = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(n)]

@@ -26,7 +26,7 @@ from .exact import format_rat, parse_rat
 from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR,
                       TAG_NOT_NEAR, TAG_QUASI, TAG_SCALAR, check_jacobi,
                       check_skew, classify_operator, derived_iter, is_lie,
-                      normalize_pencil)
+                      normalize_pencil, tensor_combination)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -195,7 +195,7 @@ def cmd_pencil(args):
     members = []
     all_ok = True
     for alpha, beta in MEMBER_SAMPLES:
-        member = tensor.scale(Fraction(alpha)) + norm.derived.scale(Fraction(beta))
+        member = tensor_combination([(alpha, tensor), (beta, norm.derived)])
         ok = is_lie(member)
         all_ok = all_ok and ok
         members.append({"alpha": alpha, "beta": beta, "lie": ok})
@@ -498,7 +498,7 @@ def cmd_report(args):
         witness = None
         source = norm.derived if norm is not None else act.derived
         for alpha, beta in MEMBER_SAMPLES:
-            member = tensor.scale(Fraction(alpha)) + source.scale(Fraction(beta))
+            member = tensor_combination([(alpha, tensor), (beta, source)])
             if not is_lie(member):
                 members_ok = False
                 witness = [alpha, beta]
@@ -520,7 +520,7 @@ def cmd_report(args):
         else:
             gate("index-probabilistic", True, **detail)
 
-    split = nij.torsion_decomposition(tensor, op)
+    split = nij.torsion_split(tensor, op, act.second)
     gate("torsion-decomposition", split.ok)
 
     flat, wit = nij.torsion_verdict(split.torsion)

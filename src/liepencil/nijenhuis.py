@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import RatMatrix, mat_commutator, nilpotent_exp
-from .tensors import StructureTensor, contract, derived, derived_iter, is_lie, pair_table
+from .tensors import (StructureTensor, contract, derived, derived_iter, is_lie,
+                      pair_table, tensor_combination)
 
 
 def torsion(tensor, op):
@@ -61,11 +62,16 @@ class TorsionSplit:
 
 def torsion_decomposition(tensor, op):
     """Verify second-derived = 2 * torsion - derived along op^2."""
-    second = derived_iter(tensor, op, 2)
+    return torsion_split(tensor, op, derived_iter(tensor, op, 2))
+
+
+def torsion_split(tensor, op, second):
+    """`torsion_decomposition` for a caller that already holds the second
+    derived bracket rho(op)^2.T (`classify_operator` computes it)."""
     tors = torsion(tensor, op)
     shift = derived(tensor, op * op)
     return TorsionSplit(second, tors, shift,
-                        second == tors.scale(Fraction(2)) - shift)
+                        second == tensor_combination([(2, tors), (-1, shift)]))
 
 
 @dataclass

@@ -11,12 +11,17 @@ psi: derivations (psi' = 0), quasi-derivations (psi'' = 0), and the wider
 class where psi'' = a*psi + b*psi' for scalars (a, b), which spans a pencil
 of operations with exactly one or two degenerate lines.
 
-The two hot kernels run on integers: they clear each tensor's (and each
-operator's) denominators once, loop over integers, and build a `Fraction`
-only for a returned entry.  `contract` evaluates every tensor of the form
+Every tensor has one integer form, (den, {(i, j): {k: int}}): its table as
+integers over one denominator, computed at most once per tensor or handed
+over by the kernel that built it (`StructureTensor.integer_form`).  The
+kernels run on these forms and build a `Fraction` only for a returned entry
+or scalar.  `contract` evaluates every tensor of the form
 sum_t c_t * O_t psi(A_t x, B_t y): the derived operation here, and the
 torsion, both sides of the exponential identities and the nilpotent-square
-checks elsewhere.  `check_jacobi` is the other kernel.
+checks elsewhere.  `tensor_combination`, `scale`, `check_skew` and equality
+work on integer forms; `check_jacobi` packs each vector of the form into
+one int, so a cyclic term is one big-int multiply-add; `classify_operator`
+solves its two-column pencil system on int vectors from one 2 x 2 minor.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for tables
@@ -29,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
-from .exact import (ONE, ZERO, RatMatrix, _cleared, mat_commutator,
-                    rank_exact, rational_sqrt, solve_columns)
+from .exact import ONE, ZERO, RatMatrix, _cleared, mat_commutator, rational_sqrt
 
 TAG_DERIVATION = "derivation"
 TAG_SCALAR = "scalar-type"
@@ -80,11 +85,12 @@ class StructureTensor:
 
     Instances are immutable: every operation returns a new tensor, and no
     code assigns to or mutates `table` after construction.  The caches
-    rely on it: `_skew` holds the `is_skew` verdict and `_jacobi` the
-    `check_jacobi` result, each computed at most once per tensor.
+    rely on it: `_integer` holds the `integer_form`, `_skew` the `is_skew`
+    verdict and `_jacobi` the `check_jacobi` result, each computed at most
+    once per tensor.
     """
 
-    __slots__ = ("dim", "labels", "table", "_skew", "_jacobi")
+    __slots__ = ("dim", "labels", "table", "_integer", "_skew", "_jacobi")
 
     def __init__(self, dim, table=None, labels=None):
         self.dim = dim
@@ -105,19 +111,33 @@ class StructureTensor:
                         clean[k] = c
                 if clean:
                     self.table[(i, j)] = clean
-        self._skew = self._jacobi = None
+        self._integer = self._skew = self._jacobi = None
 
     @classmethod
-    def _of(cls, dim, table, labels):
+    def _of(cls, dim, table, labels, integer=None):
         """Trusted constructor: table is already clean (nonzero Fraction
         values, indices below dim) and labels a tuple of dim strings; the
-        table is kept as it is, no copy and no check."""
+        table is kept as it is, no copy and no check.  A kernel that holds
+        the table's integer form passes it as integer."""
         t = object.__new__(cls)
         t.dim = dim
         t.labels = labels
         t.table = table
+        t._integer = integer
         t._skew = t._jacobi = None
         return t
+
+    def integer_form(self):
+        """(den, {(i, j): {k: int}}): the table as integers over one
+        denominator, table[(i, j)][k] == Fraction(ints[(i, j)][k], den).
+
+        Keys keep the table's order.  den is the lcm of the table's
+        denominators unless a kernel handed over its own form.
+        """
+        if self._integer is None:
+            den, vecs = _cleared(self.table.values())
+            self._integer = den, dict(zip(self.table, vecs))
+        return self._integer
 
     @classmethod
     def zero(cls, dim, labels=None):
@@ -156,7 +176,7 @@ class StructureTensor:
 
     def __eq__(self, other):
         return (isinstance(other, StructureTensor) and self.dim == other.dim
-                and self.table == other.table)
+                and _same_form(self.integer_form(), other.integer_form()))
 
     def __hash__(self):
         return hash((self.dim, tuple(sorted((ij, tuple(sorted(v.items())))
@@ -172,12 +192,7 @@ class StructureTensor:
         return self.scale(-ONE)
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return StructureTensor.zero(self.dim, self.labels)
-        return StructureTensor._of(self.dim, {ij: {k: c * v for k, v in vec.items()}
-                                              for ij, vec in self.table.items()},
-                                   self.labels)
+        return tensor_combination([(c, self)])
 
     def support(self):
         for (i, j), vec in sorted(self.table.items()):
@@ -192,26 +207,62 @@ class StructureTensor:
         return "StructureTensor(dim=%d, %s)" % (self.dim, "; ".join(bits))
 
 
+def _reduced(den, ints):
+    """(form, table): the integer form (den, ints) divided by its gcd, and
+    the `Fraction` table it stands for.  ints holds no zero entries and no
+    empty vectors."""
+    g = gcd(den, *(v for vec in ints.values() for v in vec.values()))
+    if g > 1:
+        den //= g
+        ints = {ij: {k: v // g for k, v in vec.items()} for ij, vec in ints.items()}
+    table = {ij: {k: Fraction(v, den) for k, v in vec.items()} for ij, vec in ints.items()}
+    return (den, ints), table
+
+
+def _same_form(x, y):
+    """Whether the integer forms x = (den, ints) and y stand for one table;
+    the entries are compared across the two denominators."""
+    (dx, tx), (dy, ty) = x, y
+    if dx == dy:
+        return tx == ty
+    return tx.keys() == ty.keys() and all(
+        vec.keys() == ty[ij].keys() and all(v * dy == ty[ij][k] * dx for k, v in vec.items())
+        for ij, vec in tx.items())
+
+
 def tensor_combination(pairs):
-    """Exact linear combination sum_i c_i * T_i of same-dimension tensors."""
+    """Exact linear combination sum_i c_i * T_i of same-dimension tensors.
+
+    Runs on the integer forms: c_t * T_t is an integer table over
+    c_t's denominator times den_t, and the sum accumulates over the lcm of
+    those in pair order, so key order and zero tests follow the rational
+    sum.
+    """
     dim = pairs[0][1].dim
     labels = pairs[0][1].labels
-    acc = {}
+    scaled = []
     for c, t in pairs:
         c = Fraction(c)
         if not c or t.is_zero():
             continue
         if t.dim != dim:
             raise ValueError("dimension mismatch")
-        for ij, vec in t.table.items():
+        den, ints = t.integer_form()
+        scaled.append((c.numerator, c.denominator * den, ints))
+    den = lcm(*(d for _, d, _ in scaled))
+    acc = {}
+    for num, d, ints in scaled:
+        w = num * (den // d)
+        for ij, vec in ints.items():
             slot = acc.setdefault(ij, {})
             for k, v in vec.items():
-                s = slot.get(k, ZERO) + c * v
+                s = slot.get(k, 0) + w * v
                 if s:
                     slot[k] = s
                 else:
                     slot.pop(k, None)
-    return StructureTensor._of(dim, {ij: vec for ij, vec in acc.items() if vec}, labels)
+    form, table = _reduced(den, {ij: vec for ij, vec in acc.items() if vec})
+    return StructureTensor._of(dim, table, labels, form)
 
 
 def skew_table(upper):
@@ -240,16 +291,6 @@ def pair_table(n, entry, skew=False):
     return skew_table(table) if skew else table
 
 
-def _cleared_table(tensor):
-    """(L, {(i, j): {k: int}}): the table times L, the lcm of its denominators.
-
-    Integer arithmetic only; keys keep the table's insertion order.  The
-    clearing rule is `exact._cleared`, applied to the table's vectors.
-    """
-    L, vecs = _cleared(tensor.table.values())
-    return L, dict(zip(tensor.table, vecs))
-
-
 def _swap_closed(terms):
     """Whether terms, as a multiset, is unchanged by swapping A and B."""
     swapped = [(c, o, b, a) for c, o, a, b in terms]
@@ -260,15 +301,16 @@ def contract(tensor, terms):
     """sum_t c_t * O_t psi(A_t x_i, B_t x_j) over basis pairs, as a tensor.
 
     terms is a list of (c, O, A, B): a rational c and operators O, A, B,
-    each None for the identity.  Runs on integers: psi is cleared to T / L
-    and each distinct operator to M_int / d_M, so term t is an integer over
-    its denominator den_t (c's times those of O, A and B), and every entry
-    is an integer over lcm(den_t) * L; `Fraction` appears only in what is
-    returned.  Zero tests on the scaled integers match those on the
-    rationals, and terms accumulate in list order, so key order follows the
-    rational computation.  When psi is skew and the term list is unchanged
-    by swapping A and B, the result is skew: only the pairs i < j are
-    computed and `pair_table` mirrors them.
+    each None for the identity.  Runs on integers: psi is its integer form
+    T / L and each distinct operator is cleared to M_int / d_M, so term t is
+    an integer over its denominator den_t (c's times those of O, A and B),
+    and every entry is an integer over lcm(den_t) * L.  That integer table,
+    divided by its gcd, is the result's integer form; `Fraction` appears
+    only in the returned table.  Zero tests on the scaled integers match
+    those on the rationals, and terms accumulate in list order, so key
+    order follows the rational computation.  When psi is skew and the term
+    list is unchanged by swapping A and B, the result is skew: only the
+    pairs i < j are computed and `pair_table` mirrors them.
     """
     n = tensor.dim
     unit = [[(i, 1)] for i in range(n)]
@@ -283,7 +325,7 @@ def contract(tensor, terms):
         d = lcm(*(x.denominator for row in m.rows for x in row))
         cleared[id(m)] = d, [[(r, x.numerator * (d // x.denominator))
                               for r, x in enumerate(col) if x] for col in m.columns()]
-    L, tab = _cleared_table(tensor)
+    L, tab = tensor.integer_form()
     scaled = []
     for c, *ops in terms:
         c = Fraction(c)
@@ -318,10 +360,9 @@ def contract(tensor, terms):
                             acc.pop(r, None)
         return acc
 
-    den = M * L
-    table = pair_table(n, lambda i, j: {k: Fraction(v, den) for k, v in entry(i, j).items()},
-                       _swap_closed(terms) and tensor.is_skew())
-    return StructureTensor._of(n, table, tensor.labels)
+    ints = pair_table(n, entry, _swap_closed(terms) and tensor.is_skew())
+    form, table = _reduced(M * L, ints)
+    return StructureTensor._of(n, table, tensor.labels, form)
 
 
 def derived(tensor, op):
@@ -347,15 +388,16 @@ def is_derivation(tensor, op):
 
 
 def check_skew(tensor):
-    """Antisymmetry check; returns (ok, witness pair or None)."""
+    """Antisymmetry check on the integer form; returns (ok, witness pair or None)."""
     n = tensor.dim
+    _, tab = tensor.integer_form()
+    empty = {}
     for i in range(n):
-        if tensor.bracket(i, i):
+        if (i, i) in tab:
             return False, (i, i)
         for j in range(i + 1, n):
-            vec = tensor.bracket(i, j)
-            mirror = tensor.bracket(j, i)
-            if mirror != {k: -c for k, c in vec.items()}:
+            vec = tab.get((i, j), empty)
+            if tab.get((j, i), empty) != {k: -c for k, c in vec.items()}:
                 return False, (i, j)
     return True, None
 
@@ -363,30 +405,37 @@ def check_skew(tensor):
 def check_jacobi(tensor):
     """Cyclic Jacobi sum over basis triples; returns (ok, witness or None).
 
-    Runs on the table cleared to integers over L: each Jacobi sum times L^2
-    is an integer, zero exactly when the rational sum is.  For a skew tensor
-    the triples i < j < k suffice; otherwise all ordered triples are checked.
+    Runs on the integer form T / L: each Jacobi sum times L^2 is the vector
+    J_r = sum over the cyclic (a, b, c) and over m of T_ab^m T_mc^r, zero
+    exactly when the rational sum is.  Each vector T_mc is packed into one
+    int, sum_r T_mc^r * 2^(w r), so a cyclic term costs one big-int
+    multiply-add per m and the packed J is sum_r J_r * 2^(w r).  With B the
+    largest |T| entry, |J_r| <= 3 n B^2 < 2^w for w the bit length of
+    3 n B^2; so the lowest nonzero field of J is not divisible by 2^w, and
+    the packed J is 0 exactly when every J_r is.  For a skew tensor the
+    triples i < j < k suffice; otherwise all ordered triples are checked.
     The result is kept on the tensor, so each tensor is checked once.
     """
     if tensor._jacobi is not None:
         return tensor._jacobi
     n = tensor.dim
     skew = tensor.is_skew()
-    _, tab = _cleared_table(tensor)
-    empty = {}
+    _, tab = tensor.integer_form()
+    bound = max((abs(v) for vec in tab.values() for v in vec.values()), default=0)
+    w = (3 * n * bound * bound).bit_length()
+    # column c lists, for each m, the vector T_mc packed into one int
+    columns = [[0] * n for _ in range(n)]
+    for (m, c), vec in tab.items():
+        columns[c][m] = sum(v << (w * r) for r, v in vec.items())
+    at = [col.__getitem__ for col in columns]
+    rows = {ab: (tuple(vec), tuple(vec.values())) for ab, vec in tab.items()}
+    empty = ((), ())
 
     def jac(i, j, k):
-        acc = {}
-        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = tab.get((a, b), empty)
-            for m, cm in inner.items():
-                w = tab.get((m, c), empty)
-                for r, cr in w.items():
-                    s = acc.get(r, 0) + cm * cr
-                    if s:
-                        acc[r] = s
-                    else:
-                        acc.pop(r, None)
+        acc = 0
+        for ab, c in (((i, j), k), ((j, k), i), ((k, i), j)):
+            ms, cs = rows.get(ab, empty)
+            acc += sum(map(mul, cs, map(at[c], ms)))
         return acc
 
     if skew:
@@ -417,12 +466,6 @@ def ad(tensor, x):
     return RatMatrix(rows)
 
 
-def _flatten(tensors):
-    keys = sorted({(i, j, k) for t in tensors for (i, j), vec in t.table.items()
-                   for k in vec})
-    return [[t.coeff(i, j, k) for (i, j, k) in keys] for t in tensors]
-
-
 @dataclass
 class PencilAction:
     """Classification of an operator against a structure tensor.
@@ -444,20 +487,40 @@ class PencilAction:
 
 
 def classify_operator(tensor, op):
-    """Classify D by solving rho(D)^2.T = a*T + b*rho(D).T exactly."""
+    """Classify D by solving rho(D)^2.T = a*T + b*rho(D).T exactly.
+
+    T, T' and T'' are flattened to int vectors v0, v1, v2 over one
+    denominator (the lcm of their integer forms'), one coordinate per
+    (i, j, k) in the union of their supports.  T' is a multiple of T when
+    every 2 x 2 minor on a fixed row p with v0[p] != 0 vanishes; otherwise
+    the first nonzero minor det, on rows p and q, gives the only candidate
+    (a, b) by Cramer's rule, and it solves the system when
+    a_num * v0 + b_num * v1 == det * v2 on every coordinate.
+    """
     t1 = derived(tensor, op)
     if t1.is_zero():
         return PencilAction(tensor, op, t1, t1, 1, TAG_DERIVATION)
     t2 = derived(t1, op)
-    v0, v1, v2 = _flatten([tensor, t1, t2])
-    if rank_exact([v0, v1]) == 1:
-        idx = next(i for i, c in enumerate(v0) if c)
-        return PencilAction(tensor, op, t1, t2, 1, TAG_SCALAR,
-                            scalar=v1[idx] / v0[idx])
-    sol = solve_columns([v0, v1], v2)
-    if sol is None:
+    forms = [t.integer_form() for t in (tensor, t1, t2)]
+    den = lcm(*(d for d, _ in forms))
+    coords = {}
+    for s, (d, tab) in enumerate(forms):
+        f = den // d
+        for ij, vec in tab.items():
+            for k, v in vec.items():
+                coords.setdefault((ij, k), [0, 0, 0])[s] = f * v
+    rows = list(coords.values())
+    p0, p1, p2 = next(row for row in rows if row[0])   # T != 0, else T' = 0
+    q = next((row for row in rows if p0 * row[1] != p1 * row[0]), None)
+    if q is None:
+        return PencilAction(tensor, op, t1, t2, 1, TAG_SCALAR, scalar=Fraction(p1, p0))
+    q0, q1, q2 = q
+    det = p0 * q1 - p1 * q0
+    a_num = p2 * q1 - p1 * q2
+    b_num = p0 * q2 - p2 * q0
+    if any(a_num * x0 + b_num * x1 != det * x2 for x0, x1, x2 in rows):
         return PencilAction(tensor, op, t1, t2, 2, TAG_NOT_NEAR)
-    a, b = sol
+    a, b = Fraction(a_num, det), Fraction(b_num, det)
     if a == 0 and b == 0:
         return PencilAction(tensor, op, t1, t2, 2, TAG_QUASI, a=a, b=b)
     return PencilAction(tensor, op, t1, t2, 2, TAG_NEAR, a=a, b=b)
@@ -508,12 +571,17 @@ def normalize_pencil(action):
         t1 = derived(action.tensor, d1)
         t2 = derived(t1, d1)
     bnew = lam2 - lam1
-    if t2 != t1.scale(bnew):
+    # the guard t2 == bnew * t1, on integer forms: bnew = p / q and
+    # t1 = ints1 / d1, so bnew * t1 = (p * ints1) / (q * d1)
+    d1, ints1 = t1.integer_form()
+    p, q = bnew.numerator, bnew.denominator
+    scaled = {ij: {k: p * v for k, v in vec.items()} for ij, vec in ints1.items()} if p else {}
+    if not _same_form(t2.integer_form(), (q * d1, scaled)):
         raise IdentityFailed("pencil normalization failed")
     mode = MODE_NILPOTENT if bnew == 0 else MODE_SEMISIMPLE
     lines = [t1]
     if mode == MODE_SEMISIMPLE:
-        lines.append(action.tensor.scale(bnew) - t1)
+        lines.append(tensor_combination([(bnew, action.tensor), (-ONE, t1)]))
     return NormalizedPencil(lam1, lam2, d1, mode, action.tensor, t1, bnew, lines)
 
 

@@ -26,7 +26,13 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 # written by hand: two operators on sl2 (basis e, h, f), a dense one with
 # mixed denominators and the nilpotent shear h -> e, which is not Nijenhuis;
 # and sl2 in the rational basis a = e/2, b = h/3, c = 5f, where
-# [a, b] = -2/3 a, [a, c] = 15/2 b and [b, c] = -2/3 c
+# [a, b] = -2/3 a, [a, c] = 15/2 b and [b, c] = -2/3 c.  Also written by
+# hand: D = A G A^-1 on sl3, with G the Z3 grading operator of weights
+# (i - j) mod 3 on E_ij and A = exp(ad x) exp(ad y) for
+# x = E12 - E13 + E23 and y = -E21 + E31 + E32, which is dense and near with
+# (a, b) = (0, -3); and two skew tensors that are not Lie: one whose first
+# failing Jacobi triple is (0, 1, 3), and one graded mod 3 by the weights
+# (1, 1, 2, 0), near for its weight operator, whose pencil members fail
 FILES = {
     "sl2-dense-op.json": {"dim": 3, "matrix": [["1/2", "-1", "2/3"],
                                                ["3", "0", "-1/4"],
@@ -38,6 +44,34 @@ FILES = {
                           "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "-2/3"}},
                                        {"i": 0, "j": 2, "coeffs": {"1": "15/2"}},
                                        {"i": 1, "j": 2, "coeffs": {"2": "-2/3"}}]},
+    "sl3-conjugated-op.json": {"dim": 8, "matrix": [
+        ["11/8", "-5/8", "-3/16", "3/8", "3/32", "5/16", "7/16", "1/16"],
+        ["-23/16", "23/16", "9/32", "-5/16", "-21/64", "-33/32", "-37/32", "17/32"],
+        ["-39/4", "-33/4", "7/8", "5/4", "-1/16", "-45/8", "-1/8", "41/8"],
+        ["-21/8", "-23/8", "1/16", "11/8", "-15/32", "-39/16", "-7/16", "23/16"],
+        ["-15/4", "-21/4", "-7/8", "3/4", "31/16", "-1/8", "23/8", "5/8"],
+        ["1/4", "9/4", "3/8", "-3/4", "-7/16", "7/8", "-11/8", "-5/8"],
+        ["-13/8", "1/8", "7/16", "-3/8", "-11/32", "-27/16", "-3/16", "15/16"],
+        ["-3/8", "19/8", "9/16", "-5/8", "-17/32", "-13/16", "-33/16", "21/16"]]},
+    "skew-nonlie.json": {"dim": 4, "basis": ["p", "q", "z", "t"],
+                         "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}},
+                                      {"i": 0, "j": 3, "coeffs": {"0": "1/2"}},
+                                      {"i": 1, "j": 3, "coeffs": {"1": "-1/2", "2": "3"}},
+                                      {"i": 2, "j": 3, "coeffs": {"0": "2/3"}}]},
+    "skew-nonlie-dense-op.json": {"dim": 4, "matrix": [["1/2", "-1", "0", "2"],
+                                                       ["1", "0", "1/3", "0"],
+                                                       ["0", "2", "1", "-1"],
+                                                       ["1", "0", "0", "3/2"]]},
+    "graded-nonlie.json": {"dim": 4, "basis": ["p", "q", "z", "t"],
+                           "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}},
+                                        {"i": 0, "j": 2, "coeffs": {"3": "1"}},
+                                        {"i": 0, "j": 3, "coeffs": {"0": "1/2"}},
+                                        {"i": 1, "j": 3, "coeffs": {"1": "-1/2", "0": "3"}},
+                                        {"i": 2, "j": 3, "coeffs": {"2": "2/3"}}]},
+    "graded-nonlie-weight-op.json": {"dim": 4, "matrix": [["1", "0", "0", "0"],
+                                                          ["0", "1", "0", "0"],
+                                                          ["0", "0", "2", "0"],
+                                                          ["0", "0", "0", "0"]]},
 }
 
 COMMANDS = [
@@ -89,6 +123,11 @@ COMMANDS = [
     "report --algebra sl3.json --operator sl3-nilsquare-op.json --seed 11 --pc --json",
     "report --algebra sl4.json --operator sl4-nilsquare-op.json --seed 5",
     "report --algebra sl3.json --operator sl3-grading-op.json --seed 2 --json",
+    "classify --algebra sl3.json --operator sl3-conjugated-op.json --json",
+    "pencil --algebra sl3.json --operator sl3-conjugated-op.json --json",
+    "report --algebra skew-nonlie.json --operator skew-nonlie-dense-op.json --seed 4 --json",
+    "report --algebra graded-nonlie.json --operator graded-nonlie-weight-op.json --seed 4 --json",
+    "pencil --algebra graded-nonlie.json --operator graded-nonlie-weight-op.json --json",
 ]
 
 

@@ -1,12 +1,14 @@
 """Source guard: no code changes a tensor's table or a polynomial's terms.
 
-`StructureTensor` caches its skew and Jacobi verdicts on the instance, which
-is sound only while nothing writes to a `table` once the tensor exists; the
-same rule holds for `SparsePoly.terms`.  This test scans the package source
-with `ast`.  A write to or into `.table` or `.terms` (an assignment, an
-augmented assignment, a subscript store or a `del`) is allowed only on
-`self` inside `__init__`/`__post_init__`, and anywhere inside the trusted
-constructors `_of`.
+`StructureTensor` caches its integer form and its skew and Jacobi verdicts
+on the instance, which is sound only while nothing writes to a `table` once
+the tensor exists; the same rule holds for `SparsePoly.terms`.  This test
+scans the package source with `ast`.  A write to or into `.table` or
+`.terms` (an assignment, an augmented assignment, a subscript store or a
+`del`) is allowed only on `self` inside `__init__`/`__post_init__`, and
+anywhere inside the trusted constructors `_of`.  The integer-form slot
+`._integer` follows the same rule, and may also be written on `self` by
+its single cache fill, `integer_form`.
 """
 
 import ast
@@ -14,9 +16,11 @@ from pathlib import Path
 
 import liepencil
 
-GUARDED = {"table", "terms"}
+GUARDED = {"table", "terms", "_integer"}
 CONSTRUCTORS = {"__init__", "__post_init__"}
 TRUSTED = {"_of"}
+# slot -> the one method that fills it on self as a cache
+CACHE_FILLS = {"_integer": "integer_form"}
 
 
 def _leaves(target):
@@ -30,7 +34,7 @@ def _leaves(target):
 
 
 def _guarded_attribute(target):
-    """The `.table`/`.terms` attribute a target writes to or into, or None."""
+    """The guarded attribute a target writes to or into, or None."""
     while isinstance(target, ast.Subscript):
         target = target.value
     if isinstance(target, ast.Attribute) and target.attr in GUARDED:
@@ -41,8 +45,8 @@ def _guarded_attribute(target):
 def _allowed(attr, func):
     if func in TRUSTED:
         return True
-    return (func in CONSTRUCTORS and isinstance(attr.value, ast.Name)
-            and attr.value.id == "self")
+    on_self = isinstance(attr.value, ast.Name) and attr.value.id == "self"
+    return on_self and (func in CONSTRUCTORS or func == CACHE_FILLS.get(attr.attr))
 
 
 def offences(source):
@@ -85,8 +89,25 @@ class Poly:
     def _of(cls, terms):
         p = object.__new__(cls)
         p.terms = terms
+class Tensor:
+    def __init__(self):
+        self._integer = None
+    @classmethod
+    def _of(cls, integer):
+        t = object.__new__(cls)
+        t._integer = integer
+    def integer_form(self, other):
+        self._integer = 1, {}
+        other._integer = 1, {}
+        self._integer[1][(0, 1)] = {}
+        return self._integer
+    def scale(self, c):
+        self._integer = None
+        self.table = {}
+def contract(t):
+    t._integer = 1, {}
 """
-    assert [line for line, _ in offences(source)] == [4, 5, 6, 10]
+    assert [line for line, _ in offences(source)] == [4, 5, 6, 10, 24, 28, 29, 31]
 
 
 def test_no_table_or_terms_written_after_construction():
