@@ -5,8 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import (SparsePoly, generic_rank, kernel_basis, rank_exact, rref,
-                    unit_vector)
+from .exact import SparsePoly, _reduce, generic_rank, kernel_basis, rank_exact
 from .tensors import ad, derived, is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
@@ -115,19 +114,38 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
 def lower_central_series(tensor):
     """Dimensions of the descending series g, [g,g], [g,[g,g]], ...
 
-    Stops when the dimension stabilises or reaches zero.
+    Stops when the dimension stabilises or reaches zero.  Runs on int rows
+    read off the integer form T / L: [g,g] is spanned by the rows T_ij, and
+    each later term by psi(x, e_j) = sum_i x_i T_ij / L for x in the basis
+    `_reduce` returns for the term before.  Scaling a spanning vector by a
+    nonzero constant leaves its span, hence every rank, unchanged.
     """
     n = tensor.dim
+    _, tab = tensor.integer_form()
+    by_column = {}   # j -> [(i, T_ij as a dense int row)]
+    for (i, j), vec in tab.items():
+        row = [0] * n
+        for k, c in vec.items():
+            row[k] = c
+        by_column.setdefault(j, []).append((i, row))
     dims = [n]
-    basis = [unit_vector(n, i) for i in range(n)]
-    current = basis
+    span = [row for pairs in by_column.values() for _, row in pairs]
     while True:
-        red, pivots = rref([tensor.apply(x, e) for x in current for e in basis])
+        pivots, basis = _reduce(span)
         r = len(pivots)
         dims.append(r)
         if r == 0 or r == dims[-2]:
             break
-        current = red[:r]
+        span = []
+        for x in basis:
+            for pairs in by_column.values():
+                acc = [0] * n
+                for i, row in pairs:
+                    xi = x[i]
+                    if xi:
+                        acc = [a + xi * b for a, b in zip(acc, row)]
+                if any(acc):
+                    span.append(acc)
     return dims
 
 

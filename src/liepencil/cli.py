@@ -11,6 +11,7 @@ document with deterministic field order.  Exit codes: 0 all checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -562,7 +563,11 @@ def cmd_report(args):
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args leaves it
+    unchanged, so every `main` call reuses it.  Subcommand NAME runs the
+    function cmd_NAME (dashes as underscores), looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="liepencil",
         description="Exact engine for derived brackets, pencils, and torsion "
@@ -578,17 +583,14 @@ def build_parser():
 
     p = sub.add_parser("classify", help="classify an operator against a bracket")
     common(p)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("derive", help="k-fold derived bracket")
     common(p)
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--out", help="write the result as an algebra file")
-    p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("pencil", help="normalize the pencil of a near-derivation")
     common(p)
-    p.set_defaults(func=cmd_pencil)
 
     p = sub.add_parser("index", help="index of a Lie algebra")
     common(p, operator=False)
@@ -597,17 +599,14 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="sampling seed (default: %s env var)" % SEED_ENV)
     p.add_argument("--max-exact-dim", type=int, default=12)
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("torsion", help="torsion tensor of an operator")
     common(p)
     p.add_argument("--out", help="write the torsion as an algebra file")
-    p.set_defaults(func=cmd_torsion)
 
     p = sub.add_parser("nijenhuis-check", help="vanishing torsion and power properties")
     common(p)
     p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(func=cmd_nijenhuis_check)
 
     p = sub.add_parser("exp-check", help="exponential deformation identities")
     common(p)
@@ -617,7 +616,6 @@ def build_parser():
     p.add_argument("--points", help="comma-separated rational evaluation points")
     p.add_argument("--certified", action="store_true",
                    help="nijenhuis kind: check enough points to certify")
-    p.set_defaults(func=cmd_exp_check)
 
     p = sub.add_parser("pc-check", help="generate and verify a commutative family")
     p.add_argument("--algebra", required=True)
@@ -627,7 +625,6 @@ def build_parser():
     p.add_argument("--degree-bound", type=int, default=2,
                    help="centre search degree when no seed file is given")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pc_check)
 
     p = sub.add_parser("example", help="write bundled example files")
     p.add_argument("name", help="gl|sl|so|sp|grading|nilpotent-square|splitting|quasi-grading")
@@ -639,7 +636,6 @@ def build_parser():
     p.add_argument("--complement", help="comma-separated indices of the complement")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("report", help="aggregate pipeline with one verdict per check")
     common(p)
@@ -650,7 +646,6 @@ def build_parser():
     p.add_argument("--gamma", help="covector for the directional family")
     p.add_argument("--seed-file", help="seed polynomials JSON")
     p.add_argument("--degree-bound", type=int, default=2)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -659,7 +654,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except InputProblem as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -21,6 +21,7 @@ ArithmeticError.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import add, mul
@@ -29,9 +30,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rat(text):
-    """Parse a rational written as "p" or "p/q"."""
-    return Fraction(str(text).strip())
+    """Parse a rational written as "p" or "p/q": an optional sign, ASCII
+    digits, and an optional "/" followed by ASCII digits, with surrounding
+    whitespace stripped.  Anything else (decimals, exponents, underscores,
+    other digits) raises ValueError, and q = 0 raises ZeroDivisionError."""
+    text = str(text).strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError("not a rational p or p/q: %r" % (text,))
+    return Fraction(text)
 
 
 def format_rat(x):

@@ -140,6 +140,8 @@ def poly_to_list(p):
 
 
 def poly_from_list(nvars, data, context="poly"):
+    if not isinstance(data, list):
+        raise ParseError("polynomial must be a list of terms", context)
     terms = {}
     for idx, term in enumerate(data):
         ctx = "%s[%d]" % (context, idx)

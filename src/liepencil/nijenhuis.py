@@ -41,7 +41,7 @@ def torsion_verdict(tors):
     The witness is the first basis pair, in row-major order, whose torsion
     is nonzero.
     """
-    witness = min(tors.table, default=None)
+    witness = min(tors.integer_form()[1], default=None)
     return witness is None, witness
 
 

@@ -14,8 +14,10 @@ of operations with exactly one or two degenerate lines.
 Every tensor has one integer form, (den, {(i, j): {k: int}}): its table as
 integers over one denominator, computed at most once per tensor or handed
 over by the kernel that built it (`StructureTensor.integer_form`).  The
-kernels run on these forms and build a `Fraction` only for a returned entry
-or scalar.  `contract` evaluates every tensor of the form
+kernels run on these forms and build a `Fraction` only for a returned
+scalar: a kernel result carries only its form, and its `Fraction` table is
+built from the form the first time something reads `.table`.  `contract`
+evaluates every tensor of the form
 sum_t c_t * O_t psi(A_t x, B_t y): the derived operation here, and the
 torsion, both sides of the exponential identities and the nilpotent-square
 checks elsewhere.  `tensor_combination`, `scale`, `check_skew` and equality
@@ -25,9 +27,10 @@ solves its two-column pencil system on int vectors from one 2 x 2 minor.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for tables
-the library has already built clean.  Tables over basis pairs are filled by
-`pair_table`, and a skew table is always completed by `skew_table`, which
-writes each mirror entry (j, i) as the negated (i, j) vector.
+or integer forms the library has already built clean.  Tables over basis
+pairs are filled by `pair_table`, and a skew table is always completed by
+`skew_table`, which writes each mirror entry (j, i) as the negated (i, j)
+vector.
 """
 
 from __future__ import annotations
@@ -81,13 +84,16 @@ class StructureTensor:
     {k: c_ij^k}; zero vectors are never stored, so equality is literal
     table equality.  `StructureTensor(dim, table, labels)` validates and
     copies a table from outside (files, tests); `_of` wraps a table the
-    library built clean, without a copy.
+    library built clean, without a copy, or only an integer form.  A
+    kernel result holds only its form: its `table` slot stays unset until
+    the first read, when `__getattr__` builds the `Fraction` table from the
+    form and stores it, so every later read is a plain slot read.
 
     Instances are immutable: every operation returns a new tensor, and no
-    code assigns to or mutates `table` after construction.  The caches
-    rely on it: `_integer` holds the `integer_form`, `_skew` the `is_skew`
-    verdict and `_jacobi` the `check_jacobi` result, each computed at most
-    once per tensor.
+    code assigns to or mutates `table` after construction, apart from that
+    one fill.  The caches rely on it: `_integer` holds the `integer_form`,
+    `_skew` the `is_skew` verdict and `_jacobi` the `check_jacobi` result,
+    each computed at most once per tensor.
     """
 
     __slots__ = ("dim", "labels", "table", "_integer", "_skew", "_jacobi")
@@ -118,14 +124,28 @@ class StructureTensor:
         """Trusted constructor: table is already clean (nonzero Fraction
         values, indices below dim) and labels a tuple of dim strings; the
         table is kept as it is, no copy and no check.  A kernel that holds
-        the table's integer form passes it as integer."""
+        the table's integer form passes it as integer; with table None the
+        form alone stands for the tensor, and the table is built from it
+        on first read."""
         t = object.__new__(cls)
         t.dim = dim
         t.labels = labels
-        t.table = table
+        if table is not None:
+            t.table = table
         t._integer = integer
         t._skew = t._jacobi = None
         return t
+
+    def __getattr__(self, name):
+        """Fills `table` from the integer form on its first read; runs only
+        while a slot is unset, and any other unset name is an error."""
+        if name != "table":
+            raise AttributeError("%r object has no attribute %r"
+                                 % (type(self).__name__, name))
+        den, ints = self._integer
+        self.table = {ij: {k: Fraction(v, den) for k, v in vec.items()}
+                      for ij, vec in ints.items()}
+        return self.table
 
     def integer_form(self):
         """(den, {(i, j): {k: int}}): the table as integers over one
@@ -167,7 +187,7 @@ class StructureTensor:
         return out
 
     def is_zero(self):
-        return not self.table
+        return not (self.table if self._integer is None else self._integer[1])
 
     def is_skew(self):
         if self._skew is None:
@@ -208,15 +228,13 @@ class StructureTensor:
 
 
 def _reduced(den, ints):
-    """(form, table): the integer form (den, ints) divided by its gcd, and
-    the `Fraction` table it stands for.  ints holds no zero entries and no
-    empty vectors."""
+    """The integer form (den, ints) divided by its gcd.  ints holds no zero
+    entries and no empty vectors."""
     g = gcd(den, *(v for vec in ints.values() for v in vec.values()))
     if g > 1:
         den //= g
         ints = {ij: {k: v // g for k, v in vec.items()} for ij, vec in ints.items()}
-    table = {ij: {k: Fraction(v, den) for k, v in vec.items()} for ij, vec in ints.items()}
-    return (den, ints), table
+    return den, ints
 
 
 def _same_form(x, y):
@@ -236,7 +254,7 @@ def tensor_combination(pairs):
     Runs on the integer forms: c_t * T_t is an integer table over
     c_t's denominator times den_t, and the sum accumulates over the lcm of
     those in pair order, so key order and zero tests follow the rational
-    sum.
+    sum.  The result carries only its integer form, divided by its gcd.
     """
     dim = pairs[0][1].dim
     labels = pairs[0][1].labels
@@ -261,8 +279,8 @@ def tensor_combination(pairs):
                     slot[k] = s
                 else:
                     slot.pop(k, None)
-    form, table = _reduced(den, {ij: vec for ij, vec in acc.items() if vec})
-    return StructureTensor._of(dim, table, labels, form)
+    form = _reduced(den, {ij: vec for ij, vec in acc.items() if vec})
+    return StructureTensor._of(dim, None, labels, form)
 
 
 def skew_table(upper):
@@ -305,10 +323,11 @@ def contract(tensor, terms):
     T / L and each distinct operator is cleared to M_int / d_M, so term t is
     an integer over its denominator den_t (c's times those of O, A and B),
     and every entry is an integer over lcm(den_t) * L.  That integer table,
-    divided by its gcd, is the result's integer form; `Fraction` appears
-    only in the returned table.  Zero tests on the scaled integers match
-    those on the rationals, and terms accumulate in list order, so key
-    order follows the rational computation.  When psi is skew and the term
+    divided by its gcd, is the result's integer form, and the result
+    carries only that form; `Fraction` appears when its table is first
+    read.  Zero tests on the scaled integers match those on the rationals,
+    and terms accumulate in list order, so key order follows the rational
+    computation.  When psi is skew and the term
     list is unchanged by swapping A and B, the result is skew: only the
     pairs i < j are computed and `pair_table` mirrors them.
     """
@@ -361,8 +380,7 @@ def contract(tensor, terms):
         return acc
 
     ints = pair_table(n, entry, _swap_closed(terms) and tensor.is_skew())
-    form, table = _reduced(M * L, ints)
-    return StructureTensor._of(n, table, tensor.labels, form)
+    return StructureTensor._of(n, None, tensor.labels, _reduced(M * L, ints))
 
 
 def derived(tensor, op):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from liepencil.exact import RatMatrix, SparsePoly
+from liepencil.exact import RatMatrix, SparsePoly, parse_rat
 from liepencil.constructions import build_classical, build_gl_associative
 from liepencil.io import (
     ParseError, algebra_to_dict, algebra_from_dict, operator_to_dict,
@@ -284,3 +284,73 @@ def test_cli_seed_env(workdir, capsys, monkeypatch):
     assert run(["index", "--algebra", "sl2.json", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["index"] == 1
+
+
+def test_parse_rat_grammar():
+    assert parse_rat(" -6/4 ") == F(-3, 2)
+    assert parse_rat("+7") == 7
+    assert parse_rat("0/5") == 0
+    for text in ["1e400", "1.5", "1_0", "١", "１/2", "1/2e3", "1/-2",
+                 "0x10", ".5", "1/", "/2", "1 / 2", "- 1", "", "inf", "nan"]:
+        with pytest.raises(ValueError):
+            parse_rat(text)
+    with pytest.raises(ZeroDivisionError):
+        parse_rat("1/0")
+
+
+# a rational is "p" or "p/q"; Fraction would also read decimals, exponents
+# (Fraction("1e10000000") builds a ten-million-digit integer), underscores
+# and non-ASCII digits
+OUTSIDE_THE_GRAMMAR = ["1e400", "1.5", "1_0", "١", "2/1e3", " 1/2/3"]
+
+
+@pytest.mark.parametrize("text", OUTSIDE_THE_GRAMMAR,
+                         ids=["exponent", "decimal", "underscore", "arabic-indic-digit",
+                              "exponent-denominator", "two-slashes"])
+def test_cli_rational_outside_the_grammar_exits_2(workdir, capsys, text):
+    run(["example", "sl", "2"])
+    doc = {"dim": 2, "basis": ["a", "b"],
+           "brackets": [{"i": 0, "j": 1, "coeffs": {"1": text}}]}
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["index", "--algebra", "bad.json"]) == 2
+    assert "brackets[0].coeffs" in capsys.readouterr().err
+    assert run(["pc-check", "--algebra", "sl2.json", "--gamma", "0,0," + text]) == 2
+    assert "covector" in capsys.readouterr().err
+
+
+def test_cli_seed_entry_not_a_list_exits_2(workdir, capsys):
+    run(["example", "sl", "2"])
+    (workdir / "seeds.json").write_text(json.dumps({"seeds": [5]}))
+    capsys.readouterr()
+    assert run(["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1",
+                "--seed-file", "seeds.json"]) == 2
+    assert "seeds[0]" in capsys.readouterr().err
+
+
+def test_cli_repeated_calls_in_one_process(workdir, capsys):
+    # main reuses one parser per process; no call may leave state behind
+    assert cli.build_parser() is cli.build_parser()
+    run(["example", "sl", "2"])
+    run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    capsys.readouterr()
+    classify = ("classify", "--algebra", "sl2.json", "--operator", "sl2-grading-op.json",
+                "--json")
+    index = ("index", "--algebra", "sl2.json", "--samples", "3", "--seed", "5")
+    pencil = ("pencil", "--algebra", "sl2.json", "--operator", "sl2-grading-op.json")
+    bad_flag = ("index", "--algebra", "sl2.json", "--no-such-flag")
+
+    def call(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    seen = {}
+    for argv in (classify, index, bad_flag, classify, pencil, bad_flag, index,
+                 classify, pencil, index, bad_flag):
+        seen.setdefault(argv, []).append(call(argv))
+    assert {argv: len(set(results)) for argv, results in seen.items()} == dict.fromkeys(seen, 1)
+    assert {argv: results[0][0] for argv, results in seen.items()} == {
+        classify: 0, index: 0, pencil: 0, bad_flag: 2}

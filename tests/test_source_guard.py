@@ -8,7 +8,8 @@ scans the package source with `ast`.  A write to or into `.table` or
 `del`) is allowed only on `self` inside `__init__`/`__post_init__`, and
 anywhere inside the trusted constructors `_of`.  The integer-form slot
 `._integer` follows the same rule, and may also be written on `self` by
-its single cache fill, `integer_form`.
+its single cache fill, `integer_form`; likewise `.table` by its fill on
+first read, `__getattr__`, for a tensor built from its integer form alone.
 """
 
 import ast
@@ -20,7 +21,7 @@ GUARDED = {"table", "terms", "_integer"}
 CONSTRUCTORS = {"__init__", "__post_init__"}
 TRUSTED = {"_of"}
 # slot -> the one method that fills it on self as a cache
-CACHE_FILLS = {"_integer": "integer_form"}
+CACHE_FILLS = {"_integer": "integer_form", "table": "__getattr__"}
 
 
 def _leaves(target):
@@ -108,6 +109,28 @@ def contract(t):
     t._integer = 1, {}
 """
     assert [line for line, _ in offences(source)] == [4, 5, 6, 10, 24, 28, 29, 31]
+
+
+def test_guard_allows_only_the_table_fill():
+    source = """
+class Tensor:
+    def __getattr__(self, name):
+        self.table = {}
+        return self.table
+    def __getattr__(self, other):
+        other.table = {}
+        self.terms = {}
+        self._integer = 1, {}
+        self.table[(0, 1)] = {}
+    def integer_form(self):
+        self.table = {}
+    def scale(self, c):
+        self.table = {}
+        del self.table
+def __getattr__(t):
+    t.table = {}
+"""
+    assert [line for line, _ in offences(source)] == [7, 8, 9, 12, 14, 15, 17]
 
 
 def test_no_table_or_terms_written_after_construction():
