@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .exact import SparsePoly, _reduce, generic_rank, kernel_basis, rank_exact
-from .tensors import ad, derived, is_lie
+from .tensors import ad, is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
 SAMPLE_BOUND = 10 ** 6
@@ -187,8 +187,7 @@ def verify_index_theorem(family, n, partition, seed=None):
 
     tensor = build_classical(family, n)
     triple = sl2_complete(family, n, partition)
-    op, report = nilpotent_square(tensor, triple.e)
-    derived_tensor = derived(tensor, op)
+    derived_tensor = nilpotent_square(tensor, triple.e)[1].derived
 
     rep_p = lie_index(derived_tensor, mode="prob", seed=seed)
     # the theorem check is never refused: the exact index is capped at the

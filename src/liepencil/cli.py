@@ -44,14 +44,6 @@ class InputProblem(Exception):
     pass
 
 
-class CheckProblem(Exception):
-    """A mathematical check failed; carries the partial report."""
-
-    def __init__(self, message, doc=None):
-        self.doc = doc
-        super().__init__(message)
-
-
 def _emit(doc, args):
     if getattr(args, "json", False):
         print(json.dumps(doc, indent=2))
@@ -210,7 +202,7 @@ def cmd_pencil(args):
 def cmd_index(args):
     tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
-        raise InputProblem("index needs a Lie algebra file")
+        raise InputProblem("--algebra is not a Lie algebra; index needs one")
     rep = lie_index(tensor, mode=args.mode, samples=args.samples,
                     seed=_env_seed(args), max_exact_dim=args.max_exact_dim)
     doc = {
@@ -305,7 +297,8 @@ def _pc_parts(args, tensor):
     if args.gamma:
         gamma = _parse_rationals(args.gamma, "covector")
         if len(gamma) != tensor.dim:
-            raise InputProblem("covector length mismatch")
+            raise InputProblem("--gamma covector has %d entries, the algebra has dimension %d"
+                               % (len(gamma), tensor.dim))
         operator = pois.directional(gamma)
         op_desc = "directional"
     else:
@@ -328,7 +321,7 @@ def _pc_parts(args, tensor):
 def cmd_pc_check(args):
     tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
-        raise InputProblem("pc-check needs a Lie algebra file")
+        raise InputProblem("--algebra is not a Lie algebra; pc-check needs one")
     struct, operator, op_desc, seeds, seed_desc = _pc_parts(args, tensor)
     try:
         family = pois.pc_generate(struct, operator, seeds)
@@ -356,10 +349,15 @@ def cmd_pc_check(args):
     return EXIT_OK if cert.ok else EXIT_CHECK
 
 
-def _write_example(args, written, name, saver):
-    path = os.path.join(args.out_dir, name)
-    saver(path)
-    written.append(path)
+def _size(text):
+    """The matrix size N of an example: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise InputProblem("N must be an integer >= 0, got %r" % text)
+    return n
 
 
 def cmd_example(args):
@@ -371,104 +369,87 @@ def cmd_example(args):
     def take_family_n():
         if len(params) < 2:
             raise InputProblem("expected FAMILY N")
-        family = params[0]
-        try:
-            n = int(params[1])
-        except ValueError:
-            raise InputProblem("N must be an integer, got %r" % params[1])
-        return family, n
+        return params[0], _size(params[1])
 
-    try:
-        if name in ("gl", "sl", "so", "sp"):
-            if len(params) != 1:
-                raise InputProblem("expected: example %s N" % name)
-            n = int(params[0])
-            tensor = cons.build_classical(name, n)
-            _write_example(args, written, "%s%d.json" % (name, n),
-                          lambda p: iomod.save_algebra(tensor, p,
-                                                       metadata={"family": name}))
-        elif name == "grading":
-            family, n = take_family_n()
-            if not args.weights or args.modulus is None:
-                raise InputProblem("grading needs --weights and --modulus")
-            weights = _parse_ints(args.weights, "weights")
-            tensor = cons.build_classical(family, n)
-            spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
-                                    modulus=args.modulus)
-            ok, witness = spec.validate(tensor)
-            if not ok:
-                raise InputProblem("weights do not grade the algebra (witness %r)"
-                                   % (witness,))
-            op = cons.grading_operator(spec)
-            meta = {"family": family, "modulus": str(args.modulus),
-                    "weights": ",".join(str(w) for w in weights)}
-            _write_example(args, written, "%s%d.json" % (family, n),
-                          lambda p: iomod.save_algebra(tensor, p, metadata=meta))
-            _write_example(args, written, "%s%d-grading-op.json" % (family, n),
-                          lambda p: iomod.save_operator(op, p))
-        elif name == "nilpotent-square":
-            family, n = take_family_n()
-            if not args.partition:
-                raise InputProblem("nilpotent-square needs --partition")
-            partition = tuple(_parse_ints(args.partition, "partition"))
-            tensor = cons.build_classical(family, n)
-            triple = cons.sl2_complete(family, n, partition)
-            op, report = cons.nilpotent_square(tensor, triple.e)
-            _write_example(args, written, "%s%d.json" % (family, n),
-                          lambda p: iomod.save_algebra(tensor, p,
-                                                       metadata={"family": family}))
-            _write_example(args, written, "%s%d-nilsquare-op.json" % (family, n),
-                          lambda p: iomod.save_operator(op, p))
-            _write_example(args, written, "%s%d-nilsquare-derived.json" % (family, n),
-                          lambda p: iomod.save_algebra(report.derived, p))
-            diag = {
-                "ad_e_cubed_zero": report.ad_e_cubed_zero,
-                "d_squared_zero": report.d_squared_zero,
-                "image_bracket_zero": report.image_bracket_zero,
-                "image_in_kernel": report.image_in_kernel,
-                "formula_check": report.formula_check,
-            }
-            doc = {"written": written, "diagnostics": diag}
-            _emit(doc, args)
-            return EXIT_OK
-        elif name == "splitting":
-            family, n = take_family_n()
-            if not args.sub or not args.complement:
-                raise InputProblem("splitting needs --sub and --complement index lists")
-            part_a = _parse_ints(args.sub, "sub indices")
-            part_b = _parse_ints(args.complement, "complement indices")
-            tensor = cons.build_classical(family, n)
-            d1, d2 = cons.splitting_operators(tensor, part_a, part_b)
-            _write_example(args, written, "%s%d.json" % (family, n),
-                          lambda p: iomod.save_algebra(tensor, p,
-                                                       metadata={"family": family}))
-            _write_example(args, written, "%s%d-proj-sub.json" % (family, n),
-                          lambda p: iomod.save_operator(d1, p))
-            _write_example(args, written, "%s%d-proj-complement.json" % (family, n),
-                          lambda p: iomod.save_operator(d2, p))
-        elif name == "quasi-grading":
-            family, n = take_family_n()
-            if not args.weights or args.modulus is None:
-                raise InputProblem("quasi-grading needs --weights and --modulus")
-            weights = _parse_ints(args.weights, "weights")
-            tensor = cons.build_classical(family, n)
-            spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
-                                    modulus=args.modulus)
-            ok, witness = spec.validate(tensor)
-            if not ok:
-                raise InputProblem("weights do not grade the algebra (witness %r)"
-                                   % (witness,))
-            ext, ext_spec, op = cons.quasi_grading_extension(tensor, spec)
-            meta = {"family": family,
-                    "weights": ",".join(str(w) for w in ext_spec.weights)}
-            _write_example(args, written, "%s%d-quasi-extension.json" % (family, n),
-                          lambda p: iomod.save_algebra(ext, p, metadata=meta))
-            _write_example(args, written, "%s%d-quasi-weight-op.json" % (family, n),
-                          lambda p: iomod.save_operator(op, p))
-        else:
-            raise InputProblem("unknown example %r" % name)
-    except ValueError as exc:
-        raise InputProblem(str(exc))
+    def out(suffix):
+        """The path --out-dir/FAMILY N SUFFIX.json, added to the written list."""
+        written.append(os.path.join(args.out_dir, "%s%d%s.json" % (family, n, suffix)))
+        return written[-1]
+
+    if name in ("gl", "sl", "so", "sp"):
+        if len(params) != 1:
+            raise InputProblem("expected: example %s N" % name)
+        family, n = name, _size(params[0])
+        tensor = cons.build_classical(family, n)
+        iomod.save_algebra(tensor, out(""), metadata={"family": family})
+    elif name == "grading":
+        family, n = take_family_n()
+        if not args.weights or args.modulus is None:
+            raise InputProblem("grading needs --weights and --modulus")
+        weights = _parse_ints(args.weights, "weights")
+        tensor = cons.build_classical(family, n)
+        spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
+                                modulus=args.modulus)
+        ok, witness = spec.validate(tensor)
+        if not ok:
+            raise InputProblem("weights do not grade the algebra (witness %r)"
+                               % (witness,))
+        op = cons.grading_operator(spec)
+        meta = {"family": family, "modulus": str(args.modulus),
+                "weights": ",".join(str(w) for w in weights)}
+        iomod.save_algebra(tensor, out(""), metadata=meta)
+        iomod.save_operator(op, out("-grading-op"))
+    elif name == "nilpotent-square":
+        family, n = take_family_n()
+        if not args.partition:
+            raise InputProblem("nilpotent-square needs --partition")
+        partition = tuple(_parse_ints(args.partition, "partition"))
+        tensor = cons.build_classical(family, n)
+        triple = cons.sl2_complete(family, n, partition)
+        op, report = cons.nilpotent_square(tensor, triple.e)
+        iomod.save_algebra(tensor, out(""), metadata={"family": family})
+        iomod.save_operator(op, out("-nilsquare-op"))
+        iomod.save_algebra(report.derived, out("-nilsquare-derived"))
+        diag = {
+            "ad_e_cubed_zero": report.ad_e_cubed_zero,
+            "d_squared_zero": report.d_squared_zero,
+            "image_bracket_zero": report.image_bracket_zero,
+            "image_in_kernel": report.image_in_kernel,
+            "formula_check": report.formula_check,
+        }
+        doc = {"written": written, "diagnostics": diag}
+        _emit(doc, args)
+        return EXIT_OK
+    elif name == "splitting":
+        family, n = take_family_n()
+        if not args.sub or not args.complement:
+            raise InputProblem("splitting needs --sub and --complement index lists")
+        part_a = _parse_ints(args.sub, "sub indices")
+        part_b = _parse_ints(args.complement, "complement indices")
+        tensor = cons.build_classical(family, n)
+        d1, d2 = cons.splitting_operators(tensor, part_a, part_b)
+        iomod.save_algebra(tensor, out(""), metadata={"family": family})
+        iomod.save_operator(d1, out("-proj-sub"))
+        iomod.save_operator(d2, out("-proj-complement"))
+    elif name == "quasi-grading":
+        family, n = take_family_n()
+        if not args.weights or args.modulus is None:
+            raise InputProblem("quasi-grading needs --weights and --modulus")
+        weights = _parse_ints(args.weights, "weights")
+        tensor = cons.build_classical(family, n)
+        spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
+                                modulus=args.modulus)
+        ok, witness = spec.validate(tensor)
+        if not ok:
+            raise InputProblem("weights do not grade the algebra (witness %r)"
+                               % (witness,))
+        ext, ext_spec, op = cons.quasi_grading_extension(tensor, spec)
+        meta = {"family": family,
+                "weights": ",".join(str(w) for w in ext_spec.weights)}
+        iomod.save_algebra(ext, out("-quasi-extension"), metadata=meta)
+        iomod.save_operator(op, out("-quasi-weight-op"))
+    else:
+        raise InputProblem("unknown example %r" % name)
     _emit({"written": written}, args)
     return EXIT_OK
 
@@ -655,13 +636,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except InputProblem as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except iomod.ParseError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (InputProblem, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -12,11 +12,11 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import (ONE, ZERO, RatMatrix, kernel_basis, mat_commutator,
-                    solve_columns, unit_vector)
+from .exact import (ONE, ZERO, RatMatrix, coordinates, kernel_basis,
+                    mat_commutator, unit_vector)
 from .tensors import (StructureTensor, TAG_NEAR, IdentityFailed, ad, check_jacobi,
                       check_skew, classify_operator, contract, derived, pair_table,
                       tensor_combination)
@@ -32,17 +32,27 @@ def _flat(mat):
     return [x for row in mat.rows for x in row]
 
 
+def _matrix_reader(basis_mats):
+    """Coordinates of matrices with respect to fixed basis matrices, from one
+    elimination; a matrix outside the span raises ValueError."""
+    read = coordinates([_flat(b) for b in basis_mats])
+
+    def coords(target):
+        sol = read(_flat(target))
+        if sol is None:
+            raise ValueError("matrix is not in the span of the basis")
+        return sol
+    return coords
+
+
 def matrix_coords(basis_mats, target):
     """Coordinates of a matrix with respect to a list of basis matrices."""
-    sol = solve_columns([_flat(b) for b in basis_mats], _flat(target))
-    if sol is None:
-        raise ValueError("matrix is not in the span of the basis")
-    return sol
+    return _matrix_reader(basis_mats)(target)
 
 
 def tensor_from_matrix_basis(mats, labels, product="commutator", check_lie=True):
     """Structure tensor of a bilinear matrix product expanded over a basis."""
-    cols = [_flat(b) for b in mats]
+    read = coordinates([_flat(b) for b in mats])
     dim = len(mats)
     table = {}
     for i in range(dim):
@@ -53,7 +63,7 @@ def tensor_from_matrix_basis(mats, labels, product="commutator", check_lie=True)
                 prod = mat_commutator(mats[i], mats[j])
             else:
                 prod = mats[i] * mats[j]
-            coords = solve_columns(cols, _flat(prod))
+            coords = read(_flat(prod))
             if coords is None:
                 raise ValueError("product leaves the span of the basis")
             vec = {k: c for k, c in enumerate(coords) if c}
@@ -192,13 +202,6 @@ class GradingSpec:
                     return False, (i, j, k)
         return True, None
 
-    def phi_matrix(self, t):
-        """The basis scaling x_i -> t^w_i x_i as an exact matrix (t nonzero)."""
-        t = Fraction(t)
-        if not t:
-            raise ValueError("t must be nonzero")
-        return RatMatrix.diagonal([t ** w for w in self.weights])
-
 
 def grading_operator(spec):
     """Diagonal weight operator of a grading."""
@@ -278,9 +281,10 @@ def quasi_grading_extension(tensor, spec):
         labels.append(tensor.labels[i])
         weights.append(n)
     big = direct_sum(tensor, _restrict(tensor, zero_idx))
+    read = coordinates(adapted)
 
     def entry(a, b):
-        coords = solve_columns(adapted, big.apply(adapted[a], adapted[b]))
+        coords = read(big.apply(adapted[a], adapted[b]))
         if coords is None:
             raise ValueError("adapted basis failed to close")
         return {k: c for k, c in enumerate(coords) if c}
@@ -498,10 +502,8 @@ def sl2_complete(family, n, partition):
         for i in range(p):
             h_mat.rows[off + i][off + i] = Fraction(p - 1 - 2 * i)
         off += p
-    mats, _ = basis_matrices("sl", n)
-    triple = Sl2Triple(matrix_coords(mats, e_mat),
-                       matrix_coords(mats, h_mat),
-                       matrix_coords(mats, f_mat))
+    coords = _matrix_reader(basis_matrices("sl", n)[0])
+    triple = Sl2Triple(coords(e_mat), coords(h_mat), coords(f_mat))
     tensor = build_classical("sl", n)
     if tensor.apply(triple.h, triple.e) != [2 * c for c in triple.e]:
         raise IdentityFailed("[h,e] != 2e")
@@ -518,18 +520,20 @@ class InvolutionSplit:
 
     odd is the fixed-minus part (a Lie subalgebra: so or sp depending on the
     symmetry of J), even the fixed-plus part; together they grade gl_n by Z_2.
+    odd_coords(x) reads a matrix's coordinates on odd from one elimination.
     """
 
     n: int
     J: RatMatrix
     odd: list
     even: list
+    odd_coords: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.odd_coords = _matrix_reader(self.odd)
 
     def star(self, x):
         return self.J.inverse() * x.transpose() * self.J
-
-    def odd_coords(self, x):
-        return matrix_coords(self.odd, x)
 
 
 def involution_split(n, J=None):
@@ -559,11 +563,12 @@ def involution_split(n, J=None):
 
     split = InvolutionSplit(n, J, to_mats(odd_vecs), to_mats(even_vecs))
     # the odd part must close under the commutator
-    flat_odd = [_flat(m) for m in split.odd]
-    for x in split.odd:
-        for y in split.odd:
-            if solve_columns(flat_odd, _flat(mat_commutator(x, y))) is None:
-                raise IdentityFailed("odd part is not a subalgebra")
+    try:
+        for x in split.odd:
+            for y in split.odd:
+                split.odd_coords(mat_commutator(x, y))
+    except ValueError:
+        raise IdentityFailed("odd part is not a subalgebra")
     return split
 
 
@@ -591,10 +596,10 @@ class AssocOperators:
 
 def assoc_operators(n, a, J=None):
     """L_a, R_a and their derived tensors on gl_n, optionally split by J."""
-    gl_mats, gl_labels = basis_matrices("gl", n)
-    cols = [_flat(b) for b in gl_mats]
-    left_cols = [matrix_coords(gl_mats, a * b) for b in gl_mats]
-    right_cols = [matrix_coords(gl_mats, b * a) for b in gl_mats]
+    gl_mats = basis_matrices("gl", n)[0]
+    gl_coords = _matrix_reader(gl_mats)
+    left_cols = [gl_coords(a * b) for b in gl_mats]
+    right_cols = [gl_coords(b * a) for b in gl_mats]
     left = RatMatrix(left_cols).transpose()
     right = RatMatrix(right_cols).transpose()
     gl_tensor = build_classical("gl", n)
@@ -603,7 +608,7 @@ def assoc_operators(n, a, J=None):
     sandwich_ok = True
     for i, x in enumerate(gl_mats):
         for j, y in enumerate(gl_mats):
-            want = matrix_coords(gl_mats, x * a * y - y * a * x)
+            want = gl_coords(x * a * y - y * a * x)
             vec = t1.bracket(i, j)
             got = [-vec.get(k, ZERO) for k in range(n * n)]
             if got != want:
@@ -615,7 +620,7 @@ def assoc_operators(n, a, J=None):
     for _ in range(2, 5):
         acc = acc * a
         lp = lp * left
-        la_k = RatMatrix([matrix_coords(gl_mats, acc * b) for b in gl_mats]).transpose()
+        la_k = RatMatrix([gl_coords(acc * b) for b in gl_mats]).transpose()
         if lp != la_k:
             power_ok = False
     checks["left_powers_match"] = power_ok

@@ -4,8 +4,10 @@ Every coefficient this module takes or returns is a `fractions.Fraction`;
 nothing here ever touches floating point.  Matrices are dense row lists.
 Elimination over Q runs on integers inside: one Gauss-Jordan routine clears
 each row's denominators and works on Python ints, and `rref`, `rank_exact`,
-`kernel_basis`, `solve_columns` and `RatMatrix.inverse` build a `Fraction`
-only for an entry they return; the matrix product, likewise, clears each
+`kernel_basis`, `coordinates` and `RatMatrix.inverse` build a `Fraction`
+only for an entry they return.  `coordinates` reduces a basis once and
+reads every target's coefficients from that reduction, and `solve_columns`
+is its one-target use.  The matrix product, likewise, clears each
 operand once and takes integer dot products.  Polynomials are sparse maps
 from exponent tuples to nonzero coefficients with the graded lexicographic
 order fixing a canonical form; the Poisson bracket clears them to integer
@@ -139,14 +141,6 @@ class RatMatrix:
     def __rmul__(self, c):
         return self.scale(c)
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        acc = RatMatrix.identity(self.nrows)
-        for _ in range(k):
-            acc = acc * self
-        return acc
-
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
         return [sum((a * x for a, x in zip(row, vec)), ZERO) for row in self.rows]
@@ -166,9 +160,6 @@ class RatMatrix:
     def is_diagonal(self):
         return all(not self.rows[i][j] for i in range(self.nrows)
                    for j in range(self.ncols) if i != j)
-
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), ZERO)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -277,23 +268,48 @@ def kernel_basis(m):
     return basis
 
 
+def coordinates(cols):
+    """read(target) solves sum_k c_k * cols[k] = target like `solve_columns`,
+    every target from one `_reduce` of [B | I] (B the columns side by side).
+
+    Each reduced row carries in its I block the row operation that made it.
+    A row with its pivot in the B block gives one coefficient: its I block
+    times the target, over the pivot.  A row with its pivot in the I block
+    must give 0 on the target, else read returns None.
+    """
+    k = len(cols)
+    if not k:
+        return lambda target: None if any(target) else []
+    m = len(cols[0])
+    pivots, R = _reduce([list(row) + [int(i == j) for j in range(m)]
+                         for i, row in enumerate(zip(*cols))])
+    solved, checks = [], []
+    for row, pc in zip(R, pivots):
+        form = [(j, e) for j, e in enumerate(row[k:]) if e]
+        if pc < k:
+            solved.append((pc, row[pc], form))
+        else:
+            checks.append(form)
+
+    def read(target):
+        den = lcm(*(x.denominator for x in target))
+        t = [x.numerator * (den // x.denominator) for x in target]
+        if any(sum(e * t[j] for j, e in form) for form in checks):
+            return None
+        sol = [ZERO] * k
+        for pc, piv, form in solved:
+            sol[pc] = _ratio(sum(e * t[j] for j, e in form), piv * den)
+        return sol
+    return read
+
+
 def solve_columns(cols, target):
     """Solve sum_k c_k * cols[k] = target exactly.
 
     Returns the coefficient list (free coefficients set to 0) or None when the
     system is inconsistent.
     """
-    k = len(cols)
-    if k == 0:
-        return [] if not any(target) else None
-    aug = [list(row) + [t] for row, t in zip(zip(*cols), target)]
-    pivots, R = _reduce(aug)
-    if k in pivots:
-        return None
-    sol = [ZERO] * k
-    for row, pc in zip(R, pivots):
-        sol[pc] = _ratio(row[k], row[pc])
-    return sol
+    return coordinates(cols)(target)
 
 
 def nilpotent_index(m):

@@ -1,0 +1,207 @@
+"""One elimination per basis against one elimination per target.
+
+`exact.coordinates` reduces [B | I] once and reads every target from that
+reduction.  The references here are the per-target solve it replaced: the
+augmented system [B | t] reduced afresh for each target, and the structure
+tensor of a matrix basis built with one such solve per product.  Tables
+must agree with the key order at both levels; answers must agree on
+consistent and inconsistent targets, over generated column sets with
+dependent and zero columns.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from liepencil import exact
+from liepencil.constructions import (basis_matrices, build_classical,
+                                     build_gl_associative, involution_split,
+                                     sl2_complete, tensor_from_matrix_basis)
+from liepencil.exact import (ZERO, RatMatrix, _ratio, _reduce, coordinates,
+                             mat_commutator, rank_exact, solve_columns)
+from liepencil.tensors import StructureTensor
+
+from helpers import rand_rat
+
+
+def reference_solve_columns(cols, target):
+    """The per-target solve: reduce [B | target] and read the last column."""
+    k = len(cols)
+    if k == 0:
+        return [] if not any(target) else None
+    aug = [list(row) + [t] for row, t in zip(zip(*cols), target)]
+    pivots, R = _reduce(aug)
+    if k in pivots:
+        return None
+    sol = [ZERO] * k
+    for row, pc in zip(R, pivots):
+        sol[pc] = _ratio(row[k], row[pc])
+    return sol
+
+
+def flat(mat):
+    return [x for row in mat.rows for x in row]
+
+
+def reference_tensor(mats, labels, product="commutator"):
+    """Structure tensor with one `reference_solve_columns` per product."""
+    cols = [flat(b) for b in mats]
+    table = {}
+    for i, x in enumerate(mats):
+        for j, y in enumerate(mats):
+            if product == "commutator":
+                if i == j:
+                    continue
+                prod = mat_commutator(x, y)
+            else:
+                prod = x * y
+            coords = reference_solve_columns(cols, flat(prod))
+            assert coords is not None
+            vec = {k: c for k, c in enumerate(coords) if c}
+            if vec:
+                table[(i, j)] = vec
+    return StructureTensor(len(mats), table, labels)
+
+
+def layout(tensor):
+    return [(ij, list(vec.items())) for ij, vec in tensor.table.items()]
+
+
+CLASSICAL = ([("gl", n) for n in range(1, 6)] + [("sl", n) for n in range(2, 6)]
+             + [("so", n) for n in range(1, 6)] + [("sp", 2), ("sp", 4)])
+
+
+@pytest.mark.parametrize("family, n", CLASSICAL, ids=["%s%d" % c for c in CLASSICAL])
+def test_build_classical_matches_per_pair_reference(family, n):
+    mats, labels = basis_matrices(family, n)
+    got = build_classical(family, n)
+    want = reference_tensor(mats, labels)
+    assert layout(got) == layout(want)
+    assert got.labels == want.labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gl_associative_matches_per_pair_reference(n):
+    mats, labels = basis_matrices("gl", n)
+    assert layout(build_gl_associative(n)) == layout(reference_tensor(mats, labels, "assoc"))
+
+
+def random_form(rng, n, skew):
+    """An invertible symmetric (or skew) rational n x n matrix."""
+    while True:
+        rows = [[ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if i == j and skew:
+                    continue
+                x = rand_rat(rng, -3, 3)
+                rows[i][j] = x
+                rows[j][i] = -x if skew else x
+        if rank_exact(rows) == n:
+            return RatMatrix(rows)
+
+
+FORMS = ([(n, False, seed) for n in range(1, 5) for seed in range(3)]
+         + [(n, True, seed) for n in (2, 4) for seed in range(3)])
+
+
+@pytest.mark.parametrize("n, skew, seed", FORMS,
+                         ids=["%s%d-%d" % ("skew" if s else "sym", n, seed)
+                              for n, s, seed in FORMS])
+def test_involution_split_odd_part_matches_reference(n, skew, seed):
+    rng = random.Random(seed)
+    J = random_form(rng, n, skew)
+    split = involution_split(n, J)
+    labels = ["S%d" % (k + 1) for k in range(len(split.odd))]
+    assert (layout(tensor_from_matrix_basis(split.odd, labels))
+            == layout(reference_tensor(split.odd, labels)))
+    cols = [flat(m) for m in split.odd]
+    for _ in range(5):
+        coeffs = [rand_rat(rng) for _ in split.odd]
+        x = RatMatrix.zero(n)
+        for c, m in zip(coeffs, split.odd):
+            x = x + m.scale(c)
+        assert split.odd_coords(x) == reference_solve_columns(cols, flat(x)) == coeffs
+    for y in split.even:
+        if y.is_zero():
+            continue
+        assert reference_solve_columns(cols, flat(y)) is None
+        with pytest.raises(ValueError):
+            split.odd_coords(y)
+
+
+def count_reductions(monkeypatch):
+    calls = []
+    real = exact._reduce
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+    monkeypatch.setattr(exact, "_reduce", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_build_gl_reduces_once(monkeypatch, n):
+    calls = count_reductions(monkeypatch)
+    build_classical("gl", n)
+    assert len(calls) == 1
+
+
+def test_sl2_complete_reduces_at_most_twice(monkeypatch):
+    calls = count_reductions(monkeypatch)
+    sl2_complete("sl", 4, (2, 2))
+    assert len(calls) <= 2
+
+
+def test_empty_column_set():
+    read = coordinates([])
+    assert read([]) == []
+    assert read([ZERO, ZERO]) == []
+    assert read([ZERO, Fraction(1)]) is None
+    assert coordinates([[], []])([]) == [ZERO, ZERO]
+
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+# the example budget is the "liepencil" profile in conftest.py
+
+ENTRIES = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+@st.composite
+def column_sets(draw):
+    """Up to 6 columns of length 0..6: drawn, zero, or combinations of the
+    columns before."""
+    m = draw(st.integers(0, 6))
+    cols = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["drawn", "zero", "combination"]))
+        if kind == "zero":
+            cols.append([Fraction(0)] * m)
+        elif kind == "combination" and cols:
+            coeffs = draw(st.lists(ENTRIES, min_size=len(cols), max_size=len(cols)))
+            cols.append([sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
+                         for i in range(m)])
+        else:
+            cols.append(draw(st.lists(ENTRIES, min_size=m, max_size=m)))
+    return m, cols
+
+
+@given(column_sets(), st.data())
+def test_one_reader_matches_fresh_eliminations(columns, data):
+    m, cols = columns
+    read = coordinates(cols)
+    for _ in range(data.draw(st.integers(1, 8), label="targets")):
+        if cols and data.draw(st.booleans(), label="consistent"):
+            coeffs = data.draw(st.lists(ENTRIES, min_size=len(cols), max_size=len(cols)))
+            target = [sum((c * col[i] for c, col in zip(coeffs, cols)), Fraction(0))
+                      for i in range(m)]
+        else:
+            target = data.draw(st.lists(ENTRIES, min_size=m, max_size=m))
+        want = reference_solve_columns(cols, target)
+        assert read(target) == want
+        assert solve_columns(cols, target) == want

@@ -258,6 +258,64 @@ def test_cli_count_below_one_exits_2(workdir, capsys, argv, name):
     assert name in capsys.readouterr().err
 
 
+SKEW_NONLIE = {"dim": 4, "basis": ["p", "q", "z", "t"],
+               "brackets": [{"i": 0, "j": 1, "coeffs": {"2": "1"}},
+                            {"i": 0, "j": 3, "coeffs": {"0": "1/2"}},
+                            {"i": 1, "j": 3, "coeffs": {"1": "-1/2", "2": "3"}},
+                            {"i": 2, "j": 3, "coeffs": {"0": "2/3"}}]}
+SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["example", "gl", "x"], " N "),
+    (["example", "gl", "-1"], " N "),
+    (["example", "grading", "sl", "-2", "--weights", "1,0,1", "--modulus", "2"], " N "),
+    (["example", "gl", "3", "4"], " N"),
+    (["example", "grading", "sl", "2", "--modulus", "2"], "--weights"),
+    (["example", "grading", "sl", "2", "--weights", "1,0,1"], "--modulus"),
+    (["example", "nilpotent-square", "sl", "2"], "--partition"),
+    (["example", "splitting", "sl", "2", "--complement", "2"], "--sub"),
+    (["example", "splitting", "sl", "2", "--sub", "0,1"], "--complement"),
+    (["example", "quasi-grading", "sl", "2", "--modulus", "2"], "--weights"),
+    (["example", "bogus"], "bogus"),
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--points", "2"], "--m"),
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2"], "--points"),
+    (["exp-check"] + SL2_OP + ["--kind", "nijenhuis"], "--certified"),
+    (["pc-check", "--algebra", "sl2.json"], "--gamma"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,1"], "--gamma"),
+    (["index", "--algebra", "skew-nonlie.json"], "--algebra"),
+], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
+        "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
+        "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
+        "unknown-example", "near-no-m", "near-no-points", "nijenhuis-no-points",
+        "pc-check-no-operator", "pc-check-gamma-length", "index-not-lie"])
+def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
+    run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
+    capsys.readouterr()
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert name in err
+
+
+# an empty basis gives a 0-dimensional algebra: the output of the per-pair
+# solve, recorded byte for byte
+EMPTY_ALGEBRA = ('{\n  "dim": 0,\n  "basis": [],\n  "brackets": [],\n'
+                 '  "metadata": {\n    "family": "%s"\n  }\n}\n')
+
+
+@pytest.mark.parametrize("family, n", [("gl", "0"), ("so", "0"), ("so", "1"), ("sp", "0")])
+def test_cli_empty_example_output(workdir, capsys, family, n):
+    assert run(["example", family, n]) == 0
+    name = "%s%s.json" % (family, n)
+    assert capsys.readouterr().out == "written: [./%s]\n" % name
+    assert (workdir / name).read_bytes() == (EMPTY_ALGEBRA % family).encode()
+    assert run(["example", family, n, "--json"]) == 0
+    assert capsys.readouterr().out == '{\n  "written": [\n    "./%s"\n  ]\n}\n' % name
+
+
 @pytest.mark.parametrize("exc", [IdentityFailed("guard broke"),
                                  ArithmeticError("inexact polynomial division"),
                                  KeyError("two\nlines")],
