@@ -23,7 +23,7 @@ from . import io as iomod
 from . import nijenhuis as nij
 from . import poisson as pois
 from .analysis import lie_centre, lie_index, lower_central_series
-from .exact import format_rat, parse_rat
+from .exact import _INTEGER, format_rat, parse_rat
 from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR,
                       TAG_NOT_NEAR, TAG_QUASI, TAG_SCALAR, check_jacobi,
                       check_skew, classify_operator, derived_iter, is_lie,
@@ -90,11 +90,13 @@ def _parse_rationals(text, what):
         raise InputProblem("cannot parse %s %r" % (what, text))
 
 
-def _parse_ints(text, what):
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise InputProblem("cannot parse %s %r" % (what, text))
+def _parse_ints(text, flag):
+    """The comma-separated integers in text, each an optional sign and ASCII
+    digits (the integer part of `parse_rat`'s rule), spaces around it dropped."""
+    parts = [part.strip() for part in text.split(",")]
+    if not all(_INTEGER.fullmatch(part) for part in parts):
+        raise InputProblem("cannot parse %s %r: integers expected" % (flag, text))
+    return [int(part) for part in parts]
 
 
 def _env_seed(args):
@@ -350,14 +352,10 @@ def cmd_pc_check(args):
 
 
 def _size(text):
-    """The matrix size N of an example: an integer >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
+    """The matrix size N of an example: an integer >= 0, read as `_parse_ints` does."""
+    if not _INTEGER.fullmatch(text.strip()) or int(text) < 0:
         raise InputProblem("N must be an integer >= 0, got %r" % text)
-    return n
+    return int(text)
 
 
 def cmd_example(args):
@@ -382,28 +380,37 @@ def cmd_example(args):
         family, n = name, _size(params[0])
         tensor = cons.build_classical(family, n)
         iomod.save_algebra(tensor, out(""), metadata={"family": family})
-    elif name == "grading":
+    elif name in ("grading", "quasi-grading"):
         family, n = take_family_n()
         if not args.weights or args.modulus is None:
-            raise InputProblem("grading needs --weights and --modulus")
-        weights = _parse_ints(args.weights, "weights")
+            raise InputProblem("%s needs --weights and --modulus" % name)
+        weights = _parse_ints(args.weights, "--weights")
         tensor = cons.build_classical(family, n)
+        if len(weights) != tensor.dim:
+            raise InputProblem("--weights has %d entries, the algebra has dimension %d"
+                               % (len(weights), tensor.dim))
         spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
                                 modulus=args.modulus)
         ok, witness = spec.validate(tensor)
         if not ok:
             raise InputProblem("weights do not grade the algebra (witness %r)"
                                % (witness,))
-        op = cons.grading_operator(spec)
-        meta = {"family": family, "modulus": str(args.modulus),
-                "weights": ",".join(str(w) for w in weights)}
-        iomod.save_algebra(tensor, out(""), metadata=meta)
-        iomod.save_operator(op, out("-grading-op"))
+        if name == "grading":
+            meta = {"family": family, "modulus": str(args.modulus),
+                    "weights": ",".join(str(w) for w in weights)}
+            iomod.save_algebra(tensor, out(""), metadata=meta)
+            iomod.save_operator(cons.grading_operator(spec), out("-grading-op"))
+        else:
+            ext, ext_spec, op = cons.quasi_grading_extension(tensor, spec)
+            meta = {"family": family,
+                    "weights": ",".join(str(w) for w in ext_spec.weights)}
+            iomod.save_algebra(ext, out("-quasi-extension"), metadata=meta)
+            iomod.save_operator(op, out("-quasi-weight-op"))
     elif name == "nilpotent-square":
         family, n = take_family_n()
         if not args.partition:
             raise InputProblem("nilpotent-square needs --partition")
-        partition = tuple(_parse_ints(args.partition, "partition"))
+        partition = tuple(_parse_ints(args.partition, "--partition"))
         tensor = cons.build_classical(family, n)
         triple = cons.sl2_complete(family, n, partition)
         op, report = cons.nilpotent_square(tensor, triple.e)
@@ -424,30 +431,13 @@ def cmd_example(args):
         family, n = take_family_n()
         if not args.sub or not args.complement:
             raise InputProblem("splitting needs --sub and --complement index lists")
-        part_a = _parse_ints(args.sub, "sub indices")
-        part_b = _parse_ints(args.complement, "complement indices")
+        part_a = _parse_ints(args.sub, "--sub")
+        part_b = _parse_ints(args.complement, "--complement")
         tensor = cons.build_classical(family, n)
         d1, d2 = cons.splitting_operators(tensor, part_a, part_b)
         iomod.save_algebra(tensor, out(""), metadata={"family": family})
         iomod.save_operator(d1, out("-proj-sub"))
         iomod.save_operator(d2, out("-proj-complement"))
-    elif name == "quasi-grading":
-        family, n = take_family_n()
-        if not args.weights or args.modulus is None:
-            raise InputProblem("quasi-grading needs --weights and --modulus")
-        weights = _parse_ints(args.weights, "weights")
-        tensor = cons.build_classical(family, n)
-        spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
-                                modulus=args.modulus)
-        ok, witness = spec.validate(tensor)
-        if not ok:
-            raise InputProblem("weights do not grade the algebra (witness %r)"
-                               % (witness,))
-        ext, ext_spec, op = cons.quasi_grading_extension(tensor, spec)
-        meta = {"family": family,
-                "weights": ",".join(str(w) for w in ext_spec.weights)}
-        iomod.save_algebra(ext, out("-quasi-extension"), metadata=meta)
-        iomod.save_operator(op, out("-quasi-weight-op"))
     else:
         raise InputProblem("unknown example %r" % name)
     _emit({"written": written}, args)
@@ -520,7 +510,7 @@ def cmd_report(args):
             diagnostics["derived_index"] = di.index
             diagnostics["derived_index_equals_centre"] = di.index == centre_dim
 
-    if sk and jc and (args.seed_file or args.pc):
+    if sk and jc and (args.pc or args.gamma or args.seed_file):
         try:
             struct, operator, op_desc, seeds, seed_desc = _pc_parts(args, tensor)
             family = pois.pc_generate(struct, operator, seeds)

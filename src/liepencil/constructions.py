@@ -23,9 +23,7 @@ from .tensors import (StructureTensor, TAG_NEAR, IdentityFailed, ad, check_jacob
 
 
 def unit_matrix(n, i, j):
-    m = RatMatrix.zero(n)
-    m.rows[i][j] = ONE
-    return m
+    return RatMatrix([[int(r == i and c == j) for c in range(n)] for r in range(n)])
 
 
 def _flat(mat):
@@ -84,11 +82,11 @@ def standard_symplectic(n):
     if n % 2:
         raise ValueError("sp needs even size")
     m = n // 2
-    J = RatMatrix.zero(n)
+    J = [[0] * n for _ in range(n)]
     for i in range(m):
-        J.rows[i][m + i] = ONE
-        J.rows[m + i][i] = -ONE
-    return J
+        J[i][m + i] = 1
+        J[m + i][i] = -1
+    return RatMatrix(J)
 
 
 def basis_matrices(family, n):
@@ -181,9 +179,6 @@ class GradingSpec:
 
     def eigenspace(self, w):
         return tuple(i for i, wi in enumerate(self.weights) if wi == w)
-
-    def eigenspaces(self):
-        return {w: self.eigenspace(w) for w in sorted(set(self.weights))}
 
     def validate(self, tensor):
         """Check the bracket respects the grading; returns (ok, witness)."""
@@ -491,19 +486,17 @@ def sl2_complete(family, n, partition):
         raise ValueError("partition %r does not sum to %d" % (parts, n))
     if max(parts) > 2:
         raise ValueError("partition %r exceeds the height criterion (parts <= 2)" % (parts,))
-    e_mat = RatMatrix.zero(n)
-    h_mat = RatMatrix.zero(n)
-    f_mat = RatMatrix.zero(n)
+    e, h, f = ([[0] * n for _ in range(n)] for _ in range(3))
     off = 0
     for p in parts:
         for i in range(p - 1):
-            e_mat.rows[off + i][off + i + 1] = ONE
-            f_mat.rows[off + i + 1][off + i] = Fraction((i + 1) * (p - 1 - i))
+            e[off + i][off + i + 1] = 1
+            f[off + i + 1][off + i] = (i + 1) * (p - 1 - i)
         for i in range(p):
-            h_mat.rows[off + i][off + i] = Fraction(p - 1 - 2 * i)
+            h[off + i][off + i] = p - 1 - 2 * i
         off += p
     coords = _matrix_reader(basis_matrices("sl", n)[0])
-    triple = Sl2Triple(coords(e_mat), coords(h_mat), coords(f_mat))
+    triple = Sl2Triple(*(coords(RatMatrix(m)) for m in (e, h, f)))
     tensor = build_classical("sl", n)
     if tensor.apply(triple.h, triple.e) != [2 * c for c in triple.e]:
         raise IdentityFailed("[h,e] != 2e")

@@ -1,24 +1,22 @@
 """Exact rational arithmetic: matrices, ranks, kernels, sparse polynomials.
 
 Every coefficient this module takes or returns is a `fractions.Fraction`;
-nothing here ever touches floating point.  Matrices are dense row lists.
-Elimination over Q runs on integers inside: one Gauss-Jordan routine clears
-each row's denominators and works on Python ints, and `rref`, `rank_exact`,
-`kernel_basis`, `coordinates` and `RatMatrix.inverse` build a `Fraction`
-only for an entry they return.  `coordinates` reduces a basis once and
-reads every target's coefficients from that reduction, and `solve_columns`
-is its one-target use.  The matrix product, likewise, clears each
-operand once and takes integer dot products.  Polynomials are sparse maps
-from exponent tuples to nonzero coefficients with the graded lexicographic
-order fixing a canonical form; the Poisson bracket clears them to integer
+nothing here touches floating point.  A `RatMatrix` is stored as one
+integer form, int rows over one positive denominator divided by their gcd,
+and its arithmetic runs on those ints.  Elimination over Q runs on integers
+too: one Gauss-Jordan routine clears each row's denominators (a matrix
+hands over its form), and `rref`, `rank_exact`, `kernel_basis`,
+`coordinates` and `RatMatrix.inverse` build a `Fraction` only for an entry
+they return.  `coordinates` reduces a basis once and reads every target
+from that reduction; `solve_columns` is its one-target use.  Polynomials
+are sparse maps from exponent tuples to nonzero coefficients in graded
+lexicographic order; the Poisson bracket clears them to integer
 polynomials and runs on the private helpers at the end of this module.
-`generic_rank` runs Bareiss elimination on integer polynomials whose
-monomials are packed into one int each (the total degree in the top field,
-then the exponents), so a monomial product is an int sum and the graded
-order is int order.  Each field is sized for the largest degree a product
-can reach before a division, plus one spare bit that the exact quotient
-uses to detect a negative exponent; a quotient that leaves Z[x] raises
-ArithmeticError.
+`generic_rank` runs Bareiss elimination on integer polynomials with each
+monomial packed into one int (the total degree in the top field, then the
+exponents), each field sized for the largest degree a product can reach
+plus one spare bit that the exact quotient uses to detect a negative
+exponent; a quotient that leaves Z[x] raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/[0-9]+)?")
 
 
 def parse_rat(text):
@@ -73,114 +72,134 @@ def rational_sqrt(x):
 
 
 class RatMatrix:
-    """Dense matrix over Q.  Treat instances as immutable after construction."""
+    """Dense matrix over Q as one integer form: entry (i, j) is
+    ints[i][j] / den with den > 0, divided by their gcd, so == and hash
+    compare forms.  `RatMatrix(rows)` takes entries from outside, `_of`
+    wraps forms the library builds; `rows`, `m[i, j]`, `col` and `columns`
+    return `Fraction`s.  Immutable: nothing writes the form once built."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "den", "ints")
 
     def __init__(self, rows):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged rows")
+        rows = [[Fraction(x) for x in row] for row in rows]
+        self.nrows, self.ncols = len(rows), len(rows[0]) if rows else 0
+        if any(len(row) != self.ncols for row in rows):
+            raise ValueError("ragged rows")
+        # over the lcm of reduced fractions the form has gcd 1
+        self.den = den = lcm(*(x.denominator for row in rows for x in row))
+        self.ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+    @classmethod
+    def _of(cls, den, ints):
+        """Trusted constructor: den > 0 and ints equal-length int rows, which
+        are divided by their gcd and kept, no copy."""
+        g = gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
+        if g > 1:
+            den, ints = den // g, [[x // g for x in row] for row in ints]
+        m = object.__new__(cls)
+        m.nrows, m.ncols = len(ints), len(ints[0]) if ints else 0
+        m.den, m.ints = den, ints
+        return m
 
     @classmethod
     def zero(cls, n, m=None):
-        m = n if m is None else m
-        return cls([[ZERO] * m for _ in range(n)])
+        return cls._of(1, [[0] * (n if m is None else m) for _ in range(n)])
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(1, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def diagonal(cls, entries):
-        n = len(entries)
-        m = cls.zero(n)
-        for i, x in enumerate(entries):
-            m.rows[i][i] = Fraction(x)
-        return m
+        return cls([[x if i == j else 0 for j in range(len(entries))]
+                    for i, x in enumerate(entries)])
+
+    @property
+    def rows(self):
+        """The entries as `Fraction` row lists, built on each read."""
+        d = self.den
+        return [[_ratio(x, d) for x in row] for row in self.ints]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return _ratio(self.ints[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.rows == other.rows
+        return (isinstance(other, RatMatrix) and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
+        return hash((self.den, tuple(map(tuple, self.ints))))
 
     def __add__(self, other):
-        return RatMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        d = lcm(self.den, other.den)
+        a, b = d // self.den, d // other.den
+        return RatMatrix._of(d, [[a * x + b * y for x, y in zip(r, s)]
+                                 for r, s in zip(self.ints, other.ints)])
 
     def __sub__(self, other):
-        return RatMatrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return self + -other
 
     def __neg__(self):
-        return RatMatrix([[-a for a in r] for r in self.rows])
+        return RatMatrix._of(self.den, [[-x for x in r] for r in self.ints])
 
     def scale(self, c):
         c = Fraction(c)
-        return RatMatrix([[c * a for a in r] for r in self.rows])
+        p = c.numerator
+        return RatMatrix._of(self.den * c.denominator, [[p * x for x in r] for r in self.ints])
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            # integer dot products over the two operands' denominators
-            da, A = _cleared_rows(self.rows)
-            db, B = _cleared_rows(other.rows)
-            d = da * db
-            cols = list(zip(*B))
-            return RatMatrix([[_ratio(sum(map(mul, row, col)), d) for col in cols]
-                              for row in A])
+            cols = list(zip(*other.ints))
+            return RatMatrix._of(self.den * other.den,
+                                 [[sum(map(mul, row, col)) for col in cols]
+                                  for row in self.ints])
         return self.scale(other)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def apply(self, vec):
-        """Matrix times column vector (a plain list)."""
-        return [sum((a * x for a, x in zip(row, vec)), ZERO) for row in self.rows]
+        """Matrix times column vector (a plain list of rationals)."""
+        L = lcm(*(x.denominator for x in vec))
+        t = [x.numerator * (L // x.denominator) for x in vec]
+        d = self.den * L
+        return [_ratio(sum(map(mul, row, t)), d) for row in self.ints]
 
     def col(self, j):
-        return [row[j] for row in self.rows]
+        return [_ratio(row[j], self.den) for row in self.ints]
 
     def columns(self):
-        return [list(c) for c in zip(*self.rows)] if self.rows else []
+        d = self.den
+        return [[_ratio(x, d) for x in c] for c in zip(*self.ints)]
 
     def transpose(self):
-        return RatMatrix([list(c) for c in zip(*self.rows)])
+        return RatMatrix._of(self.den, [list(c) for c in zip(*self.ints)])
 
     def is_zero(self):
-        return all(not x for row in self.rows for x in row)
+        return not any(map(any, self.ints))
 
     def is_diagonal(self):
-        return all(not self.rows[i][j] for i in range(self.nrows)
-                   for j in range(self.ncols) if i != j)
+        return all(not x for i, row in enumerate(self.ints)
+                   for j, x in enumerate(row) if i != j)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("not square")
-        n = self.nrows
-        aug = [row + [int(i == j) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        pivots, R = _reduce(aug)
+        n, d = self.nrows, self.den
+        # [ints | d I] is [self | I] with every row scaled by d
+        pivots, R = _reduce([row + [d * (i == j) for j in range(n)]
+                             for i, row in enumerate(self.ints)])
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return RatMatrix([[_ratio(x, row[i]) for x in row[n:]]
-                          for i, row in enumerate(R)])
+        L = lcm(*(row[i] for i, row in enumerate(R)))
+        return RatMatrix._of(L, [[x * (L // row[i]) for x in row[n:]]
+                                 for i, row in enumerate(R)])
 
     def __repr__(self):
         return "RatMatrix(%r)" % ([[format_rat(x) for x in row] for row in self.rows],)
-
-
-def _cleared_rows(rows):
-    """(L, rows times L as ints), L the lcm of every denominator in rows."""
-    L = lcm(*(x.denominator for row in rows for x in row))
-    return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
 
 def mat_commutator(a, b):
@@ -245,7 +264,7 @@ def rref(rows):
 
 def rank_exact(m):
     """Rank over Q of a RatMatrix or a list of rows."""
-    return len(_reduce(m.rows if isinstance(m, RatMatrix) else m)[0])
+    return len(_reduce(m.ints if isinstance(m, RatMatrix) else m)[0])
 
 
 def kernel_basis(m):
@@ -254,7 +273,7 @@ def kernel_basis(m):
     Each basis vector carries value 1 at its free column and the solved
     pivot values elsewhere, so rank + len(kernel) = ncols exactly.
     """
-    rows = m.rows if isinstance(m, RatMatrix) else m
+    rows = m.ints if isinstance(m, RatMatrix) else m
     ncols = len(rows[0]) if rows else 0
     pivots, R = _reduce(rows)
     free = [c for c in range(ncols) if c not in pivots]
@@ -329,15 +348,10 @@ def nilpotent_exp(m, s):
     if k is None:
         raise ValueError("matrix is not nilpotent")
     s = Fraction(s)
-    acc = RatMatrix.identity(m.nrows)
-    term = RatMatrix.identity(m.nrows)
-    fact = 1
-    power = ONE
+    acc = term = RatMatrix.identity(m.nrows)
     for p in range(1, k):
-        term = term * m
-        fact *= p
-        power *= s
-        acc = acc + term.scale(power / fact)
+        term = (term * m).scale(s / p)    # (s m)^p / p!
+        acc = acc + term
     return acc
 
 

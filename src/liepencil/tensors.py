@@ -320,7 +320,7 @@ def contract(tensor, terms):
 
     terms is a list of (c, O, A, B): a rational c and operators O, A, B,
     each None for the identity.  Runs on integers: psi is its integer form
-    T / L and each distinct operator is cleared to M_int / d_M, so term t is
+    T / L and each operator O is its integer form O_int / d_O, so term t is
     an integer over its denominator den_t (c's times those of O, A and B),
     and every entry is an integer over lcm(den_t) * L.  That integer table,
     divided by its gcd, is the result's integer form, and the result
@@ -333,17 +333,16 @@ def contract(tensor, terms):
     """
     n = tensor.dim
     unit = [[(i, 1)] for i in range(n)]
-    # each operator as sparse integer columns over its denominator, keyed by
-    # id; id(None) keys the identity
+    # each operator's form as sparse integer columns over its denominator,
+    # keyed by id; id(None) keys the identity
     cleared = {id(None): (1, unit)}
     for m in (m for t in terms for m in t[1:]):
         if id(m) in cleared:
             continue
         if m.nrows != n or m.ncols != n:
             raise ValueError("operator shape mismatch")
-        d = lcm(*(x.denominator for row in m.rows for x in row))
-        cleared[id(m)] = d, [[(r, x.numerator * (d // x.denominator))
-                              for r, x in enumerate(col) if x] for col in m.columns()]
+        cleared[id(m)] = m.den, [[(r, x) for r, x in enumerate(col) if x]
+                                 for col in zip(*m.ints)]
     L, tab = tensor.integer_form()
     scaled = []
     for c, *ops in terms:

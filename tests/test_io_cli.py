@@ -284,11 +284,23 @@ SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
     (["pc-check", "--algebra", "sl2.json"], "--gamma"),
     (["pc-check", "--algebra", "sl2.json", "--gamma", "0,1"], "--gamma"),
     (["index", "--algebra", "skew-nonlie.json"], "--algebra"),
+    (["example", "grading", "sl", "3", "--weights", "0,1", "--modulus", "3"], "--weights"),
+    (["example", "quasi-grading", "sl", "3", "--weights", "0,1", "--modulus", "3"],
+     "--weights"),
+    (["example", "so", "\u0663"], " N "),
+    (["example", "so", "0_1"], " N "),
+    (["example", "grading", "sl", "2", "--weights", "1,\u0660,1", "--modulus", "2"],
+     "--weights"),
+    (["example", "nilpotent-square", "sl", "3", "--partition", "2,\u06601"], "--partition"),
+    (["report"] + SL2_OP + ["--gamma", "0,1"], "--gamma"),
 ], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
         "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
         "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
         "unknown-example", "near-no-m", "near-no-points", "nijenhuis-no-points",
-        "pc-check-no-operator", "pc-check-gamma-length", "index-not-lie"])
+        "pc-check-no-operator", "pc-check-gamma-length", "index-not-lie",
+        "grading-weight-count", "quasi-grading-weight-count", "N-arabic-indic-digit",
+        "N-underscore", "weights-arabic-indic-digit", "partition-arabic-indic-digit",
+        "report-gamma-length"])
 def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
@@ -298,6 +310,18 @@ def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert name in err
+
+
+def test_cli_report_gamma_runs_the_family_check(workdir, capsys):
+    # --gamma alone starts the family check, as --pc and --seed-file do
+    run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    capsys.readouterr()
+    assert run(["report"] + SL2_OP + ["--gamma", "0,0,1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    gates = [c for c in doc["checks"] if c["name"] == "pc-family-commutes"]
+    assert len(gates) == 1
+    assert gates[0]["ok"] is True
+    assert gates[0]["operator"] == "directional"
 
 
 # an empty basis gives a 0-dimensional algebra: the output of the per-pair

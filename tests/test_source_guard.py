@@ -1,10 +1,13 @@
-"""Source guard: no code changes a tensor's table or a polynomial's terms.
+"""Source guard: no code changes a tensor's table, a polynomial's terms or
+a matrix's storage.
 
 `StructureTensor` caches its integer form and its skew and Jacobi verdicts
 on the instance, which is sound only while nothing writes to a `table` once
-the tensor exists; the same rule holds for `SparsePoly.terms`.  This test
-scans the package source with `ast`.  A write to or into `.table` or
-`.terms` (an assignment, an augmented assignment, a subscript store or a
+the tensor exists; the same rule holds for `SparsePoly.terms` and for the
+integer form of a `RatMatrix` (`den`, `ints` and its shape), whose `rows`
+are rebuilt on each read, so a write into them would be lost.  This test
+scans the package source with `ast`.  A write to or into a guarded
+attribute (an assignment, an augmented assignment, a subscript store or a
 `del`) is allowed only on `self` inside `__init__`/`__post_init__`, and
 anywhere inside the trusted constructors `_of`.  The integer-form slot
 `._integer` follows the same rule, and may also be written on `self` by
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import liepencil
 
-GUARDED = {"table", "terms", "_integer"}
+GUARDED = {"table", "terms", "_integer", "den", "ints", "nrows", "ncols", "rows"}
 CONSTRUCTORS = {"__init__", "__post_init__"}
 TRUSTED = {"_of"}
 # slot -> the one method that fills it on self as a cache
