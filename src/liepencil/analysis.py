@@ -183,17 +183,16 @@ def verify_index_theorem(family, n, partition, seed=None):
     the derived bracket is nilpotent of class at most two, and that the
     probabilistic and exact index calculations agree.
     """
-    from .constructions import build_classical, nilpotent_square, sl2_complete
+    from .constructions import nilpotent_square, sl2_complete
 
-    tensor = build_classical(family, n)
     triple = sl2_complete(family, n, partition)
-    derived_tensor = nilpotent_square(tensor, triple.e)[1].derived
+    derived_tensor = nilpotent_square(triple.tensor, triple.e)[1].derived
 
     rep_p = lie_index(derived_tensor, mode="prob", seed=seed)
     # the theorem check is never refused: the exact index is capped at the
     # derived bracket's own dimension
     rep_e = lie_index(derived_tensor, mode="exact", max_exact_dim=derived_tensor.dim)
-    cent = centraliser(tensor, triple.e)
+    cent = centraliser(triple.tensor, triple.e)
     centre = lie_centre(derived_tensor)
     cls = nilpotency_class(derived_tensor)
 

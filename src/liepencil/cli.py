@@ -90,13 +90,30 @@ def _parse_rationals(text, what):
         raise InputProblem("cannot parse %s %r" % (what, text))
 
 
+def _integer(text):
+    """The int text spells as an optional sign and ASCII digits (the integer
+    part of `parse_rat`'s rule), spaces around it dropped; else None.  Every
+    integer the CLI reads, from an argument, an option or the environment,
+    is read by this rule."""
+    text = text.strip()
+    return int(text) if _INTEGER.fullmatch(text) else None
+
+
+def _int_option(text):
+    """argparse type of the integer options; argparse names the option and
+    exits 2 on a value outside the rule."""
+    value = _integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return value
+
+
 def _parse_ints(text, flag):
-    """The comma-separated integers in text, each an optional sign and ASCII
-    digits (the integer part of `parse_rat`'s rule), spaces around it dropped."""
-    parts = [part.strip() for part in text.split(",")]
-    if not all(_INTEGER.fullmatch(part) for part in parts):
+    """The comma-separated integers in text, each read by `_integer`."""
+    ints = [_integer(part) for part in text.split(",")]
+    if None in ints:
         raise InputProblem("cannot parse %s %r: integers expected" % (flag, text))
-    return [int(part) for part in parts]
+    return ints
 
 
 def _env_seed(args):
@@ -105,10 +122,10 @@ def _env_seed(args):
     raw = os.environ.get(SEED_ENV)
     if raw is None:
         return None
-    try:
-        return int(raw)
-    except ValueError:
+    seed = _integer(raw)
+    if seed is None:
         raise InputProblem("%s must be an integer, got %r" % (SEED_ENV, raw))
+    return seed
 
 
 def _classify_doc(tensor, op):
@@ -294,21 +311,22 @@ def cmd_exp_check(args):
     return EXIT_OK if rep.ok and rep.precondition_ok else EXIT_CHECK
 
 
-def _pc_parts(args, tensor):
-    struct = pois.from_tensor(tensor)
+def _pc_operator(args, tensor):
+    """The orbit operator of a family check and its description."""
     if args.gamma:
         gamma = _parse_rationals(args.gamma, "covector")
         if len(gamma) != tensor.dim:
             raise InputProblem("--gamma covector has %d entries, the algebra has dimension %d"
                                % (len(gamma), tensor.dim))
-        operator = pois.directional(gamma)
-        op_desc = "directional"
-    else:
-        if not args.operator:
-            raise InputProblem("pc-check needs --operator or --gamma")
-        op = _load_operator(args.operator, tensor.dim)
-        operator = pois.lifted(op)
-        op_desc = "lifted"
+        return pois.directional(gamma), "directional"
+    if not args.operator:
+        raise InputProblem("pc-check needs --operator or --gamma")
+    return pois.lifted(_load_operator(args.operator, tensor.dim)), "lifted"
+
+
+def _pc_seeds(args, tensor):
+    """The Poisson structure of a family check, its seeds and their description."""
+    struct = pois.from_tensor(tensor)
     if args.seed_file:
         seeds = iomod.load_seeds(args.seed_file, tensor.dim)
         seed_desc = args.seed_file
@@ -317,14 +335,15 @@ def _pc_parts(args, tensor):
         seed_desc = "centre candidates up to degree %d" % args.degree_bound
     if not seeds:
         raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
-    return struct, operator, op_desc, seeds, seed_desc
+    return struct, seeds, seed_desc
 
 
 def cmd_pc_check(args):
     tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
         raise InputProblem("--algebra is not a Lie algebra; pc-check needs one")
-    struct, operator, op_desc, seeds, seed_desc = _pc_parts(args, tensor)
+    operator, op_desc = _pc_operator(args, tensor)
+    struct, seeds, seed_desc = _pc_seeds(args, tensor)
     try:
         family = pois.pc_generate(struct, operator, seeds)
     except pois.SeedNotCentral as exc:
@@ -352,10 +371,11 @@ def cmd_pc_check(args):
 
 
 def _size(text):
-    """The matrix size N of an example: an integer >= 0, read as `_parse_ints` does."""
-    if not _INTEGER.fullmatch(text.strip()) or int(text) < 0:
+    """The matrix size N of an example: an integer >= 0, read by `_integer`."""
+    n = _integer(text)
+    if n is None or n < 0:
         raise InputProblem("N must be an integer >= 0, got %r" % text)
-    return int(text)
+    return n
 
 
 def cmd_example(args):
@@ -411,10 +431,9 @@ def cmd_example(args):
         if not args.partition:
             raise InputProblem("nilpotent-square needs --partition")
         partition = tuple(_parse_ints(args.partition, "--partition"))
-        tensor = cons.build_classical(family, n)
         triple = cons.sl2_complete(family, n, partition)
-        op, report = cons.nilpotent_square(tensor, triple.e)
-        iomod.save_algebra(tensor, out(""), metadata={"family": family})
+        op, report = cons.nilpotent_square(triple.tensor, triple.e)
+        iomod.save_algebra(triple.tensor, out(""), metadata={"family": family})
         iomod.save_operator(op, out("-nilsquare-op"))
         iomod.save_algebra(report.derived, out("-nilsquare-derived"))
         diag = {
@@ -447,6 +466,10 @@ def cmd_example(args):
 def cmd_report(args):
     tensor, _ = iomod.load_algebra(args.algebra)
     op = _load_operator(args.operator, tensor.dim)
+    family_check = args.pc or args.gamma or args.seed_file
+    if family_check:
+        # read before any check, so a bad --gamma is named on every algebra
+        operator, op_desc = _pc_operator(args, tensor)
     checks = []
     diagnostics = {}
 
@@ -510,9 +533,9 @@ def cmd_report(args):
             diagnostics["derived_index"] = di.index
             diagnostics["derived_index_equals_centre"] = di.index == centre_dim
 
-    if sk and jc and (args.pc or args.gamma or args.seed_file):
+    if sk and jc and family_check:
         try:
-            struct, operator, op_desc, seeds, seed_desc = _pc_parts(args, tensor)
+            struct, seeds, _ = _pc_seeds(args, tensor)
             family = pois.pc_generate(struct, operator, seeds)
             cert = pois.pc_verify(family, struct)
             gate("pc-family-commutes", cert.ok, operator=op_desc,
@@ -557,7 +580,7 @@ def build_parser():
 
     p = sub.add_parser("derive", help="k-fold derived bracket")
     common(p)
-    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--power", type=_int_option, default=1)
     p.add_argument("--out", help="write the result as an algebra file")
 
     p = sub.add_parser("pencil", help="normalize the pencil of a near-derivation")
@@ -566,10 +589,10 @@ def build_parser():
     p = sub.add_parser("index", help="index of a Lie algebra")
     common(p, operator=False)
     p.add_argument("--mode", choices=("prob", "exact"), default="prob")
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--samples", type=_int_option, default=5)
+    p.add_argument("--seed", type=_int_option, default=None,
                    help="sampling seed (default: %s env var)" % SEED_ENV)
-    p.add_argument("--max-exact-dim", type=int, default=12)
+    p.add_argument("--max-exact-dim", type=_int_option, default=12)
 
     p = sub.add_parser("torsion", help="torsion tensor of an operator")
     common(p)
@@ -577,12 +600,12 @@ def build_parser():
 
     p = sub.add_parser("nijenhuis-check", help="vanishing torsion and power properties")
     common(p)
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=_int_option, default=3)
 
     p = sub.add_parser("exp-check", help="exponential deformation identities")
     common(p)
     p.add_argument("--kind", choices=("nijenhuis", "near"), required=True)
-    p.add_argument("--m", type=int, default=None,
+    p.add_argument("--m", type=_int_option, default=None,
                    help="proportionality scalar for --kind near")
     p.add_argument("--points", help="comma-separated rational evaluation points")
     p.add_argument("--certified", action="store_true",
@@ -593,7 +616,7 @@ def build_parser():
     p.add_argument("--operator", help="operator file; its lift drives the orbit")
     p.add_argument("--gamma", help="comma-separated covector for the directional orbit")
     p.add_argument("--seed-file", help="seed polynomials JSON")
-    p.add_argument("--degree-bound", type=int, default=2,
+    p.add_argument("--degree-bound", type=_int_option, default=2,
                    help="centre search degree when no seed file is given")
     p.add_argument("--json", action="store_true")
 
@@ -601,7 +624,7 @@ def build_parser():
     p.add_argument("name", help="gl|sl|so|sp|grading|nilpotent-square|splitting|quasi-grading")
     p.add_argument("params", nargs="*", help="family and size arguments")
     p.add_argument("--weights", help="comma-separated grading weights")
-    p.add_argument("--modulus", type=int)
+    p.add_argument("--modulus", type=_int_option)
     p.add_argument("--partition", help="comma-separated partition entries")
     p.add_argument("--sub", help="comma-separated basis indices of the subalgebra")
     p.add_argument("--complement", help="comma-separated indices of the complement")
@@ -610,13 +633,13 @@ def build_parser():
 
     p = sub.add_parser("report", help="aggregate pipeline with one verdict per check")
     common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-exact-dim", type=int, default=12)
+    p.add_argument("--seed", type=_int_option, default=None)
+    p.add_argument("--max-exact-dim", type=_int_option, default=12)
     p.add_argument("--pc", action="store_true",
                    help="include the commutative-family check with centre seeds")
     p.add_argument("--gamma", help="covector for the directional family")
     p.add_argument("--seed-file", help="seed polynomials JSON")
-    p.add_argument("--degree-bound", type=int, default=2)
+    p.add_argument("--degree-bound", type=_int_option, default=2)
 
     return parser
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import (ONE, ZERO, RatMatrix, coordinates, kernel_basis,
-                    mat_commutator, unit_vector)
+from .exact import (ONE, ZERO, RatMatrix, _int_coordinates, coordinates,
+                    kernel_basis, mat_commutator, unit_vector)
 from .tensors import (StructureTensor, TAG_NEAR, IdentityFailed, ad, check_jacobi,
                       check_skew, classify_operator, contract, derived, pair_table,
                       tensor_combination)
@@ -32,11 +32,12 @@ def _flat(mat):
 
 def _matrix_reader(basis_mats):
     """Coordinates of matrices with respect to fixed basis matrices, from one
-    elimination; a matrix outside the span raises ValueError."""
-    read = coordinates([_flat(b) for b in basis_mats])
+    elimination, each target read from its integer form; a matrix outside
+    the span raises ValueError."""
+    read = _int_coordinates([_flat(b) for b in basis_mats])
 
     def coords(target):
-        sol = read(_flat(target))
+        sol = read([x for row in target.ints for x in row], target.den)
         if sol is None:
             raise ValueError("matrix is not in the span of the basis")
         return sol
@@ -50,24 +51,22 @@ def matrix_coords(basis_mats, target):
 
 def tensor_from_matrix_basis(mats, labels, product="commutator", check_lie=True):
     """Structure tensor of a bilinear matrix product expanded over a basis."""
-    read = coordinates([_flat(b) for b in mats])
-    dim = len(mats)
-    table = {}
-    for i in range(dim):
-        for j in range(dim):
-            if product == "commutator":
-                if i == j:
-                    continue
-                prod = mat_commutator(mats[i], mats[j])
-            else:
-                prod = mats[i] * mats[j]
-            coords = read(_flat(prod))
-            if coords is None:
-                raise ValueError("product leaves the span of the basis")
-            vec = {k: c for k, c in enumerate(coords) if c}
-            if vec:
-                table[(i, j)] = vec
-    tensor = StructureTensor(dim, table, labels)
+    return _expand(mats, labels, _matrix_reader(mats), product, check_lie)
+
+
+def _expand(mats, labels, coords, product="commutator", check_lie=True):
+    """`tensor_from_matrix_basis` over the basis reader coords; a product
+    outside the span raises ValueError."""
+    def entry(i, j):
+        if product == "commutator":
+            if i == j:
+                return {}
+            prod = mat_commutator(mats[i], mats[j])
+        else:
+            prod = mats[i] * mats[j]
+        return {k: c for k, c in enumerate(coords(prod)) if c}
+
+    tensor = StructureTensor._of(len(mats), pair_table(len(mats), entry), tuple(labels))
     if check_lie:
         ok, wit = check_skew(tensor)
         if not ok:
@@ -117,25 +116,24 @@ def basis_matrices(family, n):
                 for i in range(n) for j in range(i + 1, n)]
         labels = ["F%d%d" % (i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
     elif family == "sp":
-        J = standard_symplectic(n)
-        split = involution_split(n, J)
-        mats = split.odd
-        labels = ["S%d" % (k + 1) for k in range(len(mats))]
+        split = involution_split(n, standard_symplectic(n))
+        mats, labels = split.odd, list(split.odd_tensor.labels)
     else:
         raise ValueError("unknown family %r" % (family,))
     return mats, labels
 
 
 def build_classical(family, n):
-    """Lie structure tensor of gl/sl/so/sp on its standard basis."""
-    mats, labels = basis_matrices(family, n)
-    return tensor_from_matrix_basis(mats, labels)
+    """Lie structure tensor of gl/sl/so/sp on its standard basis; sp is the
+    odd part of the symplectic involution split, whose tensor it reads."""
+    if family == "sp":
+        return involution_split(n, standard_symplectic(n)).odd_tensor
+    return tensor_from_matrix_basis(*basis_matrices(family, n))
 
 
 def build_gl_associative(n):
     """Associative product tensor of the full matrix algebra on the E_ij basis."""
-    mats, labels = basis_matrices("gl", n)
-    return tensor_from_matrix_basis(mats, labels, product="assoc", check_lie=False)
+    return tensor_from_matrix_basis(*basis_matrices("gl", n), product="assoc", check_lie=False)
 
 
 def direct_sum(t1, t2):
@@ -466,19 +464,23 @@ def nilpotent_square(tensor, e):
 
 @dataclass
 class Sl2Triple:
-    """Coordinates of a standard triple in the ambient algebra basis."""
+    """Coordinates of a standard triple in the ambient algebra basis;
+    tensor is the ambient algebra, as the triple's guard checked it."""
 
     e: list
     h: list
     f: list
+    tensor: StructureTensor | None = field(default=None, repr=False, compare=False)
 
 
 def sl2_complete(family, n, partition):
     """Standard triple for the block-Jordan nilpotent of a partition of n.
 
     Only family "sl" is constructed here (blocks of size at most 2, so the
-    cube of ad e vanishes); for so/sp supply the triple explicitly.
+    cube of ad e vanishes); for so/sp supply the triple explicitly.  The basis
+    is read first, so a bad family or size is named as `build_classical` does.
     """
+    mats = basis_matrices(family, n)[0]
     if family != "sl":
         raise ValueError("triples are built for sl only; supply e, h, f directly")
     parts = [int(p) for p in partition]
@@ -495,9 +497,9 @@ def sl2_complete(family, n, partition):
         for i in range(p):
             h[off + i][off + i] = p - 1 - 2 * i
         off += p
-    coords = _matrix_reader(basis_matrices("sl", n)[0])
-    triple = Sl2Triple(*(coords(RatMatrix(m)) for m in (e, h, f)))
+    coords = _matrix_reader(mats)
     tensor = build_classical("sl", n)
+    triple = Sl2Triple(*(coords(RatMatrix(m)) for m in (e, h, f)), tensor)
     if tensor.apply(triple.h, triple.e) != [2 * c for c in triple.e]:
         raise IdentityFailed("[h,e] != 2e")
     if tensor.apply(triple.h, triple.f) != [-2 * c for c in triple.f]:
@@ -513,7 +515,9 @@ class InvolutionSplit:
 
     odd is the fixed-minus part (a Lie subalgebra: so or sp depending on the
     symmetry of J), even the fixed-plus part; together they grade gl_n by Z_2.
-    odd_coords(x) reads a matrix's coordinates on odd from one elimination.
+    odd_coords(x) reads a matrix's coordinates on odd from one elimination,
+    and odd_tensor, the commutator on the basis S1, S2, ..., is read through
+    it; a commutator outside the odd part raises IdentityFailed.
     """
 
     n: int
@@ -521,9 +525,15 @@ class InvolutionSplit:
     odd: list
     even: list
     odd_coords: object = field(init=False, repr=False, compare=False)
+    odd_tensor: StructureTensor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.odd_coords = _matrix_reader(self.odd)
+        labels = ["S%d" % (k + 1) for k in range(len(self.odd))]
+        try:
+            self.odd_tensor = _expand(self.odd, labels, self.odd_coords)
+        except ValueError:
+            raise IdentityFailed("odd part is not a subalgebra")
 
     def star(self, x):
         return self.J.inverse() * x.transpose() * self.J
@@ -554,15 +564,7 @@ def involution_split(n, J=None):
     def to_mats(vecs):
         return [RatMatrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in vecs]
 
-    split = InvolutionSplit(n, J, to_mats(odd_vecs), to_mats(even_vecs))
-    # the odd part must close under the commutator
-    try:
-        for x in split.odd:
-            for y in split.odd:
-                split.odd_coords(mat_commutator(x, y))
-    except ValueError:
-        raise IdentityFailed("odd part is not a subalgebra")
-    return split
+    return InvolutionSplit(n, J, to_mats(odd_vecs), to_mats(even_vecs))
 
 
 @dataclass
@@ -589,13 +591,13 @@ class AssocOperators:
 
 def assoc_operators(n, a, J=None):
     """L_a, R_a and their derived tensors on gl_n, optionally split by J."""
-    gl_mats = basis_matrices("gl", n)[0]
+    gl_mats, gl_labels = basis_matrices("gl", n)
     gl_coords = _matrix_reader(gl_mats)
     left_cols = [gl_coords(a * b) for b in gl_mats]
     right_cols = [gl_coords(b * a) for b in gl_mats]
     left = RatMatrix(left_cols).transpose()
     right = RatMatrix(right_cols).transpose()
-    gl_tensor = build_classical("gl", n)
+    gl_tensor = _expand(gl_mats, gl_labels, gl_coords)
     t1 = derived(gl_tensor, left)
     checks = {}
     sandwich_ok = True
@@ -628,10 +630,8 @@ def assoc_operators(n, a, J=None):
         d_odd_cols = [split.odd_coords((a * b + b * a).scale(Fraction(1, 2)))
                       for b in odd]
         result.d_a_odd = RatMatrix(d_odd_cols).transpose()
-        odd_tensor = tensor_from_matrix_basis(
-            odd, ["S%d" % (k + 1) for k in range(len(odd))])
-        result.odd_tensor = odd_tensor
-        second = derived(derived(odd_tensor, result.d_a_odd), result.d_a_odd)
+        result.odd_tensor = split.odd_tensor
+        second = derived(derived(split.odd_tensor, result.d_a_odd), result.d_a_odd)
         a2 = a * a
         ok2 = True
         for i, x in enumerate(odd):

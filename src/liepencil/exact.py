@@ -8,7 +8,8 @@ too: one Gauss-Jordan routine clears each row's denominators (a matrix
 hands over its form), and `rref`, `rank_exact`, `kernel_basis`,
 `coordinates` and `RatMatrix.inverse` build a `Fraction` only for an entry
 they return.  `coordinates` reduces a basis once and reads every target
-from that reduction; `solve_columns` is its one-target use.  Polynomials
+from that reduction, through the nonzero entries of the target's integer
+form; `solve_columns` is its one-target use.  Polynomials
 are sparse maps from exponent tuples to nonzero coefficients in graded
 lexicographic order; the Poisson bracket clears them to integer
 polynomials and runs on the private helpers at the end of this module.
@@ -296,28 +297,48 @@ def coordinates(cols):
     times the target, over the pivot.  A row with its pivot in the I block
     must give 0 on the target, else read returns None.
     """
-    k = len(cols)
-    if not k:
-        return lambda target: None if any(target) else []
-    m = len(cols[0])
-    pivots, R = _reduce([list(row) + [int(i == j) for j in range(m)]
-                         for i, row in enumerate(zip(*cols))])
-    solved, checks = [], []
-    for row, pc in zip(R, pivots):
-        form = [(j, e) for j, e in enumerate(row[k:]) if e]
-        if pc < k:
-            solved.append((pc, row[pc], form))
-        else:
-            checks.append(form)
+    read_ints = _int_coordinates(cols)
 
     def read(target):
         den = lcm(*(x.denominator for x in target))
-        t = [x.numerator * (den // x.denominator) for x in target]
-        if any(sum(e * t[j] for j, e in form) for form in checks):
+        return read_ints([x.numerator * (den // x.denominator) for x in target], den)
+    return read
+
+
+def _int_coordinates(cols):
+    """`coordinates` for a target given as its integer form: read(t, den)
+    solves for the target t / den, with t a list of ints and den > 0.
+
+    Row r's I block times t is accumulated from the nonzero entries of t
+    only, through the I block's nonzeros indexed by target position."""
+    k = len(cols)
+    if not k:
+        return lambda t, den: None if any(t) else []
+    m = len(cols[0])
+    pivots, R = _reduce([list(row) + [int(i == j) for j in range(m)]
+                         for i, row in enumerate(zip(*cols))])
+    by_entry = [[] for _ in range(m)]
+    solved, checks = [], []
+    for r, (row, pc) in enumerate(zip(R, pivots)):
+        for j, e in enumerate(row[k:]):
+            if e:
+                by_entry[j].append((r, e))
+        if pc < k:
+            solved.append((r, pc, row[pc]))
+        else:
+            checks.append(r)
+
+    def read(t, den):
+        acc = [0] * len(R)
+        for x, entry in zip(t, by_entry):
+            if x:
+                for r, e in entry:
+                    acc[r] += e * x
+        if any(acc[r] for r in checks):
             return None
         sol = [ZERO] * k
-        for pc, piv, form in solved:
-            sol[pc] = _ratio(sum(e * t[j] for j, e in form), piv * den)
+        for r, pc, piv in solved:
+            sol[pc] = _ratio(acc[r], piv * den)
         return sol
     return read
 

@@ -91,14 +91,17 @@ def algebra_from_dict(doc):
         coeffs = _require(entry, "coeffs", ctx)
         if not isinstance(coeffs, dict):
             raise ParseError("coeffs must be an object", ctx + ".coeffs")
-        vec = {}
+        vec, seen = {}, set()
         for key, text in coeffs.items():
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
-                raise ParseError("bad basis index %r" % (key,), ctx)
+            # ASCII digits only: int() would also read " 0_0 " and "\u0660"
+            if not (key.isascii() and key.isdigit()):
+                raise ParseError("bad basis index %r" % (key,), ctx + ".coeffs")
+            k = int(key)
             if not 0 <= k < dim:
-                raise ParseError("basis index %d out of range" % k, ctx)
+                raise ParseError("basis index %d out of range" % k, ctx + ".coeffs")
+            if k in seen:
+                raise ParseError("basis index %d given twice" % k, ctx + ".coeffs")
+            seen.add(k)
             c = _rat(text, ctx + ".coeffs")
             if c:
                 vec[k] = c

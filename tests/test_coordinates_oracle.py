@@ -9,18 +9,24 @@ consistent and inconsistent targets, over generated column sets with
 dependent and zero columns.
 """
 
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from liepencil import exact
-from liepencil.constructions import (basis_matrices, build_classical,
+from liepencil import cli, constructions, exact
+from liepencil.analysis import verify_index_theorem
+from liepencil.constructions import (assoc_operators, basis_matrices, build_classical,
                                      build_gl_associative, involution_split,
                                      sl2_complete, tensor_from_matrix_basis)
 from liepencil.exact import (ZERO, RatMatrix, _ratio, _reduce, coordinates,
                              mat_commutator, rank_exact, solve_columns)
-from liepencil.tensors import StructureTensor
+from liepencil.tensors import IdentityFailed, StructureTensor
 
 from helpers import rand_rat
 
@@ -153,6 +159,114 @@ def test_sl2_complete_reduces_at_most_twice(monkeypatch):
     calls = count_reductions(monkeypatch)
     sl2_complete("sl", 4, (2, 2))
     assert len(calls) <= 2
+
+
+def count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from here on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, partition, commutators", [(4, "2,2", 210), (6, "2,2,2", 1190)])
+def test_nilpotent_square_example_builds_sl_n_once(monkeypatch, tmp_path, n, partition,
+                                                   commutators):
+    # the triple hands back the algebra its guard checked; the example reuses it
+    builds = count_calls(monkeypatch, constructions, "build_classical")
+    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    calls = count_reductions(monkeypatch)
+    argv = ["example", "nilpotent-square", "sl", str(n), "--partition", partition,
+            "--out-dir", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert builds == [("sl", n)]
+    assert len(products) == commutators
+    assert len(calls) <= 2
+
+
+def test_index_theorem_builds_sl_n_once(monkeypatch):
+    builds = count_calls(monkeypatch, constructions, "build_classical")
+    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    assert verify_index_theorem("sl", 4, (2, 2)).consistent
+    assert builds == [("sl", 4)]
+    assert len(products) == 15 * 14
+
+
+@pytest.mark.parametrize("n, most", [(4, 100), (6, 441)])
+def test_build_sp_expands_each_commutator_once(monkeypatch, n, most):
+    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    calls = count_reductions(monkeypatch)
+    t = build_classical("sp", n)
+    assert len(products) == t.dim * (t.dim - 1) <= most
+    # J^-1, the two eigenspaces of the involution, and the odd basis
+    assert len(calls) == 4
+
+
+def test_assoc_operators_read_each_basis_once(monkeypatch):
+    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    shapes = []
+    real = exact._reduce
+
+    def recording(rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return real(rows)
+    monkeypatch.setattr(exact, "_reduce", recording)
+    ops = assoc_operators(3, RatMatrix.diagonal([1, 0, 0]), RatMatrix.identity(3))
+    assert ops.checks["odd_second_derived_is_a2_sandwich"]
+    assert len(products) <= 81
+    # [B | I] of the odd basis (9 x 3 + 9) and of the gl basis (9 x 9 + 9)
+    assert shapes.count((9, 12)) == 1
+    assert shapes.count((9, 18)) == 1
+
+
+@pytest.mark.parametrize("n, skew, seed", FORMS,
+                         ids=["%s%d-%d" % ("skew" if s else "sym", n, seed)
+                              for n, s, seed in FORMS])
+def test_involution_split_odd_tensor_matches_reference(n, skew, seed):
+    split = involution_split(n, random_form(random.Random(seed), n, skew))
+    labels = ["S%d" % (k + 1) for k in range(len(split.odd))]
+    want = reference_tensor(split.odd, labels)
+    assert layout(split.odd_tensor) == layout(want)
+    assert split.odd_tensor.labels == want.labels
+
+
+def test_split_whose_odd_part_does_not_close_raises(monkeypatch):
+    # x y in place of [x, y]: F12 F23 = E13 is not antisymmetric
+    monkeypatch.setattr(constructions, "mat_commutator", lambda a, b: a * b)
+    with pytest.raises(IdentityFailed):
+        involution_split(3)
+    with pytest.raises(IdentityFailed):
+        build_classical("sp", 4)
+
+
+# asserts are stripped under -O, so the script reports through its exit code
+OPTIMIZED_SPLIT_SCRIPT = """
+import sys
+from liepencil import constructions
+from liepencil.tensors import IdentityFailed
+if __debug__:
+    sys.exit("not running under -O")
+constructions.mat_commutator = lambda a, b: a * b
+try:
+    constructions.involution_split(3)
+except IdentityFailed:
+    print("raised")
+"""
+
+
+def test_split_guard_survives_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(constructions.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SPLIT_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 def test_empty_column_set():

@@ -436,3 +436,112 @@ def test_cli_repeated_calls_in_one_process(workdir, capsys):
     assert {argv: len(set(results)) for argv, results in seen.items()} == dict.fromkeys(seen, 1)
     assert {argv: results[0][0] for argv, results in seen.items()} == {
         classify: 0, index: 0, pencil: 0, bad_flag: 2}
+
+
+# every integer the CLI reads follows one rule: an optional sign and ASCII
+# digits; int() would also read underscores and non-ASCII digits
+NILSQUARE_SL2 = ["--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "0_2"], "--modulus"),
+    (["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "٢"],
+     "--modulus"),
+    (["derive"] + NILSQUARE_SL2 + ["--power", "٢"], "--power"),
+    (["index", "--algebra", "sl2.json", "--samples", "١"], "--samples"),
+    (["index", "--algebra", "sl2.json", "--seed", "1_7"], "--seed"),
+    (["index", "--algebra", "sl2.json", "--mode", "exact", "--max-exact-dim", "1_2"],
+     "--max-exact-dim"),
+    (["nijenhuis-check"] + NILSQUARE_SL2 + ["--depth", "٢"], "--depth"),
+    (["exp-check"] + NILSQUARE_SL2 + ["--kind", "near", "--points", "1", "--m", "٠"],
+     "--m"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--degree-bound", "٢"],
+     "--degree-bound"),
+    (["report"] + NILSQUARE_SL2 + ["--seed", "٣"], "--seed"),
+    (["report"] + NILSQUARE_SL2 + ["--max-exact-dim", "١٢"], "--max-exact-dim"),
+    (["report"] + NILSQUARE_SL2 + ["--pc", "--degree-bound", "0_2"], "--degree-bound"),
+], ids=["modulus-underscore", "modulus-arabic-indic-digit", "power", "samples", "index-seed",
+        "index-max-exact-dim", "depth", "m", "degree-bound", "report-seed",
+        "report-max-exact-dim", "report-degree-bound"])
+def test_cli_integer_option_outside_the_rule_exits_2(workdir, capsys, argv, option):
+    run(["example", "nilpotent-square", "sl", "2", "--partition", "2"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(
+        "error: argument %s: invalid int value: %r" % (option, argv[-1]))
+
+
+@pytest.mark.parametrize("raw", ["٣", "1_7", "1.0"],
+                         ids=["arabic-indic-digit", "underscore", "decimal"])
+def test_cli_seed_env_outside_the_rule_exits_2(workdir, capsys, monkeypatch, raw):
+    run(["example", "sl", "2"])
+    capsys.readouterr()
+    monkeypatch.setenv("LIEPENCIL_SEED", raw)
+    assert run(["index", "--algebra", "sl2.json"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: LIEPENCIL_SEED must be an integer, got %r\n" % raw)
+
+
+def test_cli_integer_rule_keeps_signs_and_spaces(workdir, capsys, monkeypatch):
+    run(["example", "sl", "2"])
+    capsys.readouterr()
+    monkeypatch.setenv("LIEPENCIL_SEED", " +17 ")
+    assert run(["index", "--algebra", "sl2.json", "--samples", " 3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 3
+
+
+def test_cli_report_gamma_is_read_on_a_non_lie_algebra(workdir, capsys):
+    # the family check is skipped on a non-Lie algebra, but --gamma is still read
+    (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
+    save_operator(RatMatrix.identity(4), workdir / "id4.json")
+    base = ["report", "--algebra", "skew-nonlie.json", "--operator", "id4.json"]
+    assert run(base + ["--gamma", "0,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("input error: --gamma covector has 2 entries, "
+                   "the algebra has dimension 4\n")
+    assert run(base + ["--gamma", "0,1,x,0"]) == 2
+    assert "covector" in capsys.readouterr().err
+    assert run(base + ["--gamma", "0,0,0,1", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in doc["checks"] if not c["ok"]] == ["input-lie"]
+    assert "pc-family-commutes" not in [c["name"] for c in doc["checks"]]
+
+
+@pytest.mark.parametrize("coeffs", [{"٠": "1"}, {" 0_0 ": "1"}, {"0": "-2", "00": "5"},
+                                    {"1": "0", "01": "3"}, {"+1": "1"}],
+                         ids=["arabic-indic-digit", "underscore-and-spaces", "repeated-index",
+                              "repeated-index-after-zero", "sign"])
+def test_algebra_coefficient_keys_are_ascii_digits(workdir, capsys, coeffs):
+    doc = {"dim": 2, "basis": ["a", "b"], "brackets": [{"i": 0, "j": 1, "coeffs": coeffs}]}
+    with pytest.raises(ParseError) as exc:
+        algebra_from_dict(doc)
+    assert exc.value.context == "brackets[0].coeffs"
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    assert run(["index", "--algebra", "bad.json"]) == 2
+    assert "brackets[0].coeffs" in capsys.readouterr().err
+
+
+# `example nilpotent-square` reads the family and N before the partition, as
+# it did when it built the algebra before the triple
+@pytest.mark.parametrize("params, message", [
+    (["gl", "3", "--partition", "2,1"], "triples are built for sl only; supply e, h, f directly"),
+    (["so", "3", "--partition", "2,1"], "triples are built for sl only; supply e, h, f directly"),
+    (["xx", "3", "--partition", "2,1"], "unknown family 'xx'"),
+    (["sp", "3", "--partition", "2,1"], "sp needs even size"),
+    (["sl", "3", "--partition", "3"],
+     "partition [3] exceeds the height criterion (parts <= 2)"),
+    (["sl", "3", "--partition", "2,2"], "partition [2, 2] does not sum to 3"),
+    (["sl", "1", "--partition", "1"], "sl needs n >= 2"),
+    (["sl", "0", "--partition", "0"], "sl needs n >= 2"),
+], ids=["gl", "so", "unknown-family", "sp-odd", "height", "sum", "sl1", "sl0"])
+def test_cli_nilpotent_square_input_errors(workdir, capsys, params, message):
+    assert run(["example", "nilpotent-square"] + params) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: %s\n" % message
+    assert list(workdir.iterdir()) == []
