@@ -311,24 +311,30 @@ def cmd_exp_check(args):
     return EXIT_OK if rep.ok and rep.precondition_ok else EXIT_CHECK
 
 
-def _pc_operator(args, tensor):
-    """The orbit operator of a family check and its description."""
+def _pc_inputs(args, tensor, op=None):
+    """The orbit operator of a family check, its description, and the seeds
+    read from --seed-file (None without one); op is the operator already
+    read from --operator, if any."""
     if args.gamma:
         gamma = _parse_rationals(args.gamma, "covector")
         if len(gamma) != tensor.dim:
             raise InputProblem("--gamma covector has %d entries, the algebra has dimension %d"
                                % (len(gamma), tensor.dim))
-        return pois.directional(gamma), "directional"
-    if not args.operator:
+        operator, op_desc = pois.directional(gamma), "directional"
+    elif op is None and not args.operator:
         raise InputProblem("pc-check needs --operator or --gamma")
-    return pois.lifted(_load_operator(args.operator, tensor.dim)), "lifted"
+    else:
+        lift = op if op is not None else _load_operator(args.operator, tensor.dim)
+        operator, op_desc = pois.lifted(lift), "lifted"
+    seeds = iomod.load_seeds(args.seed_file, tensor.dim) if args.seed_file else None
+    return operator, op_desc, seeds
 
 
-def _pc_seeds(args, tensor):
-    """The Poisson structure of a family check, its seeds and their description."""
+def _pc_seeds(args, tensor, seeds):
+    """The Poisson structure of a family check, its seeds and their description;
+    seeds are those `_pc_inputs` read, or None to search the centre."""
     struct = pois.from_tensor(tensor)
-    if args.seed_file:
-        seeds = iomod.load_seeds(args.seed_file, tensor.dim)
+    if seeds is not None:
         seed_desc = args.seed_file
     else:
         seeds = pois.centre_candidates(struct, args.degree_bound)
@@ -342,8 +348,8 @@ def cmd_pc_check(args):
     tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
         raise InputProblem("--algebra is not a Lie algebra; pc-check needs one")
-    operator, op_desc = _pc_operator(args, tensor)
-    struct, seeds, seed_desc = _pc_seeds(args, tensor)
+    operator, op_desc, seeds = _pc_inputs(args, tensor)
+    struct, seeds, seed_desc = _pc_seeds(args, tensor, seeds)
     try:
         family = pois.pc_generate(struct, operator, seeds)
     except pois.SeedNotCentral as exc:
@@ -468,8 +474,8 @@ def cmd_report(args):
     op = _load_operator(args.operator, tensor.dim)
     family_check = args.pc or args.gamma or args.seed_file
     if family_check:
-        # read before any check, so a bad --gamma is named on every algebra
-        operator, op_desc = _pc_operator(args, tensor)
+        # read before any check, so a bad --gamma or --seed-file is always named
+        operator, op_desc, seeds = _pc_inputs(args, tensor, op)
     checks = []
     diagnostics = {}
 
@@ -535,7 +541,7 @@ def cmd_report(args):
 
     if sk and jc and family_check:
         try:
-            struct, seeds, _ = _pc_seeds(args, tensor)
+            struct, seeds, _ = _pc_seeds(args, tensor, seeds)
             family = pois.pc_generate(struct, operator, seeds)
             cert = pois.pc_verify(family, struct)
             gate("pc-family-commutes", cert.ok, operator=op_desc,

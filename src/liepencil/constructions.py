@@ -56,17 +56,24 @@ def tensor_from_matrix_basis(mats, labels, product="commutator", check_lie=True)
 
 def _expand(mats, labels, coords, product="commutator", check_lie=True):
     """`tensor_from_matrix_basis` over the basis reader coords; a product
-    outside the span raises ValueError."""
-    def entry(i, j):
-        if product == "commutator":
-            if i == j:
-                return {}
-            prod = mat_commutator(mats[i], mats[j])
-        else:
-            prod = mats[i] * mats[j]
-        return {k: c for k, c in enumerate(coords(prod)) if c}
+    outside the span raises ValueError.  A commutator is expanded once per
+    pair i < j; row j, filled after row i, writes [x_j, x_i] as the negated
+    vector, so the table keeps row-major key order."""
+    n = len(mats)
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            if product != "commutator":
+                vec = {k: c for k, c in enumerate(coords(mats[i] * mats[j])) if c}
+            elif i < j:
+                vec = {k: c for k, c in enumerate(coords(mat_commutator(mats[i], mats[j])))
+                       if c}
+            else:
+                vec = {k: -c for k, c in table.get((j, i), {}).items()}
+            if vec:
+                table[(i, j)] = vec
 
-    tensor = StructureTensor._of(len(mats), pair_table(len(mats), entry), tuple(labels))
+    tensor = StructureTensor._of(n, table, tuple(labels))
     if check_lie:
         ok, wit = check_skew(tensor)
         if not ok:
@@ -228,8 +235,6 @@ def contractions_from_grading(tensor, spec):
             okx, wit = check_jacobi(t)
         if not okx:
             raise ValueError("contraction fails Lie checks at %r" % (wit,))
-    if t0 + tinf != tensor:
-        raise ValueError("contractions do not sum to the tensor")
     return t0, tinf
 
 
@@ -325,10 +330,6 @@ def splitting_operators(tensor, part_a, part_b):
                     raise ValueError("part %r is not a subalgebra" % (sorted(part),))
     d1 = RatMatrix.diagonal([ONE if i in set(part_a) else ZERO for i in range(n)])
     d2 = RatMatrix.identity(n) - d1
-    s1 = derived(tensor, d1)
-    s2 = derived(tensor, d2)
-    if tensor_combination([(-ONE, s1), (-ONE, s2)]) != tensor:
-        raise ValueError("splitting derived tensors do not recombine")
     return d1, d2
 
 

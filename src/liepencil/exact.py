@@ -479,16 +479,7 @@ class SparsePoly:
             c = Fraction(other)
             return SparsePoly._of(self.nvars, {e: c * v for e, v in self.terms.items()}
                                   if c else {})
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return SparsePoly._of(self.nvars, out)
+        return SparsePoly._of(self.nvars, _muladd({}, self.terms, other.terms))
 
     def __rmul__(self, other):
         return self * other
@@ -648,8 +639,9 @@ def generic_rank(mat):
     return rank
 
 
-# Integer polynomials {exponent tuple: nonzero int}: the Poisson kernels clear
-# a polynomial's denominators once, run on these and build a Fraction only
+# Polynomials as {exponent tuple: nonzero coefficient} dicts: `SparsePoly`
+# multiplies its Fraction terms with `_muladd`, and the Poisson kernels clear
+# a polynomial's denominators once, run it on ints and build a Fraction only
 # for a coefficient they return.  The clearing rule `_cleared` is shared with
 # the tensor kernels.
 
@@ -664,7 +656,7 @@ def _cleared(dicts):
 
 
 def _muladd(acc, a, b, sign=1):
-    """acc += sign * a * b on integer polynomials, in place; returns acc."""
+    """acc += sign * a * b on polynomial dicts, in place; returns acc."""
     for e1, c1 in a.items():
         c1 *= sign
         for e2, c2 in b.items():

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from liepencil import analysis
 from liepencil.exact import generic_rank
 from liepencil.tensors import StructureTensor, derived
-from liepencil.constructions import build_classical, build_gl_associative, nilpotent_square
+from liepencil.constructions import (build_classical, build_gl_associative,
+                                     nilpotent_square, sl2_complete)
 from liepencil.analysis import (
-    lie_centre, centraliser, structure_matrix, lie_index,
+    IndexTheoremReport, lie_centre, centraliser, structure_matrix, lie_index,
     lower_central_series, nilpotency_class, verify_index_theorem,
 )
 
@@ -101,3 +103,74 @@ def test_index_theorem_smallest_case():
     assert rep.centraliser_dim == rep.centre_dim == 1
     assert rep.nilpotency_class == 2
     assert rep.dim == 3
+
+
+def reference_index_theorem(family, n, partition, seed):
+    """The report with the index computed by symbolic elimination."""
+    triple = sl2_complete(family, n, partition)
+    t = nilpotent_square(triple.tensor, triple.e)[1].derived
+    prob = lie_index(t, mode="prob", seed=seed).index
+    exact = lie_index(t, mode="exact", max_exact_dim=t.dim).index
+    cent = len(centraliser(triple.tensor, triple.e))
+    centre = len(lie_centre(t))
+    cls = nilpotency_class(t)
+    return IndexTheoremReport(t.dim, prob, exact, cent, centre, cls,
+                              prob == exact == cent == centre and cls <= 2)
+
+
+THEOREM_CASES = [(2, (2,)), (3, (2, 1)), (4, (2, 2)), (5, (2, 2, 1))]
+
+
+@pytest.mark.parametrize("n, partition", THEOREM_CASES,
+                         ids=["sl%d" % n for n, _ in THEOREM_CASES])
+def test_index_theorem_needs_no_symbolic_elimination(monkeypatch, n, partition):
+    want = reference_index_theorem("sl", n, partition, seed=7)
+    calls = []
+    monkeypatch.setattr(analysis, "generic_rank", lambda mat: calls.append(mat))
+    assert verify_index_theorem("sl", n, partition, seed=7) == want
+    assert want.consistent
+    assert calls == []
+
+
+def conjugate(partition):
+    return [sum(1 for p in partition if p > i) for i in range(max(partition))]
+
+
+@pytest.mark.parametrize("n, partition, index", [(6, (2, 2, 2), 17), (7, (2, 2, 2, 1), 24)],
+                         ids=["sl6", "sl7"])
+def test_index_theorem_at_larger_sizes(n, partition, index):
+    # the centraliser of e in sl_n has dimension sum of squared column
+    # lengths of the partition, minus 1
+    assert index == sum(c * c for c in conjugate(partition)) - 1
+    rep = verify_index_theorem("sl", n, partition, seed=1)
+    assert rep.consistent
+    assert (rep.index_prob == rep.index_exact == rep.centraliser_dim == rep.centre_dim
+            == index)
+    assert rep.nilpotency_class == 2
+
+
+def smaller_centre(monkeypatch):
+    real = analysis.lie_centre
+    monkeypatch.setattr(analysis, "lie_centre", lambda t: real(t)[1:])
+
+
+def larger_prob_index(monkeypatch):
+    real = analysis.lie_index
+
+    def shifted(tensor, mode="prob", **kw):
+        rep = real(tensor, mode, **kw)
+        rep.index += 1
+        return rep
+    monkeypatch.setattr(analysis, "lie_index", shifted)
+
+
+@pytest.mark.parametrize("shift", [smaller_centre, larger_prob_index],
+                         ids=["centre", "prob-index"])
+def test_index_theorem_without_a_certificate_is_inconsistent(monkeypatch, shift):
+    # the centre no longer meets the probabilistic bound, so the index is
+    # not certified and the check fails
+    shift(monkeypatch)
+    rep = verify_index_theorem("sl", 3, (2, 1), seed=1)
+    assert rep.index_exact is None
+    assert rep.consistent is False
+    assert rep.centraliser_dim == 4

@@ -16,7 +16,8 @@ from liepencil.constructions import (GradingSpec, assoc_operators,
                                      sl2_complete, splitting_operators,
                                      tensor_from_matrix_basis)
 from liepencil.exact import RatMatrix
-from liepencil.tensors import IdentityFailed, ad, classify_operator, derived, is_lie
+from liepencil.tensors import (IdentityFailed, StructureTensor, ad, classify_operator,
+                               derived, is_lie, tensor_combination)
 
 from helpers import rand_rat
 
@@ -228,3 +229,66 @@ def test_tensor_from_matrix_basis_rejects_non_lie():
     mats, labels = basis_matrices("gl", 2)
     with pytest.raises(ValueError):
         tensor_from_matrix_basis(mats, labels, product="assoc", check_lie=True)
+
+
+def recombined(tensor, d1, d2):
+    """-rho(d1)T - rho(d2)T, which is T whenever d1 + d2 = I: each rho(d)T
+    is dT - T(d., .) - T(., d.), so the sum is T - T - T."""
+    return tensor_combination([(-1, derived(tensor, d1)), (-1, derived(tensor, d2))])
+
+
+def borel_split(n):
+    """gl_n as upper triangular (with the diagonal) plus strictly lower."""
+    upper = [i * n + j for i in range(n) for j in range(n) if i <= j]
+    lower = [i * n + j for i in range(n) for j in range(n) if i > j]
+    return build_classical("gl", n), upper, lower
+
+
+def block_split(first, second):
+    t1, t2 = build_classical(*first), build_classical(*second)
+    return (direct_sum(t1, t2), range(t1.dim), range(t1.dim, t1.dim + t2.dim))
+
+
+SPLITS = ([borel_split(n) for n in range(1, 5)]
+          + [block_split(("sl", 2), ("gl", 2)), block_split(("so", 3), ("sp", 4)),
+             block_split(("gl", 1), ("sl", 3))])
+
+
+@pytest.mark.parametrize("tensor, part_a, part_b", SPLITS,
+                         ids=["borel-gl%d" % n for n in range(1, 5)]
+                         + ["sl2+gl2", "so3+sp4", "gl1+sl3"])
+def test_splitting_derived_brackets_recombine(tensor, part_a, part_b):
+    d1, d2 = splitting_operators(tensor, part_a, part_b)
+    assert recombined(tensor, d1, d2) == tensor
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_derived_brackets_recombine_for_any_sum_to_identity(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    table = {(i, j): {k: rand_rat(rng) for k in range(n) if rng.random() < 0.5}
+             for i in range(n) for j in range(n) if rng.random() < 0.6}
+    tensor = StructureTensor(n, table)
+    d1 = RatMatrix([[rand_rat(rng) for _ in range(n)] for _ in range(n)])
+    assert recombined(tensor, d1, RatMatrix.identity(n) - d1) == tensor
+
+
+def root_grading(rng, family, n, modulus):
+    """The Z_modulus grading of gl_n or sl_n by integer weights w on the
+    standard basis: E_ij has weight w_i - w_j, the diagonal weight 0."""
+    w = [rng.randint(-3, 3) for _ in range(n)]
+    weights = []
+    for m in basis_matrices(family, n)[0]:
+        i, j = next((i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row) if x)
+        weights.append((w[i] - w[j]) % modulus)
+    return GradingSpec(tuple(weights), kind="periodic", modulus=modulus)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_contractions_sum_to_the_bracket(seed):
+    rng = random.Random(seed)
+    family, n = rng.choice(["gl", "sl"]), rng.randint(2, 4)
+    tensor = build_classical(family, n)
+    t0, tinf = contractions_from_grading(tensor, root_grading(rng, family, n,
+                                                              rng.randint(2, 4)))
+    assert t0 + tinf == tensor

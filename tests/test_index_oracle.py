@@ -19,8 +19,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from liepencil import analysis
-from liepencil.analysis import lie_index, structure_matrix
-from liepencil.constructions import build_classical
+from liepencil.analysis import lie_centre, lie_index, structure_matrix
+from liepencil.constructions import build_classical, nilpotent_square, sl2_complete
 from liepencil.exact import SparsePoly, _packing, _pdiv, generic_rank, rank_exact
 
 from test_tensor_oracle import (LIE, NONZERO, change_of_basis, fixed_lists, standard,
@@ -157,6 +157,38 @@ def test_prob_index_matches_reference(algebra, data):
     finally:
         analysis.SAMPLE_BOUND = saved
     assert (rep.rank, rep.index) == want
+
+
+def assert_index_bounds(tensor, seed):
+    """dim z <= index <= index_prob: each centre vector is a constant kernel
+    vector of the structure matrix, and the rank at a point is at most the
+    generic rank."""
+    exact = lie_index(tensor, "exact", max_exact_dim=tensor.dim).index
+    assert len(lie_centre(tensor)) <= exact <= lie_index(tensor, "prob", seed=seed).index
+
+
+@given(st.sampled_from(LIE), st.data())
+def test_centre_and_prob_index_bound_the_exact_index(algebra, data):
+    base = standard(algebra)
+    tensor = transport(base, data.draw(change_of_basis(base.dim), label="P"))
+    seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    # a small sample box lets the probabilistic index overshoot
+    bound = data.draw(st.sampled_from([1, analysis.SAMPLE_BOUND]), label="bound")
+    saved = analysis.SAMPLE_BOUND
+    analysis.SAMPLE_BOUND = bound
+    try:
+        assert_index_bounds(tensor, seed)
+    finally:
+        analysis.SAMPLE_BOUND = saved
+
+
+@pytest.mark.parametrize("n, partition", [(2, (2,)), (3, (2, 1)), (4, (2, 2)), (5, (2, 2, 1))],
+                         ids=["sl2", "sl3", "sl4", "sl5"])
+def test_centre_and_prob_index_bound_the_exact_index_of_derived_brackets(n, partition):
+    triple = sl2_complete("sl", n, partition)
+    derived = nilpotent_square(triple.tensor, triple.e)[1].derived
+    for seed in range(3):
+        assert_index_bounds(derived, seed)
 
 
 def test_exact_index_of_so5_and_sp4_agree():

@@ -13,7 +13,8 @@ from liepencil.io import (
     seeds_from_dict, save_algebra, load_algebra, save_operator, load_operator,
     save_seeds, load_seeds,
 )
-from liepencil import cli
+from liepencil import cli, poisson as pois
+from liepencil import io as iomod
 from liepencil.cli import main
 from liepencil.tensors import IdentityFailed
 
@@ -545,3 +546,48 @@ def test_cli_nilpotent_square_input_errors(workdir, capsys, params, message):
     assert out == ""
     assert err == "input error: %s\n" % message
     assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [["--pc"], ["--seed-file", "seeds.json"]],
+                         ids=["pc", "seed-file"])
+def test_cli_report_reads_the_operator_once(workdir, capsys, monkeypatch, flag):
+    # the family check lifts the operator the report already read
+    assert run(["example", "nilpotent-square", "sl", "3", "--partition", "2,1"]) == 0
+    struct = pois.from_tensor(load_algebra(workdir / "sl3.json")[0])
+    save_seeds(pois.centre_candidates(struct, 2), workdir / "seeds.json")
+    capsys.readouterr()
+    calls = []
+    real = iomod.load_operator
+
+    def counting(path):
+        calls.append(path)
+        return real(path)
+    monkeypatch.setattr(iomod, "load_operator", counting)
+    argv = ["report", "--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
+    assert run(argv + flag + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["ok"] for c in doc["checks"] if c["name"] == "pc-family-commutes"] == [True]
+    assert calls == ["sl3-nilsquare-op.json"]
+
+
+@pytest.mark.parametrize("algebra, dim", [("skew-nonlie.json", 4), ("sl3.json", 8)],
+                         ids=["non-lie", "sl3"])
+@pytest.mark.parametrize("seed_file, content, name",
+                         [("missing.json", None, "missing.json"),
+                          ("bad-seeds.json", '{"seeds": "nope"}', "seeds")],
+                         ids=["missing", "not-a-list"])
+def test_cli_report_reads_the_seed_file_before_any_check(workdir, capsys, algebra, dim,
+                                                         seed_file, content, name):
+    # a bad --seed-file is named on every algebra, as a bad --gamma is
+    (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
+    run(["example", "sl", "3"])
+    save_operator(RatMatrix.identity(dim), workdir / "id.json")
+    if content is not None:
+        (workdir / seed_file).write_text(content)
+    capsys.readouterr()
+    argv = ["report", "--algebra", algebra, "--operator", "id.json", "--seed-file", seed_file]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert name in err
