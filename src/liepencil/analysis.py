@@ -33,18 +33,17 @@ class IndexReport:
 def lie_centre(tensor):
     """Canonical basis of {x : [x, e_j] = 0 for all j}.
 
-    The centrality system has one row per (j, k) and one column per i,
-    with entry c_ij^k; its rows are read as ints off the tensor's integer
-    form.  Scaling every row by the form's denominator leaves the reduced
-    row echelon form, hence the canonical kernel basis, unchanged.
+    The centrality system has one sparse row per (j, k) and one column per
+    i, with entry c_ij^k; its rows are read as ints off the tensor's
+    integer form.  Scaling every row by the form's denominator leaves the
+    reduced row echelon form, hence the canonical kernel basis, unchanged.
     """
-    n = tensor.dim
     _, tab = tensor.integer_form()
-    rows = [[0] * n for _ in range(n * n)]
+    rows = {}
     for (i, j), vec in tab.items():
         for k, c in vec.items():
-            rows[j * n + k][i] = c
-    return kernel_basis(rows)
+            rows.setdefault((j, k), {})[i] = c
+    return kernel_basis(list(rows.values()), tensor.dim)
 
 
 def centraliser(tensor, x):

@@ -327,6 +327,8 @@ def _pc_inputs(args, tensor, op=None):
         lift = op if op is not None else _load_operator(args.operator, tensor.dim)
         operator, op_desc = pois.lifted(lift), "lifted"
     seeds = iomod.load_seeds(args.seed_file, tensor.dim) if args.seed_file else None
+    if seeds == []:
+        raise InputProblem("--seed-file %s holds no seeds" % args.seed_file)
     return operator, op_desc, seeds
 
 
@@ -335,13 +337,11 @@ def _pc_seeds(args, tensor, seeds):
     seeds are those `_pc_inputs` read, or None to search the centre."""
     struct = pois.from_tensor(tensor)
     if seeds is not None:
-        seed_desc = args.seed_file
-    else:
-        seeds = pois.centre_candidates(struct, args.degree_bound)
-        seed_desc = "centre candidates up to degree %d" % args.degree_bound
+        return struct, seeds, args.seed_file
+    seeds = pois.centre_candidates(struct, args.degree_bound)
     if not seeds:
         raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
-    return struct, seeds, seed_desc
+    return struct, seeds, "centre candidates up to degree %d" % args.degree_bound
 
 
 def cmd_pc_check(args):

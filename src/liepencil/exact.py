@@ -4,15 +4,18 @@ Every coefficient this module takes or returns is a `fractions.Fraction`;
 nothing here touches floating point.  A `RatMatrix` is stored as one
 integer form, int rows over one positive denominator divided by their gcd,
 and its arithmetic runs on those ints.  Elimination over Q runs on integers
-too: one Gauss-Jordan routine clears each row's denominators (a matrix
-hands over its form), and `rref`, `rank_exact`, `kernel_basis`,
-`coordinates` and `RatMatrix.inverse` build a `Fraction` only for an entry
-they return.  `coordinates` reduces a basis once and reads every target
-from that reduction, through the nonzero entries of the target's integer
-form; `solve_columns` is its one-target use.  Polynomials
-are sparse maps from exponent tuples to nonzero coefficients in graded
-lexicographic order; the Poisson bracket clears them to integer
-polynomials and runs on the private helpers at the end of this module.
+too: one sparse Gauss-Jordan routine takes list or {column: entry} dict
+rows (a matrix hands over its form), clears each once to a dict of its
+nonzero ints and visits no zero entry, so the connected components of a
+sparse system are eliminated independently.  `rref`, `rank_exact`,
+`kernel_basis`, `coordinates` and `RatMatrix.inverse` build a `Fraction`
+only for an entry they return.  `coordinates` reduces a basis
+once and reads every target from that reduction, through the nonzero
+entries of the target's integer form; `solve_columns` is its one-target
+use.  Polynomials are sparse maps from exponent tuples to nonzero
+coefficients in graded lexicographic order; the Poisson bracket clears them
+to integer polynomials and runs on the private helpers at the end of this
+module.
 `generic_rank` runs Bareiss elimination on integer polynomials with each
 monomial packed into one int (the total degree in the top field, then the
 exponents), each field sized for the largest degree a product can reach
@@ -208,45 +211,97 @@ def mat_commutator(a, b):
 
 
 def _reduce(rows):
-    """Gauss-Jordan elimination of a rational matrix, run on integers.
+    """Sparse Gauss-Jordan elimination of a rational matrix, run on integers.
 
-    Each row is first scaled to integers by the least common multiple of its
-    denominators; a row of plain ints is copied as it is.  A pivot then
-    clears its column only from the rows that have a nonzero entry there,
-    and every updated row is divided by its content (the gcd of its
-    entries), which keeps the stored entries bounded by minors of the scaled
-    matrix.  Returns (pivots, R): R[r] is an integer multiple of row r of
-    the reduced row echelon form, whose entries are therefore
-    R[r][j] / R[r][pivots[r]].  Entries may be ints or Fractions.
+    Rows are {column: entry} dicts or equal-length lists; either is cleared
+    once to a {column: int} dict of its nonzero entries, scaled by the lcm
+    of their denominators.  holders[c] indexes the rows with a nonzero in
+    column c and is kept current through fill-in and cancellation, so no
+    zero entry is visited and an update touches only rows of its own
+    connected component of the row/column graph: the components are
+    eliminated independently.  Pivots are taken in ascending column order,
+    each in the shortest unused row with a nonzero there (it fills in
+    least), and each clears its column from the unused rows.  Then, last
+    pivot first, each pivot clears its column from the earlier pivot rows;
+    a pivot row is by then free of every later pivot column, so this
+    back-substitution adds no entry in a pivot column, and it updates fewer
+    and shorter rows than clearing above each pivot as it is taken.  Every
+    updated row is divided by its content (the gcd of its entries), which
+    keeps the entries bounded by minors of the scaled matrix.  The reduced
+    row echelon form is canonical, so neither the row order nor the choice
+    of pivot row changes the result.
+
+    Returns (pivots, R): R[r] is an integer multiple of row r of the reduced
+    row echelon form, whose entries are therefore R[r][j] / R[r][pivots[r]];
+    R[r] is a {column: int} dict of its nonzeros for dict rows and a list
+    for list rows.
     """
-    M = []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            M.append(list(row))
+    listed = bool(rows) and not isinstance(rows[0], dict)
+    M = [_int_row(enumerate(row) if listed else row.items()) for row in rows]
+    holders = {}
+    for i, row in enumerate(M):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+
+    def clear(i, p, c):
+        """Row i becomes a * row i - b * row p in place, where a / b is
+        M[p][c] / M[i][c] in lowest terms, so its entry in column c cancels;
+        then it is divided by its content."""
+        prow, row = M[p], M[i]
+        piv, e = prow[c], row[c]
+        g = gcd(piv, e)
+        a, b = piv // g, e // g
+        if a != 1:
+            for k in row:
+                row[k] *= a
+        for k, x in prow.items():
+            y = row.get(k)
+            if y is None:
+                row[k] = -b * x
+                holders[k].add(i)
+            else:
+                y -= b * x
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
+                    holders[k].discard(i)
+        if row:
+            g = gcd(*row.values())
+            if g > 1:
+                M[i] = {k: y // g for k, y in row.items()}
+
+    unused = set(range(len(M)))
+    pivots, used = [], []
+    for c in sorted(holders):
+        live = [i for i in holders[c] if i in unused]
+        if not live:
             continue
-        den = lcm(*(x.denominator for x in row))
-        M.append([x.numerator * (den // x.denominator) for x in row])
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, nrows) if M[i][c]), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        prow = M[r]
-        piv = prow[c]
-        for i in range(nrows):
-            e = M[i][c]
-            if e and i != r:
-                row = [piv * a - e * b for a, b in zip(M[i], prow)]
-                g = gcd(*row)
-                M[i] = [a // g for a in row] if g > 1 else row
+        p = min(live, key=lambda i: len(M[i]))
+        unused.discard(p)
+        for i in live:
+            if i != p:
+                clear(i, p, c)
         pivots.append(c)
-        if r + 1 == nrows:
-            break
-    return pivots, M[:len(pivots)]
+        used.append(p)
+    for c, p in zip(reversed(pivots), reversed(used)):
+        for i in list(holders[c]):
+            if i != p:
+                clear(i, p, c)
+    if listed:
+        ncols = len(rows[0])
+        return pivots, [[M[p].get(j, 0) for j in range(ncols)] for p in used]
+    return pivots, [M[p] for p in used]
+
+
+def _int_row(items):
+    """{column: int} of the nonzero (column, entry) items, cleared to
+    integers by the lcm of the entries' denominators."""
+    row = {c: x for c, x in items if x}
+    if any(type(x) is not int for x in row.values()):
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    return row
 
 
 def _ratio(x, d):
@@ -268,24 +323,28 @@ def rank_exact(m):
     return len(_reduce(m.ints if isinstance(m, RatMatrix) else m)[0])
 
 
-def kernel_basis(m):
+def kernel_basis(m, ncols=None):
     """Canonical basis of the right kernel (one vector per free column).
 
     Each basis vector carries value 1 at its free column and the solved
-    pivot values elsewhere, so rank + len(kernel) = ncols exactly.
+    pivot values elsewhere, so rank + len(kernel) = ncols exactly.  m is a
+    RatMatrix, a list of equal-length rows, or a list of {column: entry}
+    dict rows with their column count ncols.
     """
     rows = m.ints if isinstance(m, RatMatrix) else m
-    ncols = len(rows[0]) if rows else 0
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
     pivots, R = _reduce(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
+    pivoted = set(pivots)
+    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in pivoted}
+    for fc, v in basis.items():
         v[fc] = ONE
-        for row, pc in zip(R, pivots):
-            v[pc] = _ratio(-row[fc], row[pc])
-        basis.append(v)
-    return basis
+    for row, pc in zip(R, pivots):
+        piv = row[pc]
+        for c, x in (row.items() if isinstance(row, dict) else enumerate(row)):
+            if x and c in basis:
+                basis[c][pc] = Fraction(-x, piv)
+    return list(basis.values())
 
 
 def coordinates(cols):

@@ -261,9 +261,10 @@ def centre_candidates(struct, max_degree=2):
     Requires a linear bracket table (degree is then preserved, so centrality
     decouples by degree).  Returns the canonical kernel bases as polynomials,
     lowest degree first.  The system is built on integers from the cleared
-    table, {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one row per
-    nonzero (generator, result monomial) pair; the canonical kernel basis
-    does not depend on row order, row scaling or zero rows.
+    table, {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
+    {monomial column: int} row per (generator, result monomial) pair; the
+    canonical kernel basis does not depend on row order, row scaling or
+    zero rows.
     """
     n = struct.nvars
     _, table = _cleared(p.terms for p in struct.table.values())
@@ -292,12 +293,7 @@ def centre_candidates(struct, max_degree=2):
                         rm[k] += 1
                         row = rows.setdefault((i, tuple(rm)), {})
                         row[col] = row.get(col, 0) + mj * c
-        dense = [vec for vec in ([row.get(col, 0) for col in range(len(monos))]
-                                 for row in rows.values()) if any(vec)]
-        if not dense:
-            out.extend(SparsePoly.monomial(n, m) for m in monos)
-            continue
-        for vec in kernel_basis(dense):
+        for vec in kernel_basis(list(rows.values()), len(monos)):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
     return out
 

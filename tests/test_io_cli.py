@@ -591,3 +591,44 @@ def test_cli_report_reads_the_seed_file_before_any_check(workdir, capsys, algebr
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert name in err
+
+
+EMPTY_SEEDS = "input error: --seed-file empty.json holds no seeds\n"
+
+
+@pytest.mark.parametrize("algebra, dim", [("skew-nonlie.json", 4), ("sl3.json", 8)],
+                         ids=["non-lie", "sl3"])
+def test_cli_report_names_an_empty_seed_file(workdir, capsys, algebra, dim):
+    (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
+    run(["example", "sl", "3"])
+    save_operator(RatMatrix.identity(dim), workdir / "id.json")
+    (workdir / "empty.json").write_text(json.dumps({"seeds": []}))
+    capsys.readouterr()
+    argv = ["report", "--algebra", algebra, "--operator", "id.json", "--seed-file", "empty.json"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", EMPTY_SEEDS)
+
+
+@pytest.mark.parametrize("algebra, dim, message", [
+    ("skew-nonlie.json", 4, "input error: --algebra is not a Lie algebra; pc-check needs one\n"),
+    ("sl3.json", 8, EMPTY_SEEDS),
+], ids=["non-lie", "sl3"])
+def test_cli_pc_check_names_an_empty_seed_file(workdir, capsys, algebra, dim, message):
+    # pc-check refuses a non-Lie algebra before it reads any other input
+    (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
+    run(["example", "sl", "3"])
+    (workdir / "empty.json").write_text(json.dumps({"seeds": []}))
+    capsys.readouterr()
+    gamma = ",".join(["0"] * (dim - 1) + ["1"])
+    argv = ["pc-check", "--algebra", algebra, "--gamma", gamma, "--seed-file", "empty.json"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_cli_pc_check_names_an_empty_centre_search(workdir, capsys):
+    # sl2 has no central polynomial of degree 1: the search, not a file, is named
+    run(["example", "sl", "2"])
+    capsys.readouterr()
+    argv = ["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--degree-bound", "1"]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "input error: no seeds: empty centre up to degree 1\n")

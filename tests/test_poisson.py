@@ -197,6 +197,24 @@ def test_centre_candidates_abelian_and_heisenberg():
     assert linear == [x(0)]
 
 
+@pytest.mark.parametrize("family, n, degrees", [
+    ("sp", 4, [2, 4, 4]),
+    ("sl", 4, [2, 3, 4, 4]),
+    ("gl", 4, [1, 2, 2, 3, 3, 3, 4, 4, 4, 4, 4]),
+])
+def test_centre_candidates_degree_four_match_chevalley(family, n, degrees):
+    # S(g)^g is free on generators of degrees 2,4 (sp4), 2,3,4 (sl4) and
+    # 1,2,3,4 (gl4), so degree d holds as many invariants as there are
+    # products of generators of total degree d
+    struct = from_tensor(build_classical(family, n))
+    cands = centre_candidates(struct, max_degree=4)
+    assert [c.total_degree() for c in cands] == degrees
+    nvars = struct.nvars
+    for f in cands:
+        for i in range(nvars):
+            assert poisson_bracket(struct, f, SparsePoly.variable(nvars, i)).is_zero()
+
+
 def test_frozen_bracket():
     t = sl2()
     struct = frozen_bracket(t, [F(0), F(1), F(0)])

@@ -1,0 +1,166 @@
+"""The sparse elimination against the dense Gauss-Jordan it replaced.
+
+`reference_reduce` below is `exact._reduce` as it stood when every row was
+a dense list, kept as the oracle.  On generated systems with several
+components whose rows and columns are permuted, with zero and duplicate
+rows, on all-zero systems and on one dense component, the pivots, the
+reduced rows, the ranks and the kernel bases must equal the reference's,
+whether the rows arrive as lists or as {column: entry} dicts, with int or
+`Fraction` entries.
+"""
+
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st
+
+from liepencil.exact import ONE, ZERO, _ratio, _reduce, kernel_basis, rank_exact
+
+# the example budget is the "liepencil" profile in conftest.py
+
+
+def reference_reduce(rows):
+    """Dense Gauss-Jordan on integer-cleared list rows: (pivots, R)."""
+    M = []
+    for row in rows:
+        if all(type(x) is int for x in row):
+            M.append(list(row))
+            continue
+        den = lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, nrows) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        prow = M[r]
+        piv = prow[c]
+        for i in range(nrows):
+            e = M[i][c]
+            if e and i != r:
+                row = [piv * a - e * b for a, b in zip(M[i], prow)]
+                g = gcd(*row)
+                M[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(c)
+        if r + 1 == nrows:
+            break
+    return pivots, M[:len(pivots)]
+
+
+def reference_kernel(rows, ncols):
+    pivots, R = reference_reduce(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for row, pc in zip(R, pivots):
+            v[pc] = _ratio(-row[fc], row[pc])
+        basis.append(v)
+    return basis
+
+
+def normalised(R, pivots, ncols):
+    """The reduced row echelon form read from R, as dense `Fraction` rows."""
+    dense = [[row.get(j, 0) for j in range(ncols)] if isinstance(row, dict) else row
+             for row in R]
+    return [[_ratio(x, row[c]) for x in row] for row, c in zip(dense, pivots)]
+
+
+def as_dicts(rows):
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+# about half the entries of a sparse block are zero, so updates fill in
+INTS = st.just(0) | st.integers(-9, 9)
+FRACTIONS = st.just(0) | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+NONZERO_INTS = st.integers(1, 9) | st.integers(-9, -1)
+
+
+@st.composite
+def blocks(draw, entries):
+    """One block of a block-diagonal system: 1-5 rows by 1-5 columns."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@st.composite
+def systems(draw):
+    """A list-row system: blocks set on the diagonal, then zero and
+    duplicate rows appended and the rows and columns permuted.  "dense" is
+    one block with no zero entry, "zero" an all-zero system."""
+    kind = draw(st.sampled_from(["components", "components", "dense", "zero"]))
+    fractions = draw(st.booleans())
+    if kind == "zero":
+        width = draw(st.integers(1, 6))
+        parts = [[[0] * width for _ in range(draw(st.integers(1, 5)))]]
+    elif kind == "dense":
+        nonzero = NONZERO_INTS.map(Fraction) if fractions else NONZERO_INTS
+        parts = [draw(blocks(nonzero.filter(bool)))]
+    else:
+        parts = draw(st.lists(blocks(FRACTIONS if fractions else INTS), min_size=2, max_size=4))
+    ncols = sum(len(b[0]) for b in parts)
+    rows, offset = [], 0
+    for block in parts:
+        width = len(block[0])
+        rows += [[0] * offset + row + [0] * (ncols - offset - width) for row in block]
+        offset += width
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    row_order = draw(st.permutations(range(len(rows))))
+    col_order = draw(st.permutations(range(ncols)))
+    return [[rows[i][j] for j in col_order] for i in row_order]
+
+
+@given(systems())
+def test_list_rows_match_the_dense_reference(rows):
+    ncols = len(rows[0])
+    ref_pivots, ref_R = reference_reduce(rows)
+    before = [list(row) for row in rows]
+    pivots, R = _reduce(rows)
+    assert rows == before
+    assert pivots == ref_pivots
+    assert all(isinstance(row, list) and len(row) == ncols for row in R)
+    assert normalised(R, pivots, ncols) == normalised(ref_R, ref_pivots, ncols)
+    assert rank_exact(rows) == len(ref_pivots)
+    assert kernel_basis(rows) == reference_kernel(rows, ncols)
+
+
+@given(systems())
+def test_dict_rows_match_the_dense_reference(rows):
+    ncols = len(rows[0])
+    ref_pivots, ref_R = reference_reduce(rows)
+    sparse = as_dicts(rows)
+    before = [dict(row) for row in sparse]
+    pivots, R = _reduce(sparse)
+    assert sparse == before
+    assert pivots == ref_pivots
+    assert all(isinstance(row, dict) and all(type(x) is int and x for x in row.values())
+               for row in R)
+    assert normalised(R, pivots, ncols) == normalised(ref_R, ref_pivots, ncols)
+    assert rank_exact(sparse) == len(ref_pivots)
+    assert kernel_basis(sparse, ncols) == reference_kernel(rows, ncols)
+
+
+def test_empty_and_all_zero_dict_systems():
+    assert _reduce([]) == ([], [])
+    assert kernel_basis([], 2) == [[ONE, ZERO], [ZERO, ONE]]
+    assert _reduce([{}, {1: 0}]) == ([], [])
+    assert rank_exact([{}, {}]) == 0
+    assert kernel_basis([{}, {0: 0}], 1) == [[ONE]]
+
+
+def test_columns_in_no_row_are_free():
+    # columns 1 and 3 appear in no row; dict rows need their column count
+    rows = [{0: 2, 2: -4}, {2: Fraction(1, 3)}]
+    assert _reduce(rows) == ([0, 2], [{0: 1}, {2: 1}])
+    assert kernel_basis(rows, 4) == [[ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, ZERO, ONE]]
