@@ -315,6 +315,8 @@ def _pc_inputs(args, tensor, op=None):
     """The orbit operator of a family check, its description, and the seeds
     read from --seed-file (None without one); op is the operator already
     read from --operator, if any."""
+    if args.degree_bound < 1:
+        raise InputProblem("--degree-bound must be at least 1, got %d" % args.degree_bound)
     if args.gamma:
         gamma = _parse_rationals(args.gamma, "covector")
         if len(gamma) != tensor.dim:

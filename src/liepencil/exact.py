@@ -1,25 +1,23 @@
 """Exact rational arithmetic: matrices, ranks, kernels, sparse polynomials.
 
 Every coefficient this module takes or returns is a `fractions.Fraction`;
-nothing here touches floating point.  A `RatMatrix` is stored as one
-integer form, int rows over one positive denominator divided by their gcd,
-and its arithmetic runs on those ints.  Elimination over Q runs on integers
-too: one sparse Gauss-Jordan routine takes list or {column: entry} dict
-rows (a matrix hands over its form), clears each once to a dict of its
+nothing here touches floating point.  A `RatMatrix` and a `SparsePoly` are
+each stored as one integer form, ints over one positive denominator divided
+by their gcd, and their arithmetic runs on those ints.  `_cleared` is the
+one rule that clears rationals to a form (a tensor's table goes through it
+too) and `_reduced` the one rule that divides a form by its gcd; other
+modules read the forms, `den` and `ints`.  Elimination over Q runs on
+integers too: one sparse Gauss-Jordan routine takes list or {column: entry}
+dict rows (a matrix hands over its form), clears each once to a dict of its
 nonzero ints and visits no zero entry, so the connected components of a
 sparse system are eliminated independently.  `rref`, `rank_exact`,
 `kernel_basis`, `coordinates` and `RatMatrix.inverse` build a `Fraction`
-only for an entry they return.  `coordinates` reduces a basis
-once and reads every target from that reduction, through the nonzero
-entries of the target's integer form; `solve_columns` is its one-target
-use.  Polynomials are sparse maps from exponent tuples to nonzero
-coefficients in graded lexicographic order; the Poisson bracket clears them
-to integer polynomials and runs on the private helpers at the end of this
-module.
-`generic_rank` runs Bareiss elimination on integer polynomials with each
-monomial packed into one int (the total degree in the top field, then the
-exponents), each field sized for the largest degree a product can reach
-plus one spare bit that the exact quotient uses to detect a negative
+only for an entry they return.  `coordinates` reduces a basis once and
+reads every target from that reduction; `solve_columns` is its one-target
+use.  `generic_rank` runs Bareiss elimination on integer polynomials with
+each monomial packed into one int (the total degree in the top field, then
+the exponents), each field sized for the largest degree a product can
+reach plus one spare bit that the exact quotient uses to detect a negative
 exponent; a quotient that leaves Z[x] raises ArithmeticError.
 """
 
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add, mul
 
 ZERO = Fraction(0)
@@ -89,20 +87,15 @@ class RatMatrix:
         self.nrows, self.ncols = len(rows), len(rows[0]) if rows else 0
         if any(len(row) != self.ncols for row in rows):
             raise ValueError("ragged rows")
-        # over the lcm of reduced fractions the form has gcd 1
-        self.den = den = lcm(*(x.denominator for row in rows for x in row))
-        self.ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        self.den, self.ints = _cleared(rows)
 
     @classmethod
     def _of(cls, den, ints):
         """Trusted constructor: den > 0 and ints equal-length int rows, which
         are divided by their gcd and kept, no copy."""
-        g = gcd(den, *(x for row in ints for x in row)) if den > 1 else 1
-        if g > 1:
-            den, ints = den // g, [[x // g for x in row] for row in ints]
         m = object.__new__(cls)
         m.nrows, m.ncols = len(ints), len(ints[0]) if ints else 0
-        m.den, m.ints = den, ints
+        m.den, m.ints = _reduced(den, ints)
         return m
 
     @classmethod
@@ -167,10 +160,8 @@ class RatMatrix:
 
     def apply(self, vec):
         """Matrix times column vector (a plain list of rationals)."""
-        L = lcm(*(x.denominator for x in vec))
-        t = [x.numerator * (L // x.denominator) for x in vec]
-        d = self.den * L
-        return [_ratio(sum(map(mul, row, t)), d) for row in self.ints]
+        L, (t,) = _cleared([vec])
+        return [_ratio(sum(map(mul, row, t)), self.den * L) for row in self.ints]
 
     def col(self, j):
         return [_ratio(row[j], self.den) for row in self.ints]
@@ -295,13 +286,10 @@ def _reduce(rows):
 
 
 def _int_row(items):
-    """{column: int} of the nonzero (column, entry) items, cleared to
-    integers by the lcm of the entries' denominators."""
+    """{column: int} of the nonzero (column, entry) items, cleared by
+    `_cleared` unless every entry is an int already."""
     row = {c: x for c, x in items if x}
-    if any(type(x) is not int for x in row.values()):
-        den = lcm(*(x.denominator for x in row.values()))
-        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-    return row
+    return row if all(type(x) is int for x in row.values()) else _cleared([row])[1][0]
 
 
 def _ratio(x, d):
@@ -359,8 +347,8 @@ def coordinates(cols):
     read_ints = _int_coordinates(cols)
 
     def read(target):
-        den = lcm(*(x.denominator for x in target))
-        return read_ints([x.numerator * (den // x.denominator) for x in target], den)
+        den, (t,) = _cleared([target])
+        return read_ints(t, den)
     return read
 
 
@@ -436,12 +424,13 @@ def nilpotent_exp(m, s):
 
 
 class SparsePoly:
-    """Sparse multivariate polynomial over Q.
-
-    Terms live in a dict keyed by exponent tuples; zero coefficients are never
-    stored.  Printing and leading-term selection use graded lex order.
-    `SparsePoly(nvars, terms)` validates and copies terms that arrive from
-    outside; the library builds its results with the trusted `_of`.
+    """Sparse multivariate polynomial over Q as one integer form: the
+    coefficient of x^e is ints[e] / den, with ints {exponent tuple: nonzero
+    int} and den > 0 divided by their gcd, so == compares forms.
+    `SparsePoly(nvars, terms)` validates terms that arrive from outside; the
+    library builds its results with the trusted `_of`.  `terms` and the
+    other readers return `Fraction`s, and every operation runs on the ints.
+    Printing and leading-term selection use graded lex order.
 
     Example: (x1 - 1)*(x1 + 1) multiplies out to x1^2 - 1::
 
@@ -451,33 +440,33 @@ class SparsePoly:
         x1^2 - 1
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "ints")
 
     def __init__(self, nvars, terms=None):
+        clean = {}
+        for exps, c in (terms or {}).items():
+            c = Fraction(c)
+            if not c:
+                continue
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError("bad exponent vector %r" % (exps,))
+            clean[exps] = c
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exps, c in terms.items():
-                c = Fraction(c)
-                if not c:
-                    continue
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise ValueError("bad exponent vector %r" % (exps,))
-                self.terms[exps] = c
+        self.den, (self.ints,) = _cleared([clean])
 
     @classmethod
-    def _of(cls, nvars, terms):
-        """Trusted constructor: terms is already clean (nonzero Fractions on
-        exponent tuples of length nvars) and is kept as it is, no copy."""
+    def _of(cls, nvars, den, ints):
+        """Trusted constructor: den > 0 and ints nonzero ints on exponent
+        tuples of length nvars, divided by their gcd and kept, no copy."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.den, (p.ints,) = _reduced(den, [ints])
         return p
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return cls._of(nvars, 1, {})
 
     @classmethod
     def const(cls, nvars, c):
@@ -487,7 +476,7 @@ class SparsePoly:
     def variable(cls, nvars, i):
         exps = [0] * nvars
         exps[i] = 1
-        return cls(nvars, {tuple(exps): ONE})
+        return cls._of(nvars, 1, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, nvars, exps, c=ONE):
@@ -497,38 +486,34 @@ class SparsePoly:
     def linear(cls, coeffs):
         """Linear form sum_i coeffs[i] * x_i."""
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * n
-                e[i] = 1
-                terms[tuple(e)] = Fraction(c)
-        return cls(n, terms)
+        return cls(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs) if c})
+
+    @property
+    def terms(self):
+        """{exponent tuple: nonzero Fraction}, built on each read."""
+        d = self.den
+        return {e: Fraction(c, d) for e, c in self.ints.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __eq__(self, other):
         return (isinstance(other, SparsePoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
+                and self.den == other.den and self.ints == other.ints)
 
     def __neg__(self):
-        return SparsePoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._of(self.nvars, self.den, {e: -c for e, c in self.ints.items()})
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
             other = SparsePoly.const(self.nvars, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SparsePoly._of(self.nvars, out)
+        d = lcm(self.den, other.den)
+        out = {e: d // self.den * c for e, c in self.ints.items()}
+        _muladd(out, {(0,) * self.nvars: d // other.den}, other.ints)
+        return SparsePoly._of(self.nvars, d, out)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SparsePoly) else SparsePoly.const(self.nvars, -Fraction(other)))
@@ -536,12 +521,13 @@ class SparsePoly:
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             c = Fraction(other)
-            return SparsePoly._of(self.nvars, {e: c * v for e, v in self.terms.items()}
-                                  if c else {})
-        return SparsePoly._of(self.nvars, _muladd({}, self.terms, other.terms))
+            p = c.numerator
+            return SparsePoly._of(self.nvars, self.den * c.denominator,
+                                  {e: p * v for e, v in self.ints.items()} if p else {})
+        return SparsePoly._of(self.nvars, self.den * other.den,
+                              _muladd({}, self.ints, other.ints))
 
-    def __rmul__(self, other):
-        return self * other
+    __rmul__ = __mul__
 
     def __pow__(self, k):
         if k < 0:
@@ -552,86 +538,69 @@ class SparsePoly:
         return acc
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.ints), default=0)
 
     def partial(self, i):
         """Formal partial derivative with respect to variable i."""
         out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
-        return SparsePoly._of(self.nvars, out)
+        for e, c in self.ints.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return SparsePoly._of(self.nvars, self.den, out)
 
     def eval_at(self, point):
         """Evaluate at a rational point given as a sequence."""
         point = [Fraction(x) for x in point]
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                for _ in range(k):
-                    v *= x
-            total += v
-        return total
+        return sum((c * prod(x ** k for x, k in zip(point, e))
+                    for e, c in self.ints.items()), ZERO) / self.den
 
     def leading(self):
         """Leading (exponents, coeff) in graded lex order; None for zero."""
-        if not self.terms:
+        if not self.ints:
             return None
-        e = max(self.terms, key=lambda t: (sum(t), t))
-        return e, self.terms[e]
+        e = max(self.ints, key=lambda t: (sum(t), t))
+        return e, Fraction(self.ints[e], self.den)
 
     def exact_div(self, divisor):
         """Exact polynomial quotient; raises ArithmeticError if not divisible."""
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot = SparsePoly(self.nvars)
-        rem = self
+        quot, rem = SparsePoly.zero(self.nvars), self
         lt_d, lc_d = divisor.leading()
-        while not rem.is_zero():
+        while rem:
             lt_r, lc_r = rem.leading()
             diff = tuple(a - b for a, b in zip(lt_r, lt_d))
             if any(d < 0 for d in diff):
                 raise ArithmeticError("inexact polynomial division")
             mono = SparsePoly.monomial(self.nvars, diff, lc_r / lc_d)
-            quot = quot + mono
-            rem = rem - divisor * mono
+            quot, rem = quot + mono, rem - divisor * mono
         return quot
 
     def coeff_vector(self, monomials):
         """Coefficients with respect to an ordered monomial list."""
-        return [self.terms.get(m, ZERO) for m in monomials]
+        d = self.den
+        return [_ratio(self.ints.get(m, 0), d) for m in monomials]
 
     def format(self, names=None):
-        if not self.terms:
+        if not self.ints:
             return "0"
         if names is None:
             names = ["x%d" % i for i in range(self.nvars)]
         parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(names[i])
-                elif k > 1:
-                    factors.append("%s^%d" % (names[i], k))
-            body = "*".join(factors)
+        for e in sorted(self.ints, key=lambda t: (sum(t), t), reverse=True):
+            c = Fraction(self.ints[e], self.den)
+            body = "*".join(names[i] if k == 1 else "%s^%d" % (names[i], k)
+                            for i, k in enumerate(e) if k)
             if not body:
                 chunk = format_rat(abs(c))
             elif abs(c) == 1:
                 chunk = body
             else:
                 chunk = "%s*%s" % (format_rat(abs(c)), body)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, chunk))
-        first_sign, first = parts[0]
-        text = ("-" if first_sign == "-" else "") + first
-        for sign, chunk in parts[1:]:
-            text += " %s %s" % (sign, chunk)
-        return text
+            parts.append(("-" if c < 0 else "+", chunk))
+        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+        return text + "".join(" %s %s" % part for part in parts[1:])
 
     def __str__(self):
         return self.format()
@@ -648,8 +617,8 @@ def generic_rank(mat):
     A nonzero polynomial pivot is generically invertible, so the count of
     pivots is the generic rank.
 
-    Runs on integer polynomials with packed monomials.  Each row is first
-    scaled to integer coefficients by the lcm of its denominators, which
+    Runs on integer polynomials with packed monomials.  Each row's forms are
+    first brought over one denominator, the lcm of theirs, which
     changes neither the rank nor any entry's term count, so the pivots are
     those of the rational elimination.  A monomial is one int: its total
     degree in the top field, then one field per exponent, x_0 first, so a
@@ -663,15 +632,15 @@ def generic_rank(mat):
     """
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    polys = [p for row in mat for p in row if p.terms]
+    polys = [p for row in mat for p in row if p.ints]
     if not polys:
         return 0
     pack, guard = _packing(polys[0].nvars,
                            2 * min(nrows, ncols) * max(p.total_degree() for p in polys))
     M = []
     for row in mat:
-        _, ints = _cleared(p.terms for p in row)
-        M.append([{pack(e): c for e, c in t.items()} for t in ints])
+        L = lcm(*(p.den for p in row))
+        M.append([{pack(e): c * (L // p.den) for e, c in p.ints.items()} for p in row])
     rank = 0
     prev = None
     for c in range(ncols):
@@ -698,24 +667,43 @@ def generic_rank(mat):
     return rank
 
 
-# Polynomials as {exponent tuple: nonzero coefficient} dicts: `SparsePoly`
-# multiplies its Fraction terms with `_muladd`, and the Poisson kernels clear
-# a polynomial's denominators once, run it on ints and build a Fraction only
-# for a coefficient they return.  The clearing rule `_cleared` is shared with
-# the tensor kernels.
+# Integer forms, whose rows are all lists of ints or all {key: int} dicts.
 
-def _cleared(dicts):
-    """(L, [d times L for d in dicts]) for {key: Fraction} dicts, L the lcm
-    of all their denominators; integer arithmetic only, keys keep their
-    order."""
-    dicts = list(dicts)
-    L = lcm(*(c.denominator for d in dicts for c in d.values()))
-    return L, [{k: c.numerator * (L // c.denominator) for k, c in d.items()}
-               for d in dicts]
+def _cleared(rows):
+    """(L, [row times L for row in rows]) for rows of rationals, all lists or
+    all {key: rational} dicts, L the lcm of all their denominators, so the
+    form has gcd 1 (a prime's highest power in L divides some denominator).
+    Integer arithmetic only; shapes and key order are kept."""
+    rows = list(rows)
+    dicts = bool(rows) and isinstance(rows[0], dict)
+    L = lcm(*(x.denominator for row in rows for x in (row.values() if dicts else row)))
+    if dicts:
+        return L, [{k: x.numerator * (L // x.denominator) for k, x in row.items()}
+                   for row in rows]
+    return L, [[x.numerator * (L // x.denominator) for x in row] for row in rows]
 
+
+def _reduced(den, rows):
+    """The form (den, rows) divided by its gcd: rows is a list or a dict of
+    rows, and comes back in its own shape, the very object when the gcd
+    is 1."""
+    if den == 1:
+        return den, rows
+    vecs = list(rows.values()) if isinstance(rows, dict) else rows
+    dicts = bool(vecs) and isinstance(vecs[0], dict)
+    g = gcd(den, *(x for v in vecs for x in (v.values() if dicts else v)))
+    if g == 1:
+        return den, rows
+    div = ([{k: x // g for k, x in v.items()} for v in vecs] if dicts
+           else [[x // g for x in v] for v in vecs])
+    return den // g, dict(zip(rows, div)) if isinstance(rows, dict) else div
+
+
+# Integer polynomials {exponent tuple: nonzero int}: a `SparsePoly`'s form,
+# and the Poisson kernels' partials and sums.
 
 def _muladd(acc, a, b, sign=1):
-    """acc += sign * a * b on polynomial dicts, in place; returns acc."""
+    """acc += sign * a * b on integer polynomial dicts, in place; returns acc."""
     for e1, c1 in a.items():
         c1 *= sign
         for e2, c2 in b.items():

@@ -166,8 +166,11 @@ def seeds_from_dict(doc, nvars):
     data = _require(doc, "seeds", "seeds")
     if not isinstance(data, list):
         raise ParseError("seeds must be a list", "seeds")
-    return [poly_from_list(nvars, entry, "seeds[%d]" % i)
-            for i, entry in enumerate(data)]
+    seeds = [poly_from_list(nvars, entry, "seeds[%d]" % i) for i, entry in enumerate(data)]
+    for i, seed in enumerate(seeds):
+        if seed.is_zero():
+            raise ParseError("a seed must be a nonzero polynomial", "seeds[%d]" % i)
+    return seeds
 
 
 def _read_json(path):

@@ -10,9 +10,10 @@ bracket at a covector.  Operators lift to derivations of the symmetric
 algebra; iterating a lifted operator on a central seed produces a
 Poisson-commutative family.
 
-The bracket and the centrality system run on the integer polynomials of
-`exact`, each input cleared once to integers over one denominator;
-`Fraction` is built only for a coefficient that is returned.
+The kernels read integer forms: each `SparsePoly`'s, and the table's over
+one denominator, formed once per structure.  The bracket, the centrality
+check and the lifted derivations take partials straight from a form; no
+kernel clears a polynomial.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
-from .exact import ZERO, SparsePoly, _cleared, _muladd, kernel_basis, rank_exact
+from .exact import ZERO, RatMatrix, SparsePoly, _muladd, kernel_basis, rank_exact
 from .tensors import StructureTensor, check_jacobi, is_lie, pair_table
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -44,6 +46,7 @@ class PoissonStructure:
 
     table maps (i, j) with i < j to the polynomial {x_i, x_j}; missing pairs
     bracket to zero.  jacobi_verified records the generator-triple check.
+    The kernels read table[(i, j)] as ints[(i, j)] / den, the table's form.
     """
 
     nvars: int
@@ -59,6 +62,9 @@ class PoissonStructure:
             if not p.is_zero():
                 clean[(i, j)] = p
         self.table = clean
+        self.den = den = lcm(*(p.den for p in clean.values()))
+        self.ints = {ij: {e: c * (den // p.den) for e, c in p.ints.items()}
+                     for ij, p in clean.items()}
         if self.names is not None:
             self.names = tuple(self.names)
 
@@ -73,16 +79,33 @@ class PoissonStructure:
 
 def poisson_bracket(struct, f, g):
     """Leibniz-extended bracket of two polynomials, summed on integers."""
-    n = struct.nvars
-    L, table = _cleared(p.terms for p in struct.table.values())
-    Lf, df = _cleared(f.partial(i).terms for i in range(n))
-    Lg, dg = _cleared(g.partial(i).terms for i in range(n))
+    df, dg = _gradient(f), _gradient(g)
     total = {}
-    for (i, j), b in zip(struct.table, table):
+    for (i, j), b in struct.ints.items():
         piece = _muladd(_muladd({}, df[i], dg[j]), df[j], dg[i], -1)
         if piece:
             _muladd(total, b, piece)
-    return SparsePoly._of(n, {e: Fraction(v, L * Lf * Lg) for e, v in total.items()})
+    return SparsePoly._of(struct.nvars, struct.den * f.den * g.den, total)
+
+
+def _gradient(f):
+    """The partials of f as integer polynomial dicts over f.den, x_0 first."""
+    grad = [{} for _ in range(f.nvars)]
+    for e, c in f.ints.items():
+        for i, k in enumerate(e):
+            if k:
+                grad[i][e[:i] + (k - 1,) + e[i + 1:]] = c * k
+    return grad
+
+
+def _derivation(images, den, f):
+    """sum_i images[i] * df/dx_i, each image an integer polynomial dict over
+    den: one integer accumulation."""
+    acc = {}
+    for image, part in zip(images, _gradient(f)):
+        if part:
+            _muladd(acc, image, part)
+    return SparsePoly._of(f.nvars, den * f.den, acc)
 
 
 def from_tensor(tensor):
@@ -133,14 +156,9 @@ def lift_operator(op, f):
     n = op.nrows
     if f.nvars != n:
         raise ValueError("variable count mismatch")
-    total = SparsePoly.zero(n)
-    for i in range(n):
-        di = f.partial(i)
-        if di.is_zero():
-            continue
-        image = SparsePoly.linear(op.col(i))
-        total = total + image * di
-    return total
+    units = [tuple(int(r == k) for k in range(n)) for r in range(n)]
+    return _derivation([{units[r]: x for r, x in enumerate(col) if x}
+                        for col in zip(*op.ints)], op.den, f)
 
 
 def lifted(op):
@@ -150,12 +168,9 @@ def lifted(op):
 
 def directional_derivative(gamma, f):
     """sum_i gamma_i df/dx_i (the frozen-direction derivative)."""
-    gamma = [Fraction(c) for c in gamma]
-    total = SparsePoly.zero(f.nvars)
-    for i, gi in enumerate(gamma):
-        if gi:
-            total = total + f.partial(i) * gi
-    return total
+    g = RatMatrix([gamma])
+    one = (0,) * f.nvars
+    return _derivation([{one: x} if x else {} for x in g.ints[0]], g.den, f)
 
 
 def directional(gamma):
@@ -173,24 +188,21 @@ class PCFamily:
     witness: tuple | None = None
 
 
-def _monomial_union(polys):
-    monos = sorted({m for p in polys for m in p.terms}, key=lambda t: (sum(t), t))
-    return monos
-
-
 def _independent(polys, candidate):
     """Whether candidate lies outside the span of the independent polys."""
     family = polys + [candidate]
-    monos = _monomial_union(family)
-    return rank_exact([p.coeff_vector(monos) for p in family]) > len(polys)
+    monos = sorted({m for p in family for m in p.ints}, key=lambda t: (sum(t), t))
+    return rank_exact([[p.ints.get(m, 0) for m in monos] for p in family]) > len(polys)
 
 
 def pc_generate(struct, operator, seeds):
     """Iterate a derivation on central seeds until linear dependence.
 
-    Each seed must commute with every generator (SeedNotCentral otherwise).
-    The literal operator orbit is returned, de-duplicated by linear span
-    across everything collected so far.
+    Each seed s must commute with every generator: {s, x_i} is entry i of
+    pi grad s = (sum_j {x_j, x_i} ds/dx_j)_i, so one gradient checks them
+    all, and SeedNotCentral names the first i that fails.  The literal
+    operator orbit is returned, de-duplicated by linear span across
+    everything collected so far.
     """
     n = struct.nvars
     gens = []
@@ -198,9 +210,14 @@ def pc_generate(struct, operator, seeds):
     for s_idx, seed in enumerate(seeds):
         if seed.nvars != n:
             raise ValueError("seed variable count mismatch")
-        for i in range(n):
-            if not poisson_bracket(struct, seed, SparsePoly.variable(n, i)).is_zero():
-                raise SeedNotCentral(s_idx, i)
+        grad = _gradient(seed)
+        image = [{} for _ in range(n)]
+        for (a, b), c in struct.ints.items():
+            _muladd(image[b], c, grad[a])
+            _muladd(image[a], c, grad[b], -1)
+        witness = next((i for i, v in enumerate(image) if v), None)
+        if witness is not None:
+            raise SeedNotCentral(s_idx, witness)
         current = seed
         power = 0
         while True:
@@ -248,11 +265,11 @@ def bihomogeneous_components(f, weights):
     if len(weights) != f.nvars:
         raise ValueError("weight count mismatch")
     buckets = {}
-    for e, c in f.terms.items():
+    for e, c in f.ints.items():
         w = sum(wi * ei for wi, ei in zip(weights, e))
         buckets.setdefault(w, {})[e] = c
-    return {w: SparsePoly(f.nvars, terms)
-            for w, terms in sorted(buckets.items())}
+    return {w: SparsePoly._of(f.nvars, f.den, ints)
+            for w, ints in sorted(buckets.items())}
 
 
 def centre_candidates(struct, max_degree=2):
@@ -260,17 +277,16 @@ def centre_candidates(struct, max_degree=2):
 
     Requires a linear bracket table (degree is then preserved, so centrality
     decouples by degree).  Returns the canonical kernel bases as polynomials,
-    lowest degree first.  The system is built on integers from the cleared
-    table, {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
+    lowest degree first.  The system is built from the table's integer form,
+    {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
     {monomial column: int} row per (generator, result monomial) pair; the
     canonical kernel basis does not depend on row order, row scaling or
     zero rows.
     """
     n = struct.nvars
-    _, table = _cleared(p.terms for p in struct.table.values())
-    # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's lcm
+    # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
     lin = [[{} for _ in range(n)] for _ in range(n)]
-    for (a, b), terms in zip(struct.table, table):
+    for (a, b), terms in struct.ints.items():
         for e, c in terms.items():
             if sum(e) != 1:
                 raise ValueError("centre candidates need a linear bracket table")

@@ -37,10 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-from .exact import ONE, ZERO, RatMatrix, _cleared, mat_commutator, rational_sqrt
+from .exact import ONE, ZERO, RatMatrix, _cleared, _reduced, mat_commutator, rational_sqrt
 
 TAG_DERIVATION = "derivation"
 TAG_SCALAR = "scalar-type"
@@ -225,16 +225,6 @@ class StructureTensor:
                                           for k, c in sorted(vec.items())))
                 for (i, j), vec in sorted(self.table.items()) if i < j or not self.is_skew()]
         return "StructureTensor(dim=%d, %s)" % (self.dim, "; ".join(bits))
-
-
-def _reduced(den, ints):
-    """The integer form (den, ints) divided by its gcd.  ints holds no zero
-    entries and no empty vectors."""
-    g = gcd(den, *(v for vec in ints.values() for v in vec.values()))
-    if g > 1:
-        den //= g
-        ints = {ij: {k: v // g for k, v in vec.items()} for ij, vec in ints.items()}
-    return den, ints
 
 
 def _same_form(x, y):

@@ -632,3 +632,46 @@ def test_cli_pc_check_names_an_empty_centre_search(workdir, capsys):
     argv = ["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--degree-bound", "1"]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", "input error: no seeds: empty centre up to degree 1\n")
+
+
+NO_SEED = {"seeds": [[]]}
+# the second seed's two terms cancel, so it reads as the zero polynomial
+CANCELLING_SEED = {"seeds": [[{"exponents": [1, 0, 1], "coeff": "4"},
+                              {"exponents": [0, 2, 0], "coeff": "1"}],
+                             [{"exponents": [0, 1, 0], "coeff": "1/2"},
+                              {"exponents": [0, 1, 0], "coeff": "-1/2"}]]}
+SL2_NILSQUARE = ["--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json"]
+NONLIE_ID = ["--algebra", "skew-nonlie.json", "--operator", "id4.json"]
+
+
+@pytest.mark.parametrize("argv, seeds, name", [
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--seed-file", "s.json"],
+     NO_SEED, "seeds[0]"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--seed-file", "s.json"],
+     CANCELLING_SEED, "seeds[1]"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--degree-bound", "0"],
+     None, "--degree-bound"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--degree-bound", "-1"],
+     None, "--degree-bound"),
+    (["report"] + SL2_NILSQUARE + ["--seed-file", "s.json"], NO_SEED, "seeds[0]"),
+    (["report"] + SL2_NILSQUARE + ["--seed-file", "s.json"], CANCELLING_SEED, "seeds[1]"),
+    (["report"] + SL2_NILSQUARE + ["--pc", "--degree-bound", "0"], None, "--degree-bound"),
+    (["report"] + NONLIE_ID + ["--pc", "--degree-bound", "-1"], None, "--degree-bound"),
+], ids=["pc-check-empty-seed", "pc-check-cancelling-seed", "pc-check-degree-bound-0",
+        "pc-check-degree-bound-negative", "report-empty-seed", "report-cancelling-seed",
+        "report-degree-bound-0", "report-degree-bound-non-lie"])
+def test_cli_family_check_refuses_seed_input_without_a_seed(workdir, capsys, argv, seeds,
+                                                            name):
+    # a zero seed, or a centre search below degree 1, would check an empty
+    # family and still report that it commutes
+    run(["example", "nilpotent-square", "sl", "2", "--partition", "2"])
+    (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
+    save_operator(RatMatrix.identity(4), workdir / "id4.json")
+    if seeds is not None:
+        (workdir / "s.json").write_text(json.dumps(seeds))
+    capsys.readouterr()
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert name in err

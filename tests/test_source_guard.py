@@ -13,6 +13,10 @@ anywhere inside the trusted constructors `_of`.  The integer-form slot
 `._integer` follows the same rule, and may also be written on `self` by
 its single cache fill, `integer_form`; likewise `.table` by its fill on
 first read, `__getattr__`, for a tensor built from its integer form alone.
+
+A second rule keeps a polynomial's storage inside `exact`: `poisson.py` and
+`analysis.py` read a `SparsePoly`'s integer form (`den`, `ints`), and neither
+imports the clearing rule `_cleared` nor reads `.terms`.
 """
 
 import ast
@@ -141,3 +145,34 @@ def test_no_table_or_terms_written_after_construction():
     found = {path.name: offences(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def form_offences(source):
+    """(line, what) of every import or read of the clearing rule `_cleared`
+    and every read of a `.terms` attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, "import " + a.name) for a in node.names
+                    if a.name == "_cleared"]
+        elif isinstance(node, ast.Attribute) and node.attr in ("_cleared", "terms"):
+            out.append((node.lineno, ast.unparse(node)))
+    return sorted(out)
+
+
+def test_poisson_and_analysis_read_polynomial_forms():
+    # the Poisson kernels and the index read a polynomial's integer form
+    # (den, ints); only `exact` clears `Fraction`s to such a form
+    source = """
+from .exact import SparsePoly, _cleared
+from . import exact
+def bracket(f, g):
+    L, df = exact._cleared(f.partial(0).terms for _ in g.ints)
+    return f.den * g.den, f.ints
+"""
+    assert form_offences(source) == [(2, "import _cleared"), (5, "exact._cleared"),
+                                     (5, "f.partial(0).terms")]
+    package = Path(liepencil.__file__).parent
+    found = {name: form_offences((package / name).read_text(encoding="utf-8"))
+             for name in ("poisson.py", "analysis.py")}
+    assert found == {"poisson.py": [], "analysis.py": []}
