@@ -206,7 +206,8 @@ def _reduce(rows):
 
     Rows are {column: entry} dicts or equal-length lists; either is cleared
     once to a {column: int} dict of its nonzero entries, scaled by the lcm
-    of their denominators.  holders[c] indexes the rows with a nonzero in
+    of their denominators, except an `_IntRows` list, which is eliminated
+    in place as it is.  holders[c] indexes the rows with a nonzero in
     column c and is kept current through fill-in and cancellation, so no
     zero entry is visited and an update touches only rows of its own
     connected component of the row/column graph: the components are
@@ -228,7 +229,10 @@ def _reduce(rows):
     for list rows.
     """
     listed = bool(rows) and not isinstance(rows[0], dict)
-    M = [_int_row(enumerate(row) if listed else row.items()) for row in rows]
+    if type(rows) is _IntRows:
+        M = rows
+    else:
+        M = [_int_row(enumerate(row) if listed else row.items()) for row in rows]
     holders = {}
     for i, row in enumerate(M):
         for c in row:
@@ -283,6 +287,14 @@ def _reduce(rows):
         ncols = len(rows[0])
         return pivots, [[M[p].get(j, 0) for j in range(ncols)] for p in used]
     return pivots, [M[p] for p in used]
+
+
+class _IntRows(list):
+    """Rows of {column: nonzero int} built for one elimination.  `_reduce`
+    (and so `kernel_basis` and `rank_exact`) takes them as they are, with
+    no cleared copy, and updates them in place: whoever built them must
+    not read them afterwards.  Rows of any other type are copied first and
+    never changed."""
 
 
 def _int_row(items):

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .exact import ZERO, RatMatrix, SparsePoly, _muladd, kernel_basis, rank_exact
+from .exact import ZERO, RatMatrix, SparsePoly, _IntRows, _muladd, kernel_basis, rank_exact
 from .tensors import StructureTensor, check_jacobi, is_lie, pair_table
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -279,9 +279,11 @@ def centre_candidates(struct, max_degree=2):
     decouples by degree).  Returns the canonical kernel bases as polynomials,
     lowest degree first.  The system is built from the table's integer form,
     {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
-    {monomial column: int} row per (generator, result monomial) pair; the
-    canonical kernel basis does not depend on row order, row scaling or
-    zero rows.
+    {monomial column: int} row per (generator, result monomial) pair.
+    Entries that cancel are dropped as the rows are built, and so are rows
+    left empty; `kernel_basis` takes the rows as `_IntRows`, without a
+    copy.  The canonical kernel basis does not depend on row order, row
+    scaling or zero rows.
     """
     n = struct.nvars
     # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
@@ -297,19 +299,33 @@ def centre_candidates(struct, max_degree=2):
     for d in range(1, max_degree + 1):
         monos = [tuple(_exps(n, combo)) for combo in
                  combinations_with_replacement(range(n), d)]
+        size = len(monos)
+        column = {m: col for col, m in enumerate(monos)}
+        # raised[b][k]: the column of b + e_k, for a monomial b of degree d - 1
+        raised = {}
+        # row i * size + column(r): generator i, result monomial r; terms[j]
+        # lists (i * size, k, c) for each {x_j, x_i} = ... + c x_k
         rows = {}
+        terms = [[(i * size, k, c) for i, vec in enumerate(lin_j) for k, c in vec.items()]
+                 for lin_j in lin]
         for col, m in enumerate(monos):
             for j, mj in enumerate(m):
                 if not mj:
                     continue
-                for i in range(n):
-                    for k, c in lin[j][i].items():
-                        rm = list(m)
-                        rm[j] -= 1
-                        rm[k] += 1
-                        row = rows.setdefault((i, tuple(rm)), {})
-                        row[col] = row.get(col, 0) + mj * c
-        for vec in kernel_basis(list(rows.values()), len(monos)):
+                base = m[:j] + (mj - 1,) + m[j + 1:]
+                up = raised.get(base)
+                if up is None:
+                    up = raised[base] = [column[base[:k] + (base[k] + 1,) + base[k + 1:]]
+                                         for k in range(n)]
+                for off, k, c in terms[j]:
+                    row = rows.setdefault(off + up[k], {})
+                    s = row.get(col, 0) + mj * c
+                    if s:
+                        row[col] = s
+                    else:
+                        del row[col]
+        system = _IntRows(row for row in rows.values() if row)
+        for vec in kernel_basis(system, size):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
     return out
 

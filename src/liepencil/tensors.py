@@ -22,8 +22,18 @@ sum_t c_t * O_t psi(A_t x, B_t y): the derived operation here, and the
 torsion, both sides of the exponential identities and the nilpotent-square
 checks elsewhere.  `tensor_combination`, `scale`, `check_skew` and equality
 work on integer forms; `check_jacobi` packs each vector of the form into
-one int, so a cyclic term is one big-int multiply-add; `classify_operator`
-solves its two-column pencil system on int vectors from one 2 x 2 minor.
+one int, so a cyclic term is one big-int multiply-add.
+
+`classify_operator` computes T'' = rho(D).T' the same way, in
+`_pencil_pass`: one packed int per basis pair, from at most 3n big-int
+multiply-adds where `contract` does up to 3n^2 dict updates.  T'' alone
+needs a width w with 2^(w-1) > 3 n B_D B_T' (B the largest integer entry),
+so its fields are balanced digits.  The pencil system T'' = a T + b T' is
+checked on the packed ints at a w that also covers the multiples the check
+takes (see `classify_operator`), with (a, b) from T'' at two coordinates,
+and `normalize_pencil`'s guard T''_1 == b_1 T'_1 runs on packed ints too.  The
+dict form of T'' is built, by `derived`, only when something reads it;
+a zero T'' (the quasi case) gets the empty form without it.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for tables
@@ -37,7 +47,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 from .exact import ONE, ZERO, RatMatrix, _cleared, _reduced, mat_commutator, rational_sqrt
@@ -87,7 +98,9 @@ class StructureTensor:
     library built clean, without a copy, or only an integer form.  A
     kernel result holds only its form: its `table` slot stays unset until
     the first read, when `__getattr__` builds the `Fraction` table from the
-    form and stores it, so every later read is a plain slot read.
+    form and stores it, so every later read is a plain slot read.  The
+    form itself may be deferred, as for the T'' of `classify_operator`: a
+    function in the `_integer` slot builds it on first use.
 
     Instances are immutable: every operation returns a new tensor, and no
     code assigns to or mutates `table` after construction, apart from that
@@ -126,7 +139,8 @@ class StructureTensor:
         table is kept as it is, no copy and no check.  A kernel that holds
         the table's integer form passes it as integer; with table None the
         form alone stands for the tensor, and the table is built from it
-        on first read."""
+        on first read.  integer may also be a zero-argument function that
+        returns the form, called on the form's first use."""
         t = object.__new__(cls)
         t.dim = dim
         t.labels = labels
@@ -142,7 +156,7 @@ class StructureTensor:
         if name != "table":
             raise AttributeError("%r object has no attribute %r"
                                  % (type(self).__name__, name))
-        den, ints = self._integer
+        den, ints = self.integer_form()
         self.table = {ij: {k: Fraction(v, den) for k, v in vec.items()}
                       for ij, vec in ints.items()}
         return self.table
@@ -152,12 +166,16 @@ class StructureTensor:
         denominator, table[(i, j)][k] == Fraction(ints[(i, j)][k], den).
 
         Keys keep the table's order.  den is the lcm of the table's
-        denominators unless a kernel handed over its own form.
+        denominators unless a kernel handed over its own form, or a
+        function that builds it, which runs here on the first call.
         """
-        if self._integer is None:
+        form = self._integer
+        if form is None:
             den, vecs = _cleared(self.table.values())
-            self._integer = den, dict(zip(self.table, vecs))
-        return self._integer
+            form = self._integer = den, dict(zip(self.table, vecs))
+        elif callable(form):
+            form = self._integer = form()
+        return form
 
     @classmethod
     def zero(cls, dim, labels=None):
@@ -187,7 +205,7 @@ class StructureTensor:
         return out
 
     def is_zero(self):
-        return not (self.table if self._integer is None else self._integer[1])
+        return not (self.table if self._integer is None else self.integer_form()[1])
 
     def is_skew(self):
         if self._skew is None:
@@ -286,16 +304,20 @@ def skew_table(upper):
     return table
 
 
+def _pairs(n, skew):
+    """The basis pairs (i, j) in row-major order; only i < j with skew."""
+    return ((i, j) for i in range(n) for j in range(i + 1 if skew else 0, n))
+
+
 def pair_table(n, entry, skew=False):
     """{(i, j): entry(i, j)} over basis pairs in row-major order, empty
     entries dropped.  With skew, only the pairs i < j are computed and the
     table is completed by `skew_table`."""
     table = {}
-    for i in range(n):
-        for j in range(i + 1 if skew else 0, n):
-            vec = entry(i, j)
-            if vec:
-                table[(i, j)] = vec
+    for i, j in _pairs(n, skew):
+        vec = entry(i, j)
+        if vec:
+            table[(i, j)] = vec
     return skew_table(table) if skew else table
 
 
@@ -320,6 +342,11 @@ def contract(tensor, terms):
     computation.  When psi is skew and the term
     list is unchanged by swapping A and B, the result is skew: only the
     pairs i < j are computed and `pair_table` mirrors them.
+
+    `derived`, the torsion and the exponential identities run here.
+    `classify_operator` runs T'' = rho(D).T' as packed ints instead
+    (`_pencil_pass`), and calls `derived` for the dict form of T'' only
+    when that tensor is read.
     """
     n = tensor.dim
     unit = [[(i, 1)] for i in range(n)]
@@ -428,7 +455,7 @@ def check_jacobi(tensor):
     n = tensor.dim
     skew = tensor.is_skew()
     _, tab = tensor.integer_form()
-    bound = max((abs(v) for vec in tab.values() for v in vec.values()), default=0)
+    bound = _largest(map(dict.values, tab.values()))
     w = (3 * n * bound * bound).bit_length()
     # column c lists, for each m, the vector T_mc packed into one int
     columns = [[0] * n for _ in range(n)]
@@ -473,6 +500,85 @@ def ad(tensor, x):
     return RatMatrix(rows)
 
 
+def _largest(rows):
+    """The largest |entry| of int rows (iterables of ints); 0 if there is none."""
+    return max(map(abs, chain.from_iterable(rows)), default=0)
+
+
+def _pencil_pass(t1, op, w):
+    """rho(D).T' as packed big ints, for `classify_operator` and its guard.
+
+    With T' = S / L and D = E / e as integer forms, rho(D).T' = X / (L e),
+    X_ij^r = sum_m S_ij^m E_rm - sum_k E_ki S_kj^r - sum_l E_lj S_il^r.
+    Each vector S_kl is packed into one int, sum_r S_kl^r * 2^(w r), and so
+    is each column m of E, Ecol_m; then X_ij packs into
+    sum_m S_ij^m Ecol_m - sum_k E_ki S_kj - sum_l E_lj S_il, one big-int
+    multiply-add per nonzero S_ij^m, E_ki and E_lj: at most 3n per pair,
+    against up to 3n^2 dict updates in `contract`.  Every |X_ij^r| is at
+    most 3 n B_E B_S, with B_E and B_S the largest |entry| of E and S; for
+    2^(w-1) > 3 n B_E B_S the fields are balanced (signed) digits.  A sum
+    of multiples of packed vectors packs the same sum of the vectors, and
+    when each of its fields is below 2^(w-1) in size it is 0 exactly when
+    every field is (the lowest nonzero field would need 2^w to divide it).
+
+    Returns (rows, entry): rows[k][l] is the packed S_kl (0 for an empty
+    vector) and entry(i, j) the packed X_ij of any ordered pair.
+    """
+    n = t1.dim
+    _, tab = t1.integer_form()
+    rows = [[0] * n for _ in range(n)]
+    for (k, l), vec in tab.items():
+        rows[k][l] = _packed(vec, w)
+    cols = [list(col) for col in zip(*rows)]
+    ecols = [sum(x << (w * r) for r, x in enumerate(col) if x) for col in zip(*op.ints)]
+    support = [([k for k, x in enumerate(col) if x], [x for x in col if x])
+               for col in zip(*op.ints)]
+    at = ecols.__getitem__
+    empty = {}
+
+    def entry(i, j):
+        vec = tab.get((i, j), empty)
+        ks, es = support[i]
+        ls, fs = support[j]
+        return (sum(map(mul, vec.values(), map(at, vec)))
+                - sum(map(mul, es, map(cols[j].__getitem__, ks)))
+                - sum(map(mul, fs, map(rows[i].__getitem__, ls))))
+
+    return rows, entry
+
+
+def _packed(vec, w):
+    """sum_r vec[r] * 2^(w r) for an int vector {r: v}."""
+    return sum(v << (w * r) for r, v in vec.items())
+
+
+def _second_entry(tab, E, i, j, r):
+    """X_ij^r of `_pencil_pass` from the form tab = S of T' and the int
+    rows E of D, computed on its own."""
+    empty = {}
+    return (sum(v * E[r][m] for m, v in tab.get((i, j), empty).items())
+            - sum(E[k][i] * tab.get((k, j), empty).get(r, 0) for k in range(len(E)))
+            - sum(E[l][j] * tab.get((i, l), empty).get(r, 0) for l in range(len(E))))
+
+
+class _SecondForm:
+    """The deferred integer form of T'' = rho(D).T' from `classify_operator`.
+
+    Called, it runs derived(T', D), so a T'' that is read has `derived`'s
+    key order.  packed is (w, rows, pairs) when the near case's
+    `_pencil_pass` holds T'' packed, pairs {(i, j): packed X_ij}, and
+    `normalize_pencil`'s guard reads that instead of the form.
+    """
+
+    __slots__ = ("t1", "op", "packed")
+
+    def __init__(self, t1, op):
+        self.t1, self.op, self.packed = t1, op, None
+
+    def __call__(self):
+        return derived(self.t1, self.op).integer_form()
+
+
 @dataclass
 class PencilAction:
     """Classification of an operator against a structure tensor.
@@ -496,40 +602,74 @@ class PencilAction:
 def classify_operator(tensor, op):
     """Classify D by solving rho(D)^2.T = a*T + b*rho(D).T exactly.
 
-    T, T' and T'' are flattened to int vectors v0, v1, v2 over one
-    denominator (the lcm of their integer forms'), one coordinate per
-    (i, j, k) in the union of their supports.  T' is a multiple of T when
-    every 2 x 2 minor on a fixed row p with v0[p] != 0 vanishes; otherwise
-    the first nonzero minor det, on rows p and q, gives the only candidate
-    (a, b) by Cramer's rule, and it solves the system when
-    a_num * v0 + b_num * v1 == det * v2 on every coordinate.
+    T' = rho(D).T comes from `derived`; T'' is never built as a table here.
+    With T = S0 / L0 and T' = S1 / L1 as integer forms, D = E / e and
+    T'' = X / (L1 e) as in `_pencil_pass`, the system is
+    det X = a_num S0 + b_num S1 over the integers, with
+    a = a_num L0 / (det L1 e) and b = b_num / (det e).  p is T's first
+    coordinate (i, j, k).  T' is a multiple of T when every 2 x 2 minor of
+    [S0 S1] on row p vanishes, read off the forms of T and T' alone; then
+    T'' is not computed.  Otherwise the first nonzero minor det, on rows p
+    and q, gives the only candidate (a_num, b_num) by Cramer's rule from X
+    at p and q (`_second_entry`), divided by the gcd of the three.  It
+    solves the system when det X_ij == a_num S0_ij + b_num S1_ij on every
+    pair (i, j): one comparison of packed ints per pair, and the first
+    pair that fails ends the pass (not near).  The pairs are i < j when T
+    is skew (T' and T'' are skew then too), else all.
+
+    Width.  Every |X_ij^r| is at most M = 3n max|E| max|S1| (see
+    `_pencil_pass`), so every field of det X_ij - a_num S0_ij - b_num S1_ij
+    is below |det| M + |a_num| max|S0| + |b_num| max|S1| in size.  The
+    pass packs at the w with 2^(w-1) above that sum, and so above M, which
+    is the bound T'' alone needs: each comparison is exact.
+
+    `second` is T'' with a deferred form.  It is built from derived(T', D)
+    only when something reads it (`.table`, `integer_form`, `==`), with the
+    key order `derived` gives.  A quasi T'' is 0: it gets the empty form
+    with no pass.  A near T'' keeps its packed pairs for the guard of
+    `normalize_pencil`.
     """
     t1 = derived(tensor, op)
     if t1.is_zero():
         return PencilAction(tensor, op, t1, t1, 1, TAG_DERIVATION)
-    t2 = derived(t1, op)
-    forms = [t.integer_form() for t in (tensor, t1, t2)]
-    den = lcm(*(d for d, _ in forms))
-    coords = {}
-    for s, (d, tab) in enumerate(forms):
-        f = den // d
-        for ij, vec in tab.items():
-            for k, v in vec.items():
-                coords.setdefault((ij, k), [0, 0, 0])[s] = f * v
-    rows = list(coords.values())
-    p0, p1, p2 = next(row for row in rows if row[0])   # T != 0, else T' = 0
-    q = next((row for row in rows if p0 * row[1] != p1 * row[0]), None)
+    n = tensor.dim
+    L0, tab0 = tensor.integer_form()
+    L1, tab1 = t1.integer_form()
+    empty = {}
+    ijp, vec = next(iter(tab0.items()))        # T != 0, else T' = 0
+    kp, s0 = next(iter(vec.items()))
+    s1 = tab1.get(ijp, empty).get(kp, 0)
+    q = next(((ij, k) for tab in (tab1, tab0) for ij, vec in tab.items() for k in vec
+              if s0 * tab1.get(ij, empty).get(k, 0) != s1 * tab0.get(ij, empty).get(k, 0)),
+             None)
+    pending = _SecondForm(t1, op)
+    t2 = StructureTensor._of(n, None, tensor.labels, pending)
     if q is None:
-        return PencilAction(tensor, op, t1, t2, 1, TAG_SCALAR, scalar=Fraction(p1, p0))
-    q0, q1, q2 = q
-    det = p0 * q1 - p1 * q0
-    a_num = p2 * q1 - p1 * q2
-    b_num = p0 * q2 - p2 * q0
-    if any(a_num * x0 + b_num * x1 != det * x2 for x0, x1, x2 in rows):
-        return PencilAction(tensor, op, t1, t2, 2, TAG_NOT_NEAR)
-    a, b = Fraction(a_num, det), Fraction(b_num, det)
+        return PencilAction(tensor, op, t1, t2, 1, TAG_SCALAR,
+                            scalar=Fraction(s1 * L0, s0 * L1))
+    ijq, kq = q
+    r0, r1 = tab0.get(ijq, empty).get(kq, 0), tab1.get(ijq, empty).get(kq, 0)
+    s2, r2 = _second_entry(tab1, op.ints, *ijp, kp), _second_entry(tab1, op.ints, *ijq, kq)
+    det, a_num, b_num = s0 * r1 - s1 * r0, s2 * r1 - s1 * r2, s0 * r2 - s2 * r0
+    g = gcd(det, a_num, b_num)
+    det, a_num, b_num = det // g, a_num // g, b_num // g
+    b1 = _largest(map(dict.values, tab1.values()))
+    bound = (abs(det) * 3 * n * _largest(op.ints) * b1 + abs(b_num) * b1
+             + abs(a_num) * _largest(map(dict.values, tab0.values())))
+    w = bound.bit_length() + 1
+    rows, entry = _pencil_pass(t1, op, w)
+    packed0 = {ij: _packed(vec, w) for ij, vec in tab0.items()} if a_num else empty
+    pairs = {}
+    for i, j in _pairs(n, tensor.is_skew()):
+        x = entry(i, j)
+        if det * x != a_num * packed0.get((i, j), 0) + b_num * rows[i][j]:
+            return PencilAction(tensor, op, t1, t2, 2, TAG_NOT_NEAR)
+        pairs[(i, j)] = x
+    a, b = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
     if a == 0 and b == 0:
-        return PencilAction(tensor, op, t1, t2, 2, TAG_QUASI, a=a, b=b)
+        zero = StructureTensor._of(n, None, tensor.labels, (1, {}))
+        return PencilAction(tensor, op, t1, zero, 2, TAG_QUASI, a=a, b=b)
+    pending.packed = w, rows, pairs
     return PencilAction(tensor, op, t1, t2, 2, TAG_NEAR, a=a, b=b)
 
 
@@ -557,8 +697,49 @@ class NormalizedPencil:
         return (ZERO, self.b)
 
 
+def _second_is_multiple(t2, t1, op, c, skew):
+    """Whether T'' == c * T' for T'' = rho(D).T': the guard of
+    `normalize_pencil`.
+
+    With c = p / q, T' = S / L and T'' = X / (L e) as in `_pencil_pass`,
+    this is q X_ij == p e S_ij on every pair (i, j), i < j for skew.  Every
+    field of the difference is below (3n q max|E| + |p| e) max|S| in size,
+    so each pair is one comparison of packed ints at a width w with 2^(w-1)
+    above that.  T'' is rho(D).T' itself when t2 is None or is the deferred
+    T'' `classify_operator` made from this T' and D: its packed pairs are
+    read when they are that wide, else a pass packs T'' at w.  Any other
+    t2 is compared with c * T' on its integer form.
+    """
+    n = t1.dim
+    L, tab = t1.integer_form()
+    p, q, e = c.numerator, c.denominator, op.den
+    pending = None if t2 is None else t2._integer
+    if isinstance(pending, _SecondForm) and pending.t1 is t1 and pending.op is op:
+        t2 = None
+    if t2 is not None:
+        scaled = ({ij: {k: p * v for k, v in vec.items()} for ij, vec in tab.items()}
+                  if p else {})
+        return _same_form(t2.integer_form(), (q * L, scaled))
+    bound = (3 * n * q * _largest(op.ints) + abs(p) * e) * _largest(map(dict.values, tab.values()))
+    w = bound.bit_length() + 1
+    if pending is not None and pending.packed and pending.packed[0] >= w:
+        _, rows, packed = pending.packed
+        pairs = packed.items()
+    else:
+        rows, entry = _pencil_pass(t1, op, w)
+        pairs = ((ij, entry(*ij)) for ij in _pairs(n, skew))
+    pe = p * e
+    return all(q * x == pe * rows[i][j] for (i, j), x in pairs)
+
+
 def normalize_pencil(action):
-    """Normalize a quasi or near pencil action; may raise IrrationalEigenvalues."""
+    """Normalize a quasi or near pencil action; may raise IrrationalEigenvalues.
+
+    The guard rho(D1)^2.T == bnew * rho(D1).T runs on packed ints
+    (`_second_is_multiple`) and raises IdentityFailed, also under -O.  The
+    second degenerate line, bnew * T - rho(D1).T, gets its form only when
+    it is read.
+    """
     if action.tag not in (TAG_QUASI, TAG_NEAR):
         raise ValueError("only quasi and near actions normalize (got %r)" % action.tag)
     a, b = action.a, action.b
@@ -576,19 +757,17 @@ def normalize_pencil(action):
     else:
         d1 = action.operator + RatMatrix.identity(action.operator.nrows).scale(lam1)
         t1 = derived(action.tensor, d1)
-        t2 = derived(t1, d1)
+        t2 = None
     bnew = lam2 - lam1
-    # the guard t2 == bnew * t1, on integer forms: bnew = p / q and
-    # t1 = ints1 / d1, so bnew * t1 = (p * ints1) / (q * d1)
-    d1, ints1 = t1.integer_form()
-    p, q = bnew.numerator, bnew.denominator
-    scaled = {ij: {k: p * v for k, v in vec.items()} for ij, vec in ints1.items()} if p else {}
-    if not _same_form(t2.integer_form(), (q * d1, scaled)):
+    if not _second_is_multiple(t2, t1, d1, bnew, action.tensor.is_skew()):
         raise IdentityFailed("pencil normalization failed")
     mode = MODE_NILPOTENT if bnew == 0 else MODE_SEMISIMPLE
     lines = [t1]
     if mode == MODE_SEMISIMPLE:
-        lines.append(tensor_combination([(bnew, action.tensor), (-ONE, t1)]))
+        # bnew * T - T', its form deferred until the line is read
+        combination = [(bnew, action.tensor), (-ONE, t1)]
+        lines.append(StructureTensor._of(t1.dim, None, action.tensor.labels,
+                                         lambda: tensor_combination(combination).integer_form()))
     return NormalizedPencil(lam1, lam2, d1, mode, action.tensor, t1, bnew, lines)
 
 

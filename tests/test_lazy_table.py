@@ -11,7 +11,11 @@ stores it in the slot.  The tests below check, on generated inputs, that:
 * that table equals a `Fraction` reference for every producer;
 * `classify_operator` plus `normalize_pencil` on the dense sl3 operator of
   the golden fixtures never builds the table of T', T'' or the second
-  degenerate line, which the classify path reads only through their forms.
+  degenerate line, which the classify path reads only through their forms;
+* on dense conjugated Z4-grading operators of gl4 and sl4 the packed pass
+  gives the known answers without ever running the dict route for T'',
+  and a later read of T'' has the table of derived(T', D), key order
+  included.
 """
 
 from fractions import Fraction
@@ -21,11 +25,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+import liepencil.tensors as kernels
 from liepencil.constructions import build_classical
+from liepencil.exact import ZERO, RatMatrix, nilpotent_exp
 from liepencil.io import operator_from_dict
 from liepencil.nijenhuis import torsion
-from liepencil.tensors import (TAG_NEAR, StructureTensor, classify_operator, derived,
-                               normalize_pencil, tensor_combination)
+from liepencil.tensors import (MODE_SEMISIMPLE, TAG_NEAR, StructureTensor, ad,
+                               classify_operator, derived, normalize_pencil,
+                               tensor_combination)
 
 from test_cli_golden import FILES
 from test_contract_oracle import reference_contract
@@ -121,3 +128,58 @@ def test_classify_builds_no_table_it_does_not_read():
     # a read still gives the table, built once
     assert action.second.table == derived(action.derived, op).table
     assert materialised(action.second)
+
+
+def conjugated_grading(tensor, signs):
+    """D = A G A^-1 on gl_n or sl_n: G is the Z4 grading w(E_ij) = (i - j)
+    mod 4 (0 on every H_k), and A = exp(ad x) exp(ad y), an automorphism, for
+    x strictly upper and y strictly lower triangular with entries from
+    signs.  D has the class of G: near, (a, b) = (0, -4)."""
+    labels = tensor.labels
+    weights = [(int(s[1]) - int(s[2])) % 4 if s[0] == "E" else 0 for s in labels]
+    signs = iter(signs)
+    x = [Fraction(next(signs)) if s[0] == "E" and s[1] < s[2] else ZERO for s in labels]
+    y = [Fraction(next(signs)) if s[0] == "E" and s[1] > s[2] else ZERO for s in labels]
+    ax, ay = ad(tensor, x), ad(tensor, y)
+    A = nilpotent_exp(ax, 1) * nilpotent_exp(ay, 1)
+    A_inv = nilpotent_exp(ay, -1) * nilpotent_exp(ax, -1)
+    return A * RatMatrix.diagonal(weights) * A_inv
+
+
+@pytest.mark.parametrize("family", ["gl", "sl"])
+def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
+    # the classify-dense workload's operators, built here: the known answers
+    # hold, T'' is never built by the dict route on the way, and a later
+    # read gives exactly derived(T', D)'s table
+    tensor = build_classical(family, 4)
+    op = conjugated_grading(tensor, [1, -1, -1, 1, 1, -1, 1, 1, -1, -1, 1, -1])
+    assert op.den > 100 and all(all(row) for row in op.ints[:4])   # dense, rational
+    contracted = []
+    real_contract = kernels.contract
+    monkeypatch.setattr(kernels, "contract",
+                        lambda t, terms: contracted.append(t) or real_contract(t, terms))
+    action = classify_operator(tensor, op)
+    norm = normalize_pencil(action)
+    assert (action.tag, action.a, action.b) == (TAG_NEAR, 0, -4)
+    assert (norm.mode, len(norm.degenerate_lines)) == (MODE_SEMISIMPLE, 2)
+    assert contracted == [tensor]            # T' only
+    assert not materialised(action.second)
+    table = action.second.table
+    assert contracted == [tensor, action.derived]
+    assert layout(table) == layout(derived(action.derived, op).table)
+
+
+def test_quasi_second_is_empty_without_a_pass(monkeypatch):
+    # (ad e)^2 on sl2 is quasi: T'' = 0 comes with the empty form, and no
+    # read of it runs the dict route
+    tensor = build_classical("sl", 2)
+    e = ad(tensor, [Fraction(1), ZERO, ZERO])
+    contracted = []
+    real_contract = kernels.contract
+    monkeypatch.setattr(kernels, "contract",
+                        lambda t, terms: contracted.append(t) or real_contract(t, terms))
+    action = classify_operator(tensor, e * e)
+    assert action.tag == "quasi"
+    assert action.second.is_zero() and action.second.table == {}
+    assert action.second.integer_form() == (1, {})
+    assert contracted == [tensor]

@@ -6,7 +6,7 @@ components whose rows and columns are permuted, with zero and duplicate
 rows, on all-zero systems and on one dense component, the pivots, the
 reduced rows, the ranks and the kernel bases must equal the reference's,
 whether the rows arrive as lists or as {column: entry} dicts, with int or
-`Fraction` entries.
+`Fraction` entries, or as `_IntRows` that the elimination takes uncopied.
 """
 
 from fractions import Fraction
@@ -17,7 +17,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from liepencil.exact import ONE, ZERO, _ratio, _reduce, kernel_basis, rank_exact
+from liepencil.exact import (ONE, ZERO, _IntRows, _ratio, _reduce, kernel_basis,
+                             rank_exact)
 
 # the example budget is the "liepencil" profile in conftest.py
 
@@ -149,6 +150,21 @@ def test_dict_rows_match_the_dense_reference(rows):
     assert normalised(R, pivots, ncols) == normalised(ref_R, ref_pivots, ncols)
     assert rank_exact(sparse) == len(ref_pivots)
     assert kernel_basis(sparse, ncols) == reference_kernel(rows, ncols)
+
+
+@given(systems())
+def test_owned_int_rows_match_the_dense_reference(rows):
+    # `_IntRows` of {column: nonzero int} are eliminated in place, uncopied
+    ncols = len(rows[0])
+    ref_pivots, ref_R = reference_reduce(rows)
+    L = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    owned = _IntRows({j: int(x * L) for j, x in row.items()} for row in as_dicts(rows))
+    pivots, R = _reduce(owned)
+    assert pivots == ref_pivots
+    assert normalised(R, pivots, ncols) == normalised(ref_R, ref_pivots, ncols)
+    assert all(any(row is mine for mine in owned) for row in R)    # the list's own rows
+    scaled = _IntRows({j: int(x * L) for j, x in row.items()} for row in as_dicts(rows))
+    assert kernel_basis(scaled, ncols) == reference_kernel(rows, ncols)
 
 
 def test_empty_and_all_zero_dict_systems():

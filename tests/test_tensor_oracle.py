@@ -1,10 +1,15 @@
-"""The integer kernels `derived` and `check_jacobi` against Fraction references.
+"""The integer kernels `derived`, `check_jacobi` and `classify_operator`
+against Fraction references.
 
-The references below are the plain Fraction versions of the two kernels.
+The references below are the plain Fraction versions of the kernels.
 The library runs the same loops on integers over one common denominator, so
 on generated tensors (skew and not, mixed denominators, zero entries, Lie and
 forced non-Lie) and generated operators the results must agree exactly:
 equal tables with the same key order, and the same verdict and witness.
+`classify_operator` runs its pencil system on packed ints; its tag, dim_u,
+(a, b), scalar and T'' must equal a Gram-matrix solve on the two reference
+derived tensors, on hand-made pencils of every tag moved to random bases and
+scaled, some far enough that the packed fields of T'' pass 64 bits.
 Hypothesis is test-only; the library itself stays stdlib-only.
 """
 
@@ -16,7 +21,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from liepencil.exact import ZERO, RatMatrix
-from liepencil.tensors import (StructureTensor, check_jacobi, derived,
+from liepencil.tensors import (IrrationalEigenvalues, StructureTensor, ad, check_jacobi,
+                               classify_operator, derived, normalize_pencil,
                                tensor_combination)
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -241,3 +247,149 @@ def test_derived_is_linear_in_operator(tensor, data):
     lhs = derived(tensor, d1 + d2.scale(c))
     rhs = tensor_combination([(1, derived(tensor, d1)), (c, derived(tensor, d2))])
     assert lhs == rhs
+
+
+# classify_operator against a Fraction reference.  The library solves the
+# pencil system on packed ints; the reference takes T' and T'' from
+# reference_derived and solves T'' = a T + b T' through the Gram matrix of
+# T and T', a different method with the same unique answer.
+
+def dot(x, y):
+    """Sum of products of matching entries of two Fraction tables."""
+    return sum((c * y.get(ij, {}).get(k, 0) for ij, vec in x.items() for k, c in vec.items()),
+               Fraction(0))
+
+
+def reference_combination(pairs):
+    """sum_t c_t * table_t in Fraction arithmetic, zeros dropped."""
+    acc = {}
+    for c, table in pairs:
+        for ij, vec in table.items():
+            for k, v in vec.items():
+                slot = acc.setdefault(ij, {})
+                slot[k] = slot.get(k, 0) + c * v
+    return {ij: {k: v for k, v in vec.items() if v} for ij, vec in acc.items()
+            if any(vec.values())}
+
+
+def reference_classify(tensor, op):
+    """(tag, dim_u, a, b, scalar) and the table of T'' from reference_derived."""
+    t0 = tensor.table
+    t1 = reference_derived(tensor, op)
+    t2 = reference_derived(t1, op).table
+    t1 = t1.table
+    if not t1:
+        return ("derivation", 1, None, None, None), t2
+    g00, g01, g11 = dot(t0, t0), dot(t0, t1), dot(t1, t1)
+    gram = g00 * g11 - g01 * g01
+    if not gram:                 # T' = s T by Cauchy-Schwarz
+        s = g01 / g00
+        assert reference_combination([(s, t0), (-1, t1)]) == {}
+        return ("scalar-type", 1, None, None, s), t2
+    r0, r1 = dot(t0, t2), dot(t1, t2)
+    a = (r0 * g11 - r1 * g01) / gram
+    b = (g00 * r1 - g01 * r0) / gram
+    if reference_combination([(a, t0), (b, t1), (-1, t2)]):
+        return ("not-near", 2, None, None, None), t2
+    return ("quasi" if a == 0 and b == 0 else "near", 2, a, b, None), t2
+
+
+def unit_operator(n, entries):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, c in entries:
+        rows[i][j] = Fraction(c)
+    return RatMatrix(rows)
+
+
+def lie_with_inner(algebra):
+    """A Lie algebra with ad of its first basis vector plus its second."""
+    tensor = standard(algebra)
+    x = [Fraction(int(i < 2)) for i in range(tensor.dim)]
+    return tensor, ad(tensor, x)
+
+
+SL2 = (3, [(0, 1, 0, -2), (0, 2, 1, 1), (1, 2, 2, -2)])     # e, h, f as in LIE
+# (tag, tensor, operator) on standard bases; adding lambda * I to D keeps a
+# derivation's T' a multiple of T, and turns a quasi pencil into a near one
+# with a double root
+PENCIL_SEEDS = [
+    ("derivation",) + lie_with_inner(LIE[0]),
+    ("derivation",) + lie_with_inner(LIE[3]),
+    ("derivation", StructureTensor(2, {(0, 0): {0: 1}}), unit_operator(2, [(1, 1, 1)])),
+    ("quasi", standard(SL2), unit_operator(3, [(0, 2, -2)])),        # (ad e)^2
+    ("quasi", StructureTensor(2, {(0, 0): {0: 1}}), unit_operator(2, [(1, 0, 1)])),
+    ("near", standard(SL2), RatMatrix.diagonal([1, 0, 1])),
+    ("near", StructureTensor(2, {(0, 0): {0: 1, 1: 1}}), RatMatrix.diagonal([1, 3])),
+    ("near", standard(LIE[3]), RatMatrix.diagonal([0, 0, 1, 0, 2])),   # levels 1 and 2
+    ("not-near", standard(SL2), unit_operator(3, [(0, 1, 1), (0, 0, 1)])),
+    # levels 2 and -1 off the diagonal fit (a, b) = (2, 1); level -2 on (1, 1) does not
+    ("not-near", StructureTensor(3, {(0, 1): {2: 1}, (1, 2): {2: 1}, (1, 1): {0: 1}}),
+     RatMatrix.diagonal([0, 1, 3])),
+    # levels -2 and -3 fit (a, b) = (-6, -5); on (2, 2) the check's fields
+    # are -3072 and 12, which a carry cancels at the 8-bit width T'' alone
+    # needs (12 * 2^8 = 3072): the check must pack wider than that
+    ("not-near", StructureTensor(3, {(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 2): {0: -512, 1: 1}}),
+     RatMatrix.diagonal([2, 3, 1])),
+]
+
+# nonzero scales, small or near 2^40
+SCALES = st.one_of(NONZERO, st.builds(lambda sign, p, q: sign * Fraction(p, q),
+                                      st.sampled_from([1, -1]),
+                                      st.integers(2 ** 35, 2 ** 45), st.integers(1, 10 ** 4)))
+
+
+@pytest.mark.parametrize("tag, tensor, op", PENCIL_SEEDS)
+def test_classify_pencil_seeds(tag, tensor, op):
+    expected, second = reference_classify(tensor, op)
+    assert expected[0] == tag
+    act = classify_operator(tensor, op)
+    assert (act.tag, act.dim_u, act.a, act.b, act.scalar) == expected
+    assert act.second.table == second
+
+
+def check_classify(tensor, op):
+    expected, second = reference_classify(tensor, op)
+    act = classify_operator(tensor, op)
+    assert (act.tag, act.dim_u, act.a, act.b, act.scalar) == expected
+    if act.tag in ("quasi", "near"):
+        try:
+            norm = normalize_pencil(act)    # its guard raises IdentityFailed on a bad T''
+        except IrrationalEigenvalues:
+            pass
+        else:
+            assert (norm.mode == "nilpotent") is (norm.b == 0)
+    assert act.second.table == second
+    assert all(type(c) is Fraction for vec in act.second.table.values() for c in vec.values())
+    return act
+
+
+@given(tensors(), st.data())
+def test_classify_matches_reference(tensor, data):
+    check_classify(tensor, data.draw(operators(tensor.dim), label="op"))
+
+
+@pytest.mark.parametrize("tag, tensor, op", PENCIL_SEEDS)
+@given(c=SCALES, shift=st.one_of(st.just(Fraction(0)), ENTRIES), t_scale=SCALES,
+       data=st.data())
+def test_classify_matches_reference_on_moved_pencils(tag, tensor, op, c, shift, t_scale, data):
+    # c D + shift I on a basis moved by P, with T scaled: every tag, skew and
+    # not, with mixed denominators and small or large entries
+    n = tensor.dim
+    P = data.draw(change_of_basis(n), label="P")
+    moved = transport(tensor, P).scale(t_scale)
+    D = P.inverse() * (op.scale(c) + RatMatrix.identity(n).scale(shift)) * P
+    check_classify(moved, D)
+
+
+@pytest.mark.parametrize("tag, tensor, op", PENCIL_SEEDS)
+def test_classify_with_fields_past_64_bits(tag, tensor, op):
+    # D scaled by about 2^37 and T by about 2^28: T'' needs packed fields of
+    # more than 64 bits, 2^(w-1) > 3 n max|E| max|S1|; the shift by I/3
+    # keeps T' nonzero for every seed
+    n = tensor.dim
+    D = op.scale(Fraction(2 ** 40 + 1, 7)) + RatMatrix.identity(n).scale(Fraction(1, 3))
+    act = check_classify(tensor.scale(Fraction(2 ** 30, 5)), D)
+    _, s1 = act.derived.integer_form()
+    widest = 3 * n * max(abs(x) for row in D.ints for x in row) * max(
+        abs(v) for vec in s1.values() for v in vec.values())
+    assert widest.bit_length() > 64

@@ -4,13 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import liepencil
 from liepencil.exact import RatMatrix, mat_commutator
-from liepencil.tensors import (IrrationalEigenvalues, PreconditionViolated,
+from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues, PreconditionViolated,
                                StructureTensor, ad, check_jacobi, check_skew,
                                check_vanishing_propagation, classify_operator,
                                derived, derived_iter, is_derivation, is_lie,
@@ -198,6 +199,20 @@ def test_normalize_refuses_other_tags():
         normalize_pencil(act)
 
 
+def test_normalize_guard_widens_narrow_stored_pairs():
+    # near (1, 0) on [x0, x0] = -2 x0 + x1 with D = diag(1, 3).  Claiming
+    # a = 0 and b = (q - 2) / q for q = 2^(w-1) + 1, w the width T'' was
+    # packed at, makes the guard's fields -2^(w+1) and 2 on the one nonzero
+    # pair, which a carry cancels at width w: the guard must pack wider
+    t = StructureTensor(2, {(0, 0): {0: F(-2), 1: F(1)}})
+    act = classify_operator(t, RatMatrix.diagonal([1, 3]))
+    assert (act.tag, act.a, act.b) == ("near", 1, 0)
+    w = act.second._integer.packed[0]
+    q = 2 ** (w - 1) + 1
+    with pytest.raises(IdentityFailed):
+        normalize_pencil(replace(act, a=F(0), b=F(q - 2, q)))
+
+
 # asserts are stripped under -O, so the script reports through its exit code
 OPTIMIZED_GUARD_SCRIPT = """
 import sys
@@ -210,10 +225,14 @@ if __debug__:
 act = classify_operator(build_classical("sl", 2), RatMatrix.diagonal([1, 0, 1]))
 if (act.tag, act.a, act.b) != ("near", 0, -2):
     sys.exit("unexpected classification")
-try:
-    normalize_pencil(replace(act, b=act.b - 1))
-except IdentityFailed:
-    print("raised")
+# the packed T'' of 2 D, four times this one's, stands in for T''; a = -1
+# moves both roots to -1, so the guard checks the pencil of D + I
+other = classify_operator(build_classical("sl", 2), RatMatrix.diagonal([2, 0, 2])).second
+for wrong in (replace(act, b=act.b - 1), replace(act, second=other), replace(act, a=act.a - 1)):
+    try:
+        normalize_pencil(wrong)
+    except IdentityFailed:
+        print("raised")
 """
 
 
@@ -224,7 +243,7 @@ def test_normalize_guard_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARD_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised"] * 3
 
 
 def test_vanishing_propagation():
