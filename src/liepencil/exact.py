@@ -10,7 +10,8 @@ modules read the forms, `den` and `ints`.  Elimination over Q runs on
 integers too: one sparse Gauss-Jordan routine takes list or {column: entry}
 dict rows (a matrix hands over its form), clears each once to a dict of its
 nonzero ints and visits no zero entry, so the connected components of a
-sparse system are eliminated independently.  `rref`, `rank_exact`,
+sparse system are eliminated independently; rows with one nonzero entry
+are pivots before any arithmetic.  `rref`, `rank_exact`,
 `kernel_basis`, `coordinates` and `RatMatrix.inverse` build a `Fraction`
 only for an entry they return.  `coordinates` reduces a basis once and
 reads every target from that reduction; `solve_columns` is its one-target
@@ -18,7 +19,8 @@ use.  `generic_rank` runs Bareiss elimination on integer polynomials with
 each monomial packed into one int (the total degree in the top field, then
 the exponents), each field sized for the largest degree a product can
 reach plus one spare bit that the exact quotient uses to detect a negative
-exponent; a quotient that leaves Z[x] raises ArithmeticError.
+exponent; a quotient that leaves Z[x] raises ArithmeticError.  The same
+packing (`_packing`, `_pmuladd`) carries `poisson.pc_verify`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ ONE = Fraction(1)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(_INTEGER.pattern + r"(?:/[0-9]+)?")
+_RATIONAL = re.compile("(%s)(?:/([0-9]+))?" % _INTEGER.pattern)
 
 
 def parse_rat(text):
@@ -41,10 +43,21 @@ def parse_rat(text):
     digits, and an optional "/" followed by ASCII digits, with surrounding
     whitespace stripped.  Anything else (decimals, exponents, underscores,
     other digits) raises ValueError, and q = 0 raises ZeroDivisionError."""
+    return Fraction(*_parse_rat_form(text))
+
+
+def _parse_rat_form(text):
+    """(p, q) ints of a rational written as `parse_rat` reads it, q > 0 and
+    not reduced: one regex match, and no `Fraction`."""
     text = str(text).strip()
-    if not _RATIONAL.fullmatch(text):
+    m = _RATIONAL.fullmatch(text)
+    if not m:
         raise ValueError("not a rational p or p/q: %r" % (text,))
-    return Fraction(text)
+    p, q = m.group(1, 2)
+    q = int(q or 1)
+    if not q:
+        raise ZeroDivisionError("rational with denominator 0: %r" % (text,))
+    return int(p), q
 
 
 def format_rat(x):
@@ -211,17 +224,23 @@ def _reduce(rows):
     column c and is kept current through fill-in and cancellation, so no
     zero entry is visited and an update touches only rows of its own
     connected component of the row/column graph: the components are
-    eliminated independently.  Pivots are taken in ascending column order,
-    each in the shortest unused row with a nonzero there (it fills in
-    least), and each clears its column from the unused rows.  Then, last
-    pivot first, each pivot clears its column from the earlier pivot rows;
-    a pivot row is by then free of every later pivot column, so this
-    back-substitution adds no entry in a pivot column, and it updates fewer
-    and shorter rows than clearing above each pivot as it is taken.  Every
-    updated row is divided by its content (the gcd of its entries), which
-    keeps the entries bounded by minors of the scaled matrix.  The reduced
-    row echelon form is canonical, so neither the row order nor the choice
-    of pivot row changes the result.
+    eliminated independently.  First a presolve: a row with one nonzero
+    entry forces its column to 0, so it is that column's pivot row, and the
+    column is deleted from every other row, with no arithmetic; each
+    touched row is divided by its content, and a row left with one entry
+    joins the queue, so the presolve cascades.  On the rest, pivots are
+    taken in ascending column order, each in the shortest unused row with a
+    nonzero there (it fills in least), and each clears its column from the
+    unused rows.  Then, last pivot first, each pivot clears its column from
+    the earlier pivot rows; a pivot row is by then free of every later
+    pivot column, so this back-substitution adds no entry in a pivot
+    column, and it updates fewer and shorter rows than clearing above each
+    pivot as it is taken.  Every updated row is divided by its content
+    (the gcd of its entries), which keeps the entries bounded by minors of
+    the scaled matrix.  The reduced row echelon form is canonical, so
+    neither the row order nor the choice of pivot row changes the result;
+    the presolve's pivots and the rest's are merged in ascending column
+    order.
 
     Returns (pivots, R): R[r] is an integer multiple of row r of the reduced
     row echelon form, whose entries are therefore R[r][j] / R[r][pivots[r]];
@@ -266,7 +285,28 @@ def _reduce(rows):
             if g > 1:
                 M[i] = {k: y // g for k, y in row.items()}
 
-    unused = set(range(len(M)))
+    # singleton presolve: a row with one nonzero is its column's pivot, and
+    # deleting that column from another row subtracts a multiple of it
+    fixed = {}
+    queue = [i for i, row in enumerate(M) if len(row) == 1]
+    while queue:
+        i = queue.pop()
+        if not M[i]:
+            continue    # a second singleton of a column already fixed
+        (c,) = M[i]
+        fixed[c] = i
+        for k in holders.pop(c):
+            if k == i:
+                continue
+            row = M[k]
+            del row[c]
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    M[k] = {j: y // g for j, y in row.items()}
+                if len(row) == 1:
+                    queue.append(k)
+    unused = set(range(len(M))).difference(fixed.values())
     pivots, used = [], []
     for c in sorted(holders):
         live = [i for i in holders[c] if i in unused]
@@ -283,6 +323,9 @@ def _reduce(rows):
         for i in list(holders[c]):
             if i != p:
                 clear(i, p, c)
+    if fixed:
+        merged = sorted([*fixed.items(), *zip(pivots, used)])
+        pivots, used = [c for c, _ in merged], [p for _, p in merged]
     if listed:
         ncols = len(rows[0])
         return pivots, [[M[p].get(j, 0) for j in range(ncols)] for p in used]
@@ -647,8 +690,8 @@ def generic_rank(mat):
     polys = [p for row in mat for p in row if p.ints]
     if not polys:
         return 0
-    pack, guard = _packing(polys[0].nvars,
-                           2 * min(nrows, ncols) * max(p.total_degree() for p in polys))
+    top = 2 * min(nrows, ncols) * max(p.total_degree() for p in polys)
+    pack, guard = _packing(polys[0].nvars, top.bit_length() + 1)
     M = []
     for row in mat:
         L = lcm(*(p.den for p in row))
@@ -729,20 +772,22 @@ def _muladd(acc, a, b, sign=1):
 
 
 # Packed integer polynomials {monomial int: nonzero int}, the monomials packed
-# by `generic_rank`: a product of monomials is a sum of ints and the graded
-# lex order is int order.
+# by `_packing` (in `generic_rank` and `poisson.pc_verify`): a product of
+# monomials is a sum of ints and the graded lex order is int order.
 
-def _packing(nvars, top):
-    """(pack, guard) for monomials in nvars variables of total degree <= top.
+def _packing(nvars, width):
+    """(pack, guard) for monomials in nvars variables, in fields of width bits.
 
     pack maps an exponent tuple to its int: the total degree, then each
-    exponent, in fields of top.bit_length() + 1 bits.  The spare top bit of
-    every field is set in guard and clear in every packed monomial.
+    exponent, x_0 first, one field each.  While every field of a product
+    fits in width bits, which holds up to total degree 2**width - 1, the
+    product of monomials is the sum of their ints.  guard has the top bit
+    of every field set; width 0 packs the one monomial of degree 0.
     """
-    width = top.bit_length() + 1
+    top_bit = 1 << width >> 1    # none in a field of width 0
     guard = 0
     for _ in range(nvars + 1):
-        guard = (guard << width) | (1 << (width - 1))
+        guard = (guard << width) | top_bit
 
     def pack(exps):
         m = sum(exps)

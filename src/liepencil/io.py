@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
-from .exact import RatMatrix, SparsePoly, format_rat, parse_rat
+from .exact import RatMatrix, SparsePoly, _parse_rat_form, format_rat
 from .tensors import StructureTensor, skew_table
 
 
@@ -36,10 +37,15 @@ def _is_int(x):
 def _rat(text, context):
     """A rational written as a JSON string; any other JSON value is refused,
     since a JSON number may have passed through a float."""
+    return Fraction(*_rat_form(text, context))
+
+
+def _rat_form(text, context):
+    """`_rat` as its (p, q) ints, q > 0 and not reduced."""
     if not isinstance(text, str):
         raise ParseError("rational must be a string, got %r" % (text,), context)
     try:
-        return parse_rat(text)
+        return _parse_rat_form(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError("bad rational %r" % (text,), context)
 
@@ -127,13 +133,15 @@ def operator_from_dict(doc):
     rows = _require(doc, "matrix", "operator")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ParseError("matrix must have %d rows" % dim, "operator.matrix")
-    out = []
+    forms = []
     for r, row in enumerate(rows):
         ctx = "operator.matrix[%d]" % r
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError("row must have %d entries" % dim, ctx)
-        out.append([_rat(x, ctx) for x in row])
-    return RatMatrix(out)
+        forms.append([_rat_form(x, ctx) for x in row])
+    # each entry is parsed once, to ints, straight into the matrix's form
+    L = lcm(*(q for row in forms for _, q in row))
+    return RatMatrix._of(L, [[p * (L // q) for p, q in row] for row in forms])
 
 
 def poly_to_list(p):

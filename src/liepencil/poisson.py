@@ -13,7 +13,11 @@ Poisson-commutative family.
 The kernels read integer forms: each `SparsePoly`'s, and the table's over
 one denominator, formed once per structure.  The bracket, the centrality
 check and the lifted derivations take partials straight from a form; no
-kernel clears a polynomial.
+kernel clears a polynomial.  A family is checked through pi grad f, the
+vector with entries {x_i, f} = sum_j {x_i, x_j} df/dx_j: a seed is central
+when it is 0, and {f, g} = grad f . pi grad g, so `pc_verify` forms each
+generator's gradient and pi grad once, on monomials packed into ints, and
+a pair costs n products.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .exact import ZERO, RatMatrix, SparsePoly, _IntRows, _muladd, kernel_basis, rank_exact
+from .exact import (ZERO, RatMatrix, SparsePoly, _IntRows, _muladd, _packing, _pmuladd,
+                    kernel_basis, rank_exact)
 from .tensors import StructureTensor, check_jacobi, is_lie, pair_table
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -198,26 +203,22 @@ def _independent(polys, candidate):
 def pc_generate(struct, operator, seeds):
     """Iterate a derivation on central seeds until linear dependence.
 
-    Each seed s must commute with every generator: {s, x_i} is entry i of
-    pi grad s = (sum_j {x_j, x_i} ds/dx_j)_i, so one gradient checks them
-    all, and SeedNotCentral names the first i that fails.  The literal
-    operator orbit is returned, de-duplicated by linear span across
-    everything collected so far.
+    Each seed s must commute with every generator: {x_i, s} is entry i of
+    pi grad s (`_pi_gradients`), so one gradient checks them all, and
+    SeedNotCentral names the first i that fails.  Every seed is checked
+    before any orbit is run.  The literal operator orbit is returned,
+    de-duplicated by linear span across everything collected so far.
     """
-    n = struct.nvars
-    gens = []
-    prov = []
-    for s_idx, seed in enumerate(seeds):
-        if seed.nvars != n:
-            raise ValueError("seed variable count mismatch")
-        grad = _gradient(seed)
-        image = [{} for _ in range(n)]
-        for (a, b), c in struct.ints.items():
-            _muladd(image[b], c, grad[a])
-            _muladd(image[a], c, grad[b], -1)
+    if any(seed.nvars != struct.nvars for seed in seeds):
+        raise ValueError("seed variable count mismatch")
+    extra = max([seed.total_degree() - 1 for seed in seeds] + [0])
+    for s_idx, (_, image) in enumerate(_pi_gradients(struct, seeds, extra)):
         witness = next((i for i, v in enumerate(image) if v), None)
         if witness is not None:
             raise SeedNotCentral(s_idx, witness)
+    gens = []
+    prov = []
+    for s_idx, seed in enumerate(seeds):
         current = seed
         power = 0
         while True:
@@ -241,18 +242,58 @@ class Certificate:
 
 
 def pc_verify(family, struct):
-    """Check all generator pairs commute; stamps the family and returns a certificate."""
+    """Check all generator pairs commute; stamps the family and returns a
+    certificate naming the first pair (a, b), a < b in lexicographic order,
+    that does not, with its bracket.
+
+    Reads {f_a, f_b} = sum_i df_a/dx_i (pi grad f_b)_i.  Each generator's
+    gradient and pi grad are formed once (`_pi_gradients`), so a pair costs
+    n packed products, and a generator with pi grad f = 0 (a central one)
+    is in no pair, since {f, g} = -{g, f} = 0 for every g.  Only the
+    witness pair's bracket is built, by `poisson_bracket`.  A product's
+    total degree is at most deg f_a + deg f_b + t - 2, t the table's
+    largest degree, so the monomials are packed in fields for total degree
+    t + max(d_1 + d_2 - 2, 0), d_1 and d_2 the two largest generator
+    degrees: it bounds every product and every table entry.
+    """
     gens = family.generators
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            br = poisson_bracket(struct, gens[a], gens[b])
-            if not br.is_zero():
+    degrees = sorted(g.total_degree() for g in gens)[-2:]
+    forms = _pi_gradients(struct, gens, max(sum(degrees) - 2, 0))
+    live = [(a, grad, image) for a, (grad, image) in enumerate(forms) if any(image)]
+    for k, (a, grad, _) in enumerate(live):
+        for b, _, image in live[k + 1:]:
+            acc = {}
+            for part, entry in zip(grad, image):
+                _pmuladd(acc, part, entry)
+            if acc:
                 family.verified = False
                 family.witness = (a, b)
-                return Certificate(False, (a, b), br)
+                return Certificate(False, (a, b), poisson_bracket(struct, gens[a], gens[b]))
     family.verified = True
     family.witness = None
     return Certificate(True, None, None)
+
+
+def _pi_gradients(struct, polys, extra):
+    """[(grad f, pi grad f) for f in polys], each a list of n packed integer
+    polynomials over f.den and struct.den * f.den: entry i of pi grad f is
+    sum_j {x_i, x_j} df/dx_j = {x_i, f}.  Monomials are packed by
+    `_packing` in fields of (t + extra).bit_length() bits, t the table's
+    largest degree, which hold every monomial of total degree up to
+    t + extra; pi grad f reaches t + deg f - 1.
+    """
+    t = max((sum(e) for b in struct.ints.values() for e in b), default=0)
+    pack, _ = _packing(struct.nvars, (t + extra).bit_length())
+    table = [(i, j, {pack(e): c for e, c in b.items()}) for (i, j), b in struct.ints.items()]
+    out = []
+    for f in polys:
+        grad = [{pack(e): c for e, c in part.items()} for part in _gradient(f)]
+        image = [{} for _ in grad]
+        for i, j, b in table:
+            _pmuladd(image[i], b, grad[j])
+            _pmuladd(image[j], b, grad[i], -1)
+        out.append((grad, image))
+    return out
 
 
 def bihomogeneous_components(f, weights):

@@ -313,6 +313,21 @@ def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     assert name in err
 
 
+def test_cli_pc_check_gamma_on_sl4_at_degree_4(workdir, capsys):
+    # the argument-shift family of the four centre candidates of S(sl4) up
+    # to degree 4 (C2, C3, C2^2, C4) and their directional derivatives
+    assert run(["example", "sl", "4"]) == 0
+    capsys.readouterr()
+    gamma = "1,-2,3,0,1,2,-1,1,0,3,-2,1,2,1,-1"
+    assert run(["pc-check", "--algebra", "sl4.json", "--gamma=" + gamma,
+                "--degree-bound", "4", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["commutes"] and doc["witness"] is None
+    assert doc["family_size"] == len(doc["generators"]) == 13
+    assert sorted({p.split(":")[0] for p in doc["provenance"]}) == [
+        "seed0", "seed1", "seed2", "seed3"]
+
+
 def test_cli_report_gamma_runs_the_family_check(workdir, capsys):
     # --gamma alone starts the family check, as --pc and --seed-file do
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])

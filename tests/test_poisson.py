@@ -149,6 +149,27 @@ def test_pc_verify_failure_witness():
     assert not fam.verified
 
 
+def test_pc_verify_forms_each_gradient_once(monkeypatch):
+    # one gradient per generator, and a bracket only for the witness pair
+    from liepencil import poisson as pois
+    grads, brackets = [], []
+    gradient, bracket = pois._gradient, pois.poisson_bracket
+    monkeypatch.setattr(pois, "_gradient", lambda f: grads.append(f) or gradient(f))
+    monkeypatch.setattr(pois, "poisson_bracket",
+                        lambda st, f, g: brackets.append((f, g)) or bracket(st, f, g))
+    struct = from_tensor(sl2())
+    fam = pc_generate(struct, directional([F(1), F(2), F(-1)]), [casimir(), casimir() ** 2])
+    assert len(fam.generators) == 5
+    grads.clear()
+    assert pc_verify(fam, struct).ok
+    assert (grads, brackets) == (fam.generators, [])
+    grads.clear()
+    fam = pois.PCFamily([casimir(), x(0), x(1), x(2)], ["c", "e", "h", "f"])
+    assert pc_verify(fam, struct).witness == (1, 2)
+    # the witness bracket reads the two gradients again
+    assert (grads, brackets) == (fam.generators + [x(0), x(1)], [(x(0), x(1))])
+
+
 def test_seed_must_be_central():
     struct = from_tensor(sl2())
     op = grading_operator(GradingSpec((1, 0, 1), "periodic", 2))

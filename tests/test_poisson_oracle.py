@@ -1,18 +1,20 @@
 """The integer Poisson kernels against Fraction references.
 
 The references below are the plain Fraction versions of `poisson_bracket`,
-`centre_candidates` and the Jacobi gate of `from_tensor`.  The library
-runs the same computations on integers over common denominators, so on
+`centre_candidates`, the Jacobi gate of `from_tensor` and `pc_verify`'s
+loop over every generator pair.  The library runs the same computations on
+integers over common denominators (`pc_verify` on packed monomials), so on
 generated inputs (polynomials with mixed denominators and zero terms;
 linear tables of Lie algebras moved to random rational bases, abelian
-tables and non-Lie tables) the results must agree exactly:
-equal term dicts, only `Fraction` coefficients, the same kernel-basis order
-and the same verdicts.  Hypothesis is test-only; the library itself stays
+tables and non-Lie tables, constant tables, tables of arbitrary
+polynomials) the results must agree exactly: equal term dicts, only
+`Fraction` coefficients, the same kernel-basis order and the same verdicts
+and witnesses.  Hypothesis is test-only; the library itself stays
 stdlib-only.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -21,8 +23,8 @@ from hypothesis import given, strategies as st
 
 from liepencil.analysis import structure_matrix
 from liepencil.exact import ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis
-from liepencil.poisson import (PoissonStructure, centre_candidates, from_tensor,
-                               poisson_bracket)
+from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, from_tensor,
+                               pc_verify, poisson_bracket)
 from liepencil.tensors import StructureTensor
 
 from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis, standard,
@@ -86,6 +88,16 @@ def linear_table(tensor):
     return PoissonStructure(n, table)
 
 
+def reference_pc_verify(struct, gens):
+    """(first pair (a, b) in lexicographic order whose Fraction bracket is not
+    0, that bracket), or (None, None) when every pair commutes."""
+    for a, b in combinations(range(len(gens)), 2):
+        br = reference_poisson_bracket(struct, gens[a], gens[b])
+        if not br.is_zero():
+            return (a, b), br
+    return None, None
+
+
 def reference_jacobi_verdict(tensor):
     """Jacobi on generator triples of the linear table, by Fraction brackets."""
     struct = linear_table(tensor)
@@ -146,16 +158,63 @@ def lower_junk(draw):
     return StructureTensor(n, table)
 
 
+TABLE_KINDS = ["linear", "constant", "polynomial"]
+
+
 @st.composite
-def structures(draw):
-    """A linear table of a linear tensor, or a table of arbitrary
-    polynomials (the bracket does not need Jacobi)."""
-    if draw(st.booleans()):
+def tables(draw, kind, min_vars=1):
+    """A table of one kind: the linear table of a linear tensor, constants,
+    or arbitrary polynomials (the bracket does not need Jacobi) on
+    min_vars..3 generators, at least one pair set when there is a pair."""
+    if kind == "linear":
         return linear_table(draw(linear_tensors()))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(min_vars, 3))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return PoissonStructure(n, {ij: draw(polys(n)) for ij in chosen})
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)) if pairs else []
+    entries = (polys(n) if kind == "polynomial"
+               else ENTRIES.map(lambda c: SparsePoly.const(n, c))).filter(bool)
+    return PoissonStructure(n, {ij: draw(entries) for ij in chosen})
+
+
+def structures():
+    """A table of any kind."""
+    return st.sampled_from(TABLE_KINDS).flatmap(tables)
+
+
+def is_linear(struct):
+    return all(sum(e) == 1 for p in struct.table.values() for e in p.terms)
+
+
+@st.composite
+def families(draw, struct):
+    """Generators for `pc_verify`, shuffled: central ones z (constants,
+    generators no table pair touches, and on a linear table its centre
+    candidates), raised to powers; z h^m + p(h) for one drawn h, which
+    commute with each other on any table; and single generators x_k and
+    arbitrary polynomials, which mostly do not commute.  m is 1 to 4, so
+    generators reach degree 6 and more."""
+    n = struct.nvars
+    h = draw(polys(n, max_terms=3), label="h")
+    touched = {k for ij in struct.table for k in ij}
+    central = [SparsePoly.const(n, 1)]
+    central += [SparsePoly.variable(n, k) for k in range(n) if k not in touched]
+    if is_linear(struct):
+        central += centre_candidates(struct, 2 if n <= 4 else 1)
+    gens = []
+    kinds = ["h", "central", "any", "variable"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=6)):
+        if kind == "any":
+            gens.append(draw(polys(n)))
+            continue
+        if kind == "variable":
+            gens.append(SparsePoly.variable(n, draw(st.integers(0, n - 1))))
+            continue
+        z = draw(st.sampled_from(central)) ** draw(st.integers(0, 3)) * draw(ENTRIES)
+        if kind == "h":
+            for c in draw(st.lists(ENTRIES, min_size=1, max_size=4)):
+                z = z * h + SparsePoly.const(n, c)
+        gens.append(z)
+    return draw(st.permutations(gens))
 
 
 def term_layout(p):
@@ -176,6 +235,39 @@ def test_poisson_bracket_matches_reference(struct, data):
     # Leibniz sum may come back in another place, and io and format sort
     assert got.terms == reference_poisson_bracket(struct, f, g).terms
     assert got.nvars == n and only_fractions(got)
+
+
+def check_pc_verify(struct, gens):
+    family = PCFamily(list(gens), ["g%d" % k for k in range(len(gens))])
+    cert = pc_verify(family, struct)
+    witness, bracket = reference_pc_verify(struct, gens)
+    assert (cert.ok, cert.witness) == (witness is None, witness)
+    assert (family.verified, family.witness) == (cert.ok, cert.witness)
+    if witness is None:
+        assert cert.bracket is None
+    else:
+        assert cert.bracket.terms == bracket.terms and only_fractions(cert.bracket)
+        assert cert.bracket == poisson_bracket(struct, *(gens[k] for k in witness))
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@given(data=st.data())
+def test_pc_verify_matches_reference(kind, data):
+    struct = data.draw(tables(kind, min_vars=2), label="table")
+    check_pc_verify(struct, data.draw(families(struct), label="generators"))
+
+
+def test_pc_verify_fields_hold_the_top_degree():
+    # {x0, x1} = 1 on three generators: {x0 x2^2 + x1^3 / 3, x0 x1} is
+    # x0 x2^2 - x1^3, of degree 3 = deg f_a + deg f_b + 0 - 2.  In fields
+    # of 2 bits the two monomials differ; in fields of 1 bit both would
+    # pack to the same int, and their terms would cancel.
+    n = 3
+    x = [SparsePoly.variable(n, i) for i in range(n)]
+    struct = PoissonStructure(n, {(0, 1): SparsePoly.const(n, 1)})
+    f = x[0] * x[2] * x[2] + x[1] * x[1] * x[1] * Fraction(1, 3)
+    check_pc_verify(struct, [f, x[0] * x[1]])
+    check_pc_verify(struct, [x[2], f, x[0] * x[1]])
 
 
 def check_centre_candidates(tensor, degree):

@@ -3,10 +3,13 @@
 `reference_reduce` below is `exact._reduce` as it stood when every row was
 a dense list, kept as the oracle.  On generated systems with several
 components whose rows and columns are permuted, with zero and duplicate
-rows, on all-zero systems and on one dense component, the pivots, the
-reduced rows, the ranks and the kernel bases must equal the reference's,
-whether the rows arrive as lists or as {column: entry} dicts, with int or
-`Fraction` entries, or as `_IntRows` that the elimination takes uncopied.
+rows, on all-zero systems, on one dense component, and on systems built for
+the singleton presolve (cascades of singletons, repeated singletons of one
+column, rows the presolve empties, singletons beside a dense block), the
+pivots, the reduced rows, the ranks and the kernel bases must equal the
+reference's, whether the rows arrive as lists or as {column: entry} dicts,
+with int or `Fraction` entries, or as `_IntRows` that the elimination takes
+uncopied.
 """
 
 from fractions import Fraction
@@ -122,8 +125,42 @@ def systems(draw):
     return [[rows[i][j] for j in col_order] for i in row_order]
 
 
-@given(systems())
-def test_list_rows_match_the_dense_reference(rows):
+@st.composite
+def presolve_systems(draw):
+    """A list-row system for the singleton presolve.  Row k of a cascade has
+    its last nonzero in chain column k and its others in earlier chain
+    columns, so it is a singleton once those are fixed; singletons of chain
+    columns are repeated with other values; rows in two or more chain
+    columns only are emptied by the presolve; and a dense block's rows may
+    carry chain entries too.  Zero rows are appended and the rows and
+    columns permuted."""
+    fractions = draw(st.booleans())
+    nonzero = (FRACTIONS.filter(bool) if fractions else NONZERO_INTS)
+    chain = draw(st.integers(1, 5))
+    width = draw(st.integers(0, 4))
+    ncols = chain + width
+    earlier = lambda k: st.lists(st.integers(0, k - 1), unique=True) if k else st.just([])
+    rows = []
+    for k in range(chain):
+        rows.append({j: draw(nonzero) for j in draw(earlier(k)) + [k]})
+    for k in draw(st.lists(st.integers(0, chain - 1), max_size=3)):
+        rows.append({k: draw(nonzero)})
+    if chain >= 2:
+        for _ in range(draw(st.integers(0, 2))):
+            cols = draw(st.lists(st.integers(0, chain - 1), unique=True, min_size=2))
+            rows.append({j: draw(nonzero) for j in cols})
+    for _ in range(draw(st.integers(0, 4)) if width else 0):
+        row = {j: draw(nonzero) for j in range(chain, ncols)}
+        row.update({j: draw(nonzero) for j in draw(earlier(chain))})
+        rows.append(row)
+    rows = [[row.get(j, 0) for j in range(ncols)] for row in rows]
+    rows += [[0] * ncols for _ in range(draw(st.integers(0, 2)))]
+    row_order = draw(st.permutations(range(len(rows))))
+    col_order = draw(st.permutations(range(ncols)))
+    return [[rows[i][j] for j in col_order] for i in row_order]
+
+
+def check_list_rows(rows):
     ncols = len(rows[0])
     ref_pivots, ref_R = reference_reduce(rows)
     before = [list(row) for row in rows]
@@ -136,8 +173,7 @@ def test_list_rows_match_the_dense_reference(rows):
     assert kernel_basis(rows) == reference_kernel(rows, ncols)
 
 
-@given(systems())
-def test_dict_rows_match_the_dense_reference(rows):
+def check_dict_rows(rows):
     ncols = len(rows[0])
     ref_pivots, ref_R = reference_reduce(rows)
     sparse = as_dicts(rows)
@@ -152,8 +188,7 @@ def test_dict_rows_match_the_dense_reference(rows):
     assert kernel_basis(sparse, ncols) == reference_kernel(rows, ncols)
 
 
-@given(systems())
-def test_owned_int_rows_match_the_dense_reference(rows):
+def check_owned_rows(rows):
     # `_IntRows` of {column: nonzero int} are eliminated in place, uncopied
     ncols = len(rows[0])
     ref_pivots, ref_R = reference_reduce(rows)
@@ -165,6 +200,28 @@ def test_owned_int_rows_match_the_dense_reference(rows):
     assert all(any(row is mine for mine in owned) for row in R)    # the list's own rows
     scaled = _IntRows({j: int(x * L) for j, x in row.items()} for row in as_dicts(rows))
     assert kernel_basis(scaled, ncols) == reference_kernel(rows, ncols)
+
+
+@given(systems())
+def test_list_rows_match_the_dense_reference(rows):
+    check_list_rows(rows)
+
+
+@given(systems())
+def test_dict_rows_match_the_dense_reference(rows):
+    check_dict_rows(rows)
+
+
+@given(systems())
+def test_owned_int_rows_match_the_dense_reference(rows):
+    check_owned_rows(rows)
+
+
+@given(presolve_systems())
+def test_presolve_systems_match_the_dense_reference(rows):
+    check_list_rows(rows)
+    check_dict_rows(rows)
+    check_owned_rows(rows)
 
 
 def test_empty_and_all_zero_dict_systems():
