@@ -252,13 +252,15 @@ def pc_verify(family, struct):
     is in no pair, since {f, g} = -{g, f} = 0 for every g.  Only the
     witness pair's bracket is built, by `poisson_bracket`.  A product's
     total degree is at most deg f_a + deg f_b + t - 2, t the table's
-    largest degree, so the monomials are packed in fields for total degree
-    t + max(d_1 + d_2 - 2, 0), d_1 and d_2 the two largest generator
-    degrees: it bounds every product and every table entry.
+    largest degree, and pi grad f reaches t + deg f - 1, so the monomials
+    are packed in fields for total degree t + max(d_1 + max(d_2, 1) - 2, 0),
+    d_1 >= d_2 the two largest generator degrees (d_2 = 0 for a lone
+    generator): it bounds every product, every pi grad f, every gradient
+    and every table entry.
     """
     gens = family.generators
-    degrees = sorted(g.total_degree() for g in gens)[-2:]
-    forms = _pi_gradients(struct, gens, max(sum(degrees) - 2, 0))
+    d2, d1 = ([0, 0] + sorted(g.total_degree() for g in gens))[-2:]
+    forms = _pi_gradients(struct, gens, max(d1 + max(d2, 1) - 2, 0))
     live = [(a, grad, image) for a, (grad, image) in enumerate(forms) if any(image)]
     for k, (a, grad, _) in enumerate(live):
         for b, _, image in live[k + 1:]:
@@ -280,7 +282,8 @@ def _pi_gradients(struct, polys, extra):
     sum_j {x_i, x_j} df/dx_j = {x_i, f}.  Monomials are packed by
     `_packing` in fields of (t + extra).bit_length() bits, t the table's
     largest degree, which hold every monomial of total degree up to
-    t + extra; pi grad f reaches t + deg f - 1.
+    t + extra.  pi grad f reaches t + deg f - 1, so extra must be at least
+    deg f - 1 for every f.
     """
     t = max((sum(e) for b in struct.ints.values() for e in b), default=0)
     pack, _ = _packing(struct.nvars, (t + extra).bit_length())

@@ -22,6 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from liepencil.analysis import structure_matrix
+from liepencil import poisson as pois
 from liepencil.exact import ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis
 from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, from_tensor,
                                pc_verify, poisson_bracket)
@@ -162,22 +163,27 @@ TABLE_KINDS = ["linear", "constant", "polynomial"]
 
 
 @st.composite
-def tables(draw, kind, min_vars=1):
+def tables(draw, kind, nonzero=False):
     """A table of one kind: the linear table of a linear tensor, constants,
-    or arbitrary polynomials (the bracket does not need Jacobi) on
-    min_vars..3 generators, at least one pair set when there is a pair."""
+    or arbitrary polynomials (the bracket does not need Jacobi) on 1..3
+    generators.  Drawn entries may be 0, which the structure drops, and no
+    pair need be set; with nonzero there are 2..3 generators, at least one
+    pair is set and no entry is 0."""
     if kind == "linear":
         return linear_table(draw(linear_tensors()))
-    n = draw(st.integers(min_vars, 3))
+    n = draw(st.integers(2 if nonzero else 1, 3))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)) if pairs else []
+    chosen = (draw(st.lists(st.sampled_from(pairs), unique=True, min_size=int(nonzero)))
+              if pairs else [])
     entries = (polys(n) if kind == "polynomial"
-               else ENTRIES.map(lambda c: SparsePoly.const(n, c))).filter(bool)
+               else ENTRIES.map(lambda c: SparsePoly.const(n, c)))
+    if nonzero:
+        entries = entries.filter(bool)
     return PoissonStructure(n, {ij: draw(entries) for ij in chosen})
 
 
 def structures():
-    """A table of any kind."""
+    """A table of any kind, zero entries and empty tables included."""
     return st.sampled_from(TABLE_KINDS).flatmap(tables)
 
 
@@ -238,8 +244,24 @@ def test_poisson_bracket_matches_reference(struct, data):
 
 
 def check_pc_verify(struct, gens):
+    """pc_verify against the reference loop; and no two monomials of a
+    gradient or pi grad f that pc_verify forms share a packed int, so every
+    packed entry has the terms of its Fraction reference."""
     family = PCFamily(list(gens), ["g%d" % k for k in range(len(gens))])
-    cert = pc_verify(family, struct)
+    forms = []
+    pi_gradients = pois._pi_gradients
+    pois._pi_gradients = lambda *args: forms.append(pi_gradients(*args)) or forms[-1]
+    try:
+        cert = pc_verify(family, struct)
+    finally:
+        pois._pi_gradients = pi_gradients
+    n = struct.nvars
+    x = [SparsePoly.variable(n, i) for i in range(n)]
+    assert len(forms) == 1
+    for f, (grad, image) in zip(gens, forms[0]):
+        assert [len(part) for part in grad] == [len(f.partial(i).terms) for i in range(n)]
+        assert ([len(entry) for entry in image]
+                == [len(reference_poisson_bracket(struct, x[i], f).terms) for i in range(n)])
     witness, bracket = reference_pc_verify(struct, gens)
     assert (cert.ok, cert.witness) == (witness is None, witness)
     assert (family.verified, family.witness) == (cert.ok, cert.witness)
@@ -253,7 +275,7 @@ def check_pc_verify(struct, gens):
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 @given(data=st.data())
 def test_pc_verify_matches_reference(kind, data):
-    struct = data.draw(tables(kind, min_vars=2), label="table")
+    struct = data.draw(tables(kind, nonzero=True), label="table")
     check_pc_verify(struct, data.draw(families(struct), label="generators"))
 
 
@@ -268,6 +290,20 @@ def test_pc_verify_fields_hold_the_top_degree():
     f = x[0] * x[2] * x[2] + x[1] * x[1] * x[1] * Fraction(1, 3)
     check_pc_verify(struct, [f, x[0] * x[1]])
     check_pc_verify(struct, [x[2], f, x[0] * x[1]])
+
+
+def test_pc_verify_fields_hold_a_lone_generator():
+    # {x0, x1} = 1: pi grad (x0 - x1)^2 = (-2 x0 + 2 x1, -2 x0 + 2 x1) is of
+    # degree 1 = t + deg f - 1 although no pair has a product of degree
+    # above 0.  In fields of 0 bits x0 and x1 pack to the same int and both
+    # entries cancel to 0.
+    n = 2
+    x = [SparsePoly.variable(n, i) for i in range(n)]
+    struct = PoissonStructure(n, {(0, 1): SparsePoly.const(n, 1)})
+    f = (x[0] - x[1]) ** 2
+    check_pc_verify(struct, [f])
+    check_pc_verify(struct, [SparsePoly.const(n, 3), f])
+    check_pc_verify(struct, [f, SparsePoly.const(n, 3), SparsePoly.const(n, 0)])
 
 
 def check_centre_candidates(tensor, degree):
