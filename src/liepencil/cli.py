@@ -6,6 +6,12 @@ interchange of the io module; reports print as "key: value" text or as a JSON
 document with deterministic field order.  Exit codes: 0 all checks pass,
 1 a mathematical check failed (witness in the report), 2 input error,
 3 an unexpected error (a bug; one stderr line names the exception type).
+
+Each subcommand NAME is a function cmd_NAME from the parsed arguments to
+(document, exit code) that prints nothing.  `main` is the one place that
+prints: it emits the document, or names the error on stderr.  So every
+command's document passes through `main`, which is where a `--trace` of
+stages and timings would hook in.
 """
 
 from __future__ import annotations
@@ -73,6 +79,13 @@ def _scalar_text(value):
     if value is None:
         return "-"
     return str(value)
+
+
+def _load(args):
+    """The algebra of --algebra and the operator of --operator, whose
+    dimension must match the algebra's."""
+    tensor, _ = iomod.load_algebra(args.algebra)
+    return tensor, _load_operator(args.operator, tensor.dim)
 
 
 def _load_operator(path, dim):
@@ -156,66 +169,70 @@ def _classify_doc(tensor, op):
     return act, norm, doc
 
 
+def _members(tensor, derived):
+    """(alpha, beta, lie) for the pencil member alpha*tensor + beta*derived
+    at each of MEMBER_SAMPLES, each member built and checked only when the
+    caller asks for it."""
+    for alpha, beta in MEMBER_SAMPLES:
+        yield alpha, beta, is_lie(tensor_combination([(alpha, tensor), (beta, derived)]))
+
+
+def _tensor_doc(doc, result, out, what, metadata, **extra):
+    """doc with result's entries (the upper triangle of a skew result), then
+    extra; with out (--out) set, result is written there as an algebra file."""
+    skew = result.is_skew()
+    doc["entries"] = [[i, j, k, format_rat(c)] for i, j, k, c in result.support()
+                      if not skew or i < j]
+    doc.update(extra)
+    if out:
+        if not skew:
+            raise InputProblem("%s tensor is not skew; cannot write an algebra file" % what)
+        iomod.save_algebra(result, out, metadata=metadata)
+        doc["written"] = out
+    return doc
+
+
+def _eigenvalue_witnesses(tensor, op):
+    """{"eigenvalue_witnesses": [...]} of a diagonal op's torsion, else {}."""
+    if not op.is_diagonal():
+        return {}
+    return {"eigenvalue_witnesses": [
+        [i, j, k, format_rat(c)] for i, j, k, c in nij.diagonal_torsion_witnesses(tensor, op)]}
+
+
 def cmd_classify(args):
-    tensor, _ = iomod.load_algebra(args.algebra)
-    op = _load_operator(args.operator, tensor.dim)
-    _, _, doc = _classify_doc(tensor, op)
-    _emit(doc, args)
-    return EXIT_OK
+    return _classify_doc(*_load(args))[2], EXIT_OK
 
 
 def cmd_derive(args):
-    tensor, _ = iomod.load_algebra(args.algebra)
-    op = _load_operator(args.operator, tensor.dim)
+    tensor, op = _load(args)
+    if args.power < 0:
+        raise InputProblem("--power must be at least 0, got %d" % args.power)
     result = derived_iter(tensor, op, args.power)
-    doc = {
-        "power": args.power,
-        "zero": result.is_zero(),
-        "skew": result.is_skew(),
-        "lie": is_lie(result),
-        "entries": [[i, j, k, format_rat(c)] for i, j, k, c in result.support()
-                    if not result.is_skew() or i < j],
-    }
-    if args.out:
-        if not result.is_skew():
-            raise InputProblem("derived tensor is not skew; cannot write an algebra file")
-        iomod.save_algebra(result, args.out,
-                           metadata={"derived_power": args.power})
-        doc["written"] = args.out
-    _emit(doc, args)
-    return EXIT_OK
+    doc = {"power": args.power, "zero": result.is_zero(), "skew": result.is_skew(),
+           "lie": is_lie(result)}
+    return _tensor_doc(doc, result, args.out, "derived", {"derived_power": args.power}), EXIT_OK
 
 
 def cmd_pencil(args):
-    tensor, _ = iomod.load_algebra(args.algebra)
-    op = _load_operator(args.operator, tensor.dim)
+    tensor, op = _load(args)
     act, norm, doc = _classify_doc(tensor, op)
     if act.tag == TAG_NOT_NEAR:
         doc["error"] = "second derived bracket leaves the pencil"
-        _emit(doc, args)
-        return EXIT_CHECK
+        return doc, EXIT_CHECK
     if act.tag in (TAG_DERIVATION, TAG_SCALAR):
         doc["note"] = "pencil is a single line; nothing to normalize"
-        _emit(doc, args)
-        return EXIT_OK
+        return doc, EXIT_OK
     if norm is None:
-        _emit(doc, args)    # irrational eigenvalues: honest refusal
-        return EXIT_CHECK
+        return doc, EXIT_CHECK    # irrational eigenvalues: honest refusal
     doc["shift"] = format_rat(norm.shift)
     doc["eigenvalues"] = [format_rat(v) for v in norm.eigenvalues]
     doc["normalized_b"] = format_rat(norm.b)
-    members = []
-    all_ok = True
-    for alpha, beta in MEMBER_SAMPLES:
-        member = tensor_combination([(alpha, tensor), (beta, norm.derived)])
-        ok = is_lie(member)
-        all_ok = all_ok and ok
-        members.append({"alpha": alpha, "beta": beta, "lie": ok})
-    lines_ok = all(is_lie(line) for line in norm.degenerate_lines)
-    doc["members"] = members
-    doc["degenerate_lines_lie"] = lines_ok
-    _emit(doc, args)
-    return EXIT_OK if all_ok and lines_ok else EXIT_CHECK
+    doc["members"] = [{"alpha": alpha, "beta": beta, "lie": ok}
+                      for alpha, beta, ok in _members(tensor, norm.derived)]
+    doc["degenerate_lines_lie"] = all(is_lie(line) for line in norm.degenerate_lines)
+    ok = all(m["lie"] for m in doc["members"]) and doc["degenerate_lines_lie"]
+    return doc, EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_index(args):
@@ -233,61 +250,39 @@ def cmd_index(args):
     if rep.method == "probabilistic":
         doc["samples"] = rep.samples
         doc["note"] = rep.note
-    _emit(doc, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 def cmd_torsion(args):
-    tensor, _ = iomod.load_algebra(args.algebra)
-    op = _load_operator(args.operator, tensor.dim)
+    tensor, op = _load(args)
     tors = nij.torsion(tensor, op)
-    doc = {
-        "zero": tors.is_zero(),
-        "entries": [[i, j, k, format_rat(c)] for i, j, k, c in tors.support()
-                    if not tors.is_skew() or i < j],
-    }
-    if op.is_diagonal():
-        doc["eigenvalue_witnesses"] = [
-            [i, j, k, format_rat(c)]
-            for i, j, k, c in nij.diagonal_torsion_witnesses(tensor, op)]
-    if args.out:
-        if not tors.is_skew():
-            raise InputProblem("torsion tensor is not skew; cannot write an algebra file")
-        iomod.save_algebra(tors, args.out, metadata={"torsion": "true"})
-        doc["written"] = args.out
-    _emit(doc, args)
-    return EXIT_OK
+    doc = _tensor_doc({"zero": tors.is_zero()}, tors, args.out, "torsion", {"torsion": "true"},
+                      **_eigenvalue_witnesses(tensor, op))
+    return doc, EXIT_OK
 
 
 def cmd_nijenhuis_check(args):
-    tensor, _ = iomod.load_algebra(args.algebra)
-    op = _load_operator(args.operator, tensor.dim)
+    tensor, op = _load(args)
     flat, witness = nij.is_nijenhuis(tensor, op)
     doc = {"nijenhuis": flat, "witness": list(witness) if witness else None}
-    if not flat and op.is_diagonal():
-        doc["eigenvalue_witnesses"] = [
-            [i, j, k, format_rat(c)]
-            for i, j, k, c in nij.diagonal_torsion_witnesses(tensor, op)]
-    if flat:
-        rep = nij.check_N_properties(tensor, op, depth=args.depth)
-        doc["depth"] = args.depth
-        doc["powers"] = [{
-            "k": st.k,
-            "power_is_nijenhuis": st.power_is_nijenhuis,
-            "iterate_matches_power": st.iterate_matches_power,
-            "iterate_is_lie": st.iterate_is_lie,
-        } for st in rep.steps]
-        doc["pairwise_compatible"] = rep.pairwise_compatible
-        doc["ok"] = rep.ok
-        _emit(doc, args)
-        return EXIT_OK if rep.ok else EXIT_CHECK
-    _emit(doc, args)
-    return EXIT_CHECK
+    if not flat:
+        doc.update(_eigenvalue_witnesses(tensor, op))
+        return doc, EXIT_CHECK
+    rep = nij.check_N_properties(tensor, op, depth=args.depth)
+    doc["depth"] = args.depth
+    doc["powers"] = [{
+        "k": st.k,
+        "power_is_nijenhuis": st.power_is_nijenhuis,
+        "iterate_matches_power": st.iterate_matches_power,
+        "iterate_is_lie": st.iterate_is_lie,
+    } for st in rep.steps]
+    doc["pairwise_compatible"] = rep.pairwise_compatible
+    doc["ok"] = rep.ok
+    return doc, EXIT_OK if rep.ok else EXIT_CHECK
 
 
 def cmd_exp_check(args):
-    tensor, _ = iomod.load_algebra(args.algebra)
-    op = _load_operator(args.operator, tensor.dim)
+    tensor, op = _load(args)
     points = (_parse_rationals(args.points, "points") if args.points else None)
     if args.kind == "nijenhuis":
         if not (points or args.certified):
@@ -307,8 +302,7 @@ def cmd_exp_check(args):
         "points_checked": [format_rat(Fraction(p)) for p in rep.points],
         "witness": list(rep.witness) if rep.witness else None,
     }
-    _emit(doc, args)
-    return EXIT_OK if rep.ok and rep.precondition_ok else EXIT_CHECK
+    return doc, EXIT_OK if rep.ok and rep.precondition_ok else EXIT_CHECK
 
 
 def _pc_inputs(args, tensor, op=None):
@@ -334,16 +328,18 @@ def _pc_inputs(args, tensor, op=None):
     return operator, op_desc, seeds
 
 
-def _pc_seeds(args, tensor, seeds):
-    """The Poisson structure of a family check, its seeds and their description;
-    seeds are those `_pc_inputs` read, or None to search the centre."""
+def _pc_family(args, tensor, operator, seeds):
+    """(family, certificate) of a family check: the orbit of operator
+    through the seeds `_pc_inputs` read, or through the centre candidates up
+    to --degree-bound when seeds is None, and its commutation check.  A seed
+    that is not central raises `SeedNotCentral`."""
     struct = pois.from_tensor(tensor)
-    if seeds is not None:
-        return struct, seeds, args.seed_file
-    seeds = pois.centre_candidates(struct, args.degree_bound)
-    if not seeds:
-        raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
-    return struct, seeds, "centre candidates up to degree %d" % args.degree_bound
+    if seeds is None:
+        seeds = pois.centre_candidates(struct, args.degree_bound)
+        if not seeds:
+            raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
+    family = pois.pc_generate(struct, operator, seeds)
+    return family, pois.pc_verify(family, struct)
 
 
 def cmd_pc_check(args):
@@ -351,31 +347,17 @@ def cmd_pc_check(args):
     if not is_lie(tensor):
         raise InputProblem("--algebra is not a Lie algebra; pc-check needs one")
     operator, op_desc, seeds = _pc_inputs(args, tensor)
-    struct, seeds, seed_desc = _pc_seeds(args, tensor, seeds)
+    seed_desc = args.seed_file or "centre candidates up to degree %d" % args.degree_bound
+    doc = {"operator": op_desc, "seeds": seed_desc}
     try:
-        family = pois.pc_generate(struct, operator, seeds)
+        family, cert = _pc_family(args, tensor, operator, seeds)
     except pois.SeedNotCentral as exc:
-        doc = {
-            "operator": op_desc,
-            "seeds": seed_desc,
-            "error": str(exc),
-            "seed_index": exc.seed_index,
-            "witness_generator": exc.var_index,
-        }
-        _emit(doc, args)
-        return EXIT_CHECK
-    cert = pois.pc_verify(family, struct)
-    doc = {
-        "operator": op_desc,
-        "seeds": seed_desc,
-        "family_size": len(family.generators),
-        "provenance": family.provenance,
-        "generators": [str(g) for g in family.generators],
-        "commutes": cert.ok,
-        "witness": list(cert.witness) if cert.witness else None,
-    }
-    _emit(doc, args)
-    return EXIT_OK if cert.ok else EXIT_CHECK
+        doc.update(error=str(exc), seed_index=exc.seed_index, witness_generator=exc.var_index)
+        return doc, EXIT_CHECK
+    doc.update(family_size=len(family.generators), provenance=family.provenance,
+               generators=[str(g) for g in family.generators], commutes=cert.ok,
+               witness=list(cert.witness) if cert.witness else None)
+    return doc, EXIT_OK if cert.ok else EXIT_CHECK
 
 
 def _size(text):
@@ -390,6 +372,7 @@ def cmd_example(args):
     name = args.name
     params = list(args.params)
     written = []
+    doc = {"written": written}
     os.makedirs(args.out_dir, exist_ok=True)
 
     def take_family_n():
@@ -444,16 +427,13 @@ def cmd_example(args):
         iomod.save_algebra(triple.tensor, out(""), metadata={"family": family})
         iomod.save_operator(op, out("-nilsquare-op"))
         iomod.save_algebra(report.derived, out("-nilsquare-derived"))
-        diag = {
+        doc["diagnostics"] = {
             "ad_e_cubed_zero": report.ad_e_cubed_zero,
             "d_squared_zero": report.d_squared_zero,
             "image_bracket_zero": report.image_bracket_zero,
             "image_in_kernel": report.image_in_kernel,
             "formula_check": report.formula_check,
         }
-        doc = {"written": written, "diagnostics": diag}
-        _emit(doc, args)
-        return EXIT_OK
     elif name == "splitting":
         family, n = take_family_n()
         if not args.sub or not args.complement:
@@ -467,13 +447,11 @@ def cmd_example(args):
         iomod.save_operator(d2, out("-proj-complement"))
     else:
         raise InputProblem("unknown example %r" % name)
-    _emit({"written": written}, args)
-    return EXIT_OK
+    return doc, EXIT_OK
 
 
 def cmd_report(args):
-    tensor, _ = iomod.load_algebra(args.algebra)
-    op = _load_operator(args.operator, tensor.dim)
+    tensor, op = _load(args)
     family_check = args.pc or args.gamma or args.seed_file
     if family_check:
         # read before any check, so a bad --gamma or --seed-file is always named
@@ -497,16 +475,10 @@ def cmd_report(args):
          a=class_doc["a"], b=class_doc["b"], mode=class_doc["mode"])
 
     if act.tag in (TAG_QUASI, TAG_NEAR):
-        members_ok = True
-        witness = None
         source = norm.derived if norm is not None else act.derived
-        for alpha, beta in MEMBER_SAMPLES:
-            member = tensor_combination([(alpha, tensor), (beta, source)])
-            if not is_lie(member):
-                members_ok = False
-                witness = [alpha, beta]
-                break
-        gate("pencil-members-lie", members_ok, witness=witness)
+        witness = next(([alpha, beta] for alpha, beta, ok in _members(tensor, source)
+                        if not ok), None)
+        gate("pencil-members-lie", witness is None, witness=witness)
         if norm is not None:
             gate("degenerate-lines-lie",
                  all(is_lie(line) for line in norm.degenerate_lines),
@@ -543,15 +515,14 @@ def cmd_report(args):
 
     if sk and jc and family_check:
         try:
-            struct, seeds, _ = _pc_seeds(args, tensor, seeds)
-            family = pois.pc_generate(struct, operator, seeds)
-            cert = pois.pc_verify(family, struct)
+            family, cert = _pc_family(args, tensor, operator, seeds)
+        except pois.SeedNotCentral as exc:
+            gate("pc-family-commutes", False, error=str(exc))
+        else:
             gate("pc-family-commutes", cert.ok, operator=op_desc,
                  size=len(family.generators),
                  witness=list(cert.witness) if cert.witness else None)
             diagnostics["pc_generators"] = [str(g) for g in family.generators]
-        except pois.SeedNotCentral as exc:
-            gate("pc-family-commutes", False, error=str(exc))
 
     all_ok = all(c["ok"] for c in checks)
     doc = {
@@ -561,8 +532,7 @@ def cmd_report(args):
         "checks": checks,
         "diagnostics": diagnostics,
     }
-    _emit(doc, args)
-    return EXIT_OK if all_ok else EXIT_CHECK
+    return doc, EXIT_OK if all_ok else EXIT_CHECK
 
 
 @functools.cache
@@ -582,6 +552,13 @@ def build_parser():
         if operator:
             p.add_argument("--operator", required=True, help="operator JSON file")
         p.add_argument("--json", action="store_true", help="JSON output")
+
+    def family(p):
+        """The options of the commutative-family check."""
+        p.add_argument("--gamma", help="comma-separated covector for the directional orbit")
+        p.add_argument("--seed-file", help="seed polynomials JSON")
+        p.add_argument("--degree-bound", type=_int_option, default=2,
+                       help="centre search degree when no seed file is given")
 
     p = sub.add_parser("classify", help="classify an operator against a bracket")
     common(p)
@@ -620,13 +597,9 @@ def build_parser():
                    help="nijenhuis kind: check enough points to certify")
 
     p = sub.add_parser("pc-check", help="generate and verify a commutative family")
-    p.add_argument("--algebra", required=True)
+    common(p, operator=False)
     p.add_argument("--operator", help="operator file; its lift drives the orbit")
-    p.add_argument("--gamma", help="comma-separated covector for the directional orbit")
-    p.add_argument("--seed-file", help="seed polynomials JSON")
-    p.add_argument("--degree-bound", type=_int_option, default=2,
-                   help="centre search degree when no seed file is given")
-    p.add_argument("--json", action="store_true")
+    family(p)
 
     p = sub.add_parser("example", help="write bundled example files")
     p.add_argument("name", help="gl|sl|so|sp|grading|nilpotent-square|splitting|quasi-grading")
@@ -645,9 +618,7 @@ def build_parser():
     p.add_argument("--max-exact-dim", type=_int_option, default=12)
     p.add_argument("--pc", action="store_true",
                    help="include the commutative-family check with centre seeds")
-    p.add_argument("--gamma", help="covector for the directional family")
-    p.add_argument("--seed-file", help="seed polynomials JSON")
-    p.add_argument("--degree-bound", type=_int_option, default=2)
+    family(p)
 
     return parser
 
@@ -656,7 +627,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        doc, code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        _emit(doc, args)
+        return code
     except (InputProblem, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

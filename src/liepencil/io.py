@@ -3,15 +3,20 @@
 All rationals travel as strings ("p" or "p/q", lowest terms) so files
 round-trip bit-exactly.  Algebra files store only the upper triangle i < j of
 a skew tensor, coefficients keyed by basis index in ascending order.
+
+Each input is parsed once, straight into the integer form the engine runs
+on: every coefficient is read as its (p, q) ints, and the whole file is
+cleared over the lcm of the q.  No `Fraction` is built here, and the
+engine's trusted `_of` constructors take the form without a second check,
+so file input is validated here and only here.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import lcm
 
-from .exact import RatMatrix, SparsePoly, _parse_rat_form, format_rat
+from .exact import RatMatrix, SparsePoly, _parse_rat_form, _reduced, format_rat
 from .tensors import StructureTensor, skew_table
 
 
@@ -34,14 +39,10 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _rat(text, context):
-    """A rational written as a JSON string; any other JSON value is refused,
-    since a JSON number may have passed through a float."""
-    return Fraction(*_rat_form(text, context))
-
-
 def _rat_form(text, context):
-    """`_rat` as its (p, q) ints, q > 0 and not reduced."""
+    """(p, q) ints, q > 0 and not reduced, of a rational written as a JSON
+    string; any other JSON value is refused, since a JSON number may have
+    passed through a float."""
     if not isinstance(text, str):
         raise ParseError("rational must be a string, got %r" % (text,), context)
     try:
@@ -108,12 +109,15 @@ def algebra_from_dict(doc):
             if k in seen:
                 raise ParseError("basis index %d given twice" % k, ctx + ".coeffs")
             seen.add(k)
-            c = _rat(text, ctx + ".coeffs")
-            if c:
-                vec[k] = c
+            p, q = _rat_form(text, ctx + ".coeffs")
+            if p:
+                vec[k] = p, q
         if vec:
             upper[(i, j)] = vec
-    tensor = StructureTensor(dim, skew_table(upper), labels)
+    L = lcm(*(q for vec in upper.values() for _, q in vec.values()))
+    form = _reduced(L, skew_table({ij: {k: p * (L // q) for k, (p, q) in vec.items()}
+                                   for ij, vec in upper.items()}))
+    tensor = StructureTensor._of(dim, None, tuple(labels), form)
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError("metadata must be an object", "algebra.metadata")
@@ -139,7 +143,6 @@ def operator_from_dict(doc):
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError("row must have %d entries" % dim, ctx)
         forms.append([_rat_form(x, ctx) for x in row])
-    # each entry is parsed once, to ints, straight into the matrix's form
     L = lcm(*(q for row in forms for _, q in row))
     return RatMatrix._of(L, [[p * (L // q) for p, q in row] for row in forms])
 
@@ -160,10 +163,11 @@ def poly_from_list(nvars, data, context="poly"):
         if (not isinstance(exps, list) or len(exps) != nvars
                 or any(not _is_int(e) or e < 0 for e in exps)):
             raise ParseError("exponents must be %d nonnegative integers" % nvars, ctx)
-        c = _rat(_require(term, "coeff", ctx), ctx + ".coeff")
-        key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    return SparsePoly(nvars, {e: c for e, c in terms.items() if c})
+        terms.setdefault(tuple(exps), []).append(
+            _rat_form(_require(term, "coeff", ctx), ctx + ".coeff"))
+    L = lcm(*(q for forms in terms.values() for _, q in forms))
+    ints = {e: sum(p * (L // q) for p, q in forms) for e, forms in terms.items()}
+    return SparsePoly._of(nvars, L, {e: c for e, c in ints.items() if c})
 
 
 def seeds_to_dict(polys):

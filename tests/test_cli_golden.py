@@ -32,7 +32,11 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 # x = E12 - E13 + E23 and y = -E21 + E31 + E32, which is dense and near with
 # (a, b) = (0, -3); and two skew tensors that are not Lie: one whose first
 # failing Jacobi triple is (0, 1, 3), and one graded mod 3 by the weights
-# (1, 1, 2, 0), near for its weight operator, whose pencil members fail
+# (1, 1, 2, 0), near for its weight operator, whose pencil members fail;
+# the identity on sl2, of scalar type; the 2-dimensional algebra [x, y] = y
+# with D = [[0, 2], [1, 0]], near with (a, b) = (2, 0) and discriminant 8,
+# whose pencil has irrational eigenvalues; and the seed x0 on sl2, which is
+# not central
 FILES = {
     "sl2-dense-op.json": {"dim": 3, "matrix": [["1/2", "-1", "2/3"],
                                                ["3", "0", "-1/4"],
@@ -72,6 +76,13 @@ FILES = {
                                                           ["0", "1", "0", "0"],
                                                           ["0", "0", "2", "0"],
                                                           ["0", "0", "0", "0"]]},
+    "sl2-identity-op.json": {"dim": 3, "matrix": [["1", "0", "0"],
+                                                  ["0", "1", "0"],
+                                                  ["0", "0", "1"]]},
+    "affine2.json": {"dim": 2, "basis": ["x", "y"],
+                     "brackets": [{"i": 0, "j": 1, "coeffs": {"1": "1"}}]},
+    "affine2-op.json": {"dim": 2, "matrix": [["0", "2"], ["1", "0"]]},
+    "sl2-seed-x0.json": {"seeds": [[{"exponents": [1, 0, 0], "coeff": "1"}]]},
 }
 
 COMMANDS = [
@@ -128,6 +139,13 @@ COMMANDS = [
     "report --algebra skew-nonlie.json --operator skew-nonlie-dense-op.json --seed 4 --json",
     "report --algebra graded-nonlie.json --operator graded-nonlie-weight-op.json --seed 4 --json",
     "pencil --algebra graded-nonlie.json --operator graded-nonlie-weight-op.json --json",
+    "pencil --algebra sl2.json --operator sl2-dense-op.json",
+    "pencil --algebra sl2.json --operator sl2-identity-op.json --json",
+    "pencil --algebra affine2.json --operator affine2-op.json --json",
+    "pc-check --algebra sl2.json --gamma 0,0,1 --seed-file sl2-seed-x0.json --json",
+    "report --algebra sl2.json --operator sl2-nilsquare-op.json --seed 3 "
+    "--seed-file sl2-seed-x0.json --json",
+    "report --algebra sl2.json --operator sl2-nilsquare-op.json --gamma 1,0,1 --seed 3",
 ]
 
 

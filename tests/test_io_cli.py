@@ -250,7 +250,10 @@ def test_cli_number_as_rational_exits_2(workdir, capsys, name, doc, argv, field)
       "--depth", "0"], "depth"),
     (["nijenhuis-check", "--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json",
       "--depth", "-1"], "depth"),
-], ids=["samples-0", "samples-negative", "depth-0", "depth-negative"])
+    # --power counts derivations and may be 0, but not below
+    (["derive", "--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json",
+      "--power", "-1"], "--power must be at least 0, got -1"),
+], ids=["samples-0", "samples-negative", "depth-0", "depth-negative", "power-negative"])
 def test_cli_count_below_one_exits_2(workdir, capsys, argv, name):
     # a count of zero would check nothing and still report a verdict
     run(["example", "nilpotent-square", "sl", "2", "--partition", "2"])

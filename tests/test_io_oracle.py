@@ -9,6 +9,11 @@
   labels, and saving what was loaded writes the same bytes.  The algebras
   include kernel results, whose `Fraction` table is first built when the
   file is written.
+* Algebra and seed documents written with unreduced, signed and zero
+  coefficients, and seeds with repeated exponents, parse to what a
+  `Fraction` reading gives: the same integer form and key order, a zero
+  coefficient or all-zero pair dropped.  A loaded tensor carries only its
+  integer form, and its table slot stays unset until the table is read.
 """
 
 import json
@@ -24,9 +29,10 @@ from liepencil.exact import RatMatrix, SparsePoly
 from liepencil.io import (ParseError, algebra_from_dict, algebra_to_dict, load_algebra,
                           load_operator, operator_from_dict, operator_to_dict,
                           save_algebra, save_operator, seeds_from_dict, seeds_to_dict)
-from liepencil.tensors import derived
+from liepencil.exact import parse_rat
+from liepencil.tensors import StructureTensor, derived, skew_table
 
-from test_lazy_table import materialised
+from test_lazy_table import check_lazy, layout, materialised
 from test_tensor_oracle import operators, tensors
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -130,3 +136,57 @@ def test_algebra_file_round_trip(tmp_path_factory, tensor, data):
 @given(st.integers(1, 4).flatmap(operators))
 def test_operator_file_round_trip(tmp_path_factory, op):
     assert round_trip(save_operator, load_operator, op, tmp_path_factory.mktemp("op")) == op
+
+
+# "p/q" strings of small rationals, unreduced, signed or zero
+RATIONAL_TEXT = st.builds("{}{}/{}".format, st.sampled_from(["", "+", "-"]),
+                          st.integers(0, 12), st.integers(1, 12)) | st.builds(
+    str, st.integers(-6, 6))
+
+
+@st.composite
+def algebra_documents(draw):
+    dim = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    brackets = [{"i": i, "j": j, "coeffs": draw(st.dictionaries(
+        st.integers(0, dim - 1).map(str), RATIONAL_TEXT, max_size=dim))}
+        for i, j in chosen]
+    return {"dim": dim, "basis": ["x%d" % i for i in range(dim)], "brackets": brackets}
+
+
+def reference_algebra(doc):
+    """The tensor of an algebra document read in `Fraction`, zeros dropped."""
+    upper = {}
+    for entry in doc["brackets"]:
+        vec = {int(k): parse_rat(c) for k, c in entry["coeffs"].items() if parse_rat(c)}
+        if vec:
+            upper[(entry["i"], entry["j"])] = vec
+    return StructureTensor(doc["dim"], skew_table(upper), doc["basis"])
+
+
+@given(algebra_documents())
+def test_algebra_parse_matches_a_fraction_reading(doc):
+    tensor, _ = algebra_from_dict(doc)
+    want = reference_algebra(doc)
+    assert tensor.labels == want.labels
+    assert tensor.integer_form() == want.integer_form()
+    check_lazy(tensor, want.table)
+    assert layout(tensor.table) == layout(want.table)
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                          RATIONAL_TEXT), max_size=6))
+def test_seed_parse_matches_a_fraction_reading(terms):
+    # exponent vectors repeat, so coefficients are summed before zeros drop
+    doc = {"seeds": [[{"exponents": exps, "coeff": c} for exps, c in terms]]}
+    sums = {}
+    for exps, c in terms:
+        sums[tuple(exps)] = sums.get(tuple(exps), 0) + parse_rat(c)
+    want = SparsePoly(2, sums)
+    if want.is_zero():
+        with pytest.raises(ParseError):
+            seeds_from_dict(doc, 2)
+    else:
+        poly = seeds_from_dict(doc, 2)[0]
+        assert poly == want and list(poly.ints) == list(want.ints)

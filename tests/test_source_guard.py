@@ -17,6 +17,12 @@ first read, `__getattr__`, for a tensor built from its integer form alone.
 A second rule keeps a polynomial's storage inside `exact`: `poisson.py` and
 `analysis.py` read a `SparsePoly`'s integer form (`den`, `ints`), and neither
 imports the clearing rule `_cleared` nor reads `.terms`.
+
+Two more rules keep the front end a single pass.  In `cli.py`, `print` and
+`_emit` are called only from `main`, `_emit` and `_print_text`: a command
+returns its document, and `main` prints it.  `io.py` names no `Fraction`,
+and uses `StructureTensor`, `SparsePoly` and `RatMatrix` only to call their
+`_of`: each file is parsed once, straight into its integer form.
 """
 
 import ast
@@ -176,3 +182,91 @@ def bracket(f, g):
     found = {name: form_offences((package / name).read_text(encoding="utf-8"))
              for name in ("poisson.py", "analysis.py")}
     assert found == {"poisson.py": [], "analysis.py": []}
+
+
+# the one place that prints: commands return their documents to `main`
+PRINTERS = {"main", "_emit", "_print_text"}
+
+
+def print_offences(source):
+    """(line, function) of every call of `print` or `_emit` outside PRINTERS."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("print", "_emit") and func not in PRINTERS):
+            out.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_cli_prints_only_from_main():
+    source = """
+def _emit(doc, args):
+    print(doc)
+def _print_text(doc):
+    print(doc)
+def main(argv):
+    _emit(cmd(argv), argv)
+def cmd_index(args):
+    doc = {}
+    _emit(doc, args)
+    def inner():
+        print("x")
+    return doc
+print("at import")
+"""
+    assert print_offences(source) == [(10, "cmd_index"), (12, "inner"), (14, None)]
+    package = Path(liepencil.__file__).parent
+    assert print_offences((package / "cli.py").read_text(encoding="utf-8")) == []
+
+
+# the integer forms io builds go straight to the engine's trusted constructors
+FORM_CLASSES = {"StructureTensor", "SparsePoly", "RatMatrix"}
+
+
+def io_offences(source):
+    """(line, what) of every `Fraction` named, imported or read as an
+    attribute, and of every use of a form class other than a call of its
+    `_of`."""
+    tree = ast.parse(source)
+    through_of = {id(node.func.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "_of"}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, "import Fraction") for a in node.names
+                    if a.name == "Fraction"]
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            out.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Name) and (node.id == "Fraction" or (
+                node.id in FORM_CLASSES and id(node) not in through_of)):
+            out.append((node.lineno, node.id))
+    return sorted(out)
+
+
+def test_io_builds_forms_without_fraction():
+    source = """
+from fractions import Fraction
+import fractions
+from .exact import SparsePoly, RatMatrix
+from .tensors import StructureTensor
+def parse(doc):
+    c = fractions.Fraction(1, 2)
+    a = StructureTensor._of(2, None, ("a", "b"), (1, {}))
+    b = StructureTensor(2, {}, ("a", "b"))
+    p = SparsePoly.const(3, 1)
+    m = RatMatrix._of(1, [[c]]) or RatMatrix
+    return Fraction(1)
+"""
+    assert io_offences(source) == [(2, "import Fraction"), (7, "fractions.Fraction"),
+                                   (9, "StructureTensor"), (10, "SparsePoly"),
+                                   (11, "RatMatrix"), (12, "Fraction")]
+    package = Path(liepencil.__file__).parent
+    assert io_offences((package / "io.py").read_text(encoding="utf-8")) == []
