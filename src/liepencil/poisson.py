@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from math import lcm
 
 from .exact import (ZERO, RatMatrix, SparsePoly, _IntRows, _muladd, _packing, _pmuladd,
-                    kernel_basis, rank_exact)
+                    _reduce, kernel_basis)
 from .tensors import StructureTensor, check_jacobi, is_lie, pair_table
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -193,11 +193,13 @@ class PCFamily:
     witness: tuple | None = None
 
 
-def _independent(polys, candidate):
-    """Whether candidate lies outside the span of the independent polys."""
-    family = polys + [candidate]
-    monos = sorted({m for p in family for m in p.ints}, key=lambda t: (sum(t), t))
-    return rank_exact([[p.ints.get(m, 0) for m in monos] for p in family]) > len(polys)
+def _extend(basis, candidate):
+    """The `_reduce` rows ({monomial: int}) of the span of basis and the
+    polynomial candidate, or None when candidate lies in that span.  basis
+    holds the rows this returned for the family so far, already reduced,
+    so a step eliminates little beyond the candidate's row."""
+    pivots, rows = _reduce(basis + [candidate.ints])
+    return rows if len(pivots) > len(basis) else None
 
 
 def pc_generate(struct, operator, seeds):
@@ -218,14 +220,17 @@ def pc_generate(struct, operator, seeds):
             raise SeedNotCentral(s_idx, witness)
     gens = []
     prov = []
+    basis = []
     for s_idx, seed in enumerate(seeds):
         current = seed
         power = 0
         while True:
             if power > MAX_ORBIT_STEPS:
                 raise ValueError("orbit failed to close after %d steps" % MAX_ORBIT_STEPS)
-            if current.is_zero() or (gens and not _independent(gens, current)):
+            extended = _extend(basis, current)
+            if extended is None:
                 break
+            basis = extended
             gens.append(current)
             prov.append("seed%d" % s_idx if power == 0
                         else "seed%d:D^%d" % (s_idx, power))

@@ -45,6 +45,7 @@ vector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -484,6 +485,30 @@ def check_jacobi(tensor):
 
 def is_lie(tensor):
     return tensor.is_skew() and check_jacobi(tensor)[0]
+
+
+def pencil_lie(tensor, other):
+    """The function (alpha, beta) -> is_lie(alpha * tensor + beta * other).
+
+    The verdicts of T = tensor and S = other are read once, from their
+    caches.  A member with ab == 0 is 0 or a nonzero multiple of T or of S,
+    so its verdict is theirs.  The Jacobiator J is quadratic, so
+    J(aT + bS) = a^2 J(T) + ab (J(T + S) - J(T) - J(S)) + b^2 J(S): when T
+    and S are both Lie, a member with ab != 0 is skew and Lie exactly when
+    T + S is, which is built and checked on the first such member asked
+    for and read for every later one.  Otherwise a member with ab != 0 is
+    built and checked on its own.
+    """
+    lie_t, lie_s = is_lie(tensor), is_lie(other)
+    compatible = functools.cache(lambda: is_lie(tensor + other))
+
+    def lie(alpha, beta):
+        if not (alpha and beta):
+            return (not alpha or lie_t) and (not beta or lie_s)
+        if lie_t and lie_s:
+            return compatible()
+        return is_lie(tensor_combination([(alpha, tensor), (beta, other)]))
+    return lie
 
 
 def ad(tensor, x):

@@ -297,6 +297,10 @@ SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
      "--weights"),
     (["example", "nilpotent-square", "sl", "3", "--partition", "2,\u06601"], "--partition"),
     (["report"] + SL2_OP + ["--gamma", "0,1"], "--gamma"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--operator", "no-such-file.json"],
+     "--gamma or --operator"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--operator", "dim4-op.json"],
+     "--gamma or --operator"),
 ], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
         "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
         "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
@@ -304,10 +308,12 @@ SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
         "pc-check-no-operator", "pc-check-gamma-length", "index-not-lie",
         "grading-weight-count", "quasi-grading-weight-count", "N-arabic-indic-digit",
         "N-underscore", "weights-arabic-indic-digit", "partition-arabic-indic-digit",
-        "report-gamma-length"])
+        "report-gamma-length", "pc-check-gamma-and-missing-operator",
+        "pc-check-gamma-and-wrong-dimension-operator"])
 def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
+    (workdir / "dim4-op.json").write_text(json.dumps(operator_to_dict(RatMatrix.identity(4))))
     capsys.readouterr()
     assert run(argv) == 2
     out, err = capsys.readouterr()

@@ -1,8 +1,9 @@
 """The integer Poisson kernels against Fraction references.
 
 The references below are the plain Fraction versions of `poisson_bracket`,
-`centre_candidates`, the Jacobi gate of `from_tensor` and `pc_verify`'s
-loop over every generator pair.  The library runs the same computations on
+`centre_candidates`, the Jacobi gate of `from_tensor`, `pc_verify`'s
+loop over every generator pair and `pc_generate`'s orbit loop with a rank
+of the whole family at every step.  The library runs the same computations on
 integers over common denominators (`pc_verify` on packed monomials), so on
 generated inputs (polynomials with mixed denominators and zero terms;
 linear tables of Lie algebras moved to random rational bases, abelian
@@ -23,13 +24,13 @@ from hypothesis import given, strategies as st
 
 from liepencil.analysis import structure_matrix
 from liepencil import poisson as pois
-from liepencil.exact import ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis
+from liepencil.exact import ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis, rank_exact
 from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, from_tensor,
-                               pc_verify, poisson_bracket)
+                               pc_generate, pc_verify, poisson_bracket)
 from liepencil.tensors import StructureTensor
 
-from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis, standard,
-                                tensors, transport)
+from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis, fixed_lists,
+                                operators, standard, tensors, transport)
 
 # the example budget is the "liepencil" profile in conftest.py
 
@@ -97,6 +98,24 @@ def reference_pc_verify(struct, gens):
         if not br.is_zero():
             return (a, b), br
     return None, None
+
+
+def reference_pc_generate(operator, seeds):
+    """(generators, provenance) of pc_generate's orbit loop, each step ranking
+    the family and the candidate from scratch in Fraction arithmetic."""
+    gens, prov = [], []
+    for s_idx, seed in enumerate(seeds):
+        current, power = seed, 0
+        while True:
+            family = gens + [current]
+            monos = sorted({m for p in family for m in p.terms})
+            if rank_exact([[p.terms.get(m, ZERO) for m in monos] for p in family]) == len(gens):
+                break
+            gens.append(current)
+            prov.append("seed%d" % s_idx if power == 0 else "seed%d:D^%d" % (s_idx, power))
+            current = operator(current)
+            power += 1
+    return gens, prov
 
 
 def reference_jacobi_verdict(tensor):
@@ -343,3 +362,37 @@ def test_from_tensor_gate_matches_reference(tensor):
     struct = from_tensor(tensor)
     assert struct.jacobi_verified
     assert struct.table == linear_table(tensor).table
+
+
+@st.composite
+def orbits(draw):
+    """(n, operator, seeds) for pc_generate on the zero table of n
+    generators, where every polynomial is central: the lift of a matrix or a
+    directional derivative, and seeds that are drawn polynomials (zero
+    among them) or combinations of earlier seeds and their images, so that
+    orbits also close early or at once."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans(), label="lifted"):
+        operator = pois.lifted(draw(operators(n), label="op"))
+    else:
+        operator = pois.directional(draw(fixed_lists(ENTRIES, n), label="gamma"))
+    seeds = []
+    for _ in range(draw(st.integers(1, 4))):
+        if seeds and draw(st.booleans(), label="combination"):
+            a, b = draw(st.sampled_from(seeds)), draw(st.sampled_from(seeds))
+            seeds.append(a * SparsePoly.const(n, draw(ENTRIES))
+                         + operator(b) * SparsePoly.const(n, draw(ENTRIES)))
+        else:
+            seeds.append(draw(polys(n, max_exp=1, max_terms=4)))
+    return n, operator, seeds
+
+
+@given(orbits())
+def test_pc_generate_matches_whole_family_rank(orbit):
+    # pc_generate eliminates only each candidate against the family's kept
+    # reduced rows; the reference ranks the whole family at every step
+    n, operator, seeds = orbit
+    family = pc_generate(PoissonStructure(n, {}), operator, seeds)
+    gens, prov = reference_pc_generate(operator, seeds)
+    assert family.provenance == prov
+    assert family.generators == gens

@@ -10,6 +10,8 @@ equal tables with the same key order, and the same verdict and witness.
 (a, b), scalar and T'' must equal a Gram-matrix solve on the two reference
 derived tensors, on hand-made pencils of every tag moved to random bases and
 scaled, some far enough that the packed fields of T'' pass 64 bits.
+`pencil_lie`'s verdict on each pencil member must be `is_lie` of the member
+built on its own, on compatible, incompatible and non-Lie pairs.
 Hypothesis is test-only; the library itself stays stdlib-only.
 """
 
@@ -20,10 +22,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+from liepencil.cli import MEMBER_SAMPLES
+from liepencil.constructions import build_classical
 from liepencil.exact import ZERO, RatMatrix
 from liepencil.tensors import (IrrationalEigenvalues, StructureTensor, ad, check_jacobi,
-                               classify_operator, derived, normalize_pencil,
-                               tensor_combination)
+                               classify_operator, derived, is_lie, normalize_pencil,
+                               pencil_lie, tensor_combination)
+
+from test_acceptance import constructed_near_derivations
 
 # the example budget is the "liepencil" profile in conftest.py
 
@@ -393,3 +399,50 @@ def test_classify_with_fields_past_64_bits(tag, tensor, op):
     widest = 3 * n * max(abs(x) for row in D.ints for x in row) * max(
         abs(v) for vec in s1.values() for v in vec.values())
     assert widest.bit_length() > 64
+
+
+# pencil_lie(T, S)(alpha, beta) against is_lie of the member built on its
+# own.  With T and S Lie the helper answers every member with
+# alpha * beta != 0 from one check of T + S, so the pairs below hold
+# compatible Lie pairs (T and rho(D).T for the constructed
+# near-derivations), Lie pairs that are not compatible (T and T on a moved
+# basis), pairs with a side that is not skew or not Lie, and pairs U - S, S
+# whose sum U is Lie while the pair is not compatible.  sl2 and the
+# Heisenberg algebra are left out of the moved pairs: every two unimodular
+# brackets on a 3-space are compatible, so they would give no such pair.
+
+NEAR = [(t, op) for _, t, op in constructed_near_derivations()]
+MOVABLE = [standard(LIE[2]), standard(LIE[3]), build_classical("gl", 2),
+           build_classical("sl", 3)]
+
+
+@st.composite
+def pencil_pairs(draw):
+    kind = draw(st.sampled_from(["near", "moved", "any", "shifted"]))
+    if kind == "near":
+        tensor, op = draw(st.sampled_from(NEAR))
+        pair = tensor, derived(tensor, op)
+    elif kind == "any":
+        tensor = draw(tensors())
+        pair = tensor, derived(tensor, draw(operators(tensor.dim), label="op"))
+    else:
+        lie = draw(st.sampled_from(MOVABLE))
+        moved = transport(lie, draw(change_of_basis(lie.dim), label="P"))
+        pair = (lie, moved) if kind == "moved" else (lie - moved, moved)
+    return pair if draw(st.booleans(), label="in order") else pair[::-1]
+
+
+@st.composite
+def member_samples(draw):
+    """MEMBER_SAMPLES, (0, b), (a, 0), (0, 0) and random pairs, shuffled."""
+    a, b = draw(NONZERO), draw(NONZERO)
+    extra = draw(st.lists(st.tuples(ENTRIES, ENTRIES), max_size=3))
+    return draw(st.permutations(list(MEMBER_SAMPLES) + [(0, b), (a, 0), (0, 0)] + extra))
+
+
+@given(pencil_pairs(), member_samples())
+def test_pencil_lie_matches_each_member(pair, samples):
+    tensor, other = pair
+    lie = pencil_lie(tensor, other)
+    for alpha, beta in samples:
+        assert lie(alpha, beta) is is_lie(tensor_combination([(alpha, tensor), (beta, other)]))
