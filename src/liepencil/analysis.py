@@ -1,4 +1,4 @@
-"""Structural invariants of Lie tensors: centre, centraliser, index, series."""
+"""Structural invariants of Lie tensors: centre, index, lower central series."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .exact import SparsePoly, _reduce, generic_rank, kernel_basis, rank_exact
-from .tensors import ad, is_lie
+from .tensors import is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
 SAMPLE_BOUND = 10 ** 6
@@ -44,11 +44,6 @@ def lie_centre(tensor):
         for k, c in vec.items():
             rows.setdefault((j, k), {})[i] = c
     return kernel_basis(list(rows.values()), tensor.dim)
-
-
-def centraliser(tensor, x):
-    """Canonical basis of the kernel of ad x."""
-    return kernel_basis(ad(tensor, x))
 
 
 def structure_matrix(tensor):
@@ -146,62 +141,3 @@ def lower_central_series(tensor):
                 if any(acc):
                     span.append(acc)
     return dims
-
-
-@dataclass
-class IndexTheoremReport:
-    """Cross-checked invariants of a derived bracket at a nilpotent square."""
-
-    dim: int
-    index_prob: int
-    index_exact: int | None
-    centraliser_dim: int
-    centre_dim: int
-    nilpotency_class: int
-    consistent: bool
-
-
-def nilpotency_class(tensor):
-    """Length of the lower central series until it hits zero.
-
-    Abelian tensors have class 1; raises if the series stabilises above zero.
-    """
-    dims = lower_central_series(tensor)
-    if dims[-1] != 0:
-        raise ValueError("tensor is not nilpotent; series stabilises at %d"
-                         % dims[-1])
-    return len(dims) - 1
-
-
-def verify_index_theorem(family, n, partition, seed=None):
-    """Index of the derived bracket at (ad e)^2 for a standard triple.
-
-    Builds the matrix algebra, takes the triple attached to the partition,
-    forms the derived bracket, and checks that its index equals both the
-    centraliser dimension of e and the dimension of its own centre, and
-    that the derived bracket is nilpotent of class at most two.  Each
-    centre vector is a constant kernel vector of the structure matrix, so
-    dim z <= index <= index_prob; index_exact is the index when the two
-    bounds meet, else None.
-    """
-    from .constructions import nilpotent_square, sl2_complete
-
-    triple = sl2_complete(family, n, partition)
-    derived_tensor = nilpotent_square(triple.tensor, triple.e)[1].derived
-
-    rep_p = lie_index(derived_tensor, mode="prob", seed=seed)
-    cent = centraliser(triple.tensor, triple.e)
-    centre = lie_centre(derived_tensor)
-    cls = nilpotency_class(derived_tensor)
-
-    index_exact = rep_p.index if rep_p.index == len(centre) else None
-    consistent = index_exact == len(cent) and cls <= 2
-    return IndexTheoremReport(
-        dim=derived_tensor.dim,
-        index_prob=rep_p.index,
-        index_exact=index_exact,
-        centraliser_dim=len(cent),
-        centre_dim=len(centre),
-        nilpotency_class=cls,
-        consistent=consistent,
-    )

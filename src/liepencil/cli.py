@@ -303,10 +303,14 @@ def cmd_exp_check(args):
     tensor, op = _load(args)
     points = (_parse_rationals(args.points, "points") if args.points else None)
     if args.kind == "nijenhuis":
-        if not (points or args.certified):
-            raise InputProblem("give --points or --certified")
+        if args.m is not None:
+            raise InputProblem("--m applies to --kind near only")
+        if bool(points) == args.certified:
+            raise InputProblem("give exactly one of --points and --certified")
         rep = nij.certified_exp_identity_nijenhuis(tensor, op, points)
     else:
+        if args.certified:
+            raise InputProblem("--certified applies to --kind nijenhuis only")
         if args.m is None:
             raise InputProblem("--kind near requires --m")
         if not points:

@@ -1,4 +1,4 @@
-"""Builders: classical matrix algebras, gradings, contractions, deformations.
+"""Builders: classical matrix algebras, gradings, splittings, standard triples.
 
 Conventions fixed here:
   * gl_n uses the unit matrices E_ij in row-major order;
@@ -17,9 +17,8 @@ from fractions import Fraction
 
 from .exact import (ONE, ZERO, RatMatrix, _int_coordinates, coordinates,
                     kernel_basis, mat_commutator, unit_vector)
-from .tensors import (StructureTensor, TAG_NEAR, IdentityFailed, ad, check_jacobi,
-                      check_skew, classify_operator, contract, derived, pair_table,
-                      tensor_combination)
+from .tensors import (StructureTensor, IdentityFailed, ad, check_jacobi, contract, derived,
+                      pair_table)
 
 
 def unit_matrix(n, i, j):
@@ -44,28 +43,22 @@ def _matrix_reader(basis_mats):
     return coords
 
 
-def matrix_coords(basis_mats, target):
-    """Coordinates of a matrix with respect to a list of basis matrices."""
-    return _matrix_reader(basis_mats)(target)
+def tensor_from_matrix_basis(mats, labels):
+    """Lie structure tensor of the commutator expanded over a matrix basis."""
+    return _expand(mats, labels, _matrix_reader(mats))
 
 
-def tensor_from_matrix_basis(mats, labels, product="commutator", check_lie=True):
-    """Structure tensor of a bilinear matrix product expanded over a basis."""
-    return _expand(mats, labels, _matrix_reader(mats), product, check_lie)
-
-
-def _expand(mats, labels, coords, product="commutator", check_lie=True):
-    """`tensor_from_matrix_basis` over the basis reader coords; a product
-    outside the span raises ValueError.  A commutator is expanded once per
-    pair i < j; row j, filled after row i, writes [x_j, x_i] as the negated
-    vector, so the table keeps row-major key order."""
+def _expand(mats, labels, coords):
+    """`tensor_from_matrix_basis` over the basis reader coords; a commutator
+    outside the span, or a table that fails Jacobi, raises ValueError.  A
+    commutator is expanded once per pair i < j; row j, filled after row i,
+    writes [x_j, x_i] as the negated vector, so the table keeps row-major key
+    order and is skew by construction."""
     n = len(mats)
     table = {}
     for i in range(n):
         for j in range(n):
-            if product != "commutator":
-                vec = {k: c for k, c in enumerate(coords(mats[i] * mats[j])) if c}
-            elif i < j:
+            if i < j:
                 vec = {k: c for k, c in enumerate(coords(mat_commutator(mats[i], mats[j])))
                        if c}
             else:
@@ -74,13 +67,9 @@ def _expand(mats, labels, coords, product="commutator", check_lie=True):
                 table[(i, j)] = vec
 
     tensor = StructureTensor._of(n, table, tuple(labels))
-    if check_lie:
-        ok, wit = check_skew(tensor)
-        if not ok:
-            raise ValueError("commutator tensor not skew at %r" % (wit,))
-        ok, wit = check_jacobi(tensor)
-        if not ok:
-            raise ValueError("Jacobi fails at %r" % (wit,))
+    ok, wit = check_jacobi(tensor)
+    if not ok:
+        raise ValueError("Jacobi fails at %r" % (wit,))
     return tensor
 
 
@@ -136,11 +125,6 @@ def build_classical(family, n):
     if family == "sp":
         return involution_split(n, standard_symplectic(n)).odd_tensor
     return tensor_from_matrix_basis(*basis_matrices(family, n))
-
-
-def build_gl_associative(n):
-    """Associative product tensor of the full matrix algebra on the E_ij basis."""
-    return tensor_from_matrix_basis(*basis_matrices("gl", n), product="assoc", check_lie=False)
 
 
 def direct_sum(t1, t2):
@@ -206,36 +190,6 @@ class GradingSpec:
 def grading_operator(spec):
     """Diagonal weight operator of a grading."""
     return RatMatrix.diagonal([Fraction(w) for w in spec.weights])
-
-
-def contractions_from_grading(tensor, spec):
-    """Split a periodically graded bracket into its two degenerate contractions.
-
-    T_0 keeps the pairs whose weights add to less than the modulus, T_inf the
-    rest (those wrap around).  Both are Lie, they sum to T, and T_inf is
-    positively graded for the reversed weights, hence nilpotent.
-    """
-    if spec.kind != "periodic":
-        raise ValueError("contractions need a periodic grading")
-    ok, wit = spec.validate(tensor)
-    if not ok:
-        raise ValueError("grading invalid at %r" % (wit,))
-    n = spec.modulus
-    low, high = {}, {}
-    for (i, j), vec in tensor.table.items():
-        if spec.weights[i] + spec.weights[j] < n:
-            low[(i, j)] = dict(vec)
-        else:
-            high[(i, j)] = dict(vec)
-    t0 = StructureTensor(tensor.dim, low, tensor.labels)
-    tinf = StructureTensor(tensor.dim, high, tensor.labels)
-    for t in (t0, tinf):
-        okx, wit = check_skew(t)
-        if okx:
-            okx, wit = check_jacobi(t)
-        if not okx:
-            raise ValueError("contraction fails Lie checks at %r" % (wit,))
-    return t0, tinf
 
 
 def quasi_grading_extension(tensor, spec):
@@ -331,98 +285,6 @@ def splitting_operators(tensor, part_a, part_b):
     d1 = RatMatrix.diagonal([ONE if i in set(part_a) else ZERO for i in range(n)])
     d2 = RatMatrix.identity(n) - d1
     return d1, d2
-
-
-@dataclass
-class DeformationTable:
-    """Laurent table of a weight deformation: exponent -> tensor term."""
-
-    weights: tuple
-    terms: dict
-
-    @property
-    def is_polynomial(self):
-        return all(e >= 0 for e in self.terms)
-
-    def negative_exponents(self):
-        return sorted(e for e in self.terms if e < 0)
-
-    def at(self, t):
-        """Evaluate the table at a nonzero rational t."""
-        t = Fraction(t)
-        return tensor_combination([(t ** e if e >= 0 else ONE / t ** (-e), term)
-                                   for e, term in self.terms.items()])
-
-
-def deform_bracket(tensor, weights):
-    """Conjugate the bracket by the weight scaling x_i -> t^w_i x_i.
-
-    The pair (i, j) contributes at exponent w_i + w_j - w_k for each value
-    index k.  Negative exponents are legal and simply reported in the table.
-    """
-    if isinstance(weights, GradingSpec):
-        weights = weights.weights
-    weights = tuple(int(w) for w in weights)
-    if len(weights) != tensor.dim:
-        raise ValueError("weight count mismatch")
-    buckets = {}
-    for (i, j), vec in tensor.table.items():
-        for k, c in vec.items():
-            e = weights[i] + weights[j] - weights[k]
-            buckets.setdefault(e, {}).setdefault((i, j), {})[k] = c
-    terms = {e: StructureTensor(tensor.dim, tab, tensor.labels)
-             for e, tab in sorted(buckets.items())}
-    return DeformationTable(weights, terms)
-
-
-@dataclass
-class SpecialReport:
-    is_special: bool
-    m: int | None
-    checks: dict
-
-
-def check_special(table):
-    """Decide whether a polynomial deformation has exactly the terms {0, m}.
-
-    For a special table the weight operator is a semisimple near-derivation
-    with coefficients (0, -m); the checks dict also records the support
-    containment (every pair lands in levels i+j and i+j-m) and the maximal
-    weight bounds (p <= m when the top level brackets nontrivially with
-    itself, p = m when it is a non-abelian subalgebra).
-    """
-    if not table.is_polynomial:
-        raise ValueError("table has negative exponents %r" % table.negative_exponents())
-    exps = sorted(table.terms)
-    if len(exps) != 2 or exps[0] != 0 or exps[1] < 1:
-        top = max(exps) if exps else None
-        return SpecialReport(False, top, {})
-    m = exps[1]
-    weights = table.weights
-    total = tensor_combination([(ONE, t) for t in table.terms.values()])
-    op = RatMatrix.diagonal([Fraction(w) for w in weights])
-    checks = {}
-    checks["derived_is_minus_m_times_tm"] = (
-        derived(total, op) == table.terms[m].scale(-m))
-    action = classify_operator(total, op)
-    checks["classified_near_0_minus_m"] = (
-        action.tag == TAG_NEAR and action.a == 0 and action.b == -m)
-    support_ok = True
-    for (i, j), vec in total.table.items():
-        s = weights[i] + weights[j]
-        for k in vec:
-            if weights[k] not in (s, s - m):
-                support_ok = False
-    checks["support_in_two_levels"] = support_ok
-    p = max(weights)
-    top_idx = [i for i, w in enumerate(weights) if w == p]
-    top_brackets = any(total.bracket(i, j) for i in top_idx for j in top_idx)
-    top_closed = all(all(weights[k] == p for k in total.bracket(i, j))
-                     for i in top_idx for j in top_idx)
-    checks["top_weight_bound"] = (not top_brackets) or p <= m
-    checks["top_subalgebra_forces_equality"] = (
-        not (top_brackets and top_closed)) or p == m
-    return SpecialReport(True, m, checks)
 
 
 @dataclass
@@ -566,81 +428,3 @@ def involution_split(n, J=None):
         return [RatMatrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in vecs]
 
     return InvolutionSplit(n, J, to_mats(odd_vecs), to_mats(even_vecs))
-
-
-@dataclass
-class AssocOperators:
-    """Left/right multiplications by a fixed element of a matrix algebra.
-
-    checks holds the verified identities: minus the derived bracket along L_a
-    is x a y - y a x, powers of L_a are left multiplications by powers of a,
-    and (with an involution) the second derived bracket along the symmetrized
-    operator D_a restricted to the odd part is the a^2 sandwich bracket.
-    """
-
-    a: RatMatrix
-    left: RatMatrix
-    right: RatMatrix
-    gl_tensor: StructureTensor
-    derived_left: StructureTensor
-    checks: dict
-    split: InvolutionSplit | None = None
-    d_a: RatMatrix | None = None
-    odd_tensor: StructureTensor | None = None
-    d_a_odd: RatMatrix | None = None
-
-
-def assoc_operators(n, a, J=None):
-    """L_a, R_a and their derived tensors on gl_n, optionally split by J."""
-    gl_mats, gl_labels = basis_matrices("gl", n)
-    gl_coords = _matrix_reader(gl_mats)
-    left_cols = [gl_coords(a * b) for b in gl_mats]
-    right_cols = [gl_coords(b * a) for b in gl_mats]
-    left = RatMatrix(left_cols).transpose()
-    right = RatMatrix(right_cols).transpose()
-    gl_tensor = _expand(gl_mats, gl_labels, gl_coords)
-    t1 = derived(gl_tensor, left)
-    checks = {}
-    sandwich_ok = True
-    for i, x in enumerate(gl_mats):
-        for j, y in enumerate(gl_mats):
-            want = gl_coords(x * a * y - y * a * x)
-            vec = t1.bracket(i, j)
-            got = [-vec.get(k, ZERO) for k in range(n * n)]
-            if got != want:
-                sandwich_ok = False
-    checks["minus_derived_is_sandwich"] = sandwich_ok
-    power_ok = True
-    acc = a
-    lp = left
-    for _ in range(2, 5):
-        acc = acc * a
-        lp = lp * left
-        la_k = RatMatrix([gl_coords(acc * b) for b in gl_mats]).transpose()
-        if lp != la_k:
-            power_ok = False
-    checks["left_powers_match"] = power_ok
-    result = AssocOperators(a, left, right, gl_tensor, t1, checks)
-    if J is not None:
-        split = involution_split(n, J)
-        if split.star(a) != a:
-            raise ValueError("a must be fixed by the involution")
-        result.split = split
-        result.d_a = (left + right).scale(Fraction(1, 2))
-        odd = split.odd
-        d_odd_cols = [split.odd_coords((a * b + b * a).scale(Fraction(1, 2)))
-                      for b in odd]
-        result.d_a_odd = RatMatrix(d_odd_cols).transpose()
-        result.odd_tensor = split.odd_tensor
-        second = derived(derived(split.odd_tensor, result.d_a_odd), result.d_a_odd)
-        a2 = a * a
-        ok2 = True
-        for i, x in enumerate(odd):
-            for j, y in enumerate(odd):
-                want = split.odd_coords(x * a2 * y - y * a2 * x)
-                vec = second.bracket(i, j)
-                got = [vec.get(k, ZERO) for k in range(len(odd))]
-                if got != want:
-                    ok2 = False
-        checks["odd_second_derived_is_a2_sandwich"] = ok2
-    return result

@@ -147,12 +147,6 @@ def operator_from_dict(doc):
     return RatMatrix._of(L, [[p * (L // q) for p, q in row] for row in forms])
 
 
-def poly_to_list(p):
-    """Terms as [{"exponents": [...], "coeff": "p/q"}], graded order."""
-    return [{"exponents": list(e), "coeff": format_rat(c)}
-            for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))]
-
-
 def poly_from_list(nvars, data, context="poly"):
     if not isinstance(data, list):
         raise ParseError("polynomial must be a list of terms", context)
@@ -168,10 +162,6 @@ def poly_from_list(nvars, data, context="poly"):
     L = lcm(*(q for forms in terms.values() for _, q in forms))
     ints = {e: sum(p * (L // q) for p, q in forms) for e, forms in terms.items()}
     return SparsePoly._of(nvars, L, {e: c for e, c in ints.items() if c})
-
-
-def seeds_to_dict(polys):
-    return {"seeds": [poly_to_list(p) for p in polys]}
 
 
 def seeds_from_dict(doc, nvars):
@@ -219,7 +209,3 @@ def save_operator(mat, path):
 
 def load_seeds(path, nvars):
     return seeds_from_dict(_read_json(path), nvars)
-
-
-def save_seeds(polys, path):
-    _write_json(seeds_to_dict(polys), path)

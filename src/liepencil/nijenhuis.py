@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import RatMatrix, mat_commutator, nilpotent_exp
-from .tensors import (StructureTensor, contract, derived, derived_iter, is_lie,
-                      pair_table, tensor_combination)
+from .exact import RatMatrix, nilpotent_exp
+from .tensors import StructureTensor, contract, derived, derived_iter, is_lie, tensor_combination
 
 
 def torsion(tensor, op):
@@ -251,63 +250,3 @@ def diagonal_torsion_witnesses(tensor, op):
         if factor:
             out.append((i, j, k, factor * c))
     return out
-
-
-@dataclass
-class AssocTorsionReport:
-    """Torsion of the symmetrized multiplication operator on the odd part.
-
-    For a fixed by the involution, D_a = (L_a + R_a)/2 preserves the odd
-    part and its torsion there is -1/4 [[a, x], [a, y]]; the derived bracket
-    along (ad a)^2 is twice the double commutator.  nijenhuis records whether
-    the torsion vanishes outright.
-    """
-
-    operator: RatMatrix
-    torsion: StructureTensor
-    torsion_matches: bool
-    derived_matches: bool
-    nijenhuis: bool
-    double_commutator_zero: bool
-    witness: tuple | None
-    ok: bool
-
-
-def assoc_torsion_formula(n, a, J=None):
-    from .constructions import assoc_operators
-
-    if J is None:
-        J = RatMatrix.identity(n)
-    ops = assoc_operators(n, a, J)
-    split = ops.split
-    odd = split.odd
-    dim = len(odd)
-    tors = torsion(ops.odd_tensor, ops.d_a_odd)
-
-    quarter = Fraction(-1, 4)
-
-    def entry(i, j):
-        w = mat_commutator(mat_commutator(a, odd[i]), mat_commutator(a, odd[j]))
-        return {k: quarter * c for k, c in enumerate(split.odd_coords(w)) if c}
-
-    expected = StructureTensor._of(dim, pair_table(dim, entry), ops.odd_tensor.labels)
-    double = expected.scale(-8)     # 2 [[a, x], [a, y]]
-
-    ada_cols = [split.odd_coords(mat_commutator(a, mat_commutator(a, b)))
-                for b in odd]
-    ada_sq = RatMatrix(ada_cols).transpose()
-    derived_ok = derived(ops.odd_tensor, ada_sq) == double
-
-    matches = tors == expected
-    nij = tors.is_zero()
-    witness = None if matches else _first_difference(tors, expected)
-    return AssocTorsionReport(
-        operator=ops.d_a_odd,
-        torsion=tors,
-        torsion_matches=matches,
-        derived_matches=derived_ok,
-        nijenhuis=nij,
-        double_commutator_zero=double.is_zero(),
-        witness=witness,
-        ok=matches and derived_ok,
-    )

@@ -5,10 +5,9 @@ polynomial values; the bracket of two polynomials is the Leibniz extension
 
     {f, g} = sum_(i<j) {x_i, x_j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i).
 
-Linear tables come from structure tensors, constant tables from freezing a
-bracket at a covector.  Operators lift to derivations of the symmetric
-algebra; iterating a lifted operator on a central seed produces a
-Poisson-commutative family.
+Linear tables come from structure tensors.  Operators lift to derivations
+of the symmetric algebra; iterating a lifted operator on a central seed
+produces a Poisson-commutative family.
 
 The kernels read integer forms: each `SparsePoly`'s, and the table's over
 one denominator, formed once per structure.  The bracket, the centrality
@@ -29,7 +28,7 @@ from math import lcm
 
 from .exact import (ZERO, RatMatrix, SparsePoly, _IntRows, _muladd, _packing, _pmuladd,
                     _reduce, kernel_basis)
-from .tensors import StructureTensor, check_jacobi, is_lie, pair_table
+from .tensors import StructureTensor, check_jacobi, pair_table
 
 # pc_generate gives up on an orbit that has not closed after this many steps
 MAX_ORBIT_STEPS = 1000
@@ -130,25 +129,6 @@ def from_tensor(tensor):
     struct.jacobi_verified = check_jacobi(gate)[0]
     if not struct.jacobi_verified:
         raise ValueError("bracket table violates Jacobi on generators")
-    return struct
-
-
-def frozen_bracket(tensor, gamma):
-    """Constant bracket {x, y}_gamma = gamma([x, y]) at a covector gamma."""
-    if not is_lie(tensor):
-        raise ValueError("frozen bracket needs a Lie tensor")
-    n = tensor.dim
-    gamma = [Fraction(c) for c in gamma]
-    if len(gamma) != n:
-        raise ValueError("covector length mismatch")
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = sum((c * gamma[k] for k, c in tensor.bracket(i, j).items()), ZERO)
-            if val:
-                table[(i, j)] = SparsePoly.const(n, val)
-    struct = PoissonStructure(n, table, names=tensor.labels)
-    struct.jacobi_verified = True  # constant brackets satisfy Jacobi trivially
     return struct
 
 
@@ -302,23 +282,6 @@ def _pi_gradients(struct, polys, extra):
             _pmuladd(image[j], b, grad[i], -1)
         out.append((grad, image))
     return out
-
-
-def bihomogeneous_components(f, weights):
-    """Split f by total weight of its monomials.
-
-    Returns an ordered dict weight -> component; the components sum to f and
-    each is an eigenvector of the lifted weight operator.
-    """
-    weights = [int(w) for w in weights]
-    if len(weights) != f.nvars:
-        raise ValueError("weight count mismatch")
-    buckets = {}
-    for e, c in f.ints.items():
-        w = sum(wi * ei for wi, ei in zip(weights, e))
-        buckets.setdefault(w, {})[e] = c
-    return {w: SparsePoly._of(f.nvars, f.den, ints)
-            for w, ints in sorted(buckets.items())}
 
 
 def centre_candidates(struct, max_degree=2):

@@ -52,7 +52,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .exact import ONE, ZERO, RatMatrix, _cleared, _reduced, mat_commutator, rational_sqrt
+from .exact import ONE, ZERO, RatMatrix, _cleared, _reduced, rational_sqrt
 
 TAG_DERIVATION = "derivation"
 TAG_SCALAR = "scalar-type"
@@ -73,16 +73,6 @@ class IrrationalEigenvalues(ValueError):
         super().__init__(
             "discriminant b^2 + 4a = %s is not a rational square (a=%s, b=%s)"
             % (b * b + 4 * a, a, b))
-
-
-class PreconditionViolated(ValueError):
-    """A hypothesis check failed; carries the first failing power."""
-
-    def __init__(self, power, side):
-        self.power = power
-        self.side = side
-        super().__init__("vanishing hypothesis fails at D^%d on the %s argument"
-                         % (power, side))
 
 
 class IdentityFailed(ArithmeticError):
@@ -416,10 +406,6 @@ def derived_iter(tensor, op, k):
     for _ in range(k):
         t = derived(t, op)
     return t
-
-
-def is_derivation(tensor, op):
-    return derived(tensor, op).is_zero()
 
 
 def check_skew(tensor):
@@ -794,49 +780,3 @@ def normalize_pencil(action):
         lines.append(StructureTensor._of(t1.dim, None, action.tensor.labels,
                                          lambda: tensor_combination(combination).integer_form()))
     return NormalizedPencil(lam1, lam2, d1, mode, action.tensor, t1, bnew, lines)
-
-
-def check_vanishing_propagation(tensor, op, x, y, n):
-    """Check psi(D^i x, D^j y) = 0 for i + j <= n given the edge hypothesis.
-
-    Hypothesis (checked, PreconditionViolated on failure): psi(D^i x, y) and
-    psi(x, D^i y) vanish for all i <= n.  The conclusion is evaluated by brute
-    force and returned as a boolean.
-    """
-    xs = [list(x)]
-    ys = [list(y)]
-    for _ in range(n):
-        xs.append(op.apply(xs[-1]))
-        ys.append(op.apply(ys[-1]))
-    for i in range(n + 1):
-        if any(tensor.apply(xs[i], ys[0])):
-            raise PreconditionViolated(i, "left")
-        if any(tensor.apply(xs[0], ys[i])):
-            raise PreconditionViolated(i, "right")
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            if any(tensor.apply(xs[i], ys[j])):
-                return False
-    return True
-
-
-def shift_by_derivation(tensor, op, der):
-    """Derived tensors of D + d for a derivation d.
-
-    Returns (rho(D+d).T, rho(D+d)^2.T) and checks the two shift identities:
-    the first derived tensor is unchanged and the second moves by the derived
-    tensor along the commutator [d, D].
-    """
-    if not is_derivation(tensor, der):
-        raise ValueError("shift operator is not a derivation of the tensor")
-    shifted = op + der
-    t1 = derived(tensor, shifted)
-    t2 = derived(t1, shifted)
-    base1 = derived(tensor, op)
-    base2 = derived(base1, op)
-    if t1 != base1:
-        raise IdentityFailed("first derived tensor moved under a derivation shift")
-    corr = derived(tensor, mat_commutator(der, op))
-    if t2 != base2 + corr:
-        raise IdentityFailed("second derived shift identity failed")
-    return t1, t2

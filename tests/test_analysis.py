@@ -7,12 +7,11 @@ import pytest
 from liepencil import analysis
 from liepencil.exact import generic_rank
 from liepencil.tensors import StructureTensor, derived
-from liepencil.constructions import (build_classical, build_gl_associative,
-                                     nilpotent_square, sl2_complete)
-from liepencil.analysis import (
-    IndexTheoremReport, lie_centre, centraliser, structure_matrix, lie_index,
-    lower_central_series, nilpotency_class, verify_index_theorem,
-)
+from liepencil.constructions import build_classical, nilpotent_square, sl2_complete
+from liepencil.analysis import lie_centre, structure_matrix, lie_index, lower_central_series
+
+from paper_checks import (IndexTheoremReport, build_gl_associative, centraliser,
+                          nilpotency_class, verify_index_theorem)
 
 
 def sl2():

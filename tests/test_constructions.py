@@ -6,20 +6,19 @@ from fractions import Fraction
 import pytest
 
 from liepencil import constructions
-from liepencil.constructions import (GradingSpec, assoc_operators,
+from liepencil.constructions import (GradingSpec,
                                      basis_matrices, build_classical,
-                                     build_gl_associative, check_special,
-                                     contractions_from_grading, deform_bracket,
                                      direct_sum, grading_operator,
-                                     involution_split, matrix_coords,
+                                     involution_split,
                                      nilpotent_square, quasi_grading_extension,
-                                     sl2_complete, splitting_operators,
-                                     tensor_from_matrix_basis)
+                                     sl2_complete, splitting_operators)
 from liepencil.exact import RatMatrix
 from liepencil.tensors import (IdentityFailed, StructureTensor, ad, classify_operator,
                                derived, is_lie, tensor_combination)
 
 from helpers import rand_rat
+from paper_checks import (assoc_operators, build_gl_associative, check_special,
+                          contractions_from_grading, deform_bracket, matrix_coords)
 
 
 def F(p, q=1):
@@ -226,9 +225,13 @@ def test_direct_sum_labels():
 
 
 def test_tensor_from_matrix_basis_rejects_non_lie():
+    # the mirrored expansion is skew whatever the reader returns; squaring
+    # each coordinate of gl2's commutators breaks Jacobi at (E11, E12, E21)
     mats, labels = basis_matrices("gl", 2)
-    with pytest.raises(ValueError):
-        tensor_from_matrix_basis(mats, labels, product="assoc", check_lie=True)
+    read = constructions._matrix_reader(mats)
+    with pytest.raises(ValueError, match="Jacobi fails at"):
+        constructions._expand(mats, labels, lambda m: [c * c for c in read(m)])
+    assert is_lie(constructions._expand(mats, labels, read))
 
 
 def recombined(tensor, d1, d2):

@@ -20,15 +20,15 @@ from fractions import Fraction
 import pytest
 
 from liepencil import cli, constructions, exact
-from liepencil.analysis import verify_index_theorem
-from liepencil.constructions import (assoc_operators, basis_matrices, build_classical,
-                                     build_gl_associative, involution_split,
+from liepencil.constructions import (basis_matrices, build_classical,
+                                     involution_split,
                                      sl2_complete, tensor_from_matrix_basis)
 from liepencil.exact import (ZERO, RatMatrix, _ratio, _reduce, coordinates,
                              mat_commutator, rank_exact, solve_columns)
 from liepencil.tensors import IdentityFailed, StructureTensor
 
 from helpers import rand_rat
+from paper_checks import assoc_operators, build_gl_associative, verify_index_theorem
 
 
 def reference_solve_columns(cols, target):

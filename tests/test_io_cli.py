@@ -6,17 +6,19 @@ import json
 import pytest
 
 from liepencil.exact import RatMatrix, SparsePoly, parse_rat
-from liepencil.constructions import build_classical, build_gl_associative
+from liepencil.constructions import build_classical
 from liepencil.io import (
     ParseError, algebra_to_dict, algebra_from_dict, operator_to_dict,
-    operator_from_dict, poly_to_list, poly_from_list, seeds_to_dict,
+    operator_from_dict, poly_from_list,
     seeds_from_dict, save_algebra, load_algebra, save_operator, load_operator,
-    save_seeds, load_seeds,
+    load_seeds,
 )
 from liepencil import cli, poisson as pois
 from liepencil import io as iomod
 from liepencil.cli import main
 from liepencil.tensors import IdentityFailed
+
+from paper_checks import build_gl_associative, poly_to_list, save_seeds
 
 
 def sl2():
@@ -301,6 +303,12 @@ SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
      "--gamma or --operator"),
     (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--operator", "dim4-op.json"],
      "--gamma or --operator"),
+    (["exp-check"] + SL2_OP + ["--kind", "nijenhuis", "--certified", "--points", "0"],
+     "exactly one of --points and --certified"),
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--points", "2", "--certified"],
+     "--certified applies to --kind nijenhuis"),
+    (["exp-check"] + SL2_OP + ["--kind", "nijenhuis", "--m", "0", "--points", "1"],
+     "--m applies to --kind near"),
 ], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
         "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
         "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
@@ -309,7 +317,8 @@ SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
         "grading-weight-count", "quasi-grading-weight-count", "N-arabic-indic-digit",
         "N-underscore", "weights-arabic-indic-digit", "partition-arabic-indic-digit",
         "report-gamma-length", "pc-check-gamma-and-missing-operator",
-        "pc-check-gamma-and-wrong-dimension-operator"])
+        "pc-check-gamma-and-wrong-dimension-operator", "nijenhuis-certified-and-points",
+        "near-certified", "nijenhuis-m"])
 def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))

@@ -28,10 +28,11 @@ from liepencil.constructions import build_classical
 from liepencil.exact import RatMatrix, SparsePoly
 from liepencil.io import (ParseError, algebra_from_dict, algebra_to_dict, load_algebra,
                           load_operator, operator_from_dict, operator_to_dict,
-                          save_algebra, save_operator, seeds_from_dict, seeds_to_dict)
+                          save_algebra, save_operator, seeds_from_dict)
 from liepencil.exact import parse_rat
 from liepencil.tensors import StructureTensor, derived, skew_table
 
+from paper_checks import seeds_to_dict
 from test_lazy_table import check_lazy, layout, materialised
 from test_tensor_oracle import operators, tensors
 

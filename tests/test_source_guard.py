@@ -23,12 +23,20 @@ Two more rules keep the front end a single pass.  In `cli.py`, `print` and
 returns its document, and `main` prints it.  `io.py` names no `Fraction`,
 and uses `StructureTensor`, `SparsePoly` and `RatMatrix` only to call their
 `_of`: each file is parsed once, straight into its integer form.
+
+The last rule keeps `src/` to what the CLI runs: every top-level function
+and class of the package is reached by name from `cli.py`, or is named by
+the benchmark tracer (`perfbench/tracing.py`).  Code that only the tests
+call lives in the tests.
 """
 
 import ast
+import runpy
 from pathlib import Path
 
 import liepencil
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 GUARDED = {"table", "terms", "_integer", "den", "ints", "nrows", "ncols", "rows"}
 CONSTRUCTORS = {"__init__", "__post_init__"}
@@ -270,3 +278,90 @@ def parse(doc):
                                    (11, "RatMatrix"), (12, "Fraction")]
     package = Path(liepencil.__file__).parent
     assert io_offences((package / "io.py").read_text(encoding="utf-8")) == []
+
+
+def _names(node):
+    """Every name and attribute name read inside a node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def unreached(sources, roots):
+    """(module, name) of every top-level function and class of sources
+    ({module: source}) that no chain of names reaches from the roots.
+
+    The roots are the given names, every definition of `cli` (`main`
+    finds its commands by name), and every name read by a top-level
+    statement other than an import, which runs when the module is loaded.
+    A reached definition reaches every name read in its body, wherever
+    that name is defined.  Matching by name over-approximates: an
+    attribute `x.f` reaches every top-level `f`.
+    """
+    defs = {}
+    pending = list(roots)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((module, node))
+                if module == "cli":
+                    pending.append(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                pending.extend(_names(node))
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs.get(name, ()):
+                pending.extend(_names(node))
+    return sorted((module, name) for name, found in defs.items() if name not in reached
+                  for module, _ in found)
+
+
+def test_reachability_guard_flags_library_only_code():
+    sources = {
+        "cli": """
+def main(argv):
+    return cmd_run(argv)
+def cmd_run(args):
+    return eng.solve(args)
+""",
+        "eng": """
+from .util import orphan
+LIMIT = bound()
+def bound():
+    return 3
+def solve(x):
+    return helper(x)
+def helper(x):
+    return x
+def traced(x):
+    return traced_helper(x)
+def traced_helper(x):
+    return x
+def orphan(x):
+    return Report(x)
+class Report:
+    def run(self):
+        return solve(self)
+class Checker:
+    pass
+""",
+    }
+    assert unreached(sources, ["traced"]) == [("eng", "Checker"), ("eng", "Report"),
+                                              ("eng", "orphan")]
+    assert unreached(sources, []) == [("eng", "Checker"), ("eng", "Report"), ("eng", "orphan"),
+                                      ("eng", "traced"), ("eng", "traced_helper")]
+
+
+def test_every_definition_runs_in_a_command_or_the_tracer():
+    package = Path(liepencil.__file__).parent
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(package.glob("*.py")) if path.stem != "__init__"}
+    tracing = runpy.run_path(str(TRACING))
+    roots = [part for _, attr in list(tracing["SPANS"]) + list(tracing["COUNTS"])
+             for part in attr.split(".")]
+    assert unreached(sources, roots) == []

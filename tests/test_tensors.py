@@ -11,14 +11,16 @@ import pytest
 
 import liepencil
 from liepencil.exact import RatMatrix, mat_commutator
-from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues, PreconditionViolated,
+from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues,
                                StructureTensor, ad, check_jacobi, check_skew,
-                               check_vanishing_propagation, classify_operator,
-                               derived, derived_iter, is_derivation, is_lie,
-                               normalize_pencil, shift_by_derivation,
+                               classify_operator,
+                               derived, derived_iter, is_lie,
+                               normalize_pencil,
                                tensor_combination)
 
 from helpers import rand_matrix, rand_vector
+from paper_checks import (PreconditionViolated, check_vanishing_propagation, is_derivation,
+                          shift_by_derivation)
 
 
 def F(p, q=1):
