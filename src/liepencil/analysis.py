@@ -49,15 +49,11 @@ def lie_centre(tensor):
 def structure_matrix(tensor):
     """The n x n matrix of linear forms B_ij = sum_k c_ij^k x_k."""
     n = tensor.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = tensor.bracket(i, j)
-            row.append(SparsePoly.linear([vec.get(k, 0) for k in range(n)])
-                       if vec else SparsePoly.zero(n))
-        rows.append(row)
-    return rows
+    den, ints = tensor.integer_form()
+    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    vecs = [[ints.get((i, j), {}) for j in range(n)] for i in range(n)]
+    return [[SparsePoly._of(n, den, {unit[k]: vec[k] for k in sorted(vec)}) for vec in row]
+            for row in vecs]
 
 
 def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):

@@ -29,7 +29,7 @@ from . import io as iomod
 from . import nijenhuis as nij
 from . import poisson as pois
 from .analysis import lie_centre, lie_index, lower_central_series
-from .exact import _INTEGER, format_rat, parse_rat
+from .exact import _INTEGER, format_rat, nilpotent_index, parse_rat
 from .tensors import (IrrationalEigenvalues, MODE_NILPOTENT, TAG_DERIVATION,
                       TAG_NEAR, TAG_NOT_NEAR, TAG_QUASI, TAG_SCALAR, check_jacobi,
                       check_skew, classify_operator, derived_iter, is_lie,
@@ -307,6 +307,8 @@ def cmd_exp_check(args):
             raise InputProblem("--m applies to --kind near only")
         if bool(points) == args.certified:
             raise InputProblem("give exactly one of --points and --certified")
+        if nilpotent_index(op) is None:
+            raise InputProblem("--operator must be nilpotent for --kind nijenhuis")
         rep = nij.certified_exp_identity_nijenhuis(tensor, op, points)
     else:
         if args.certified:
@@ -315,6 +317,15 @@ def cmd_exp_check(args):
             raise InputProblem("--kind near requires --m")
         if not points:
             raise InputProblem("--kind near requires --points")
+        if not args.m:
+            if nilpotent_index(op) is None:
+                raise InputProblem("--operator must be nilpotent for --kind near --m 0")
+        elif not op.is_diagonal():
+            raise InputProblem("--operator must be diagonal for a nonzero --m")
+        elif any(row[i] % op.den for i, row in enumerate(op.ints)):
+            raise InputProblem("--operator must have integer diagonal entries for a nonzero --m")
+        elif not all(points):
+            raise InputProblem("--points must be nonzero for a nonzero --m")
         rep = nij.check_points(lambda v: nij.exp_identity_near(tensor, op, args.m, v),
                                points)
     doc = {

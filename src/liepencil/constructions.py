@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .exact import (ONE, ZERO, RatMatrix, _int_coordinates, coordinates,
                     kernel_basis, mat_commutator, unit_vector)
-from .tensors import (StructureTensor, IdentityFailed, ad, check_jacobi, contract, derived,
-                      pair_table)
+from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
+                      derived, pair_table)
 
 
 def unit_matrix(n, i, j):
@@ -66,7 +66,7 @@ def _expand(mats, labels, coords):
             if vec:
                 table[(i, j)] = vec
 
-    tensor = StructureTensor._of(n, table, tuple(labels))
+    tensor = StructureTensor._of(n, tuple(labels), _form_of(table))
     ok, wit = check_jacobi(tensor)
     if not ok:
         raise ValueError("Jacobi fails at %r" % (wit,))
@@ -144,7 +144,6 @@ class GradingSpec:
     """Weight assignment on a basis.
 
     kind "periodic": weights in {0..modulus-1}, brackets add mod modulus.
-    kind "integer": arbitrary integer weights, brackets add in Z.
     kind "quasi": weights 0..top; the grading rule is only required for
     weight sums <= top (the shape produced by the extension construction).
     """
@@ -159,7 +158,7 @@ class GradingSpec:
                 raise ValueError("periodic grading needs a positive modulus")
             if any(not (0 <= w < self.modulus) for w in self.weights):
                 raise ValueError("periodic weights must lie in 0..modulus-1")
-        elif self.kind not in ("integer", "quasi"):
+        elif self.kind != "quasi":
             raise ValueError("unknown grading kind %r" % (self.kind,))
 
     @property
@@ -175,8 +174,6 @@ class GradingSpec:
             s = self.weights[i] + self.weights[j]
             if self.kind == "periodic":
                 want = s % self.modulus
-            elif self.kind == "integer":
-                want = s
             else:
                 if s > self.top:
                     continue
@@ -291,7 +288,6 @@ def splitting_operators(tensor, part_a, part_b):
 class NilpotentSquareReport:
     """Diagnostics for D = (ad e)^2."""
 
-    ad_e: RatMatrix
     operator: RatMatrix
     derived: StructureTensor
     ad_e_cubed_zero: bool
@@ -314,7 +310,6 @@ def nilpotent_square(tensor, e):
     op = ade * ade
     t1 = derived(tensor, op)
     return op, NilpotentSquareReport(
-        ad_e=ade,
         operator=op,
         derived=t1,
         ad_e_cubed_zero=(ade * ade * ade).is_zero(),

@@ -3,10 +3,12 @@
 Every coefficient this module takes or returns is a `fractions.Fraction`;
 nothing here touches floating point.  A `RatMatrix` and a `SparsePoly` are
 each stored as one integer form, ints over one positive denominator divided
-by their gcd, and their arithmetic runs on those ints.  `_cleared` is the
-one rule that clears rationals to a form (a tensor's table goes through it
-too) and `_reduced` the one rule that divides a form by its gcd; other
-modules read the forms, `den` and `ints`.  Elimination over Q runs on
+by their gcd, and their arithmetic runs on those ints; `rows` and `terms`
+are `Fraction` views built from the form on each read, as a structure
+tensor's `table` is.  `_cleared` is the one rule that clears rationals to a
+form (a tensor's validating constructor goes through it too) and
+`_reduced` the one rule that divides a form by its gcd; other modules read
+the forms, `den` and `ints`.  Elimination over Q runs on
 integers too: one sparse Gauss-Jordan routine takes list or {column: entry}
 dict rows (a matrix hands over its form), clears each once to a dict of its
 nonzero ints and visits no zero entry, so the connected components of a
@@ -63,9 +65,13 @@ def _parse_rat_form(text):
 def format_rat(x):
     """Render a rational as "p" or "p/q" (denominator always positive)."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(p, q):
+    """Render p / q, for ints p and q > 0, as `format_rat` renders it."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else "%d/%d" % (p // g, q // g)
 
 
 def unit_vector(n, i):

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from math import lcm
 
-from .exact import RatMatrix, SparsePoly, _parse_rat_form, _reduced, format_rat
+from .exact import (RatMatrix, SparsePoly, _parse_rat_form, _reduced, format_rat,
+                    format_ratio)
 from .tensors import StructureTensor, skew_table
 
 
@@ -55,16 +56,10 @@ def algebra_to_dict(tensor, metadata=None):
     """Canonical JSON document for a skew structure tensor."""
     if not tensor.is_skew():
         raise ValueError("algebra files hold skew tensors only")
-    entries = []
-    for i in range(tensor.dim):
-        for j in range(i + 1, tensor.dim):
-            vec = tensor.bracket(i, j)
-            if vec:
-                entries.append({
-                    "i": i,
-                    "j": j,
-                    "coeffs": {str(k): format_rat(vec[k]) for k in sorted(vec)},
-                })
+    den, ints = tensor.integer_form()
+    entries = [{"i": i, "j": j,
+                "coeffs": {str(k): format_ratio(vec[k], den) for k in sorted(vec)}}
+               for (i, j), vec in sorted(ints.items()) if i < j]
     doc = {"dim": tensor.dim, "basis": list(tensor.labels), "brackets": entries}
     if metadata:
         doc["metadata"] = {k: metadata[k] for k in sorted(metadata)}
@@ -117,7 +112,7 @@ def algebra_from_dict(doc):
     L = lcm(*(q for vec in upper.values() for _, q in vec.values()))
     form = _reduced(L, skew_table({ij: {k: p * (L // q) for k, (p, q) in vec.items()}
                                    for ij, vec in upper.items()}))
-    tensor = StructureTensor._of(dim, None, tuple(labels), form)
+    tensor = StructureTensor._of(dim, tuple(labels), form)
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError("metadata must be an object", "algebra.metadata")

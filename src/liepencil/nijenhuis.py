@@ -55,7 +55,6 @@ class TorsionSplit:
 
     second: StructureTensor
     torsion: StructureTensor
-    squared_shift: StructureTensor
     ok: bool
 
 
@@ -69,8 +68,7 @@ def torsion_split(tensor, op, second):
     derived bracket rho(op)^2.T (`classify_operator` computes it)."""
     tors = torsion(tensor, op)
     shift = derived(tensor, op * op)
-    return TorsionSplit(second, tors, shift,
-                        second == tensor_combination([(2, tors), (-1, shift)]))
+    return TorsionSplit(second, tors, second == tensor_combination([(2, tors), (-1, shift)]))
 
 
 @dataclass

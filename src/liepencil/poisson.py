@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .exact import (ZERO, RatMatrix, SparsePoly, _IntRows, _muladd, _packing, _pmuladd,
+from .exact import (RatMatrix, SparsePoly, _IntRows, _muladd, _packing, _pmuladd,
                     _reduce, kernel_basis)
 from .tensors import StructureTensor, check_jacobi, pair_table
 
@@ -121,11 +121,14 @@ def from_tensor(tensor):
     is read.
     """
     n = tensor.dim
-    upper = pair_table(n, tensor.bracket, skew=True)
-    table = {(i, j): SparsePoly.linear([vec.get(k, ZERO) for k in range(n)])
+    den, ints = tensor.integer_form()
+    empty = {}
+    upper = pair_table(n, lambda i, j: ints.get((i, j), empty), skew=True)
+    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    table = {(i, j): SparsePoly._of(n, den, {unit[k]: vec[k] for k in sorted(vec)})
              for (i, j), vec in upper.items() if i < j}
     struct = PoissonStructure(n, table, names=tensor.labels)
-    gate = tensor if tensor.is_skew() else StructureTensor._of(n, upper, tensor.labels)
+    gate = tensor if tensor.is_skew() else StructureTensor._of(n, tensor.labels, (den, upper))
     struct.jacobi_verified = check_jacobi(gate)[0]
     if not struct.jacobi_verified:
         raise ValueError("bracket table violates Jacobi on generators")

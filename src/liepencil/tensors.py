@@ -11,13 +11,13 @@ psi: derivations (psi' = 0), quasi-derivations (psi'' = 0), and the wider
 class where psi'' = a*psi + b*psi' for scalars (a, b), which spans a pencil
 of operations with exactly one or two degenerate lines.
 
-Every tensor has one integer form, (den, {(i, j): {k: int}}): its table as
-integers over one denominator, computed at most once per tensor or handed
-over by the kernel that built it (`StructureTensor.integer_form`).  The
-kernels run on these forms and build a `Fraction` only for a returned
-scalar: a kernel result carries only its form, and its `Fraction` table is
-built from the form the first time something reads `.table`.  `contract`
-evaluates every tensor of the form
+A tensor stores one integer form, (den, {(i, j): {k: int}}): its
+constants as integers over one denominator, cleared once by the validating
+constructor or handed over by the kernel that built it
+(`StructureTensor.integer_form`).  As with `RatMatrix.rows` and
+`SparsePoly.terms`, the `Fraction` table `.table` is a view built from the
+form on each read.  The kernels run on the forms and build a `Fraction`
+only for a returned scalar.  `contract` evaluates every tensor of the form
 sum_t c_t * O_t psi(A_t x, B_t y): the derived operation here, and the
 torsion, both sides of the exponential identities and the nilpotent-square
 checks elsewhere.  `tensor_combination`, `scale`, `check_skew` and equality
@@ -36,8 +36,8 @@ dict form of T'' is built, by `derived`, only when something reads it;
 a zero T'' (the quasi case) gets the empty form without it.
 
 There is one way to build a tensor: the validating constructor for tables
-that arrive from outside, and the trusted `StructureTensor._of` for tables
-or integer forms the library has already built clean.  Tables over basis
+that arrive from outside, and the trusted `StructureTensor._of` for integer
+forms the library has already built clean.  Tables over basis
 pairs are filled by `pair_table`, and a skew table is always completed by
 `skew_table`, which writes each mirror entry (j, i) as the negated (i, j)
 vector.
@@ -82,105 +82,83 @@ class IdentityFailed(ArithmeticError):
 class StructureTensor:
     """Structure constants of a bilinear operation on a based vector space.
 
-    The table maps ordered basis pairs (i, j) to sparse value vectors
-    {k: c_ij^k}; zero vectors are never stored, so equality is literal
-    table equality.  `StructureTensor(dim, table, labels)` validates and
-    copies a table from outside (files, tests); `_of` wraps a table the
-    library built clean, without a copy, or only an integer form.  A
-    kernel result holds only its form: its `table` slot stays unset until
-    the first read, when `__getattr__` builds the `Fraction` table from the
-    form and stores it, so every later read is a plain slot read.  The
-    form itself may be deferred, as for the T'' of `classify_operator`: a
-    function in the `_integer` slot builds it on first use.
+    A tensor stores one integer form, (den, {(i, j): {k: int}}) with
+    c_ij^k = ints[(i, j)][k] / den, in which zero vectors and zero entries
+    never appear.  `StructureTensor(dim, table, labels)` validates a
+    `Fraction` table from outside (files, tests) and clears it to a form
+    once; `_of` wraps a form the library built clean, without a copy, or a
+    zero-argument function that builds it on first use, as for the T'' of
+    `classify_operator`.  `table` is a view: the `Fraction` table
+    {(i, j): {k: c_ij^k}} built from the form on each read.
 
     Instances are immutable: every operation returns a new tensor, and no
-    code assigns to or mutates `table` after construction, apart from that
-    one fill.  The caches rely on it: `_integer` holds the `integer_form`,
-    `_skew` the `is_skew` verdict and `_jacobi` the `check_jacobi` result,
-    each computed at most once per tensor.
+    code writes to a form once it is built.  The caches rely on it:
+    `_integer` holds the form, `_skew` the `is_skew` verdict and `_jacobi`
+    the `check_jacobi` result, each computed at most once per tensor.
     """
 
-    __slots__ = ("dim", "labels", "table", "_integer", "_skew", "_jacobi")
+    __slots__ = ("dim", "labels", "_integer", "_skew", "_jacobi")
 
     def __init__(self, dim, table=None, labels=None):
         self.dim = dim
         self.labels = tuple(labels) if labels else tuple("x%d" % i for i in range(dim))
         if len(self.labels) != dim:
             raise ValueError("label count mismatch")
-        self.table = {}
-        if table:
-            for (i, j), vec in table.items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise ValueError("basis index out of range")
-                clean = {}
-                for k, c in vec.items():
-                    c = Fraction(c)
-                    if c:
-                        if not 0 <= k < dim:
-                            raise ValueError("value index out of range")
-                        clean[k] = c
-                if clean:
-                    self.table[(i, j)] = clean
-        self._integer = self._skew = self._jacobi = None
+        clean = {}
+        for (i, j), vec in (table or {}).items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError("basis index out of range")
+            vec = {k: c for k, c in zip(vec, map(Fraction, vec.values())) if c}
+            if any(not 0 <= k < dim for k in vec):
+                raise ValueError("value index out of range")
+            if vec:
+                clean[(i, j)] = vec
+        self._integer = _form_of(clean)
+        self._skew = self._jacobi = None
 
     @classmethod
-    def _of(cls, dim, table, labels, integer=None):
-        """Trusted constructor: table is already clean (nonzero Fraction
-        values, indices below dim) and labels a tuple of dim strings; the
-        table is kept as it is, no copy and no check.  A kernel that holds
-        the table's integer form passes it as integer; with table None the
-        form alone stands for the tensor, and the table is built from it
-        on first read.  integer may also be a zero-argument function that
-        returns the form, called on the form's first use."""
+    def _of(cls, dim, labels, integer):
+        """Trusted constructor: integer is a clean form (den > 0, nonzero
+        int entries, indices below dim) and labels a tuple of dim strings;
+        the form is kept as it is, no copy and no check.  integer may also
+        be a zero-argument function that returns the form, called on the
+        form's first use."""
         t = object.__new__(cls)
         t.dim = dim
         t.labels = labels
-        if table is not None:
-            t.table = table
         t._integer = integer
         t._skew = t._jacobi = None
         return t
 
-    def __getattr__(self, name):
-        """Fills `table` from the integer form on its first read; runs only
-        while a slot is unset, and any other unset name is an error."""
-        if name != "table":
-            raise AttributeError("%r object has no attribute %r"
-                                 % (type(self).__name__, name))
-        den, ints = self.integer_form()
-        self.table = {ij: {k: Fraction(v, den) for k, v in vec.items()}
-                      for ij, vec in ints.items()}
-        return self.table
-
     def integer_form(self):
-        """(den, {(i, j): {k: int}}): the table as integers over one
-        denominator, table[(i, j)][k] == Fraction(ints[(i, j)][k], den).
-
-        Keys keep the table's order.  den is the lcm of the table's
-        denominators unless a kernel handed over its own form, or a
-        function that builds it, which runs here on the first call.
-        """
+        """(den, {(i, j): {k: int}}): the tensor's one stored form,
+        table[(i, j)][k] == Fraction(ints[(i, j)][k], den).  A deferred form
+        is built here, on the first call."""
         form = self._integer
-        if form is None:
-            den, vecs = _cleared(self.table.values())
-            form = self._integer = den, dict(zip(self.table, vecs))
-        elif callable(form):
+        if callable(form):
             form = self._integer = form()
         return form
+
+    @property
+    def table(self):
+        """The `Fraction` table {(i, j): {k: c_ij^k}}, built from the
+        integer form on each read, in the form's key order."""
+        den, ints = self.integer_form()
+        return {ij: {k: Fraction(v, den) for k, v in vec.items()} for ij, vec in ints.items()}
 
     @classmethod
     def zero(cls, dim, labels=None):
         return cls(dim, {}, labels)
 
     def bracket(self, i, j):
-        """Sparse value vector of psi(x_i, x_j)."""
-        return self.table.get((i, j), {})
-
-    def coeff(self, i, j, k):
-        return self.table.get((i, j), {}).get(k, ZERO)
+        """Sparse value vector of psi(x_i, x_j), as `Fraction`s."""
+        den, ints = self.integer_form()
+        return {k: Fraction(v, den) for k, v in ints.get((i, j), {}).items()}
 
     def apply(self, x, y):
-        """Bilinear evaluation on dense coordinate vectors; returns a dense list."""
+        """Bilinear evaluation on dense coordinate vectors; returns a dense
+        list.  Sums run over the integer form, divided by its den once."""
+        den, ints = self.integer_form()
         out = [ZERO] * self.dim
         for i, xi in enumerate(x):
             if not xi:
@@ -188,15 +166,15 @@ class StructureTensor:
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                vec = self.table.get((i, j))
+                vec = ints.get((i, j))
                 if vec:
                     c = xi * yj
-                    for k, ck in vec.items():
-                        out[k] += c * ck
-        return out
+                    for k, v in vec.items():
+                        out[k] += c * v
+        return out if den == 1 else [c / den for c in out]
 
     def is_zero(self):
-        return not (self.table if self._integer is None else self.integer_form()[1])
+        return not self.integer_form()[1]
 
     def is_skew(self):
         if self._skew is None:
@@ -247,6 +225,13 @@ def _same_form(x, y):
         for ij, vec in tx.items())
 
 
+def _form_of(table):
+    """The integer form of a clean `Fraction` table, cleared once by
+    `_cleared`, in the table's key order."""
+    den, vecs = _cleared(table.values())
+    return den, dict(zip(table, vecs))
+
+
 def tensor_combination(pairs):
     """Exact linear combination sum_i c_i * T_i of same-dimension tensors.
 
@@ -279,7 +264,7 @@ def tensor_combination(pairs):
                 else:
                     slot.pop(k, None)
     form = _reduced(den, {ij: vec for ij, vec in acc.items() if vec})
-    return StructureTensor._of(dim, None, labels, form)
+    return StructureTensor._of(dim, labels, form)
 
 
 def skew_table(upper):
@@ -326,9 +311,8 @@ def contract(tensor, terms):
     T / L and each operator O is its integer form O_int / d_O, so term t is
     an integer over its denominator den_t (c's times those of O, A and B),
     and every entry is an integer over lcm(den_t) * L.  That integer table,
-    divided by its gcd, is the result's integer form, and the result
-    carries only that form; `Fraction` appears when its table is first
-    read.  Zero tests on the scaled integers match those on the rationals,
+    divided by its gcd, is the result's integer form; no `Fraction` is
+    built.  Zero tests on the scaled integers match those on the rationals,
     and terms accumulate in list order, so key order follows the rational
     computation.  When psi is skew and the term
     list is unchanged by swapping A and B, the result is skew: only the
@@ -387,7 +371,7 @@ def contract(tensor, terms):
         return acc
 
     ints = pair_table(n, entry, _swap_closed(terms) and tensor.is_skew())
-    return StructureTensor._of(n, None, tensor.labels, _reduced(M * L, ints))
+    return StructureTensor._of(n, tensor.labels, _reduced(M * L, ints))
 
 
 def derived(tensor, op):
@@ -498,17 +482,17 @@ def pencil_lie(tensor, other):
 
 
 def ad(tensor, x):
-    """Matrix of v -> psi(x, v) for a coordinate vector x."""
+    """Matrix of v -> psi(x, v) for a coordinate vector x, summed on the
+    integer forms of the tensor and of x."""
     n = tensor.dim
-    rows = [[ZERO] * n for _ in range(n)]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j in range(n):
-            vec = tensor.bracket(i, j)
+    den, ints = tensor.integer_form()
+    xd, (xs,) = _cleared([x])
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), vec in ints.items():
+        if xs[i]:
             for k, c in vec.items():
-                rows[k][j] += xi * c
-    return RatMatrix(rows)
+                rows[k][j] += xs[i] * c
+    return RatMatrix._of(xd * den, rows)
 
 
 def _largest(rows):
@@ -654,7 +638,7 @@ def classify_operator(tensor, op):
               if s0 * tab1.get(ij, empty).get(k, 0) != s1 * tab0.get(ij, empty).get(k, 0)),
              None)
     pending = _SecondForm(t1, op)
-    t2 = StructureTensor._of(n, None, tensor.labels, pending)
+    t2 = StructureTensor._of(n, tensor.labels, pending)
     if q is None:
         return PencilAction(tensor, op, t1, t2, 1, TAG_SCALAR,
                             scalar=Fraction(s1 * L0, s0 * L1))
@@ -678,7 +662,7 @@ def classify_operator(tensor, op):
         pairs[(i, j)] = x
     a, b = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
     if a == 0 and b == 0:
-        zero = StructureTensor._of(n, None, tensor.labels, (1, {}))
+        zero = StructureTensor._of(n, tensor.labels, (1, {}))
         return PencilAction(tensor, op, t1, zero, 2, TAG_QUASI, a=a, b=b)
     pending.packed = w, rows, pairs
     return PencilAction(tensor, op, t1, t2, 2, TAG_NEAR, a=a, b=b)
@@ -695,10 +679,8 @@ class NormalizedPencil:
     """
 
     shift: Fraction
-    lambda2: Fraction
     operator: RatMatrix
     mode: str
-    base: StructureTensor
     derived: StructureTensor
     b: Fraction
     degenerate_lines: list
@@ -777,6 +759,6 @@ def normalize_pencil(action):
     if mode == MODE_SEMISIMPLE:
         # bnew * T - T', its form deferred until the line is read
         combination = [(bnew, action.tensor), (-ONE, t1)]
-        lines.append(StructureTensor._of(t1.dim, None, action.tensor.labels,
+        lines.append(StructureTensor._of(t1.dim, action.tensor.labels,
                                          lambda: tensor_combination(combination).integer_form()))
-    return NormalizedPencil(lam1, lam2, d1, mode, action.tensor, t1, bnew, lines)
+    return NormalizedPencil(lam1, d1, mode, t1, bnew, lines)

@@ -119,7 +119,7 @@ def build_gl_associative(n):
             vec = {k: c for k, c in enumerate(coords(x * y)) if c}
             if vec:
                 table[(i, j)] = vec
-    return StructureTensor._of(len(mats), table, tuple(labels))
+    return StructureTensor._of(len(mats), tuple(labels), tensors._form_of(table))
 
 
 def contractions_from_grading(tensor, spec):
@@ -377,8 +377,8 @@ def assoc_torsion_formula(n, a, J=None):
                                  exact.mat_commutator(a, odd[j]))
         return {k: quarter * c for k, c in enumerate(split.odd_coords(w)) if c}
 
-    expected = StructureTensor._of(dim, tensors.pair_table(dim, entry),
-                                   ops.odd_tensor.labels)
+    expected = StructureTensor._of(dim, ops.odd_tensor.labels,
+                                   tensors._form_of(tensors.pair_table(dim, entry)))
     double = expected.scale(-8)     # 2 [[a, x], [a, y]]
 
     ada_cols = [split.odd_coords(exact.mat_commutator(a, exact.mat_commutator(a, b)))

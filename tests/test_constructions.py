@@ -64,6 +64,12 @@ def test_grading_validate_and_operator():
     assert grading_operator(Z2_SPEC) == RatMatrix.diagonal([F(1), F(0), F(1)])
 
 
+@pytest.mark.parametrize("kind", ["bogus", "integer"])
+def test_grading_spec_refuses_unknown_kinds(kind):
+    with pytest.raises(ValueError, match="unknown grading kind"):
+        GradingSpec(weights=(1, 0, 1), kind=kind, modulus=2)
+
+
 def test_contractions_split_the_bracket():
     t = build_classical("sl", 2)
     t0, tinf = contractions_from_grading(t, Z2_SPEC)

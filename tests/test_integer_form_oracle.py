@@ -42,18 +42,19 @@ def assert_form_matches(tensor):
     """The integer form is the cleared table times one positive factor, with
     the table's key order at both levels, and it reads back as the table."""
     den, ints = tensor.integer_form()
-    L, vecs = _cleared(tensor.table.values())
+    table = tensor.table
+    L, vecs = _cleared(table.values())
     assert den > 0 and den % L == 0
     factor = den // L
-    assert list(ints) == list(tensor.table)
+    assert list(ints) == list(table)
     for (ij, vec), cleared in zip(ints.items(), vecs):
-        assert list(vec) == list(tensor.table[ij])
+        assert list(vec) == list(table[ij])
         assert vec == {k: factor * v for k, v in cleared.items()}
-        assert {k: Fraction(v, den) for k, v in vec.items()} == tensor.table[ij]
+        assert {k: Fraction(v, den) for k, v in vec.items()} == table[ij]
 
 
 def refresh(tensor):
-    """The same table through the validating constructor, form not yet set."""
+    """The same table through the validating constructor, cleared to a new form."""
     return StructureTensor(tensor.dim, tensor.table, tensor.labels)
 
 
@@ -92,8 +93,7 @@ def with_form(tensor, factor):
     entry times factor."""
     den, ints = refresh(tensor).integer_form()
     scaled = {ij: {k: factor * v for k, v in vec.items()} for ij, vec in ints.items()}
-    return StructureTensor._of(tensor.dim, tensor.table, tensor.labels,
-                               (factor * den, scaled))
+    return StructureTensor._of(tensor.dim, tensor.labels, (factor * den, scaled))
 
 
 @given(tensors(), st.data())
@@ -179,9 +179,9 @@ def reference_classify(tensor, op):
     if t1.is_zero():
         return TAG_DERIVATION, 1, None, None, None
     t2 = derived(t1, op)
-    keys = sorted({(i, j, k) for t in (tensor, t1, t2) for (i, j), vec in t.table.items()
-                   for k in vec})
-    v0, v1, v2 = ([t.coeff(i, j, k) for (i, j, k) in keys] for t in (tensor, t1, t2))
+    tables = [t.table for t in (tensor, t1, t2)]
+    keys = sorted({(i, j, k) for table in tables for (i, j), vec in table.items() for k in vec})
+    v0, v1, v2 = ([table.get((i, j), {}).get(k, 0) for (i, j, k) in keys] for table in tables)
     if rank_exact([v0, v1]) == 1:
         idx = next(i for i, c in enumerate(v0) if c)
         return TAG_SCALAR, 1, None, None, v1[idx] / v0[idx]

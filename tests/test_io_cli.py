@@ -270,6 +270,9 @@ SKEW_NONLIE = {"dim": 4, "basis": ["p", "q", "z", "t"],
                             {"i": 1, "j": 3, "coeffs": {"1": "-1/2", "2": "3"}},
                             {"i": 2, "j": 3, "coeffs": {"0": "2/3"}}]}
 SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
+# the nilpotent shear h -> e on sl2 (basis e, h, f), which is not diagonal
+SHEAR = RatMatrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -309,6 +312,16 @@ SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
      "--certified applies to --kind nijenhuis"),
     (["exp-check"] + SL2_OP + ["--kind", "nijenhuis", "--m", "0", "--points", "1"],
      "--m applies to --kind near"),
+    (["exp-check"] + SL2_OP + ["--kind", "nijenhuis", "--points", "1"],
+     "--operator must be nilpotent for --kind nijenhuis"),
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "0", "--points", "1"],
+     "--operator must be nilpotent for --kind near --m 0"),
+    (["exp-check"] + SHEAR_OP + ["--kind", "near", "--m", "-2", "--points", "2"],
+     "--operator must be diagonal for a nonzero --m"),
+    (["exp-check", "--algebra", "sl2.json", "--operator", "half-op.json", "--kind", "near",
+      "--m", "-2", "--points", "2"], "--operator must have integer diagonal entries"),
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--points", "2,0"],
+     "--points must be nonzero for a nonzero --m"),
 ], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
         "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
         "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
@@ -318,11 +331,15 @@ SL2_OP = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
         "N-underscore", "weights-arabic-indic-digit", "partition-arabic-indic-digit",
         "report-gamma-length", "pc-check-gamma-and-missing-operator",
         "pc-check-gamma-and-wrong-dimension-operator", "nijenhuis-certified-and-points",
-        "near-certified", "nijenhuis-m"])
+        "near-certified", "nijenhuis-m", "nijenhuis-not-nilpotent", "near-m0-not-nilpotent",
+        "near-not-diagonal", "near-diagonal-not-integer", "near-zero-point"])
 def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
     (workdir / "dim4-op.json").write_text(json.dumps(operator_to_dict(RatMatrix.identity(4))))
+    (workdir / "sl2-shear-op.json").write_text(json.dumps(operator_to_dict(SHEAR)))
+    (workdir / "half-op.json").write_text(json.dumps(operator_to_dict(
+        RatMatrix.diagonal([F(1, 2), 0, F(1, 2)]))))
     capsys.readouterr()
     assert run(argv) == 2
     out, err = capsys.readouterr()

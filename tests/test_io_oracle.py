@@ -7,13 +7,13 @@
   deep inside a well-formed file are reached too.
 * Algebra and operator files round trip: load(save(x)) == x with the same
   labels, and saving what was loaded writes the same bytes.  The algebras
-  include kernel results, whose `Fraction` table is first built when the
-  file is written.
+  include kernel results, and neither writing nor reading a file reads a
+  tensor's `Fraction` table: both run on integer forms.
 * Algebra and seed documents written with unreduced, signed and zero
   coefficients, and seeds with repeated exponents, parse to what a
   `Fraction` reading gives: the same integer form and key order, a zero
   coefficient or all-zero pair dropped.  A loaded tensor carries only its
-  integer form, and its table slot stays unset until the table is read.
+  integer form, and its table is built from it when read.
 """
 
 import json
@@ -33,7 +33,7 @@ from liepencil.exact import parse_rat
 from liepencil.tensors import StructureTensor, derived, skew_table
 
 from paper_checks import seeds_to_dict
-from test_lazy_table import check_lazy, layout, materialised
+from test_lazy_table import check_table, layout, table_reads
 from test_tensor_oracle import operators, tensors
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -127,9 +127,10 @@ def round_trip(save, load, obj, folder):
 def test_algebra_file_round_trip(tmp_path_factory, tensor, data):
     folder = tmp_path_factory.mktemp("algebra")
     result = derived(tensor, data.draw(operators(tensor.dim), label="op"))
-    assert not materialised(result)
     for t in (tensor, result):
-        back = round_trip(save_algebra, lambda p: load_algebra(p)[0], t, folder)
+        with table_reads() as reads:
+            back = round_trip(save_algebra, lambda p: load_algebra(p)[0], t, folder)
+        assert reads == []
         assert back == t and back.labels == t.labels
         assert back.table == t.table
 
@@ -172,7 +173,7 @@ def test_algebra_parse_matches_a_fraction_reading(doc):
     want = reference_algebra(doc)
     assert tensor.labels == want.labels
     assert tensor.integer_form() == want.integer_form()
-    check_lazy(tensor, want.table)
+    check_table(tensor, want.table)
     assert layout(tensor.table) == layout(want.table)
 
 

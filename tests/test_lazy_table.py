@@ -1,23 +1,27 @@
-"""Kernel results carry only their integer form; `.table` is built on first read.
+"""A tensor's `.table` is a view, built from its integer form on each read.
 
 `contract` (hence `derived` and `torsion`), `tensor_combination` and `scale`
-hand back a tensor whose `table` slot is unset.  The first read of `.table`
-builds {ij: {k: Fraction(v, den)}} from the integer form (den, ints) and
-stores it in the slot.  The tests below check, on generated inputs, that:
+hand back a tensor that holds only its integer form (den, ints), and `io`
+loads one the same way.  Each read of `.table` builds
+{ij: {k: Fraction(v, den)}} from that form.  The tests below count table
+reads by replacing the property for the length of a block, and check, on
+generated inputs, that:
 
-* the slot is unset until the first read, and the built table is the dict
-  the kernels used to build eagerly from their reduced form: the same key
-  order at both levels, `Fraction` entries, and one dict for every read;
+* the table is the dict the kernels used to build eagerly from their
+  reduced form: the same key order at both levels and `Fraction` entries;
+  each read is a new dict, so writing into one leaves the tensor as it was;
 * that table equals a `Fraction` reference for every producer;
+* the kernels read no table of their inputs or of their results;
 * `classify_operator` plus `normalize_pencil` on the dense sl3 operator of
-  the golden fixtures never builds the table of T', T'' or the second
-  degenerate line, which the classify path reads only through their forms;
+  the golden fixtures, with sl3 loaded from its file, never reads the table
+  of the loaded algebra, of T', of T'' or of the second degenerate line;
 * on dense conjugated Z4-grading operators of gl4 and sl4 the packed pass
-  gives the known answers without ever running the dict route for T'',
-  and a later read of T'' has the table of derived(T', D), key order
-  included.
+  gives the known answers without ever running the dict route for T'' or
+  reading those tables, and a later read of T'' has the table of
+  derived(T', D), key order included.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -28,7 +32,7 @@ from hypothesis import given, strategies as st
 import liepencil.tensors as kernels
 from liepencil.constructions import build_classical
 from liepencil.exact import ZERO, RatMatrix, nilpotent_exp
-from liepencil.io import operator_from_dict
+from liepencil.io import algebra_from_dict, algebra_to_dict, operator_from_dict
 from liepencil.nijenhuis import torsion
 from liepencil.tensors import (MODE_SEMISIMPLE, TAG_NEAR, StructureTensor, ad,
                                classify_operator, derived, normalize_pencil,
@@ -41,13 +45,20 @@ from test_tensor_oracle import ENTRIES, operators, reference_derived, tensors
 # the example budget is the "liepencil" profile in conftest.py
 
 
-def materialised(tensor):
-    """Whether the table slot is set, read past the `__getattr__` fill."""
-    try:
-        StructureTensor.table.__get__(tensor)
-    except AttributeError:
-        return False
-    return True
+@contextmanager
+def table_reads():
+    """The list of every tensor whose `.table` is read inside the block."""
+    reads = []
+    view = StructureTensor.table.fget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StructureTensor, "table",
+                      property(lambda t: reads.append(t) or view(t)))
+        yield reads
+
+
+def read_among(reads, tensors):
+    """The names of the tensors ({name: tensor}) that are in reads."""
+    return [name for name, t in tensors.items() if any(r is t for r in reads)]
 
 
 def layout(table):
@@ -76,15 +87,15 @@ def reference_combination(pairs):
     return {ij: vec for ij, vec in acc.items() if vec}
 
 
-def check_lazy(tensor, reference):
-    """tensor is a fresh kernel result whose table equals reference."""
-    assert not materialised(tensor)
-    expected = eager_table(tensor.integer_form())
+def check_table(tensor, reference):
+    """tensor's table equals reference, with the key order and the
+    `Fraction` entries of its form's eager table."""
     table = tensor.table
-    assert materialised(tensor) and tensor.table is table
-    assert layout(table) == layout(expected)
+    assert layout(table) == layout(eager_table(tensor.integer_form()))
     assert all(type(c) is Fraction for vec in table.values() for c in vec.values())
     assert table == reference
+    table.clear()       # a new dict on each read: the tensor is as it was
+    assert tensor.table == reference
 
 
 @given(tensors(), st.data())
@@ -93,41 +104,42 @@ def test_lazy_table_of_every_producer(tensor, data):
     c = data.draw(ENTRIES, label="c")
     d = data.draw(ENTRIES, label="d")
     other = derived(tensor, op)
-    check_lazy(other, reference_derived(tensor, op).table)
+    check_table(other, reference_derived(tensor, op).table)
     tors_terms = [(1, None, op, op), (-1, op, op, None), (-1, op, None, op),
                   (1, op * op, None, None)]
-    check_lazy(torsion(tensor, op), reference_contract(tensor, tors_terms).table)
+    check_table(torsion(tensor, op), reference_contract(tensor, tors_terms).table)
     pairs = [(c, tensor), (d, other)]
-    check_lazy(tensor_combination(pairs), reference_combination(pairs))
-    check_lazy(tensor_combination([(1, tensor), (-1, tensor)]), {})
-    check_lazy(tensor.scale(c), reference_combination([(c, tensor)]))
+    check_table(tensor_combination(pairs), reference_combination(pairs))
+    check_table(tensor_combination([(1, tensor), (-1, tensor)]), {})
+    check_table(tensor.scale(c), reference_combination([(c, tensor)]))
 
 
 @given(tensors(), st.data())
 def test_kernel_input_without_a_table(tensor, data):
-    # a result whose table was never built serves as a kernel's input, and
-    # the second result's table has the reference's key order
+    # a result serves as a kernel's input with no table read on the way,
+    # and the second result's table has the reference's key order
     op = data.draw(operators(tensor.dim), label="op")
-    first = derived(tensor, op)
-    second = derived(first, op)
-    assert not materialised(first)
+    with table_reads() as reads:
+        first = derived(tensor, op)
+        second = derived(first, op)
+    assert reads == []
     assert layout(second.table) == layout(reference_derived(first, op).table)
 
 
 def test_classify_builds_no_table_it_does_not_read():
-    tensor = build_classical("sl", 3)
+    tensor, _ = algebra_from_dict(algebra_to_dict(build_classical("sl", 3)))
     op = operator_from_dict(FILES["sl3-conjugated-op.json"])
-    action = classify_operator(tensor, op)
+    with table_reads() as reads:
+        action = classify_operator(tensor, op)
+        norm = normalize_pencil(action)
     assert (action.tag, action.a, action.b) == (TAG_NEAR, 0, -3)
-    norm = normalize_pencil(action)
     assert len(norm.degenerate_lines) == 2
     assert norm.derived is action.derived
-    unread = {"T'": action.derived, "T''": action.second,
+    unread = {"loaded algebra": tensor, "T'": action.derived, "T''": action.second,
               "second degenerate line": norm.degenerate_lines[1]}
-    assert [name for name, t in unread.items() if materialised(t)] == []
-    # a read still gives the table, built once
+    assert read_among(reads, unread) == []
+    # a read still gives the table
     assert action.second.table == derived(action.derived, op).table
-    assert materialised(action.second)
 
 
 def conjugated_grading(tensor, signs):
@@ -158,12 +170,15 @@ def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
     real_contract = kernels.contract
     monkeypatch.setattr(kernels, "contract",
                         lambda t, terms: contracted.append(t) or real_contract(t, terms))
-    action = classify_operator(tensor, op)
-    norm = normalize_pencil(action)
+    with table_reads() as reads:
+        action = classify_operator(tensor, op)
+        norm = normalize_pencil(action)
     assert (action.tag, action.a, action.b) == (TAG_NEAR, 0, -4)
     assert (norm.mode, len(norm.degenerate_lines)) == (MODE_SEMISIMPLE, 2)
     assert contracted == [tensor]            # T' only
-    assert not materialised(action.second)
+    unread = {"T'": action.derived, "T''": action.second,
+              "second degenerate line": norm.degenerate_lines[1]}
+    assert read_among(reads, unread) == []
     table = action.second.table
     assert contracted == [tensor, action.derived]
     assert layout(table) == layout(derived(action.derived, op).table)

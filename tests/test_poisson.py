@@ -107,7 +107,8 @@ def test_lift_reproduces_derived_bracket_on_generators():
                 defect = (dhat(struct.entry(i, j))
                           - poisson_bracket(struct, dhat(x(i)), x(j))
                           - poisson_bracket(struct, x(i), dhat(x(j))))
-                expect = SparsePoly.linear([dt.bracket(i, j).get(k, F(0)) for k in range(3)])
+                vec = dt.bracket(i, j)
+                expect = SparsePoly.linear([vec.get(k, F(0)) for k in range(3)])
                 assert defect == expect
 
 

@@ -1,18 +1,20 @@
-"""Source guard: no code changes a tensor's table, a polynomial's terms or
-a matrix's storage.
+"""Source guard: no code changes a tensor's, a polynomial's or a matrix's
+storage.
 
-`StructureTensor` caches its integer form and its skew and Jacobi verdicts
-on the instance, which is sound only while nothing writes to a `table` once
-the tensor exists; the same rule holds for `SparsePoly.terms` and for the
-integer form of a `RatMatrix` (`den`, `ints` and its shape), whose `rows`
-are rebuilt on each read, so a write into them would be lost.  This test
-scans the package source with `ast`.  A write to or into a guarded
-attribute (an assignment, an augmented assignment, a subscript store or a
-`del`) is allowed only on `self` inside `__init__`/`__post_init__`, and
-anywhere inside the trusted constructors `_of`.  The integer-form slot
-`._integer` follows the same rule, and may also be written on `self` by
-its single cache fill, `integer_form`; likewise `.table` by its fill on
-first read, `__getattr__`, for a tensor built from its integer form alone.
+`StructureTensor`, `SparsePoly` and `RatMatrix` each store one integer
+form, and a tensor caches its skew and Jacobi verdicts on the instance,
+which is sound only while nothing writes to a form once the object exists.
+`table`, `terms` and `rows` are views rebuilt from the form on each read,
+so a write into them would be lost.  This test scans the package source
+with `ast`.  A write to or into a guarded attribute (an assignment, an
+augmented assignment, a subscript store or a `del`) is allowed only on
+`self` inside `__init__`/`__post_init__`, and anywhere inside the trusted
+constructors `_of`.  A tensor's form slot `._integer` may also be written
+on `self` by its single cache fill, `integer_form`, which builds a
+deferred form on first use.
+
+No `assert` statement appears in the package: `python -O` strips them, and
+a check that guards a returned result raises `IdentityFailed` instead.
 
 A second rule keeps a polynomial's storage inside `exact`: `poisson.py` and
 `analysis.py` read a `SparsePoly`'s integer form (`den`, `ints`), and neither
@@ -42,7 +44,7 @@ GUARDED = {"table", "terms", "_integer", "den", "ints", "nrows", "ncols", "rows"
 CONSTRUCTORS = {"__init__", "__post_init__"}
 TRUSTED = {"_of"}
 # slot -> the one method that fills it on self as a cache
-CACHE_FILLS = {"_integer": "integer_form", "table": "__getattr__"}
+CACHE_FILLS = {"_integer": "integer_form"}
 
 
 def _leaves(target):
@@ -132,26 +134,27 @@ def contract(t):
     assert [line for line, _ in offences(source)] == [4, 5, 6, 10, 24, 28, 29, 31]
 
 
-def test_guard_allows_only_the_table_fill():
+def test_guard_allows_only_the_form_fill():
+    # `_integer` is filled on self in `integer_form` only; no method fills `table`
     source = """
 class Tensor:
+    def integer_form(self):
+        self._integer = 1, {}
+        return self._integer
+    def integer_form(self, other):
+        other._integer = 1, {}
+        self.table = {}
+        self.terms = {}
     def __getattr__(self, name):
         self.table = {}
         return self.table
-    def __getattr__(self, other):
-        other.table = {}
-        self.terms = {}
-        self._integer = 1, {}
-        self.table[(0, 1)] = {}
-    def integer_form(self):
-        self.table = {}
     def scale(self, c):
-        self.table = {}
-        del self.table
-def __getattr__(t):
-    t.table = {}
+        self._integer = 1, {}
+        del self._integer
+def integer_form(t):
+    t._integer = 1, {}
 """
-    assert [line for line, _ in offences(source)] == [7, 8, 9, 12, 14, 15, 17]
+    assert [line for line, _ in offences(source)] == [7, 8, 9, 11, 14, 15, 17]
 
 
 def test_no_table_or_terms_written_after_construction():
@@ -159,6 +162,29 @@ def test_no_table_or_terms_written_after_construction():
     found = {path.name: offences(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def assert_offences(source):
+    """Line of every `assert` statement."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Assert))
+
+
+def test_no_assert_statement_in_the_package():
+    # a guard written as `assert` would vanish under `python -O`
+    source = """
+def check(x):
+    assert x, "not x"
+    if not x:
+        raise IdentityFailed("not x")
+    return x
+assert check(1)
+"""
+    assert assert_offences(source) == [3, 7]
+    package = Path(liepencil.__file__).parent
+    found = {path.name: assert_offences(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def form_offences(source):

@@ -38,6 +38,7 @@ def reference_derived(tensor, op):
     """rho(D).T computed entry by entry in Fraction arithmetic."""
     n = tensor.dim
     cols = op.columns()
+    given, empty = tensor.table, {}
 
     def image(vec):
         out = {}
@@ -53,12 +54,12 @@ def reference_derived(tensor, op):
         return out
 
     def entry(i, j):
-        acc = dict(image(tensor.bracket(i, j)))
+        acc = dict(image(given.get((i, j), empty)))
         coli = cols[i]
         for k in range(n):
             dk = coli[k]
             if dk:
-                for m, cm in tensor.bracket(k, j).items():
+                for m, cm in given.get((k, j), empty).items():
                     s = acc.get(m, ZERO) - dk * cm
                     if s:
                         acc[m] = s
@@ -68,7 +69,7 @@ def reference_derived(tensor, op):
         for k in range(n):
             dk = colj[k]
             if dk:
-                for m, cm in tensor.bracket(i, k).items():
+                for m, cm in given.get((i, k), empty).items():
                     s = acc.get(m, ZERO) - dk * cm
                     if s:
                         acc[m] = s
@@ -90,20 +91,19 @@ def reference_derived(tensor, op):
                 vec = entry(i, j)
                 if vec:
                     table[(i, j)] = vec
-    out = StructureTensor(n, labels=tensor.labels)
-    out.table = table
-    return out
+    return StructureTensor(n, table, tensor.labels)
 
 
 def reference_check_jacobi(tensor):
     """Cyclic Jacobi sums in Fraction arithmetic; (ok, first failing triple)."""
     n = tensor.dim
+    table, empty = tensor.table, {}
 
     def jac(i, j, k):
         acc = {}
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in tensor.bracket(a, b).items():
-                for r, cr in tensor.bracket(m, c).items():
+            for m, cm in table.get((a, b), empty).items():
+                for r, cr in table.get((m, c), empty).items():
                     s = acc.get(r, ZERO) + cm * cr
                     if s:
                         acc[r] = s
