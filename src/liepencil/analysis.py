@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import SparsePoly, _reduce, generic_rank, kernel_basis, rank_exact
+from .exact import SparsePoly, _Echelon, _linear_forms, _reduce, generic_rank, rank_exact
 from .tensors import is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
@@ -35,25 +35,25 @@ def lie_centre(tensor):
 
     The centrality system has one sparse row per (j, k) and one column per
     i, with entry c_ij^k; its rows are read as ints off the tensor's
-    integer form.  Scaling every row by the form's denominator leaves the
-    reduced row echelon form, hence the canonical kernel basis, unchanged.
+    integer form, and an `_Echelon` takes them without a copy.  Scaling
+    every row by the form's denominator leaves the reduced row echelon
+    form, hence the canonical kernel basis, unchanged.
     """
     _, tab = tensor.integer_form()
     rows = {}
     for (i, j), vec in tab.items():
         for k, c in vec.items():
             rows.setdefault((j, k), {})[i] = c
-    return kernel_basis(list(rows.values()), tensor.dim)
+    return _Echelon(list(rows.values())).kernel(tensor.dim)
 
 
 def structure_matrix(tensor):
     """The n x n matrix of linear forms B_ij = sum_k c_ij^k x_k."""
     n = tensor.dim
     den, ints = tensor.integer_form()
-    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    vecs = [[ints.get((i, j), {}) for j in range(n)] for i in range(n)]
-    return [[SparsePoly._of(n, den, {unit[k]: vec[k] for k in sorted(vec)}) for vec in row]
-            for row in vecs]
+    linear = _linear_forms(n)
+    return [[SparsePoly._of(n, den, linear(sorted(ints.get((i, j), {}).items())))
+             for j in range(n)] for i in range(n)]
 
 
 def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
@@ -79,8 +79,6 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
         return IndexReport(n, r, n - r, "exact-symbolic")
     if mode != "prob":
         raise ValueError("unknown mode %r" % (mode,))
-    if samples < 1:
-        raise ValueError("samples must be at least 1, got %d" % samples)
     rng = random.Random(seed)
     best = 0
     _, tab = tensor.integer_form()

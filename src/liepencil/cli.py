@@ -129,6 +129,11 @@ def _parse_ints(text, flag):
     return ints
 
 
+def _at_least(value, low, flag):
+    if value < low:
+        raise InputProblem("%s must be at least %d, got %d" % (flag, low, value))
+
+
 def _env_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -223,8 +228,7 @@ def cmd_classify(args):
 
 def cmd_derive(args):
     tensor, op = _load(args)
-    if args.power < 0:
-        raise InputProblem("--power must be at least 0, got %d" % args.power)
+    _at_least(args.power, 0, "--power")
     result = derived_iter(tensor, op, args.power)
     doc = {"power": args.power, "zero": result.is_zero(), "skew": result.is_skew(),
            "lie": is_lie(result)}
@@ -254,6 +258,8 @@ def cmd_pencil(args):
 
 
 def cmd_index(args):
+    _at_least(args.samples, 1, "--samples")
+    _at_least(args.max_exact_dim, 0, "--max-exact-dim")
     tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
         raise InputProblem("--algebra is not a Lie algebra; index needs one")
@@ -280,6 +286,7 @@ def cmd_torsion(args):
 
 
 def cmd_nijenhuis_check(args):
+    _at_least(args.depth, 1, "--depth")
     tensor, op = _load(args)
     flat, witness = nij.is_nijenhuis(tensor, op)
     doc = {"nijenhuis": flat, "witness": list(witness) if witness else None}
@@ -295,6 +302,8 @@ def cmd_nijenhuis_check(args):
         "iterate_is_lie": st.iterate_is_lie,
     } for st in rep.steps]
     doc["pairwise_compatible"] = rep.pairwise_compatible
+    if not rep.pairwise_compatible:
+        doc["compat_witness"] = list(rep.compat_witness)
     doc["ok"] = rep.ok
     return doc, EXIT_OK if rep.ok else EXIT_CHECK
 
@@ -342,8 +351,7 @@ def _pc_inputs(args, tensor, op=None):
     """The orbit operator of a family check, its description, and the seeds
     read from --seed-file (None without one); op is the operator already
     read from --operator, if any."""
-    if args.degree_bound < 1:
-        raise InputProblem("--degree-bound must be at least 1, got %d" % args.degree_bound)
+    _at_least(args.degree_bound, 1, "--degree-bound")
     if args.gamma:
         gamma = _parse_rationals(args.gamma, "covector")
         if len(gamma) != tensor.dim:
@@ -486,6 +494,7 @@ def cmd_example(args):
 
 
 def cmd_report(args):
+    _at_least(args.max_exact_dim, 0, "--max-exact-dim")
     tensor, op = _load(args)
     family_check = args.pc or args.gamma or args.seed_file
     if family_check:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
-from .exact import (ONE, ZERO, RatMatrix, _int_coordinates, coordinates,
+from .exact import (ONE, ZERO, RatMatrix, _int_coordinates, _reduced, coordinates,
                     kernel_basis, mat_commutator, unit_vector)
 from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
                       derived, pair_table)
@@ -129,14 +130,14 @@ def build_classical(family, n):
 
 def direct_sum(t1, t2):
     """Direct sum of two structure tensors (blocks commute)."""
-    n1, n2 = t1.dim, t2.dim
-    table = {}
-    for (i, j), vec in t1.table.items():
-        table[(i, j)] = dict(vec)
-    for (i, j), vec in t2.table.items():
-        table[(i + n1, j + n1)] = {k + n1: c for k, c in vec.items()}
-    labels = list(t1.labels) + ["%s'" % s for s in t2.labels]
-    return StructureTensor(n1 + n2, table, labels)
+    n1 = t1.dim
+    (d1, f1), (d2, f2) = t1.integer_form(), t2.integer_form()
+    L = lcm(d1, d2)
+    ints = {ij: {k: c * (L // d1) for k, c in vec.items()} for ij, vec in f1.items()}
+    ints.update({(i + n1, j + n1): {k + n1: c * (L // d2) for k, c in vec.items()}
+                 for (i, j), vec in f2.items()})
+    labels = t1.labels + tuple("%s'" % s for s in t2.labels)
+    return StructureTensor._of(n1 + t2.dim, labels, _reduced(L, ints))
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class GradingSpec:
 
     def validate(self, tensor):
         """Check the bracket respects the grading; returns (ok, witness)."""
-        for (i, j), vec in tensor.table.items():
+        for (i, j), vec in tensor.integer_form()[1].items():
             s = self.weights[i] + self.weights[j]
             if self.kind == "periodic":
                 want = s % self.modulus
@@ -249,17 +250,15 @@ def quasi_grading_extension(tensor, spec):
 def _restrict(tensor, idx):
     """Substructure tensor on a list of basis indices (must be closed)."""
     pos = {i: p for p, i in enumerate(idx)}
+    den, ints = tensor.integer_form()
     table = {}
-    for (i, j), vec in tensor.table.items():
+    for (i, j), vec in ints.items():
         if i in pos and j in pos:
-            sub = {}
-            for k, c in vec.items():
-                if k not in pos:
-                    raise ValueError("index set is not closed under the bracket")
-                sub[pos[k]] = c
-            if sub:
-                table[(pos[i], pos[j])] = sub
-    return StructureTensor(len(idx), table, [tensor.labels[i] for i in idx])
+            if any(k not in pos for k in vec):
+                raise ValueError("index set is not closed under the bracket")
+            table[(pos[i], pos[j])] = {pos[k]: c for k, c in vec.items()}
+    return StructureTensor._of(len(idx), tuple(tensor.labels[i] for i in idx),
+                               _reduced(den, table))
 
 
 def splitting_operators(tensor, part_a, part_b):

@@ -8,21 +8,22 @@ are `Fraction` views built from the form on each read, as a structure
 tensor's `table` is.  `_cleared` is the one rule that clears rationals to a
 form (a tensor's validating constructor goes through it too) and
 `_reduced` the one rule that divides a form by its gcd; other modules read
-the forms, `den` and `ints`.  Elimination over Q runs on
-integers too: one sparse Gauss-Jordan routine takes list or {column: entry}
-dict rows (a matrix hands over its form), clears each once to a dict of its
-nonzero ints and visits no zero entry, so the connected components of a
-sparse system are eliminated independently; rows with one nonzero entry
-are pivots before any arithmetic.  `rref`, `rank_exact`,
-`kernel_basis`, `coordinates` and `RatMatrix.inverse` build a `Fraction`
-only for an entry they return.  `coordinates` reduces a basis once and
-reads every target from that reduction; `solve_columns` is its one-target
-use.  `generic_rank` runs Bareiss elimination on integer polynomials with
-each monomial packed into one int (the total degree in the top field, then
-the exponents), each field sized for the largest degree a product can
-reach plus one spare bit that the exact quotient uses to detect a negative
-exponent; a quotient that leaves Z[x] raises ArithmeticError.  The same
-packing (`_packing`, `_pmuladd`) carries `poisson.pc_verify`.
+the forms, `den` and `ints`.  Elimination over Q runs on integers in one
+state, `_Echelon`: it owns {column: nonzero int} rows in reduced row
+echelon form and the rows holding each column, so it visits no zero entry
+and eliminates the components of a sparse system independently.  It takes
+a system in bulk, singleton rows first, and `add(row)` says whether one
+more row grows the rank, copying no row it owns.  `rref`, `rank_exact`,
+`kernel_basis`, `coordinates` and `RatMatrix.inverse` hand it cleared
+copies of list or dict rows and build a `Fraction` only for an entry they
+return.  `coordinates` reduces a basis once and reads every target from
+that reduction; `solve_columns` is its one-target use.  `generic_rank`
+runs Bareiss elimination on integer polynomials with each monomial packed
+into one int (the total degree in the top field, then the exponents), each
+field sized for the largest degree a product can reach plus one spare bit
+that the exact quotient uses to detect a negative exponent; a quotient
+that leaves Z[x] raises ArithmeticError.  The same packing (`_packing`,
+`_pmuladd`) carries `poisson.pc_verify`.
 """
 
 from __future__ import annotations
@@ -221,56 +222,89 @@ def mat_commutator(a, b):
 
 
 def _reduce(rows):
-    """Sparse Gauss-Jordan elimination of a rational matrix, run on integers.
-
-    Rows are {column: entry} dicts or equal-length lists; either is cleared
-    once to a {column: int} dict of its nonzero entries, scaled by the lcm
-    of their denominators, except an `_IntRows` list, which is eliminated
-    in place as it is.  holders[c] indexes the rows with a nonzero in
-    column c and is kept current through fill-in and cancellation, so no
-    zero entry is visited and an update touches only rows of its own
-    connected component of the row/column graph: the components are
-    eliminated independently.  First a presolve: a row with one nonzero
-    entry forces its column to 0, so it is that column's pivot row, and the
-    column is deleted from every other row, with no arithmetic; each
-    touched row is divided by its content, and a row left with one entry
-    joins the queue, so the presolve cascades.  On the rest, pivots are
-    taken in ascending column order, each in the shortest unused row with a
-    nonzero there (it fills in least), and each clears its column from the
-    unused rows.  Then, last pivot first, each pivot clears its column from
-    the earlier pivot rows; a pivot row is by then free of every later
-    pivot column, so this back-substitution adds no entry in a pivot
-    column, and it updates fewer and shorter rows than clearing above each
-    pivot as it is taken.  Every updated row is divided by its content
-    (the gcd of its entries), which keeps the entries bounded by minors of
-    the scaled matrix.  The reduced row echelon form is canonical, so
-    neither the row order nor the choice of pivot row changes the result;
-    the presolve's pivots and the rest's are merged in ascending column
-    order.
+    """Sparse Gauss-Jordan elimination of a rational matrix, run on integers
+    by an `_Echelon` on int copies (`_int_rows`) of the rows, which are
+    {column: entry} dicts or equal-length lists and are left unchanged.
 
     Returns (pivots, R): R[r] is an integer multiple of row r of the reduced
     row echelon form, whose entries are therefore R[r][j] / R[r][pivots[r]];
-    R[r] is a {column: int} dict of its nonzeros for dict rows and a list
-    for list rows.
+    R[r] is a {column: int} dict for dict rows and a list for list rows.
     """
-    listed = bool(rows) and not isinstance(rows[0], dict)
-    if type(rows) is _IntRows:
-        M = rows
-    else:
-        M = [_int_row(enumerate(row) if listed else row.items()) for row in rows]
-    holders = {}
-    for i, row in enumerate(M):
-        for c in row:
-            holders.setdefault(c, set()).add(i)
+    pivots, R = _Echelon(_int_rows(rows)).reduced()
+    if rows and not isinstance(rows[0], dict):
+        return pivots, [[row.get(j, 0) for j in range(len(rows[0]))] for row in R]
+    return pivots, R
 
-    def clear(i, p, c):
+
+class _Echelon:
+    """The reduced row echelon form over Q of a growing set of int rows.
+
+    It owns the list of {column: nonzero int} rows it is given and updates
+    the rows in place, so their builder must not read them again.  Row
+    pivot[c] holds no other pivot column and none left of c: divided by its
+    entry at c it is a row of the canonical reduced row echelon form.
+    holders[c] indexes the rows with a nonzero in column c, kept current
+    through fill-in and cancellation, so no zero entry is visited and an
+    update stays in its connected component of the row/column graph.  Each
+    updated row is divided by its content (the gcd of its entries), which
+    bounds the entries by minors of the scaled matrix.
+    """
+
+    __slots__ = ("owned", "holders", "pivot")
+
+    def __init__(self, rows):
+        """Bulk elimination.  A row with one nonzero is its column's pivot;
+        deleting the column from another row subtracts a multiple of it, and
+        a row left with one entry joins the queue, so this presolve cascades.  Then pivots are
+        taken in ascending column order, each in the shortest unused row
+        there (it fills in least), clearing its column from the unused rows.
+        Last, back-substitution, last pivot first: a pivot row is by then
+        free of every later pivot column, so this adds none."""
+        self.owned = M = rows
+        self.holders = holders = {}
+        for i, row in enumerate(M):
+            for c in row:
+                holders.setdefault(c, set()).add(i)
+        self.pivot = pivot = {}
+        queue = [i for i, row in enumerate(M) if len(row) == 1]
+        while queue:
+            i = queue.pop()
+            if not M[i]:
+                continue    # a second singleton of a column already fixed
+            (c,) = M[i]
+            pivot[c] = i
+            others, holders[c] = holders[c], {i}
+            for k in others:
+                if k != i:
+                    row = M[k]
+                    del row[c]
+                    _primitive(row)
+                    if len(row) == 1:
+                        queue.append(k)
+        unused = set(range(len(M))).difference(pivot.values())
+        taken = []
+        for c in sorted(holders):
+            live = [i for i in holders[c] if i in unused]
+            if live:
+                p = min(live, key=lambda i: len(M[i]))
+                unused.discard(p)
+                for i in live:
+                    if i != p:
+                        self._clear(i, p, c)
+                taken.append((c, p))
+        for c, p in reversed(taken):
+            for i in list(holders[c]):
+                if i != p:
+                    self._clear(i, p, c)
+            pivot[c] = p
+
+    def _clear(self, i, p, c):
         """Row i becomes a * row i - b * row p in place, where a / b is
-        M[p][c] / M[i][c] in lowest terms, so its entry in column c cancels;
-        then it is divided by its content."""
-        prow, row = M[p], M[i]
-        piv, e = prow[c], row[c]
-        g = gcd(piv, e)
-        a, b = piv // g, e // g
+        row p's entry in column c over row i's in lowest terms, so its entry
+        in column c cancels; then it is divided by its content."""
+        row, prow, holders = self.owned[i], self.owned[p], self.holders
+        g = gcd(prow[c], row[c])
+        a, b = prow[c] // g, row[c] // g
         if a != 1:
             for k in row:
                 row[k] *= a
@@ -286,71 +320,60 @@ def _reduce(rows):
                 else:
                     del row[k]
                     holders[k].discard(i)
-        if row:
-            g = gcd(*row.values())
-            if g > 1:
-                M[i] = {k: y // g for k, y in row.items()}
+        _primitive(row)
 
-    # singleton presolve: a row with one nonzero is its column's pivot, and
-    # deleting that column from another row subtracts a multiple of it
-    fixed = {}
-    queue = [i for i, row in enumerate(M) if len(row) == 1]
-    while queue:
-        i = queue.pop()
-        if not M[i]:
-            continue    # a second singleton of a column already fixed
-        (c,) = M[i]
-        fixed[c] = i
-        for k in holders.pop(c):
-            if k == i:
-                continue
-            row = M[k]
-            del row[c]
-            if row:
-                g = gcd(*row.values())
-                if g > 1:
-                    M[k] = {j: y // g for j, y in row.items()}
-                if len(row) == 1:
-                    queue.append(k)
-    unused = set(range(len(M))).difference(fixed.values())
-    pivots, used = [], []
-    for c in sorted(holders):
-        live = [i for i in holders[c] if i in unused]
-        if not live:
-            continue
-        p = min(live, key=lambda i: len(M[i]))
-        unused.discard(p)
-        for i in live:
-            if i != p:
-                clear(i, p, c)
-        pivots.append(c)
-        used.append(p)
-    for c, p in zip(reversed(pivots), reversed(used)):
-        for i in list(holders[c]):
-            if i != p:
-                clear(i, p, c)
-    if fixed:
-        merged = sorted([*fixed.items(), *zip(pivots, used)])
-        pivots, used = [c for c, _ in merged], [p for _, p in merged]
-    if listed:
-        ncols = len(rows[0])
-        return pivots, [[M[p].get(j, 0) for j in range(ncols)] for p in used]
-    return pivots, [M[p] for p in used]
+    def add(self, row):
+        """Take one more {column: nonzero int} row and clear every pivot column
+        from it.  If anything is left, its first column becomes a pivot,
+        cleared from the other rows, and add returns True: the rank grew.
+        Else it returns False.  No other row is copied."""
+        M, holders, pivot = self.owned, self.holders, self.pivot
+        i = len(M)
+        M.append(row)
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+        for c in [c for c in row if c in pivot]:    # no clear adds a pivot column
+            self._clear(i, pivot[c], c)
+        if not row:
+            return False
+        c = min(row)
+        pivot[c] = i
+        for k in list(holders[c]):
+            if k != i:
+                self._clear(k, i, c)
+        return True
+
+    def reduced(self):
+        """(pivots, R) as `_reduce` returns them for dict rows, uncopied."""
+        pivots = sorted(self.pivot)
+        return pivots, [self.owned[self.pivot[c]] for c in pivots]
+
+    def kernel(self, ncols):
+        """`kernel_basis` of the rows, read in ncols columns."""
+        basis = {c: unit_vector(ncols, c) for c in range(ncols) if c not in self.pivot}
+        for pc, p in self.pivot.items():
+            row = self.owned[p]
+            for c, x in row.items():
+                if c in basis:
+                    basis[c][pc] = Fraction(-x, row[pc])
+        return list(basis.values())
 
 
-class _IntRows(list):
-    """Rows of {column: nonzero int} built for one elimination.  `_reduce`
-    (and so `kernel_basis` and `rank_exact`) takes them as they are, with
-    no cleared copy, and updates them in place: whoever built them must
-    not read them afterwards.  Rows of any other type are copied first and
-    never changed."""
+def _int_rows(rows):
+    """Fresh {column: nonzero int} rows of list or {column: entry} dict
+    rows, each cleared by `_cleared` unless its entries are ints already."""
+    listed = bool(rows) and not isinstance(rows[0], dict)
+    out = [{c: x for c, x in (enumerate(row) if listed else row.items()) if x} for row in rows]
+    return [row if all(type(x) is int for x in row.values()) else _cleared([row])[1][0]
+            for row in out]
 
 
-def _int_row(items):
-    """{column: int} of the nonzero (column, entry) items, cleared by
-    `_cleared` unless every entry is an int already."""
-    row = {c: x for c, x in items if x}
-    return row if all(type(x) is int for x in row.values()) else _cleared([row])[1][0]
+def _primitive(row):
+    """Divide a {column: int} row by its content, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
 
 def _ratio(x, d):
@@ -369,31 +392,18 @@ def rref(rows):
 
 def rank_exact(m):
     """Rank over Q of a RatMatrix or a list of rows."""
-    return len(_reduce(m.ints if isinstance(m, RatMatrix) else m)[0])
+    return len(_Echelon(_int_rows(m.ints if isinstance(m, RatMatrix) else m)).pivot)
 
 
 def kernel_basis(m, ncols=None):
-    """Canonical basis of the right kernel (one vector per free column).
-
-    Each basis vector carries value 1 at its free column and the solved
-    pivot values elsewhere, so rank + len(kernel) = ncols exactly.  m is a
-    RatMatrix, a list of equal-length rows, or a list of {column: entry}
-    dict rows with their column count ncols.
-    """
+    """Canonical basis of the right kernel: per free column, the vector with
+    1 there and the solved pivot values elsewhere, so rank + len(kernel) =
+    ncols exactly.  m is a RatMatrix, a list of equal-length rows, or a list
+    of {column: entry} dict rows with their column count ncols."""
     rows = m.ints if isinstance(m, RatMatrix) else m
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    pivots, R = _reduce(rows)
-    pivoted = set(pivots)
-    basis = {c: [ZERO] * ncols for c in range(ncols) if c not in pivoted}
-    for fc, v in basis.items():
-        v[fc] = ONE
-    for row, pc in zip(R, pivots):
-        piv = row[pc]
-        for c, x in (row.items() if isinstance(row, dict) else enumerate(row)):
-            if x and c in basis:
-                basis[c][pc] = Fraction(-x, piv)
-    return list(basis.values())
+    return _Echelon(_int_rows(rows)).kernel(ncols)
 
 
 def coordinates(cols):
@@ -462,9 +472,8 @@ def solve_columns(cols, target):
 
 def nilpotent_index(m):
     """Smallest k >= 1 with m^k = 0, or None if m is not nilpotent."""
-    n = m.nrows
     acc = m
-    for k in range(1, n + 1):
+    for k in range(1, max(m.nrows, 1) + 1):    # the 0 x 0 matrix is zero
         if acc.is_zero():
             return k
         acc = acc * m
@@ -775,6 +784,14 @@ def _muladd(acc, a, b, sign=1):
             else:
                 del acc[e]
     return acc
+
+
+def _linear_forms(n):
+    """form(pairs): the integer polynomial {exponent of x_k: x} of the linear
+    form sum x * x_k in n variables, from (k, x) pairs with k ascending; a
+    zero x is dropped."""
+    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    return lambda pairs: {unit[k]: x for k, x in pairs if x}
 
 
 # Packed integer polynomials {monomial int: nonzero int}, the monomials packed

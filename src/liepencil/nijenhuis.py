@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .exact import RatMatrix, nilpotent_exp
 from .tensors import StructureTensor, contract, derived, derived_iter, is_lie, tensor_combination
@@ -96,8 +97,6 @@ class NPropertiesReport:
 
 
 def check_N_properties(tensor, op, depth=3):
-    if depth < 1:
-        raise ValueError("depth must be at least 1, got %d" % depth)
     iterates = [tensor]
     for _ in range(depth):
         iterates.append(derived(iterates[-1], op))
@@ -112,17 +111,9 @@ def check_N_properties(tensor, op, depth=3):
         lie = is_lie(iterates[k])
         steps.append(NStepReport(k, nij, matches, lie))
         all_ok = all_ok and nij and matches and lie
-    compat = True
-    witness = None
-    for i in range(depth + 1):
-        for j in range(i + 1, depth + 1):
-            if not is_lie(iterates[i] + iterates[j]):
-                compat = False
-                witness = (i, j)
-                break
-        if not compat:
-            break
-    return NPropertiesReport(steps, compat, witness, all_ok and compat)
+    witness = next(((i, j) for i, j in combinations(range(depth + 1), 2)
+                    if not is_lie(iterates[i] + iterates[j])), None)
+    return NPropertiesReport(steps, witness is None, witness, all_ok and witness is None)
 
 
 @dataclass
@@ -225,11 +216,9 @@ def exp_identity_near(tensor, op, m, value):
 
 
 def _first_difference(t1, t2):
-    diff = t1 - t2
-    for (i, j), vec in sorted(diff.table.items()):
-        for k in sorted(vec):
-            return (i, j, k)
-    return None
+    """The least (i, j, k) at which t1 and t2 differ, or None."""
+    return min(((i, j, k) for (i, j), vec in (t1 - t2).integer_form()[1].items() for k in vec),
+               default=None)
 
 
 def diagonal_torsion_witnesses(tensor, op):

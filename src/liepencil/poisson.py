@@ -26,8 +26,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .exact import (RatMatrix, SparsePoly, _IntRows, _muladd, _packing, _pmuladd,
-                    _reduce, kernel_basis)
+from .exact import (RatMatrix, SparsePoly, _Echelon, _linear_forms, _muladd, _packing,
+                    _pmuladd)
 from .tensors import StructureTensor, check_jacobi, pair_table
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -124,8 +124,8 @@ def from_tensor(tensor):
     den, ints = tensor.integer_form()
     empty = {}
     upper = pair_table(n, lambda i, j: ints.get((i, j), empty), skew=True)
-    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-    table = {(i, j): SparsePoly._of(n, den, {unit[k]: vec[k] for k in sorted(vec)})
+    linear = _linear_forms(n)
+    table = {(i, j): SparsePoly._of(n, den, linear(sorted(vec.items())))
              for (i, j), vec in upper.items() if i < j}
     struct = PoissonStructure(n, table, names=tensor.labels)
     gate = tensor if tensor.is_skew() else StructureTensor._of(n, tensor.labels, (den, upper))
@@ -144,9 +144,8 @@ def lift_operator(op, f):
     n = op.nrows
     if f.nvars != n:
         raise ValueError("variable count mismatch")
-    units = [tuple(int(r == k) for k in range(n)) for r in range(n)]
-    return _derivation([{units[r]: x for r, x in enumerate(col) if x}
-                        for col in zip(*op.ints)], op.den, f)
+    linear = _linear_forms(n)
+    return _derivation([linear(enumerate(col)) for col in zip(*op.ints)], op.den, f)
 
 
 def lifted(op):
@@ -176,15 +175,6 @@ class PCFamily:
     witness: tuple | None = None
 
 
-def _extend(basis, candidate):
-    """The `_reduce` rows ({monomial: int}) of the span of basis and the
-    polynomial candidate, or None when candidate lies in that span.  basis
-    holds the rows this returned for the family so far, already reduced,
-    so a step eliminates little beyond the candidate's row."""
-    pivots, rows = _reduce(basis + [candidate.ints])
-    return rows if len(pivots) > len(basis) else None
-
-
 def pc_generate(struct, operator, seeds):
     """Iterate a derivation on central seeds until linear dependence.
 
@@ -192,7 +182,8 @@ def pc_generate(struct, operator, seeds):
     pi grad s (`_pi_gradients`), so one gradient checks them all, and
     SeedNotCentral names the first i that fails.  Every seed is checked
     before any orbit is run.  The literal operator orbit is returned,
-    de-duplicated by linear span across everything collected so far.
+    de-duplicated by linear span across everything collected so far: one
+    `_Echelon` holds the span, and each orbit step adds one row to it.
     """
     if any(seed.nvars != struct.nvars for seed in seeds):
         raise ValueError("seed variable count mismatch")
@@ -203,17 +194,15 @@ def pc_generate(struct, operator, seeds):
             raise SeedNotCentral(s_idx, witness)
     gens = []
     prov = []
-    basis = []
+    span = _Echelon([])
     for s_idx, seed in enumerate(seeds):
         current = seed
         power = 0
         while True:
             if power > MAX_ORBIT_STEPS:
                 raise ValueError("orbit failed to close after %d steps" % MAX_ORBIT_STEPS)
-            extended = _extend(basis, current)
-            if extended is None:
+            if not span.add(dict(current.ints)):
                 break
-            basis = extended
             gens.append(current)
             prov.append("seed%d" % s_idx if power == 0
                         else "seed%d:D^%d" % (s_idx, power))
@@ -295,10 +284,9 @@ def centre_candidates(struct, max_degree=2):
     lowest degree first.  The system is built from the table's integer form,
     {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
     {monomial column: int} row per (generator, result monomial) pair.
-    Entries that cancel are dropped as the rows are built, and so are rows
-    left empty; `kernel_basis` takes the rows as `_IntRows`, without a
-    copy.  The canonical kernel basis does not depend on row order, row
-    scaling or zero rows.
+    Entries that cancel are dropped as the rows are built, and an
+    `_Echelon` takes the rows without a copy.  The canonical kernel basis
+    does not depend on row order, row scaling or zero rows.
     """
     n = struct.nvars
     # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
@@ -339,8 +327,7 @@ def centre_candidates(struct, max_degree=2):
                         row[col] = s
                     else:
                         del row[col]
-        system = _IntRows(row for row in rows.values() if row)
-        for vec in kernel_basis(system, size):
+        for vec in _Echelon(list(rows.values())).kernel(size):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
     return out
 

@@ -138,13 +138,15 @@ def test_involution_split_odd_part_matches_reference(n, skew, seed):
 
 
 def count_reductions(monkeypatch):
+    """The row count of every elimination from here on: `_reduce`,
+    `rank_exact` and `kernel_basis` each build one `exact._Echelon`."""
     calls = []
-    real = exact._reduce
+    real = exact._Echelon.__init__
 
-    def counting(rows):
+    def counting(self, rows):
         calls.append(len(rows))
-        return real(rows)
-    monkeypatch.setattr(exact, "_reduce", counting)
+        real(self, rows)
+    monkeypatch.setattr(exact._Echelon, "__init__", counting)
     return calls
 
 

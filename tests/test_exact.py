@@ -86,6 +86,9 @@ def test_span_rank():
 def test_nilpotent_exp_frozen_and_group_law():
     n = RatMatrix([[F(0), F(1)], [F(0), F(0)]])
     assert nilpotent_index(n) == 2
+    # the empty matrix is zero, so its index is 1
+    assert nilpotent_index(RatMatrix.zero(0)) == 1
+    assert nilpotent_exp(RatMatrix.zero(0), F(3)) == RatMatrix.identity(0)
     e = nilpotent_exp(n, F(1))
     assert e == RatMatrix([[F(1), F(1)], [F(0), F(1)]])
     rng = random.Random(7)

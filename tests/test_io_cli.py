@@ -1,6 +1,7 @@
 """JSON file formats and the command-line surface."""
 
 from fractions import Fraction as F
+import dataclasses
 import json
 
 import pytest
@@ -322,6 +323,14 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
       "--m", "-2", "--points", "2"], "--operator must have integer diagonal entries"),
     (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--points", "2,0"],
      "--points must be nonzero for a nonzero --m"),
+    (["index", "--algebra", "sl2.json", "--mode", "exact", "--samples", "0"],
+     "--samples must be at least 1, got 0"),
+    (["index", "--algebra", "sl2.json", "--samples", "0"], "--samples must be at least 1"),
+    (["index", "--algebra", "sl2.json", "--max-exact-dim", "-1"],
+     "--max-exact-dim must be at least 0, got -1"),
+    (["nijenhuis-check"] + SL2_OP + ["--depth", "0"], "--depth must be at least 1, got 0"),
+    (["report"] + SL2_OP + ["--max-exact-dim", "-3"],
+     "--max-exact-dim must be at least 0, got -3"),
 ], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
         "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
         "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
@@ -332,7 +341,9 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
         "report-gamma-length", "pc-check-gamma-and-missing-operator",
         "pc-check-gamma-and-wrong-dimension-operator", "nijenhuis-certified-and-points",
         "near-certified", "nijenhuis-m", "nijenhuis-not-nilpotent", "near-m0-not-nilpotent",
-        "near-not-diagonal", "near-diagonal-not-integer", "near-zero-point"])
+        "near-not-diagonal", "near-diagonal-not-integer", "near-zero-point",
+        "index-exact-samples-0", "index-samples-0", "index-max-exact-dim-negative",
+        "nijenhuis-depth-0", "report-max-exact-dim-negative"])
 def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))
@@ -389,6 +400,36 @@ def test_cli_empty_example_output(workdir, capsys, family, n):
     assert (workdir / name).read_bytes() == (EMPTY_ALGEBRA % family).encode()
     assert run(["example", family, n, "--json"]) == 0
     assert capsys.readouterr().out == '{\n  "written": [\n    "./%s"\n  ]\n}\n' % name
+
+
+def test_cli_exp_check_on_the_empty_algebra(workdir, capsys):
+    # the 0 x 0 operator is zero, hence nilpotent, and one point certifies
+    (workdir / "empty.json").write_text(json.dumps({"dim": 0, "basis": [], "brackets": []}))
+    (workdir / "empty-op.json").write_text(json.dumps({"dim": 0, "matrix": []}))
+    assert run(["exp-check", "--algebra", "empty.json", "--operator", "empty-op.json",
+                "--kind", "nijenhuis", "--certified", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["ok"], doc["points_checked"]) == (True, ["0"])
+
+
+def test_cli_nijenhuis_check_names_the_incompatible_pair(workdir, capsys, monkeypatch):
+    run(["example", "nilpotent-square", "sl", "2", "--partition", "2"])
+    capsys.readouterr()
+    argv = ["nijenhuis-check", "--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json",
+            "--json"]
+    assert run(argv) == 0
+    assert "compat_witness" not in json.loads(capsys.readouterr().out)
+    real = cli.nij.check_N_properties
+
+    def incompatible(tensor, op, depth):
+        rep = real(tensor, op, depth=depth)
+        return dataclasses.replace(rep, pairwise_compatible=False, compat_witness=(0, 2),
+                                   ok=False)
+    monkeypatch.setattr(cli.nij, "check_N_properties", incompatible)
+    assert run(argv) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc)[-3:] == ["pairwise_compatible", "compat_witness", "ok"]
+    assert (doc["pairwise_compatible"], doc["compat_witness"], doc["ok"]) == (False, [0, 2], False)
 
 
 @pytest.mark.parametrize("exc", [IdentityFailed("guard broke"),

@@ -8,7 +8,7 @@ the singleton presolve (cascades of singletons, repeated singletons of one
 column, rows the presolve empties, singletons beside a dense block), the
 pivots, the reduced rows, the ranks and the kernel bases must equal the
 reference's, whether the rows arrive as lists or as {column: entry} dicts,
-with int or `Fraction` entries, or as `_IntRows` that the elimination takes
+with int or `Fraction` entries, or as int rows that an `_Echelon` takes
 uncopied.
 """
 
@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from liepencil.exact import (ONE, ZERO, _IntRows, _ratio, _reduce, kernel_basis,
+from liepencil.exact import (ONE, ZERO, _Echelon, _ratio, _reduce, kernel_basis,
                              rank_exact)
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -189,17 +189,17 @@ def check_dict_rows(rows):
 
 
 def check_owned_rows(rows):
-    # `_IntRows` of {column: nonzero int} are eliminated in place, uncopied
+    # rows of {column: nonzero int} given to an `_Echelon` are eliminated in place, uncopied
     ncols = len(rows[0])
     ref_pivots, ref_R = reference_reduce(rows)
     L = lcm(*(Fraction(x).denominator for row in rows for x in row))
-    owned = _IntRows({j: int(x * L) for j, x in row.items()} for row in as_dicts(rows))
-    pivots, R = _reduce(owned)
+    owned = [{j: int(x * L) for j, x in row.items()} for row in as_dicts(rows)]
+    pivots, R = _Echelon(owned).reduced()
     assert pivots == ref_pivots
     assert normalised(R, pivots, ncols) == normalised(ref_R, ref_pivots, ncols)
     assert all(any(row is mine for mine in owned) for row in R)    # the list's own rows
-    scaled = _IntRows({j: int(x * L) for j, x in row.items()} for row in as_dicts(rows))
-    assert kernel_basis(scaled, ncols) == reference_kernel(rows, ncols)
+    scaled = [{j: int(x * L) for j, x in row.items()} for row in as_dicts(rows)]
+    assert _Echelon(scaled).kernel(ncols) == reference_kernel(rows, ncols)
 
 
 @given(systems())
