@@ -56,7 +56,7 @@ def structure_matrix(tensor):
              for j in range(n)] for i in range(n)]
 
 
-def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
+def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, centre_dim=0):
     """dim minus the generic rank of the bracket form.
 
     mode "prob" samples integer covectors xi and takes the maximal rank of
@@ -65,7 +65,11 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
     dimensions above max_exact_dim.  The probabilistic mode runs on
     integers: the table is cleared once to integers over its lcm L, and the
     entry i < j at xi is the int sum_k L c_ij^k xi_k, mirrored with its sign
-    below the diagonal.  Scaling by L does not change the rank.
+    below the diagonal.  Scaling by L does not change the rank.  The
+    centre lies in every stabiliser, so no sample's rank exceeds
+    n - dim z: given centre_dim = dim z (or any lower bound on it),
+    sampling stops once a sample reaches n - centre_dim, and the maximum
+    is the one all the samples would give.
     """
     ok = is_lie(tensor)
     if not ok:
@@ -90,11 +94,9 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12):
             v = sum(c * point[k] for k, c in vec)
             rows[i][j] = v
             rows[j][i] = -v
-        r = rank_exact(rows)
-        if r > best:
-            best = r
-            if best == n:
-                break
+        best = max(best, rank_exact(rows))
+        if best == n - centre_dim:
+            break
     return IndexReport(n, best, n - best, "probabilistic", samples=samples,
                        note="rank is a lower bound; index an upper bound")
 

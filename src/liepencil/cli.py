@@ -443,11 +443,15 @@ def cmd_example(args):
         if len(weights) != tensor.dim:
             raise InputProblem("--weights has %d entries, the algebra has dimension %d"
                                % (len(weights), tensor.dim))
-        spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
-                                modulus=args.modulus)
+        _at_least(args.modulus, 1, "--modulus")
+        try:
+            spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
+                                    modulus=args.modulus)
+        except ValueError as exc:   # the modulus is valid, so the weights are not
+            raise InputProblem("--weights: %s" % exc)
         ok, witness = spec.validate(tensor)
         if not ok:
-            raise InputProblem("weights do not grade the algebra (witness %r)"
+            raise InputProblem("--weights do not grade the algebra (witness %r)"
                                % (witness,))
         if name == "grading":
             meta = {"family": family, "modulus": str(args.modulus),
@@ -465,7 +469,10 @@ def cmd_example(args):
         if not args.partition:
             raise InputProblem("nilpotent-square needs --partition")
         partition = tuple(_parse_ints(args.partition, "--partition"))
-        triple = cons.sl2_complete(family, n, partition)
+        try:
+            triple = cons.sl2_complete(family, n, partition)
+        except cons.PartitionError as exc:
+            raise InputProblem("--partition: %s" % exc)
         op, report = cons.nilpotent_square(triple.tensor, triple.e)
         iomod.save_algebra(triple.tensor, out(""), metadata={"family": family})
         iomod.save_operator(op, out("-nilsquare-op"))
@@ -551,7 +558,8 @@ def cmd_report(args):
         centre_dim = len(lie_centre(act.derived))
         diagnostics["derived_centre_dim"] = centre_dim
         if series[-1] == 0 and not act.derived.is_zero():
-            di = lie_index(act.derived, mode="prob", seed=_env_seed(args))
+            di = lie_index(act.derived, mode="prob", seed=_env_seed(args),
+                           centre_dim=centre_dim)
             diagnostics["derived_index"] = di.index
             diagnostics["derived_index_equals_centre"] = di.index == centre_dim
 

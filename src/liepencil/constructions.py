@@ -330,6 +330,11 @@ class Sl2Triple:
     tensor: StructureTensor | None = field(default=None, repr=False, compare=False)
 
 
+class PartitionError(ValueError):
+    """A partition that `sl2_complete` cannot use, told apart from a bad
+    family or size so that a front end can name the partition."""
+
+
 def sl2_complete(family, n, partition):
     """Standard triple for the block-Jordan nilpotent of a partition of n.
 
@@ -342,9 +347,9 @@ def sl2_complete(family, n, partition):
         raise ValueError("triples are built for sl only; supply e, h, f directly")
     parts = [int(p) for p in partition]
     if sum(parts) != n or any(p < 1 for p in parts):
-        raise ValueError("partition %r does not sum to %d" % (parts, n))
+        raise PartitionError("partition %r does not sum to %d" % (parts, n))
     if max(parts) > 2:
-        raise ValueError("partition %r exceeds the height criterion (parts <= 2)" % (parts,))
+        raise PartitionError("partition %r exceeds the height criterion (parts <= 2)" % (parts,))
     e, h, f = ([[0] * n for _ in range(n)] for _ in range(3))
     off = 0
     for p in parts:

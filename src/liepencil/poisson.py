@@ -22,12 +22,11 @@ a pair costs n products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
 from .exact import (RatMatrix, SparsePoly, _Echelon, _linear_forms, _muladd, _packing,
-                    _pmuladd)
+                    _pmuladd, _primitive)
 from .tensors import StructureTensor, check_jacobi, pair_table
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -102,14 +101,20 @@ def _gradient(f):
     return grad
 
 
-def _derivation(images, den, f):
-    """sum_i images[i] * df/dx_i, each image an integer polynomial dict over
-    den: one integer accumulation."""
-    acc = {}
-    for image, part in zip(images, _gradient(f)):
-        if part:
-            _muladd(acc, image, part)
-    return SparsePoly._of(f.nvars, den * f.den, acc)
+def _derivation(images, den):
+    """f -> sum_i images[i] * df/dx_i, each image an integer polynomial dict
+    over den: one integer accumulation per call, on images built once."""
+    n = len(images)
+
+    def apply(f):
+        if f.nvars != n:
+            raise ValueError("variable count mismatch")
+        acc = {}
+        for image, part in zip(images, _gradient(f)):
+            if part:
+                _muladd(acc, image, part)
+        return SparsePoly._of(n, den * f.den, acc)
+    return apply
 
 
 def from_tensor(tensor):
@@ -135,34 +140,23 @@ def from_tensor(tensor):
     return struct
 
 
-def lift_operator(op, f):
-    """Apply the derivation of the symmetric algebra extending a linear map.
+def lifted(op):
+    """The derivation of the symmetric algebra extending a linear map, as a
+    polynomial endomap.
 
     The lift sends f to sum_i (D x_i) * df/dx_i; it preserves polynomial
-    degree and restricts to D on the generators.
+    degree and restricts to D on the generators.  The images D x_i are
+    integer linear forms over op.den.
     """
-    n = op.nrows
-    if f.nvars != n:
-        raise ValueError("variable count mismatch")
-    linear = _linear_forms(n)
-    return _derivation([linear(enumerate(col)) for col in zip(*op.ints)], op.den, f)
-
-
-def lifted(op):
-    """The lift of a linear operator, as a polynomial endomap."""
-    return lambda f: lift_operator(op, f)
-
-
-def directional_derivative(gamma, f):
-    """sum_i gamma_i df/dx_i (the frozen-direction derivative)."""
-    g = RatMatrix([gamma])
-    one = (0,) * f.nvars
-    return _derivation([{one: x} if x else {} for x in g.ints[0]], g.den, f)
+    linear = _linear_forms(op.nrows)
+    return _derivation([linear(enumerate(col)) for col in zip(*op.ints)], op.den)
 
 
 def directional(gamma):
-    gamma = [Fraction(c) for c in gamma]
-    return lambda f: directional_derivative(gamma, f)
+    """f -> sum_i gamma_i df/dx_i (the frozen-direction derivative)."""
+    g = RatMatrix([gamma])
+    one = (0,) * g.ncols
+    return _derivation([{one: x} if x else {} for x in g.ints[0]], g.den)
 
 
 @dataclass
@@ -287,6 +281,15 @@ def centre_candidates(struct, max_degree=2):
     Entries that cancel are dropped as the rows are built, and an
     `_Echelon` takes the rows without a copy.  The canonical kernel basis
     does not depend on row order, row scaling or zero rows.
+
+    On a table that passed Jacobi (`jacobi_verified`) the rows are built
+    only for the generators i that `_generating_set` keeps.  There the
+    Poisson bracket of S(q) satisfies Jacobi, so {f, .} is a derivation of
+    it, and the x in q with {f, x} = 0 form a Lie subalgebra.  It holds
+    every central x, since {x, x_j} = 0 for all j gives {x, f} = 0 by
+    Leibniz.  So f is central once it commutes with a set that generates q
+    together with the central basis vectors, and the restricted system has
+    the same kernel.  Any other table keeps every row.
     """
     n = struct.nvars
     # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
@@ -298,6 +301,7 @@ def centre_candidates(struct, max_degree=2):
             k = e.index(1)
             lin[a][b][k] = c
             lin[b][a][k] = -c
+    kept = _generating_set(lin) if struct.jacobi_verified else range(n)
     out = []
     for d in range(1, max_degree + 1):
         monos = [tuple(_exps(n, combo)) for combo in
@@ -307,9 +311,9 @@ def centre_candidates(struct, max_degree=2):
         # raised[b][k]: the column of b + e_k, for a monomial b of degree d - 1
         raised = {}
         # row i * size + column(r): generator i, result monomial r; terms[j]
-        # lists (i * size, k, c) for each {x_j, x_i} = ... + c x_k
+        # lists (i * size, k, c) for each {x_j, x_i} = ... + c x_k, i kept
         rows = {}
-        terms = [[(i * size, k, c) for i, vec in enumerate(lin_j) for k, c in vec.items()]
+        terms = [[(i * size, k, c) for i in kept for k, c in lin_j[i].items()]
                  for lin_j in lin]
         for col, m in enumerate(monos):
             for j, mj in enumerate(m):
@@ -330,6 +334,40 @@ def centre_candidates(struct, max_degree=2):
         for vec in _Echelon(list(rows.values())).kernel(size):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
     return out
+
+
+def _generating_set(lin):
+    """The generators i, in order, whose x_i with the central basis vectors
+    generate the Lie algebra of the linear table lin (as in
+    `centre_candidates`).  A central x_i is skipped, and so is an x_i
+    already in the subalgebra generated so far; each kept x_i is added and
+    the span closed under the bracket.  One `_Echelon` holds the span, and
+    every new bracket goes in through `add`: a bracket that grows the rank
+    is a new spanning vector, to be bracketed with every earlier one."""
+    n = len(lin)
+    span = _Echelon([])
+    basis = []
+    kept = []
+    for i, lin_i in enumerate(lin):
+        if not any(lin_i) or not span.add({i: 1}):
+            continue
+        kept.append(i)
+        new = [{i: 1}]
+        while new and len(span.pivot) < n:
+            u = new.pop()
+            for v in basis:
+                w = {}
+                for a, ua in u.items():
+                    for b, vb in v.items():
+                        for k, c in lin[a][b].items():
+                            w[k] = w.get(k, 0) + ua * vb * c
+                w = {k: c for k, c in w.items() if c}
+                if w:
+                    _primitive(w)
+                    if span.add(dict(w)):
+                        new.append(w)
+            basis.append(u)
+    return kept
 
 
 def _exps(n, combo):

@@ -49,6 +49,24 @@ def test_lie_index_gl3():
     assert lie_index(t, mode="prob", seed=1).index == 3
 
 
+@pytest.mark.parametrize("n, partition", [(3, (2, 1)), (4, (2, 2))], ids=["sl3", "sl4"])
+def test_lie_index_stops_at_the_centre_bound(monkeypatch, n, partition):
+    # the centre lies in every stabiliser, so a sample of rank n - dim z is
+    # the maximum: the derived index of `report` takes one sample, not five
+    triple = sl2_complete("sl", n, partition)
+    d = nilpotent_square(triple.tensor, triple.e)[1].derived
+    z = len(lie_centre(d))
+    ranks = []
+    real = analysis.rank_exact
+    monkeypatch.setattr(analysis, "rank_exact", lambda rows: ranks.append(real(rows)) or ranks[-1])
+    full = lie_index(d, mode="prob", seed=5)
+    assert len(ranks) == 5 and max(ranks) == d.dim - z
+    del ranks[:]
+    early = lie_index(d, mode="prob", seed=5, centre_dim=z)
+    assert len(ranks) == 1
+    assert (early.rank, early.index, early.samples) == (full.rank, full.index, full.samples)
+
+
 def test_lie_index_refuses_non_lie():
     with pytest.raises(ValueError):
         lie_index(build_gl_associative(2))

@@ -626,13 +626,30 @@ def test_algebra_coefficient_keys_are_ascii_digits(workdir, capsys, coeffs):
     (["xx", "3", "--partition", "2,1"], "unknown family 'xx'"),
     (["sp", "3", "--partition", "2,1"], "sp needs even size"),
     (["sl", "3", "--partition", "3"],
-     "partition [3] exceeds the height criterion (parts <= 2)"),
-    (["sl", "3", "--partition", "2,2"], "partition [2, 2] does not sum to 3"),
+     "--partition: partition [3] exceeds the height criterion (parts <= 2)"),
+    (["sl", "3", "--partition", "2,2"], "--partition: partition [2, 2] does not sum to 3"),
     (["sl", "1", "--partition", "1"], "sl needs n >= 2"),
     (["sl", "0", "--partition", "0"], "sl needs n >= 2"),
 ], ids=["gl", "so", "unknown-family", "sp-odd", "height", "sum", "sl1", "sl0"])
 def test_cli_nilpotent_square_input_errors(workdir, capsys, params, message):
     assert run(["example", "nilpotent-square"] + params) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: %s\n" % message
+    assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["grading", "quasi-grading"])
+@pytest.mark.parametrize("params, message", [
+    (["--weights", "1,0,1", "--modulus", "0"], "--modulus must be at least 1, got 0"),
+    (["--weights", "1,0,1", "--modulus", "-1"], "--modulus must be at least 1, got -1"),
+    (["--weights", "1,0,3", "--modulus", "2"], "--weights: periodic weights must lie in 0..modulus-1"),
+    (["--weights", "1,-1,1", "--modulus", "2"], "--weights: periodic weights must lie in 0..modulus-1"),
+    (["--weights", "1,1,1", "--modulus", "2"],
+     "--weights do not grade the algebra (witness (0, 1, 0))"),
+], ids=["modulus-0", "modulus-negative", "weight-above", "weight-negative", "not-grading"])
+def test_cli_grading_input_errors_name_their_flag(workdir, capsys, name, params, message):
+    assert run(["example", name, "sl", "2"] + params) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "input error: %s\n" % message

@@ -9,9 +9,10 @@ from liepencil.exact import SparsePoly, rank_exact
 from liepencil.tensors import StructureTensor, derived
 from liepencil.constructions import build_classical, GradingSpec, grading_operator, nilpotent_square
 from liepencil.exact import RatMatrix
+from liepencil import poisson as pois
 from liepencil.poisson import (
     PoissonStructure, SeedNotCentral, poisson_bracket, from_tensor,
-    lift_operator, lifted, directional, directional_derivative,
+    lifted, directional,
     pc_generate, pc_verify, centre_candidates,
 )
 
@@ -84,13 +85,13 @@ def test_lift_operator_oracles():
     op = grading_operator(GradingSpec((1, 0, 1), "periodic", 2))
     c = casimir()
     eight = SparsePoly.const(3, 8)
-    assert lift_operator(op, c) == eight * x(0) * x(2)
-    assert lift_operator(op, lift_operator(op, c)) == (eight + eight) * x(0) * x(2)
+    assert lifted(op)(c) == eight * x(0) * x(2)
+    assert lifted(op)(lifted(op)(c)) == (eight + eight) * x(0) * x(2)
     # the identity lifts to the Euler operator: degree-m homogeneous -> m*f
     ident = RatMatrix.identity(3)
     cubic = x(0) * x(1) * x(2)
-    assert lift_operator(ident, cubic) == cubic * 3
-    assert lift_operator(ident, c) == c * 2
+    assert lifted(ident)(cubic) == cubic * 3
+    assert lifted(ident)(c) == c * 2
 
 
 def test_lift_reproduces_derived_bracket_on_generators():
@@ -184,7 +185,27 @@ def test_seed_must_be_central():
 def test_directional_derivative_contracts():
     g = [F(1), F(2), F(0)]
     p = x(0) * x(1)
-    assert directional_derivative(g, p) == x(1) + x(0) * 2
+    assert directional(g)(p) == x(1) + x(0) * 2
+
+
+def test_orbit_operators_build_their_images_once(monkeypatch):
+    # pc_generate applies the operator at every orbit step; the images and
+    # their denominator are formed when the operator is made, not per step
+    made = []
+    for name in ("RatMatrix", "_linear_forms"):
+        real = getattr(pois, name)
+        monkeypatch.setattr(pois, name, lambda *a, real=real, name=name:
+                            made.append(name) or real(*a))
+    op = grading_operator(GradingSpec((1, 0, 1), "periodic", 2))
+    for operator in (lifted(op), directional([F(1), F(2), F(-1)])):
+        f = casimir()
+        for _ in range(3):
+            f = operator(f)
+    assert made == ["_linear_forms", "RatMatrix"]
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        lifted(op)(x(0, 2))
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        directional([F(1), F(2), F(-1)])(x(0, 4))
 
 
 def test_bihomogeneous_components():

@@ -10,8 +10,11 @@ linear tables of Lie algebras moved to random rational bases, abelian
 tables and non-Lie tables, constant tables, tables of arbitrary
 polynomials) the results must agree exactly: equal term dicts, only
 `Fraction` coefficients, the same kernel-basis order and the same verdicts
-and witnesses.  Hypothesis is test-only; the library itself stays
-stdlib-only.
+and witnesses.  On a Jacobi-verified table `centre_candidates` builds rows
+only for a chosen set of generators; a Fraction closure checks that the
+set and the centre generate the algebra, and the reference, which uses
+every generator, checks the kernel.  Hypothesis is test-only; the library
+itself stays stdlib-only.
 """
 
 from fractions import Fraction
@@ -22,9 +25,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from liepencil.analysis import structure_matrix
+from liepencil.analysis import lie_centre, structure_matrix
 from liepencil import poisson as pois
-from liepencil.exact import ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis, rank_exact
+from liepencil.constructions import build_classical
+from liepencil.exact import (ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis, rank_exact,
+                             unit_vector)
 from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, from_tensor,
                                pc_generate, pc_verify, poisson_bracket)
 from liepencil.tensors import StructureTensor
@@ -325,12 +330,49 @@ def test_pc_verify_fields_hold_a_lone_generator():
     check_pc_verify(struct, [f, SparsePoly.const(n, 3), SparsePoly.const(n, 0)])
 
 
-def check_centre_candidates(tensor, degree):
-    struct = linear_table(tensor)
-    got = centre_candidates(struct, degree)
+def generated_dimension(tensor, vectors):
+    """The dimension of the Lie subalgebra that vectors (dense lists)
+    generate, by Fraction brackets: a vector that raises the rank of the
+    basis joins it, and its brackets with the basis are queued."""
+    basis, queue = [], list(vectors)
+    while queue:
+        v = queue.pop()
+        if rank_exact(basis + [v]) > len(basis):
+            basis.append(v)
+            queue.extend(tensor.apply(v, w) for w in basis)
+    return len(basis)
+
+
+def chosen_centre_candidates(struct, degree, mutate=lambda chosen: chosen):
+    """(centre_candidates(struct, degree), the generators it built rows for,
+    or None when it built every row); mutate may alter the chosen list."""
+    chosen = []
+    generating_set = pois._generating_set
+    pois._generating_set = lambda lin: chosen.append(mutate(generating_set(lin))) or chosen[-1]
+    try:
+        got = centre_candidates(struct, degree)
+    finally:
+        pois._generating_set = generating_set
+    assert len(chosen) <= 1
+    return got, chosen[0] if chosen else None
+
+
+def check_centre_candidates(tensor, degree, verified=False):
+    """centre_candidates against the reference: on the ungated linear table
+    it builds every row; on `from_tensor`'s Jacobi-verified table it builds
+    rows for a chosen set only, which with the centre must generate q.
+    Returns the chosen set (None for every row)."""
+    struct = from_tensor(tensor) if verified else linear_table(tensor)
+    got, chosen = chosen_centre_candidates(struct, degree)
+    assert (chosen is not None) == verified
+    if verified:
+        n = tensor.dim
+        gens = [unit_vector(n, i) for i in chosen] + lie_centre(tensor)
+        assert generated_dimension(tensor, gens) == n
     assert ([term_layout(p) for p in got]
             == [term_layout(p) for p in reference_centre_candidates(struct, degree)])
     assert all(only_fractions(p) for p in got)
+    return chosen
 
 
 @given(linear_tensors(), st.data())
@@ -339,9 +381,44 @@ def test_centre_candidates_matches_reference(tensor, data):
         st.integers(1, 3 if tensor.dim <= 4 else 2), label="degree"))
 
 
+@given(st.sampled_from(LIE + [HEISENBERG_MIDDLE]), st.data())
+def test_centre_candidates_on_a_generating_set_matches_reference(algebra, data):
+    # the Lie tables moved to random bases, through the Jacobi gate
+    base = standard(algebra)
+    moved = transport(base, data.draw(change_of_basis(base.dim), label="P"))
+    check_centre_candidates(moved, data.draw(st.integers(1, 3), label="degree"), verified=True)
+
+
 @pytest.mark.parametrize("algebra", LIE + [HEISENBERG_MIDDLE, NON_LIE])
 def test_centre_candidates_on_standard_bases(algebra):
-    check_centre_candidates(standard(algebra), 3 if algebra[0] <= 4 else 2)
+    # NON_LIE fails the Jacobi gate, so it only has the every-row route
+    degree = 3 if algebra[0] <= 4 else 2
+    check_centre_candidates(standard(algebra), degree)
+    if algebra is not NON_LIE:
+        check_centre_candidates(standard(algebra), degree, verified=True)
+
+
+@pytest.mark.parametrize("family, n, kept", [("sl", 3, [0, 1, 2, 4]), ("sp", 4, [0, 1, 2, 3, 6]),
+                                             ("sl", 4, [0, 1, 2, 3, 6, 9]),
+                                             ("gl", 4, [0, 1, 2, 3, 4, 8, 12])])
+def test_generating_set_of_classical_algebras(family, n, kept):
+    assert check_centre_candidates(build_classical(family, n), 1, verified=True) == kept
+
+
+def test_dropping_the_last_chosen_generator_is_caught():
+    # the mutation that drops the last chosen generator of sl3: the rest
+    # generate less than q, and the kernel at degree 3 grows from 2 vectors
+    # (the quadratic and cubic Casimirs) to 3, so both checks catch it
+    tensor = build_classical("sl", 3)
+    struct = from_tensor(tensor)
+    got, chosen = chosen_centre_candidates(struct, 3)
+    mutated, dropped = chosen_centre_candidates(struct, 3, mutate=lambda c: c[:-1])
+    assert dropped == chosen[:-1] and lie_centre(tensor) == []
+    assert generated_dimension(tensor, [unit_vector(8, i) for i in dropped]) < 8
+    reference = [term_layout(p) for p in reference_centre_candidates(struct, 3)]
+    assert [term_layout(p) for p in got] == reference
+    assert (len(got), len(mutated)) == (2, 3)
+    assert [term_layout(p) for p in mutated] != reference
 
 
 @given(st.sampled_from(LIE), st.data())

@@ -24,8 +24,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from liepencil.exact import RatMatrix, SparsePoly, format_rat
-from liepencil.poisson import (PoissonStructure, SeedNotCentral, directional_derivative,
-                               lift_operator, pc_generate, poisson_bracket)
+from liepencil.poisson import (PoissonStructure, SeedNotCentral, directional, lifted,
+                               pc_generate, poisson_bracket)
 
 from test_poisson_oracle import polys, structures
 
@@ -304,8 +304,8 @@ def test_derivations_match_their_fraction_sums(n, data):
         direction = direction + rf.partial(i) * gamma[i]
     # term order is not compared: a term that cancels partway through a sum
     # may come back in another place
-    assert lift_operator(op, f).terms == lift.terms
-    assert directional_derivative(gamma, f).terms == direction.terms
+    assert lifted(op)(f).terms == lift.terms
+    assert directional(gamma)(f).terms == direction.terms
     assert form(f) == before
 
 
