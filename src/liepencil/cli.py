@@ -42,6 +42,10 @@ EXIT_INTERNAL = 3
 
 SEED_ENV = "LIEPENCIL_SEED"
 
+# what `example` calls each builder argument that a refusal can name
+EXAMPLE_ARGS = {"family": "FAMILY", "n": "N", "weights": "--weights", "partition": "--partition",
+                "part_a": "--sub", "part_b": "--complement", "parts": "--sub/--complement"}
+
 # fixed pencil sample points (alpha, beta) used by `pencil` and `report`
 MEMBER_SAMPLES = ((1, 1), (1, 2), (2, 1), (1, -1), (3, 5))
 
@@ -444,11 +448,7 @@ def cmd_example(args):
             raise InputProblem("--weights has %d entries, the algebra has dimension %d"
                                % (len(weights), tensor.dim))
         _at_least(args.modulus, 1, "--modulus")
-        try:
-            spec = cons.GradingSpec(weights=tuple(weights), kind="periodic",
-                                    modulus=args.modulus)
-        except ValueError as exc:   # the modulus is valid, so the weights are not
-            raise InputProblem("--weights: %s" % exc)
+        spec = cons.GradingSpec(weights=tuple(weights), kind="periodic", modulus=args.modulus)
         ok, witness = spec.validate(tensor)
         if not ok:
             raise InputProblem("--weights do not grade the algebra (witness %r)"
@@ -469,10 +469,7 @@ def cmd_example(args):
         if not args.partition:
             raise InputProblem("nilpotent-square needs --partition")
         partition = tuple(_parse_ints(args.partition, "--partition"))
-        try:
-            triple = cons.sl2_complete(family, n, partition)
-        except cons.PartitionError as exc:
-            raise InputProblem("--partition: %s" % exc)
+        triple = cons.sl2_complete(family, n, partition)
         op, report = cons.nilpotent_square(triple.tensor, triple.e)
         iomod.save_algebra(triple.tensor, out(""), metadata={"family": family})
         iomod.save_operator(op, out("-nilsquare-op"))
@@ -680,6 +677,9 @@ def main(argv=None):
         doc, code = globals()["cmd_" + args.command.replace("-", "_")](args)
         _emit(doc, args)
         return code
+    except cons.ArgumentError as exc:    # only `example` hands a builder its arguments
+        print("input error: %s: %s" % (EXAMPLE_ARGS[exc.argument], exc), file=sys.stderr)
+        return EXIT_INPUT
     except (InputProblem, ValueError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

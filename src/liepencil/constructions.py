@@ -22,6 +22,14 @@ from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacob
                       derived, pair_table)
 
 
+class ArgumentError(ValueError):
+    """A builder's refusal naming the argument at fault, for a front end's message."""
+
+    def __init__(self, argument, message):
+        super().__init__(message)
+        self.argument = argument
+
+
 def unit_matrix(n, i, j):
     return RatMatrix([[int(r == i and c == j) for c in range(n)] for r in range(n)])
 
@@ -76,7 +84,7 @@ def _expand(mats, labels, coords):
 
 def standard_symplectic(n):
     if n % 2:
-        raise ValueError("sp needs even size")
+        raise ArgumentError("n", "sp needs even size")
     m = n // 2
     J = [[0] * n for _ in range(n)]
     for i in range(m):
@@ -92,7 +100,7 @@ def basis_matrices(family, n):
         labels = ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
     elif family == "sl":
         if n < 2:
-            raise ValueError("sl needs n >= 2")
+            raise ArgumentError("n", "sl needs n >= 2")
         if n == 2:
             mats = [unit_matrix(2, 0, 1),
                     unit_matrix(2, 0, 0) - unit_matrix(2, 1, 1),
@@ -116,7 +124,7 @@ def basis_matrices(family, n):
         split = involution_split(n, standard_symplectic(n))
         mats, labels = split.odd, list(split.odd_tensor.labels)
     else:
-        raise ValueError("unknown family %r" % (family,))
+        raise ArgumentError("family", "unknown family %r" % (family,))
     return mats, labels
 
 
@@ -158,7 +166,7 @@ class GradingSpec:
             if self.modulus is None or self.modulus < 1:
                 raise ValueError("periodic grading needs a positive modulus")
             if any(not (0 <= w < self.modulus) for w in self.weights):
-                raise ValueError("periodic weights must lie in 0..modulus-1")
+                raise ArgumentError("weights", "periodic weights must lie in 0..modulus-1")
         elif self.kind != "quasi":
             raise ValueError("unknown grading kind %r" % (self.kind,))
 
@@ -271,13 +279,13 @@ def splitting_operators(tensor, part_a, part_b):
     part_a, part_b = list(part_a), list(part_b)
     n = tensor.dim
     if sorted(part_a + part_b) != list(range(n)):
-        raise ValueError("index sets do not partition the basis")
-    for part in (part_a, part_b):
+        raise ArgumentError("parts", "index sets do not partition the basis")
+    for name, part in (("part_a", part_a), ("part_b", part_b)):
         pset = set(part)
         for i in part:
             for j in part:
                 if any(k not in pset for k in tensor.bracket(i, j)):
-                    raise ValueError("part %r is not a subalgebra" % (sorted(part),))
+                    raise ArgumentError(name, "part %r is not a subalgebra" % (sorted(part),))
     d1 = RatMatrix.diagonal([ONE if i in set(part_a) else ZERO for i in range(n)])
     d2 = RatMatrix.identity(n) - d1
     return d1, d2
@@ -330,11 +338,6 @@ class Sl2Triple:
     tensor: StructureTensor | None = field(default=None, repr=False, compare=False)
 
 
-class PartitionError(ValueError):
-    """A partition that `sl2_complete` cannot use, told apart from a bad
-    family or size so that a front end can name the partition."""
-
-
 def sl2_complete(family, n, partition):
     """Standard triple for the block-Jordan nilpotent of a partition of n.
 
@@ -344,12 +347,13 @@ def sl2_complete(family, n, partition):
     """
     mats = basis_matrices(family, n)[0]
     if family != "sl":
-        raise ValueError("triples are built for sl only; supply e, h, f directly")
+        raise ArgumentError("family", "triples are built for sl only; supply e, h, f directly")
     parts = [int(p) for p in partition]
     if sum(parts) != n or any(p < 1 for p in parts):
-        raise PartitionError("partition %r does not sum to %d" % (parts, n))
+        raise ArgumentError("partition", "partition %r does not sum to %d" % (parts, n))
     if max(parts) > 2:
-        raise PartitionError("partition %r exceeds the height criterion (parts <= 2)" % (parts,))
+        raise ArgumentError("partition",
+                            "partition %r exceeds the height criterion (parts <= 2)" % (parts,))
     e, h, f = ([[0] * n for _ in range(n)] for _ in range(3))
     off = 0
     for p in parts:

@@ -11,9 +11,10 @@ form (a tensor's validating constructor goes through it too) and
 the forms, `den` and `ints`.  Elimination over Q runs on integers in one
 state, `_Echelon`: it owns {column: nonzero int} rows in reduced row
 echelon form and the rows holding each column, so it visits no zero entry
-and eliminates the components of a sparse system independently.  It takes
-a system in bulk, singleton rows first, and `add(row)` says whether one
-more row grows the rank, copying no row it owns.  `rref`, `rank_exact`,
+and eliminates the components of a sparse system independently.  Its one
+elimination order is `add(row)`, which says whether the rank grew and
+copies no row it owns; a system's singleton rows are fixed first by a
+presolve, and every other row goes through `add`.  `rref`, `rank_exact`,
 `kernel_basis`, `coordinates` and `RatMatrix.inverse` hand it cleared
 copies of list or dict rows and build a `Fraction` only for an entry they
 return.  `coordinates` reduces a basis once and reads every target from
@@ -239,8 +240,8 @@ def _reduce(rows):
 class _Echelon:
     """The reduced row echelon form over Q of a growing set of int rows.
 
-    It owns the list of {column: nonzero int} rows it is given and updates
-    the rows in place, so their builder must not read them again.  Row
+    It owns the {column: nonzero int} rows it is given, in `owned`, and
+    updates them in place, so their builder must not read them again.  Row
     pivot[c] holds no other pivot column and none left of c: divided by its
     entry at c it is a row of the canonical reduced row echelon form.
     holders[c] indexes the rows with a nonzero in column c, kept current
@@ -253,50 +254,41 @@ class _Echelon:
     __slots__ = ("owned", "holders", "pivot")
 
     def __init__(self, rows):
-        """Bulk elimination.  A row with one nonzero is its column's pivot;
-        deleting the column from another row subtracts a multiple of it, and
-        a row left with one entry joins the queue, so this presolve cascades.  Then pivots are
-        taken in ascending column order, each in the shortest unused row
-        there (it fills in least), clearing its column from the unused rows.
-        Last, back-substitution, last pivot first: a pivot row is by then
-        free of every later pivot column, so this adds none."""
-        self.owned = M = rows
+        """A singleton presolve, then `add`.  A row with one nonzero is its
+        column's pivot; deleting the column from another row subtracts a
+        multiple of it, and a row left with one entry joins the queue, so
+        the presolve cascades.  A deletion only removes an entry, so each
+        row deleted from is divided by its content once, at the end.  Every
+        other nonempty row then goes through `add`, in the order given."""
+        self.owned = M = []
         self.holders = holders = {}
-        for i, row in enumerate(M):
-            for c in row:
-                holders.setdefault(c, set()).add(i)
         self.pivot = pivot = {}
-        queue = [i for i, row in enumerate(M) if len(row) == 1]
+        cols = {}
+        for i, row in enumerate(rows):
+            for c in row:
+                cols.setdefault(c, []).append(i)
+        queue = [i for i, row in enumerate(rows) if len(row) == 1]
+        deleted = set()
         while queue:
             i = queue.pop()
-            if not M[i]:
+            if not rows[i]:
                 continue    # a second singleton of a column already fixed
-            (c,) = M[i]
-            pivot[c] = i
-            others, holders[c] = holders[c], {i}
-            for k in others:
+            (c,) = rows[i]
+            pivot[c] = len(M)
+            holders[c] = {len(M)}
+            M.append(rows[i])
+            for k in cols[c]:
                 if k != i:
-                    row = M[k]
+                    row = rows[k]
                     del row[c]
-                    _primitive(row)
+                    deleted.add(k)
                     if len(row) == 1:
                         queue.append(k)
-        unused = set(range(len(M))).difference(pivot.values())
-        taken = []
-        for c in sorted(holders):
-            live = [i for i in holders[c] if i in unused]
-            if live:
-                p = min(live, key=lambda i: len(M[i]))
-                unused.discard(p)
-                for i in live:
-                    if i != p:
-                        self._clear(i, p, c)
-                taken.append((c, p))
-        for c, p in reversed(taken):
-            for i in list(holders[c]):
-                if i != p:
-                    self._clear(i, p, c)
-            pivot[c] = p
+        for k in deleted:
+            _primitive(rows[k])
+        for row in rows:
+            if len(row) > 1:
+                self.add(row)
 
     def _clear(self, i, p, c):
         """Row i becomes a * row i - b * row p in place, where a / b is

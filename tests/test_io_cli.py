@@ -621,18 +621,46 @@ def test_algebra_coefficient_keys_are_ascii_digits(workdir, capsys, coeffs):
 # `example nilpotent-square` reads the family and N before the partition, as
 # it did when it built the algebra before the triple
 @pytest.mark.parametrize("params, message", [
-    (["gl", "3", "--partition", "2,1"], "triples are built for sl only; supply e, h, f directly"),
-    (["so", "3", "--partition", "2,1"], "triples are built for sl only; supply e, h, f directly"),
-    (["xx", "3", "--partition", "2,1"], "unknown family 'xx'"),
-    (["sp", "3", "--partition", "2,1"], "sp needs even size"),
+    (["gl", "3", "--partition", "2,1"],
+     "FAMILY: triples are built for sl only; supply e, h, f directly"),
+    (["so", "3", "--partition", "2,1"],
+     "FAMILY: triples are built for sl only; supply e, h, f directly"),
+    (["xx", "3", "--partition", "2,1"], "FAMILY: unknown family 'xx'"),
+    (["sp", "3", "--partition", "2,1"], "N: sp needs even size"),
     (["sl", "3", "--partition", "3"],
      "--partition: partition [3] exceeds the height criterion (parts <= 2)"),
     (["sl", "3", "--partition", "2,2"], "--partition: partition [2, 2] does not sum to 3"),
-    (["sl", "1", "--partition", "1"], "sl needs n >= 2"),
-    (["sl", "0", "--partition", "0"], "sl needs n >= 2"),
+    (["sl", "1", "--partition", "1"], "N: sl needs n >= 2"),
+    (["sl", "0", "--partition", "0"], "N: sl needs n >= 2"),
 ], ids=["gl", "so", "unknown-family", "sp-odd", "height", "sum", "sl1", "sl0"])
 def test_cli_nilpotent_square_input_errors(workdir, capsys, params, message):
     assert run(["example", "nilpotent-square"] + params) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: %s\n" % message
+    assert list(workdir.iterdir()) == []
+
+
+# the other examples name FAMILY, N, --sub and --complement as nilpotent-square does
+@pytest.mark.parametrize("params, message", [
+    (["sl", "1"], "N: sl needs n >= 2"),
+    (["sp", "3"], "N: sp needs even size"),
+    (["grading", "xx", "3", "--weights", "0", "--modulus", "2"], "FAMILY: unknown family 'xx'"),
+    (["grading", "sl", "1", "--weights", "0", "--modulus", "2"], "N: sl needs n >= 2"),
+    (["quasi-grading", "sp", "3", "--weights", "0", "--modulus", "2"], "N: sp needs even size"),
+    (["splitting", "xx", "2", "--sub", "0,1", "--complement", "2"], "FAMILY: unknown family 'xx'"),
+    (["splitting", "sl", "2", "--sub", "0,5", "--complement", "1,2"],
+     "--sub/--complement: index sets do not partition the basis"),
+    (["splitting", "sl", "2", "--sub", "0,1", "--complement", "1,2"],
+     "--sub/--complement: index sets do not partition the basis"),
+    (["splitting", "sl", "2", "--sub", "0,2", "--complement", "1"],
+     "--sub: part [0, 2] is not a subalgebra"),
+    (["splitting", "sl", "2", "--sub", "1", "--complement", "2,0"],
+     "--complement: part [0, 2] is not a subalgebra"),
+], ids=["sl1", "sp-odd", "grading-family", "grading-n", "quasi-grading-n", "splitting-family",
+        "splitting-outside", "splitting-overlap", "splitting-sub", "splitting-complement"])
+def test_cli_example_input_errors_name_their_argument(workdir, capsys, params, message):
+    assert run(["example"] + params) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "input error: %s\n" % message

@@ -5,11 +5,13 @@ a dense list, kept as the oracle.  On generated systems with several
 components whose rows and columns are permuted, with zero and duplicate
 rows, on all-zero systems, on one dense component, and on systems built for
 the singleton presolve (cascades of singletons, repeated singletons of one
-column, rows the presolve empties, singletons beside a dense block), the
-pivots, the reduced rows, the ranks and the kernel bases must equal the
-reference's, whether the rows arrive as lists or as {column: entry} dicts,
-with int or `Fraction` entries, or as int rows that an `_Echelon` takes
-uncopied.
+column, rows the presolve empties, singletons beside a dense block), and on
+the dense skew point matrices of classical Lie tables, which have no
+singleton row, the pivots, the reduced rows, the ranks and the kernel bases
+must equal the reference's, whether the rows arrive as lists or as
+{column: entry} dicts, with int or `Fraction` entries, or as int rows that
+an `_Echelon` takes uncopied.  An `_Echelon` keeps its holders and pivot
+rows current, and the presolve leaves each row it deleted from primitive.
 """
 
 from fractions import Fraction
@@ -18,8 +20,9 @@ from math import gcd, lcm
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from liepencil.constructions import build_classical
 from liepencil.exact import (ONE, ZERO, _Echelon, _ratio, _reduce, kernel_basis,
                              rank_exact)
 
@@ -237,3 +240,70 @@ def test_columns_in_no_row_are_free():
     rows = [{0: 2, 2: -4}, {2: Fraction(1, 3)}]
     assert _reduce(rows) == ([0, 2], [{0: 1}, {2: 1}])
     assert kernel_basis(rows, 4) == [[ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, ZERO, ONE]]
+
+
+def check_state(state):
+    """The invariants of an `_Echelon`: holders[c] indexes exactly the owned
+    rows with a nonzero in column c (an emptied set may stay), and each
+    pivot row holds its pivot column and no other pivot column.  A
+    dependent row that `add` took stays owned, emptied."""
+    held = {}
+    for i, row in enumerate(state.owned):
+        assert all(type(x) is int and x for x in row.values())
+        for c in row:
+            held.setdefault(c, set()).add(i)
+    assert {c: rows for c, rows in state.holders.items() if rows} == held
+    for c, p in state.pivot.items():
+        assert c in state.owned[p]
+        assert not any(d in state.pivot for d in state.owned[p] if d != c)
+
+
+CLASSICAL = [("sl", 2), ("sl", 3), ("gl", 3), ("so", 4), ("sp", 4)]
+
+
+@st.composite
+def lie_points(draw):
+    """pi(xi) = (sum_k c_ij^k xi_k)_ij on the integer form of a classical
+    Lie table, |xi_k| <= 10^6, taken as P^T pi(xi) P for P a lower times an
+    upper unitriangular integer matrix: the point rank of the algebra on the
+    basis P, a dense skew integer matrix.  These are the systems of
+    `analysis.lie_index`.  Systems with a singleton row are discarded, so
+    every row goes in through `add`."""
+    tensor = build_classical(*draw(st.sampled_from(CLASSICAL)))
+    n, ints = tensor.dim, tensor.integer_form()[1]
+    xi = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n))
+    pi = [[sum(c * xi[k] for k, c in ints.get((i, j), {}).items()) for j in range(n)]
+          for i in range(n)]
+    entries = st.integers(-3, 3)
+    lower = [[draw(entries) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[draw(entries) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    P = [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)] for row in lower]
+    moved = [[sum(P[a][i] * pi[a][b] * P[b][j] for a in range(n) for b in range(n))
+              for j in range(n)] for i in range(n)]
+    assume(not any(sum(map(bool, row)) == 1 for row in moved))
+    return moved
+
+
+@given(lie_points())
+def test_dense_point_ranks_match_the_dense_reference(rows):
+    check_list_rows(rows)
+    check_dict_rows(rows)
+    check_owned_rows(rows)
+    check_state(_Echelon(as_dicts(rows)))
+
+
+@given(st.one_of(systems(), presolve_systems()))
+def test_the_state_keeps_its_invariants(rows):
+    L = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    state = _Echelon([{j: int(x * L) for j, x in row.items()} for row in as_dicts(rows)])
+    check_state(state)
+    state.add({j: int(x * L) for j, x in enumerate(rows[0]) if x} or {0: 1})
+    check_state(state)
+
+
+def test_presolve_divides_by_the_content_left_after_its_deletions():
+    # row 2 has content 1 until both singleton columns leave it, then 2;
+    # row 4 has content 1 until column 3 leaves it, a singleton with content 6
+    rows = [{0: 1}, {1: -1}, {0: 5, 1: 1, 2: 6, 4: -4}, {3: 7}, {3: 1, 5: 6}]
+    assert _reduce(rows) == ([0, 1, 2, 3, 5], [{0: 1}, {1: -1}, {2: 3, 4: -2}, {3: 7}, {5: 1}])
+    assert rank_exact(rows) == 5
