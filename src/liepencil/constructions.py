@@ -4,8 +4,12 @@ Conventions fixed here:
   * gl_n uses the unit matrices E_ij in row-major order;
   * sl_2 uses the triple (e, h, f) with [e,f] = h, [h,e] = 2e, [h,f] = -2f;
   * sl_n (n > 2) uses off-diagonal E_ij plus H_k = E_kk - E_(k+1)(k+1);
-  * so_n is the set of matrices antisymmetric for a symmetric J (default the
-    identity, basis F_ij = E_ij - E_ji), sp_n uses the standard skew J;
+  * so_n uses F_ij = E_ij - E_ji (i < j), the antisymmetric matrices;
+  * sp_n (n = 2m) is {[[A, B], [C, -A^T]] : B, C symmetric}, the matrices x
+    with x^T J + J x = 0 for J = [[0, I], [-I, 0]].  Each entry fixes one
+    partner entry up to sign; S1, S2, ... are the matrices with 1 at an entry
+    whose partner comes no later in row-major order and the sign at that
+    partner, in row-major order of that entry;
   * periodic gradings are weight assignments w_i in {0..n-1} with
     [q_i, q_j] inside q_(i+j mod n).
 """
@@ -17,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .exact import (ONE, ZERO, RatMatrix, _int_coordinates, _reduced, coordinates,
-                    kernel_basis, mat_commutator, unit_vector)
+                    mat_commutator, unit_vector)
 from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
                       derived, pair_table)
 
@@ -82,25 +86,32 @@ def _expand(mats, labels, coords):
     return tensor
 
 
-def standard_symplectic(n):
-    if n % 2:
+def _check_family(family, n):
+    """Refuse a family or a size that `basis_matrices` has no basis for,
+    before any matrix is built."""
+    if family not in ("gl", "sl", "so", "sp"):
+        raise ArgumentError("family", "unknown family %r" % (family,))
+    if family == "sl" and n < 2:
+        raise ArgumentError("n", "sl needs n >= 2")
+    if family == "sp" and n % 2:
         raise ArgumentError("n", "sp needs even size")
-    m = n // 2
-    J = [[0] * n for _ in range(n)]
-    for i in range(m):
-        J[i][m + i] = 1
-        J[m + i][i] = -1
-    return RatMatrix(J)
+
+
+def _sp_partner(r, c, m):
+    """(position, sign) of the entry that entry (r, c) of an sp_2m matrix
+    fixes: sp is {[[A, B], [C, -A^T]] : B, C symmetric}."""
+    if r < m:
+        return ((c + m, r + m), -1) if c < m else ((c - m, r + m), 1)
+    return ((c - m, r - m), -1) if c >= m else ((c + m, r - m), 1)
 
 
 def basis_matrices(family, n):
     """Matrix basis and labels for a classical family."""
+    _check_family(family, n)
     if family == "gl":
         mats = [unit_matrix(n, i, j) for i in range(n) for j in range(n)]
         labels = ["E%d%d" % (i + 1, j + 1) for i in range(n) for j in range(n)]
     elif family == "sl":
-        if n < 2:
-            raise ArgumentError("n", "sl needs n >= 2")
         if n == 2:
             mats = [unit_matrix(2, 0, 1),
                     unit_matrix(2, 0, 0) - unit_matrix(2, 1, 1),
@@ -120,20 +131,28 @@ def basis_matrices(family, n):
         mats = [unit_matrix(n, i, j) - unit_matrix(n, j, i)
                 for i in range(n) for j in range(i + 1, n)]
         labels = ["F%d%d" % (i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
-    elif family == "sp":
-        split = involution_split(n, standard_symplectic(n))
-        mats, labels = split.odd, list(split.odd_tensor.labels)
     else:
-        raise ArgumentError("family", "unknown family %r" % (family,))
+        # one matrix per entry (r, c) whose partner comes no later in row-major order
+        mats = []
+        for r in range(n):
+            for c in range(n):
+                p, sign = _sp_partner(r, c, n // 2)
+                if p <= (r, c):
+                    x = unit_matrix(n, r, c)
+                    mats.append(x if p == (r, c) else x + sign * unit_matrix(n, *p))
+        labels = ["S%d" % (k + 1) for k in range(len(mats))]
     return mats, labels
 
 
 def build_classical(family, n):
-    """Lie structure tensor of gl/sl/so/sp on its standard basis; sp is the
-    odd part of the symplectic involution split, whose tensor it reads."""
-    if family == "sp":
-        return involution_split(n, standard_symplectic(n)).odd_tensor
-    return tensor_from_matrix_basis(*basis_matrices(family, n))
+    """Lie structure tensor of gl/sl/so/sp on its standard basis; a
+    commutator outside the span, or a table failing Jacobi, raises
+    IdentityFailed."""
+    mats, labels = basis_matrices(family, n)
+    try:
+        return tensor_from_matrix_basis(mats, labels)
+    except ValueError as exc:
+        raise IdentityFailed("%s%d: %s" % (family, n, exc))
 
 
 def direct_sum(t1, t2):
@@ -342,10 +361,11 @@ def sl2_complete(family, n, partition):
     """Standard triple for the block-Jordan nilpotent of a partition of n.
 
     Only family "sl" is constructed here (blocks of size at most 2, so the
-    cube of ad e vanishes); for so/sp supply the triple explicitly.  The basis
-    is read first, so a bad family or size is named as `build_classical` does.
+    cube of ad e vanishes); for so/sp supply the triple explicitly.  Family,
+    size and partition are refused, as `build_classical` refuses them, before
+    any matrix is built.
     """
-    mats = basis_matrices(family, n)[0]
+    _check_family(family, n)
     if family != "sl":
         raise ArgumentError("family", "triples are built for sl only; supply e, h, f directly")
     parts = [int(p) for p in partition]
@@ -363,8 +383,9 @@ def sl2_complete(family, n, partition):
         for i in range(p):
             h[off + i][off + i] = p - 1 - 2 * i
         off += p
+    mats, labels = basis_matrices("sl", n)
     coords = _matrix_reader(mats)
-    tensor = build_classical("sl", n)
+    tensor = _expand(mats, labels, coords)
     triple = Sl2Triple(*(coords(RatMatrix(m)) for m in (e, h, f)), tensor)
     if tensor.apply(triple.h, triple.e) != [2 * c for c in triple.e]:
         raise IdentityFailed("[h,e] != 2e")
@@ -373,61 +394,3 @@ def sl2_complete(family, n, partition):
     if tensor.apply(triple.e, triple.f) != triple.h:
         raise IdentityFailed("[e,f] != h")
     return triple
-
-
-@dataclass
-class InvolutionSplit:
-    """Splitting of gl_n by the involution x -> J^-1 x^T J.
-
-    odd is the fixed-minus part (a Lie subalgebra: so or sp depending on the
-    symmetry of J), even the fixed-plus part; together they grade gl_n by Z_2.
-    odd_coords(x) reads a matrix's coordinates on odd from one elimination,
-    and odd_tensor, the commutator on the basis S1, S2, ..., is read through
-    it; a commutator outside the odd part raises IdentityFailed.
-    """
-
-    n: int
-    J: RatMatrix
-    odd: list
-    even: list
-    odd_coords: object = field(init=False, repr=False, compare=False)
-    odd_tensor: StructureTensor = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.odd_coords = _matrix_reader(self.odd)
-        labels = ["S%d" % (k + 1) for k in range(len(self.odd))]
-        try:
-            self.odd_tensor = _expand(self.odd, labels, self.odd_coords)
-        except ValueError:
-            raise IdentityFailed("odd part is not a subalgebra")
-
-    def star(self, x):
-        return self.J.inverse() * x.transpose() * self.J
-
-
-def involution_split(n, J=None):
-    """Compute the two eigenspaces of the adjoint involution of J."""
-    if J is None:
-        J = RatMatrix.identity(n)
-    if J.nrows != n or J.ncols != n:
-        raise ValueError("J shape mismatch")
-    Jt = J.transpose()
-    if not (Jt == J or Jt == -J):
-        raise ValueError("J must be symmetric or skew")
-    Jinv = J.inverse()
-    # sigma as an n^2 x n^2 matrix acting on flattened gl
-    sig_cols = []
-    for i in range(n):
-        for j in range(n):
-            sig_cols.append(_flat(Jinv * unit_matrix(n, i, j).transpose() * J))
-    sigma = RatMatrix(sig_cols).transpose()
-    ident = RatMatrix.identity(n * n)
-    odd_vecs = kernel_basis(sigma + ident)
-    even_vecs = kernel_basis(sigma - ident)
-    if len(odd_vecs) + len(even_vecs) != n * n:
-        raise IdentityFailed("involution eigenspaces do not fill gl")
-
-    def to_mats(vecs):
-        return [RatMatrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in vecs]
-
-    return InvolutionSplit(n, J, to_mats(odd_vecs), to_mats(even_vecs))

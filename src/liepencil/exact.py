@@ -3,8 +3,8 @@
 Every coefficient this module takes or returns is a `fractions.Fraction`;
 nothing here touches floating point.  A `RatMatrix` and a `SparsePoly` are
 each stored as one integer form, ints over one positive denominator divided
-by their gcd, and their arithmetic runs on those ints; `rows` and `terms`
-are `Fraction` views built from the form on each read, as a structure
+by their gcd, and their arithmetic runs on those ints; a matrix's `rows`
+is a `Fraction` view built from the form on each read, as a structure
 tensor's `table` is.  `_cleared` is the one rule that clears rationals to a
 form (a tensor's validating constructor goes through it too) and
 `_reduced` the one rule that divides a form by its gcd; other modules read
@@ -15,9 +15,8 @@ and eliminates the components of a sparse system independently.  Its one
 elimination order is `add(row)`, which says whether the rank grew and
 copies no row it owns; a system's singleton rows are fixed first by a
 presolve, and every other row goes through `add`.  `rref`, `rank_exact`,
-`kernel_basis`, `coordinates` and `RatMatrix.inverse` hand it cleared
-copies of list or dict rows and build a `Fraction` only for an entry they
-return.  `coordinates` reduces a basis once and reads every target from
+`kernel_basis` and `coordinates` hand it cleared copies of list or dict
+rows and build a `Fraction` only for an entry they return.  `coordinates` reduces a basis once and reads every target from
 that reduction; `solve_columns` is its one-target use.  `generic_rank`
 runs Bareiss elimination on integer polynomials with each monomial packed
 into one int (the total degree in the top field, then the exponents), each
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import add, mul
 
 ZERO = Fraction(0)
@@ -98,8 +97,8 @@ class RatMatrix:
     """Dense matrix over Q as one integer form: entry (i, j) is
     ints[i][j] / den with den > 0, divided by their gcd, so == and hash
     compare forms.  `RatMatrix(rows)` takes entries from outside, `_of`
-    wraps forms the library builds; `rows`, `m[i, j]`, `col` and `columns`
-    return `Fraction`s.  Immutable: nothing writes the form once built."""
+    wraps forms the library builds; `rows` and `m[i, j]` return `Fraction`s.
+    Immutable: nothing writes the form once built."""
 
     __slots__ = ("nrows", "ncols", "den", "ints")
 
@@ -184,35 +183,12 @@ class RatMatrix:
         L, (t,) = _cleared([vec])
         return [_ratio(sum(map(mul, row, t)), self.den * L) for row in self.ints]
 
-    def col(self, j):
-        return [_ratio(row[j], self.den) for row in self.ints]
-
-    def columns(self):
-        d = self.den
-        return [[_ratio(x, d) for x in c] for c in zip(*self.ints)]
-
-    def transpose(self):
-        return RatMatrix._of(self.den, [list(c) for c in zip(*self.ints)])
-
     def is_zero(self):
         return not any(map(any, self.ints))
 
     def is_diagonal(self):
         return all(not x for i, row in enumerate(self.ints)
                    for j, x in enumerate(row) if i != j)
-
-    def inverse(self):
-        if self.nrows != self.ncols:
-            raise ValueError("not square")
-        n, d = self.nrows, self.den
-        # [ints | d I] is [self | I] with every row scaled by d
-        pivots, R = _reduce([row + [d * (i == j) for j in range(n)]
-                             for i, row in enumerate(self.ints)])
-        if pivots != list(range(n)):
-            raise ValueError("singular matrix")
-        L = lcm(*(row[i] for i, row in enumerate(R)))
-        return RatMatrix._of(L, [[x * (L // row[i]) for x in row[n:]]
-                                 for i, row in enumerate(R)])
 
     def __repr__(self):
         return "RatMatrix(%r)" % ([[format_rat(x) for x in row] for row in self.rows],)
@@ -490,13 +466,13 @@ class SparsePoly:
     coefficient of x^e is ints[e] / den, with ints {exponent tuple: nonzero
     int} and den > 0 divided by their gcd, so == compares forms.
     `SparsePoly(nvars, terms)` validates terms that arrive from outside; the
-    library builds its results with the trusted `_of`.  `terms` and the
-    other readers return `Fraction`s, and every operation runs on the ints.
-    Printing and leading-term selection use graded lex order.
+    library builds its results with the trusted `_of`.  `leading` returns a
+    `Fraction`, and every operation runs on the ints.  Printing and
+    leading-term selection use graded lex order.
 
     Example: (x1 - 1)*(x1 + 1) multiplies out to x1^2 - 1::
 
-        >>> x = SparsePoly.variable(2, 1)
+        >>> x = SparsePoly.monomial(2, (0, 1))
         >>> one = SparsePoly.const(2, 1)
         >>> print((x - one) * (x + one))
         x1^2 - 1
@@ -535,26 +511,8 @@ class SparsePoly:
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, nvars, i):
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls._of(nvars, 1, {tuple(exps): 1})
-
-    @classmethod
     def monomial(cls, nvars, exps, c=ONE):
         return cls(nvars, {tuple(exps): Fraction(c)})
-
-    @classmethod
-    def linear(cls, coeffs):
-        """Linear form sum_i coeffs[i] * x_i."""
-        n = len(coeffs)
-        return cls(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs) if c})
-
-    @property
-    def terms(self):
-        """{exponent tuple: nonzero Fraction}, built on each read."""
-        d = self.den
-        return {e: Fraction(c, d) for e, c in self.ints.items()}
 
     def is_zero(self):
         return not self.ints
@@ -602,21 +560,6 @@ class SparsePoly:
     def total_degree(self):
         return max((sum(e) for e in self.ints), default=0)
 
-    def partial(self, i):
-        """Formal partial derivative with respect to variable i."""
-        out = {}
-        for e, c in self.ints.items():
-            k = e[i]
-            if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return SparsePoly._of(self.nvars, self.den, out)
-
-    def eval_at(self, point):
-        """Evaluate at a rational point given as a sequence."""
-        point = [Fraction(x) for x in point]
-        return sum((c * prod(x ** k for x, k in zip(point, e))
-                    for e, c in self.ints.items()), ZERO) / self.den
-
     def leading(self):
         """Leading (exponents, coeff) in graded lex order; None for zero."""
         if not self.ints:
@@ -638,11 +581,6 @@ class SparsePoly:
             mono = SparsePoly.monomial(self.nvars, diff, lc_r / lc_d)
             quot, rem = quot + mono, rem - divisor * mono
         return quot
-
-    def coeff_vector(self, monomials):
-        """Coefficients with respect to an ordered monomial list."""
-        d = self.den
-        return [_ratio(self.ints.get(m, 0), d) for m in monomials]
 
     def format(self, names=None):
         if not self.ints:

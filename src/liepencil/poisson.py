@@ -54,7 +54,6 @@ class PoissonStructure:
 
     nvars: int
     table: dict
-    names: tuple | None = None
     jacobi_verified: bool = False
 
     def __post_init__(self):
@@ -68,16 +67,6 @@ class PoissonStructure:
         self.den = den = lcm(*(p.den for p in clean.values()))
         self.ints = {ij: {e: c * (den // p.den) for e, c in p.ints.items()}
                      for ij, p in clean.items()}
-        if self.names is not None:
-            self.names = tuple(self.names)
-
-    def entry(self, i, j):
-        """{x_i, x_j} for any pair order."""
-        if i == j:
-            return SparsePoly.zero(self.nvars)
-        if i < j:
-            return self.table.get((i, j), SparsePoly.zero(self.nvars))
-        return -self.table.get((j, i), SparsePoly.zero(self.nvars))
 
 
 def poisson_bracket(struct, f, g):
@@ -132,7 +121,7 @@ def from_tensor(tensor):
     linear = _linear_forms(n)
     table = {(i, j): SparsePoly._of(n, den, linear(sorted(vec.items())))
              for (i, j), vec in upper.items() if i < j}
-    struct = PoissonStructure(n, table, names=tensor.labels)
+    struct = PoissonStructure(n, table)
     gate = tensor if tensor.is_skew() else StructureTensor._of(n, tensor.labels, (den, upper))
     struct.jacobi_verified = check_jacobi(gate)[0]
     if not struct.jacobi_verified:

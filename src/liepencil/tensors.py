@@ -14,9 +14,8 @@ of operations with exactly one or two degenerate lines.
 A tensor stores one integer form, (den, {(i, j): {k: int}}): its
 constants as integers over one denominator, cleared once by the validating
 constructor or handed over by the kernel that built it
-(`StructureTensor.integer_form`).  As with `RatMatrix.rows` and
-`SparsePoly.terms`, the `Fraction` table `.table` is a view built from the
-form on each read.  The kernels run on the forms and build a `Fraction`
+(`StructureTensor.integer_form`).  As with `RatMatrix.rows`, the
+`Fraction` table `.table` is a view built from the form on each read.  The kernels run on the forms and build a `Fraction`
 only for a returned scalar.  `contract` evaluates every tensor of the form
 sum_t c_t * O_t psi(A_t x, B_t y): the derived operation here, and the
 torsion, both sides of the exponential identities and the nilpotent-square

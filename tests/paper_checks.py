@@ -12,6 +12,9 @@ exact arithmetic:
     exactly the exponents {0, m}, whose weight operator is then a
     near-derivation with coefficients (0, -m) (`deform_bracket`,
     `check_special`);
+  * the splitting of gl_n by the involution x -> J^-1 x^T J, whose odd
+    part for the standard skew J is the oracle for the closed-form sp basis
+    (`involution_split`, `standard_symplectic`);
   * the associative operators L_a, R_a on gl_n, the sandwich brackets they
     derive, and the comparison with Nijenhuis operators: the torsion of
     D_a = (L_a + R_a)/2 on the odd part of an involution split is
@@ -29,12 +32,14 @@ sees every call made here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from liepencil import analysis, constructions, exact, io as iomod, nijenhuis, poisson, tensors
 from liepencil.exact import ONE, ZERO, RatMatrix, SparsePoly
 from liepencil.tensors import IdentityFailed, StructureTensor
+
+from helpers import inverse, terms, transpose
 
 
 # analysis
@@ -120,6 +125,78 @@ def build_gl_associative(n):
             if vec:
                 table[(i, j)] = vec
     return StructureTensor._of(len(mats), tuple(labels), tensors._form_of(table))
+
+
+def standard_symplectic(n):
+    if n % 2:
+        raise constructions.ArgumentError("n", "sp needs even size")
+    m = n // 2
+    J = [[0] * n for _ in range(n)]
+    for i in range(m):
+        J[i][m + i] = 1
+        J[m + i][i] = -1
+    return RatMatrix(J)
+
+
+@dataclass
+class InvolutionSplit:
+    """Splitting of gl_n by the involution x -> J^-1 x^T J.
+
+    odd is the fixed-minus part (a Lie subalgebra: so or sp depending on the
+    symmetry of J), even the fixed-plus part; together they grade gl_n by Z_2.
+    odd_coords(x) reads a matrix's coordinates on odd from one elimination,
+    and odd_tensor, the commutator on the basis S1, S2, ..., is read through
+    it; a commutator outside the odd part raises IdentityFailed.  With the
+    standard skew J, odd and odd_tensor are the oracle for the closed-form
+    sp basis of `constructions.basis_matrices`.
+    """
+
+    n: int
+    J: RatMatrix
+    odd: list
+    even: list
+    odd_coords: object = field(init=False, repr=False, compare=False)
+    odd_tensor: StructureTensor = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.odd_coords = constructions._matrix_reader(self.odd)
+        labels = ["S%d" % (k + 1) for k in range(len(self.odd))]
+        try:
+            self.odd_tensor = constructions._expand(self.odd, labels, self.odd_coords)
+        except ValueError:
+            raise IdentityFailed("odd part is not a subalgebra")
+
+    def star(self, x):
+        return inverse(self.J) * transpose(x) * self.J
+
+
+def involution_split(n, J=None):
+    """Compute the two eigenspaces of the adjoint involution of J."""
+    if J is None:
+        J = RatMatrix.identity(n)
+    if J.nrows != n or J.ncols != n:
+        raise ValueError("J shape mismatch")
+    Jt = transpose(J)
+    if not (Jt == J or Jt == -J):
+        raise ValueError("J must be symmetric or skew")
+    Jinv = inverse(J)
+    # sigma as an n^2 x n^2 matrix acting on flattened gl
+    sig_cols = []
+    for i in range(n):
+        for j in range(n):
+            sig_cols.append(constructions._flat(
+                Jinv * transpose(constructions.unit_matrix(n, i, j)) * J))
+    sigma = transpose(RatMatrix(sig_cols))
+    ident = RatMatrix.identity(n * n)
+    odd_vecs = exact.kernel_basis(sigma + ident)
+    even_vecs = exact.kernel_basis(sigma - ident)
+    if len(odd_vecs) + len(even_vecs) != n * n:
+        raise IdentityFailed("involution eigenspaces do not fill gl")
+
+    def to_mats(vecs):
+        return [RatMatrix([v[i * n:(i + 1) * n] for i in range(n)]) for v in vecs]
+
+    return InvolutionSplit(n, J, to_mats(odd_vecs), to_mats(even_vecs))
 
 
 def contractions_from_grading(tensor, spec):
@@ -260,7 +337,7 @@ class AssocOperators:
     gl_tensor: StructureTensor
     derived_left: StructureTensor
     checks: dict
-    split: constructions.InvolutionSplit | None = None
+    split: InvolutionSplit | None = None
     d_a: RatMatrix | None = None
     odd_tensor: StructureTensor | None = None
     d_a_odd: RatMatrix | None = None
@@ -272,8 +349,8 @@ def assoc_operators(n, a, J=None):
     gl_coords = constructions._matrix_reader(gl_mats)
     left_cols = [gl_coords(a * b) for b in gl_mats]
     right_cols = [gl_coords(b * a) for b in gl_mats]
-    left = RatMatrix(left_cols).transpose()
-    right = RatMatrix(right_cols).transpose()
+    left = transpose(RatMatrix(left_cols))
+    right = transpose(RatMatrix(right_cols))
     gl_tensor = constructions._expand(gl_mats, gl_labels, gl_coords)
     t1 = tensors.derived(gl_tensor, left)
     checks = {}
@@ -292,13 +369,13 @@ def assoc_operators(n, a, J=None):
     for _ in range(2, 5):
         acc = acc * a
         lp = lp * left
-        la_k = RatMatrix([gl_coords(acc * b) for b in gl_mats]).transpose()
+        la_k = transpose(RatMatrix([gl_coords(acc * b) for b in gl_mats]))
         if lp != la_k:
             power_ok = False
     checks["left_powers_match"] = power_ok
     result = AssocOperators(a, left, right, gl_tensor, t1, checks)
     if J is not None:
-        split = constructions.involution_split(n, J)
+        split = involution_split(n, J)
         if split.star(a) != a:
             raise ValueError("a must be fixed by the involution")
         result.split = split
@@ -306,7 +383,7 @@ def assoc_operators(n, a, J=None):
         odd = split.odd
         d_odd_cols = [split.odd_coords((a * b + b * a).scale(Fraction(1, 2)))
                       for b in odd]
-        result.d_a_odd = RatMatrix(d_odd_cols).transpose()
+        result.d_a_odd = transpose(RatMatrix(d_odd_cols))
         result.odd_tensor = split.odd_tensor
         second = tensors.derived(tensors.derived(split.odd_tensor, result.d_a_odd),
                                  result.d_a_odd)
@@ -328,7 +405,7 @@ def assoc_operators(n, a, J=None):
 def poly_to_list(p):
     """Terms as [{"exponents": [...], "coeff": "p/q"}], graded order."""
     return [{"exponents": list(e), "coeff": exact.format_rat(c)}
-            for e, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))]
+            for e, c in sorted(terms(p).items(), key=lambda t: (sum(t[0]), t[0]))]
 
 
 def seeds_to_dict(polys):
@@ -383,7 +460,7 @@ def assoc_torsion_formula(n, a, J=None):
 
     ada_cols = [split.odd_coords(exact.mat_commutator(a, exact.mat_commutator(a, b)))
                 for b in odd]
-    ada_sq = RatMatrix(ada_cols).transpose()
+    ada_sq = transpose(RatMatrix(ada_cols))
     derived_ok = tensors.derived(ops.odd_tensor, ada_sq) == double
 
     matches = tors == expected
@@ -417,7 +494,7 @@ def frozen_bracket(tensor, gamma):
             val = sum((c * gamma[k] for k, c in tensor.bracket(i, j).items()), ZERO)
             if val:
                 table[(i, j)] = SparsePoly.const(n, val)
-    struct = poisson.PoissonStructure(n, table, names=tensor.labels)
+    struct = poisson.PoissonStructure(n, table)
     struct.jacobi_verified = True  # constant brackets satisfy Jacobi trivially
     return struct
 

@@ -9,7 +9,6 @@ from liepencil import constructions
 from liepencil.constructions import (GradingSpec,
                                      basis_matrices, build_classical,
                                      direct_sum, grading_operator,
-                                     involution_split,
                                      nilpotent_square, quasi_grading_extension,
                                      sl2_complete, splitting_operators)
 from liepencil.exact import RatMatrix
@@ -18,7 +17,8 @@ from liepencil.tensors import (IdentityFailed, StructureTensor, ad, classify_ope
 
 from helpers import rand_rat
 from paper_checks import (assoc_operators, build_gl_associative, check_special,
-                          contractions_from_grading, deform_bracket, matrix_coords)
+                          contractions_from_grading, deform_bracket, involution_split,
+                          matrix_coords)
 
 
 def F(p, q=1):
@@ -152,9 +152,9 @@ def test_sl2_complete_rejects_tall_partitions():
 
 def test_sl2_complete_guard_raises_identity_failed(monkeypatch):
     # a bracket scaled by 2 gives [h, e] = 4e, which the result guard rejects
-    real = constructions.build_classical
-    monkeypatch.setattr(constructions, "build_classical",
-                        lambda family, n: real(family, n).scale(2))
+    real = constructions._expand
+    monkeypatch.setattr(constructions, "_expand",
+                        lambda mats, labels, coords: real(mats, labels, coords).scale(2))
     with pytest.raises(IdentityFailed):
         sl2_complete("sl", 2, (2,))
 

@@ -22,6 +22,7 @@ from liepencil.exact import RatMatrix
 from liepencil.nijenhuis import torsion, torsion_decomposition
 from liepencil.tensors import StructureTensor, contract
 
+from helpers import col, columns
 from test_nijenhuis import expanded_torsion
 from test_tensor_oracle import ENTRIES, operators, tensors
 
@@ -40,7 +41,7 @@ def _dense_table(n, entry):
 
 def reference_conjugated(tensor, outer, inner):
     """outer . T(inner x, inner y) on every ordered basis pair."""
-    cols = inner.columns()
+    cols = columns(inner)
     return StructureTensor(tensor.dim, _dense_table(
         tensor.dim, lambda i, j: outer.apply(tensor.apply(cols[i], cols[j]))))
 
@@ -48,8 +49,8 @@ def reference_conjugated(tensor, outer, inner):
 def reference_exp_rhs(tensor, E):
     """T(E x, y) + T(x, E y) - E T(x, y) on every ordered basis pair."""
     n = tensor.dim
-    cols = E.columns()
-    unit = RatMatrix.identity(n).columns()
+    cols = columns(E)
+    unit = columns(RatMatrix.identity(n))
 
     def entry(i, j):
         return [a + b - c for a, b, c in zip(tensor.apply(cols[i], unit[j]),
@@ -68,7 +69,7 @@ def reference_contract(tensor, terms):
         total = [Fraction(0)] * n
         for c, O, A, B in terms:
             A, B, O = A or unit, B or unit, O or unit
-            vec = O.apply(tensor.apply(A.col(i), B.col(j)))
+            vec = O.apply(tensor.apply(col(A, i), col(B, j)))
             total = [t + c * v for t, v in zip(total, vec)]
         return total
 

@@ -21,14 +21,14 @@ import pytest
 
 from liepencil import cli, constructions, exact
 from liepencil.constructions import (basis_matrices, build_classical,
-                                     involution_split,
                                      sl2_complete, tensor_from_matrix_basis)
 from liepencil.exact import (ZERO, RatMatrix, _ratio, _reduce, coordinates,
                              mat_commutator, rank_exact, solve_columns)
 from liepencil.tensors import IdentityFailed, StructureTensor
 
 from helpers import rand_rat
-from paper_checks import assoc_operators, build_gl_associative, verify_index_theorem
+from paper_checks import (assoc_operators, build_gl_associative, involution_split,
+                          standard_symplectic, verify_index_theorem)
 
 
 def reference_solve_columns(cols, target):
@@ -75,7 +75,7 @@ def layout(tensor):
 
 
 CLASSICAL = ([("gl", n) for n in range(1, 6)] + [("sl", n) for n in range(2, 6)]
-             + [("so", n) for n in range(1, 6)] + [("sp", 2), ("sp", 4)])
+             + [("so", n) for n in range(1, 6)] + [("sp", n) for n in (2, 4, 6, 8)])
 
 
 @pytest.mark.parametrize("family, n", CLASSICAL, ids=["%s%d" % c for c in CLASSICAL])
@@ -179,7 +179,7 @@ def count_calls(monkeypatch, module, name):
 def test_nilpotent_square_example_builds_sl_n_once(monkeypatch, tmp_path, n, partition,
                                                    commutators):
     # the triple hands back the algebra its guard checked; the example reuses it
-    builds = count_calls(monkeypatch, constructions, "build_classical")
+    builds = count_calls(monkeypatch, constructions, "basis_matrices")
     products = count_calls(monkeypatch, constructions, "mat_commutator")
     calls = count_reductions(monkeypatch)
     argv = ["example", "nilpotent-square", "sl", str(n), "--partition", partition,
@@ -192,7 +192,7 @@ def test_nilpotent_square_example_builds_sl_n_once(monkeypatch, tmp_path, n, par
 
 
 def test_index_theorem_builds_sl_n_once(monkeypatch):
-    builds = count_calls(monkeypatch, constructions, "build_classical")
+    builds = count_calls(monkeypatch, constructions, "basis_matrices")
     products = count_calls(monkeypatch, constructions, "mat_commutator")
     assert verify_index_theorem("sl", 4, (2, 2)).consistent
     assert builds == [("sl", 4)]
@@ -205,8 +205,36 @@ def test_build_sp_expands_each_commutator_once(monkeypatch, n, most):
     calls = count_reductions(monkeypatch)
     t = build_classical("sp", n)
     assert len(products) == t.dim * (t.dim - 1) // 2 <= most
-    # J^-1, the two eigenspaces of the involution, and the odd basis
-    assert len(calls) == 4
+    # the basis reader; the basis itself is written in closed form
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", range(0, 11, 2))
+def test_sp_closed_form_is_the_odd_part_of_the_split(n):
+    # the canonical kernel basis of sigma + I, sigma(x) = J^-1 x^T J
+    split = involution_split(n, standard_symplectic(n))
+    mats, labels = basis_matrices("sp", n)
+    assert mats == split.odd
+    assert labels == list(split.odd_tensor.labels)
+    got = build_classical("sp", n)
+    assert got.integer_form() == split.odd_tensor.integer_form()
+    assert layout(got) == layout(split.odd_tensor)
+    assert got.labels == split.odd_tensor.labels
+
+
+@pytest.mark.parametrize("params", [["gl", "60", "--partition", "1"],
+                                    ["so", "30", "--partition", "1"],
+                                    ["sp", "8", "--partition", "1"],
+                                    ["sl", "60", "--partition", "1"]],
+                         ids=["gl60", "so30", "sp8", "sl60-partition"])
+def test_nilpotent_square_refuses_before_building(monkeypatch, tmp_path, params):
+    # the family, the size and the partition are read before any matrix is built
+    built = count_calls(monkeypatch, constructions, "unit_matrix")
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert cli.main(["example", "nilpotent-square"] + params
+                        + ["--out-dir", str(tmp_path)]) == 2
+    assert err.getvalue().startswith("input error: ")
+    assert built == []
 
 
 def test_assoc_operators_read_each_basis_once(monkeypatch):
@@ -255,7 +283,7 @@ if __debug__:
     sys.exit("not running under -O")
 constructions.mat_commutator = lambda a, b: a * b
 try:
-    constructions.involution_split(3)
+    constructions.build_classical("sp", 4)
 except IdentityFailed:
     print("raised")
 """

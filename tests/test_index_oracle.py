@@ -23,6 +23,7 @@ from liepencil.analysis import lie_centre, lie_index, structure_matrix
 from liepencil.constructions import build_classical, nilpotent_square, sl2_complete
 from liepencil.exact import SparsePoly, _packing, _pdiv, generic_rank, rank_exact
 
+from helpers import eval_at, terms, variable
 from test_tensor_oracle import (LIE, NONZERO, change_of_basis, fixed_lists, standard,
                                 transport)
 
@@ -40,7 +41,7 @@ def reference_generic_rank(mat):
         best = None
         for i in range(rank, nrows):
             if not M[i][c].is_zero():
-                if best is None or len(M[i][c].terms) < len(M[best][c].terms):
+                if best is None or len(terms(M[i][c])) < len(terms(M[best][c])):
                     best = i
         if best is None:
             continue
@@ -69,7 +70,7 @@ def reference_prob_index(tensor, samples, seed):
     for _ in range(samples):
         point = [Fraction(rng.randint(-analysis.SAMPLE_BOUND, analysis.SAMPLE_BOUND))
                  for _ in range(n)]
-        rows = [[entry.eval_at(point) for entry in row] for row in mat]
+        rows = [[eval_at(entry, point) for entry in row] for row in mat]
         r = rank_exact(rows)
         if r > best:
             best = r
@@ -119,7 +120,7 @@ def test_generic_rank_matches_reference(mat):
 
 
 def test_generic_rank_small_shapes():
-    x = SparsePoly.variable(1, 0)
+    x = variable(1, 0)
     assert generic_rank([]) == reference_generic_rank([]) == 0
     assert generic_rank([[]]) == reference_generic_rank([[]]) == 0
     assert generic_rank([[SparsePoly.zero(1)]]) == 0
@@ -131,7 +132,7 @@ def test_generic_rank_fills_the_field_width():
     # leading coefficients are generic, so the products of the second step
     # reach total degree 16: the top value that fields sized for
     # 2 * 3 * 4 = 24 hold below their spare bit
-    x = SparsePoly.variable(1, 0)
+    x = variable(1, 0)
     one = SparsePoly.const(1, 1)
     q = x ** 4
     mat = [[q + one, q * 2 + x, q - x ** 2],

@@ -31,6 +31,7 @@ from liepencil.tensors import (TAG_DERIVATION, TAG_NEAR, TAG_NOT_NEAR, TAG_QUASI
                                TAG_SCALAR, StructureTensor, ad, check_jacobi,
                                classify_operator, derived, tensor_combination)
 
+from helpers import inverse
 from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis, fixed_lists,
                                 operators, reference_check_jacobi, skew_table,
                                 standard, tensors, transport)
@@ -198,7 +199,7 @@ def summary(act):
 
 def moved(tensor, op, P):
     """The tensor on the basis of P's columns, and op on that basis."""
-    return transport(tensor, P), P.inverse() * op * P
+    return transport(tensor, P), inverse(P) * op * P
 
 
 SL2 = standard(LIE[0])          # x0 = e, x1 = h, x2 = f

@@ -19,6 +19,7 @@ from liepencil import io as iomod
 from liepencil.cli import main
 from liepencil.tensors import IdentityFailed
 
+from helpers import variable
 from paper_checks import build_gl_associative, poly_to_list, save_seeds
 
 
@@ -55,9 +56,9 @@ def test_operator_round_trip(tmp_path):
 
 
 def test_poly_and_seed_round_trip(tmp_path):
-    x0 = SparsePoly.variable(3, 0)
-    x1 = SparsePoly.variable(3, 1)
-    c = x1 * x1 + SparsePoly.const(3, 4) * x0 * SparsePoly.variable(3, 2)
+    x0 = variable(3, 0)
+    x1 = variable(3, 1)
+    c = x1 * x1 + SparsePoly.const(3, 4) * x0 * variable(3, 2)
     data = poly_to_list(c)
     assert poly_from_list(3, data) == c
     path = tmp_path / "seeds.json"

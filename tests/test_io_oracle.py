@@ -32,6 +32,7 @@ from liepencil.io import (ParseError, algebra_from_dict, algebra_to_dict, load_a
 from liepencil.exact import parse_rat
 from liepencil.tensors import StructureTensor, derived, skew_table
 
+from helpers import variable
 from paper_checks import seeds_to_dict
 from test_lazy_table import check_table, layout, table_reads
 from test_tensor_oracle import operators, tensors
@@ -47,7 +48,7 @@ JSON = st.recursive(
                                                                 max_size=4),
     max_leaves=12)
 
-X = [SparsePoly.variable(3, i) for i in range(3)]
+X = [variable(3, i) for i in range(3)]
 VALID = {
     "algebra": algebra_to_dict(build_classical("sl", 2), {"family": "sl"}),
     "operator": operator_to_dict(RatMatrix([[Fraction(1, 2), Fraction(-1)],

@@ -25,6 +25,8 @@ from hypothesis import given, strategies as st
 from liepencil.exact import (RatMatrix, kernel_basis, nilpotent_exp, rank_exact,
                              rref)
 
+from helpers import col, columns, inverse, transpose
+
 # the example budget is the "liepencil" profile in conftest.py
 
 
@@ -143,12 +145,12 @@ def test_unary_operations_match_the_reference(nrows, ncols, data):
     assert_same(m.scale(c), ref.scale(c))
     assert_same(m * c, ref.scale(c))
     assert_same(c * m, ref.scale(c))
-    assert_same(m.transpose(), ref.transpose())
+    assert_same(transpose(m), ref.transpose())
     assert m.apply(vec) == ref.apply(vec)
     assert all(type(x) is F for x in m.apply(vec))
-    assert m.columns() == ref.columns()
+    assert columns(m) == ref.columns()
     for j in range(m.ncols):
-        assert m.col(j) == ref.col(j)
+        assert col(m, j) == ref.col(j)
     assert [[m[i, j] for j in range(m.ncols)] for i in range(m.nrows)] == ref.rows
     assert m.is_zero() == ref.is_zero()
     assert m.is_diagonal() == ref.is_diagonal()
@@ -189,9 +191,9 @@ def test_square_operations_match_the_reference(n, data):
         expected = ref.inverse()
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            m.inverse()
+            inverse(m)
     else:
-        inv = m.inverse()
+        inv = inverse(m)
         assert_same(inv, expected)
         assert m * inv == RatMatrix.identity(n)
     assert form(m) == before
@@ -234,9 +236,9 @@ def test_edge_shapes():
     assert RatMatrix([[F(1, 2), F(1, 3)]]).den == lcm(2, 3)
     assert RatMatrix.zero(2, 3).rows == [[0] * 3] * 2
     assert RatMatrix.identity(0) == RatMatrix([])
-    assert RatMatrix([]).inverse() == RatMatrix([])
+    assert inverse(RatMatrix([])) == RatMatrix([])
     with pytest.raises(ValueError, match="ragged"):
         RatMatrix([[1, 2], [3]])
     with pytest.raises(ValueError, match="not square"):
-        RatMatrix([[1, 2]]).inverse()
+        inverse(RatMatrix([[1, 2]]))
     assert rref(RatMatrix([[F(1, 2), 1]]).rows) == ([[1, 2]], [0])

@@ -16,12 +16,12 @@ from liepencil.poisson import (
     pc_generate, pc_verify, centre_candidates,
 )
 
-from helpers import rand_rat
+from helpers import coeff_vector, entry, linear, rand_rat, terms, variable
 from paper_checks import bihomogeneous_components, frozen_bracket
 
 
 def x(i, n=3):
-    return SparsePoly.variable(n, i)
+    return variable(n, i)
 
 
 def sl2():
@@ -49,8 +49,8 @@ def test_linear_table_from_tensor():
     assert struct.table[(0, 2)] == x(1)
     assert struct.table[(1, 2)] == -(two * x(2))
     # antisymmetric accessor
-    assert struct.entry(1, 0) == two * x(0)
-    assert struct.entry(2, 2) == SparsePoly.zero(3)
+    assert entry(struct, 1, 0) == two * x(0)
+    assert entry(struct, 2, 2) == SparsePoly.zero(3)
 
 
 def test_from_tensor_rejects_non_jacobi():
@@ -105,11 +105,11 @@ def test_lift_reproduces_derived_bracket_on_generators():
         dt = derived(t, op)
         for i in range(3):
             for j in range(3):
-                defect = (dhat(struct.entry(i, j))
+                defect = (dhat(entry(struct, i, j))
                           - poisson_bracket(struct, dhat(x(i)), x(j))
                           - poisson_bracket(struct, x(i), dhat(x(j))))
                 vec = dt.bracket(i, j)
-                expect = SparsePoly.linear([vec.get(k, F(0)) for k in range(3)])
+                expect = linear([vec.get(k, F(0)) for k in range(3)])
                 assert defect == expect
 
 
@@ -216,8 +216,8 @@ def test_bihomogeneous_components():
     # components of the orbit span agree with the orbit span itself
     orbit = [casimir(), SparsePoly.const(3, 8) * x(0) * x(2)]
     both = orbit + [comps[0], comps[2]]
-    monos = sorted({e for q in both for e in q.terms})
-    rank = lambda polys: rank_exact([q.coeff_vector(monos) for q in polys])
+    monos = sorted({e for q in both for e in terms(q)})
+    rank = lambda polys: rank_exact([coeff_vector(q, monos) for q in polys])
     assert rank(orbit) == rank(list(comps.values())) == rank(both) == 2
 
 
@@ -256,7 +256,7 @@ def test_centre_candidates_degree_four_match_chevalley(family, n, degrees):
     nvars = struct.nvars
     for f in cands:
         for i in range(nvars):
-            assert poisson_bracket(struct, f, SparsePoly.variable(nvars, i)).is_zero()
+            assert poisson_bracket(struct, f, variable(nvars, i)).is_zero()
 
 
 def test_frozen_bracket():
@@ -278,13 +278,13 @@ def test_linear_plus_frozen_is_compatible():
     froz = frozen_bracket(t, [F(1), F(-2), F(3)])
     mixed = {}
     for pair in {(0, 1), (0, 2), (1, 2)}:
-        entry = lin.table.get(pair, SparsePoly.zero(3)) + froz.table.get(pair, SparsePoly.zero(3))
-        if not entry.is_zero():
-            mixed[pair] = entry
+        value = lin.table.get(pair, SparsePoly.zero(3)) + froz.table.get(pair, SparsePoly.zero(3))
+        if not value.is_zero():
+            mixed[pair] = value
     struct = PoissonStructure(3, mixed)
     zero = SparsePoly.zero(3)
     for i, j, k in ((0, 1, 2),):
-        total = (poisson_bracket(struct, struct.entry(i, j), x(k))
-                 + poisson_bracket(struct, struct.entry(j, k), x(i))
-                 + poisson_bracket(struct, struct.entry(k, i), x(j)))
+        total = (poisson_bracket(struct, entry(struct, i, j), x(k))
+                 + poisson_bracket(struct, entry(struct, j, k), x(i))
+                 + poisson_bracket(struct, entry(struct, k, i), x(j)))
         assert total == zero

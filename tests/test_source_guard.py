@@ -4,12 +4,13 @@ storage.
 `StructureTensor`, `SparsePoly` and `RatMatrix` each store one integer
 form, and a tensor caches its skew and Jacobi verdicts on the instance,
 which is sound only while nothing writes to a form once the object exists.
-`table`, `terms` and `rows` are views rebuilt from the form on each read,
-so a write into them would be lost.  This test scans the package source
-with `ast`.  A write to or into a guarded attribute (an assignment, an
-augmented assignment, a subscript store or a `del`) is allowed only on
-`self` inside `__init__`/`__post_init__`, and anywhere inside the trusted
-constructors `_of`.  A tensor's form slot `._integer` may also be written
+`table` and `rows` are views rebuilt from the form on each read, so a
+write into them would be lost; `terms` is guarded too, so that no
+polynomial grows a second store beside its form.  This test scans the
+package source with `ast`.  A write to or into a guarded attribute (an
+assignment, an augmented assignment, a subscript store or a `del`) is
+allowed only on `self` inside `__init__`/`__post_init__`, and anywhere
+inside the trusted constructors `_of`.  A tensor's form slot `._integer` may also be written
 on `self` by its single cache fill, `integer_form`, which builds a
 deferred form on first use.
 
@@ -26,9 +27,11 @@ returns its document, and `main` prints it.  `io.py` names no `Fraction`,
 and uses `StructureTensor`, `SparsePoly` and `RatMatrix` only to call their
 `_of`: each file is parsed once, straight into its integer form.
 
-The last rule keeps `src/` to what the CLI runs: every top-level function
-and class of the package is reached by name from `cli.py`, or is named by
-the benchmark tracer (`perfbench/tracing.py`).  Code that only the tests
+The last rule keeps `src/` to what the CLI runs, down to class members:
+every top-level function and class of the package is reached by name from
+`cli.py`, or is named by the benchmark tracer (`perfbench/tracing.py`), and
+every method, classmethod and property of a reached class is read as an
+attribute by reached code or named by the tracer.  Code that only the tests
 call lives in the tests.
 """
 
@@ -306,45 +309,79 @@ def parse(doc):
     assert io_offences((package / "io.py").read_text(encoding="utf-8")) == []
 
 
-def _names(node):
-    """Every name and attribute name read inside a node."""
+def _reads(node):
+    """(name, is an attribute) of every name and attribute name read inside
+    a node."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            yield sub.id
+            yield sub.id, False
         elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+            yield sub.attr, True
+
+
+def _member(node):
+    """Whether a class-body statement is a non-dunder function: a method,
+    classmethod, staticmethod or property."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
 
 
 def unreached(sources, roots):
     """(module, name) of every top-level function and class of sources
-    ({module: source}) that no chain of names reaches from the roots.
+    ({module: source}) that no chain of names reaches from the roots, and
+    (module, "Class.member") of every non-dunder function in the body of a
+    reached class that is not reached.
 
     The roots are the given names, every definition of `cli` (`main`
     finds its commands by name), and every name read by a top-level
     statement other than an import, which runs when the module is loaded.
     A reached definition reaches every name read in its body, wherever
-    that name is defined.  Matching by name over-approximates: an
-    attribute `x.f` reaches every top-level `f`.
+    that name is defined.  A reached class reaches its bases, decorators,
+    dunders and the rest of its body except its other functions; such a
+    member is reached when reached code reads an attribute of its name, or
+    when a root names it (the tracer names `SparsePoly.exact_div`), and
+    then reaches what its own body reads.  Matching by name
+    over-approximates: an attribute `x.f` reaches every top-level `f` and
+    every member `f`.
     """
     defs = {}
-    pending = list(roots)
+    pending = [(name, True) for name in roots]
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append((module, node))
                 if module == "cli":
-                    pending.append(node.name)
+                    pending.append((node.name, False))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                pending.extend(_names(node))
-    reached = set()
+                pending.extend(_reads(node))
+    reached, attrs = set(), set()
+    members = {}    # name -> [(module, class, node)] of the members of reached classes
     while pending:
-        name = pending.pop()
-        if name not in reached:
-            reached.add(name)
-            for _, node in defs.get(name, ()):
-                pending.extend(_names(node))
-    return sorted((module, name) for name, found in defs.items() if name not in reached
-                  for module, _ in found)
+        name, attr = pending.pop()
+        if attr and name not in attrs:
+            attrs.add(name)
+            for _, _, node in members.get(name, ()):
+                pending.extend(_reads(node))
+        if name in reached:
+            continue
+        reached.add(name)
+        for module, node in defs.get(name, ()):
+            if not isinstance(node, ast.ClassDef):
+                pending.extend(_reads(node))
+                continue
+            for part in node.bases + node.keywords + node.decorator_list:
+                pending.extend(_reads(part))
+            for stmt in node.body:
+                if _member(stmt):
+                    members.setdefault(stmt.name, []).append((module, node.name, stmt))
+                    if stmt.name in attrs:
+                        pending.extend(_reads(stmt))
+                else:
+                    pending.extend(_reads(stmt))
+    return sorted([(module, name) for name, found in defs.items() if name not in reached
+                   for module, _ in found]
+                  + [(module, "%s.%s" % (cls, name)) for name, found in members.items()
+                     if name not in attrs for module, cls, _ in found])
 
 
 def test_reachability_guard_flags_library_only_code():
@@ -381,6 +418,48 @@ class Checker:
                                               ("eng", "orphan")]
     assert unreached(sources, []) == [("eng", "Checker"), ("eng", "Report"), ("eng", "orphan"),
                                       ("eng", "traced"), ("eng", "traced_helper")]
+
+
+def test_reachability_guard_flags_unread_methods():
+    sources = {
+        "cli": """
+def main(argv):
+    return cmd_run(argv)
+def cmd_run(args):
+    solver = eng.Solver()
+    return solver.solve(args)
+""",
+        "eng": """
+def orphan(x):
+    return Solver().hidden(x)
+class Solver:
+    __slots__ = ("limit",)
+    def __init__(self):
+        self.limit = self._bound()
+    def __eq__(self, other):
+        return self.limit == other.limit
+    def _bound(self):
+        return 3
+    def solve(self, x):
+        return x
+    def traced(self, x):
+        return self.traced_helper(x)
+    def traced_helper(self, x):
+        return x
+    def hidden(self, x):
+        return x
+    @property
+    def size(self):
+        return 0
+""",
+    }
+    # `hidden` is read only from `orphan`, and nothing reads `size`; `solve`
+    # is read by a command, `_bound` from a dunder, `traced` by the tracer
+    assert unreached(sources, ["traced"]) == [("eng", "Solver.hidden"), ("eng", "Solver.size"),
+                                              ("eng", "orphan")]
+    assert unreached(sources, []) == [("eng", "Solver.hidden"), ("eng", "Solver.size"),
+                                      ("eng", "Solver.traced"), ("eng", "Solver.traced_helper"),
+                                      ("eng", "orphan")]
 
 
 def test_every_definition_runs_in_a_command_or_the_tracer():

@@ -29,6 +29,7 @@ from liepencil.tensors import (IrrationalEigenvalues, StructureTensor, ad, check
                                classify_operator, derived, is_lie, normalize_pencil,
                                pencil_lie, tensor_combination)
 
+from helpers import columns, inverse
 from test_acceptance import constructed_near_derivations
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -37,7 +38,7 @@ from test_acceptance import constructed_near_derivations
 def reference_derived(tensor, op):
     """rho(D).T computed entry by entry in Fraction arithmetic."""
     n = tensor.dim
-    cols = op.columns()
+    cols = columns(op)
     given, empty = tensor.table, {}
 
     def image(vec):
@@ -156,8 +157,8 @@ def standard(algebra):
 def transport(tensor, P):
     """The same bracket on the basis given by the columns of P (invertible)."""
     n = tensor.dim
-    Pinv = P.inverse()
-    cols = P.columns()
+    Pinv = inverse(P)
+    cols = columns(P)
     table = {}
     for i in range(n):
         for j in range(n):
@@ -383,7 +384,7 @@ def test_classify_matches_reference_on_moved_pencils(tag, tensor, op, c, shift, 
     n = tensor.dim
     P = data.draw(change_of_basis(n), label="P")
     moved = transport(tensor, P).scale(t_scale)
-    D = P.inverse() * (op.scale(c) + RatMatrix.identity(n).scale(shift)) * P
+    D = inverse(P) * (op.scale(c) + RatMatrix.identity(n).scale(shift)) * P
     check_classify(moved, D)
 
 

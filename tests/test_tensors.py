@@ -18,7 +18,7 @@ from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues,
                                normalize_pencil,
                                tensor_combination)
 
-from helpers import rand_matrix, rand_vector
+from helpers import columns, rand_matrix, rand_vector
 from paper_checks import (PreconditionViolated, check_vanishing_propagation, is_derivation,
                           shift_by_derivation)
 
@@ -87,8 +87,8 @@ def test_second_derived_reference_formula():
     for _ in range(10):
         op = rand_matrix(rng, 3)
         op2 = op * op
-        cols = op.columns()
-        cols2 = op2.columns()
+        cols = columns(op)
+        cols2 = columns(op2)
         got = derived_iter(t, op, 2)
         for i in range(3):
             for j in range(3):
