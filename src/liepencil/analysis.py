@@ -19,7 +19,8 @@ class IndexReport:
     A probabilistic result is a certificate for the rank lower bound (hence
     an index upper bound) that is correct with overwhelming probability; the
     exact-symbolic method computes the generic rank of the structure matrix
-    over the rational function field.
+    over the rational function field, as the rank at one point proved
+    generic by Pfaffians (`generic_rank`).
     """
 
     dim: int
@@ -60,9 +61,11 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, centr
     """dim minus the generic rank of the bracket form.
 
     mode "prob" samples integer covectors xi and takes the maximal rank of
-    the structure matrix evaluated at xi; mode "exact" runs fraction-free
-    elimination over polynomial entries (`generic_rank`) and refuses
-    dimensions above max_exact_dim.  The probabilistic mode runs on
+    the structure matrix evaluated at xi; mode "exact" takes the rank at one
+    fixed point and proves it generic (`generic_rank`): the bracket form is
+    skew, so that rank is generic unless a Pfaffian of the point's
+    nonsingular pivot block bordered by two more indices is nonzero.  It
+    refuses dimensions above max_exact_dim.  The probabilistic mode runs on
     integers: the table is cleared once to integers over its lcm L, and the
     entry i < j at xi is the int sum_k L c_ij^k xi_k, mirrored with its sign
     below the diagonal.  Scaling by L does not change the rank.  The

@@ -20,6 +20,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -45,6 +46,10 @@ SEED_ENV = "LIEPENCIL_SEED"
 # what `example` calls each builder argument that a refusal can name
 EXAMPLE_ARGS = {"family": "FAMILY", "n": "N", "weights": "--weights", "partition": "--partition",
                 "part_a": "--sub", "part_b": "--complement", "parts": "--sub/--complement"}
+
+# the comma-list options: argparse reads a next word such as "-1,0,2" as an
+# option, so `main` joins it to its option as "--gamma=-1,0,2"
+LIST_OPTIONS = {"--gamma", "--points", "--weights", "--partition", "--sub", "--complement"}
 
 # fixed pencil sample points (alpha, beta) used by `pencil` and `report`
 MEMBER_SAMPLES = ((1, 1), (1, 2), (2, 1), (1, -1), (3, 5))
@@ -670,9 +675,21 @@ def build_parser():
     return parser
 
 
+def _joined_lists(argv):
+    """argv with each word that starts with "-" and a digit joined to a
+    comma-list option right before it, as OPTION=WORD."""
+    out = []
+    for word in argv:
+        if out and out[-1] in LIST_OPTIONS and re.match("-[0-9]", word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_lists(sys.argv[1:] if argv is None else argv))
     try:
         doc, code = globals()["cmd_" + args.command.replace("-", "_")](args)
         _emit(doc, args)

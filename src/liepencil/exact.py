@@ -16,21 +16,23 @@ elimination order is `add(row)`, which says whether the rank grew and
 copies no row it owns; a system's singleton rows are fixed first by a
 presolve, and every other row goes through `add`.  `rref`, `rank_exact`,
 `kernel_basis` and `coordinates` hand it cleared copies of list or dict
-rows and build a `Fraction` only for an entry they return.  `coordinates` reduces a basis once and reads every target from
-that reduction; `solve_columns` is its one-target use.  `generic_rank`
-runs Bareiss elimination on integer polynomials with each monomial packed
-into one int (the total degree in the top field, then the exponents), each
-field sized for the largest degree a product can reach plus one spare bit
-that the exact quotient uses to detect a negative exponent; a quotient
-that leaves Z[x] raises ArithmeticError.  The same packing (`_packing`,
-`_pmuladd`) carries `poisson.pc_verify`.
+rows and build a `Fraction` only for an entry they return.
+`coordinates` reduces a basis once and reads every target from that
+reduction; `solve_columns` is its one-target use.  `generic_rank`, the
+rank of a skew matrix of linear forms over Q(x), takes the rank at one
+integer point and proves it generic by Pfaffians: no Pfaffian of the
+point's nonsingular principal block bordered by two more indices may be
+nonzero.  The Pfaffians run on integer polynomials with each monomial
+packed into one int (the total degree in the top field, then the
+exponents) by `_packing`, and `_pmuladd` multiplies them; the same
+packing carries `poisson.pc_verify`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import add, mul
 
 ZERO = Fraction(0)
@@ -609,62 +611,78 @@ class SparsePoly:
         return "SparsePoly(%d, %s)" % (self.nvars, self.format())
 
 
-def generic_rank(mat):
-    """Rank of a matrix of SparsePoly entries over the rational function field.
+def generic_rank(mat, point=None):
+    """Rank over the rational function field of a square skew-symmetric
+    matrix of `SparsePoly` entries of degree at most 1, such as the bracket
+    form B_ij = sum_k c_ij^k x_k; anything else raises ValueError.
 
-    Fraction-free (Bareiss) elimination with exact polynomial division; the
-    pivot with the fewest terms is chosen at each step to limit growth.
-    A nonzero polynomial pivot is generically invertible, so the count of
-    pivots is the generic rank.
+    The rank at one integer point (`point`, by default a fixed one that no
+    seed changes) is checked by Pfaffians, so the result is exact at any
+    point and the point sets only the speed.  The matrix A is scaled to
+    integer polynomials over the lcm of its denominators, which keeps it
+    skew.  Let P be the pivot columns of its value at the point.  For a
+    skew matrix, columns P that span the column space give a nonsingular
+    principal block on P, so the polynomial Pf(A[P]) is nonzero there and
+    the generic rank is at least |P|.  The Schur complement of A[P, P] is
+    skew with entries +-Pf(A[P + {k, l}]) / Pf(A[P]), so the rank is |P|
+    exactly when every Pf(A[P + {k, l}]) vanishes for k < l outside P; a
+    nonzero one adds {k, l} to P, and the check runs again.
 
-    Runs on integer polynomials with packed monomials.  Each row's forms are
-    first brought over one denominator, the lcm of theirs, which
-    changes neither the rank nor any entry's term count, so the pivots are
-    those of the rational elimination.  A monomial is one int: its total
-    degree in the top field, then one field per exponent, x_0 first, so a
-    product of monomials is a sum of ints and the graded lex order is int
-    order.  Every Bareiss entry is a minor of the scaled matrix, so no
-    product before a division has total degree above
-    2 * min(rows, cols) * (largest entry degree); each field is sized for
-    that degree plus one spare bit, which `_pdiv` uses to test for a
-    negative exponent.  The divisions are exact; `_pdiv` raises
-    ArithmeticError if one is not.
+    A Pfaffian is expanded along its smallest index and memoised on the
+    bitmask of its indices, on polynomials packed by `_packing`: a
+    Pfaffian of order 2m has degree at most m <= n / 2, so fields of that
+    width hold every product, and no division is taken.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("generic_rank needs a square matrix")
     polys = [p for row in mat for p in row if p.ints]
     if not polys:
         return 0
-    top = 2 * min(nrows, ncols) * max(p.total_degree() for p in polys)
-    pack, guard = _packing(polys[0].nvars, top.bit_length() + 1)
-    M = []
-    for row in mat:
-        L = lcm(*(p.den for p in row))
-        M.append([{pack(e): c * (L // p.den) for e, c in p.ints.items()} for p in row])
-    rank = 0
-    prev = None
-    for c in range(ncols):
-        best = None
-        for i in range(rank, nrows):
-            if M[i][c] and (best is None or len(M[i][c]) < len(M[best][c])):
-                best = i
-        if best is None:
-            continue
-        M[rank], M[best] = M[best], M[rank]
-        prow = M[rank]
-        piv = prow[c]
-        for i in range(rank + 1, nrows):
-            row = M[i]
-            e = row[c]
-            for j in range(c + 1, ncols):
-                num = _pmuladd(_pmuladd({}, piv, row[j]), e, prow[j], -1)
-                row[j] = num if prev is None else _pdiv(num, prev, guard)
-            row[c] = {}
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    if any(p.total_degree() > 1 for p in polys):
+        raise ValueError("generic_rank needs entries of degree at most 1")
+    if any(mat[i][j] != -mat[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("generic_rank needs a skew-symmetric matrix")
+    nvars = polys[0].nvars
+    L = lcm(*(p.den for p in polys))
+    if point is None:
+        point = [pow(48271, k + 1, 2 ** 31 - 1) % 2001 - 1000 for k in range(nvars)]
+    pack = _packing(nvars, (n // 2).bit_length())
+    packed = [[{pack(e): c * (L // p.den) for e, c in p.ints.items()} for p in row]
+              for row in mat]
+
+    def value(p):
+        return sum(c * prod(map(pow, point, e)) for e, c in p.ints.items()) * (L // p.den)
+    values = [{j: v for j, v in enumerate(map(value, row)) if v} for row in mat]
+    memo = {0: {0: 1}}    # Pf of the empty matrix is 1; 0 packs the monomial 1
+
+    def pfaffian(mask):
+        """Pf of the principal submatrix on the set bits of mask."""
+        got = memo.get(mask)
+        if got is None:
+            low = mask & -mask
+            i, rest = low.bit_length() - 1, mask ^ low
+            got, sign, left = {}, 1, rest
+            while left:
+                bit = left & -left
+                a = packed[i][bit.bit_length() - 1]
+                if a:
+                    sub = pfaffian(rest ^ bit)
+                    if sub:
+                        _pmuladd(got, a, sub, sign)
+                sign, left = -sign, left ^ bit
+            memo[mask] = got
+        return got
+
+    kept = set(_Echelon(values).pivot)
+    while True:
+        base = sum(1 << p for p in kept)
+        outside = [k for k in range(n) if k not in kept]
+        grown = next(((k, l) for a, k in enumerate(outside) for l in outside[a + 1:]
+                      if pfaffian(base | 1 << k | 1 << l)), None)
+        if grown is None:
+            return len(kept)
+        kept.update(grown)
 
 
 # Integer forms, whose rows are all lists of ints or all {key: int} dicts.
@@ -729,25 +747,19 @@ def _linear_forms(n):
 # monomials is a sum of ints and the graded lex order is int order.
 
 def _packing(nvars, width):
-    """(pack, guard) for monomials in nvars variables, in fields of width bits.
-
-    pack maps an exponent tuple to its int: the total degree, then each
+    """pack for monomials in nvars variables, in fields of width bits: it
+    maps an exponent tuple to its int, the total degree, then each
     exponent, x_0 first, one field each.  While every field of a product
     fits in width bits, which holds up to total degree 2**width - 1, the
-    product of monomials is the sum of their ints.  guard has the top bit
-    of every field set; width 0 packs the one monomial of degree 0.
+    product of monomials is the sum of their ints.  Width 0 packs the one
+    monomial of degree 0.
     """
-    top_bit = 1 << width >> 1    # none in a field of width 0
-    guard = 0
-    for _ in range(nvars + 1):
-        guard = (guard << width) | top_bit
-
     def pack(exps):
         m = sum(exps)
         for e in exps:
             m = (m << width) | e
         return m
-    return pack, guard
+    return pack
 
 
 def _pmuladd(acc, a, b, sign=1):
@@ -762,27 +774,3 @@ def _pmuladd(acc, a, b, sign=1):
             else:
                 del acc[e]
     return acc
-
-
-def _pdiv(num, den, guard):
-    """Exact quotient num / den of packed integer polynomials.
-
-    guard has the spare top bit of every field set.  Setting it in the
-    remainder's leading monomial before subtracting den's keeps each field's
-    difference inside its own field, and the difference is negative exactly
-    where that bit is borrowed.  Raises ArithmeticError when the quotient
-    leaves Z[x]: a negative exponent or a coefficient that does not divide.
-    """
-    lt_d = max(den)
-    lc_d = den[lt_d]
-    quot = {}
-    rem = dict(num)
-    while rem:
-        lt_r = max(rem)
-        q, r = divmod(rem[lt_r], lc_d)
-        if r or ((lt_r | guard) - lt_d) & guard != guard:
-            raise ArithmeticError("inexact polynomial division")
-        shift = lt_r - lt_d
-        quot[shift] = q
-        _pmuladd(rem, {shift: q}, den, -1)
-    return quot

@@ -246,7 +246,7 @@ def _pi_gradients(struct, polys, extra):
     deg f - 1 for every f.
     """
     t = max((sum(e) for b in struct.ints.values() for e in b), default=0)
-    pack, _ = _packing(struct.nvars, (t + extra).bit_length())
+    pack = _packing(struct.nvars, (t + extra).bit_length())
     table = [(i, j, {pack(e): c for e, c in b.items()}) for (i, j), b in struct.ints.items()]
     out = []
     for f in polys:

@@ -8,12 +8,17 @@ a Poisson structure: columns, transposes and inverses, a polynomial's
 `Fraction` terms, partials and values, and a bracket entry in either
 order.  Each is a function of the object's integer form (`den`, `ints`),
 and each result is built with the trusted constructor `_of`.
+
+`bareiss_rank` is the oracle of `exact.generic_rank`: the rank over Q(x)
+of a polynomial matrix of any shape and degree by fraction-free
+elimination on packed integer polynomials, with `pdiv` as its exact
+quotient.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
-from liepencil.exact import ZERO, RatMatrix, SparsePoly, _ratio, _reduce
+from liepencil.exact import ZERO, RatMatrix, SparsePoly, _packing, _pmuladd, _ratio, _reduce
 
 DENOMINATORS = (1, 1, 2, 3)
 
@@ -102,6 +107,100 @@ def coeff_vector(p, monomials):
     """Coefficients with respect to an ordered monomial list."""
     d = p.den
     return [_ratio(p.ints.get(m, 0), d) for m in monomials]
+
+
+def packing_guard(nvars, width):
+    """The int with the top bit of each of the nvars + 1 fields of width
+    bits set, in the layout `exact._packing` packs."""
+    top_bit = 1 << width >> 1    # none in a field of width 0
+    guard = 0
+    for _ in range(nvars + 1):
+        guard = (guard << width) | top_bit
+    return guard
+
+
+def pdiv(num, den, guard):
+    """Exact quotient num / den of packed integer polynomials.
+
+    guard (`packing_guard`) has the spare top bit of every field set.
+    Setting it in the remainder's leading monomial before subtracting den's
+    keeps each field's difference inside its own field, and the difference
+    is negative exactly where that bit is borrowed.  Raises ArithmeticError
+    when the quotient leaves Z[x]: a negative exponent or a coefficient
+    that does not divide.
+    """
+    lt_d = max(den)
+    lc_d = den[lt_d]
+    quot = {}
+    rem = dict(num)
+    while rem:
+        lt_r = max(rem)
+        q, r = divmod(rem[lt_r], lc_d)
+        if r or ((lt_r | guard) - lt_d) & guard != guard:
+            raise ArithmeticError("inexact polynomial division")
+        shift = lt_r - lt_d
+        quot[shift] = q
+        _pmuladd(rem, {shift: q}, den, -1)
+    return quot
+
+
+def bareiss_rank(mat):
+    """Rank of a matrix of SparsePoly entries over the rational function field.
+
+    Fraction-free (Bareiss) elimination with exact polynomial division; the
+    pivot with the fewest terms is chosen at each step to limit growth.
+    A nonzero polynomial pivot is generically invertible, so the count of
+    pivots is the generic rank.
+
+    Runs on integer polynomials with packed monomials.  Each row's forms are
+    first brought over one denominator, the lcm of theirs, which
+    changes neither the rank nor any entry's term count, so the pivots are
+    those of the rational elimination.  A monomial is one int: its total
+    degree in the top field, then one field per exponent, x_0 first, so a
+    product of monomials is a sum of ints and the graded lex order is int
+    order.  Every Bareiss entry is a minor of the scaled matrix, so no
+    product before a division has total degree above
+    2 * min(rows, cols) * (largest entry degree); each field is sized for
+    that degree plus one spare bit, which `pdiv` uses to test for a
+    negative exponent.  The divisions are exact; `pdiv` raises
+    ArithmeticError if one is not.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    polys = [p for row in mat for p in row if p.ints]
+    if not polys:
+        return 0
+    top = 2 * min(nrows, ncols) * max(p.total_degree() for p in polys)
+    width = top.bit_length() + 1
+    pack, guard = _packing(polys[0].nvars, width), packing_guard(polys[0].nvars, width)
+    M = []
+    for row in mat:
+        L = lcm(*(p.den for p in row))
+        M.append([{pack(e): c * (L // p.den) for e, c in p.ints.items()} for p in row])
+    rank = 0
+    prev = None
+    for c in range(ncols):
+        best = None
+        for i in range(rank, nrows):
+            if M[i][c] and (best is None or len(M[i][c]) < len(M[best][c])):
+                best = i
+        if best is None:
+            continue
+        M[rank], M[best] = M[best], M[rank]
+        prow = M[rank]
+        piv = prow[c]
+        for i in range(rank + 1, nrows):
+            row = M[i]
+            e = row[c]
+            for j in range(c + 1, ncols):
+                num = _pmuladd(_pmuladd({}, piv, row[j]), e, prow[j], -1)
+                row[j] = num if prev is None else pdiv(num, prev, guard)
+            row[c] = {}
+        prev = piv
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 # Poisson structures

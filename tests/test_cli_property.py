@@ -92,7 +92,7 @@ def command_lines(path, gamma):
         ["exp-check"] + both + ["--kind", "nijenhuis", "--certified"],
         ["exp-check"] + both + ["--kind", "near", "--m", "0", "--points", "1,-1/2"],
         ["pc-check"] + both + ["--seed-file", path("seeds.json")],
-        ["pc-check"] + alg + ["--gamma=" + gamma],    # "=" keeps "-1,2" a value
+        ["pc-check"] + alg + ["--gamma", gamma],    # "-1,2" as a separate word too
         ["report"] + both + ["--seed", "1"],
         ["report"] + both + ["--seed", "1", "--pc"],
     ]

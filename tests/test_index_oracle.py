@@ -1,13 +1,16 @@
-"""Both index modes against their Fraction references.
+"""Both index modes against their references.
 
-`generic_rank` runs Bareiss elimination on integer polynomials with packed
-monomials, and the probabilistic `lie_index` evaluates the structure matrix
-on integers.  The references below are the plain Fraction versions they
-replaced: Bareiss over `SparsePoly` with `exact_div`, and `eval_at` at a
-Fraction point.  On generated inputs (polynomial matrices of any shape with
-zero rows, mixed denominators and entries up to degree 4 in one variable;
-Lie algebras moved to rational bases) the results must agree exactly.
-Hypothesis is test-only; the library itself stays stdlib-only.
+The exact index is `generic_rank`: the rank at one integer point, proved
+generic by Pfaffians.  Its oracle is `helpers.bareiss_rank`, Bareiss
+elimination on integer polynomials with packed monomials, and the oracle's
+own reference below is the plain Fraction version it replaced: Bareiss over
+`SparsePoly` with `exact_div`.  The probabilistic `lie_index` evaluates the
+structure matrix on integers, against `eval_at` at a Fraction point.  On
+generated inputs (polynomial matrices of any shape with zero rows, mixed
+denominators and entries up to degree 4 in one variable for the oracle;
+skew matrices of linear forms, from Lie algebras moved to rational bases,
+for `generic_rank`) the results must agree exactly.  Hypothesis is
+test-only; the library itself stays stdlib-only.
 """
 
 import random
@@ -20,10 +23,13 @@ from hypothesis import given, strategies as st
 
 from liepencil import analysis
 from liepencil.analysis import lie_centre, lie_index, structure_matrix
-from liepencil.constructions import build_classical, nilpotent_square, sl2_complete
-from liepencil.exact import SparsePoly, _packing, _pdiv, generic_rank, rank_exact
+from liepencil.constructions import (build_classical, nilpotent_square, sl2_complete,
+                                     tensor_from_matrix_basis, unit_matrix)
+from liepencil.io import algebra_from_dict
+from liepencil.exact import SparsePoly, _packing, generic_rank, rank_exact
 
-from helpers import eval_at, terms, variable
+from helpers import bareiss_rank, eval_at, packing_guard, pdiv, terms, variable
+from test_cli_golden import FILES
 from test_tensor_oracle import (LIE, NONZERO, change_of_basis, fixed_lists, standard,
                                 transport)
 
@@ -116,15 +122,15 @@ def poly_matrices(draw):
 
 @given(poly_matrices())
 def test_generic_rank_matches_reference(mat):
-    assert generic_rank(mat) == reference_generic_rank(mat)
+    assert bareiss_rank(mat) == reference_generic_rank(mat)
 
 
 def test_generic_rank_small_shapes():
     x = variable(1, 0)
-    assert generic_rank([]) == reference_generic_rank([]) == 0
-    assert generic_rank([[]]) == reference_generic_rank([[]]) == 0
-    assert generic_rank([[SparsePoly.zero(1)]]) == 0
-    assert generic_rank([[x * Fraction(2, 3)]]) == 1
+    assert bareiss_rank([]) == reference_generic_rank([]) == 0
+    assert bareiss_rank([[]]) == reference_generic_rank([[]]) == 0
+    assert bareiss_rank([[SparsePoly.zero(1)]]) == 0
+    assert bareiss_rank([[x * Fraction(2, 3)]]) == 1
 
 
 def test_generic_rank_fills_the_field_width():
@@ -138,7 +144,95 @@ def test_generic_rank_fills_the_field_width():
     mat = [[q + one, q * 2 + x, q - x ** 2],
            [q * 3 + x ** 3, q + one * 2, q * 5 + x],
            [q + x, q * 7 - one, q * 2 + x ** 2 * Fraction(3, 4)]]
-    assert generic_rank(mat) == reference_generic_rank(mat) == 3
+    assert bareiss_rank(mat) == reference_generic_rank(mat) == 3
+
+
+def borel(n):
+    """The Borel subalgebra of sl_n: E_ij for i < j and E_ii - E_i+1,i+1."""
+    mats = [unit_matrix(n, i, j) for i in range(n) for j in range(i + 1, n)]
+    mats += [unit_matrix(n, i, i) - unit_matrix(n, i + 1, i + 1) for i in range(n - 1)]
+    return tensor_from_matrix_basis(mats, ["b%d" % k for k in range(len(mats))])
+
+
+def derived_bracket(n, partition):
+    triple = sl2_complete("sl", n, partition)
+    return nilpotent_square(triple.tensor, triple.e)[1].derived
+
+
+ORACLE_CASES = {
+    "sl3": lambda: build_classical("sl", 3),
+    "sp4": lambda: build_classical("sp", 4),
+    "so5": lambda: build_classical("so", 5),
+    "gl3": lambda: build_classical("gl", 3),
+    "so4": lambda: build_classical("so", 4),
+    "sl2-rational": lambda: algebra_from_dict(FILES["sl2-rational.json"])[0],
+    "borel-sl3": lambda: borel(3),
+    "borel-sl4": lambda: borel(4),
+    "derived-sl4": lambda: derived_bracket(4, (2, 2)),
+    "derived-sl5": lambda: derived_bracket(5, (2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_generic_rank_matches_the_bareiss_oracle(name):
+    mat = structure_matrix(ORACLE_CASES[name]())
+    assert generic_rank(mat) == bareiss_rank(mat)
+
+
+@given(st.sampled_from(LIE), st.data())
+def test_generic_rank_from_any_start_point(algebra, data):
+    # a start point in {-1, 0, 1}^n can have a rank below the generic one,
+    # and the point 0 always has rank 0, so the Pfaffian check has to grow
+    # the pivot set
+    base = standard(algebra)
+    mat = structure_matrix(transport(base, data.draw(change_of_basis(base.dim), label="P")))
+    point = data.draw(fixed_lists(st.sampled_from([-1, 0, 1]), base.dim), label="point")
+    want = bareiss_rank(mat)
+    assert generic_rank(mat, point) == generic_rank(mat, [0] * base.dim) == want
+
+
+@st.composite
+def skew_linear_matrices(draw):
+    """Skew matrices up to 6 x 6 of linear forms in 1-3 variables, most
+    entries zero, with mixed denominators: no Lie bracket is asked of them."""
+    n = draw(st.integers(0, 6))
+    nvars = draw(st.integers(1, 3))
+    zero = SparsePoly.zero(nvars)
+    mat = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 2)) == 0:
+                coeffs = draw(fixed_lists(st.sampled_from([0, 0, 1, -1, Fraction(2, 3)]), nvars))
+                form = SparsePoly(nvars, {tuple(int(v == k) for v in range(nvars)): c
+                                          for k, c in enumerate(coeffs) if c})
+                mat[i][j], mat[j][i] = form, -form
+    return mat, draw(fixed_lists(st.sampled_from([-1, 0, 1]), nvars))
+
+
+@given(skew_linear_matrices())
+def test_generic_rank_of_skew_linear_matrices(case):
+    mat, point = case
+    assert generic_rank(mat, point) == generic_rank(mat) == bareiss_rank(mat)
+
+
+def test_generic_rank_from_the_zero_point():
+    # every entry vanishes at 0, so the point rank is 0 and each pair of
+    # pivots comes from a nonzero Pfaffian: three rounds on sl3
+    mat = structure_matrix(build_classical("sl", 3))
+    assert generic_rank(mat, [0] * 8) == bareiss_rank(mat) == 6
+
+
+def test_generic_rank_refuses_what_it_cannot_check():
+    x, y = variable(2, 0), variable(2, 1)
+    zero = SparsePoly.zero(2)
+    with pytest.raises(ValueError, match="skew"):
+        generic_rank([[x, y], [y, -x]])
+    with pytest.raises(ValueError, match="skew"):
+        generic_rank([[zero, x], [x, zero]])
+    with pytest.raises(ValueError, match="degree"):
+        generic_rank([[zero, x * y], [-(x * y), zero]])
+    with pytest.raises(ValueError, match="square"):
+        generic_rank([[zero, x]])
 
 
 @given(st.sampled_from(LIE), st.data())
@@ -200,16 +294,16 @@ def test_exact_index_of_so5_and_sp4_agree():
 
 
 def test_packed_quotient_raises_when_inexact():
-    pack, guard = _packing(2, 4)
+    pack, guard = _packing(2, 4), packing_guard(2, 4)
     x, y, one = pack((1, 0)), pack((0, 1)), pack((0, 0))
     # (x^2 - y^2) / (x + y) = x - y
-    assert (_pdiv({pack((2, 0)): 1, pack((0, 2)): -1}, {x: 1, y: 1}, guard)
+    assert (pdiv({pack((2, 0)): 1, pack((0, 2)): -1}, {x: 1, y: 1}, guard)
             == {x: 1, y: -1})
     with pytest.raises(ArithmeticError):
-        _pdiv({x: 1}, {y: 1}, guard)            # x / y: exponent of y below 0
+        pdiv({x: 1}, {y: 1}, guard)            # x / y: exponent of y below 0
     with pytest.raises(ArithmeticError):
-        _pdiv({x: 1, one: 1}, {y: 1}, guard)    # same degree, x still ahead
+        pdiv({x: 1, one: 1}, {y: 1}, guard)    # same degree, x still ahead
     with pytest.raises(ArithmeticError):
-        _pdiv({x: 2}, {x: 3}, guard)            # 2x / 3x leaves Z[x]
+        pdiv({x: 2}, {x: 3}, guard)            # 2x / 3x leaves Z[x]
     with pytest.raises(ArithmeticError):
-        _pdiv({pack((2, 0)): 1, one: 1}, {x: 1}, guard)   # (x^2 + 1) / x
+        pdiv({pack((2, 0)): 1, one: 1}, {x: 1}, guard)   # (x^2 + 1) / x

@@ -812,3 +812,37 @@ def test_cli_family_check_refuses_seed_input_without_a_seed(workdir, capsys, arg
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert name in err
+
+
+@pytest.mark.parametrize("argv, option, code", [
+    (["pc-check", "--algebra", "sl2.json", "--json"], ["--gamma", "-1,0,2"], 0),
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--json"], ["--points", "-1,3"], 0),
+    (["example", "grading", "sl", "2", "--modulus", "2"], ["--weights", "-1,0,1"], 2),
+    (["example", "nilpotent-square", "sl", "2"], ["--partition", "-1,3"], 2),
+    (["example", "splitting", "sl", "2", "--complement", "1,2"], ["--sub", "-1,0"], 2),
+    (["example", "splitting", "sl", "2", "--sub", "0,1"], ["--complement", "-2,2"], 2),
+], ids=["gamma", "points", "weights", "partition", "sub", "complement"])
+def test_cli_negative_list_as_a_separate_word(workdir, capsys, argv, option, code):
+    # argparse would read "-1,0,2" as an option and end in a usage block;
+    # the separate word reads as OPTION=LIST does
+    run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    capsys.readouterr()
+    assert run(argv + ["=".join(option)]) == code
+    joined = capsys.readouterr()
+    assert run(argv + option) == code
+    assert capsys.readouterr() == joined
+    assert joined.err.count("\n") == (code == 2)
+    assert joined.err.startswith("input error: " if code == 2 else "")
+
+
+@pytest.mark.parametrize("family, index", [("sl", 3), ("gl", 4)], ids=["sl4", "gl4"])
+def test_cli_exact_index_above_the_default_cap(workdir, capsys, family, index):
+    # dims 15 and 16: refused at the default --max-exact-dim of 12
+    assert run(["example", family, "4"]) == 0
+    capsys.readouterr()
+    argv = ["index", "--algebra", family + "4.json", "--mode", "exact", "--json"]
+    assert run(argv) == 2
+    assert "refused above dimension 12" in capsys.readouterr().err
+    assert run(argv + ["--max-exact-dim", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["index"], doc["method"]) == (index, "exact-symbolic")
