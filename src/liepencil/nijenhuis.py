@@ -13,7 +13,7 @@ with exact arithmetic.
 
 The torsion and both sides of each exponential identity (bar the tensor
 sum T + c(s) T' of the near case) are sums of terms c O psi(A., B.), so
-each is one call of the integer kernel `tensors.contract`.
+each is one `tensors.contract` call on the one packed kernel.
 """
 
 from __future__ import annotations

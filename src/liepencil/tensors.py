@@ -14,32 +14,25 @@ of operations with exactly one or two degenerate lines.
 A tensor stores one integer form, (den, {(i, j): {k: int}}): its
 constants as integers over one denominator, cleared once by the validating
 constructor or handed over by the kernel that built it
-(`StructureTensor.integer_form`).  As with `RatMatrix.rows`, the
-`Fraction` table `.table` is a view built from the form on each read.  The kernels run on the forms and build a `Fraction`
-only for a returned scalar.  `contract` evaluates every tensor of the form
-sum_t c_t * O_t psi(A_t x, B_t y): the derived operation here, and the
-torsion, both sides of the exponential identities and the nilpotent-square
-checks elsewhere.  `tensor_combination`, `scale`, `check_skew` and equality
-work on integer forms; `check_jacobi` packs each vector of the form into
-one int, so a cyclic term is one big-int multiply-add.
+(`StructureTensor.integer_form`).  As with `RatMatrix.rows`, the `Fraction`
+table `.table` is a view built from the form on each read.  The kernels run
+on the forms and build a `Fraction` only for a returned scalar.
 
-`classify_operator` computes T'' = rho(D).T' the same way, in
-`_pencil_pass`: one packed int per basis pair, from at most 3n big-int
-multiply-adds where `contract` does up to 3n^2 dict updates.  T'' alone
-needs a width w with 2^(w-1) > 3 n B_D B_T' (B the largest integer entry),
-so its fields are balanced digits.  The pencil system T'' = a T + b T' is
-checked on the packed ints at a w that also covers the multiples the check
-takes (see `classify_operator`), with (a, b) from T'' at two coordinates,
-and `normalize_pencil`'s guard T''_1 == b_1 T'_1 runs on packed ints too.  The
-dict form of T'' is built, by `derived`, only when something reads it;
-a zero T'' (the quasi case) gets the empty form without it.
+One packed kernel, `_contraction`, evaluates sum_t c_t O_t psi(A_t x, B_t y)
+pair by pair, each vector packed into one int with a field per basis index
+(`_packed`, `_unpacked`).  `contract` runs it for every such tensor: the
+derived operation here, and the torsion, both sides of the exponential
+identities and the nilpotent-square checks elsewhere.  `classify_operator`
+runs it for T'' = rho(D).T' and compares packed ints, stopping at the first
+pair where T'' = a T + b T' fails; the dict form of T'' is built, by
+`derived`, only when something reads it, and `normalize_pencil`'s guard
+runs on packed ints too.  `check_jacobi` packs its columns the same way.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for integer
-forms the library has already built clean.  Tables over basis
-pairs are filled by `pair_table`, and a skew table is always completed by
-`skew_table`, which writes each mirror entry (j, i) as the negated (i, j)
-vector.
+forms the library has already built clean.  Tables over basis pairs are
+filled by `pair_table`, and a skew table is always completed by `skew_table`,
+which writes each mirror entry (j, i) as the negated (i, j) vector.
 """
 
 from __future__ import annotations
@@ -47,9 +40,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import gcd, lcm
-from operator import mul
+from itertools import chain, compress
+from math import gcd, lcm, prod
+from operator import add, lshift, mul
 
 from .exact import ONE, ZERO, RatMatrix, _cleared, _reduced, rational_sqrt
 
@@ -302,6 +295,109 @@ def _swap_closed(terms):
     return all(terms.count(t) == swapped.count(t) for t in terms)
 
 
+def _packed(keys, values, w):
+    """sum_r v_r * 2^(w r) over the keys r and their values v_r, one int."""
+    return sum(map(lshift, values, map(w.__mul__, keys)))
+
+
+def _unpacked(x, w):
+    """The int vector {r: v}, in ascending r, of a packed x whose fields
+    are balanced digits, x = sum_r v_r 2^(w r) with every |v_r| < 2^(w-1).
+    A field read at or above 2^(w-1) is negative, and borrowed 1 from the
+    fields above it.  Below a nonzero field the low bits of x are 0, so
+    (x & -x).bit_length() jumps to the next nonzero field."""
+    vec, r, top = {}, 0, 1 << w
+    while x:
+        v = x & (top - 1)
+        if not v:
+            skip = ((x & -x).bit_length() - 1) // w
+            x, r = x >> w * skip, r + skip
+            v = x & (top - 1)
+        v -= top if v >= top >> 1 else 0
+        vec[r], x, r = v, (x - v) >> w, r + 1
+    return vec
+
+
+def _contraction(tab, n, terms, w=None, full=False):
+    """The packed kernel: sum_t c_t O_t psi(A_t x_i, B_t x_j) at basis pairs.
+
+    tab is the table {(k, l): {r: int}} of an integer form of psi; terms a
+    list of (c, O, A, B), c an int and O, A, B int row lists or None for
+    the identity.  A vector packs into one int, sum_r v_r 2^(w r), and a
+    sum of multiples of packed vectors packs the same sum of the vectors.
+    So O psi packs as the table of sum_r psi_kl^r Ocol_r, Ocol_r the
+    packed column r of O.  The terms with the identity on both slots share
+    one such sum at each pair; any other term reads the table Y of O psi
+    through B on the right (sum_l B_lj Y_il) or through A on the left
+    (sum_k A_ki Y_kj), after Y_kj = sum_l B_lj (O psi)_kl when both slots
+    carry one.  Each table is packed once, only at the rows and columns
+    the reads reach (every row of psi with full), and a pair costs one
+    big-int multiply-add per nonzero operator entry read and per psi_ij^r
+    whose column is not 0.  Every field of the result is at most
+    max|psi| sum_t |c_t| prod(n max|X|), over the operators X of term t;
+    the default w is the least with 2^(w-1) above that, and at any such w
+    `_unpacked` reads the fields back.  Returns (w, rows, entry): rows the
+    packed table of psi (complete with full), entry(i, j) the packed sum at
+    the ordered pair (i, j).
+    """
+    span = range(n)
+    ops = {id(X): X for _, *xs in terms for X in xs if X is not None}
+    sup = {key: [(list(compress(span, col)), list(filter(None, col))) if any(col) else ((), ())
+                 for col in zip(*X)] for key, X in ops.items()}
+    if w is None:
+        size = {key: n * _largest(X) for key, X in ops.items()} | {id(None): 1}
+        bound = _largest(map(dict.values, tab.values())) * sum(
+            abs(c) * size[id(O)] * size[id(A)] * size[id(B)] for c, O, A, B in terms)
+        w = bound.bit_length() + 1
+    cols = {key: [_packed(*col, w) if col[0] else 0 for col in s] for key, s in sup.items()}
+    cols[id(None)] = [1 << (w * r) for r in span]
+    # reads: id(O) -> (rows K, columns L) where O psi is read; later: the
+    # terms that read a table
+    direct, reads, later = [0] * n, {id(None): (set(span) if full else set(), set())}, []
+    for c, O, A, B in terms:
+        if A is None and B is None:
+            direct = list(map(add, direct, map(c.__mul__, cols[id(O)])))
+        else:
+            reads.setdefault(id(O), (set(), set()))[A is None].update(
+                chain.from_iterable(ks for ks, _ in sup[id(B if A is None else A)]))
+            later.append((c, O, A, B))
+    tables = {key: [[0] * n for _ in span] for key in reads}
+    for key, (K, L) in reads.items():
+        Y, at = tables[key], cols[key].__getitem__
+        for (k, l), vec in tab.items():
+            if k in K or l in L:
+                Y[k][l] = sum(map(mul, vec.values(), map(at, vec)))
+    # lefts[i] holds (Y^T, k, c A_ki) for the A_ki != 0, rights[j] (Y, l, c B_lj)
+    lefts, rights = [[] for _ in span], [[] for _ in span]
+    for c, O, A, B in later:
+        Y = tables[id(O)]
+        if A is not None and B is not None:
+            Y = [[sum(map(mul, xs, map(row.__getitem__, ls))) if ls else 0
+                  for ls, xs in sup[id(B)]] for row in Y]
+        if A is not None:
+            Y = list(zip(*Y))
+        for index, (ks, xs) in zip(rights if A is None else lefts, sup[id(B if A is None else A)]):
+            if ks:
+                index.append((Y, ks, [c * x for x in xs]))
+    at, used = direct.__getitem__, set(compress(span, direct))
+
+    def entry(i, j):
+        vec = tab.get((i, j))
+        acc = sum(map(mul, vec.values(), map(at, vec))) if vec and not used.isdisjoint(vec) else 0
+        for Y, ks, xs in lefts[i]:
+            acc += sum(map(mul, xs, map(Y[j].__getitem__, ks)))
+        for Y, ls, xs in rights[j]:
+            acc += sum(map(mul, xs, map(Y[i].__getitem__, ls)))
+        return acc
+
+    return w, tables[id(None)], entry
+
+
+def _rho(op):
+    """The term list of rho(D).T = D T - T(D., .) - T(., D.) for op = D."""
+    return [(1, op, None, None), (-1, None, op, None), (-1, None, None, op)]
+
+
 def contract(tensor, terms):
     """sum_t c_t * O_t psi(A_t x_i, B_t x_j) over basis pairs, as a tensor.
 
@@ -309,67 +405,29 @@ def contract(tensor, terms):
     each None for the identity.  Runs on integers: psi is its integer form
     T / L and each operator O is its integer form O_int / d_O, so term t is
     an integer over its denominator den_t (c's times those of O, A and B),
-    and every entry is an integer over lcm(den_t) * L.  That integer table,
-    divided by its gcd, is the result's integer form; no `Fraction` is
-    built.  Zero tests on the scaled integers match those on the rationals,
-    and terms accumulate in list order, so key order follows the rational
-    computation.  When psi is skew and the term
-    list is unchanged by swapping A and B, the result is skew: only the
-    pairs i < j are computed and `pair_table` mirrors them.
-
-    `derived`, the torsion and the exponential identities run here.
-    `classify_operator` runs T'' = rho(D).T' as packed ints instead
-    (`_pencil_pass`), and calls `derived` for the dict form of T'' only
-    when that tensor is read.
+    and every entry is an integer over M L, M = lcm(den_t) over the terms
+    with c != 0 and no zero operator (the others add nothing).  The packed
+    kernel `_contraction` sums the integer terms, weighted c_t M / den_t,
+    at its own width; each nonzero sum is unpacked into its digits, and
+    that integer table, divided by its gcd, is the result's integer form.
+    No `Fraction` is built.  Each vector is in ascending key order and the
+    pairs in row-major order.  When psi is skew and the term list is
+    unchanged by swapping A and B, the result is skew: only the pairs
+    i < j are computed and `pair_table` mirrors them.
     """
-    n = tensor.dim
-    unit = [[(i, 1)] for i in range(n)]
-    # each operator's form as sparse integer columns over its denominator,
-    # keyed by id; id(None) keys the identity
-    cleared = {id(None): (1, unit)}
-    for m in (m for t in terms for m in t[1:]):
-        if id(m) in cleared:
-            continue
-        if m.nrows != n or m.ncols != n:
-            raise ValueError("operator shape mismatch")
-        cleared[id(m)] = m.den, [[(r, x) for r, x in enumerate(col) if x]
-                                 for col in zip(*m.ints)]
-    L, tab = tensor.integer_form()
+    n, (L, tab) = tensor.dim, tensor.integer_form()
     scaled = []
     for c, *ops in terms:
+        if any(m and (m.nrows, m.ncols) != (n, n) for m in ops):
+            raise ValueError("operator shape mismatch")
         c = Fraction(c)
-        (do, O), (da, A), (db, B) = (cleared[id(m)] for m in ops)
-        scaled.append((c.numerator, c.denominator * do * da * db, O, A, B))
-    M = lcm(*(den for _, den, _, _, _ in scaled))
-    weighted = [(num * (M // den), O, A, B, O is unit) for num, den, O, A, B in scaled]
-    empty = {}
-
-    def entry(i, j):
-        acc = {}
-        for w, O, A, B, direct in weighted:
-            # psi(A x_i, B x_j), into acc when O is the identity
-            out = acc if direct else {}
-            for k, a in A[i]:
-                for l, b in B[j]:
-                    ab = w * a * b if direct else a * b
-                    for m, cm in tab.get((k, l), empty).items():
-                        s = out.get(m, 0) + ab * cm
-                        if s:
-                            out[m] = s
-                        else:
-                            out.pop(m, None)
-            if not direct:
-                for k, c in out.items():
-                    c *= w
-                    for r, o in O[k]:
-                        s = acc.get(r, 0) + c * o
-                        if s:
-                            acc[r] = s
-                        else:
-                            acc.pop(r, None)
-        return acc
-
-    ints = pair_table(n, entry, _swap_closed(terms) and tensor.is_skew())
+        if c and all(m is None or any(map(any, m.ints)) for m in ops):   # else the term is 0
+            scaled.append((c.numerator, c.denominator * prod(m.den for m in ops if m is not None),
+                           [m and m.ints for m in ops]))
+    M = lcm(*(den for _, den, _ in scaled))
+    w, _, entry = _contraction(tab, n, [(num * (M // den), *ops) for num, den, ops in scaled])
+    ints = pair_table(n, lambda i, j: (x := entry(i, j)) and _unpacked(x, w),
+                      _swap_closed(terms) and tensor.is_skew())
     return StructureTensor._of(n, tensor.labels, _reduced(M * L, ints))
 
 
@@ -378,7 +436,7 @@ def derived(tensor, op):
 
     One `contract` call; for a skew tensor the result is skew again.
     """
-    return contract(tensor, [(1, op, None, None), (-1, None, op, None), (-1, None, None, op)])
+    return contract(tensor, _rho(op))
 
 
 def derived_iter(tensor, op, k):
@@ -422,15 +480,12 @@ def check_jacobi(tensor):
     """
     if tensor._jacobi is not None:
         return tensor._jacobi
-    n = tensor.dim
-    skew = tensor.is_skew()
-    _, tab = tensor.integer_form()
-    bound = _largest(map(dict.values, tab.values()))
-    w = (3 * n * bound * bound).bit_length()
+    n, (_, tab), skew = tensor.dim, tensor.integer_form(), tensor.is_skew()
+    w = (3 * n * _largest(map(dict.values, tab.values())) ** 2).bit_length()
     # column c lists, for each m, the vector T_mc packed into one int
     columns = [[0] * n for _ in range(n)]
     for (m, c), vec in tab.items():
-        columns[c][m] = sum(v << (w * r) for r, v in vec.items())
+        columns[c][m] = _packed(vec, vec.values(), w)
     at = [col.__getitem__ for col in columns]
     rows = {ab: (tuple(vec), tuple(vec.values())) for ab, vec in tab.items()}
     empty = ((), ())
@@ -499,68 +554,12 @@ def _largest(rows):
     return max(map(abs, chain.from_iterable(rows)), default=0)
 
 
-def _pencil_pass(t1, op, w):
-    """rho(D).T' as packed big ints, for `classify_operator` and its guard.
-
-    With T' = S / L and D = E / e as integer forms, rho(D).T' = X / (L e),
-    X_ij^r = sum_m S_ij^m E_rm - sum_k E_ki S_kj^r - sum_l E_lj S_il^r.
-    Each vector S_kl is packed into one int, sum_r S_kl^r * 2^(w r), and so
-    is each column m of E, Ecol_m; then X_ij packs into
-    sum_m S_ij^m Ecol_m - sum_k E_ki S_kj - sum_l E_lj S_il, one big-int
-    multiply-add per nonzero S_ij^m, E_ki and E_lj: at most 3n per pair,
-    against up to 3n^2 dict updates in `contract`.  Every |X_ij^r| is at
-    most 3 n B_E B_S, with B_E and B_S the largest |entry| of E and S; for
-    2^(w-1) > 3 n B_E B_S the fields are balanced (signed) digits.  A sum
-    of multiples of packed vectors packs the same sum of the vectors, and
-    when each of its fields is below 2^(w-1) in size it is 0 exactly when
-    every field is (the lowest nonzero field would need 2^w to divide it).
-
-    Returns (rows, entry): rows[k][l] is the packed S_kl (0 for an empty
-    vector) and entry(i, j) the packed X_ij of any ordered pair.
-    """
-    n = t1.dim
-    _, tab = t1.integer_form()
-    rows = [[0] * n for _ in range(n)]
-    for (k, l), vec in tab.items():
-        rows[k][l] = _packed(vec, w)
-    cols = [list(col) for col in zip(*rows)]
-    ecols = [sum(x << (w * r) for r, x in enumerate(col) if x) for col in zip(*op.ints)]
-    support = [([k for k, x in enumerate(col) if x], [x for x in col if x])
-               for col in zip(*op.ints)]
-    at = ecols.__getitem__
-    empty = {}
-
-    def entry(i, j):
-        vec = tab.get((i, j), empty)
-        ks, es = support[i]
-        ls, fs = support[j]
-        return (sum(map(mul, vec.values(), map(at, vec)))
-                - sum(map(mul, es, map(cols[j].__getitem__, ks)))
-                - sum(map(mul, fs, map(rows[i].__getitem__, ls))))
-
-    return rows, entry
-
-
-def _packed(vec, w):
-    """sum_r vec[r] * 2^(w r) for an int vector {r: v}."""
-    return sum(v << (w * r) for r, v in vec.items())
-
-
-def _second_entry(tab, E, i, j, r):
-    """X_ij^r of `_pencil_pass` from the form tab = S of T' and the int
-    rows E of D, computed on its own."""
-    empty = {}
-    return (sum(v * E[r][m] for m, v in tab.get((i, j), empty).items())
-            - sum(E[k][i] * tab.get((k, j), empty).get(r, 0) for k in range(len(E)))
-            - sum(E[l][j] * tab.get((i, l), empty).get(r, 0) for l in range(len(E))))
-
-
 class _SecondForm:
     """The deferred integer form of T'' = rho(D).T' from `classify_operator`.
 
     Called, it runs derived(T', D), so a T'' that is read has `derived`'s
-    key order.  packed is (w, rows, pairs) when the near case's
-    `_pencil_pass` holds T'' packed, pairs {(i, j): packed X_ij}, and
+    key order.  packed is (w, rows, pairs) when the near case's pass holds
+    T'' packed, rows[k][l] the packed T'_kl and pairs {(i, j): packed X_ij};
     `normalize_pencil`'s guard reads that instead of the form.
     """
 
@@ -597,25 +596,26 @@ def classify_operator(tensor, op):
     """Classify D by solving rho(D)^2.T = a*T + b*rho(D).T exactly.
 
     T' = rho(D).T comes from `derived`; T'' is never built as a table here.
-    With T = S0 / L0 and T' = S1 / L1 as integer forms, D = E / e and
-    T'' = X / (L1 e) as in `_pencil_pass`, the system is
+    With T = S0 / L0 and T' = S1 / L1 as integer forms and D = E / e,
+    T'' = X / (L1 e) for X = rho(E).S1, which the packed kernel
+    `_contraction` evaluates pair by pair.  The system is
     det X = a_num S0 + b_num S1 over the integers, with
     a = a_num L0 / (det L1 e) and b = b_num / (det e).  p is T's first
     coordinate (i, j, k).  T' is a multiple of T when every 2 x 2 minor of
     [S0 S1] on row p vanishes, read off the forms of T and T' alone; then
     T'' is not computed.  Otherwise the first nonzero minor det, on rows p
     and q, gives the only candidate (a_num, b_num) by Cramer's rule from X
-    at p and q (`_second_entry`), divided by the gcd of the three.  It
-    solves the system when det X_ij == a_num S0_ij + b_num S1_ij on every
-    pair (i, j): one comparison of packed ints per pair, and the first
-    pair that fails ends the pass (not near).  The pairs are i < j when T
-    is skew (T' and T'' are skew then too), else all.
+    at p and q, divided by the gcd of the three.  It solves the system when
+    det X_ij == a_num S0_ij + b_num S1_ij on every pair (i, j): one
+    comparison of packed ints per pair, and the first pair that fails ends
+    the pass (not near).  The pairs are i < j when T is skew (T' and T''
+    are skew then too), else all.
 
-    Width.  Every |X_ij^r| is at most M = 3n max|E| max|S1| (see
-    `_pencil_pass`), so every field of det X_ij - a_num S0_ij - b_num S1_ij
-    is below |det| M + |a_num| max|S0| + |b_num| max|S1| in size.  The
-    pass packs at the w with 2^(w-1) above that sum, and so above M, which
-    is the bound T'' alone needs: each comparison is exact.
+    Width.  Every |X_ij^r| is at most M = 3n max|E| max|S1|, the kernel's
+    bound, at whose width X at p and q is read.  Every field of
+    det X_ij - a_num S0_ij - b_num S1_ij is below
+    |det| M + |a_num| max|S0| + |b_num| max|S1| in size; the pass runs at
+    the w with 2^(w-1) above that, packing T' again only when it is wider.
 
     `second` is T'' with a deferred form.  It is built from derived(T', D)
     only when something reads it (`.table`, `integer_form`, `==`), with the
@@ -643,16 +643,17 @@ def classify_operator(tensor, op):
                             scalar=Fraction(s1 * L0, s0 * L1))
     ijq, kq = q
     r0, r1 = tab0.get(ijq, empty).get(kq, 0), tab1.get(ijq, empty).get(kq, 0)
-    s2, r2 = _second_entry(tab1, op.ints, *ijp, kp), _second_entry(tab1, op.ints, *ijq, kq)
+    w, rows, entry = _contraction(tab1, n, _rho(op.ints), full=True)
+    s2, r2 = (_unpacked(entry(*ij), w).get(k, 0) for ij, k in ((ijp, kp), (ijq, kq)))
     det, a_num, b_num = s0 * r1 - s1 * r0, s2 * r1 - s1 * r2, s0 * r2 - s2 * r0
     g = gcd(det, a_num, b_num)
     det, a_num, b_num = det // g, a_num // g, b_num // g
     b1 = _largest(map(dict.values, tab1.values()))
     bound = (abs(det) * 3 * n * _largest(op.ints) * b1 + abs(b_num) * b1
              + abs(a_num) * _largest(map(dict.values, tab0.values())))
-    w = bound.bit_length() + 1
-    rows, entry = _pencil_pass(t1, op, w)
-    packed0 = {ij: _packed(vec, w) for ij, vec in tab0.items()} if a_num else empty
+    if bound.bit_length() + 1 > w:
+        w, rows, entry = _contraction(tab1, n, _rho(op.ints), bound.bit_length() + 1, True)
+    packed0 = {ij: _packed(vec, vec.values(), w) for ij, vec in tab0.items()} if a_num else empty
     pairs = {}
     for i, j in _pairs(n, tensor.is_skew()):
         x = entry(i, j)
@@ -693,17 +694,17 @@ def _second_is_multiple(t2, t1, op, c, skew):
     """Whether T'' == c * T' for T'' = rho(D).T': the guard of
     `normalize_pencil`.
 
-    With c = p / q, T' = S / L and T'' = X / (L e) as in `_pencil_pass`,
+    With c = p / q, T' = S / L and T'' = X / (L e) as in `classify_operator`,
     this is q X_ij == p e S_ij on every pair (i, j), i < j for skew.  Every
     field of the difference is below (3n q max|E| + |p| e) max|S| in size,
     so each pair is one comparison of packed ints at a width w with 2^(w-1)
     above that.  T'' is rho(D).T' itself when t2 is None or is the deferred
     T'' `classify_operator` made from this T' and D: its packed pairs are
-    read when they are that wide, else a pass packs T'' at w.  Any other
-    t2 is compared with c * T' on its integer form.
+    read when they are that wide, else the kernel evaluates
+    q rho(E).S - p e S at w, which must vanish at every pair.  Any other t2
+    is compared with c * T' on its integer form.
     """
-    n = t1.dim
-    L, tab = t1.integer_form()
+    n, (L, tab) = t1.dim, t1.integer_form()
     p, q, e = c.numerator, c.denominator, op.den
     pending = None if t2 is None else t2._integer
     if isinstance(pending, _SecondForm) and pending.t1 is t1 and pending.op is op:
@@ -715,13 +716,11 @@ def _second_is_multiple(t2, t1, op, c, skew):
     bound = (3 * n * q * _largest(op.ints) + abs(p) * e) * _largest(map(dict.values, tab.values()))
     w = bound.bit_length() + 1
     if pending is not None and pending.packed and pending.packed[0] >= w:
-        _, rows, packed = pending.packed
-        pairs = packed.items()
-    else:
-        rows, entry = _pencil_pass(t1, op, w)
-        pairs = ((ij, entry(*ij)) for ij in _pairs(n, skew))
-    pe = p * e
-    return all(q * x == pe * rows[i][j] for (i, j), x in pairs)
+        _, rows, pairs = pending.packed
+        return all(q * x == p * e * rows[i][j] for (i, j), x in pairs.items())
+    terms = [(q * c, *ops) for c, *ops in _rho(op.ints)] + [(-p * e, None, None, None)]
+    _, _, entry = _contraction(tab, n, terms, w)
+    return not any(entry(i, j) for i, j in _pairs(n, skew))
 
 
 def normalize_pencil(action):
@@ -738,12 +737,10 @@ def normalize_pencil(action):
     if a == 0:
         lam1, lam2 = ZERO, b
     else:
-        disc = b * b + 4 * a
-        root = rational_sqrt(disc)
+        root = rational_sqrt(b * b + 4 * a)
         if root is None:
             raise IrrationalEigenvalues(a, b)
-        lam1 = (b - root) / 2
-        lam2 = (b + root) / 2
+        lam1, lam2 = (b - root) / 2, (b + root) / 2
     if lam1 == 0:
         d1, t1, t2 = action.operator, action.derived, action.second
     else:

@@ -8,7 +8,8 @@ conjugation O psi(A., A.) and the right side of the nilpotent exponential
 identity as they were written before the kernel existed, and a generic
 term-list evaluator.  Generated tensors and operators are those of
 tests/test_tensor_oracle.py (skew and not, mixed denominators, zero entries,
-Lie and forced non-Lie).
+Lie and forced non-Lie).  One hand-made case reaches the packed kernel's
+field bound on every field, with a negative field below a positive one.
 """
 
 from fractions import Fraction
@@ -129,3 +130,22 @@ def test_term_lists_match_reference(tensor, data):
     got = contract(tensor, terms)
     assert got == reference_contract(tensor, terms)
     assert fractions_only(got)
+
+
+def test_width_bound_attained():
+    # every field of the result is at most max|T| sum_t |c_t| prod(n max|X|),
+    # and here both fields reach it: T_kl = (3, 3) on every pair, the
+    # operators are constant in each row, and the two terms add up with
+    # one sign per field, so every pair is (-522, 522) with
+    # 522 = 3 * (2*5 * 2*2 * 2*2 + 2*7); the negative field lies below the
+    # positive one it borrows from when packed
+    tensor = StructureTensor(2, {(k, l): {0: Fraction(3), 1: Fraction(3)}
+                                 for k in range(2) for l in range(2)})
+    outer = RatMatrix([[-5, -5], [5, 5]])
+    inner = RatMatrix([[2, 2], [2, 2]])
+    direct = RatMatrix([[7, 7], [-7, -7]])
+    terms = [(1, outer, inner, inner), (-1, direct, None, None)]
+    got = contract(tensor, terms)
+    assert got == reference_contract(tensor, terms)
+    assert got.table == {(i, j): {0: Fraction(-522), 1: Fraction(522)}
+                         for i in range(2) for j in range(2)}

@@ -16,7 +16,7 @@ generated inputs, that:
   the golden fixtures, with sl3 loaded from its file, never reads the table
   of the loaded algebra, of T', of T'' or of the second degenerate line;
 * on dense conjugated Z4-grading operators of gl4 and sl4 the packed pass
-  gives the known answers without ever running the dict route for T'' or
+  gives the known answers without ever running `derived` for T'' or
   reading those tables, and a later read of T'' has the table of
   derived(T', D), key order included.
 """
@@ -117,7 +117,8 @@ def test_lazy_table_of_every_producer(tensor, data):
 @given(tensors(), st.data())
 def test_kernel_input_without_a_table(tensor, data):
     # a result serves as a kernel's input with no table read on the way,
-    # and the second result's table has the reference's key order
+    # and the second result's table has the reference's key order: each
+    # vector in ascending key order, the pairs in row-major order
     op = data.draw(operators(tensor.dim), label="op")
     with table_reads() as reads:
         first = derived(tensor, op)
@@ -161,7 +162,7 @@ def conjugated_grading(tensor, signs):
 @pytest.mark.parametrize("family", ["gl", "sl"])
 def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
     # the classify-dense workload's operators, built here: the known answers
-    # hold, T'' is never built by the dict route on the way, and a later
+    # hold, T'' is never built by `contract` on the way, and a later
     # read gives exactly derived(T', D)'s table
     tensor = build_classical(family, 4)
     op = conjugated_grading(tensor, [1, -1, -1, 1, 1, -1, 1, 1, -1, -1, 1, -1])
@@ -186,7 +187,7 @@ def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
 
 def test_quasi_second_is_empty_without_a_pass(monkeypatch):
     # (ad e)^2 on sl2 is quasi: T'' = 0 comes with the empty form, and no
-    # read of it runs the dict route
+    # read of it runs `contract`
     tensor = build_classical("sl", 2)
     e = ad(tensor, [Fraction(1), ZERO, ZERO])
     contracted = []

@@ -5,7 +5,9 @@ The references below are the plain Fraction versions of the kernels.
 The library runs the same loops on integers over one common denominator, so
 on generated tensors (skew and not, mixed denominators, zero entries, Lie and
 forced non-Lie) and generated operators the results must agree exactly:
-equal tables with the same key order, and the same verdict and witness.
+equal tables with the same key order (each vector in ascending key order,
+the pairs in row-major order with each mirror right after its pair), and
+the same verdict and witness.
 `classify_operator` runs its pencil system on packed ints; its tag, dim_u,
 (a, b), scalar and T'' must equal a Gram-matrix solve on the two reference
 derived tensors, on hand-made pencils of every tag moved to random bases and
@@ -36,7 +38,9 @@ from test_acceptance import constructed_near_derivations
 
 
 def reference_derived(tensor, op):
-    """rho(D).T computed entry by entry in Fraction arithmetic."""
+    """rho(D).T computed entry by entry in Fraction arithmetic, each vector
+    in ascending key order and the pairs in row-major order (a skew table
+    with each mirror right after its pair)."""
     n = tensor.dim
     cols = columns(op)
     given, empty = tensor.table, {}
@@ -76,7 +80,7 @@ def reference_derived(tensor, op):
                         acc[m] = s
                     else:
                         acc.pop(m, None)
-        return acc
+        return dict(sorted(acc.items()))
 
     table = {}
     if tensor.is_skew():
