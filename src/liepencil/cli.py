@@ -691,6 +691,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_joined_lists(sys.argv[1:] if argv is None else argv))
     try:
+        # an option given "" is refused by its name; positionals are left to their command
+        blank = [dest for dest, value in vars(args).items() if value == "" and dest != "name"]
+        if blank:
+            raise InputProblem("--%s needs a value" % blank[0].replace("_", "-"))
         doc, code = globals()["cmd_" + args.command.replace("-", "_")](args)
         _emit(doc, args)
         return code

@@ -23,10 +23,10 @@ pair by pair, each vector packed into one int with a field per basis index
 (`_packed`, `_unpacked`).  `contract` runs it for every such tensor: the
 derived operation here, and the torsion, both sides of the exponential
 identities and the nilpotent-square checks elsewhere.  `classify_operator`
-runs it for T'' = rho(D).T' and compares packed ints, stopping at the first
-pair where T'' = a T + b T' fails; the dict form of T'' is built, by
-`derived`, only when something reads it, and `normalize_pencil`'s guard
-runs on packed ints too.  `check_jacobi` packs its columns the same way.
+runs it once, on T' with the terms of T'' - b T', and compares packed ints
+with a T, stopping at the first pair that fails; `normalize_pencil` reads
+the (a, b) it proved, and T'' gets a dict form, from `derived`, only when
+something reads it.  `check_jacobi` packs its columns the same way.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for integer
@@ -318,7 +318,7 @@ def _unpacked(x, w):
     return vec
 
 
-def _contraction(tab, n, terms, w=None, full=False):
+def _contraction(tab, n, terms, w=0):
     """The packed kernel: sum_t c_t O_t psi(A_t x_i, B_t x_j) at basis pairs.
 
     tab is the table {(k, l): {r: int}} of an integer form of psi; terms a
@@ -331,29 +331,27 @@ def _contraction(tab, n, terms, w=None, full=False):
     through B on the right (sum_l B_lj Y_il) or through A on the left
     (sum_k A_ki Y_kj), after Y_kj = sum_l B_lj (O psi)_kl when both slots
     carry one.  Each table is packed once, only at the rows and columns
-    the reads reach (every row of psi with full), and a pair costs one
-    big-int multiply-add per nonzero operator entry read and per psi_ij^r
-    whose column is not 0.  Every field of the result is at most
-    max|psi| sum_t |c_t| prod(n max|X|), over the operators X of term t;
-    the default w is the least with 2^(w-1) above that, and at any such w
-    `_unpacked` reads the fields back.  Returns (w, rows, entry): rows the
-    packed table of psi (complete with full), entry(i, j) the packed sum at
-    the ordered pair (i, j).
+    the reads reach, and a pair costs one big-int multiply-add per nonzero
+    operator entry read and per psi_ij^r whose column is not 0.  Every
+    field of the result is at most max|psi| sum_t |c_t| prod(n max|X|),
+    over the operators X of term t; the width is the least with 2^(w-1)
+    above that, or the given w if that is wider, and at it `_unpacked`
+    reads the fields back.  Returns (w, entry): entry(i, j) the packed sum
+    at the ordered pair (i, j).
     """
     span = range(n)
     ops = {id(X): X for _, *xs in terms for X in xs if X is not None}
     sup = {key: [(list(compress(span, col)), list(filter(None, col))) if any(col) else ((), ())
                  for col in zip(*X)] for key, X in ops.items()}
-    if w is None:
-        size = {key: n * _largest(X) for key, X in ops.items()} | {id(None): 1}
-        bound = _largest(map(dict.values, tab.values())) * sum(
-            abs(c) * size[id(O)] * size[id(A)] * size[id(B)] for c, O, A, B in terms)
-        w = bound.bit_length() + 1
+    size = {key: n * _largest(X) for key, X in ops.items()} | {id(None): 1}
+    bound = _largest(map(dict.values, tab.values())) * sum(
+        abs(c) * size[id(O)] * size[id(A)] * size[id(B)] for c, O, A, B in terms)
+    w = max(w, bound.bit_length() + 1)
     cols = {key: [_packed(*col, w) if col[0] else 0 for col in s] for key, s in sup.items()}
     cols[id(None)] = [1 << (w * r) for r in span]
     # reads: id(O) -> (rows K, columns L) where O psi is read; later: the
     # terms that read a table
-    direct, reads, later = [0] * n, {id(None): (set(span) if full else set(), set())}, []
+    direct, reads, later = [0] * n, {}, []
     for c, O, A, B in terms:
         if A is None and B is None:
             direct = list(map(add, direct, map(c.__mul__, cols[id(O)])))
@@ -390,7 +388,7 @@ def _contraction(tab, n, terms, w=None, full=False):
             acc += sum(map(mul, xs, map(Y[i].__getitem__, ls)))
         return acc
 
-    return w, tables[id(None)], entry
+    return w, entry
 
 
 def _rho(op):
@@ -425,7 +423,7 @@ def contract(tensor, terms):
             scaled.append((c.numerator, c.denominator * prod(m.den for m in ops if m is not None),
                            [m and m.ints for m in ops]))
     M = lcm(*(den for _, den, _ in scaled))
-    w, _, entry = _contraction(tab, n, [(num * (M // den), *ops) for num, den, ops in scaled])
+    w, entry = _contraction(tab, n, [(num * (M // den), *ops) for num, den, ops in scaled])
     ints = pair_table(n, lambda i, j: (x := entry(i, j)) and _unpacked(x, w),
                       _swap_closed(terms) and tensor.is_skew())
     return StructureTensor._of(n, tensor.labels, _reduced(M * L, ints))
@@ -558,15 +556,14 @@ class _SecondForm:
     """The deferred integer form of T'' = rho(D).T' from `classify_operator`.
 
     Called, it runs derived(T', D), so a T'' that is read has `derived`'s
-    key order.  packed is (w, rows, pairs) when the near case's pass holds
-    T'' packed, rows[k][l] the packed T'_kl and pairs {(i, j): packed X_ij};
-    `normalize_pencil`'s guard reads that instead of the form.
+    key order.  A near T'' keeps coeffs, the (a, b) with T'' = a T + b T'
+    that classify proved for T = t0: `normalize_pencil`'s certificate.
     """
 
-    __slots__ = ("t1", "op", "packed")
+    __slots__ = ("t0", "t1", "op", "coeffs")
 
-    def __init__(self, t1, op):
-        self.t1, self.op, self.packed = t1, op, None
+    def __init__(self, t0, t1, op):
+        self.t0, self.t1, self.op, self.coeffs = t0, t1, op, None
 
     def __call__(self):
         return derived(self.t1, self.op).integer_form()
@@ -592,36 +589,43 @@ class PencilAction:
     scalar: Fraction | None = None
 
 
+def _derived_at(tab, E, i, j, k):
+    """(rho(E).S)_ij^k = sum_r E_kr S_ij^r - sum_l (E_li S_lj^k + E_lj S_il^k)
+    for S the table {(i, j): {r: int}} of an integer form and E int rows:
+    one coordinate of the derived operation, about 3n products."""
+    empty = {}
+    return sum(E[k][r] * v for r, v in tab.get((i, j), empty).items()) - sum(
+        E[l][i] * tab.get((l, j), empty).get(k, 0) + E[l][j] * tab.get((i, l), empty).get(k, 0)
+        for l in range(len(E)))
+
+
 def classify_operator(tensor, op):
     """Classify D by solving rho(D)^2.T = a*T + b*rho(D).T exactly.
 
     T' = rho(D).T comes from `derived`; T'' is never built as a table here.
     With T = S0 / L0 and T' = S1 / L1 as integer forms and D = E / e,
-    T'' = X / (L1 e) for X = rho(E).S1, which the packed kernel
-    `_contraction` evaluates pair by pair.  The system is
+    T'' = X / (L1 e) for X = rho(E).S1.  The system is
     det X = a_num S0 + b_num S1 over the integers, with
     a = a_num L0 / (det L1 e) and b = b_num / (det e).  p is T's first
     coordinate (i, j, k).  T' is a multiple of T when every 2 x 2 minor of
     [S0 S1] on row p vanishes, read off the forms of T and T' alone; then
     T'' is not computed.  Otherwise the first nonzero minor det, on rows p
     and q, gives the only candidate (a_num, b_num) by Cramer's rule from X
-    at p and q, divided by the gcd of the three.  It solves the system when
-    det X_ij == a_num S0_ij + b_num S1_ij on every pair (i, j): one
-    comparison of packed ints per pair, and the first pair that fails ends
-    the pass (not near).  The pairs are i < j when T is skew (T' and T''
-    are skew then too), else all.
+    at p and q (`_derived_at`), divided by the gcd of the three.  The
+    packed kernel `_contraction` then runs once on S1, with the terms of
+    det rho(E) - b_num: the candidate solves the system when that packed
+    sum equals a_num S0_ij packed on every pair (i, j), and the first pair
+    that fails ends the pass (not near).  The pairs are i < j when T is
+    skew (T' and T'' are skew then too), else all.
 
-    Width.  Every |X_ij^r| is at most M = 3n max|E| max|S1|, the kernel's
-    bound, at whose width X at p and q is read.  Every field of
-    det X_ij - a_num S0_ij - b_num S1_ij is below
-    |det| M + |a_num| max|S0| + |b_num| max|S1| in size; the pass runs at
-    the w with 2^(w-1) above that, packing T' again only when it is wider.
+    Width.  The kernel's own width bounds det X - b_num S1; the floor, the
+    least w with 2^(w-1) above |a_num| max|S0|, bounds a_num S0, so equal
+    packed ints mean equal vectors.
 
     `second` is T'' with a deferred form.  It is built from derived(T', D)
     only when something reads it (`.table`, `integer_form`, `==`), with the
-    key order `derived` gives.  A quasi T'' is 0: it gets the empty form
-    with no pass.  A near T'' keeps its packed pairs for the guard of
-    `normalize_pencil`.
+    key order `derived` gives.  A quasi T'' is 0: it gets the empty form.
+    A near T'' keeps the (a, b) the pass proved for `normalize_pencil`.
     """
     t1 = derived(tensor, op)
     if t1.is_zero():
@@ -636,35 +640,29 @@ def classify_operator(tensor, op):
     q = next(((ij, k) for tab in (tab1, tab0) for ij, vec in tab.items() for k in vec
               if s0 * tab1.get(ij, empty).get(k, 0) != s1 * tab0.get(ij, empty).get(k, 0)),
              None)
-    pending = _SecondForm(t1, op)
+    pending = _SecondForm(tensor, t1, op)
     t2 = StructureTensor._of(n, tensor.labels, pending)
     if q is None:
         return PencilAction(tensor, op, t1, t2, 1, TAG_SCALAR,
                             scalar=Fraction(s1 * L0, s0 * L1))
     ijq, kq = q
     r0, r1 = tab0.get(ijq, empty).get(kq, 0), tab1.get(ijq, empty).get(kq, 0)
-    w, rows, entry = _contraction(tab1, n, _rho(op.ints), full=True)
-    s2, r2 = (_unpacked(entry(*ij), w).get(k, 0) for ij, k in ((ijp, kp), (ijq, kq)))
+    s2, r2 = _derived_at(tab1, op.ints, *ijp, kp), _derived_at(tab1, op.ints, *ijq, kq)
     det, a_num, b_num = s0 * r1 - s1 * r0, s2 * r1 - s1 * r2, s0 * r2 - s2 * r0
     g = gcd(det, a_num, b_num)
     det, a_num, b_num = det // g, a_num // g, b_num // g
-    b1 = _largest(map(dict.values, tab1.values()))
-    bound = (abs(det) * 3 * n * _largest(op.ints) * b1 + abs(b_num) * b1
-             + abs(a_num) * _largest(map(dict.values, tab0.values())))
-    if bound.bit_length() + 1 > w:
-        w, rows, entry = _contraction(tab1, n, _rho(op.ints), bound.bit_length() + 1, True)
-    packed0 = {ij: _packed(vec, vec.values(), w) for ij, vec in tab0.items()} if a_num else empty
-    pairs = {}
+    floor = abs(a_num) * _largest(map(dict.values, tab0.values())) if a_num else 0
+    terms = [(det * c, *ops) for c, *ops in _rho(op.ints)] + [(-b_num, None, None, None)]
+    w, entry = _contraction(tab1, n, terms, floor.bit_length() + 1)
+    target = {ij: a_num * _packed(v, v.values(), w) for ij, v in tab0.items()} if a_num else {}
     for i, j in _pairs(n, tensor.is_skew()):
-        x = entry(i, j)
-        if det * x != a_num * packed0.get((i, j), 0) + b_num * rows[i][j]:
+        if entry(i, j) != target.get((i, j), 0):
             return PencilAction(tensor, op, t1, t2, 2, TAG_NOT_NEAR)
-        pairs[(i, j)] = x
     a, b = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
     if a == 0 and b == 0:
         zero = StructureTensor._of(n, tensor.labels, (1, {}))
         return PencilAction(tensor, op, t1, zero, 2, TAG_QUASI, a=a, b=b)
-    pending.packed = w, rows, pairs
+    pending.coeffs = a, b
     return PencilAction(tensor, op, t1, t2, 2, TAG_NEAR, a=a, b=b)
 
 
@@ -692,17 +690,12 @@ class NormalizedPencil:
 
 def _second_is_multiple(t2, t1, op, c, skew):
     """Whether T'' == c * T' for T'' = rho(D).T': the guard of
-    `normalize_pencil`.
+    `normalize_pencil` without a certificate.
 
-    With c = p / q, T' = S / L and T'' = X / (L e) as in `classify_operator`,
-    this is q X_ij == p e S_ij on every pair (i, j), i < j for skew.  Every
-    field of the difference is below (3n q max|E| + |p| e) max|S| in size,
-    so each pair is one comparison of packed ints at a width w with 2^(w-1)
-    above that.  T'' is rho(D).T' itself when t2 is None or is the deferred
-    T'' `classify_operator` made from this T' and D: its packed pairs are
-    read when they are that wide, else the kernel evaluates
-    q rho(E).S - p e S at w, which must vanish at every pair.  Any other t2
-    is compared with c * T' on its integer form.
+    When t2 is None or classify's deferred T'' for this T' and D, the
+    kernel evaluates q rho(E).S - p e S at its own width (c = p / q,
+    T' = S / L, D = E / e), which must vanish at every pair, i < j for
+    skew.  Any other t2 is compared with c * T' on its integer form.
     """
     n, (L, tab) = t1.dim, t1.integer_form()
     p, q, e = c.numerator, c.denominator, op.den
@@ -713,23 +706,22 @@ def _second_is_multiple(t2, t1, op, c, skew):
         scaled = ({ij: {k: p * v for k, v in vec.items()} for ij, vec in tab.items()}
                   if p else {})
         return _same_form(t2.integer_form(), (q * L, scaled))
-    bound = (3 * n * q * _largest(op.ints) + abs(p) * e) * _largest(map(dict.values, tab.values()))
-    w = bound.bit_length() + 1
-    if pending is not None and pending.packed and pending.packed[0] >= w:
-        _, rows, pairs = pending.packed
-        return all(q * x == p * e * rows[i][j] for (i, j), x in pairs.items())
     terms = [(q * c, *ops) for c, *ops in _rho(op.ints)] + [(-p * e, None, None, None)]
-    _, _, entry = _contraction(tab, n, terms, w)
+    _, entry = _contraction(tab, n, terms)
     return not any(entry(i, j) for i, j in _pairs(n, skew))
 
 
 def normalize_pencil(action):
     """Normalize a quasi or near pencil action; may raise IrrationalEigenvalues.
 
-    The guard rho(D1)^2.T == bnew * rho(D1).T runs on packed ints
-    (`_second_is_multiple`) and raises IdentityFailed, also under -O.  The
-    second degenerate line, bnew * T - rho(D1).T, gets its form only when
-    it is read.
+    The guard is rho(D1)^2.T == bnew * rho(D1).T, that is
+    (rho(D) - lambda1)(rho(D) - lambda2).T = T'' - b T' - a T = 0, since
+    rho(D + lambda I) = rho(D) - lambda on tensors.  `classify_operator`
+    proved it when action.second is its deferred T'' for this tensor,
+    derived and operator with coeffs (a, b); any other action runs
+    `_second_is_multiple` and raises IdentityFailed on failure, also under
+    -O.  The second degenerate line, bnew * T - rho(D1).T, gets its form
+    only when it is read.
     """
     if action.tag not in (TAG_QUASI, TAG_NEAR):
         raise ValueError("only quasi and near actions normalize (got %r)" % action.tag)
@@ -748,7 +740,10 @@ def normalize_pencil(action):
         t1 = derived(action.tensor, d1)
         t2 = None
     bnew = lam2 - lam1
-    if not _second_is_multiple(t2, t1, d1, bnew, action.tensor.is_skew()):
+    form = action.second._integer
+    if not ((isinstance(form, _SecondForm) and form.coeffs == (a, b)
+             and (form.t0, form.t1, form.op) == (action.tensor, action.derived, action.operator))
+            or _second_is_multiple(t2, t1, d1, bnew, action.tensor.is_skew())):
         raise IdentityFailed("pencil normalization failed")
     mode = MODE_NILPOTENT if bnew == 0 else MODE_SEMISIMPLE
     lines = [t1]

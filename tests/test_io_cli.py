@@ -332,6 +332,13 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
     (["nijenhuis-check"] + SL2_OP + ["--depth", "0"], "--depth must be at least 1, got 0"),
     (["report"] + SL2_OP + ["--max-exact-dim", "-3"],
      "--max-exact-dim must be at least 0, got -3"),
+    (["report"] + SL2_OP + ["--gamma="], "--gamma needs a value"),
+    (["report"] + SL2_OP + ["--seed-file="], "--seed-file needs a value"),
+    (["pc-check", "--algebra", "sl2.json", "--operator", "sl2-grading-op.json", "--seed-file="],
+     "--seed-file needs a value"),
+    (["derive"] + SL2_OP + ["--out="], "--out needs a value"),
+    (["example", "sl", "2", "--out-dir="], "--out-dir needs a value"),
+    (["classify", "--algebra=", "--operator", "sl2-grading-op.json"], "--algebra needs a value"),
 ], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
         "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
         "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
@@ -344,7 +351,9 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
         "near-certified", "nijenhuis-m", "nijenhuis-not-nilpotent", "near-m0-not-nilpotent",
         "near-not-diagonal", "near-diagonal-not-integer", "near-zero-point",
         "index-exact-samples-0", "index-samples-0", "index-max-exact-dim-negative",
-        "nijenhuis-depth-0", "report-max-exact-dim-negative"])
+        "nijenhuis-depth-0", "report-max-exact-dim-negative", "report-empty-gamma",
+        "report-empty-seed-file", "pc-check-empty-seed-file", "derive-empty-out",
+        "example-empty-out-dir", "classify-empty-algebra"])
 def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))

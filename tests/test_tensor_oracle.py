@@ -18,18 +18,20 @@ Hypothesis is test-only; the library itself stays stdlib-only.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+from liepencil import tensors as tensor_module
 from liepencil.cli import MEMBER_SAMPLES
 from liepencil.constructions import build_classical
 from liepencil.exact import ZERO, RatMatrix
 from liepencil.tensors import (IrrationalEigenvalues, StructureTensor, ad, check_jacobi,
                                classify_operator, derived, is_lie, normalize_pencil,
-                               pencil_lie, tensor_combination)
+                               pencil_lie, tensor_combination, _derived_at)
 
 from helpers import columns, inverse
 from test_acceptance import constructed_near_derivations
@@ -320,6 +322,13 @@ def lie_with_inner(algebra):
 
 
 SL2 = (3, [(0, 1, 0, -2), (0, 2, 1, 1), (1, 2, 2, -2)])     # e, h, f as in LIE
+# levels 4 and 2 on (1, 1) and (1, 2) fit (a, b) = (-8, 6), so a_num = 8; on
+# (2, 2), where D also sends x1 to -8 x0, the check's fields are -4096 and 1,
+# which a carry cancels at width 12, the bit length of a_num max|S0| = 8 * 509.
+# The kernel's own width for det X - b_num S1 is 11: the floor, 13, decides
+FLOOR_SEED = ("not-near", StructureTensor(3, {(1, 1): {0: 1}, (1, 2): {0: 1},
+                                             (2, 2): {0: 509, 1: 1}}),
+              RatMatrix([[-10, -8, 0], [0, -7, 0], [0, 0, -5]]))
 # (tag, tensor, operator) on standard bases; adding lambda * I to D keeps a
 # derivation's T' a multiple of T, and turns a quasi pencil into a near one
 # with a double root
@@ -341,6 +350,7 @@ PENCIL_SEEDS = [
     # needs (12 * 2^8 = 3072): the check must pack wider than that
     ("not-near", StructureTensor(3, {(0, 0): {0: 1}, (1, 1): {1: 1}, (2, 2): {0: -512, 1: 1}}),
      RatMatrix.diagonal([2, 3, 1])),
+    FLOOR_SEED,
 ]
 
 # nonzero scales, small or near 2^40
@@ -356,6 +366,33 @@ def test_classify_pencil_seeds(tag, tensor, op):
     act = classify_operator(tensor, op)
     assert (act.tag, act.dim_u, act.a, act.b, act.scalar) == expected
     assert act.second.table == second
+
+
+def test_classify_width_floor_binds(monkeypatch):
+    widths, kernel = [], tensor_module._contraction
+
+    def recording(tab, n, terms, w=0):
+        got = kernel(tab, n, terms, w)
+        widths.append((w, got[0], kernel(tab, n, terms)[0]))
+        return got
+    monkeypatch.setattr(tensor_module, "_contraction", recording)
+    tag, tensor, op = FLOOR_SEED
+    expected, _ = reference_classify(tensor, op)
+    act = classify_operator(tensor, op)
+    assert expected[0] == tag
+    assert (act.tag, act.a, act.b) == (expected[0], expected[2], expected[3])
+    floor, used, own = widths[-1]       # the pencil check, after derived's call
+    assert used == floor == 13 and own == 11
+
+
+@pytest.mark.parametrize("tag, tensor, op", PENCIL_SEEDS)
+def test_derived_at_matches_derived(tag, tensor, op):
+    t1 = derived(tensor, op)
+    (L1, tab1), t2 = t1.integer_form(), derived(t1, op).table
+    n = tensor.dim
+    for i, j, k in product(range(n), repeat=3):
+        x = Fraction(_derived_at(tab1, op.ints, i, j, k), L1 * op.den)
+        assert x == t2.get((i, j), {}).get(k, 0)
 
 
 def check_classify(tensor, op):

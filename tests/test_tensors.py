@@ -10,13 +10,14 @@ from fractions import Fraction
 import pytest
 
 import liepencil
+from liepencil import tensors
 from liepencil.exact import RatMatrix, mat_commutator
 from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues,
                                StructureTensor, ad, check_jacobi, check_skew,
                                classify_operator,
                                derived, derived_iter, is_lie,
                                normalize_pencil,
-                               tensor_combination)
+                               tensor_combination, _second_is_multiple)
 
 from helpers import columns, rand_matrix, rand_vector
 from paper_checks import (PreconditionViolated, check_vanishing_propagation, is_derivation,
@@ -162,16 +163,20 @@ def test_normalize_grading_pencil():
     assert norm.degenerate_lines[0] + norm.degenerate_lines[1] == t.scale(norm.b)
 
 
-def test_normalize_block_scalar_pencil():
-    # two copies of sl2 scaled by 1 and -2: coefficients (2, 1), shift -1
-    base = sl2()
+def two_sl2():
+    """Two copies of sl2, and D = 1 on the first and -2 on the second."""
     table = {}
-    for (i, j), vec in base.table.items():
+    for (i, j), vec in sl2().table.items():
         table[(i, j)] = dict(vec)
         table[(i + 3, j + 3)] = {k + 3: c for k, c in vec.items()}
     t = StructureTensor(6, table, ("e", "h", "f", "e'", "h'", "f'"))
+    return t, RatMatrix.diagonal([F(1)] * 3 + [F(-2)] * 3)
+
+
+def test_normalize_block_scalar_pencil():
+    # two copies of sl2 scaled by 1 and -2: coefficients (2, 1), shift -1
+    t, d = two_sl2()
     assert is_lie(t)
-    d = RatMatrix.diagonal([F(1)] * 3 + [F(-2)] * 3)
     act = classify_operator(t, d)
     assert (act.tag, act.a, act.b) == ("near", F(2), F(1))
     norm = normalize_pencil(act)
@@ -201,18 +206,63 @@ def test_normalize_refuses_other_tags():
         normalize_pencil(act)
 
 
-def test_normalize_guard_widens_narrow_stored_pairs():
+def test_normalize_reads_the_certified_coefficients(monkeypatch):
+    # a = 0: no shift, and the (a, b) classify proved is the guard itself
+    act = classify_operator(sl2(), GRADING_OP)
+    assert (act.tag, act.a, act.b) == ("near", 0, -2)
+    calls, kernel = [], tensors._contraction
+    monkeypatch.setattr(tensors, "_contraction", lambda *args: calls.append(args) or kernel(*args))
+    assert normalize_pencil(act).b == -2
+    assert calls == []
+
+
+@pytest.mark.parametrize("edit", ["b", "a", "second"])
+def test_normalize_guard_refuses_an_edited_action(edit):
+    t = sl2()
+    act = classify_operator(t, GRADING_OP)
+    change = {"b": act.b - 1,
+              # a = -1 moves both roots to -1: the guard checks the pencil of D + I
+              "a": act.a - 1,
+              # the T'' of 2 D, four times this one's
+              "second": classify_operator(t, GRADING_OP.scale(2)).second}[edit]
+    with pytest.raises(IdentityFailed):
+        normalize_pencil(replace(act, **{edit: change}))
+
+
+def test_normalize_guard_runs_the_kernel_at_its_own_width():
     # near (1, 0) on [x0, x0] = -2 x0 + x1 with D = diag(1, 3).  Claiming
-    # a = 0 and b = (q - 2) / q for q = 2^(w-1) + 1, w the width T'' was
-    # packed at, makes the guard's fields -2^(w+1) and 2 on the one nonzero
-    # pair, which a carry cancels at width w: the guard must pack wider
+    # a = 0 and b = (q - 2) / q makes the guard's fields 4 - 4q and 2 on the
+    # one nonzero pair, -2^66 and 2 here, which a carry cancels at width 65;
+    # the kernel packs them at its own, wider width and finds the pair nonzero
     t = StructureTensor(2, {(0, 0): {0: F(-2), 1: F(1)}})
     act = classify_operator(t, RatMatrix.diagonal([1, 3]))
     assert (act.tag, act.a, act.b) == ("near", 1, 0)
-    w = act.second._integer.packed[0]
-    q = 2 ** (w - 1) + 1
+    q = 2 ** 64 + 1
     with pytest.raises(IdentityFailed):
         normalize_pencil(replace(act, a=F(0), b=F(q - 2, q)))
+
+
+def test_normalize_guard_refuses_an_edited_tensor():
+    # near (2, 1): with a != 0 the guard runs on rho(D - I).T, so a T put in
+    # after classify is checked; [x0, x1] = x3 sits at level -4, not a root
+    # of t^2 - t - 2
+    act = classify_operator(*two_sl2())
+    assert (act.tag, act.a, act.b) == ("near", 2, 1)
+    other = StructureTensor(6, {(0, 1): {3: F(1)}, (1, 0): {3: F(-1)}})
+    with pytest.raises(IdentityFailed):
+        normalize_pencil(replace(act, tensor=other))
+
+
+def test_kernel_guard_holds_wherever_the_certificate_does():
+    oracle = pytest.importorskip("test_tensor_oracle")
+    for tag, tensor, op in oracle.PENCIL_SEEDS:
+        if tag not in ("near", "quasi"):
+            continue
+        act = classify_operator(tensor, op)
+        if tag == "near":
+            assert act.second._integer.coeffs == (act.a, act.b)
+        norm = normalize_pencil(act)
+        assert _second_is_multiple(None, norm.derived, norm.operator, norm.b, tensor.is_skew())
 
 
 # asserts are stripped under -O, so the script reports through its exit code
