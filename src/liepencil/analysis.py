@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import SparsePoly, _Echelon, _linear_forms, _reduce, generic_rank, rank_exact
+from .exact import _Echelon, _reduce, generic_rank, rank_exact
 from .tensors import is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
@@ -48,21 +48,13 @@ def lie_centre(tensor):
     return _Echelon(list(rows.values())).kernel(tensor.dim)
 
 
-def structure_matrix(tensor):
-    """The n x n matrix of linear forms B_ij = sum_k c_ij^k x_k."""
-    n = tensor.dim
-    den, ints = tensor.integer_form()
-    linear = _linear_forms(n)
-    return [[SparsePoly._of(n, den, linear(sorted(ints.get((i, j), {}).items())))
-             for j in range(n)] for i in range(n)]
-
-
 def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, centre_dim=0):
     """dim minus the generic rank of the bracket form.
 
     mode "prob" samples integer covectors xi and takes the maximal rank of
-    the structure matrix evaluated at xi; mode "exact" takes the rank at one
-    fixed point and proves it generic (`generic_rank`): the bracket form is
+    the structure matrix evaluated at xi; mode "exact" passes `generic_rank`
+    the bracket form as the integer linear forms {k: L c_ij^k}, L as below,
+    which takes the rank at one fixed point and proves it generic: the form is
     skew, so that rank is generic unless a Pfaffian of the point's
     nonsingular pivot block bordered by two more indices is nonzero.  It
     refuses dimensions above max_exact_dim.  The probabilistic mode runs on
@@ -82,7 +74,8 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, centr
         if n > max_exact_dim:
             raise ValueError(
                 "exact-symbolic index refused above dimension %d" % max_exact_dim)
-        r = generic_rank(structure_matrix(tensor))
+        _, tab = tensor.integer_form()
+        r = generic_rank([[tab.get((i, j), {}) for j in range(n)] for i in range(n)])
         return IndexReport(n, r, n - r, "exact-symbolic")
     if mode != "prob":
         raise ValueError("unknown mode %r" % (mode,))

@@ -183,19 +183,6 @@ def _classify_doc(tensor, op):
     return act, norm, doc
 
 
-def _members(lie):
-    """(alpha, beta, lie) for the pencil member alpha*T + beta*S at each of
-    MEMBER_SAMPLES, each verdict read only when the caller asks for it.
-
-    lie is `pencil_lie(T, S)`.  As J(aT + bS) = a^2 J(T) + ab (J(T + S) -
-    J(T) - J(S)) + b^2 J(S), with T and S Lie every sample (each has
-    alpha*beta != 0) is Lie exactly when T + S is, the first sample: one
-    Jacobi check decides them all.  Otherwise each member is checked.
-    """
-    for alpha, beta in MEMBER_SAMPLES:
-        yield alpha, beta, lie(alpha, beta)
-
-
 def _lines_lie(lie, norm):
     """Whether the degenerate lines of the normalized pencil norm are Lie,
     read from lie = `pencil_lie(T, S)` for S = rho(D1).T.
@@ -259,8 +246,8 @@ def cmd_pencil(args):
     doc["eigenvalues"] = [format_rat(v) for v in norm.eigenvalues]
     doc["normalized_b"] = format_rat(norm.b)
     lie = pencil_lie(tensor, norm.derived)
-    doc["members"] = [{"alpha": alpha, "beta": beta, "lie": ok}
-                      for alpha, beta, ok in _members(lie)]
+    doc["members"] = [{"alpha": alpha, "beta": beta, "lie": lie(alpha, beta)}
+                      for alpha, beta in MEMBER_SAMPLES]
     doc["degenerate_lines_lie"] = _lines_lie(lie, norm)
     ok = all(m["lie"] for m in doc["members"]) and doc["degenerate_lines_lie"]
     return doc, EXIT_OK if ok else EXIT_CHECK
@@ -272,6 +259,9 @@ def cmd_index(args):
     tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
         raise InputProblem("--algebra is not a Lie algebra; index needs one")
+    if args.mode == "exact" and tensor.dim > args.max_exact_dim:
+        raise InputProblem("--max-exact-dim: exact-symbolic index refused above dimension %d; "
+                           "--algebra has dimension %d" % (args.max_exact_dim, tensor.dim))
     rep = lie_index(tensor, mode=args.mode, samples=args.samples,
                     seed=_env_seed(args), max_exact_dim=args.max_exact_dim)
     doc = {
@@ -344,8 +334,7 @@ def cmd_exp_check(args):
             raise InputProblem("--operator must have integer diagonal entries for a nonzero --m")
         elif not all(points):
             raise InputProblem("--points must be nonzero for a nonzero --m")
-        rep = nij.check_points(lambda v: nij.exp_identity_near(tensor, op, args.m, v),
-                               points)
+        rep = nij.exp_identity_near(tensor, op, args.m, points)
     doc = {
         "kind": args.kind,
         "ok": rep.ok,
@@ -529,7 +518,8 @@ def cmd_report(args):
 
     if act.tag in (TAG_QUASI, TAG_NEAR):
         lie = pencil_lie(tensor, norm.derived if norm is not None else act.derived)
-        witness = next(([alpha, beta] for alpha, beta, ok in _members(lie) if not ok), None)
+        witness = next(([alpha, beta] for alpha, beta in MEMBER_SAMPLES
+                        if not lie(alpha, beta)), None)
         gate("pencil-members-lie", witness is None, witness=witness)
         if norm is not None:
             gate("degenerate-lines-lie", _lines_lie(lie, norm),

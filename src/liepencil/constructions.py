@@ -11,17 +11,17 @@ Conventions fixed here:
     whose partner comes no later in row-major order and the sign at that
     partner, in row-major order of that entry;
   * periodic gradings are weight assignments w_i in {0..n-1} with
-    [q_i, q_j] inside q_(i+j mod n).
+    [q_i, q_j] inside q_(i+j mod n); the quasi-grading extension of one is
+    its tensor's integer form re-indexed onto the adapted basis, with no
+    elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
-from .exact import (ONE, ZERO, RatMatrix, _int_coordinates, _reduced, coordinates,
-                    mat_commutator, unit_vector)
+from .exact import ONE, ZERO, RatMatrix, _int_coordinates, _reduced, mat_commutator
 from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
                       derived, pair_table)
 
@@ -155,18 +155,6 @@ def build_classical(family, n):
         raise IdentityFailed("%s%d: %s" % (family, n, exc))
 
 
-def direct_sum(t1, t2):
-    """Direct sum of two structure tensors (blocks commute)."""
-    n1 = t1.dim
-    (d1, f1), (d2, f2) = t1.integer_form(), t2.integer_form()
-    L = lcm(d1, d2)
-    ints = {ij: {k: c * (L // d1) for k, c in vec.items()} for ij, vec in f1.items()}
-    ints.update({(i + n1, j + n1): {k + n1: c * (L // d2) for k, c in vec.items()}
-                 for (i, j), vec in f2.items()})
-    labels = t1.labels + tuple("%s'" % s for s in t2.labels)
-    return StructureTensor._of(n1 + t2.dim, labels, _reduced(L, ints))
-
-
 @dataclass(frozen=True)
 class GradingSpec:
     """Weight assignment on a basis.
@@ -225,6 +213,13 @@ def quasi_grading_extension(tensor, spec):
     weights 1..n-1, and the original q0 (inside q) promoted to weight n.
     Bracket sums <= n then land in the expected level, and the weight operator
     is a near-derivation with coefficients (0, -n).
+
+    The table is the tensor's integer form re-indexed.  q0' commutes with q
+    and q0 is a subalgebra, so [x + x', y + y'] = [x, y] + [x, y]' is [x, y]
+    written on the diagonal copies, and every other adapted bracket is the
+    bracket in q, written on the original vectors.  The input grading is
+    validated first, so a result that breaks the quasi-grading is a bug and
+    raises IdentityFailed.
     """
     if spec.kind != "periodic":
         raise ValueError("extension needs a periodic grading")
@@ -232,60 +227,30 @@ def quasi_grading_extension(tensor, spec):
     if not ok:
         raise ValueError("grading invalid at %r" % (wit,))
     n = spec.modulus
-    dim = tensor.dim
-    zero_idx = list(spec.eigenspace(0))
+    zero_idx = spec.eigenspace(0)
     if not zero_idx:
         raise ValueError("grading has no zero part to extend by")
     d0 = len(zero_idx)
-    big_dim = dim + d0
-    # coordinates in q (+) q0': first dim slots are q, the rest the ideal copy
-    adapted = []
-    labels = []
-    weights = []
-    for pos, i in enumerate(zero_idx):
-        v = unit_vector(big_dim, i)
-        v[dim + pos] = ONE
-        adapted.append(v)
-        labels.append("%s+%s'" % (tensor.labels[i], tensor.labels[i]))
-        weights.append(0)
-    for w in range(1, n):
-        for i in spec.eigenspace(w):
-            adapted.append(unit_vector(big_dim, i))
-            labels.append(tensor.labels[i])
-            weights.append(w)
-    for i in zero_idx:
-        adapted.append(unit_vector(big_dim, i))
-        labels.append(tensor.labels[i])
-        weights.append(n)
-    big = direct_sum(tensor, _restrict(tensor, zero_idx))
-    read = coordinates(adapted)
+    # the vector of q behind each adapted vector: diagonal copies, weights 1..n-1, then q0
+    source = [*zero_idx, *(i for w in range(1, n) for i in spec.eigenspace(w)), *zero_idx]
+    diagonal = {i: p for p, i in enumerate(zero_idx)}
+    original = {i: a for a, i in enumerate(source) if a >= d0}
+    den, ints = tensor.integer_form()
 
     def entry(a, b):
-        coords = read(big.apply(adapted[a], adapted[b]))
-        if coords is None:
-            raise ValueError("adapted basis failed to close")
-        return {k: c for k, c in enumerate(coords) if c}
+        at = diagonal if a < d0 and b < d0 else original
+        return dict(sorted((at[k], c) for k, c in ints.get((source[a], source[b]), {}).items()))
 
-    ext = StructureTensor(big_dim, pair_table(big_dim, entry, skew=True), labels)
-    new_spec = GradingSpec(tuple(weights), kind="quasi")
+    labels = (["%s+%s'" % (tensor.labels[i], tensor.labels[i]) for i in zero_idx]
+              + [tensor.labels[i] for i in source[d0:]])
+    ext = StructureTensor._of(len(source), tuple(labels),
+                              _reduced(den, pair_table(len(source), entry, skew=True)))
+    new_spec = GradingSpec((0,) * d0 + tuple(spec.weights[i] for i in source[d0:-d0])
+                           + (n,) * d0, kind="quasi")
     ok, wit = new_spec.validate(ext)
     if not ok:
-        raise ValueError("extension violates the quasi-grading at %r" % (wit,))
+        raise IdentityFailed("extension violates the quasi-grading at %r" % (wit,))
     return ext, new_spec, grading_operator(new_spec)
-
-
-def _restrict(tensor, idx):
-    """Substructure tensor on a list of basis indices (must be closed)."""
-    pos = {i: p for p, i in enumerate(idx)}
-    den, ints = tensor.integer_form()
-    table = {}
-    for (i, j), vec in ints.items():
-        if i in pos and j in pos:
-            if any(k not in pos for k in vec):
-                raise ValueError("index set is not closed under the bracket")
-            table[(pos[i], pos[j])] = {pos[k]: c for k, c in vec.items()}
-    return StructureTensor._of(len(idx), tuple(tensor.labels[i] for i in idx),
-                               _reduced(den, table))
 
 
 def splitting_operators(tensor, part_a, part_b):

@@ -15,24 +15,25 @@ and eliminates the components of a sparse system independently.  Its one
 elimination order is `add(row)`, which says whether the rank grew and
 copies no row it owns; a system's singleton rows are fixed first by a
 presolve, and every other row goes through `add`.  `rref`, `rank_exact`,
-`kernel_basis` and `coordinates` hand it cleared copies of list or dict
+`kernel_basis` and `solve_columns` hand it cleared copies of list or dict
 rows and build a `Fraction` only for an entry they return.
-`coordinates` reduces a basis once and reads every target from that
-reduction; `solve_columns` is its one-target use.  `generic_rank`, the
-rank of a skew matrix of linear forms over Q(x), takes the rank at one
-integer point and proves it generic by Pfaffians: no Pfaffian of the
-point's nonsingular principal block bordered by two more indices may be
-nonzero.  The Pfaffians run on integer polynomials with each monomial
-packed into one int (the total degree in the top field, then the
-exponents) by `_packing`, and `_pmuladd` multiplies them; the same
-packing carries `poisson.pc_verify`.
+`_int_coordinates` reduces a basis once and reads every integer target
+from that reduction; `solve_columns` is its one-target use.
+`generic_rank`, the rank over Q(x) of a skew matrix of integer linear
+forms {k: int}, such as a tensor's bracket form read off its integer
+form, takes the rank at one integer point and proves it generic by
+Pfaffians: no Pfaffian of the point's nonsingular principal block
+bordered by two more indices may be nonzero.  The Pfaffians run on
+integer polynomials with each monomial packed into one int, one field per
+variable, and `_pmuladd` multiplies them, as it multiplies the
+polynomials `_packing` packs for `poisson.pc_verify`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from operator import add, mul
 
 ZERO = Fraction(0)
@@ -376,29 +377,18 @@ def kernel_basis(m, ncols=None):
     return _Echelon(_int_rows(rows)).kernel(ncols)
 
 
-def coordinates(cols):
-    """read(target) solves sum_k c_k * cols[k] = target like `solve_columns`,
-    every target from one `_reduce` of [B | I] (B the columns side by side).
+def _int_coordinates(cols):
+    """read(t, den) solves sum_k c_k * cols[k] = t / den like
+    `solve_columns`, for a target given as its integer form (t a list of
+    ints, den > 0), every target from one `_reduce` of [B | I] (B the
+    columns side by side).
 
     Each reduced row carries in its I block the row operation that made it.
     A row with its pivot in the B block gives one coefficient: its I block
     times the target, over the pivot.  A row with its pivot in the I block
-    must give 0 on the target, else read returns None.
-    """
-    read_ints = _int_coordinates(cols)
-
-    def read(target):
-        den, (t,) = _cleared([target])
-        return read_ints(t, den)
-    return read
-
-
-def _int_coordinates(cols):
-    """`coordinates` for a target given as its integer form: read(t, den)
-    solves for the target t / den, with t a list of ints and den > 0.
-
-    Row r's I block times t is accumulated from the nonzero entries of t
-    only, through the I block's nonzeros indexed by target position."""
+    must give 0 on the target, else read returns None.  Row r's I block
+    times t is accumulated from the nonzero entries of t only, through the
+    I block's nonzeros indexed by target position."""
     k = len(cols)
     if not k:
         return lambda t, den: None if any(t) else []
@@ -437,7 +427,8 @@ def solve_columns(cols, target):
     Returns the coefficient list (free coefficients set to 0) or None when the
     system is inconsistent.
     """
-    return coordinates(cols)(target)
+    den, (t,) = _cleared([target])
+    return _int_coordinates(cols)(t, den)
 
 
 def nilpotent_index(m):
@@ -611,16 +602,17 @@ class SparsePoly:
         return "SparsePoly(%d, %s)" % (self.nvars, self.format())
 
 
-def generic_rank(mat, point=None):
+def generic_rank(forms, point=None):
     """Rank over the rational function field of a square skew-symmetric
-    matrix of `SparsePoly` entries of degree at most 1, such as the bracket
-    form B_ij = sum_k c_ij^k x_k; anything else raises ValueError.
+    matrix of integer linear forms, each entry {k: int} standing for
+    sum_k c_k x_k, such as the bracket form B_ij = sum_k c_ij^k x_k read
+    off a tensor's integer form; a matrix that is not square or not skew
+    raises ValueError.
 
-    The rank at one integer point (`point`, by default a fixed one that no
-    seed changes) is checked by Pfaffians, so the result is exact at any
-    point and the point sets only the speed.  The matrix A is scaled to
-    integer polynomials over the lcm of its denominators, which keeps it
-    skew.  Let P be the pivot columns of its value at the point.  For a
+    The rank at one integer point (`point`, one value per variable, by
+    default a fixed one that no seed changes) is checked by Pfaffians, so
+    the result is exact at any point and the point sets only the speed.
+    Let P be the pivot columns of the matrix A's value at the point.  For a
     skew matrix, columns P that span the column space give a nonsingular
     principal block on P, so the polynomial Pf(A[P]) is nonzero there and
     the generic rank is at least |P|.  The Schur complement of A[P, P] is
@@ -629,31 +621,25 @@ def generic_rank(mat, point=None):
     nonzero one adds {k, l} to P, and the check runs again.
 
     A Pfaffian is expanded along its smallest index and memoised on the
-    bitmask of its indices, on polynomials packed by `_packing`: a
-    Pfaffian of order 2m has degree at most m <= n / 2, so fields of that
-    width hold every product, and no division is taken.
+    bitmask of its indices, on integer polynomials whose monomials are
+    packed into one int, x_k as 2^(w k), and multiplied by `_pmuladd`: a
+    Pfaffian of order 2m has degree at most m <= n / 2, so fields of
+    w = bits(n // 2) hold every exponent of a product, and no division is
+    taken.
     """
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    n = len(forms)
+    if any(len(row) != n for row in forms):
         raise ValueError("generic_rank needs a square matrix")
-    polys = [p for row in mat for p in row if p.ints]
-    if not polys:
-        return 0
-    if any(p.total_degree() > 1 for p in polys):
-        raise ValueError("generic_rank needs entries of degree at most 1")
-    if any(mat[i][j] != -mat[j][i] for i in range(n) for j in range(i, n)):
+    if any(forms[j][i] != {k: -c for k, c in forms[i][j].items()}
+           for i in range(n) for j in range(i, n)):
         raise ValueError("generic_rank needs a skew-symmetric matrix")
-    nvars = polys[0].nvars
-    L = lcm(*(p.den for p in polys))
     if point is None:
+        nvars = max((k + 1 for row in forms for form in row for k in form), default=0)
         point = [pow(48271, k + 1, 2 ** 31 - 1) % 2001 - 1000 for k in range(nvars)]
-    pack = _packing(nvars, (n // 2).bit_length())
-    packed = [[{pack(e): c * (L // p.den) for e, c in p.ints.items()} for p in row]
-              for row in mat]
-
-    def value(p):
-        return sum(c * prod(map(pow, point, e)) for e, c in p.ints.items()) * (L // p.den)
-    values = [{j: v for j, v in enumerate(map(value, row)) if v} for row in mat]
+    w = (n // 2).bit_length()
+    packed = [[{1 << w * k: c for k, c in form.items() if c} for form in row] for row in forms]
+    values = [{j: v for j, form in enumerate(row)
+               if (v := sum(c * point[k] for k, c in form.items()))} for row in forms]
     memo = {0: {0: 1}}    # Pf of the empty matrix is 1; 0 packs the monomial 1
 
     def pfaffian(mask):
@@ -743,8 +729,8 @@ def _linear_forms(n):
 
 
 # Packed integer polynomials {monomial int: nonzero int}, the monomials packed
-# by `_packing` (in `generic_rank` and `poisson.pc_verify`): a product of
-# monomials is a sum of ints and the graded lex order is int order.
+# into one int each (by `_packing` in `poisson.pc_verify`, one field per
+# variable in `generic_rank`): a product of monomials is a sum of ints.
 
 def _packing(nvars, width):
     """pack for monomials in nvars variables, in fields of width bits: it

@@ -169,50 +169,53 @@ def check_points(check, points):
     return rep
 
 
-def exp_identity_near(tensor, op, m, value):
+def exp_identity_near(tensor, op, m, points):
     """Deformation identity when the second derived bracket is m times the first.
 
     With T'' = m T' the flow acts by
 
         exp(sD) [exp(-sD) x, exp(-sD) y] = [x, y] + c(s) [x, y]'
 
-    where c(s) = s for m = 0 (D must be nilpotent; value plays the role of s)
-    and c = (v^m - 1)/m for m != 0 with v standing in for exp(s); the m != 0
-    path needs an integer diagonal operator so that v^D makes exact sense.
+    where c(s) = s for m = 0 (D must be nilpotent; each point plays the role
+    of s) and c = (v^m - 1)/m for m != 0 with the point v standing in for
+    exp(s); the m != 0 path needs an integer m and an integer diagonal
+    operator so that v^D makes exact sense.  T', T'' and the precondition
+    T'' = m T' are computed once, and the report carries the precondition
+    also for an empty point list; the points are checked as by
+    `check_points`.
     """
     m = Fraction(m)
     first = derived(tensor, op)
-    second = derived(first, op)
-    pre = second == first.scale(m)
-    n = tensor.dim
-    if m == 0:
-        s = Fraction(value)
-        E = nilpotent_exp(op, s)
-        Einv = nilpotent_exp(op, -s)
-        coeff = s
-    else:
+    pre = derived(first, op) == first.scale(m)
+    if m:
         if not op.is_diagonal():
             raise ValueError("nonzero m needs a diagonal operator")
-        v = Fraction(value)
-        if v == 0:
-            raise ValueError("value must be nonzero")
-        weights = []
-        for i in range(n):
-            w = op[i, i]
-            if w.denominator != 1:
-                raise ValueError("diagonal entries must be integers")
-            weights.append(int(w))
-        E = RatMatrix.diagonal([v ** w for w in weights])
-        Einv = RatMatrix.diagonal([v ** (-w) for w in weights])
-        coeff = (v ** m.numerator - 1) / m if m.denominator == 1 else None
-        if coeff is None:
+        diagonal = [op[i, i] for i in range(tensor.dim)]
+        if any(w.denominator != 1 for w in diagonal):
+            raise ValueError("diagonal entries must be integers")
+        weights = [int(w) for w in diagonal]
+        if m.denominator != 1:
             raise ValueError("m must be an integer for the diagonal path")
-    lhs = contract(tensor, [(1, E, Einv, Einv)])
-    rhs = tensor + first.scale(coeff)
-    if lhs == rhs:
-        return ExpReport(True, precondition_ok=pre, points=[Fraction(value)])
-    return ExpReport(False, witness=_first_difference(lhs, rhs),
-                     precondition_ok=pre, points=[Fraction(value)])
+
+    def check(value):
+        if not m:
+            s = Fraction(value)
+            E, Einv, coeff = nilpotent_exp(op, s), nilpotent_exp(op, -s), s
+        else:
+            v = Fraction(value)
+            if v == 0:
+                raise ValueError("value must be nonzero")
+            E = RatMatrix.diagonal([v ** w for w in weights])
+            Einv = RatMatrix.diagonal([v ** -w for w in weights])
+            coeff = (v ** m.numerator - 1) / m
+        lhs = contract(tensor, [(1, E, Einv, Einv)])
+        rhs = tensor + first.scale(coeff)
+        if lhs == rhs:
+            return ExpReport(True, points=[Fraction(value)])
+        return ExpReport(False, witness=_first_difference(lhs, rhs), points=[Fraction(value)])
+    rep = check_points(check, points)
+    rep.precondition_ok = pre
+    return rep
 
 
 def _first_difference(t1, t2):

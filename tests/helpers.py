@@ -12,13 +12,21 @@ and each result is built with the trusted constructor `_of`.
 `bareiss_rank` is the oracle of `exact.generic_rank`: the rank over Q(x)
 of a polynomial matrix of any shape and degree by fraction-free
 elimination on packed integer polynomials, with `pdiv` as its exact
-quotient.
+quotient.  It reads a tensor's bracket form as `structure_matrix` builds
+it, a matrix of `SparsePoly` linear forms, and `linear_forms` turns such a
+matrix into the integer linear forms that `generic_rank` takes.
+
+`coordinates` (one basis reader for many `Fraction` targets) and
+`direct_sum` (two tensors whose blocks commute) are the library routines
+the quasi-grading extension used to go through; they serve as oracles.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
-from liepencil.exact import ZERO, RatMatrix, SparsePoly, _packing, _pmuladd, _ratio, _reduce
+from liepencil.exact import (ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
+                             _linear_forms, _packing, _pmuladd, _ratio, _reduce, _reduced)
+from liepencil.tensors import StructureTensor
 
 DENOMINATORS = (1, 1, 2, 3)
 
@@ -63,6 +71,31 @@ def inverse(m):
     L = lcm(*(row[i] for i, row in enumerate(R)))
     return RatMatrix._of(L, [[x * (L // row[i]) for x in row[n:]]
                              for i, row in enumerate(R)])
+
+
+def coordinates(cols):
+    """read(target) solves sum_k c_k * cols[k] = target like `solve_columns`,
+    every target from one reduction of the columns (`_int_coordinates`)."""
+    read_ints = _int_coordinates(cols)
+
+    def read(target):
+        den, (t,) = _cleared([target])
+        return read_ints(t, den)
+    return read
+
+
+# tensors
+
+def direct_sum(t1, t2):
+    """Direct sum of two structure tensors (blocks commute)."""
+    n1 = t1.dim
+    (d1, f1), (d2, f2) = t1.integer_form(), t2.integer_form()
+    L = lcm(d1, d2)
+    ints = {ij: {k: c * (L // d1) for k, c in vec.items()} for ij, vec in f1.items()}
+    ints.update({(i + n1, j + n1): {k + n1: c * (L // d2) for k, c in vec.items()}
+                 for (i, j), vec in f2.items()})
+    labels = t1.labels + tuple("%s'" % s for s in t2.labels)
+    return StructureTensor._of(n1 + t2.dim, labels, _reduced(L, ints))
 
 
 # polynomials
@@ -142,6 +175,31 @@ def pdiv(num, den, guard):
         quot[shift] = q
         _pmuladd(rem, {shift: q}, den, -1)
     return quot
+
+
+def structure_matrix(tensor):
+    """The n x n matrix of linear forms B_ij = sum_k c_ij^k x_k."""
+    n = tensor.dim
+    den, ints = tensor.integer_form()
+    linear = _linear_forms(n)
+    return [[SparsePoly._of(n, den, linear(sorted(ints.get((i, j), {}).items())))
+             for j in range(n)] for i in range(n)]
+
+
+def linear_forms(mat):
+    """A matrix of `SparsePoly` linear forms as `generic_rank` takes it: each
+    entry the form {k: int} of its terms c x_k over the lcm of every
+    entry's denominator, which scales the whole matrix by one constant."""
+    L = lcm(*(p.den for row in mat for p in row))
+    forms = []
+    for row in mat:
+        out = []
+        for p in row:
+            if any(sum(e) != 1 for e in p.ints):
+                raise ValueError("entry %s is not a linear form" % p)
+            out.append({e.index(1): c * (L // p.den) for e, c in p.ints.items()})
+        forms.append(out)
+    return forms
 
 
 def bareiss_rank(mat):

@@ -295,15 +295,13 @@ def test_criterion_09_exponential_identities():
 
     t2 = build_classical("sl", 2)
     g = grading_operator(Z2_SPEC)
-    for v in (F(2), F(3), F(5), F(7)):
-        rep = exp_identity_near(t2, g, -2, v)
-        ok = ok and rep.ok and rep.precondition_ok
+    rep = exp_identity_near(t2, g, -2, [F(2), F(3), F(5), F(7)])
+    ok = ok and rep.ok and rep.precondition_ok and len(rep.points) == 4
 
     triple = sl2_complete("sl", 2, (2,))
     sq, _ = nilpotent_square(t2, triple.e)
-    for s in (F(1), F(2), F(3)):
-        rep = exp_identity_near(t2, sq, 0, s)
-        ok = ok and rep.ok and rep.precondition_ok
+    rep = exp_identity_near(t2, sq, 0, [F(1), F(2), F(3)])
+    ok = ok and rep.ok and rep.precondition_ok and len(rep.points) == 3
     _report(9, ok,
             "exponential conjugation identities hold at 9 nilpotent points, "
             "4 semisimple points, and 3 quasi points")

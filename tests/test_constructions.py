@@ -7,15 +7,14 @@ import pytest
 
 from liepencil import constructions
 from liepencil.constructions import (GradingSpec,
-                                     basis_matrices, build_classical,
-                                     direct_sum, grading_operator,
+                                     basis_matrices, build_classical, grading_operator,
                                      nilpotent_square, quasi_grading_extension,
                                      sl2_complete, splitting_operators)
 from liepencil.exact import RatMatrix
 from liepencil.tensors import (IdentityFailed, StructureTensor, ad, classify_operator,
                                derived, is_lie, tensor_combination)
 
-from helpers import rand_rat
+from helpers import direct_sum, rand_rat
 from paper_checks import (assoc_operators, build_gl_associative, check_special,
                           contractions_from_grading, deform_bracket, involution_split,
                           matrix_coords)

@@ -1,8 +1,9 @@
 """One elimination per basis against one elimination per target.
 
-`exact.coordinates` reduces [B | I] once and reads every target from that
-reduction.  The references here are the per-target solve it replaced: the
-augmented system [B | t] reduced afresh for each target, and the structure
+`exact._int_coordinates` reduces [B | I] once and reads every target from
+that reduction (`helpers.coordinates` reads `Fraction` targets with it).
+The references here are the per-target solve it replaced: the augmented
+system [B | t] reduced afresh for each target, and the structure
 tensor of a matrix basis built with one such solve per product.  Tables
 must agree with the key order at both levels; answers must agree on
 consistent and inconsistent targets, over generated column sets with
@@ -22,11 +23,11 @@ import pytest
 from liepencil import cli, constructions, exact
 from liepencil.constructions import (basis_matrices, build_classical,
                                      sl2_complete, tensor_from_matrix_basis)
-from liepencil.exact import (ZERO, RatMatrix, _ratio, _reduce, coordinates,
-                             mat_commutator, rank_exact, solve_columns)
+from liepencil.exact import (ZERO, RatMatrix, _ratio, _reduce, mat_commutator, rank_exact,
+                             solve_columns)
 from liepencil.tensors import IdentityFailed, StructureTensor
 
-from helpers import rand_rat
+from helpers import coordinates, rand_rat
 from paper_checks import (assoc_operators, build_gl_associative, involution_split,
                           standard_symplectic, verify_index_theorem)
 

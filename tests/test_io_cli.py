@@ -14,10 +14,10 @@ from liepencil.io import (
     seeds_from_dict, save_algebra, load_algebra, save_operator, load_operator,
     load_seeds,
 )
-from liepencil import cli, poisson as pois
+from liepencil import cli, nijenhuis as nij, poisson as pois, tensors
 from liepencil import io as iomod
 from liepencil.cli import main
-from liepencil.tensors import IdentityFailed
+from liepencil.tensors import IdentityFailed, derived
 
 from helpers import variable
 from paper_checks import build_gl_associative, poly_to_list, save_seeds
@@ -168,6 +168,24 @@ def test_cli_exp_check(workdir, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
+
+
+def test_cli_exp_check_near_derives_once(workdir, capsys, monkeypatch):
+    # T' and T'' are built once per command, not once per point
+    run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    capsys.readouterr()
+    calls = []
+
+    def counted(tensor, op):
+        calls.append(op)
+        return derived(tensor, op)
+    monkeypatch.setattr(tensors, "derived", counted)
+    monkeypatch.setattr(nij, "derived", counted)
+    assert run(["exp-check", "--algebra", "sl2.json", "--operator", "sl2-grading-op.json",
+                "--kind", "near", "--m", "-2", "--points", "2,3,1/2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["points_checked"] == ["2", "3", "1/2"] and doc["precondition_ok"]
+    assert len(calls) == 2
 
 
 def test_cli_pc_check(workdir, capsys):
@@ -339,6 +357,9 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
     (["derive"] + SL2_OP + ["--out="], "--out needs a value"),
     (["example", "sl", "2", "--out-dir="], "--out-dir needs a value"),
     (["classify", "--algebra=", "--operator", "sl2-grading-op.json"], "--algebra needs a value"),
+    (["index", "--algebra", "sl2.json", "--mode", "exact", "--max-exact-dim", "2"],
+     "--max-exact-dim: exact-symbolic index refused above dimension 2; "
+     "--algebra has dimension 3"),
 ], ids=["N-not-integer", "N-negative", "grading-N-negative", "N-twice",
         "grading-no-weights", "grading-no-modulus", "nilpotent-square-no-partition",
         "splitting-no-sub", "splitting-no-complement", "quasi-grading-no-weights",
@@ -353,7 +374,7 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
         "index-exact-samples-0", "index-samples-0", "index-max-exact-dim-negative",
         "nijenhuis-depth-0", "report-max-exact-dim-negative", "report-empty-gamma",
         "report-empty-seed-file", "pc-check-empty-seed-file", "derive-empty-out",
-        "example-empty-out-dir", "classify-empty-algebra"])
+        "example-empty-out-dir", "classify-empty-algebra", "index-exact-above-cap"])
 def test_cli_input_error_names_the_argument(workdir, capsys, argv, name):
     run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     (workdir / "skew-nonlie.json").write_text(json.dumps(SKEW_NONLIE))

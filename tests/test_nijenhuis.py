@@ -139,26 +139,26 @@ def test_nilpotent_left_multiplication_exp():
 
 def test_exp_identity_near_semisimple():
     t = sl2()
-    for v in (F(2), F(3)):
-        rep = exp_identity_near(t, GRADING, -2, v)
-        assert rep.ok and rep.precondition_ok
-    bad = exp_identity_near(t, GRADING, 3, F(2))
+    rep = exp_identity_near(t, GRADING, -2, [F(2), F(3)])
+    assert rep.ok and rep.precondition_ok and rep.points == [F(2), F(3)]
+    bad = exp_identity_near(t, GRADING, 3, [F(2)])
     assert not bad.precondition_ok
+    # the precondition is computed once, before any point is checked
+    assert not exp_identity_near(t, GRADING, 3, []).precondition_ok
 
 
 def test_exp_identity_quasi_nilpotent():
     t = sl2()
     op, _ = nilpotent_square(t, [1, 0, 0])
-    for s in (F(1), F(2)):
-        rep = exp_identity_near(t, op, 0, s)
-        assert rep.ok and rep.precondition_ok
+    rep = exp_identity_near(t, op, 0, [F(1), F(2)])
+    assert rep.ok and rep.precondition_ok and rep.points == [F(1), F(2)]
 
 
 def test_exp_identity_near_requires_integer_diagonal():
     t = sl2()
     op, _ = nilpotent_square(t, [1, 0, 0])   # nilpotent, not diagonal
     with pytest.raises(ValueError):
-        exp_identity_near(t, op, -2, F(2))
+        exp_identity_near(t, op, -2, [F(2)])
 
 
 def test_assoc_torsion_worked_projection():

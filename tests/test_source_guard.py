@@ -21,6 +21,9 @@ A second rule keeps a polynomial's storage inside `exact`: `poisson.py` and
 `analysis.py` read a `SparsePoly`'s integer form (`den`, `ints`), and neither
 imports the clearing rule `_cleared` nor reads `.terms`.
 
+Every name an import binds in the package is read by its module: an
+import left behind by a deletion is flagged, `from __future__` aside.
+
 Two more rules keep the front end a single pass.  In `cli.py`, `print` and
 `_emit` are called only from `main`, `_emit` and `_print_text`: a command
 returns its document, and `main` prints it.  `io.py` names no `Fraction`,
@@ -188,6 +191,40 @@ assert check(1)
     found = {path.name: assert_offences(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def unused_imports(source):
+    """(line, name) of every name an import binds that the module never
+    reads; `from __future__` imports bind none."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(node.lineno, name) for name in
+                    ((a.asname or a.name).split(".")[0] for a in node.names)
+                    if name not in read]
+    return sorted(out)
+
+
+def test_every_import_is_read():
+    source = """
+from __future__ import annotations
+import os.path
+import re as regex
+from math import lcm, prod
+from .exact import (SparsePoly,
+                    _reduced)
+def f(p: SparsePoly):
+    return lcm(2, 3), os.sep
+"""
+    assert unused_imports(source) == [(4, "regex"), (5, "prod"), (6, "_reduced")]
+    package = Path(liepencil.__file__).parent
+    found = {path.name: unused_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def form_offences(source):
