@@ -34,7 +34,7 @@ from .exact import _INTEGER, format_rat, nilpotent_index, parse_rat
 from .tensors import (IrrationalEigenvalues, MODE_NILPOTENT, TAG_DERIVATION,
                       TAG_NEAR, TAG_NOT_NEAR, TAG_QUASI, TAG_SCALAR, check_jacobi,
                       check_skew, classify_operator, derived_iter, is_lie,
-                      normalize_pencil, pencil_lie)
+                      near_theorem, normalize_pencil, pencil_lie)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -178,20 +178,15 @@ def _classify_doc(tensor, op):
     checks = {"input_skew": tensor.is_skew(), "input_jacobi": check_jacobi(tensor)[0]}
     if not act.derived.is_zero():
         checks["derived_skew"] = act.derived.is_skew()
-        checks["derived_jacobi"] = check_jacobi(act.derived)[0]
+        checks["derived_jacobi"] = near_theorem(act) or check_jacobi(act.derived)[0]
     doc["jacobi_checks"] = checks
     return act, norm, doc
 
 
 def _lines_lie(lie, norm):
     """Whether the degenerate lines of the normalized pencil norm are Lie,
-    read from lie = `pencil_lie(T, S)` for S = rho(D1).T.
-
-    The lines are S, the member (0, 1), and in semisimple mode b*T - S, the
-    member (b, -1).  By J(aT + bS) = a^2 J(T) + ab (J(T + S) - J(T) - J(S))
-    + b^2 J(S), with T and S Lie the first is Lie and the second is Lie
-    exactly when T + S is, and b*T - S is not built.
-    """
+    read from lie = `pencil_lie(action, norm)`: the lines are S = rho(D1).T,
+    the member (0, 1), and in semisimple mode b*T - S, the member (b, -1)."""
     return lie(0, 1) and (norm.mode == MODE_NILPOTENT or lie(norm.b, -1))
 
 
@@ -245,7 +240,7 @@ def cmd_pencil(args):
     doc["shift"] = format_rat(norm.shift)
     doc["eigenvalues"] = [format_rat(v) for v in norm.eigenvalues]
     doc["normalized_b"] = format_rat(norm.b)
-    lie = pencil_lie(tensor, norm.derived)
+    lie = pencil_lie(act, norm)
     doc["members"] = [{"alpha": alpha, "beta": beta, "lie": lie(alpha, beta)}
                       for alpha, beta in MEMBER_SAMPLES]
     doc["degenerate_lines_lie"] = _lines_lie(lie, norm)
@@ -517,7 +512,7 @@ def cmd_report(args):
          a=class_doc["a"], b=class_doc["b"], mode=class_doc["mode"])
 
     if act.tag in (TAG_QUASI, TAG_NEAR):
-        lie = pencil_lie(tensor, norm.derived if norm is not None else act.derived)
+        lie = pencil_lie(act, norm)
         witness = next(([alpha, beta] for alpha, beta in MEMBER_SAMPLES
                         if not lie(alpha, beta)), None)
         gate("pencil-members-lie", witness is None, witness=witness)
@@ -544,7 +539,7 @@ def cmd_report(args):
     if not flat:
         diagnostics["nijenhuis_witness"] = list(wit)
 
-    if act.tag in (TAG_QUASI, TAG_NEAR) and is_lie(act.derived):
+    if act.tag in (TAG_QUASI, TAG_NEAR) and (near_theorem(act) or is_lie(act.derived)):
         series = lower_central_series(act.derived)
         diagnostics["derived_lower_central_series"] = series
         centre_dim = len(lie_centre(act.derived))

@@ -154,8 +154,6 @@ class PCFamily:
 
     generators: list
     provenance: list
-    verified: bool = False
-    witness: tuple | None = None
 
 
 def pc_generate(struct, operator, seeds):
@@ -202,9 +200,9 @@ class Certificate:
 
 
 def pc_verify(family, struct):
-    """Check all generator pairs commute; stamps the family and returns a
-    certificate naming the first pair (a, b), a < b in lexicographic order,
-    that does not, with its bracket.
+    """Check all generator pairs commute; returns a certificate naming
+    the first pair (a, b), a < b in lexicographic order, that does not,
+    with its bracket.
 
     Reads {f_a, f_b} = sum_i df_a/dx_i (pi grad f_b)_i.  Each generator's
     gradient and pi grad are formed once (`_pi_gradients`), so a pair costs
@@ -228,11 +226,7 @@ def pc_verify(family, struct):
             for part, entry in zip(grad, image):
                 _pmuladd(acc, part, entry)
             if acc:
-                family.verified = False
-                family.witness = (a, b)
                 return Certificate(False, (a, b), poisson_bracket(struct, gens[a], gens[b]))
-    family.verified = True
-    family.witness = None
     return Certificate(True, None, None)
 
 

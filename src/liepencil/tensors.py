@@ -9,7 +9,9 @@ psi along an operator D is
 the action of gl(V) on (1,2)-tensors.  Iterating it classifies D relative to
 psi: derivations (psi' = 0), quasi-derivations (psi'' = 0), and the wider
 class where psi'' = a*psi + b*psi' for scalars (a, b), which spans a pencil
-of operations with exactly one or two degenerate lines.
+of operations with exactly one or two degenerate lines.  For a Lie psi and
+any D but a not-near one, every member is Lie (claim (1), proved at
+`pencil_lie`), so no member is built or scanned.
 
 A tensor stores one integer form, (den, {(i, j): {k: int}}): its
 constants as integers over one denominator, cleared once by the validating
@@ -37,7 +39,6 @@ which writes each mirror entry (j, i) as the negated (i, j) vector.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -86,7 +87,7 @@ class StructureTensor:
     Instances are immutable: every operation returns a new tensor, and no
     code writes to a form once it is built.  The caches rely on it:
     `_integer` holds the form, `_skew` the `is_skew` verdict and `_jacobi`
-    the `check_jacobi` result, each computed at most once per tensor.
+    the `check_jacobi` result (or claim (1)'s, `near_theorem`), each once.
     """
 
     __slots__ = ("dim", "labels", "_integer", "_skew", "_jacobi")
@@ -509,28 +510,37 @@ def is_lie(tensor):
     return tensor.is_skew() and check_jacobi(tensor)[0]
 
 
-def pencil_lie(tensor, other):
-    """The function (alpha, beta) -> is_lie(alpha * tensor + beta * other).
+def near_theorem(action):
+    """Whether claim (1) (`pencil_lie`) makes span{T, T'} Lie: T is Lie and
+    D is not tagged not-near.  Then T' keeps the verdict (True, None), so a
+    later guard on T' (`lie_index`'s) reads it with no scan."""
+    if action.tag == TAG_NOT_NEAR or not is_lie(action.tensor):
+        return False
+    action.derived._jacobi = (True, None)
+    return True
 
-    The verdicts of T = tensor and S = other are read once, from their
-    caches.  A member with ab == 0 is 0 or a nonzero multiple of T or of S,
-    so its verdict is theirs.  The Jacobiator J is quadratic, so
-    J(aT + bS) = a^2 J(T) + ab (J(T + S) - J(T) - J(S)) + b^2 J(S): when T
-    and S are both Lie, a member with ab != 0 is skew and Lie exactly when
-    T + S is, which is built and checked on the first such member asked
-    for and read for every later one.  Otherwise a member with ab != 0 is
-    built and checked on its own.
+
+def pencil_lie(action, norm=None):
+    """(alpha, beta) -> is_lie(alpha T + beta S) for T = action.tensor and
+    S = norm.derived = rho(D1).T (norm from normalize_pencil) or action.derived.
+
+    Proof.  Jac(T) = sum_cyc T(T(x, y), z), as `check_jacobi` sums it, is
+    quadratic, Jac(T + phi) = Jac(T) + M(T, phi) + Jac(phi) for the polar
+    form M(T, phi) = sum_cyc T(phi(x, y), z) + phi(T(x, y), z), and
+    GL(V)-equivariant: rho(E) Jac(T) = M(T, T') and rho(E)^2 Jac(T) =
+    2 Jac(T') + M(T, T'') for T' = rho(E).T, T'' = rho(E).T'.  So Jac(T) = 0
+    gives M(T, T') = 0 and Jac(T') = -M(T, T'') / 2 (Kosmann-Schwarzbach and
+    Magri, Ann. IHP 53, 1990).  With T Lie and D tagged anything but
+    not-near, T' = 0, T' = cT, T'' = 0 or T'' = aT + bT' (proved by
+    classify's kernel pass), so Jac(T') = -(2a Jac(T) + b M(T, T')) / 2 = 0
+    and Jac(alpha T + beta T') = alpha beta M(T, T') = 0: every member of
+    span{T, T'}, S = T' - lambda1 T and b T - S among them, is Lie, and
+    none is built or scanned.  Otherwise each member is built and scanned.
     """
-    lie_t, lie_s = is_lie(tensor), is_lie(other)
-    compatible = functools.cache(lambda: is_lie(tensor + other))
-
-    def lie(alpha, beta):
-        if not (alpha and beta):
-            return (not alpha or lie_t) and (not beta or lie_s)
-        if lie_t and lie_s:
-            return compatible()
-        return is_lie(tensor_combination([(alpha, tensor), (beta, other)]))
-    return lie
+    if near_theorem(action):
+        return lambda alpha, beta: True
+    tensor, other = action.tensor, (action if norm is None else norm).derived
+    return lambda alpha, beta: is_lie(tensor_combination([(alpha, tensor), (beta, other)]))
 
 
 def ad(tensor, x):

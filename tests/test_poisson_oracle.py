@@ -289,7 +289,6 @@ def check_pc_verify(struct, gens):
                 == [len(terms(reference_poisson_bracket(struct, x[i], f))) for i in range(n)])
     witness, bracket = reference_pc_verify(struct, gens)
     assert (cert.ok, cert.witness) == (witness is None, witness)
-    assert (family.verified, family.witness) == (cert.ok, cert.witness)
     if witness is None:
         assert cert.bracket is None
     else:
