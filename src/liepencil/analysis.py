@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import _Echelon, _reduce, generic_rank, rank_exact
+from .exact import _Echelon, _pivots_mod, _reduce, generic_rank
 from .tensors import is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
@@ -48,7 +48,7 @@ def lie_centre(tensor):
     return _Echelon(list(rows.values())).kernel(tensor.dim)
 
 
-def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, centre_dim=0):
+def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, least_index=0):
     """dim minus the generic rank of the bracket form.
 
     mode "prob" samples integer covectors xi and takes the maximal rank of
@@ -60,11 +60,15 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, centr
     refuses dimensions above max_exact_dim.  The probabilistic mode runs on
     integers: the table is cleared once to integers over its lcm L, and the
     entry i < j at xi is the int sum_k L c_ij^k xi_k, mirrored with its sign
-    below the diagonal.  Scaling by L does not change the rank.  The
-    centre lies in every stabiliser, so no sample's rank exceeds
-    n - dim z: given centre_dim = dim z (or any lower bound on it),
-    sampling stops once a sample reaches n - centre_dim, and the maximum
-    is the one all the samples would give.
+    below the diagonal.  Scaling by L does not change the rank.  Each
+    sample's rank is taken mod `exact.PRIME` by `_pivots_mod`; it is never
+    above the rank over Q, so the maximum stays a certified lower bound on
+    the generic rank and the index an upper bound.  It differs from the
+    rank over Q only where the prime divides every maximal minor at every
+    sample.  least_index is a proven lower bound on the index, such as
+    dim z (the centre lies in every stabiliser) or the exact index: no
+    sample's rank exceeds n - least_index, so sampling stops once a sample
+    reaches it, and the maximum is the one all the samples would give.
     """
     ok = is_lie(tensor)
     if not ok:
@@ -90,8 +94,8 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, centr
             v = sum(c * point[k] for k, c in vec)
             rows[i][j] = v
             rows[j][i] = -v
-        best = max(best, rank_exact(rows))
-        if best == n - centre_dim:
+        best = max(best, len(_pivots_mod(rows)))
+        if best == n - least_index:
             break
     return IndexReport(n, best, n - best, "probabilistic", samples=samples,
                        note="rank is a lower bound; index an upper bound")

@@ -521,11 +521,14 @@ def cmd_report(args):
                  count=len(norm.degenerate_lines))
 
     if sk and jc:
-        seed = _env_seed(args)
-        rep_p = lie_index(tensor, mode="prob", seed=seed)
-        detail = {"dim": rep_p.dim, "index": rep_p.index, "method": rep_p.method}
+        # the exact index, when it runs first, is a proven bound the samples stop at
+        rep_e = None
         if tensor.dim <= args.max_exact_dim:
             rep_e = lie_index(tensor, mode="exact", max_exact_dim=args.max_exact_dim)
+        rep_p = lie_index(tensor, mode="prob", seed=_env_seed(args),
+                          least_index=rep_e.index if rep_e else 0)
+        detail = {"dim": rep_p.dim, "index": rep_p.index, "method": rep_p.method}
+        if rep_e:
             detail["index_exact"] = rep_e.index
             gate("index-modes-agree", rep_p.index == rep_e.index, **detail)
         else:
@@ -546,7 +549,7 @@ def cmd_report(args):
         diagnostics["derived_centre_dim"] = centre_dim
         if series[-1] == 0 and not act.derived.is_zero():
             di = lie_index(act.derived, mode="prob", seed=_env_seed(args),
-                           centre_dim=centre_dim)
+                           least_index=centre_dim)
             diagnostics["derived_index"] = di.index
             diagnostics["derived_index_equals_centre"] = di.index == centre_dim
 

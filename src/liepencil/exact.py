@@ -18,7 +18,10 @@ presolve, and every other row goes through `add`.  `rref`, `rank_exact`,
 `kernel_basis` and `solve_columns` hand it cleared copies of list or dict
 rows and build a `Fraction` only for an entry they return.
 `_int_coordinates` reduces a basis once and reads every integer target
-from that reduction; `solve_columns` is its one-target use.
+from that reduction; `solve_columns` is its one-target use.  A point
+rank, the rank of a dense int matrix read at one point, runs apart from
+`_Echelon`, by forward elimination mod one prime in `_pivots_mod`: a rank
+mod the prime is a lower bound on the rank over Q.
 `generic_rank`, the rank over Q(x) of a skew matrix of integer linear
 forms {k: int}, such as a tensor's bracket form read off its integer
 form, takes the rank at one integer point and proves it generic by
@@ -366,6 +369,32 @@ def rank_exact(m):
     return len(_Echelon(_int_rows(m.ints if isinstance(m, RatMatrix) else m)).pivot)
 
 
+PRIME = 2 ** 31 - 1
+
+
+def _pivots_mod(rows):
+    """Pivot columns of dense int rows over the field of PRIME elements,
+    by forward elimination: column c is a pivot when it is independent
+    of the columns left of it mod PRIME.  The pivots span the column space
+    mod PRIME, and their number, the rank mod PRIME, is at most the rank
+    over Q, since a minor that vanishes over Q vanishes mod PRIME.  Every
+    live row drops its first entry at each step, so column c is entry 0."""
+    p = PRIME
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        prow = next((row for row in rows if row[0]), None)
+        if prow is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivots.append(c)
+        inv, tail = p - pow(prow[0], -1, p), prow[1:]
+        rows = [[(a + f * b) % p for a, b in zip(row[1:], tail)]
+                if (f := row[0] * inv % p) else row[1:]
+                for row in rows if row is not prow]
+    return pivots
+
+
 def kernel_basis(m, ncols=None):
     """Canonical basis of the right kernel: per free column, the vector with
     1 there and the solved pivot values elsewhere, so rank + len(kernel) =
@@ -612,13 +641,18 @@ def generic_rank(forms, point=None):
     The rank at one integer point (`point`, one value per variable, by
     default a fixed one that no seed changes) is checked by Pfaffians, so
     the result is exact at any point and the point sets only the speed.
-    Let P be the pivot columns of the matrix A's value at the point.  For a
-    skew matrix, columns P that span the column space give a nonsingular
-    principal block on P, so the polynomial Pf(A[P]) is nonzero there and
-    the generic rank is at least |P|.  The Schur complement of A[P, P] is
-    skew with entries +-Pf(A[P + {k, l}]) / Pf(A[P]), so the rank is |P|
-    exactly when every Pf(A[P + {k, l}]) vanishes for k < l outside P; a
-    nonzero one adds {k, l} to P, and the check runs again.
+    Let P be the pivot columns, by `_pivots_mod`, of the matrix A's value
+    at the point taken mod PRIME, where it is skew too.  For a skew matrix,
+    columns P that span the column space give a nonsingular principal
+    block on P.  A block nonsingular mod PRIME is nonsingular over Q, so
+    the polynomial Pf(A[P]) is nonzero at the point and the generic rank
+    is at least |P|.  The Schur complement of A[P, P] is skew with entries
+    +-Pf(A[P + {k, l}]) / Pf(A[P]), so the rank is |P| exactly when every
+    Pf(A[P + {k, l}]) vanishes for k < l outside P; a nonzero one adds
+    {k, l} to P, and the check runs again.  So a rank mod PRIME below the
+    rank at the point over Q, where PRIME divides every maximal minor,
+    only makes P grow here: like the point, the prime sets only the
+    speed.
 
     A Pfaffian is expanded along its smallest index and memoised on the
     bitmask of its indices, on integer polynomials whose monomials are
@@ -638,8 +672,7 @@ def generic_rank(forms, point=None):
         point = [pow(48271, k + 1, 2 ** 31 - 1) % 2001 - 1000 for k in range(nvars)]
     w = (n // 2).bit_length()
     packed = [[{1 << w * k: c for k, c in form.items() if c} for form in row] for row in forms]
-    values = [{j: v for j, form in enumerate(row)
-               if (v := sum(c * point[k] for k, c in form.items()))} for row in forms]
+    values = [[sum(c * point[k] for k, c in form.items()) for form in row] for row in forms]
     memo = {0: {0: 1}}    # Pf of the empty matrix is 1; 0 packs the monomial 1
 
     def pfaffian(mask):
@@ -660,7 +693,7 @@ def generic_rank(forms, point=None):
             memo[mask] = got
         return got
 
-    kept = set(_Echelon(values).pivot)
+    kept = set(_pivots_mod(values))
     while True:
         base = sum(1 << p for p in kept)
         outside = [k for k in range(n) if k not in kept]

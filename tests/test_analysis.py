@@ -1,10 +1,12 @@
 """Index, centre, and lower-central-series computations."""
 
+import contextlib
+import io
 from fractions import Fraction as F
 
 import pytest
 
-from liepencil import analysis
+from liepencil import analysis, cli
 from liepencil.exact import generic_rank
 from liepencil.tensors import StructureTensor, derived
 from liepencil.constructions import build_classical, nilpotent_square, sl2_complete
@@ -50,6 +52,19 @@ def test_lie_index_gl3():
     assert lie_index(t, mode="prob", seed=1).index == 3
 
 
+def count_point_ranks(monkeypatch):
+    """The ranks `lie_index` samples, one per call of its kernel."""
+    ranks = []
+    real = analysis._pivots_mod
+
+    def counted(rows):
+        pivots = real(rows)
+        ranks.append(len(pivots))
+        return pivots
+    monkeypatch.setattr(analysis, "_pivots_mod", counted)
+    return ranks
+
+
 @pytest.mark.parametrize("n, partition", [(3, (2, 1)), (4, (2, 2))], ids=["sl3", "sl4"])
 def test_lie_index_stops_at_the_centre_bound(monkeypatch, n, partition):
     # the centre lies in every stabiliser, so a sample of rank n - dim z is
@@ -57,15 +72,40 @@ def test_lie_index_stops_at_the_centre_bound(monkeypatch, n, partition):
     triple = sl2_complete("sl", n, partition)
     d = nilpotent_square(triple.tensor, triple.e)[1].derived
     z = len(lie_centre(d))
-    ranks = []
-    real = analysis.rank_exact
-    monkeypatch.setattr(analysis, "rank_exact", lambda rows: ranks.append(real(rows)) or ranks[-1])
+    ranks = count_point_ranks(monkeypatch)
     full = lie_index(d, mode="prob", seed=5)
     assert len(ranks) == 5 and max(ranks) == d.dim - z
     del ranks[:]
-    early = lie_index(d, mode="prob", seed=5, centre_dim=z)
+    early = lie_index(d, mode="prob", seed=5, least_index=z)
     assert len(ranks) == 1
     assert (early.rank, early.index, early.samples) == (full.rank, full.index, full.samples)
+
+
+@pytest.mark.parametrize("n, partition, samples", [(3, "2,1", 1), (4, "2,2", 5)],
+                         ids=["sl3-exact-bound", "sl4-above-the-cap"])
+def test_report_index_stops_at_the_exact_index(monkeypatch, tmp_path, n, partition, samples):
+    # report proves the exact index first when dim <= --max-exact-dim (12),
+    # and the input's sampled index stops once it reaches that bound; sl4
+    # (dim 15) has no exact index, so its samples run to the end
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["example", "nilpotent-square", "sl", str(n),
+                         "--partition", partition]) == 0
+    taken = []     # kernel calls per probabilistic lie_index call, in order
+    ranks = count_point_ranks(monkeypatch)
+    real = cli.lie_index
+
+    def counted(tensor, mode="prob", **kw):
+        before = len(ranks)
+        rep = real(tensor, mode, **kw)
+        if mode == "prob":
+            taken.append(len(ranks) - before)
+        return rep
+    monkeypatch.setattr(cli, "lie_index", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["report", "--algebra", "sl%d.json" % n, "--operator",
+                         "sl%d-nilsquare-op.json" % n, "--seed", "5"]) == 0
+    assert taken == [samples, 1]    # the input's, then the derived bracket's at dim z
 
 
 def test_lie_index_refuses_non_lie():

@@ -2,8 +2,11 @@
 
 sympy's rref(), rank(), nullspace() and gauss_jordan_solve() use the same
 canonical forms as rref, rank_exact, kernel_basis and solve_columns, so the
-results must agree exactly.  sympy and Hypothesis are test-only; the
-library itself stays stdlib-only.
+results must agree exactly.  The point-rank kernel `_pivots_mod`, which
+eliminates mod PRIME, is checked against `rank_exact` and `rref`: equal on
+small entries, a lower bound once PRIME divides entries, and `generic_rank`
+exact at a point where every value is 0 mod PRIME.  sympy and Hypothesis
+are test-only; the library itself stays stdlib-only.
 """
 
 from fractions import Fraction
@@ -14,10 +17,12 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from liepencil.exact import kernel_basis, rank_exact, rref, solve_columns
+from liepencil.constructions import build_classical
+from liepencil.exact import (PRIME, _pivots_mod, generic_rank, kernel_basis, rank_exact,
+                             rref, solve_columns)
 
-# the example budget is the "liepencil" profile in conftest.py; both tests
-# together take about 1.5 s
+# the example budget is the "liepencil" profile in conftest.py; the two
+# sympy tests together take about 1.5 s
 
 ENTRIES = st.one_of(st.just(Fraction(0)),
                     st.fractions(min_value=-9, max_value=9, max_denominator=6))
@@ -81,3 +86,68 @@ def test_solve_columns_matches_sympy(rows, data):
         return
     ref = ref.subs({p: 0 for p in params})   # free coefficients set to 0
     assert sol == [from_sympy(x) for x in ref]
+
+
+# _pivots_mod against the rank over Q.  With at most 6 columns and entries
+# of at most 9 in size, Hadamard's bound puts every minor below
+# (9 sqrt 6)^6 < 1.2e8 < PRIME, so a minor vanishes mod PRIME only where it
+# vanishes over Q: the rank and the pivot columns (each the leftmost
+# column independent of those before it) must agree exactly.  Adding
+# multiples of PRIME to the entries leaves the pivots mod PRIME alone and
+# can only raise the rank over Q.
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices up to 7 x 6 with entries in [-9, 9], or skew ones
+    up to 6 x 6, with forced zero rows."""
+    ints = st.integers(-9, 9)
+    if draw(st.booleans(), label="skew"):
+        n = draw(st.integers(1, 6))
+        upper = iter(draw(st.lists(ints, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = next(upper)
+                rows[j][i] = -rows[i][j]
+    else:
+        nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+        rows = draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    zero = draw(st.sets(st.integers(0, len(rows) - 1), max_size=2))
+    return [[0] * len(row) if i in zero else row for i, row in enumerate(rows)]
+
+
+@given(int_matrices(), st.data())
+def test_pivots_mod_match_rank_exact(rows, data):
+    pivots = _pivots_mod(rows)
+    assert len(pivots) == rank_exact(rows)
+    assert pivots == rref(rows)[1]
+    shifts = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(rows[0]),
+                                         max_size=len(rows[0])),
+                                min_size=len(rows), max_size=len(rows)), label="shifts")
+    moved = [[x + PRIME * k for x, k in zip(row, ks)] for row, ks in zip(rows, shifts)]
+    assert _pivots_mod(moved) == pivots
+    assert len(pivots) <= rank_exact(moved)
+
+
+def test_pivots_mod_is_a_lower_bound():
+    # diag(p, 1) has rank 2 over Q and 1 mod p; the skew [[0, p], [-p, 0]]
+    # has rank 2 over Q and 0 mod p
+    assert (_pivots_mod([[PRIME, 0], [0, 1]]), rank_exact([[PRIME, 0], [0, 1]])) == ([1], 2)
+    assert (_pivots_mod([[0, PRIME], [-PRIME, 0]]), rank_exact([[0, PRIME], [-PRIME, 0]])) == ([], 2)
+
+
+@pytest.mark.parametrize("family, n, rank", [("sl", 2, 2), ("sl", 3, 6), ("gl", 3, 6),
+                                             ("sp", 4, 8), ("so", 4, 4)])
+def test_generic_rank_grows_past_a_point_zero_mod_p(family, n, rank):
+    # every variable at PRIME: the bracket form's value is 0 mod PRIME, so
+    # the point gives no pivot, and the bordered Pfaffians grow P from the
+    # empty set to the generic rank
+    tensor = build_classical(family, n)
+    _, tab = tensor.integer_form()
+    dim = tensor.dim
+    forms = [[tab.get((i, j), {}) for j in range(dim)] for i in range(dim)]
+    point = [PRIME] * dim
+    values = [[sum(c * point[k] for k, c in form.items()) for form in row] for row in forms]
+    assert _pivots_mod(values) == []
+    assert generic_rank(forms, point) == generic_rank(forms) == rank

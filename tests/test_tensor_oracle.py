@@ -25,7 +25,7 @@ from itertools import product
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from liepencil import tensors as tensor_module
 from liepencil.cli import MEMBER_SAMPLES
@@ -520,6 +520,9 @@ def member_samples(draw):
     return draw(st.permutations(list(MEMBER_SAMPLES) + [(0, b), (a, 0), (0, 0)] + extra))
 
 
+# each shrink step re-classifies and re-scans dense members on moved bases,
+# so a failure here is reported unshrunk: in seconds, not minutes
+@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(data=st.data(), samples=member_samples())
 def test_pencil_lie_matches_each_member(data, samples):
     # one pencil of each kind per example, so each kind gets the full budget
