@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .exact import ONE, ZERO, RatMatrix, _int_coordinates, _reduced, mat_commutator
 from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
-                      derived, pair_table)
+                      derived, is_lie, pair_table)
 
 
 class ArgumentError(ValueError):
@@ -291,11 +291,15 @@ class NilpotentSquareReport:
 def nilpotent_square(tensor, e):
     """The operator D = (ad e)^2 together with its structural diagnostics.
 
-    The derived bracket is cross-checked against 2[[e,x],[e,y]] on all basis
-    pairs.  The three sufficient conditions reported (D^2 = 0, the image
-    bracketing to zero: [Dx, Dy] = 0, the image landing in the kernel:
-    D[Dx, y] = 0) each force D to be a quasi-derivation when they hold.  The
-    cross-check and both image conditions are `contract` calls.
+    formula_check is the derived bracket against 2[[e,x],[e,y]] on all basis
+    pairs.  For a Lie tensor it holds by the Leibniz rule: ad e is a
+    derivation, so (ad e)^2 [x, y] = [(ad e)^2 x, y] + 2[ad e x, ad e y] +
+    [x, (ad e)^2 y], and it is read from the tensor's Jacobi verdict (a
+    tensor built by `_expand` carries it); any other tensor is compared by a
+    `contract` call.  The three sufficient conditions reported (D^2 = 0, the
+    image bracketing to zero: [Dx, Dy] = 0, the image landing in the kernel:
+    D[Dx, y] = 0) each force D to be a quasi-derivation when they hold; both
+    image conditions are `contract` calls.
     """
     ade = ad(tensor, e)
     op = ade * ade
@@ -307,7 +311,7 @@ def nilpotent_square(tensor, e):
         d_squared_zero=(op * op).is_zero(),
         image_bracket_zero=contract(tensor, [(1, None, op, op)]).is_zero(),
         image_in_kernel=contract(tensor, [(1, op, op, None)]).is_zero(),
-        formula_check=t1 == contract(tensor, [(2, None, ade, ade)]),
+        formula_check=is_lie(tensor) or t1 == contract(tensor, [(2, None, ade, ade)]),
     )
 
 

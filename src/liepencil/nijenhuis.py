@@ -6,10 +6,12 @@ The torsion of an operator N against a bracket is the bilinear map
 
 N is Nijenhuis when it vanishes.  The second derived bracket always splits as
 twice the torsion minus the derived bracket along N^2, which ties torsion to
-the classification machinery.  Nilpotent Nijenhuis operators and operators
-with proportional first and second derived brackets both satisfy closed-form
-exponential deformation identities; the checkers here verify them pointwise
-with exact arithmetic.
+the classification machinery.  The split is an identity, proved at
+`torsion_decomposition`, so `liepencil report` reads its gate from the proof
+and computes only the torsion; the function stays as the tests' oracle.
+Nilpotent Nijenhuis operators and operators with proportional first and
+second derived brackets both satisfy closed-form exponential deformation
+identities; the checkers here verify them pointwise with exact arithmetic.
 
 The torsion and both sides of each exponential identity (bar the tensor
 sum T + c(s) T' of the near case) are sums of terms c O psi(A., B.), so
@@ -35,19 +37,14 @@ def torsion(tensor, op):
                              (-1, op, op, None), (-1, op, None, op)])
 
 
-def torsion_verdict(tors):
-    """(vanishes, witness pair or None) of a torsion tensor.
+def is_nijenhuis(tensor, op):
+    """(vanishes, witness pair or None) of the torsion.
 
     The witness is the first basis pair, in row-major order, whose torsion
     is nonzero.
     """
-    witness = min(tors.integer_form()[1], default=None)
+    witness = min(torsion(tensor, op).integer_form()[1], default=None)
     return witness is None, witness
-
-
-def is_nijenhuis(tensor, op):
-    """(vanishes, witness pair or None); see `torsion_verdict`."""
-    return torsion_verdict(torsion(tensor, op))
 
 
 @dataclass
@@ -60,14 +57,16 @@ class TorsionSplit:
 
 
 def torsion_decomposition(tensor, op):
-    """Verify second-derived = 2 * torsion - derived along op^2."""
-    return torsion_split(tensor, op, derived_iter(tensor, op, 2))
+    """Verify second-derived = 2 * torsion - derived along op^2.
 
-
-def torsion_split(tensor, op, second):
-    """`torsion_decomposition` for a caller that already holds the second
-    derived bracket rho(op)^2.T (`classify_operator` computes it)."""
+    This holds for every bilinear T and every N.  Write T(x, y) = xy.
+    Expanding rho(N) twice, rho(N)^2.T(x, y) = N^2(xy) - 2N(Nx y) -
+    2N(x Ny) + (N^2 x)y + x(N^2 y) + 2(Nx)(Ny), and rho(N^2).T(x, y) =
+    N^2(xy) - (N^2 x)y - x(N^2 y); twice the torsion,
+    2(Nx)(Ny) + 2N^2(xy) - 2N(Nx y) - 2N(x Ny), is their sum.
+    """
     tors = torsion(tensor, op)
+    second = derived_iter(tensor, op, 2)
     shift = derived(tensor, op * op)
     return TorsionSplit(second, tors, second == tensor_combination([(2, tors), (-1, shift)]))
 

@@ -26,9 +26,10 @@ pair by pair, each vector packed into one int with a field per basis index
 derived operation here, and the torsion, both sides of the exponential
 identities and the nilpotent-square checks elsewhere.  `classify_operator`
 runs it once, on T' with the terms of T'' - b T', and compares packed ints
-with a T, stopping at the first pair that fails; `normalize_pencil` reads
-the (a, b) it proved, and T'' gets a dict form, from `derived`, only when
-something reads it.  `check_jacobi` packs its columns the same way.
+with a T, stopping at the first pair that fails.  Everything after reads
+the (a, b) it proved: a read of T'' builds the combination a T + b T', and
+`normalize_pencil` takes the shifted T' - lambda1 T, with no contraction.
+`check_jacobi` packs its columns the same way.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for integer
@@ -565,9 +566,10 @@ def _largest(rows):
 class _SecondForm:
     """The deferred integer form of T'' = rho(D).T' from `classify_operator`.
 
-    Called, it runs derived(T', D), so a T'' that is read has `derived`'s
-    key order.  A near T'' keeps coeffs, the (a, b) with T'' = a T + b T'
-    that classify proved for T = t0: `normalize_pencil`'s certificate.
+    A quasi or near T'' keeps coeffs, the (a, b) with T'' = a T + b T' that
+    classify proved for T = t0: `normalize_pencil`'s certificate.  Called,
+    it builds that combination, which runs no contraction (a quasi T'' is
+    the empty form); any other T'' runs derived(T', D).
     """
 
     __slots__ = ("t0", "t1", "op", "coeffs")
@@ -576,7 +578,10 @@ class _SecondForm:
         self.t0, self.t1, self.op, self.coeffs = t0, t1, op, None
 
     def __call__(self):
-        return derived(self.t1, self.op).integer_form()
+        if self.coeffs is None:
+            return derived(self.t1, self.op).integer_form()
+        a, b = self.coeffs
+        return tensor_combination([(a, self.t0), (b, self.t1)]).integer_form()
 
 
 @dataclass
@@ -632,10 +637,12 @@ def classify_operator(tensor, op):
     least w with 2^(w-1) above |a_num| max|S0|, bounds a_num S0, so equal
     packed ints mean equal vectors.
 
-    `second` is T'' with a deferred form.  It is built from derived(T', D)
-    only when something reads it (`.table`, `integer_form`, `==`), with the
-    key order `derived` gives.  A quasi T'' is 0: it gets the empty form.
-    A near T'' keeps the (a, b) the pass proved for `normalize_pencil`.
+    `second` is T'' with a deferred form, built only when something reads
+    it (`.table`, `integer_form`, `==`); no command prints it.  A quasi or
+    near T'' keeps the (a, b) the pass proved: a read builds a T + b T' by
+    `tensor_combination`, in its key order (T's keys first when a != 0, not
+    `derived`'s), and a quasi T'' reads as the empty form.  A scalar-type or
+    not-near T'' is read from derived(T', D).
     """
     t1 = derived(tensor, op)
     if t1.is_zero():
@@ -668,12 +675,8 @@ def classify_operator(tensor, op):
     for i, j in _pairs(n, tensor.is_skew()):
         if entry(i, j) != target.get((i, j), 0):
             return PencilAction(tensor, op, t1, t2, 2, TAG_NOT_NEAR)
-    a, b = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
-    if a == 0 and b == 0:
-        zero = StructureTensor._of(n, tensor.labels, (1, {}))
-        return PencilAction(tensor, op, t1, zero, 2, TAG_QUASI, a=a, b=b)
-    pending.coeffs = a, b
-    return PencilAction(tensor, op, t1, t2, 2, TAG_NEAR, a=a, b=b)
+    a, b = pending.coeffs = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
+    return PencilAction(tensor, op, t1, t2, 2, TAG_NEAR if a or b else TAG_QUASI, a=a, b=b)
 
 
 @dataclass
@@ -698,40 +701,20 @@ class NormalizedPencil:
         return (ZERO, self.b)
 
 
-def _second_is_multiple(t2, t1, op, c, skew):
-    """Whether T'' == c * T' for T'' = rho(D).T': the guard of
-    `normalize_pencil` without a certificate.
-
-    When t2 is None or classify's deferred T'' for this T' and D, the
-    kernel evaluates q rho(E).S - p e S at its own width (c = p / q,
-    T' = S / L, D = E / e), which must vanish at every pair, i < j for
-    skew.  Any other t2 is compared with c * T' on its integer form.
-    """
-    n, (L, tab) = t1.dim, t1.integer_form()
-    p, q, e = c.numerator, c.denominator, op.den
-    pending = None if t2 is None else t2._integer
-    if isinstance(pending, _SecondForm) and pending.t1 is t1 and pending.op is op:
-        t2 = None
-    if t2 is not None:
-        scaled = ({ij: {k: p * v for k, v in vec.items()} for ij, vec in tab.items()}
-                  if p else {})
-        return _same_form(t2.integer_form(), (q * L, scaled))
-    terms = [(q * c, *ops) for c, *ops in _rho(op.ints)] + [(-p * e, None, None, None)]
-    _, entry = _contraction(tab, n, terms)
-    return not any(entry(i, j) for i, j in _pairs(n, skew))
-
-
 def normalize_pencil(action):
     """Normalize a quasi or near pencil action; may raise IrrationalEigenvalues.
 
-    The guard is rho(D1)^2.T == bnew * rho(D1).T, that is
-    (rho(D) - lambda1)(rho(D) - lambda2).T = T'' - b T' - a T = 0, since
-    rho(D + lambda I) = rho(D) - lambda on tensors.  `classify_operator`
-    proved it when action.second is its deferred T'' for this tensor,
-    derived and operator with coeffs (a, b); any other action runs
-    `_second_is_multiple` and raises IdentityFailed on failure, also under
-    -O.  The second degenerate line, bnew * T - rho(D1).T, gets its form
-    only when it is read.
+    The guard is T' = rho(D).T and T'' = rho(D).T' = a T + b T'.
+    `classify_operator` proved both when action.second is its deferred T''
+    for this tensor, derived and operator with coeffs (a, b); any other
+    action, built or edited by hand, computes both sides and raises
+    IdentityFailed on failure, also under -O.  Then
+    rho(D1)^2.T = bnew * rho(D1).T for D1 = D + lambda1 I, since
+    rho(D + lambda I) = rho(D) - lambda on tensors:
+    (rho(D) - lambda1)(rho(D) - lambda2).T = T'' - b T' - a T = 0.  So
+    rho(D1).T = T' - lambda1 T is a combination, and no contraction runs on
+    a classified action.  The second degenerate line, bnew * T - rho(D1).T,
+    gets its form only when it is read.
     """
     if action.tag not in (TAG_QUASI, TAG_NEAR):
         raise ValueError("only quasi and near actions normalize (got %r)" % action.tag)
@@ -743,23 +726,22 @@ def normalize_pencil(action):
         if root is None:
             raise IrrationalEigenvalues(a, b)
         lam1, lam2 = (b - root) / 2, (b + root) / 2
-    if lam1 == 0:
-        d1, t1, t2 = action.operator, action.derived, action.second
-    else:
-        d1 = action.operator + RatMatrix.identity(action.operator.nrows).scale(lam1)
-        t1 = derived(action.tensor, d1)
-        t2 = None
-    bnew = lam2 - lam1
+    tensor, op, t1 = action.tensor, action.operator, action.derived
     form = action.second._integer
     if not ((isinstance(form, _SecondForm) and form.coeffs == (a, b)
-             and (form.t0, form.t1, form.op) == (action.tensor, action.derived, action.operator))
-            or _second_is_multiple(t2, t1, d1, bnew, action.tensor.is_skew())):
+             and (form.t0, form.t1, form.op) == (tensor, t1, op))
+            or (derived(tensor, op) == t1
+                and derived(t1, op) == tensor_combination([(a, tensor), (b, t1)]))):
         raise IdentityFailed("pencil normalization failed")
+    if lam1:
+        op = op + RatMatrix.identity(op.nrows).scale(lam1)
+        t1 = tensor_combination([(ONE, t1), (-lam1, tensor)])
+    bnew = lam2 - lam1
     mode = MODE_NILPOTENT if bnew == 0 else MODE_SEMISIMPLE
     lines = [t1]
     if mode == MODE_SEMISIMPLE:
         # bnew * T - T', its form deferred until the line is read
-        combination = [(bnew, action.tensor), (-ONE, t1)]
-        lines.append(StructureTensor._of(t1.dim, action.tensor.labels,
+        combination = [(bnew, tensor), (-ONE, t1)]
+        lines.append(StructureTensor._of(t1.dim, tensor.labels,
                                          lambda: tensor_combination(combination).integer_form()))
-    return NormalizedPencil(lam1, d1, mode, t1, bnew, lines)
+    return NormalizedPencil(lam1, op, mode, t1, bnew, lines)

@@ -266,9 +266,11 @@ def lie_points(draw):
     """pi(xi) = (sum_k c_ij^k xi_k)_ij on the integer form of a classical
     Lie table, |xi_k| <= 10^6, taken as P^T pi(xi) P for P a lower times an
     upper unitriangular integer matrix: the point rank of the algebra on the
-    basis P, a dense skew integer matrix.  These are the systems of
-    `analysis.lie_index`.  Systems with a singleton row are discarded, so
-    every row goes in through `add`."""
+    basis P, a dense skew integer matrix: dense skew systems for
+    `_Echelon`.  `analysis.lie_index` ranks such points mod p with
+    `exact._pivots_mod`, whose own oracle is in `tests/test_exact_oracle.py`.
+    Systems with a singleton row are discarded, so every row goes in
+    through `add`."""
     tensor = build_classical(*draw(st.sampled_from(CLASSICAL)))
     n, ints = tensor.dim, tensor.integer_form()[1]
     xi = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n))

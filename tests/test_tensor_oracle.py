@@ -14,7 +14,11 @@ derived tensors, on hand-made pencils of every tag moved to random bases and
 scaled, some far enough that the packed fields of T'' pass 64 bits.
 `pencil_lie`'s verdict on each pencil member must be `is_lie` of the member
 built on its own, on classified actions of every tag, with T Lie and not;
-claim (1)'s identities are checked against a Fraction polar form.
+claim (1)'s identities are checked against a Fraction polar form.  A
+quasi or near T'' read from classify's (a, b) must equal derived(T', D),
+and a shifted pencil's rho(D1).T = T' - lambda1 T must equal
+derived(T, D1); the Leibniz formula of `nilpotent_square` must hold on
+generated Lie tensors and fail on a non-Lie one.
 Hypothesis is test-only; the library itself stays stdlib-only.
 """
 
@@ -29,6 +33,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from liepencil import tensors as tensor_module
 from liepencil.cli import MEMBER_SAMPLES
+from liepencil.constructions import nilpotent_square
 from liepencil.exact import ZERO, RatMatrix
 from liepencil.tensors import (IrrationalEigenvalues, StructureTensor, ad, check_jacobi,
                                classify_operator, derived, is_lie, normalize_pencil,
@@ -444,6 +449,53 @@ def test_classify_with_fields_past_64_bits(tag, tensor, op):
     assert widest.bit_length() > 64
 
 
+# A quasi or near T'' is read from the (a, b) classify proved, as a T + b T',
+# with no contraction; it must equal derived(T', D).  A pencil shifted by
+# lambda1 != 0 takes rho(D1).T = T' - lambda1 T, which must equal
+# derived(T, D1).
+
+def check_read_from_the_proof(act):
+    calls, kernel = [], tensor_module._contraction
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor_module, "_contraction",
+                      lambda *args: calls.append(args) or kernel(*args))
+        act.second.integer_form()
+    assert calls == []
+    assert act.second == derived(act.derived, act.operator)
+
+
+def check_shifted(act):
+    try:
+        norm = normalize_pencil(act)
+    except IrrationalEigenvalues:
+        return
+    if norm.shift:
+        assert norm.derived == derived(act.tensor, norm.operator)
+
+
+@pytest.mark.parametrize("tag, tensor, op",
+                         [seed for seed in PENCIL_SEEDS if seed[0] in ("quasi", "near")])
+def test_second_is_read_from_the_proof_on_pencil_seeds(tag, tensor, op):
+    act = classify_operator(tensor, op)
+    assert act.tag == tag
+    check_read_from_the_proof(act)
+    check_shifted(act)
+
+
+@given(data=st.data())
+def test_second_is_read_from_the_proof_on_classified_pencils(data):
+    # one pencil of each kind per example; D + shift I is quasi or near with
+    # D, and its lambda1 is moved by -shift, so pencils with lambda1 != 0
+    # come up
+    for kind in ("near", "lie", "any", "graded"):
+        act, _ = data.draw(classified_pencils(kind), label=kind)
+        if act.tag in ("quasi", "near"):
+            shift = RatMatrix.identity(act.tensor.dim).scale(data.draw(ENTRIES, label="shift"))
+            for each in (act, classify_operator(act.tensor, act.operator + shift)):
+                check_read_from_the_proof(each)
+                check_shifted(each)
+
+
 # pencil_lie(action, norm)(alpha, beta) against is_lie of the member built
 # on its own, on classified actions only: the constructed near-derivations
 # moved to random bases (square sl4, dim 15, is left out: moved to a dense
@@ -595,3 +647,42 @@ def test_claim_one_needs_a_lie_input():
     assert any(vec != {r: -v for r, v in half[triple].items()} for triple, vec in jac1.items())
     lie = pencil_lie(act)
     assert [lie(a, b) for a, b in MEMBER_SAMPLES] == verdicts
+
+
+# nilpotent_square's formula_check, rho((ad e)^2).T = 2 T(ad e ., ad e .), is
+# read from the Jacobi verdict on a Lie T: ad e is a derivation, and the
+# Leibniz rule gives the identity.  Checked here against the Fraction
+# reference, and shown to fail without Jacobi.
+
+def reference_square_formula(tensor, e):
+    """(rho((ad e)^2).T, 2 T(ad e x_i, ad e x_j)) as Fraction tables."""
+    ade = ad(tensor, e)
+    cols = columns(ade)
+    n = tensor.dim
+    right = {}
+    for i in range(n):
+        for j in range(n):
+            vec = {k: 2 * c for k, c in enumerate(tensor.apply(cols[i], cols[j])) if c}
+            if vec:
+                right[(i, j)] = vec
+    return reference_derived(tensor, ade * ade).table, right
+
+
+@given(st.sampled_from(LIE), st.data())
+def test_square_formula_holds_on_lie_tensors(algebra, data):
+    base = standard(algebra)
+    tensor = transport(base, data.draw(change_of_basis(base.dim), label="P"))
+    e = data.draw(fixed_lists(ENTRIES, tensor.dim), label="e")
+    left, right = reference_square_formula(tensor, e)
+    assert left == right
+    assert nilpotent_square(tensor, e)[1].formula_check
+
+
+def test_square_formula_fails_without_jacobi():
+    # [x0, x1] = x1, [x1, x2] = x0 is skew but not Lie; with e = x0 the
+    # formula fails and nilpotent_square compares the two sides
+    tensor, e = standard(NON_LIE), [Fraction(1), ZERO, ZERO]
+    assert not is_lie(tensor)
+    left, right = reference_square_formula(tensor, e)
+    assert left != right
+    assert nilpotent_square(tensor, e)[1].formula_check is False

@@ -17,7 +17,7 @@ from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues,
                                classify_operator,
                                derived, derived_iter, is_lie,
                                normalize_pencil,
-                               tensor_combination, _second_is_multiple)
+                               tensor_combination)
 
 from helpers import columns, rand_matrix, rand_vector
 from paper_checks import (PreconditionViolated, check_vanishing_propagation, is_derivation,
@@ -216,17 +216,27 @@ def test_normalize_reads_the_certified_coefficients(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("edit", ["b", "a", "second"])
+@pytest.mark.parametrize("edit", ["b", "a", "derived"])
 def test_normalize_guard_refuses_an_edited_action(edit):
     t = sl2()
     act = classify_operator(t, GRADING_OP)
     change = {"b": act.b - 1,
               # a = -1 moves both roots to -1: the guard checks the pencil of D + I
               "a": act.a - 1,
-              # the T'' of 2 D, four times this one's
-              "second": classify_operator(t, GRADING_OP.scale(2)).second}[edit]
+              # the T' of 2 D, twice this one's
+              "derived": classify_operator(t, GRADING_OP.scale(2)).derived}[edit]
     with pytest.raises(IdentityFailed):
         normalize_pencil(replace(act, **{edit: change}))
+
+
+def test_normalize_guard_does_not_read_second():
+    # T'' follows from T, T' and the (a, b) the guard checks, so an edited
+    # second (the T'' of 2 D) only loses the certificate: the guard computes
+    # both sides and normalizes the action as before
+    t = sl2()
+    act = classify_operator(t, GRADING_OP)
+    edited = replace(act, second=classify_operator(t, GRADING_OP.scale(2)).second)
+    assert normalize_pencil(edited) == normalize_pencil(act)
 
 
 def test_normalize_guard_runs_the_kernel_at_its_own_width():
@@ -259,10 +269,13 @@ def test_kernel_guard_holds_wherever_the_certificate_does():
         if tag not in ("near", "quasi"):
             continue
         act = classify_operator(tensor, op)
-        if tag == "near":
-            assert act.second._integer.coeffs == (act.a, act.b)
+        assert act.second._integer.coeffs == (act.a, act.b)
+        # the guard of a hand-made action, and the normalized pencil's identity
+        assert derived(tensor, op) == act.derived
+        assert derived(act.derived, op) == tensor_combination([(act.a, tensor),
+                                                               (act.b, act.derived)])
         norm = normalize_pencil(act)
-        assert _second_is_multiple(None, norm.derived, norm.operator, norm.b, tensor.is_skew())
+        assert derived(norm.derived, norm.operator) == norm.derived.scale(norm.b)
 
 
 # asserts are stripped under -O, so the script reports through its exit code
@@ -277,14 +290,18 @@ if __debug__:
 act = classify_operator(build_classical("sl", 2), RatMatrix.diagonal([1, 0, 1]))
 if (act.tag, act.a, act.b) != ("near", 0, -2):
     sys.exit("unexpected classification")
-# the packed T'' of 2 D, four times this one's, stands in for T''; a = -1
+# the T' of 2 D, twice this one's, stands in for T', and 2 T for T; a = -1
 # moves both roots to -1, so the guard checks the pencil of D + I
-other = classify_operator(build_classical("sl", 2), RatMatrix.diagonal([2, 0, 2])).second
-for wrong in (replace(act, b=act.b - 1), replace(act, second=other), replace(act, a=act.a - 1)):
+double = classify_operator(build_classical("sl", 2), RatMatrix.diagonal([2, 0, 2]))
+for wrong in (replace(act, b=act.b - 1), replace(act, derived=double.derived),
+              replace(act, tensor=act.tensor.scale(2)), replace(act, a=act.a - 1)):
     try:
         normalize_pencil(wrong)
     except IdentityFailed:
         print("raised")
+# an edited T'' is not read: the action normalizes as before
+if normalize_pencil(replace(act, second=double.second)) == normalize_pencil(act):
+    print("same")
 """
 
 
@@ -295,7 +312,7 @@ def test_normalize_guard_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARD_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 3
+    assert proc.stdout.split() == ["raised"] * 4 + ["same"]
 
 
 def test_vanishing_propagation():
