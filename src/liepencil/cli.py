@@ -31,10 +31,9 @@ from . import nijenhuis as nij
 from . import poisson as pois
 from .analysis import lie_centre, lie_index, lower_central_series
 from .exact import _INTEGER, format_rat, nilpotent_index, parse_rat
-from .tensors import (IrrationalEigenvalues, MODE_NILPOTENT, TAG_DERIVATION,
-                      TAG_NEAR, TAG_NOT_NEAR, TAG_QUASI, TAG_SCALAR, check_jacobi,
-                      check_skew, classify_operator, derived_iter, is_lie,
-                      near_theorem, normalize_pencil, pencil_lie)
+from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR, TAG_NOT_NEAR,
+                      TAG_QUASI, TAG_SCALAR, check_jacobi, check_skew, classify_operator,
+                      derived_iter, is_lie, near_theorem, normalize_pencil, pencil_lie)
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -183,13 +182,6 @@ def _classify_doc(tensor, op):
     return act, norm, doc
 
 
-def _lines_lie(lie, norm):
-    """Whether the degenerate lines of the normalized pencil norm are Lie,
-    read from lie = `pencil_lie(action, norm)`: the lines are S = rho(D1).T,
-    the member (0, 1), and in semisimple mode b*T - S, the member (b, -1)."""
-    return lie(0, 1) and (norm.mode == MODE_NILPOTENT or lie(norm.b, -1))
-
-
 def _tensor_doc(doc, result, out, what, metadata, **extra):
     """doc with result's entries (the upper triangle of a skew result), then
     extra; with out (--out) set, result is written there as an algebra file."""
@@ -243,7 +235,7 @@ def cmd_pencil(args):
     lie = pencil_lie(act, norm)
     doc["members"] = [{"alpha": alpha, "beta": beta, "lie": lie(alpha, beta)}
                       for alpha, beta in MEMBER_SAMPLES]
-    doc["degenerate_lines_lie"] = _lines_lie(lie, norm)
+    doc["degenerate_lines_lie"] = all(lie(*line) for line in norm.degenerate_lines)
     ok = all(m["lie"] for m in doc["members"]) and doc["degenerate_lines_lie"]
     return doc, EXIT_OK if ok else EXIT_CHECK
 
@@ -517,7 +509,7 @@ def cmd_report(args):
                         if not lie(alpha, beta)), None)
         gate("pencil-members-lie", witness is None, witness=witness)
         if norm is not None:
-            gate("degenerate-lines-lie", _lines_lie(lie, norm),
+            gate("degenerate-lines-lie", all(lie(*line) for line in norm.degenerate_lines),
                  count=len(norm.degenerate_lines))
 
     if sk and jc:

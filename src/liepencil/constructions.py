@@ -64,22 +64,14 @@ def tensor_from_matrix_basis(mats, labels):
 def _expand(mats, labels, coords):
     """`tensor_from_matrix_basis` over the basis reader coords; a commutator
     outside the span, or a table that fails Jacobi, raises ValueError.  A
-    commutator is expanded once per pair i < j; row j, filled after row i,
-    writes [x_j, x_i] as the negated vector, so the table keeps row-major key
-    order and is skew by construction."""
-    n = len(mats)
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                vec = {k: c for k, c in enumerate(coords(mat_commutator(mats[i], mats[j])))
-                       if c}
-            else:
-                vec = {k: -c for k, c in table.get((j, i), {}).items()}
-            if vec:
-                table[(i, j)] = vec
+    commutator is expanded once per pair i < j, and `pair_table` mirrors it,
+    so the table is skew by construction."""
 
-    tensor = StructureTensor._of(n, tuple(labels), _form_of(table))
+    def entry(i, j):
+        return {k: c for k, c in enumerate(coords(mat_commutator(mats[i], mats[j]))) if c}
+
+    n = len(mats)
+    tensor = StructureTensor._of(n, tuple(labels), _form_of(pair_table(n, entry, skew=True)))
     ok, wit = check_jacobi(tensor)
     if not ok:
         raise ValueError("Jacobi fails at %r" % (wit,))

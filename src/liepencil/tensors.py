@@ -27,20 +27,22 @@ derived operation here, and the torsion, both sides of the exponential
 identities and the nilpotent-square checks elsewhere.  `classify_operator`
 runs it once, on T' with the terms of T'' - b T', and compares packed ints
 with a T, stopping at the first pair that fails.  Everything after reads
-the (a, b) it proved: a read of T'' builds the combination a T + b T', and
-`normalize_pencil` takes the shifted T' - lambda1 T, with no contraction.
-`check_jacobi` packs its columns the same way.
+the (a, b) it proved, kept on the action: T'' and the degenerate lines are
+named by coefficients on the pencil, never built, and `normalize_pencil`
+takes the shifted T' - lambda1 T with no contraction.  `check_jacobi`
+packs its columns the same way.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for integer
-forms the library has already built clean.  Tables over basis pairs are
-filled by `pair_table`, and a skew table is always completed by `skew_table`,
-which writes each mirror entry (j, i) as the negated (i, j) vector.
+forms the library has already built clean.  Every tensor holds its built
+form from construction on.  Tables over basis pairs are filled by
+`pair_table`, and a skew table is always completed by `skew_table`, which
+writes each mirror entry (j, i) as the negated (i, j) vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm, prod
@@ -80,15 +82,14 @@ class StructureTensor:
     c_ij^k = ints[(i, j)][k] / den, in which zero vectors and zero entries
     never appear.  `StructureTensor(dim, table, labels)` validates a
     `Fraction` table from outside (files, tests) and clears it to a form
-    once; `_of` wraps a form the library built clean, without a copy, or a
-    zero-argument function that builds it on first use, as for the T'' of
-    `classify_operator`.  `table` is a view: the `Fraction` table
-    {(i, j): {k: c_ij^k}} built from the form on each read.
+    once; `_of` wraps a form the library built clean, without a copy.
+    `table` is a view: the `Fraction` table {(i, j): {k: c_ij^k}} built
+    from the form on each read.
 
     Instances are immutable: every operation returns a new tensor, and no
-    code writes to a form once it is built.  The caches rely on it:
-    `_integer` holds the form, `_skew` the `is_skew` verdict and `_jacobi`
-    the `check_jacobi` result (or claim (1)'s, `near_theorem`), each once.
+    code writes to `_integer`, the form, once it is built.  The caches rely
+    on it: `_skew` holds the `is_skew` verdict and `_jacobi` the
+    `check_jacobi` result (or claim (1)'s, `near_theorem`), each once.
     """
 
     __slots__ = ("dim", "labels", "_integer", "_skew", "_jacobi")
@@ -114,9 +115,7 @@ class StructureTensor:
     def _of(cls, dim, labels, integer):
         """Trusted constructor: integer is a clean form (den > 0, nonzero
         int entries, indices below dim) and labels a tuple of dim strings;
-        the form is kept as it is, no copy and no check.  integer may also
-        be a zero-argument function that returns the form, called on the
-        form's first use."""
+        the form is kept as it is, no copy and no check."""
         t = object.__new__(cls)
         t.dim = dim
         t.labels = labels
@@ -126,12 +125,8 @@ class StructureTensor:
 
     def integer_form(self):
         """(den, {(i, j): {k: int}}): the tensor's one stored form,
-        table[(i, j)][k] == Fraction(ints[(i, j)][k], den).  A deferred form
-        is built here, on the first call."""
-        form = self._integer
-        if callable(form):
-            form = self._integer = form()
-        return form
+        table[(i, j)][k] == Fraction(ints[(i, j)][k], den)."""
+        return self._integer
 
     @property
     def table(self):
@@ -563,27 +558,6 @@ def _largest(rows):
     return max(map(abs, chain.from_iterable(rows)), default=0)
 
 
-class _SecondForm:
-    """The deferred integer form of T'' = rho(D).T' from `classify_operator`.
-
-    A quasi or near T'' keeps coeffs, the (a, b) with T'' = a T + b T' that
-    classify proved for T = t0: `normalize_pencil`'s certificate.  Called,
-    it builds that combination, which runs no contraction (a quasi T'' is
-    the empty form); any other T'' runs derived(T', D).
-    """
-
-    __slots__ = ("t0", "t1", "op", "coeffs")
-
-    def __init__(self, t0, t1, op):
-        self.t0, self.t1, self.op, self.coeffs = t0, t1, op, None
-
-    def __call__(self):
-        if self.coeffs is None:
-            return derived(self.t1, self.op).integer_form()
-        a, b = self.coeffs
-        return tensor_combination([(a, self.t0), (b, self.t1)]).integer_form()
-
-
 @dataclass
 class PencilAction:
     """Classification of an operator against a structure tensor.
@@ -591,17 +565,22 @@ class PencilAction:
     dim_u is the dimension of span{T, T'}; for tags "quasi" and "near" the
     scalars satisfy T'' = a*T + b*T' exactly, with (a, b) = (0, 0) in the
     quasi case.  For "scalar-type", scalar holds the ratio T' = scalar * T.
+
+    `_proof` is (T, T', D, a, b) as `classify_operator` proved them for a
+    quasi or near action, else None: `normalize_pencil`'s certificate.  It
+    is not an init argument, so `dataclasses.replace` leaves it None, and a
+    field edited in place no longer matches it.
     """
 
     tensor: StructureTensor
     operator: RatMatrix
     derived: StructureTensor
-    second: StructureTensor
     dim_u: int
     tag: str
     a: Fraction | None = None
     b: Fraction | None = None
     scalar: Fraction | None = None
+    _proof: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _derived_at(tab, E, i, j, k):
@@ -637,16 +616,12 @@ def classify_operator(tensor, op):
     least w with 2^(w-1) above |a_num| max|S0|, bounds a_num S0, so equal
     packed ints mean equal vectors.
 
-    `second` is T'' with a deferred form, built only when something reads
-    it (`.table`, `integer_form`, `==`); no command prints it.  A quasi or
-    near T'' keeps the (a, b) the pass proved: a read builds a T + b T' by
-    `tensor_combination`, in its key order (T's keys first when a != 0, not
-    `derived`'s), and a quasi T'' reads as the empty form.  A scalar-type or
-    not-near T'' is read from derived(T', D).
+    A quasi or near action keeps what the pass proved, (T, T', D, a, b), in
+    its `_proof`; no command reads T'' as a tensor, so none is built.
     """
     t1 = derived(tensor, op)
     if t1.is_zero():
-        return PencilAction(tensor, op, t1, t1, 1, TAG_DERIVATION)
+        return PencilAction(tensor, op, t1, 1, TAG_DERIVATION)
     n = tensor.dim
     L0, tab0 = tensor.integer_form()
     L1, tab1 = t1.integer_form()
@@ -657,10 +632,8 @@ def classify_operator(tensor, op):
     q = next(((ij, k) for tab in (tab1, tab0) for ij, vec in tab.items() for k in vec
               if s0 * tab1.get(ij, empty).get(k, 0) != s1 * tab0.get(ij, empty).get(k, 0)),
              None)
-    pending = _SecondForm(tensor, t1, op)
-    t2 = StructureTensor._of(n, tensor.labels, pending)
     if q is None:
-        return PencilAction(tensor, op, t1, t2, 1, TAG_SCALAR,
+        return PencilAction(tensor, op, t1, 1, TAG_SCALAR,
                             scalar=Fraction(s1 * L0, s0 * L1))
     ijq, kq = q
     r0, r1 = tab0.get(ijq, empty).get(kq, 0), tab1.get(ijq, empty).get(kq, 0)
@@ -674,9 +647,11 @@ def classify_operator(tensor, op):
     target = {ij: a_num * _packed(v, v.values(), w) for ij, v in tab0.items()} if a_num else {}
     for i, j in _pairs(n, tensor.is_skew()):
         if entry(i, j) != target.get((i, j), 0):
-            return PencilAction(tensor, op, t1, t2, 2, TAG_NOT_NEAR)
-    a, b = pending.coeffs = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
-    return PencilAction(tensor, op, t1, t2, 2, TAG_NEAR if a or b else TAG_QUASI, a=a, b=b)
+            return PencilAction(tensor, op, t1, 2, TAG_NOT_NEAR)
+    a, b = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
+    action = PencilAction(tensor, op, t1, 2, TAG_NEAR if a or b else TAG_QUASI, a=a, b=b)
+    action._proof = (tensor, t1, op, a, b)
+    return action
 
 
 @dataclass
@@ -684,9 +659,10 @@ class NormalizedPencil:
     """Pencil data after shifting D by the smaller root of t^2 - b*t - a.
 
     The normalized operator satisfies rho(D1)^2.T = (lambda2-lambda1)*rho(D1).T,
-    so the new coefficient pair is (0, lambda2 - lambda1).  Nilpotent mode
-    (equal roots) has a single degenerate line, spanned by rho(D1).T;
-    semisimple mode adds the line of b*T - rho(D1).T.
+    so the new coefficient pair is (0, lambda2 - lambda1).  Each degenerate
+    line is its (alpha, beta) on span{T, S}, S = rho(D1).T, the member
+    alpha*T + beta*S: nilpotent mode (equal roots) has the single line
+    (0, 1), spanned by S; semisimple mode adds (b, -1), the line of b*T - S.
     """
 
     shift: Fraction
@@ -705,16 +681,16 @@ def normalize_pencil(action):
     """Normalize a quasi or near pencil action; may raise IrrationalEigenvalues.
 
     The guard is T' = rho(D).T and T'' = rho(D).T' = a T + b T'.
-    `classify_operator` proved both when action.second is its deferred T''
-    for this tensor, derived and operator with coeffs (a, b); any other
-    action, built or edited by hand, computes both sides and raises
-    IdentityFailed on failure, also under -O.  Then
+    `classify_operator` proved both when the action's `_proof` matches its
+    tensor, derived, operator, a and b; any other action, built by hand,
+    copied by `dataclasses.replace` or edited in place, computes both sides
+    and raises IdentityFailed on failure, also under -O.  Then
     rho(D1)^2.T = bnew * rho(D1).T for D1 = D + lambda1 I, since
     rho(D + lambda I) = rho(D) - lambda on tensors:
     (rho(D) - lambda1)(rho(D) - lambda2).T = T'' - b T' - a T = 0.  So
     rho(D1).T = T' - lambda1 T is a combination, and no contraction runs on
-    a classified action.  The second degenerate line, bnew * T - rho(D1).T,
-    gets its form only when it is read.
+    a classified action.  The degenerate lines are (alpha, beta) pairs on
+    span{T, rho(D1).T}; no line tensor is built.
     """
     if action.tag not in (TAG_QUASI, TAG_NEAR):
         raise ValueError("only quasi and near actions normalize (got %r)" % action.tag)
@@ -727,9 +703,7 @@ def normalize_pencil(action):
             raise IrrationalEigenvalues(a, b)
         lam1, lam2 = (b - root) / 2, (b + root) / 2
     tensor, op, t1 = action.tensor, action.operator, action.derived
-    form = action.second._integer
-    if not ((isinstance(form, _SecondForm) and form.coeffs == (a, b)
-             and (form.t0, form.t1, form.op) == (tensor, t1, op))
+    if not (action._proof == (tensor, t1, op, a, b)
             or (derived(tensor, op) == t1
                 and derived(t1, op) == tensor_combination([(a, tensor), (b, t1)]))):
         raise IdentityFailed("pencil normalization failed")
@@ -737,11 +711,6 @@ def normalize_pencil(action):
         op = op + RatMatrix.identity(op.nrows).scale(lam1)
         t1 = tensor_combination([(ONE, t1), (-lam1, tensor)])
     bnew = lam2 - lam1
-    mode = MODE_NILPOTENT if bnew == 0 else MODE_SEMISIMPLE
-    lines = [t1]
-    if mode == MODE_SEMISIMPLE:
-        # bnew * T - T', its form deferred until the line is read
-        combination = [(bnew, tensor), (-ONE, t1)]
-        lines.append(StructureTensor._of(t1.dim, tensor.labels,
-                                         lambda: tensor_combination(combination).integer_form()))
-    return NormalizedPencil(lam1, op, mode, t1, bnew, lines)
+    if bnew == 0:
+        return NormalizedPencil(lam1, op, MODE_NILPOTENT, t1, bnew, [(0, 1)])
+    return NormalizedPencil(lam1, op, MODE_SEMISIMPLE, t1, bnew, [(0, 1), (bnew, -1)])

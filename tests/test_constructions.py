@@ -170,7 +170,7 @@ def test_principal_nilpotent_square_not_quasi():
     act = classify_operator(t, op)
     assert act.tag == "not-near"
     # hand-computed witness: psi''(E31, E32) = 12 E12 + 24 E23
-    assert act.second.bracket(4, 5) == {0: F(12), 3: F(24)}
+    assert derived(act.derived, op).bracket(4, 5) == {0: F(12), 3: F(24)}
 
 
 def test_involution_split_dimensions():

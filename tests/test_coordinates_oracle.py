@@ -52,23 +52,27 @@ def flat(mat):
 
 
 def reference_tensor(mats, labels, product="commutator"):
-    """Structure tensor with one `reference_solve_columns` per product."""
+    """Structure tensor with one `reference_solve_columns` per product.
+
+    Each ordered pair is solved on its own.  A commutator table is keyed
+    as a skew table is built: each pair i < j followed by its mirror
+    (j, i); a product table in row-major order."""
+    n = len(mats)
+    if product == "commutator":
+        pairs = [p for i in range(n) for j in range(i + 1, n) for p in ((i, j), (j, i))]
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
     cols = [flat(b) for b in mats]
     table = {}
-    for i, x in enumerate(mats):
-        for j, y in enumerate(mats):
-            if product == "commutator":
-                if i == j:
-                    continue
-                prod = mat_commutator(x, y)
-            else:
-                prod = x * y
-            coords = reference_solve_columns(cols, flat(prod))
-            assert coords is not None
-            vec = {k: c for k, c in enumerate(coords) if c}
-            if vec:
-                table[(i, j)] = vec
-    return StructureTensor(len(mats), table, labels)
+    for i, j in pairs:
+        x, y = mats[i], mats[j]
+        prod = mat_commutator(x, y) if product == "commutator" else x * y
+        coords = reference_solve_columns(cols, flat(prod))
+        assert coords is not None
+        vec = {k: c for k, c in enumerate(coords) if c}
+        if vec:
+            table[(i, j)] = vec
+    return StructureTensor(n, table, labels)
 
 
 def layout(tensor):

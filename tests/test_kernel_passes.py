@@ -4,19 +4,22 @@ Each command reads what `classify_operator` proved instead of deriving it
 again.  `report` runs three passes on a quasi or near action: T' = rho(D).T,
 classify's one pencil check, and the torsion for the Nijenhuis diagnostic.
 The torsion-decomposition gate is an identity (`nijenhuis.torsion_decomposition`),
-and a read of T'' builds a T + b T'.  `normalize_pencil` on a classified
-action runs none, shifted or not, and `example nilpotent-square` reads its
-formula check from the Jacobi verdict of the algebra.
+and T'' is named by classify's (a, b), never built.  `normalize_pencil` on a
+classified action runs none, shifted or not, also after every field of the
+action and every table of its tensors has been read, and
+`example nilpotent-square` reads its formula check from the Jacobi verdict
+of the algebra.
 """
 
 import contextlib
 import io
+from dataclasses import fields
 
 import pytest
 
 from liepencil import tensors
 from liepencil.cli import main
-from liepencil.tensors import classify_operator, normalize_pencil
+from liepencil.tensors import StructureTensor, classify_operator, normalize_pencil
 
 from test_tensors import two_sl2
 
@@ -60,6 +63,19 @@ def test_normalize_a_classified_action(calls):
     # near (2, 1): the shift lambda1 = -1 takes rho(D1).T = T' + T
     act = classify_operator(*two_sl2())
     assert (act.tag, act.a, act.b) == ("near", 2, 1)
+    calls.clear()
+    assert normalize_pencil(act).shift == -1
+    assert calls == []
+
+
+def test_normalize_after_every_field_is_read(calls):
+    # reading the action, down to the tables of its tensors, leaves the
+    # certificate in place
+    act = classify_operator(*two_sl2())
+    for field in fields(act):
+        value = getattr(act, field.name)
+        if isinstance(value, StructureTensor):
+            assert value.table == value.table
     calls.clear()
     assert normalize_pencil(act).shift == -1
     assert calls == []

@@ -14,12 +14,12 @@ generated inputs, that:
 * the kernels read no table of their inputs or of their results;
 * `classify_operator` plus `normalize_pencil` on the dense sl3 operator of
   the golden fixtures, with sl3 loaded from its file, never reads the table
-  of the loaded algebra, of T', of T'' or of the second degenerate line;
+  of the loaded algebra or of T', and names the degenerate lines by their
+  (alpha, beta);
 * on dense conjugated Z4-grading operators of gl4 and sl4 the packed pass
   gives the known answers without ever running `derived` for T'' or
-  reading those tables, and a later read of T'', built from the proved
-  (a, b) with no `contract`, has the table of derived(T', D), key order
-  included.
+  reading T''s table, and T'' built from the proved (a, b) as a T + b T',
+  with no `contract`, has the table of derived(T', D), key order included.
 """
 
 from contextlib import contextmanager
@@ -135,13 +135,13 @@ def test_classify_builds_no_table_it_does_not_read():
         action = classify_operator(tensor, op)
         norm = normalize_pencil(action)
     assert (action.tag, action.a, action.b) == (TAG_NEAR, 0, -3)
-    assert len(norm.degenerate_lines) == 2
+    assert norm.degenerate_lines == [(0, 1), (-3, -1)]
     assert norm.derived is action.derived
-    unread = {"loaded algebra": tensor, "T'": action.derived, "T''": action.second,
-              "second degenerate line": norm.degenerate_lines[1]}
+    unread = {"loaded algebra": tensor, "T'": action.derived}
     assert read_among(reads, unread) == []
-    # a read still gives the table
-    assert action.second.table == derived(action.derived, op).table
+    # T'' is the proved a T + b T'
+    second = tensor_combination([(action.a, tensor), (action.b, action.derived)])
+    assert second.table == derived(action.derived, op).table
 
 
 def conjugated_grading(tensor, signs):
@@ -163,9 +163,8 @@ def conjugated_grading(tensor, signs):
 @pytest.mark.parametrize("family", ["gl", "sl"])
 def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
     # the classify-dense workload's operators, built here: the known answers
-    # hold, T'' is never built by `contract` on the way, and a later read
-    # builds a T + b T' from the proof, still with no `contract`, and gives
-    # exactly derived(T', D)'s table
+    # hold, T'' is never built by `contract` on the way, and a T + b T' from
+    # the proof, built with no `contract`, gives exactly derived(T', D)'s table
     tensor = build_classical(family, 4)
     op = conjugated_grading(tensor, [1, -1, -1, 1, 1, -1, 1, 1, -1, -1, 1, -1])
     assert op.den > 100 and all(all(row) for row in op.ints[:4])   # dense, rational
@@ -177,19 +176,18 @@ def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
         action = classify_operator(tensor, op)
         norm = normalize_pencil(action)
     assert (action.tag, action.a, action.b) == (TAG_NEAR, 0, -4)
-    assert (norm.mode, len(norm.degenerate_lines)) == (MODE_SEMISIMPLE, 2)
+    assert (norm.mode, norm.degenerate_lines) == (MODE_SEMISIMPLE, [(0, 1), (-4, -1)])
     assert contracted == [tensor]            # T' only
-    unread = {"T'": action.derived, "T''": action.second,
-              "second degenerate line": norm.degenerate_lines[1]}
-    assert read_among(reads, unread) == []
-    table = action.second.table
+    assert read_among(reads, {"T'": action.derived}) == []
+    table = tensor_combination([(action.a, tensor), (action.b, action.derived)]).table
     assert contracted == [tensor]
     assert layout(table) == layout(derived(action.derived, op).table)
 
 
 def test_quasi_second_is_empty_without_a_pass(monkeypatch):
-    # (ad e)^2 on sl2 is quasi: T'' = 0 comes with the empty form, and no
-    # read of it runs `contract`
+    # (ad e)^2 on sl2 is quasi: the proved (a, b) = (0, 0) names T'' = 0,
+    # which builds as the empty form with no `contract`, as derived(T', D)
+    # confirms; normalizing runs none either
     tensor = build_classical("sl", 2)
     e = ad(tensor, [Fraction(1), ZERO, ZERO])
     contracted = []
@@ -197,7 +195,10 @@ def test_quasi_second_is_empty_without_a_pass(monkeypatch):
     monkeypatch.setattr(kernels, "contract",
                         lambda t, terms: contracted.append(t) or real_contract(t, terms))
     action = classify_operator(tensor, e * e)
-    assert action.tag == "quasi"
-    assert action.second.is_zero() and action.second.table == {}
-    assert action.second.integer_form() == (1, {})
+    norm = normalize_pencil(action)
+    assert (action.tag, action.a, action.b) == ("quasi", 0, 0)
+    assert (norm.mode, norm.degenerate_lines) == ("nilpotent", [(0, 1)])
+    second = tensor_combination([(action.a, tensor), (action.b, action.derived)])
+    assert second.table == {} and second.integer_form() == (1, {})
     assert contracted == [tensor]
+    assert derived(action.derived, e * e).is_zero()

@@ -10,9 +10,8 @@ polynomial grows a second store beside its form.  This test scans the
 package source with `ast`.  A write to or into a guarded attribute (an
 assignment, an augmented assignment, a subscript store or a `del`) is
 allowed only on `self` inside `__init__`/`__post_init__`, and anywhere
-inside the trusted constructors `_of`.  A tensor's form slot `._integer` may also be written
-on `self` by its single cache fill, `integer_form`, which builds a
-deferred form on first use.
+inside the trusted constructors `_of`.  No method fills a form later: a
+tensor's form slot `._integer` is written by its constructors only.
 
 No `assert` statement appears in the package: `python -O` strips them, and
 a check that guards a returned result raises `IdentityFailed` instead.
@@ -49,8 +48,6 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 GUARDED = {"table", "terms", "_integer", "den", "ints", "nrows", "ncols", "rows"}
 CONSTRUCTORS = {"__init__", "__post_init__"}
 TRUSTED = {"_of"}
-# slot -> the one method that fills it on self as a cache
-CACHE_FILLS = {"_integer": "integer_form"}
 
 
 def _leaves(target):
@@ -76,7 +73,7 @@ def _allowed(attr, func):
     if func in TRUSTED:
         return True
     on_self = isinstance(attr.value, ast.Name) and attr.value.id == "self"
-    return on_self and (func in CONSTRUCTORS or func == CACHE_FILLS.get(attr.attr))
+    return on_self and func in CONSTRUCTORS
 
 
 def offences(source):
@@ -137,30 +134,35 @@ class Tensor:
 def contract(t):
     t._integer = 1, {}
 """
-    assert [line for line, _ in offences(source)] == [4, 5, 6, 10, 24, 28, 29, 31]
+    assert [line for line, _ in offences(source)] == [4, 5, 6, 10, 23, 24, 25, 28, 29, 31]
 
 
-def test_guard_allows_only_the_form_fill():
-    # `_integer` is filled on self in `integer_form` only; no method fills `table`
+def test_guard_allows_form_writes_only_in_constructors():
+    # `_integer` is written on self in `__init__`/`__post_init__` and on any
+    # name in `_of`; no other method fills it, not even a form accessor
     source = """
 class Tensor:
+    def __init__(self, other):
+        self._integer = 1, {}
+        other._integer = 1, {}
+    def __post_init__(self):
+        self._integer = 1, {}
+    @classmethod
+    def _of(cls, integer):
+        t = object.__new__(cls)
+        t._integer = integer
     def integer_form(self):
         self._integer = 1, {}
         return self._integer
-    def integer_form(self, other):
-        other._integer = 1, {}
-        self.table = {}
-        self.terms = {}
     def __getattr__(self, name):
         self.table = {}
         return self.table
     def scale(self, c):
-        self._integer = 1, {}
         del self._integer
 def integer_form(t):
     t._integer = 1, {}
 """
-    assert [line for line, _ in offences(source)] == [7, 8, 9, 11, 14, 15, 17]
+    assert [line for line, _ in offences(source)] == [5, 13, 16, 19, 21]
 
 
 def test_no_table_or_terms_written_after_construction():

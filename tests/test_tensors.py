@@ -156,11 +156,18 @@ def test_normalize_grading_pencil():
     assert norm.shift == F(0)
     assert norm.mode == "semisimple"
     assert norm.eigenvalues == (F(0), F(-2))
-    assert len(norm.degenerate_lines) == 2
-    for line in norm.degenerate_lines:
+    assert norm.degenerate_lines == [(0, 1), (norm.b, -1)]
+    lines = [line_tensor(t, norm, *line) for line in norm.degenerate_lines]
+    for line in lines:
         assert is_lie(line)
     # the two degenerate lines split the bracket
-    assert norm.degenerate_lines[0] + norm.degenerate_lines[1] == t.scale(norm.b)
+    assert lines[0] + lines[1] == t.scale(norm.b)
+
+
+def line_tensor(t, norm, alpha, beta):
+    """The member alpha T + beta S of a degenerate line, S = rho(D1).T
+    computed from the normalized operator D1 (not read off norm.derived)."""
+    return tensor_combination([(alpha, t), (beta, derived(t, norm.operator))])
 
 
 def two_sl2():
@@ -183,8 +190,9 @@ def test_normalize_block_scalar_pencil():
     assert norm.shift == F(-1)
     assert norm.b == F(3)
     assert norm.mode == "semisimple"
+    assert norm.degenerate_lines == [(0, 1), (3, -1)]
     for line in norm.degenerate_lines:
-        assert is_lie(line)
+        assert is_lie(line_tensor(t, norm, *line))
 
 
 def test_normalize_rejects_irrational_roots():
@@ -216,34 +224,49 @@ def test_normalize_reads_the_certified_coefficients(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("edit", ["b", "a", "derived"])
+EDITS = {"b": lambda act: act.b - 1,
+         # a = -1 moves both roots to -1: the guard checks the pencil of D + I
+         "a": lambda act: act.a - 1,
+         # the T' of 2 D, twice this one's
+         "derived": lambda act: classify_operator(act.tensor, GRADING_OP.scale(2)).derived,
+         # 2 D, whose T' is twice the action's
+         "operator": lambda act: act.operator.scale(2)}
+
+
+@pytest.mark.parametrize("edit", ["b", "a", "derived", "operator"])
 def test_normalize_guard_refuses_an_edited_action(edit):
-    t = sl2()
-    act = classify_operator(t, GRADING_OP)
-    change = {"b": act.b - 1,
-              # a = -1 moves both roots to -1: the guard checks the pencil of D + I
-              "a": act.a - 1,
-              # the T' of 2 D, twice this one's
-              "derived": classify_operator(t, GRADING_OP.scale(2)).derived}[edit]
+    act = classify_operator(sl2(), GRADING_OP)
     with pytest.raises(IdentityFailed):
-        normalize_pencil(replace(act, **{edit: change}))
+        normalize_pencil(replace(act, **{edit: EDITS[edit](act)}))
 
 
-def test_normalize_guard_does_not_read_second():
-    # T'' follows from T, T' and the (a, b) the guard checks, so an edited
-    # second (the T'' of 2 D) only loses the certificate: the guard computes
-    # both sides and normalizes the action as before
-    t = sl2()
-    act = classify_operator(t, GRADING_OP)
-    edited = replace(act, second=classify_operator(t, GRADING_OP.scale(2)).second)
-    assert normalize_pencil(edited) == normalize_pencil(act)
+@pytest.mark.parametrize("edit", ["b", "a", "derived", "operator"])
+def test_normalize_guard_refuses_an_action_edited_in_place(edit):
+    # a plain assignment keeps the certificate on the action, but it no
+    # longer matches the action's fields
+    act = classify_operator(sl2(), GRADING_OP)
+    setattr(act, edit, EDITS[edit](act))
+    with pytest.raises(IdentityFailed):
+        normalize_pencil(act)
 
 
-def test_normalize_guard_runs_the_kernel_at_its_own_width():
-    # near (1, 0) on [x0, x0] = -2 x0 + x1 with D = diag(1, 3).  Claiming
-    # a = 0 and b = (q - 2) / q makes the guard's fields 4 - 4q and 2 on the
-    # one nonzero pair, -2^66 and 2 here, which a carry cancels at width 65;
-    # the kernel packs them at its own, wider width and finds the pair nonzero
+def test_normalize_guard_recomputes_a_copied_action(monkeypatch):
+    # `replace` copies the fields but not the certificate: the guard
+    # computes both sides, two contractions, and normalizes as before
+    act = classify_operator(sl2(), GRADING_OP)
+    calls, kernel = [], tensors._contraction
+    monkeypatch.setattr(tensors, "_contraction", lambda *args: calls.append(args) or kernel(*args))
+    assert normalize_pencil(replace(act)) == normalize_pencil(act)
+    assert len(calls) == 2
+
+
+def test_normalize_guard_refuses_a_nearly_holding_claim():
+    # near (1, 0) on [x0, x0] = -2 x0 + x1 with D = diag(1, 3).  Under the
+    # claim a = 0, b = (q - 2) / q, q = 2^64 + 1, T'' - a T - b T' is
+    # (4 - 4q) / q x0 + 2 / q x1 on the one nonzero pair: its x1 coordinate
+    # is only 2 / q, about 2^-63 (times q, the fields 4 - 4q and 2 cancel by
+    # a carry when packed at width 65).  The hand-made guard compares
+    # derived(T', D) with a T + b T' exactly and raises
     t = StructureTensor(2, {(0, 0): {0: F(-2), 1: F(1)}})
     act = classify_operator(t, RatMatrix.diagonal([1, 3]))
     assert (act.tag, act.a, act.b) == ("near", 1, 0)
@@ -269,7 +292,7 @@ def test_kernel_guard_holds_wherever_the_certificate_does():
         if tag not in ("near", "quasi"):
             continue
         act = classify_operator(tensor, op)
-        assert act.second._integer.coeffs == (act.a, act.b)
+        assert act._proof == (tensor, act.derived, op, act.a, act.b)
         # the guard of a hand-made action, and the normalized pencil's identity
         assert derived(tensor, op) == act.derived
         assert derived(act.derived, op) == tensor_combination([(act.a, tensor),
@@ -294,14 +317,18 @@ if (act.tag, act.a, act.b) != ("near", 0, -2):
 # moves both roots to -1, so the guard checks the pencil of D + I
 double = classify_operator(build_classical("sl", 2), RatMatrix.diagonal([2, 0, 2]))
 for wrong in (replace(act, b=act.b - 1), replace(act, derived=double.derived),
-              replace(act, tensor=act.tensor.scale(2)), replace(act, a=act.a - 1)):
+              replace(act, tensor=act.tensor.scale(2)), replace(act, a=act.a - 1),
+              replace(act, operator=double.operator)):
     try:
         normalize_pencil(wrong)
     except IdentityFailed:
         print("raised")
-# an edited T'' is not read: the action normalizes as before
-if normalize_pencil(replace(act, second=double.second)) == normalize_pencil(act):
-    print("same")
+# an edit in place leaves the certificate on the action, unmatched
+act.b -= 1
+try:
+    normalize_pencil(act)
+except IdentityFailed:
+    print("raised")
 """
 
 
@@ -312,7 +339,7 @@ def test_normalize_guard_survives_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_GUARD_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 4 + ["same"]
+    assert proc.stdout.split() == ["raised"] * 6
 
 
 def test_vanishing_propagation():
