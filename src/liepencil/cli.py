@@ -197,12 +197,14 @@ def _tensor_doc(doc, result, out, what, metadata, **extra):
     return doc
 
 
-def _eigenvalue_witnesses(tensor, op):
-    """{"eigenvalue_witnesses": [...]} of a diagonal op's torsion, else {}."""
+def _eigenvalue_witnesses(tors, op):
+    """{"eigenvalue_witnesses": [...]} for a diagonal op, else {}: the
+    support of its torsion tors, since for op = diag(mu) the torsion is
+    (mu_k - mu_i)(mu_k - mu_j) c_ij^k, nonzero exactly where an eigenvalue
+    obstruction lies."""
     if not op.is_diagonal():
         return {}
-    return {"eigenvalue_witnesses": [
-        [i, j, k, format_rat(c)] for i, j, k, c in nij.diagonal_torsion_witnesses(tensor, op)]}
+    return {"eigenvalue_witnesses": [[i, j, k, format_rat(c)] for i, j, k, c in tors.support()]}
 
 
 def cmd_classify(args):
@@ -267,17 +269,18 @@ def cmd_torsion(args):
     tensor, op = _load(args)
     tors = nij.torsion(tensor, op)
     doc = _tensor_doc({"zero": tors.is_zero()}, tors, args.out, "torsion", {"torsion": "true"},
-                      **_eigenvalue_witnesses(tensor, op))
+                      **_eigenvalue_witnesses(tors, op))
     return doc, EXIT_OK
 
 
 def cmd_nijenhuis_check(args):
     _at_least(args.depth, 1, "--depth")
     tensor, op = _load(args)
-    flat, witness = nij.is_nijenhuis(tensor, op)
-    doc = {"nijenhuis": flat, "witness": list(witness) if witness else None}
-    if not flat:
-        doc.update(_eigenvalue_witnesses(tensor, op))
+    tors = nij.torsion(tensor, op)
+    first = next(tors.support(), None)      # the least pair of nonzero torsion
+    doc = {"nijenhuis": first is None, "witness": list(first[:2]) if first else None}
+    if first:
+        doc.update(_eigenvalue_witnesses(tors, op))
         return doc, EXIT_CHECK
     rep = nij.check_N_properties(tensor, op, depth=args.depth)
     doc["depth"] = args.depth
@@ -304,7 +307,7 @@ def cmd_exp_check(args):
             raise InputProblem("give exactly one of --points and --certified")
         if nilpotent_index(op) is None:
             raise InputProblem("--operator must be nilpotent for --kind nijenhuis")
-        rep = nij.certified_exp_identity_nijenhuis(tensor, op, points)
+        rep = nij.exp_identity_nijenhuis(tensor, op, points)
     else:
         if args.certified:
             raise InputProblem("--certified applies to --kind nijenhuis only")

@@ -4,14 +4,19 @@ The torsion of an operator N against a bracket is the bilinear map
 
     tau_N(x, y) = [Nx, Ny] + N(N[x, y] - [Nx, y] - [x, Ny]);
 
-N is Nijenhuis when it vanishes.  The second derived bracket always splits as
-twice the torsion minus the derived bracket along N^2, which ties torsion to
-the classification machinery.  The split is an identity, proved at
-`torsion_decomposition`, so `liepencil report` reads its gate from the proof
-and computes only the torsion; the function stays as the tests' oracle.
+N is Nijenhuis when it vanishes.  For a diagonal N = diag(mu) it is
+tau_ij^k = (mu_k - mu_i)(mu_k - mu_j) c_ij^k for every bilinear T, so the
+support of the computed torsion already lists the eigenvalue obstructions;
+the closed form stays in the tests as the oracle of `torsion`.  The second
+derived bracket always splits as twice the torsion minus the derived
+bracket along N^2, which ties torsion to the classification machinery.
+The split is an identity, proved at `torsion_decomposition`, so
+`liepencil report` reads its gate from the proof and computes only the
+torsion; the function stays as the tests' oracle.
 Nilpotent Nijenhuis operators and operators with proportional first and
 second derived brackets both satisfy closed-form exponential deformation
-identities; the checkers here verify them pointwise with exact arithmetic.
+identities; both are checked pointwise with exact arithmetic by one loop,
+`_check_points`, up to the first failing point.
 
 The torsion and both sides of each exponential identity (bar the tensor
 sum T + c(s) T' of the near case) are sums of terms c O psi(A., B.), so
@@ -123,49 +128,37 @@ class ExpReport:
     points: list = field(default_factory=list)
 
 
-def exp_identity_nijenhuis(tensor, op, s):
-    """One-point check of the deformation identity for nilpotent Nijenhuis ops.
+def exp_identity_nijenhuis(tensor, op, points=None):
+    """Deformation identity for nilpotent Nijenhuis ops, at each point s:
 
     exp(-sN) [exp(sN) x, exp(sN) y]
         = [exp(sN) x, y] + [x, exp(sN) y] - exp(sN) [x, y].
-    """
-    s = Fraction(s)
-    E = nilpotent_exp(op, s)
-    Einv = nilpotent_exp(op, -s)
-    lhs = contract(tensor, [(1, Einv, E, E)])
-    rhs = contract(tensor, [(1, None, E, None), (1, None, None, E), (-1, E, None, None)])
-    if lhs == rhs:
-        return ExpReport(True, points=[s])
-    witness = _first_difference(lhs, rhs)
-    return ExpReport(False, witness=witness, points=[s])
-
-
-def certified_exp_identity_nijenhuis(tensor, op, points=None):
-    """Check at enough points to certify the polynomial identity in s.
 
     Both sides are polynomial in s of degree below three times the dimension,
-    so agreement at 4*dim + 1 distinct rationals proves equality.
+    so agreement at the 4*dim + 1 distinct points 0, 1, ..., 4*dim, taken
+    when points is None, proves the identity.
     """
     if points is None:
-        points = [Fraction(k) for k in range(4 * tensor.dim + 1)]
-    return check_points(lambda s: exp_identity_nijenhuis(tensor, op, s), points)
+        points = range(4 * tensor.dim + 1)
+
+    def sides(s):
+        E, Einv = nilpotent_exp(op, s), nilpotent_exp(op, -s)
+        return (contract(tensor, [(1, Einv, E, E)]),
+                contract(tensor, [(1, None, E, None), (1, None, None, E), (-1, E, None, None)]))
+    return _check_points(sides, points)
 
 
-def check_points(check, points):
-    """Run check(s) at each point until the first failure.
-
-    Returns the report of the last point checked, its points field listing
-    every point checked so far; an empty point list passes.
-    """
-    rep = ExpReport(True)
+def _check_points(sides, points):
+    """Compare lhs with rhs, (lhs, rhs) = sides(s), at each point s (as a
+    Fraction) until the first failure.  The report lists every point
+    checked, the failing one last; an empty point list passes."""
     checked = []
-    for s in points:
-        rep = check(s)
-        checked.append(Fraction(s))
-        if not rep.ok:
-            break
-    rep.points = checked
-    return rep
+    for s in map(Fraction, points):
+        checked.append(s)
+        lhs, rhs = sides(s)
+        if lhs != rhs:
+            return ExpReport(False, _first_difference(lhs, rhs), points=checked)
+    return ExpReport(True, points=checked)
 
 
 def exp_identity_near(tensor, op, m, points):
@@ -178,10 +171,11 @@ def exp_identity_near(tensor, op, m, points):
     where c(s) = s for m = 0 (D must be nilpotent; each point plays the role
     of s) and c = (v^m - 1)/m for m != 0 with the point v standing in for
     exp(s); the m != 0 path needs an integer m and an integer diagonal
-    operator so that v^D makes exact sense.  T', T'' and the precondition
-    T'' = m T' are computed once, and the report carries the precondition
-    also for an empty point list; the points are checked as by
-    `check_points`.
+    operator so that v^D makes exact sense (a non-integer weight would make
+    v ** w a float).  T', T'' and the precondition T'' = m T' are computed
+    once, and the report carries the precondition also for an empty point
+    list; the points run through the same `_check_points` loop as the
+    Nijenhuis identity.
     """
     m = Fraction(m)
     first = derived(tensor, op)
@@ -196,23 +190,17 @@ def exp_identity_near(tensor, op, m, points):
         if m.denominator != 1:
             raise ValueError("m must be an integer for the diagonal path")
 
-    def check(value):
+    def sides(value):
         if not m:
-            s = Fraction(value)
-            E, Einv, coeff = nilpotent_exp(op, s), nilpotent_exp(op, -s), s
+            E, Einv, coeff = nilpotent_exp(op, value), nilpotent_exp(op, -value), value
         else:
-            v = Fraction(value)
-            if v == 0:
+            if value == 0:
                 raise ValueError("value must be nonzero")
-            E = RatMatrix.diagonal([v ** w for w in weights])
-            Einv = RatMatrix.diagonal([v ** -w for w in weights])
-            coeff = (v ** m.numerator - 1) / m
-        lhs = contract(tensor, [(1, E, Einv, Einv)])
-        rhs = tensor + first.scale(coeff)
-        if lhs == rhs:
-            return ExpReport(True, points=[Fraction(value)])
-        return ExpReport(False, witness=_first_difference(lhs, rhs), points=[Fraction(value)])
-    rep = check_points(check, points)
+            E = RatMatrix.diagonal([value ** w for w in weights])
+            Einv = RatMatrix.diagonal([value ** -w for w in weights])
+            coeff = (value ** m.numerator - 1) / m
+        return contract(tensor, [(1, E, Einv, Einv)]), tensor + first.scale(coeff)
+    rep = _check_points(sides, points)
     rep.precondition_ok = pre
     return rep
 
@@ -221,21 +209,3 @@ def _first_difference(t1, t2):
     """The least (i, j, k) at which t1 and t2 differ, or None."""
     return min(((i, j, k) for (i, j), vec in (t1 - t2).integer_form()[1].items() for k in vec),
                default=None)
-
-
-def diagonal_torsion_witnesses(tensor, op):
-    """Eigenvalue obstructions to a diagonal operator being Nijenhuis.
-
-    For diagonal N the torsion entry over c_ij^k carries the factor
-    (mu_k - mu_i)(mu_k - mu_j); any support triple where that factor is
-    nonzero is a witness.  Empty list means N is Nijenhuis for the tensor.
-    """
-    if not op.is_diagonal():
-        raise ValueError("diagnostic needs a diagonal operator")
-    mu = [op[i, i] for i in range(op.nrows)]
-    out = []
-    for i, j, k, c in tensor.support():
-        factor = (mu[k] - mu[i]) * (mu[k] - mu[j])
-        if factor:
-            out.append((i, j, k, factor * c))
-    return out

@@ -562,9 +562,9 @@ def _largest(rows):
 class PencilAction:
     """Classification of an operator against a structure tensor.
 
-    dim_u is the dimension of span{T, T'}; for tags "quasi" and "near" the
-    scalars satisfy T'' = a*T + b*T' exactly, with (a, b) = (0, 0) in the
-    quasi case.  For "scalar-type", scalar holds the ratio T' = scalar * T.
+    For tags "quasi" and "near" the scalars satisfy T'' = a*T + b*T'
+    exactly, with (a, b) = (0, 0) in the quasi case.  For "scalar-type",
+    scalar holds the ratio T' = scalar * T.
 
     `_proof` is (T, T', D, a, b) as `classify_operator` proved them for a
     quasi or near action, else None: `normalize_pencil`'s certificate.  It
@@ -575,7 +575,6 @@ class PencilAction:
     tensor: StructureTensor
     operator: RatMatrix
     derived: StructureTensor
-    dim_u: int
     tag: str
     a: Fraction | None = None
     b: Fraction | None = None
@@ -621,7 +620,7 @@ def classify_operator(tensor, op):
     """
     t1 = derived(tensor, op)
     if t1.is_zero():
-        return PencilAction(tensor, op, t1, 1, TAG_DERIVATION)
+        return PencilAction(tensor, op, t1, TAG_DERIVATION)
     n = tensor.dim
     L0, tab0 = tensor.integer_form()
     L1, tab1 = t1.integer_form()
@@ -633,8 +632,7 @@ def classify_operator(tensor, op):
               if s0 * tab1.get(ij, empty).get(k, 0) != s1 * tab0.get(ij, empty).get(k, 0)),
              None)
     if q is None:
-        return PencilAction(tensor, op, t1, 1, TAG_SCALAR,
-                            scalar=Fraction(s1 * L0, s0 * L1))
+        return PencilAction(tensor, op, t1, TAG_SCALAR, scalar=Fraction(s1 * L0, s0 * L1))
     ijq, kq = q
     r0, r1 = tab0.get(ijq, empty).get(kq, 0), tab1.get(ijq, empty).get(kq, 0)
     s2, r2 = _derived_at(tab1, op.ints, *ijp, kp), _derived_at(tab1, op.ints, *ijq, kq)
@@ -647,9 +645,9 @@ def classify_operator(tensor, op):
     target = {ij: a_num * _packed(v, v.values(), w) for ij, v in tab0.items()} if a_num else {}
     for i, j in _pairs(n, tensor.is_skew()):
         if entry(i, j) != target.get((i, j), 0):
-            return PencilAction(tensor, op, t1, 2, TAG_NOT_NEAR)
+            return PencilAction(tensor, op, t1, TAG_NOT_NEAR)
     a, b = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)
-    action = PencilAction(tensor, op, t1, 2, TAG_NEAR if a or b else TAG_QUASI, a=a, b=b)
+    action = PencilAction(tensor, op, t1, TAG_NEAR if a or b else TAG_QUASI, a=a, b=b)
     action._proof = (tensor, t1, op, a, b)
     return action
 

@@ -15,6 +15,10 @@ exact arithmetic:
   * the splitting of gl_n by the involution x -> J^-1 x^T J, whose odd
     part for the standard skew J is the oracle for the closed-form sp basis
     (`involution_split`, `standard_symplectic`);
+  * the closed form of the torsion of a diagonal operator diag(mu),
+    (mu_k - mu_i)(mu_k - mu_j) c_ij^k, the oracle for `nijenhuis.torsion`
+    and for the eigenvalue witnesses that `liepencil torsion` and
+    `nijenhuis-check` read off its support (`diagonal_torsion_witnesses`);
   * the associative operators L_a, R_a on gl_n, the sandwich brackets they
     derive, and the comparison with Nijenhuis operators: the torsion of
     D_a = (L_a + R_a)/2 on the odd part of an involution split is
@@ -417,6 +421,27 @@ def save_seeds(polys, path):
 
 
 # nijenhuis
+
+def diagonal_torsion_witnesses(tensor, op):
+    """Eigenvalue obstructions to a diagonal operator being Nijenhuis.
+
+    For N = diag(mu) the torsion entry over c_ij^k is
+    (mu_k - mu_i)(mu_k - mu_j) c_ij^k: [N x_i, N x_j] gives mu_i mu_j c,
+    N^2 [x_i, x_j] gives mu_k^2 c and each mixed term -mu_k mu_i c or
+    -mu_k mu_j c.  Every support triple where that factor is nonzero is a
+    witness, in support order; the list is empty exactly when N is
+    Nijenhuis for the tensor.
+    """
+    if not op.is_diagonal():
+        raise ValueError("diagnostic needs a diagonal operator")
+    mu = [op[i, i] for i in range(op.nrows)]
+    out = []
+    for i, j, k, c in tensor.support():
+        factor = (mu[k] - mu[i]) * (mu[k] - mu[j])
+        if factor:
+            out.append((i, j, k, factor * c))
+    return out
+
 
 @dataclass
 class AssocTorsionReport:

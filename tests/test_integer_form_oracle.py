@@ -174,27 +174,27 @@ def test_packed_jacobi_matches_reference(tensor):
 
 
 def reference_classify(tensor, op):
-    """(tag, dim_u, a, b, scalar) from the rank and solve of the Fraction
+    """(tag, a, b, scalar) from the rank and solve of the Fraction
     system, on coordinates in sorted (i, j, k) order."""
     t1 = derived(tensor, op)
     if t1.is_zero():
-        return TAG_DERIVATION, 1, None, None, None
+        return TAG_DERIVATION, None, None, None
     t2 = derived(t1, op)
     tables = [t.table for t in (tensor, t1, t2)]
     keys = sorted({(i, j, k) for table in tables for (i, j), vec in table.items() for k in vec})
     v0, v1, v2 = ([table.get((i, j), {}).get(k, 0) for (i, j, k) in keys] for table in tables)
     if rank_exact([v0, v1]) == 1:
         idx = next(i for i, c in enumerate(v0) if c)
-        return TAG_SCALAR, 1, None, None, v1[idx] / v0[idx]
+        return TAG_SCALAR, None, None, v1[idx] / v0[idx]
     sol = solve_columns([v0, v1], v2)
     if sol is None:
-        return TAG_NOT_NEAR, 2, None, None, None
+        return TAG_NOT_NEAR, None, None, None
     a, b = sol
-    return (TAG_QUASI if a == 0 and b == 0 else TAG_NEAR), 2, a, b, None
+    return (TAG_QUASI if a == 0 and b == 0 else TAG_NEAR), a, b, None
 
 
 def summary(act):
-    return act.tag, act.dim_u, act.a, act.b, act.scalar
+    return act.tag, act.a, act.b, act.scalar
 
 
 def moved(tensor, op, P):

@@ -8,7 +8,9 @@ and T'' is named by classify's (a, b), never built.  `normalize_pencil` on a
 classified action runs none, shifted or not, also after every field of the
 action and every table of its tensors has been read, and
 `example nilpotent-square` reads its formula check from the Jacobi verdict
-of the algebra.
+of the algebra.  `torsion` and `nijenhuis-check` compute the torsion once
+and read the eigenvalue witnesses off it, and `exp-check` runs one pass per
+side at each point it checks.
 """
 
 import contextlib
@@ -36,11 +38,11 @@ def calls(monkeypatch, tmp_path):
     return recorded
 
 
-def passes(calls, argv):
-    """The kernel passes of one command line, which must exit 0."""
+def passes(calls, argv, exit=0):
+    """The kernel passes of one command line, which must exit with exit."""
     calls.clear()
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
+        assert main(argv) == exit
     return len(calls)
 
 
@@ -51,12 +53,31 @@ def test_report_on_a_nilpotent_square(calls):
 
 
 def test_report_on_a_grading_operator(calls):
-    passes(calls, ["example", "grading", "sl", "3", "--weights", GRADING_WEIGHTS,
-                   "--modulus", "3"])
+    assert passes(calls, ["example", "grading", "sl", "3", "--weights", GRADING_WEIGHTS,
+                          "--modulus", "3"]) == 0
     files = ["--algebra", "sl3.json", "--operator", "sl3-grading-op.json"]
     assert passes(calls, ["classify"] + files) == 2
     assert passes(calls, ["pencil"] + files) == 2
     assert passes(calls, ["report"] + files) == 3
+
+
+def test_nijenhuis_commands_compute_one_torsion(calls):
+    # torsion and nijenhuis-check read the eigenvalue witnesses off the
+    # torsion they computed; the near identity runs T', T'' and one pass per
+    # point, the certified one two passes at each of its 4 * 8 + 1 points
+    passes(calls, ["example", "grading", "sl", "3", "--weights", GRADING_WEIGHTS,
+                   "--modulus", "3"])
+    files = ["--algebra", "sl3.json", "--operator", "sl3-grading-op.json"]
+    assert passes(calls, ["torsion"] + files) == 1
+    assert passes(calls, ["exp-check"] + files + ["--kind", "near", "--m", "-3",
+                                                  "--points", "2,-1"]) == 4
+    passes(calls, ["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    assert passes(calls, ["nijenhuis-check", "--algebra", "sl2.json",
+                          "--operator", "sl2-grading-op.json"], exit=1) == 1
+    passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
+    assert passes(calls, ["exp-check", "--algebra", "sl3.json",
+                          "--operator", "sl3-nilsquare-op.json",
+                          "--kind", "nijenhuis", "--certified"]) == 66
 
 
 def test_normalize_a_classified_action(calls):

@@ -12,12 +12,12 @@ from liepencil.constructions import (GradingSpec,
                                      grading_operator, nilpotent_square)
 from liepencil.nijenhuis import (
     torsion, is_nijenhuis, torsion_decomposition, check_N_properties,
-    exp_identity_nijenhuis, certified_exp_identity_nijenhuis,
-    exp_identity_near, diagonal_torsion_witnesses,
+    exp_identity_nijenhuis, exp_identity_near,
 )
 
 from helpers import col, columns, rand_rat, rand_matrix, transpose
-from paper_checks import assoc_operators, assoc_torsion_formula, build_gl_associative
+from paper_checks import (assoc_operators, assoc_torsion_formula, build_gl_associative,
+                          diagonal_torsion_witnesses)
 
 
 def sl2():
@@ -84,7 +84,8 @@ def test_grading_operator_torsion():
     ok, witness = is_nijenhuis(t, GRADING)
     assert not ok
     assert witness == (0, 2)
-    assert diagonal_torsion_witnesses(t, GRADING) == [(0, 2, 1, F(1)), (2, 0, 1, F(-1))]
+    assert (list(tor.support()) == diagonal_torsion_witnesses(t, GRADING)
+            == [(0, 2, 1, F(1)), (2, 0, 1, F(-1))])
 
 
 def test_derivation_torsion_is_bracket_of_images():
@@ -130,11 +131,22 @@ def test_nilpotent_left_multiplication_exp():
     ops = assoc_operators(2, e12)
     act = classify_operator(ops.gl_tensor, ops.left)
     assert act.tag == "quasi"
-    rep = exp_identity_nijenhuis(ops.gl_tensor, ops.left, F(1, 2))
+    rep = exp_identity_nijenhuis(ops.gl_tensor, ops.left, [F(1, 2)])
     assert rep.ok
-    cert = certified_exp_identity_nijenhuis(ops.gl_tensor, ops.left)
+    cert = exp_identity_nijenhuis(ops.gl_tensor, ops.left)
     assert cert.ok
     assert len(cert.points) == 17   # enough samples to pin the polynomial
+
+
+def test_exp_identity_stops_at_the_first_failure():
+    # the shear h -> e on sl2 is nilpotent but not Nijenhuis: s = 0 holds
+    # trivially, s = 1 fails, and no point after it is checked
+    t = sl2()
+    shear = RatMatrix([[F(0), F(1), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(0)]])
+    rep = exp_identity_nijenhuis(t, shear)
+    assert (rep.ok, rep.witness, rep.points) == (False, (1, 2, 0), [F(0), F(1)])
+    assert rep.precondition_ok
+    assert exp_identity_nijenhuis(t, shear, []).ok
 
 
 def test_exp_identity_near_semisimple():

@@ -8,7 +8,9 @@ forced non-Lie) and generated operators the results must agree exactly:
 equal tables with the same key order (each vector in ascending key order,
 the pairs in row-major order with each mirror right after its pair), and
 the same verdict and witness.
-`classify_operator` runs its pencil system on packed ints; its tag, dim_u,
+The torsion of a diagonal operator, eigenvalues repeated or not, must list
+the closed form (mu_k - mu_i)(mu_k - mu_j) c_ij^k as its support.
+`classify_operator` runs its pencil system on packed ints; its tag,
 (a, b) and scalar must equal a Gram-matrix solve on the two reference
 derived tensors, and T'' as they name it (a T + b T' when quasi or near,
 else derived(T', D)) the reference T'', on hand-made pencils of every tag
@@ -38,11 +40,13 @@ from liepencil import tensors as tensor_module
 from liepencil.cli import MEMBER_SAMPLES
 from liepencil.constructions import nilpotent_square
 from liepencil.exact import ZERO, RatMatrix
+from liepencil.nijenhuis import torsion
 from liepencil.tensors import (IrrationalEigenvalues, StructureTensor, ad, check_jacobi,
                                classify_operator, derived, is_lie, normalize_pencil,
                                pencil_lie, tensor_combination, _derived_at)
 
 from helpers import columns, inverse
+from paper_checks import diagonal_torsion_witnesses
 from test_acceptance import constructed_near_derivations
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -271,6 +275,30 @@ def test_derived_is_linear_in_operator(tensor, data):
     assert lhs == rhs
 
 
+# the torsion of N = diag(mu) against its closed form
+# (mu_k - mu_i)(mu_k - mu_j) c_ij^k, whose support `liepencil torsion` and
+# `nijenhuis-check` print as the eigenvalue witnesses; mu is drawn from four
+# values, so eigenvalues repeat, and a constant mu is Nijenhuis
+
+EIGENVALUES = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3)])
+
+
+@given(tensors(), st.data())
+def test_diagonal_torsion_is_the_closed_form(tensor, data):
+    mu = data.draw(fixed_lists(EIGENVALUES, tensor.dim), label="mu")
+    for op in (RatMatrix.diagonal(mu), RatMatrix.diagonal([mu[0]] * tensor.dim)):
+        assert list(torsion(tensor, op).support()) == diagonal_torsion_witnesses(tensor, op)
+    assert torsion(tensor, RatMatrix.diagonal([mu[0]] * tensor.dim)).is_zero()
+
+
+def test_diagonal_torsion_vanishes_off_the_scalars():
+    # Heisenberg [x0, x1] = x2 with mu = (0, 1, 1): the one factor is
+    # (1 - 0)(1 - 1) = 0, so this non-scalar N is Nijenhuis
+    op = RatMatrix.diagonal([0, 1, 1])
+    assert diagonal_torsion_witnesses(standard(LIE[1]), op) == []
+    assert torsion(standard(LIE[1]), op).is_zero()
+
+
 # classify_operator against a Fraction reference.  The library solves the
 # pencil system on packed ints; the reference takes T' and T'' from
 # reference_derived and solves T'' = a T + b T' through the Gram matrix of
@@ -295,25 +323,25 @@ def reference_combination(pairs):
 
 
 def reference_classify(tensor, op):
-    """(tag, dim_u, a, b, scalar) and the table of T'' from reference_derived."""
+    """(tag, a, b, scalar) and the table of T'' from reference_derived."""
     t0 = tensor.table
     t1 = reference_derived(tensor, op)
     t2 = reference_derived(t1, op).table
     t1 = t1.table
     if not t1:
-        return ("derivation", 1, None, None, None), t2
+        return ("derivation", None, None, None), t2
     g00, g01, g11 = dot(t0, t0), dot(t0, t1), dot(t1, t1)
     gram = g00 * g11 - g01 * g01
     if not gram:                 # T' = s T by Cauchy-Schwarz
         s = g01 / g00
         assert reference_combination([(s, t0), (-1, t1)]) == {}
-        return ("scalar-type", 1, None, None, s), t2
+        return ("scalar-type", None, None, s), t2
     r0, r1 = dot(t0, t2), dot(t1, t2)
     a = (r0 * g11 - r1 * g01) / gram
     b = (g00 * r1 - g01 * r0) / gram
     if reference_combination([(a, t0), (b, t1), (-1, t2)]):
-        return ("not-near", 2, None, None, None), t2
-    return ("quasi" if a == 0 and b == 0 else "near", 2, a, b, None), t2
+        return ("not-near", None, None, None), t2
+    return ("quasi" if a == 0 and b == 0 else "near", a, b, None), t2
 
 
 def unit_operator(n, entries):
@@ -373,7 +401,7 @@ def test_classify_pencil_seeds(tag, tensor, op):
     expected, second = reference_classify(tensor, op)
     assert expected[0] == tag
     act = classify_operator(tensor, op)
-    assert (act.tag, act.dim_u, act.a, act.b, act.scalar) == expected
+    assert (act.tag, act.a, act.b, act.scalar) == expected
     assert named_second(act).table == second
 
 
@@ -397,7 +425,7 @@ def test_classify_width_floor_binds(monkeypatch):
     expected, _ = reference_classify(tensor, op)
     act = classify_operator(tensor, op)
     assert expected[0] == tag
-    assert (act.tag, act.a, act.b) == (expected[0], expected[2], expected[3])
+    assert (act.tag, act.a, act.b) == expected[:3]
     floor, used, own = widths[-1]       # the pencil check, after derived's call
     assert used == floor == 13 and own == 11
 
@@ -415,7 +443,7 @@ def test_derived_at_matches_derived(tag, tensor, op):
 def check_classify(tensor, op):
     expected, second = reference_classify(tensor, op)
     act = classify_operator(tensor, op)
-    assert (act.tag, act.dim_u, act.a, act.b, act.scalar) == expected
+    assert (act.tag, act.a, act.b, act.scalar) == expected
     if act.tag in ("quasi", "near"):
         try:
             norm = normalize_pencil(act)    # its guard raises IdentityFailed on a bad T''
