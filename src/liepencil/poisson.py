@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import mul
 
 from .exact import (RatMatrix, SparsePoly, _Echelon, _linear_forms, _muladd, _packing,
                     _pmuladd, _primitive)
@@ -273,6 +274,27 @@ def centre_candidates(struct, max_degree=2):
     Leibniz.  So f is central once it commutes with a set that generates q
     together with the central basis vectors, and the restricted system has
     the same kernel.  Any other table keeps every row.
+
+    The unknowns are only the monomials of weight 0.  A basis element x_h
+    acts diagonally when {x_h, x_i} = w_i x_i for every i, read off the
+    table; each one with a nonzero weight vector w is a filter.  The bracket
+    is extended by Leibniz, whatever the table, so {x_h, x^m} = (m . w) x^m,
+    and the rows of generator h in the system with every row read
+    (m . w) c_m = 0: a central f has c_m = 0 unless m . w = 0.  On a table
+    that passed Jacobi the restricted rows have the kernel of the full
+    system, as above, and the full system holds generator h's rows whether
+    or not h is kept; on any other table every row is built, h's included.
+    Jacobi is not needed either way.  So the kernel K of every system
+    built lies in the span of the weight-0 columns, and dropping the other
+    columns leaves K itself, read on fewer coordinates.  The canonical
+    kernel basis depends on K alone, with the columns in order: its free
+    columns are the last nonzero columns of the vectors of K, and the
+    vector of a free column f is the one in K with a 1 at f and 0 at every
+    other free column.  A column of nonzero weight is 0 on K, so it is a
+    pivot, never free, and each basis vector is 0 there; the kept columns
+    are in their old order, so the basis read on them is the same.  The
+    row keys still number every monomial, since a row's result monomial
+    need not have weight 0.
     """
     n = struct.nvars
     # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
@@ -285,20 +307,26 @@ def centre_candidates(struct, max_degree=2):
             lin[a][b][k] = c
             lin[b][a][k] = -c
     kept = _generating_set(lin) if struct.jacobi_verified else range(n)
+    # the weight vectors of the basis elements that act diagonally
+    weights = {tuple(row.get(i, 0) for i, row in enumerate(lin_h)) for lin_h in lin
+               if any(lin_h) and all(row.keys() <= {i} for i, row in enumerate(lin_h))}
     out = []
     for d in range(1, max_degree + 1):
         monos = [tuple(_exps(n, combo)) for combo in
                  combinations_with_replacement(range(n), d)]
         size = len(monos)
         column = {m: col for col, m in enumerate(monos)}
-        # raised[b][k]: the column of b + e_k, for a monomial b of degree d - 1
+        unknowns = monos
+        for w in weights:
+            unknowns = [m for m in unknowns if not sum(map(mul, w, m))]
+        # raised[b][k]: the index of b + e_k in monos, for b of degree d - 1
         raised = {}
         # row i * size + column(r): generator i, result monomial r; terms[j]
         # lists (i * size, k, c) for each {x_j, x_i} = ... + c x_k, i kept
         rows = {}
         terms = [[(i * size, k, c) for i in kept for k, c in lin_j[i].items()]
                  for lin_j in lin]
-        for col, m in enumerate(monos):
+        for col, m in enumerate(unknowns):
             for j, mj in enumerate(m):
                 if not mj:
                     continue
@@ -314,8 +342,8 @@ def centre_candidates(struct, max_degree=2):
                         row[col] = s
                     else:
                         del row[col]
-        for vec in _Echelon(list(rows.values())).kernel(size):
-            out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
+        for vec in _Echelon(list(rows.values())).kernel(len(unknowns)):
+            out.append(SparsePoly(n, {m: c for m, c in zip(unknowns, vec) if c}))
     return out
 
 

@@ -9,8 +9,9 @@ classified action runs none, shifted or not, also after every field of the
 action and every table of its tensors has been read, and
 `example nilpotent-square` reads its formula check from the Jacobi verdict
 of the algebra.  `torsion` and `nijenhuis-check` compute the torsion once
-and read the eigenvalue witnesses off it, and `exp-check` runs one pass per
-side at each point it checks.
+and read the eigenvalue witnesses off it, `nijenhuis-check` reads the
+first power's iterate as its derived bracket along N, and `exp-check` runs
+one pass per side at each point it checks.
 """
 
 import contextlib
@@ -78,6 +79,15 @@ def test_nijenhuis_commands_compute_one_torsion(calls):
     assert passes(calls, ["exp-check", "--algebra", "sl3.json",
                           "--operator", "sl3-nilsquare-op.json",
                           "--kind", "nijenhuis", "--certified"]) == 66
+
+
+def test_nijenhuis_check_reads_the_first_power_by_identity(calls):
+    # one torsion, then per power k the iterate, tau of N^k and, from k = 2
+    # on, the derived bracket along N^k: at k = 1 that is the iterate itself
+    passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
+    files = ["--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
+    assert passes(calls, ["nijenhuis-check"] + files + ["--depth", "1"]) == 3
+    assert passes(calls, ["nijenhuis-check"] + files + ["--depth", "3"]) == 9
 
 
 def test_normalize_a_classified_action(calls):

@@ -13,12 +13,16 @@ polynomials) the results must agree exactly: equal term dicts, only
 and witnesses.  On a Jacobi-verified table `centre_candidates` builds rows
 only for a chosen set of generators; a Fraction closure checks that the
 set and the centre generate the algebra, and the reference, which uses
-every generator, checks the kernel.  Hypothesis is test-only; the library
-itself stays stdlib-only.
+every generator, checks the kernel.  It also solves only for the
+monomials of weight 0 under the basis elements that act diagonally;
+tables graded by integer weights, Lie or not, check that kernel and count
+the columns it solves for.  Hypothesis is test-only; the library itself
+stays stdlib-only.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import add, mul
 
 import pytest
 
@@ -35,7 +39,7 @@ from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, fr
 from liepencil.tensors import StructureTensor
 
 from helpers import linear, linear_forms, partial, structure_matrix, terms, variable
-from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis, fixed_lists,
+from test_tensor_oracle import (ENTRIES, LIE, NONZERO, NON_LIE, change_of_basis, fixed_lists,
                                 operators, standard, tensors, transport)
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -406,19 +410,126 @@ def test_generating_set_of_classical_algebras(family, n, kept):
 
 
 def test_dropping_the_last_chosen_generator_is_caught():
-    # the mutation that drops the last chosen generator of sl3: the rest
-    # generate less than q, and the kernel at degree 3 grows from 2 vectors
-    # (the quadratic and cubic Casimirs) to 3, so both checks catch it
+    # on sl3's standard basis the diagonal H1, H2 leave 12 weight-0 columns
+    # at degree 3, where E12, E13, E21 already give the 2-vector kernel; so
+    # the mutation that drops the last chosen generator runs on sl3 moved by
+    # P = I + superdiagonal, a basis on which no element acts diagonally.
+    # There the rest generate less than q, and the kernel at degree 3 grows
+    # from 2 vectors (the quadratic and cubic Casimirs) to 3, so both checks
+    # catch it
     tensor = build_classical("sl", 3)
     struct = from_tensor(tensor)
+    got, _ = chosen_centre_candidates(struct, 3)
+    assert ([term_layout(p) for p in got]
+            == [term_layout(p) for p in reference_centre_candidates(struct, 3)])
+    P = RatMatrix([[Fraction(int(j in (i, i + 1))) for j in range(8)] for i in range(8)])
+    moved = transport(tensor, P)
+    assert diagonal_weights(moved) == []
+    struct = from_tensor(moved)
     got, chosen = chosen_centre_candidates(struct, 3)
     mutated, dropped = chosen_centre_candidates(struct, 3, mutate=lambda c: c[:-1])
-    assert dropped == chosen[:-1] and lie_centre(tensor) == []
-    assert generated_dimension(tensor, [unit_vector(8, i) for i in dropped]) < 8
+    assert dropped == chosen[:-1] == [0, 1, 2] and lie_centre(moved) == []
+    assert generated_dimension(moved, [unit_vector(8, i) for i in dropped]) == 5
     reference = [term_layout(p) for p in reference_centre_candidates(struct, 3)]
     assert [term_layout(p) for p in got] == reference
     assert (len(got), len(mutated)) == (2, 3)
     assert [term_layout(p) for p in mutated] != reference
+
+
+def diagonal_weights(tensor):
+    """The weight vectors (w_i) of the basis elements x_h with
+    [x_h, x_i] = w_i x_i for every i, by Fraction brackets."""
+    n = tensor.dim
+    out = []
+    for h in range(n):
+        brackets = [tensor.bracket(h, i) for i in range(n)]
+        if all(set(vec) <= {i} for i, vec in enumerate(brackets)):
+            out.append([vec.get(i, ZERO) for i, vec in enumerate(brackets)])
+    return out
+
+
+def solved_columns(struct, max_degree):
+    """The number of columns `centre_candidates` solves for at each degree,
+    read off the kernel calls of its eliminations."""
+    seen = []
+
+    class Recording(pois._Echelon):
+        __slots__ = ()
+
+        def kernel(self, ncols):
+            seen.append(ncols)
+            return super().kernel(ncols)
+
+    echelon = pois._Echelon
+    pois._Echelon = Recording
+    try:
+        centre_candidates(struct, max_degree)
+    finally:
+        pois._Echelon = echelon
+    return seen
+
+
+def weight_zero_count(tensor, degree):
+    """The degree-d monomials m with sum_i m_i w_i = 0 for every diagonal
+    element's weights w."""
+    weights = diagonal_weights(tensor)
+    return sum(all(sum(w[i] for i in combo) == 0 for w in weights)
+               for combo in combinations_with_replacement(range(tensor.dim), degree))
+
+
+@st.composite
+def graded_tensors(draw):
+    """A skew tensor of dim 4..5 graded by integer weights in Z^r, r = 1, 2:
+    one to dim - 3 basis elements x_h have weight 0 and act by a functional
+    a_h of the weights, [x_h, x_i] = s_h (a_h . wt_i) x_i with s_h a nonzero
+    rational, so ad x_h is a derivation and (h, i, j) passes Jacobi.  Every
+    other pair brackets into the span of the x_k with wt_k = wt_i + wt_j,
+    with nonzero drawn coefficients, or, for an abelian rest, to 0.  At
+    least three x_i are not diagonal, so a drawn rest often fails Jacobi;
+    the abelian rest, on which the x_h act as commuting diagonal maps,
+    passes it."""
+    n = draw(st.integers(4, 5), label="dim")
+    r = draw(st.integers(1, 2), label="rank")
+    diagonal = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=n - 3),
+                    label="diagonal")
+    grade = fixed_lists(st.integers(-1, 1), r)
+    wt = [(0,) * r if i in diagonal else tuple(draw(grade, label="weight")) for i in range(n)]
+    triples = []
+    for h in diagonal:
+        a, scale = draw(grade, label="a"), draw(NONZERO, label="scale")
+        triples += [(h, i, i, scale * sum(map(mul, a, wt[i]))) for i in range(n) if i != h]
+    if not draw(st.booleans(), label="abelian rest"):
+        for i, j in combinations([i for i in range(n) if i not in diagonal], 2):
+            target = tuple(map(add, wt[i], wt[j]))
+            triples += [(i, j, k, draw(NONZERO)) for k in range(n) if wt[k] == target]
+    table = {}
+    for i, j, k, c in triples:
+        if c:
+            table.setdefault((i, j), {})[k] = c
+            table.setdefault((j, i), {})[k] = -c
+    return StructureTensor(n, table)
+
+
+@given(graded_tensors(), st.data())
+def test_centre_candidates_on_graded_tables_matches_reference(tensor, data):
+    # every row on the ungated table; through the Jacobi gate when it passes;
+    # and the search solves for exactly the weight-0 monomials
+    degree = data.draw(st.integers(1, 3 if tensor.dim <= 4 else 2), label="degree")
+    check_centre_candidates(tensor, degree)
+    if reference_jacobi_verdict(tensor):
+        check_centre_candidates(tensor, degree, verified=True)
+    assert (solved_columns(linear_table(tensor), degree)
+            == [weight_zero_count(tensor, d) for d in range(1, degree + 1)])
+
+
+def test_a_central_diagonal_element_filters_nothing():
+    # x0 is central, so it acts diagonally with every weight 0, beside the
+    # Heisenberg bracket [x1, x2] = x3: every monomial is a column
+    tensor = standard((4, [(1, 2, 3, 1)]))
+    assert diagonal_weights(tensor)[0] == [0, 0, 0, 0]
+    check_centre_candidates(tensor, 3)
+    check_centre_candidates(tensor, 3, verified=True)
+    assert solved_columns(linear_table(tensor), 3) == [4, 10, 20]
 
 
 @given(st.sampled_from(LIE), st.data())

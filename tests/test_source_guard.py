@@ -16,6 +16,10 @@ tensor's form slot `._integer` is written by its constructors only.
 No `assert` statement appears in the package: `python -O` strips them, and
 a check that guards a returned result raises `IdentityFailed` instead.
 
+No float enters the package: it holds no float or complex literal, calls
+no `float`, and imports from `math` only the integer functions `gcd`,
+`isqrt`, `lcm` and `prod` (`import math` itself is refused).
+
 A second rule keeps a polynomial's storage inside `exact`: `poisson.py` and
 `analysis.py` read a `SparsePoly`'s integer form (`den`, `ints`), and neither
 imports the clearing rule `_cleared` nor reads `.terms`.
@@ -193,6 +197,47 @@ assert check(1)
     found = {path.name: assert_offences(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the integer functions of `math`; every other one takes or returns floats
+INTEGER_MATH = {"gcd", "isqrt", "lcm", "prod"}
+
+
+def float_offences(source):
+    """(line, what) of every float literal, call of `float` and import from
+    `math` other than INTEGER_MATH."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            out.append((node.lineno, "float()"))
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, "import " + a.name) for a in node.names
+                    if a.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [(node.lineno, "math." + a.name) for a in node.names
+                    if a.name not in INTEGER_MATH]
+    return sorted(out)
+
+
+def test_no_float_in_the_package():
+    source = """
+import math
+from math import gcd, isqrt, lcm, prod
+from math import sqrt, log2
+def f(x):
+    half = 0.5
+    big = 1e6
+    return float(x) * half + 2j, gcd(4, 6), "0.5", 5
+"""
+    assert float_offences(source) == [(2, "import math"), (4, "math.log2"), (4, "math.sqrt"),
+                                      (6, "0.5"), (7, "1000000.0"), (8, "2j"), (8, "float()")]
+    package = Path(liepencil.__file__).parent
+    found = {path.name: float_offences(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def unused_imports(source):
