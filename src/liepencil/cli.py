@@ -497,10 +497,12 @@ def cmd_report(args):
         checks.append(entry)
         return ok
 
-    sk, skw = check_skew(tensor)
+    # the skew verdict is the tensor's cached one; check_skew runs again only
+    # for the witness of a tensor that is not skew
+    sk = tensor.is_skew()
     jc, jcw = check_jacobi(tensor)
     gate("input-lie", sk and jc,
-         witness=list(skw or jcw) if not (sk and jc) else None)
+         witness=list(jcw if sk else check_skew(tensor)[1]) if not (sk and jc) else None)
 
     act, norm, class_doc = _classify_doc(tensor, op)
     gate("classification", act.tag != TAG_NOT_NEAR, tag=act.tag,

@@ -30,7 +30,8 @@ with a T, stopping at the first pair that fails.  Everything after reads
 the (a, b) it proved, kept on the action: T'' and the degenerate lines are
 named by coefficients on the pencil, never built, and `normalize_pencil`
 takes the shifted T' - lambda1 T with no contraction.  `check_jacobi`
-packs its columns the same way.
+packs its vectors the same way, and on a skew tensor sums one pair's row
+of triples at a time, through the nonzero brackets only.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for integer
@@ -42,6 +43,7 @@ writes each mirror entry (j, i) as the negated (i, j) vector.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, compress
@@ -88,7 +90,8 @@ class StructureTensor:
 
     Instances are immutable: every operation returns a new tensor, and no
     code writes to `_integer`, the form, once it is built.  The caches rely
-    on it: `_skew` holds the `is_skew` verdict and `_jacobi` the
+    on it: `_skew` holds the `is_skew` verdict (set by `contract` on a
+    result it mirrored, skew by construction) and `_jacobi` the
     `check_jacobi` result (or claim (1)'s, `near_theorem`), each once.
     """
 
@@ -408,7 +411,8 @@ def contract(tensor, terms):
     No `Fraction` is built.  Each vector is in ascending key order and the
     pairs in row-major order.  When psi is skew and the term list is
     unchanged by swapping A and B, the result is skew: only the pairs
-    i < j are computed and `pair_table` mirrors them.
+    i < j are computed and `pair_table` mirrors them, so the result carries
+    its skew verdict and is not scanned for it.
     """
     n, (L, tab) = tensor.dim, tensor.integer_form()
     scaled = []
@@ -421,9 +425,12 @@ def contract(tensor, terms):
                            [m and m.ints for m in ops]))
     M = lcm(*(den for _, den, _ in scaled))
     w, entry = _contraction(tab, n, [(num * (M // den), *ops) for num, den, ops in scaled])
-    ints = pair_table(n, lambda i, j: (x := entry(i, j)) and _unpacked(x, w),
-                      _swap_closed(terms) and tensor.is_skew())
-    return StructureTensor._of(n, tensor.labels, _reduced(M * L, ints))
+    skew = _swap_closed(terms) and tensor.is_skew()
+    ints = pair_table(n, lambda i, j: (x := entry(i, j)) and _unpacked(x, w), skew)
+    result = StructureTensor._of(n, tensor.labels, _reduced(M * L, ints))
+    if skew:
+        result._skew = True
+    return result
 
 
 def derived(tensor, op):
@@ -469,14 +476,98 @@ def check_jacobi(tensor):
     multiply-add per m and the packed J is sum_r J_r * 2^(w r).  With B the
     largest |T| entry, |J_r| <= 3 n B^2 < 2^w for w the bit length of
     3 n B^2; so the lowest nonzero field of J is not divisible by 2^w, and
-    the packed J is 0 exactly when every J_r is.  For a skew tensor the
-    triples i < j < k suffice; otherwise all ordered triples are checked.
-    The result is kept on the tensor, so each tensor is checked once.
+    the packed J is 0 exactly when every J_r is.
+
+    Skew T.  Jac(x, y, z) = sum_cyc T(T(x, y), z) is trilinear, and cyclic
+    by its form.  With T(y, x) = -T(x, y) in both slots of the inner T,
+    Jac(y, x, z) = T(T(y, x), z) + T(T(x, z), y) + T(T(z, y), x)
+    = -T(T(x, y), z) - T(T(z, x), y) - T(T(y, z), x) = -Jac(x, y, z), and
+    Jac(x, x, z) = T(T(x, x), z) + T(T(x, z), x) + T(T(z, x), x) = 0.  So
+    Jac is alternating: it is 0 on a basis triple with a repeated index,
+    and on any other it is +-Jac on the sorted triple, so the triples
+    i < j < k decide it.  On such a triple the three positions read
+    T_ij^m T_mk and T_jk^m T_mi on the stored pairs (i, j) and (j, k), and
+    T_ki^m T_mj = -T_ik^m T_mj on the pair (i, k), with the sign.
+    `_alternating_scan` sums them one pair (i, j) at a time through T's
+    nonzero brackets.  The alternating rule needs skew, so any other T runs
+    `_ordered_scan` over all ordered triples.  Each triple's packed sum is
+    the J above, and either scan returns the least failing triple in
+    (i, j, k) order and stops there.  The result is kept on the tensor, so
+    each tensor is checked once.
     """
     if tensor._jacobi is not None:
         return tensor._jacobi
-    n, (_, tab), skew = tensor.dim, tensor.integer_form(), tensor.is_skew()
+    n, (_, tab) = tensor.dim, tensor.integer_form()
     w = (3 * n * _largest(map(dict.values, tab.values())) ** 2).bit_length()
+    witness = (_alternating_scan if tensor.is_skew() else _ordered_scan)(n, tab, w)
+    tensor._jacobi = (witness is None, witness)
+    return tensor._jacobi
+
+
+def _alternating_scan(n, tab, w):
+    """The least i < j < k whose packed Jacobi sum (`check_jacobi`, fields
+    of w bits) is not 0, or None; tab is the table of a skew integer form.
+
+    The pairs i < j run in row-major order, each summing one packed int
+    per k > j, and a sum reaches only what T's support reaches:
+    T(T(x_i, x_j), x_k) through the m in T_ij and the nonzero T_mk (out[m]);
+    T(T(x_j, x_k), x_i) through the m with T_mi != 0 (into[i]) and the pairs
+    (j, k) whose bracket holds m (up[j][m]); T(T(x_k, x_i), x_j) =
+    -T(T(x_i, x_k), x_j) through the m with T_mj != 0 and the pairs (i, k),
+    k > j, whose bracket holds m.  The first pair with a nonzero sum ends
+    the scan at its least such k, the ordered scan's witness.  Each T_ab,
+    a < b, is packed once: T_ba packs to its negative.
+    """
+    rows = [[] for _ in range(n)]       # rows[a]: (b, T_ab) for b > a, ascending b
+    for a, b in sorted(ab for ab in tab if ab[0] < ab[1]):
+        rows[a].append((b, tab[(a, b)]))
+    # out[m]: (c, P(T_mc)) in ascending c, as the rows fill it; into[c]: (m, P(T_mc))
+    out, into = [[] for _ in range(n)], [[] for _ in range(n)]
+    for a, row in enumerate(rows):
+        for b, vec in row:
+            p = _packed(vec, vec.values(), w)
+            out[a].append((b, p))
+            out[b].append((a, -p))
+            into[b].append((a, p))
+            into[a].append((b, -p))
+    keys = [[c for c, _ in o] for o in out]
+    up, empty = [None] * n, {}
+
+    def upper(a):
+        """{m: [(k, T_ak^m) for k > a, ascending]}, built on first use."""
+        index = {}
+        for k, vec in rows[a]:
+            for m, v in vec.items():
+                index.setdefault(m, []).append((k, v))
+        up[a] = index
+        return index
+
+    for i in range(n):
+        up_i, into_i = up[i] or upper(i), into[i]
+        for j in range(i + 1, n):
+            acc = [0] * n
+            for m, v in tab.get((i, j), empty).items():
+                for k, p in out[m][bisect(keys[m], j):]:
+                    acc[k] += v * p
+            up_j = up[j] or upper(j)
+            for m, p in into_i:
+                if m in up_j:
+                    for k, v in up_j[m]:
+                        acc[k] += v * p
+            for m, p in into[j]:
+                if m in up_i:
+                    for k, v in up_i[m]:
+                        if k > j:
+                            acc[k] -= v * p
+            if any(acc):
+                return i, j, next(compress(range(n), acc))
+    return None
+
+
+def _ordered_scan(n, tab, w):
+    """The least ordered triple (i, j, k) whose packed Jacobi sum
+    (`check_jacobi`, fields of w bits) is not 0, or None: every triple in
+    turn, each term through the packed columns T_mc."""
     # column c lists, for each m, the vector T_mc packed into one int
     columns = [[0] * n for _ in range(n)]
     for (m, c), vec in tab.items():
@@ -492,14 +583,8 @@ def check_jacobi(tensor):
             acc += sum(map(mul, cs, map(at[c], ms)))
         return acc
 
-    if skew:
-        triples = ((i, j, k) for i in range(n) for j in range(i + 1, n)
-                   for k in range(j + 1, n))
-    else:
-        triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-    witness = next((t for t in triples if jac(*t)), None)
-    tensor._jacobi = (witness is None, witness)
-    return tensor._jacobi
+    triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    return next((t for t in triples if jac(*t)), None)
 
 
 def is_lie(tensor):

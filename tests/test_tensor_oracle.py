@@ -16,6 +16,11 @@ derived tensors, and T'' as they name it (a T + b T' when quasi or near,
 else derived(T', D)) the reference T'', on hand-made pencils of every tag
 moved to random bases and scaled, some far enough that the packed fields
 of T'' pass 64 bits.
+`check_jacobi` must give the reference's verdict and witness on
+hand-made skew tables whose least failing triple has its one nonzero term
+in each cyclic position, or comes after a triple on which two positions
+cancel, on a dense non-Lie table, and on the T, T' and T + T' of
+classified pencils.
 `pencil_lie`'s verdict on each pencil member must be `is_lie` of the member
 built on its own, on classified actions of every tag, with T Lie and not;
 claim (1)'s identities are checked against a Fraction polar form.  A
@@ -42,8 +47,8 @@ from liepencil.constructions import nilpotent_square
 from liepencil.exact import ZERO, RatMatrix
 from liepencil.nijenhuis import torsion
 from liepencil.tensors import (IrrationalEigenvalues, StructureTensor, ad, check_jacobi,
-                               classify_operator, derived, is_lie, normalize_pencil,
-                               pencil_lie, tensor_combination, _derived_at)
+                               check_skew, classify_operator, derived, is_lie,
+                               normalize_pencil, pencil_lie, tensor_combination, _derived_at)
 
 from helpers import columns, inverse
 from paper_checks import diagonal_torsion_witnesses
@@ -247,6 +252,7 @@ def test_kernels_match_reference(tensor, data):
     got = derived(tensor, op)
     assert layout(got) == layout(reference_derived(tensor, op))
     assert all(type(c) is Fraction for vec in got.table.values() for c in vec.values())
+    assert check_skew(got)[0] is got.is_skew()
     assert check_jacobi(tensor) == reference_check_jacobi(tensor)
     assert check_jacobi(got) == reference_check_jacobi(got)
 
@@ -262,6 +268,63 @@ def test_check_jacobi_on_a_new_basis(algebra, data):
     assert check_jacobi(moved) == verdict
     expected = (True, None) if algebra in LIE else (False, (0, 1, 2))
     assert check_jacobi(base) == reference_check_jacobi(base) == expected
+
+
+def nonzero_positions(tensor, i, j, k):
+    """The cyclic positions 0, 1, 2 of (i, j, k) whose term is not 0:
+    T(T(x_i, x_j), x_k), T(T(x_j, x_k), x_i) and T(T(x_k, x_i), x_j)."""
+    table, empty = tensor.table, {}
+    found = []
+    for position, (a, b, c) in enumerate(((i, j, k), (j, k, i), (k, i, j))):
+        acc = {}
+        for m, cm in table.get((a, b), empty).items():
+            for r, cr in table.get((m, c), empty).items():
+                acc[r] = acc.get(r, ZERO) + cm * cr
+        if any(acc.values()):
+            found.append(position)
+    return tuple(found)
+
+
+# Hand-made skew tables on x0..x3 for the alternating scan, which reads the
+# three positions of (i, j, k) apart: T_ij, T_jk, and T_ik with its sign for
+# T(T(x_k, x_i), x_j).  Each case is (upper entries (i, j, k, c), witness,
+# its nonzero positions, an earlier triple on which two positions cancel
+# and those two positions, or None).  In the first three the witness has
+# one nonzero position, each of the three in turn; in the next three two
+# positions cancel on an earlier triple, so the witness is a later one, and
+# a scan that drops the sign of the third position stops at that earlier
+# triple in the last two of them.  The last table has every upper entry
+# nonzero and fails at the first triple.
+SCAN_CASES = [
+    # [x0, x2] = -x2, [x2, x3] = -x3: J(0, 2, 3) = [[x0, x2], x3] = x3
+    ([(0, 2, 2, -1), (2, 3, 3, -1)], (0, 2, 3), (0,), None),
+    # [x1, x3] = -x1, [x2, x3] = -x3: J(1, 2, 3) = [[x2, x3], x1] = -x1
+    ([(1, 3, 1, -1), (2, 3, 3, -1)], (1, 2, 3), (1,), None),
+    # [x0, x3] = -x3, [x1, x3] = x1: J(0, 1, 3) = [[x3, x0], x1] = -x1
+    ([(0, 3, 3, -1), (1, 3, 1, 1)], (0, 1, 3), (2,), None),
+    # [x0, x2] = -x2, [x1, x3] = x0, [x2, x3] = -x2: on (0, 2, 3) the first
+    # two positions are x2 and -x2; J(1, 2, 3) = [[x3, x1], x2] = x2
+    ([(0, 2, 2, -1), (1, 3, 0, 1), (2, 3, 2, -1)], (1, 2, 3), (2,), ((0, 2, 3), (0, 1))),
+    # [x0, x2] = [x0, x3] = [x1, x3] = -x0: on (0, 2, 3) the first and third
+    # positions are x0 and -x0; J(1, 2, 3) = [[x3, x1], x2] = -x0
+    ([(0, 2, 0, -1), (0, 3, 0, -1), (1, 3, 0, -1)], (1, 2, 3), (2,), ((0, 2, 3), (0, 2))),
+    # [x0, x2] = x2, [x0, x3] = -x2, [x1, x2] = -x2: on (0, 1, 2) the second
+    # and third positions are x2 and -x2; J(0, 1, 3) = [[x3, x0], x1] = x2
+    ([(0, 2, 2, 1), (0, 3, 2, -1), (1, 2, 2, -1)], (0, 1, 3), (2,), ((0, 1, 2), (1, 2))),
+    ([(i, j, k, 1 + (i + 2 * j + k) % 3) for i in range(4) for j in range(i + 1, 4)
+      for k in range(4)], (0, 1, 2), (0, 1, 2), None),
+]
+
+
+@pytest.mark.parametrize("entries, witness, at_witness, cancelled", SCAN_CASES)
+def test_alternating_scan_on_hand_made_tables(entries, witness, at_witness, cancelled):
+    tensor = StructureTensor(4, skew_table(4, [(i, j, k, Fraction(c)) for i, j, k, c in entries]))
+    assert tensor.is_skew()
+    assert nonzero_positions(tensor, *witness) == at_witness
+    if cancelled:
+        triple, positions = cancelled
+        assert triple < witness and nonzero_positions(tensor, *triple) == positions
+    assert check_jacobi(tensor) == reference_check_jacobi(tensor) == (False, witness)
 
 
 @given(tensors(), st.data())
@@ -628,6 +691,19 @@ def test_pencil_lie_matches_each_member(data, samples):
         for alpha, beta in samples:
             member = tensor_combination([(alpha, act.tensor), (beta, other)])
             assert lie(alpha, beta) is is_lie(member)
+
+
+# T, T' and T + T' of classified pencils of every kind, dense ones on moved
+# bases among them, each a fresh copy so that no cached verdict answers for
+# the scan; unshrunk, as above
+@settings(phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(st.data())
+def test_check_jacobi_matches_reference_on_pencils(data):
+    for kind in ("near", "lie", "any", "graded"):
+        act, _ = data.draw(classified_pencils(kind), label=kind)
+        for t in (act.tensor, act.derived, act.tensor + act.derived):
+            fresh = StructureTensor._of(t.dim, t.labels, t.integer_form())
+            assert check_jacobi(fresh) == reference_check_jacobi(fresh)
 
 
 # Claim (1) as identities, against a plain Fraction reference.  With
