@@ -276,13 +276,12 @@ def cmd_torsion(args):
 def cmd_nijenhuis_check(args):
     _at_least(args.depth, 1, "--depth")
     tensor, op = _load(args)
-    tors = nij.torsion(tensor, op)
-    first = next(tors.support(), None)      # the least pair of nonzero torsion
+    rep = nij.check_N_properties(tensor, op, depth=args.depth)
+    first = next(rep.torsion.support(), None)       # the least pair of nonzero torsion
     doc = {"nijenhuis": first is None, "witness": list(first[:2]) if first else None}
     if first:
-        doc.update(_eigenvalue_witnesses(tors, op))
+        doc.update(_eigenvalue_witnesses(rep.torsion, op))
         return doc, EXIT_CHECK
-    rep = nij.check_N_properties(tensor, op, depth=args.depth)
     doc["depth"] = args.depth
     doc["powers"] = [{
         "k": st.k,

@@ -19,6 +19,12 @@ exact arithmetic:
     (mu_k - mu_i)(mu_k - mu_j) c_ij^k, the oracle for `nijenhuis.torsion`
     and for the eigenvalue witnesses that `liepencil torsion` and
     `nijenhuis-check` read off its support (`diagonal_torsion_witnesses`);
+  * the per-power Nijenhuis properties computed one by one, the oracle of
+    `nijenhuis.check_N_properties`, which reads them from the hierarchy,
+    and the inputs on which a tensor that is not Lie reaches its scans:
+    the skew tensors in the kernel of T -> tau_N(T) and the brackets graded
+    by the max of integer weights (`reference_N_properties`,
+    `torsion_kernel`, `max_graded_bracket`);
   * the associative operators L_a, R_a on gl_n, the sandwich brackets they
     derive, and the comparison with Nijenhuis operators: the torsion of
     D_a = (L_a + R_a)/2 on the odd part of an involution split is
@@ -36,8 +42,10 @@ sees every call made here.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from liepencil import analysis, constructions, exact, io as iomod, nijenhuis, poisson, tensors
 from liepencil.exact import ONE, ZERO, RatMatrix, SparsePoly
@@ -441,6 +449,63 @@ def diagonal_torsion_witnesses(tensor, op):
         if factor:
             out.append((i, j, k, factor * c))
     return out
+
+
+
+def reference_N_properties(tensor, op, depth=3):
+    """`nijenhuis.check_N_properties` computed field by field, none read
+    from an identity: per power k the iterate, the torsion of N^k and, from
+    k = 2 on, the derived bracket along N^k (at k = 1 the iterate is that
+    bracket), and the Jacobi scan of every iterate and of every pairwise
+    sum."""
+    iterates = [tensor]
+    for _ in range(depth):
+        iterates.append(tensors.derived(iterates[-1], op))
+    power = RatMatrix.identity(op.nrows)
+    steps = []
+    all_ok = True
+    for k in range(1, depth + 1):
+        power = power * op
+        nij, _ = nijenhuis.is_nijenhuis(tensor, power)
+        sign = Fraction(1) if k % 2 == 1 else Fraction(-1)
+        matches = k == 1 or iterates[k] == tensors.derived(tensor, power).scale(sign)
+        lie = tensors.is_lie(iterates[k])
+        steps.append(nijenhuis.NStepReport(k, nij, matches, lie))
+        all_ok = all_ok and nij and matches and lie
+    witness = next(((i, j) for i, j in combinations(range(depth + 1), 2)
+                    if not tensors.is_lie(iterates[i] + iterates[j])), None)
+    return nijenhuis.NPropertiesReport(nijenhuis.torsion(tensor, op), steps, witness is None,
+                                       witness, all_ok and witness is None)
+
+
+def torsion_kernel(op):
+    """A basis of the skew tensors T on Q^n, n = op.nrows, with
+    tau_N(T) = 0 for N = op: the kernel of the linear map T -> tau_N(T),
+    solved on the unit tensors [x_i, x_j] = x_k, i < j."""
+    n = op.nrows
+    units = [StructureTensor(n, {(i, j): {k: 1}, (j, i): {k: -1}})
+             for i, j in combinations(range(n), 2) for k in range(n)]
+    rows = defaultdict(dict)
+    for col, unit in enumerate(units):
+        for i, j, k, c in nijenhuis.torsion(unit, op).support():
+            rows[i, j, k][col] = c
+    return [tensors.tensor_combination([(c, u) for c, u in zip(vec, units) if c])
+            for vec in exact.kernel_basis(list(rows.values()), len(units))]
+
+
+def max_graded_bracket(weights, rng):
+    """A skew tensor with [x_i, x_j] in the span of the x_k of weight
+    max(w_i, w_j), coefficients drawn from rng in -2..2.  Then diag(w) is
+    Nijenhuis: its torsion is (w_k - w_i)(w_k - w_j) c_ij^k and w_k is w_i
+    or w_j.  Most draws fail Jacobi."""
+    n = len(weights)
+    table = {}
+    for i, j in combinations(range(n), 2):
+        top = max(weights[i], weights[j])
+        vec = {k: Fraction(rng.randint(-2, 2)) for k in range(n) if weights[k] == top}
+        table[i, j] = vec
+        table[j, i] = {k: -c for k, c in vec.items()}
+    return StructureTensor(n, table)
 
 
 @dataclass

@@ -20,7 +20,9 @@ from liepencil.cli import main
 from liepencil.tensors import IdentityFailed, derived
 
 from helpers import variable
-from paper_checks import build_gl_associative, poly_to_list, save_seeds
+from paper_checks import (build_gl_associative, poly_to_list, reference_N_properties,
+                          save_seeds)
+from test_nijenhuis_oracle import torsion_kernel_draw
 
 
 def sl2():
@@ -461,6 +463,23 @@ def test_cli_nijenhuis_check_names_the_incompatible_pair(workdir, capsys, monkey
     doc = json.loads(capsys.readouterr().out)
     assert list(doc)[-3:] == ["pairwise_compatible", "compat_witness", "ok"]
     assert (doc["pairwise_compatible"], doc["compat_witness"], doc["ok"]) == (False, [0, 2], False)
+
+
+def test_cli_nijenhuis_check_scans_the_iterates_of_a_tensor_that_is_not_lie(workdir, capsys):
+    # a skew T with tau_N(T) = 0 for N = L_A on gl2 that fails Jacobi: the
+    # command's document is the one the per-power loop computes
+    tensor, op = torsion_kernel_draw(0)
+    save_algebra(tensor, workdir / "kernel.json")
+    save_operator(op, workdir / "kernel-op.json")
+    assert run(["nijenhuis-check", "--algebra", "kernel.json", "--operator", "kernel-op.json",
+                "--depth", "2", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    ref = reference_N_properties(tensor, op, 2)
+    want = {"nijenhuis": True, "witness": None, "depth": 2,
+            "powers": [dataclasses.asdict(st) for st in ref.steps],
+            "pairwise_compatible": False, "compat_witness": list(ref.compat_witness), "ok": False}
+    assert json.dumps(doc) == json.dumps(want)     # the key order too
+    assert [p["iterate_is_lie"] for p in doc["powers"]] == [False, False]
 
 
 @pytest.mark.parametrize("exc", [IdentityFailed("guard broke"),

@@ -9,9 +9,12 @@ classified action runs none, shifted or not, also after every field of the
 action and every table of its tensors has been read, and
 `example nilpotent-square` reads its formula check from the Jacobi verdict
 of the algebra.  `torsion` and `nijenhuis-check` compute the torsion once
-and read the eigenvalue witnesses off it, `nijenhuis-check` reads the
-first power's iterate as its derived bracket along N, and `exp-check` runs
-one pass per side at each point it checks.
+and read the eigenvalue witnesses off it, and `exp-check` runs one pass
+per side at each point it checks.  `nijenhuis-check` makes one torsion
+call, and on a Lie tensor that is its only pass at every `--depth`: the
+powers, the iterates and their Jacobi verdicts are read from the
+hierarchy (`nijenhuis.check_N_properties`).  On a Nijenhuis input that is
+not Lie it adds one pass per iterate, 1 + depth in all.
 """
 
 import contextlib
@@ -20,10 +23,11 @@ from dataclasses import fields
 
 import pytest
 
-from liepencil import tensors
+from liepencil import io as iomod, nijenhuis, tensors
 from liepencil.cli import main
 from liepencil.tensors import StructureTensor, classify_operator, normalize_pencil
 
+from test_nijenhuis_oracle import max_graded_draw
 from test_tensors import two_sl2
 
 GRADING_WEIGHTS = "1,2,2,1,1,2,0,0"
@@ -81,13 +85,27 @@ def test_nijenhuis_commands_compute_one_torsion(calls):
                           "--kind", "nijenhuis", "--certified"]) == 66
 
 
-def test_nijenhuis_check_reads_the_first_power_by_identity(calls):
-    # one torsion, then per power k the iterate, tau of N^k and, from k = 2
-    # on, the derived bracket along N^k: at k = 1 that is the iterate itself
+def test_nijenhuis_check_reads_the_hierarchy_by_identity(calls, monkeypatch):
+    # one torsion and no iterate on a Lie input; on one that is not Lie the
+    # torsion and one derived pass per iterate
+    torsions, torsion = [], nijenhuis.torsion
+    monkeypatch.setattr(nijenhuis, "torsion",
+                        lambda tensor, op: torsions.append(op) or torsion(tensor, op))
     passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
     files = ["--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
-    assert passes(calls, ["nijenhuis-check"] + files + ["--depth", "1"]) == 3
-    assert passes(calls, ["nijenhuis-check"] + files + ["--depth", "3"]) == 9
+    for depth in (1, 3):
+        torsions.clear()
+        assert passes(calls, ["nijenhuis-check"] + files + ["--depth", str(depth)]) == 1
+        assert len(torsions) == 1
+    tensor, op = max_graded_draw(0)
+    iomod.save_algebra(tensor, "graded.json")
+    iomod.save_operator(op, "graded-op.json")
+    files = ["--algebra", "graded.json", "--operator", "graded-op.json"]
+    for depth in (1, 3):
+        torsions.clear()
+        assert passes(calls, ["nijenhuis-check"] + files + ["--depth", str(depth)],
+                      exit=1) == 1 + depth
+        assert len(torsions) == 1
 
 
 def test_normalize_a_classified_action(calls):
