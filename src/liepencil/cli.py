@@ -32,7 +32,7 @@ from . import poisson as pois
 from .analysis import lie_centre, lie_index, lower_central_series
 from .exact import _INTEGER, format_rat, nilpotent_index, parse_rat
 from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR, TAG_NOT_NEAR,
-                      TAG_QUASI, TAG_SCALAR, check_jacobi, check_skew, classify_operator,
+                      TAG_QUASI, TAG_SCALAR, check_jacobi, classify_operator,
                       derived_iter, is_lie, near_theorem, normalize_pencil, pencil_lie)
 
 EXIT_OK = 0
@@ -182,16 +182,12 @@ def _classify_doc(tensor, op):
     return act, norm, doc
 
 
-def _tensor_doc(doc, result, out, what, metadata, **extra):
-    """doc with result's entries (the upper triangle of a skew result), then
+def _tensor_doc(doc, result, out, metadata, **extra):
+    """doc with the entries of the skew result (its upper triangle), then
     extra; with out (--out) set, result is written there as an algebra file."""
-    skew = result.is_skew()
-    doc["entries"] = [[i, j, k, format_rat(c)] for i, j, k, c in result.support()
-                      if not skew or i < j]
+    doc["entries"] = [[i, j, k, format_rat(c)] for i, j, k, c in result.support() if i < j]
     doc.update(extra)
     if out:
-        if not skew:
-            raise InputProblem("%s tensor is not skew; cannot write an algebra file" % what)
         iomod.save_algebra(result, out, metadata=metadata)
         doc["written"] = out
     return doc
@@ -217,7 +213,7 @@ def cmd_derive(args):
     result = derived_iter(tensor, op, args.power)
     doc = {"power": args.power, "zero": result.is_zero(), "skew": result.is_skew(),
            "lie": is_lie(result)}
-    return _tensor_doc(doc, result, args.out, "derived", {"derived_power": args.power}), EXIT_OK
+    return _tensor_doc(doc, result, args.out, {"derived_power": args.power}), EXIT_OK
 
 
 def cmd_pencil(args):
@@ -268,7 +264,7 @@ def cmd_index(args):
 def cmd_torsion(args):
     tensor, op = _load(args)
     tors = nij.torsion(tensor, op)
-    doc = _tensor_doc({"zero": tors.is_zero()}, tors, args.out, "torsion", {"torsion": "true"},
+    doc = _tensor_doc({"zero": tors.is_zero()}, tors, args.out, {"torsion": "true"},
                       **_eigenvalue_witnesses(tors, op))
     return doc, EXIT_OK
 
@@ -403,7 +399,6 @@ def cmd_example(args):
     params = list(args.params)
     written = []
     doc = {"written": written}
-    os.makedirs(args.out_dir, exist_ok=True)
 
     def take_family_n():
         if len(params) < 2:
@@ -411,7 +406,10 @@ def cmd_example(args):
         return params[0], _size(params[1])
 
     def out(suffix):
-        """The path --out-dir/FAMILY N SUFFIX.json, added to the written list."""
+        """The path --out-dir/FAMILY N SUFFIX.json, added to the written list;
+        --out-dir is made here, at the first write, so a refused example
+        leaves no directory behind."""
+        os.makedirs(args.out_dir, exist_ok=True)
         written.append(os.path.join(args.out_dir, "%s%d%s.json" % (family, n, suffix)))
         return written[-1]
 
@@ -496,12 +494,8 @@ def cmd_report(args):
         checks.append(entry)
         return ok
 
-    # the skew verdict is the tensor's cached one; check_skew runs again only
-    # for the witness of a tensor that is not skew
-    sk = tensor.is_skew()
     jc, jcw = check_jacobi(tensor)
-    gate("input-lie", sk and jc,
-         witness=list(jcw if sk else check_skew(tensor)[1]) if not (sk and jc) else None)
+    gate("input-lie", jc, witness=None if jc else list(jcw))
 
     act, norm, class_doc = _classify_doc(tensor, op)
     gate("classification", act.tag != TAG_NOT_NEAR, tag=act.tag,
@@ -516,7 +510,7 @@ def cmd_report(args):
             gate("degenerate-lines-lie", all(lie(*line) for line in norm.degenerate_lines),
                  count=len(norm.degenerate_lines))
 
-    if sk and jc:
+    if jc:
         # the exact index, when it runs first, is a proven bound the samples stop at
         rep_e = None
         if tensor.dim <= args.max_exact_dim:
@@ -550,7 +544,7 @@ def cmd_report(args):
             diagnostics["derived_index"] = di.index
             diagnostics["derived_index_equals_centre"] = di.index == centre_dim
 
-    if sk and jc and family_check:
+    if jc and family_check:
         try:
             family, cert = _pc_family(args, tensor, operator, seeds)
         except pois.SeedNotCentral as exc:

@@ -8,7 +8,9 @@ Each input is parsed once, straight into the integer form the engine runs
 on: every coefficient is read as its (p, q) ints, and the whole file is
 cleared over the lcm of the q.  No `Fraction` is built here, and the
 engine's trusted `_of` constructors take the form without a second check,
-so file input is validated here and only here.
+so file input is validated here and only here.  A loaded tensor is skew by
+construction (`skew_table` mirrors each pair i < j) and carries that
+verdict, so no command scans its input for skewness again.
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ def algebra_from_dict(doc):
     form = _reduced(L, skew_table({ij: {k: p * (L // q) for k, (p, q) in vec.items()}
                                    for ij, vec in upper.items()}))
     tensor = StructureTensor._of(dim, tuple(labels), form)
+    tensor._skew = True
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError("metadata must be an object", "algebra.metadata")

@@ -30,8 +30,11 @@ with a T, stopping at the first pair that fails.  Everything after reads
 the (a, b) it proved, kept on the action: T'' and the degenerate lines are
 named by coefficients on the pencil, never built, and `normalize_pencil`
 takes the shifted T' - lambda1 T with no contraction.  `check_jacobi`
-packs its vectors the same way, and on a skew tensor sums one pair's row
-of triples at a time, through the nonzero brackets only.
+packs its vectors the same way and sums one pair's row of triples at a
+time, through the nonzero brackets only.  It takes skew tensors only, the
+only brackets there are to check: algebra files hold only the pairs i < j,
+so `io` builds a skew tensor and marks it so, and `contract` marks a
+result it mirrored.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for integer
@@ -90,9 +93,10 @@ class StructureTensor:
 
     Instances are immutable: every operation returns a new tensor, and no
     code writes to `_integer`, the form, once it is built.  The caches rely
-    on it: `_skew` holds the `is_skew` verdict (set by `contract` on a
-    result it mirrored, skew by construction) and `_jacobi` the
-    `check_jacobi` result (or claim (1)'s, `near_theorem`), each once.
+    on it: `_skew` holds the `is_skew` verdict (set by `io` on a loaded
+    tensor and by `contract` on a result it mirrored, each skew by
+    construction) and `_jacobi` the `check_jacobi` result (or claim (1)'s,
+    `near_theorem`), each once.
     """
 
     __slots__ = ("dim", "labels", "_integer", "_skew", "_jacobi")
@@ -478,8 +482,8 @@ def check_jacobi(tensor):
     3 n B^2; so the lowest nonzero field of J is not divisible by 2^w, and
     the packed J is 0 exactly when every J_r is.
 
-    Skew T.  Jac(x, y, z) = sum_cyc T(T(x, y), z) is trilinear, and cyclic
-    by its form.  With T(y, x) = -T(x, y) in both slots of the inner T,
+    Skew T only.  Jac(x, y, z) = sum_cyc T(T(x, y), z) is trilinear, and
+    cyclic by its form.  With T(y, x) = -T(x, y) in both slots of the inner T,
     Jac(y, x, z) = T(T(y, x), z) + T(T(x, z), y) + T(T(z, y), x)
     = -T(T(x, y), z) - T(T(z, x), y) - T(T(y, z), x) = -Jac(x, y, z), and
     Jac(x, x, z) = T(T(x, x), z) + T(T(x, z), x) + T(T(z, x), x) = 0.  So
@@ -489,17 +493,21 @@ def check_jacobi(tensor):
     T_ij^m T_mk and T_jk^m T_mi on the stored pairs (i, j) and (j, k), and
     T_ki^m T_mj = -T_ik^m T_mj on the pair (i, k), with the sign.
     `_alternating_scan` sums them one pair (i, j) at a time through T's
-    nonzero brackets.  The alternating rule needs skew, so any other T runs
-    `_ordered_scan` over all ordered triples.  Each triple's packed sum is
-    the J above, and either scan returns the least failing triple in
-    (i, j, k) order and stops there.  The result is kept on the tensor, so
-    each tensor is checked once.
+    nonzero brackets, and returns the least failing triple in (i, j, k)
+    order, stopping there.  The result is kept on the tensor, so each
+    tensor is checked once.  The alternating rule needs skew, so a T that
+    is not skew raises ValueError (`is_lie` answers False with no scan).
+    Every bracket is skew: an algebra file holds only the pairs i < j, so
+    `io` builds a skew tensor and marks it, and `contract` marks a result
+    it mirrored.
     """
     if tensor._jacobi is not None:
         return tensor._jacobi
+    if not tensor.is_skew():
+        raise ValueError("check_jacobi needs a skew tensor")
     n, (_, tab) = tensor.dim, tensor.integer_form()
     w = (3 * n * _largest(map(dict.values, tab.values())) ** 2).bit_length()
-    witness = (_alternating_scan if tensor.is_skew() else _ordered_scan)(n, tab, w)
+    witness = _alternating_scan(n, tab, w)
     tensor._jacobi = (witness is None, witness)
     return tensor._jacobi
 
@@ -515,8 +523,8 @@ def _alternating_scan(n, tab, w):
     (j, k) whose bracket holds m (up[j][m]); T(T(x_k, x_i), x_j) =
     -T(T(x_i, x_k), x_j) through the m with T_mj != 0 and the pairs (i, k),
     k > j, whose bracket holds m.  The first pair with a nonzero sum ends
-    the scan at its least such k, the ordered scan's witness.  Each T_ab,
-    a < b, is packed once: T_ba packs to its negative.
+    the scan at its least such k.  Each T_ab, a < b, is packed once: T_ba
+    packs to its negative.
     """
     rows = [[] for _ in range(n)]       # rows[a]: (b, T_ab) for b > a, ascending b
     for a, b in sorted(ab for ab in tab if ab[0] < ab[1]):
@@ -562,29 +570,6 @@ def _alternating_scan(n, tab, w):
             if any(acc):
                 return i, j, next(compress(range(n), acc))
     return None
-
-
-def _ordered_scan(n, tab, w):
-    """The least ordered triple (i, j, k) whose packed Jacobi sum
-    (`check_jacobi`, fields of w bits) is not 0, or None: every triple in
-    turn, each term through the packed columns T_mc."""
-    # column c lists, for each m, the vector T_mc packed into one int
-    columns = [[0] * n for _ in range(n)]
-    for (m, c), vec in tab.items():
-        columns[c][m] = _packed(vec, vec.values(), w)
-    at = [col.__getitem__ for col in columns]
-    rows = {ab: (tuple(vec), tuple(vec.values())) for ab, vec in tab.items()}
-    empty = ((), ())
-
-    def jac(i, j, k):
-        acc = 0
-        for ab, c in (((i, j), k), ((j, k), i), ((k, i), j)):
-            ms, cs = rows.get(ab, empty)
-            acc += sum(map(mul, cs, map(at[c], ms)))
-        return acc
-
-    triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-    return next((t for t in triples if jac(*t)), None)
 
 
 def is_lie(tensor):

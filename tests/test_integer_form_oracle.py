@@ -10,8 +10,8 @@ check, on generated inputs, that:
 * `__eq__`, which compares forms across their denominators, agrees with
   `Fraction` table equality;
 * the packed `check_jacobi` gives the verdict and witness of the plain
-  `Fraction` reference, also on tensors whose Jacobi sums reach the width of
-  the packed fields;
+  `Fraction` reference on skew tensors, also on tensors whose Jacobi sums
+  reach the width of the packed fields, and refuses any other;
 * `classify_operator` gives the tag, (a, b) and scalar of a `rank_exact`
   plus `solve_columns` reference, for every tag.
 """
@@ -32,9 +32,10 @@ from liepencil.tensors import (TAG_DERIVATION, TAG_NEAR, TAG_NOT_NEAR, TAG_QUASI
                                classify_operator, derived, tensor_combination)
 
 from helpers import inverse
-from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, change_of_basis, fixed_lists,
-                                operators, reference_check_jacobi, skew_table,
-                                standard, tensors, transport)
+from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, assert_jacobi_matches_reference,
+                                change_of_basis, fixed_lists, operators,
+                                reference_check_jacobi, skew_table, standard, tensors,
+                                transport)
 
 # the example budget is the "liepencil" profile in conftest.py
 
@@ -115,51 +116,78 @@ def test_equality_matches_fraction_tables(tensor, data):
 
 # Jacobi sums at the field width.  check_jacobi packs each vector into
 # fields of w = bit_length(3 n B^2) bits, B the largest cleared entry.  On
-# each tensor below (dim 2, not skew, entries +-1, so w = 3) the first
-# failing triple is (0, 0, 1), with Jacobi sum (4, -1) or (-4, 1): its
-# first field is 2^(w - 1), and with fields one bit narrower, 4 - 1 * 2^2
-# would pack to 0 and move the witness to (0, 1, 1).
-AT_THE_BOUND = [
-    {(0, 0): (-1, 1), (0, 1): (-1, -1), (1, 0): (-1, 1), (1, 1): (1, 0)},
-    {(0, 0): (-1, 1), (0, 1): (1, 1), (1, 0): (-1, 1), (1, 1): (-1, 0)},
-    {(0, 0): (1, -1), (0, 1): (-1, -1), (1, 0): (1, -1), (1, 1): (1, 0)},
-    {(0, 0): (1, -1), (0, 1): (1, 1), (1, 0): (1, -1), (1, 1): (-1, 0)},
-]
+# the skew table EDGE (n = 5, entries +-1, so w = 4) the first failing
+# triple is (0, 1, 2), with Jacobi sum (0, 0, 0, 8, -1): its field 3 is
+# 2^(w - 1), and with fields one bit narrower, 8 - 1 * 2^3 would pack to 0
+# and move the witness to (0, 1, 3).
+EDGE = {
+    (0, 1): (0, -1, 1, 1, -1), (0, 2): (-1, -1, -1, -1, 0), (0, 3): (-1, 0, 1, 1, 1),
+    (0, 4): (-1, 0, 1, -1, 0), (1, 2): (1, 0, 1, -1, 0), (1, 3): (-1, 1, -1, -1, 1),
+    (1, 4): (1, 0, 0, -1, 1), (2, 3): (-1, 0, 1, -1, 0), (2, 4): (0, 1, -1, 1, 0),
+    (3, 4): (-1, -1, -1, 1, 1),
+}
 
 
-def plain_tensor(entries, scale=1):
-    return StructureTensor(2, {ij: {k: scale * Fraction(c) for k, c in enumerate(vec)}
-                               for ij, vec in entries.items()})
+def signed(signs):
+    """EDGE on the basis s_k x_k: c_ij^k times s_i s_j s_k.  The Jacobi sum
+    on (0, 1, 2) becomes s_0 s_1 s_2 s_r J_r, so with s_3 = s_4 it is
+    +-(0, 0, 0, 8, -1), still at the field width."""
+    return {(i, j): tuple(signs[i] * signs[j] * signs[k] * c for k, c in enumerate(vec))
+            for (i, j), vec in EDGE.items()}
+
+
+AT_THE_BOUND = [signed(signs) for signs in [(1, 1, 1, 1, 1), (-1, 1, 1, 1, 1),
+                                            (1, 1, -1, 1, 1), (1, 1, 1, -1, -1)]]
+
+
+def edge_tensor(entries, scale=1):
+    return StructureTensor(5, skew_table(5, [(i, j, k, scale * Fraction(c))
+                                             for (i, j), vec in entries.items()
+                                             for k, c in enumerate(vec)]))
+
+
+def jacobi_sum(tensor, i, j, k):
+    """sum_cyc T(T(x_i, x_j), x_k) as a Fraction vector."""
+    def e(a):
+        return [Fraction(int(a == b)) for b in range(tensor.dim)]
+    terms = [tensor.apply(tensor.apply(e(a), e(b)), e(c))
+             for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+    return [sum(column) for column in zip(*terms)]
 
 
 @pytest.mark.parametrize("entries", AT_THE_BOUND)
 @pytest.mark.parametrize("scale", [Fraction(1), Fraction(-1), Fraction(1, 7),
                                    Fraction(-1, 12)])
 def test_jacobi_sums_at_the_field_width(entries, scale):
-    # a common scale +-1/q leaves the cleared entries, hence B and w, as they are
-    tensor = plain_tensor(entries, scale)
-    assert reference_check_jacobi(tensor) == (False, (0, 0, 1))
-    assert check_jacobi(tensor) == (False, (0, 0, 1))
+    # a common scale +-1/q leaves the cleared entries, hence B and w, as they
+    # are, and scales every Jacobi sum by scale^2
+    tensor = edge_tensor(entries, scale)
+    at_bound = [scale * scale * c for c in (0, 0, 0, 8, -1)]
+    assert jacobi_sum(tensor, 0, 1, 2) in (at_bound, [-c for c in at_bound])
+    assert reference_check_jacobi(tensor) == (False, (0, 1, 2))
+    assert check_jacobi(tensor) == (False, (0, 1, 2))
 
 
 @st.composite
 def bound_tensors(draw):
-    """Tensors of dim <= 4 whose entries are 0 or +-B / q, so that many
-    Jacobi sums are near 3 n B^2; "full" tables have every entry B / q, and
-    their triples (i, i, i) reach 3 n B^2 on every field."""
+    """Tensors of dim <= 4 (5 for the edge table) whose entries are 0 or
+    +-B / q, so that many Jacobi sums are near 3 n B^2: skew tables, "full"
+    skew tables with every upper entry B / q, the edge tables scaled by
+    +-1 / q, and "plain" tables that are not skew, which check_jacobi
+    refuses."""
     kind = draw(st.sampled_from(["skew", "plain", "full", "edge"]))
     q = draw(st.integers(1, 12))
     if kind == "edge":
         sign = draw(st.sampled_from([1, -1]))
-        return plain_tensor(draw(st.sampled_from(AT_THE_BOUND)), Fraction(sign, q))
+        return edge_tensor(draw(st.sampled_from(AT_THE_BOUND)), Fraction(sign, q))
     dim = draw(st.integers(1, 4))
     B = draw(st.integers(1, 9))
+    upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     if kind == "full":
-        return StructureTensor(dim, {(i, j): {k: Fraction(B, q) for k in range(dim)}
-                                     for i in range(dim) for j in range(dim)})
+        return StructureTensor(dim, skew_table(dim, [(i, j, k, Fraction(B, q))
+                                                     for i, j in upper for k in range(dim)]))
     value = st.sampled_from([Fraction(-B, q), Fraction(0), Fraction(B, q)])
     if kind == "skew":
-        upper = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
         rows = draw(fixed_lists(fixed_lists(value, dim), len(upper)))
         return StructureTensor(dim, skew_table(dim, [
             (i, j, k, c) for (i, j), row in zip(upper, rows) for k, c in enumerate(row)]))
@@ -170,7 +198,7 @@ def bound_tensors(draw):
 
 @given(st.one_of(tensors(), bound_tensors()))
 def test_packed_jacobi_matches_reference(tensor):
-    assert check_jacobi(tensor) == reference_check_jacobi(tensor)
+    assert_jacobi_matches_reference(tensor)
 
 
 def reference_classify(tensor, op):

@@ -707,8 +707,14 @@ def test_cli_nilpotent_square_input_errors(workdir, capsys, params, message):
      "--sub: part [0, 2] is not a subalgebra"),
     (["splitting", "sl", "2", "--sub", "1", "--complement", "2,0"],
      "--complement: part [0, 2] is not a subalgebra"),
+    # --out-dir is made at the first write, so a refused example leaves none
+    (["bogus", "--out-dir", "out/sub"], "unknown example 'bogus'"),
+    (["sl", "x", "--out-dir", "out/sub"], "N must be an integer >= 0, got 'x'"),
+    (["nilpotent-square", "sl", "3", "--out-dir", "out/sub"],
+     "nilpotent-square needs --partition"),
 ], ids=["sl1", "sp-odd", "grading-family", "grading-n", "quasi-grading-n", "splitting-family",
-        "splitting-outside", "splitting-overlap", "splitting-sub", "splitting-complement"])
+        "splitting-outside", "splitting-overlap", "splitting-sub", "splitting-complement",
+        "out-dir-unknown-name", "out-dir-bad-N", "out-dir-no-partition"])
 def test_cli_example_input_errors_name_their_argument(workdir, capsys, params, message):
     assert run(["example"] + params) == 2
     out, err = capsys.readouterr()

@@ -14,6 +14,8 @@
   `Fraction` reading gives: the same integer form and key order, a zero
   coefficient or all-zero pair dropped.  A loaded tensor carries only its
   integer form, and its table is built from it when read.
+* A loaded tensor carries its skew verdict, and the verdict is right:
+  `check_skew` agrees with the mark on every generated document.
 """
 
 import json
@@ -30,7 +32,7 @@ from liepencil.io import (ParseError, algebra_from_dict, algebra_to_dict, load_a
                           load_operator, operator_from_dict, operator_to_dict,
                           save_algebra, save_operator, seeds_from_dict)
 from liepencil.exact import parse_rat
-from liepencil.tensors import StructureTensor, derived, skew_table
+from liepencil.tensors import StructureTensor, check_skew, derived, skew_table
 
 from helpers import variable
 from paper_checks import seeds_to_dict
@@ -171,6 +173,9 @@ def reference_algebra(doc):
 @given(algebra_documents())
 def test_algebra_parse_matches_a_fraction_reading(doc):
     tensor, _ = algebra_from_dict(doc)
+    # no command scans a loaded tensor for skewness, so its mark must hold
+    assert tensor._skew is True
+    assert check_skew(tensor) == (True, None)
     want = reference_algebra(doc)
     assert tensor.labels == want.labels
     assert tensor.integer_form() == want.integer_form()

@@ -15,6 +15,10 @@ call, and on a Lie tensor that is its only pass at every `--depth`: the
 powers, the iterates and their Jacobi verdicts are read from the
 hierarchy (`nijenhuis.check_N_properties`).  On a Nijenhuis input that is
 not Lie it adds one pass per iterate, 1 + depth in all.
+
+No command scans its input for skewness: `io` marks the tensor it loads
+as skew, and `contract` marks a result it mirrored, so `check_skew` runs
+0 times per command.
 """
 
 import contextlib
@@ -106,6 +110,18 @@ def test_nijenhuis_check_reads_the_hierarchy_by_identity(calls, monkeypatch):
         assert passes(calls, ["nijenhuis-check"] + files + ["--depth", str(depth)],
                       exit=1) == 1 + depth
         assert len(torsions) == 1
+
+
+def test_commands_read_the_skew_verdict_of_a_loaded_tensor(calls, monkeypatch):
+    scans, check_skew = [], tensors.check_skew
+    monkeypatch.setattr(tensors, "check_skew",
+                        lambda tensor: scans.append(tensor) or check_skew(tensor))
+    passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
+    files = ["--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
+    for command in ("report", "classify", "derive", "torsion", "pencil", "nijenhuis-check"):
+        scans.clear()
+        passes(calls, [command] + files)
+        assert scans == [], command
 
 
 def test_normalize_a_classified_action(calls):
