@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ONE, ZERO, RatMatrix, _int_coordinates, _reduced, mat_commutator
+from .exact import ONE, ZERO, RatMatrix, _int_coordinates, mat_commutator
 from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
                       derived, is_lie, pair_table)
 
@@ -65,13 +65,13 @@ def _expand(mats, labels, coords):
     """`tensor_from_matrix_basis` over the basis reader coords; a commutator
     outside the span, or a table that fails Jacobi, raises ValueError.  A
     commutator is expanded once per pair i < j, and `pair_table` mirrors it,
-    so the table is skew by construction."""
+    so the table is skew by construction and `_of` records it."""
 
     def entry(i, j):
         return {k: c for k, c in enumerate(coords(mat_commutator(mats[i], mats[j]))) if c}
 
     n = len(mats)
-    tensor = StructureTensor._of(n, tuple(labels), _form_of(pair_table(n, entry, skew=True)))
+    tensor = StructureTensor._of(n, tuple(labels), _form_of(pair_table(n, entry, skew=True)), True)
     ok, wit = check_jacobi(tensor)
     if not ok:
         raise ValueError("Jacobi fails at %r" % (wit,))
@@ -236,7 +236,7 @@ def quasi_grading_extension(tensor, spec):
     labels = (["%s+%s'" % (tensor.labels[i], tensor.labels[i]) for i in zero_idx]
               + [tensor.labels[i] for i in source[d0:]])
     ext = StructureTensor._of(len(source), tuple(labels),
-                              _reduced(den, pair_table(len(source), entry, skew=True)))
+                              (den, pair_table(len(source), entry, skew=True)), True)
     new_spec = GradingSpec((0,) * d0 + tuple(spec.weights[i] for i in source[d0:-d0])
                            + (n,) * d0, kind="quasi")
     ok, wit = new_spec.validate(ext)
@@ -271,7 +271,6 @@ def splitting_operators(tensor, part_a, part_b):
 class NilpotentSquareReport:
     """Diagnostics for D = (ad e)^2."""
 
-    operator: RatMatrix
     derived: StructureTensor
     ad_e_cubed_zero: bool
     d_squared_zero: bool
@@ -297,7 +296,6 @@ def nilpotent_square(tensor, e):
     op = ade * ade
     t1 = derived(tensor, op)
     return op, NilpotentSquareReport(
-        operator=op,
         derived=t1,
         ad_e_cubed_zero=(ade * ade * ade).is_zero(),
         d_squared_zero=(op * op).is_zero(),

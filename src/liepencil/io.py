@@ -9,8 +9,9 @@ on: every coefficient is read as its (p, q) ints, and the whole file is
 cleared over the lcm of the q.  No `Fraction` is built here, and the
 engine's trusted `_of` constructors take the form without a second check,
 so file input is validated here and only here.  A loaded tensor is skew by
-construction (`skew_table` mirrors each pair i < j) and carries that
-verdict, so no command scans its input for skewness again.
+construction (`skew_table` mirrors each pair i < j), and `_of` records
+that verdict as it builds the tensor, so no command scans its input for
+skewness again.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import json
 from math import lcm
 
-from .exact import (RatMatrix, SparsePoly, _parse_rat_form, _reduced, format_rat,
-                    format_ratio)
+from .exact import RatMatrix, SparsePoly, _parse_rat_form, format_rat, format_ratio
 from .tensors import StructureTensor, skew_table
 
 
@@ -112,10 +112,9 @@ def algebra_from_dict(doc):
         if vec:
             upper[(i, j)] = vec
     L = lcm(*(q for vec in upper.values() for _, q in vec.values()))
-    form = _reduced(L, skew_table({ij: {k: p * (L // q) for k, (p, q) in vec.items()}
-                                   for ij, vec in upper.items()}))
-    tensor = StructureTensor._of(dim, tuple(labels), form)
-    tensor._skew = True
+    form = L, skew_table({ij: {k: p * (L // q) for k, (p, q) in vec.items()}
+                          for ij, vec in upper.items()})
+    tensor = StructureTensor._of(dim, tuple(labels), form, True)
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ParseError("metadata must be an object", "algebra.metadata")

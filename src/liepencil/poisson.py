@@ -123,7 +123,8 @@ def from_tensor(tensor):
     table = {(i, j): SparsePoly._of(n, den, linear(sorted(vec.items())))
              for (i, j), vec in upper.items() if i < j}
     struct = PoissonStructure(n, table)
-    gate = tensor if tensor.is_skew() else StructureTensor._of(n, tensor.labels, (den, upper))
+    gate = (tensor if tensor.is_skew()
+            else StructureTensor._of(n, tensor.labels, (den, upper), True))
     struct.jacobi_verified = check_jacobi(gate)[0]
     if not struct.jacobi_verified:
         raise ValueError("bracket table violates Jacobi on generators")

@@ -33,15 +33,19 @@ takes the shifted T' - lambda1 T with no contraction.  `check_jacobi`
 packs its vectors the same way and sums one pair's row of triples at a
 time, through the nonzero brackets only.  It takes skew tensors only, the
 only brackets there are to check: algebra files hold only the pairs i < j,
-so `io` builds a skew tensor and marks it so, and `contract` marks a
-result it mirrored.
+and every builder that mirrors its pairs says so to the constructor.
 
 There is one way to build a tensor: the validating constructor for tables
 that arrive from outside, and the trusted `StructureTensor._of` for integer
-forms the library has already built clean.  Every tensor holds its built
-form from construction on.  Tables over basis pairs are filled by
-`pair_table`, and a skew table is always completed by `skew_table`, which
-writes each mirror entry (j, i) as the negated (i, j) vector.
+forms the library has already built clean.  Either one leaves the form
+canonical, divided by its gcd, so equal tables have equal forms.  Every
+tensor holds its built form from construction on.  Tables over basis
+pairs are filled by `pair_table`, and a skew table is always completed by
+`skew_table`, which writes each mirror entry (j, i) as the negated (i, j)
+vector; a builder that did so hands `_of` its skew verdict (`io`,
+`contract`, the classical and extension builders, the Poisson gate, and
+`tensor_combination` of known skew tensors), so no command scans a tensor
+for skewness.
 """
 
 from __future__ import annotations
@@ -85,18 +89,18 @@ class StructureTensor:
 
     A tensor stores one integer form, (den, {(i, j): {k: int}}) with
     c_ij^k = ints[(i, j)][k] / den, in which zero vectors and zero entries
-    never appear.  `StructureTensor(dim, table, labels)` validates a
-    `Fraction` table from outside (files, tests) and clears it to a form
+    never appear, and gcd(den, ints) = 1, so two tensors are equal exactly
+    when their forms are.  `StructureTensor(dim, table, labels)` validates
+    a `Fraction` table from outside (files, tests) and clears it to a form
     once; `_of` wraps a form the library built clean, without a copy.
     `table` is a view: the `Fraction` table {(i, j): {k: c_ij^k}} built
     from the form on each read.
 
     Instances are immutable: every operation returns a new tensor, and no
     code writes to `_integer`, the form, once it is built.  The caches rely
-    on it: `_skew` holds the `is_skew` verdict (set by `io` on a loaded
-    tensor and by `contract` on a result it mirrored, each skew by
-    construction) and `_jacobi` the `check_jacobi` result (or claim (1)'s,
-    `near_theorem`), each once.
+    on it: `_skew` holds the `is_skew` verdict (recorded by `_of` when the
+    builder mirrored its pairs, else computed once) and `_jacobi` the
+    `check_jacobi` result (or claim (1)'s, `near_theorem`), each once.
     """
 
     __slots__ = ("dim", "labels", "_integer", "_skew", "_jacobi")
@@ -119,15 +123,17 @@ class StructureTensor:
         self._skew = self._jacobi = None
 
     @classmethod
-    def _of(cls, dim, labels, integer):
+    def _of(cls, dim, labels, integer, skew=None):
         """Trusted constructor: integer is a clean form (den > 0, nonzero
         int entries, indices below dim) and labels a tuple of dim strings;
-        the form is kept as it is, no copy and no check."""
+        the form is divided by its gcd and kept, no copy and no check.  A
+        true skew is the builder's proof that the table is skew (it
+        mirrored every pair i < j), recorded as the `is_skew` verdict."""
         t = object.__new__(cls)
         t.dim = dim
         t.labels = labels
-        t._integer = integer
-        t._skew = t._jacobi = None
+        t._integer = _reduced(*integer)
+        t._skew, t._jacobi = skew or None, None
         return t
 
     def integer_form(self):
@@ -179,11 +185,12 @@ class StructureTensor:
 
     def __eq__(self, other):
         return (isinstance(other, StructureTensor) and self.dim == other.dim
-                and _same_form(self.integer_form(), other.integer_form()))
+                and self.integer_form() == other.integer_form())
 
     def __hash__(self):
-        return hash((self.dim, tuple(sorted((ij, tuple(sorted(v.items())))
-                                            for ij, v in self.table.items()))))
+        den, ints = self.integer_form()
+        return hash((self.dim, den, frozenset((ij, frozenset(vec.items()))
+                                              for ij, vec in ints.items())))
 
     def __add__(self, other):
         return tensor_combination([(ONE, self), (ONE, other)])
@@ -210,17 +217,6 @@ class StructureTensor:
         return "StructureTensor(dim=%d, %s)" % (self.dim, "; ".join(bits))
 
 
-def _same_form(x, y):
-    """Whether the integer forms x = (den, ints) and y stand for one table;
-    the entries are compared across the two denominators."""
-    (dx, tx), (dy, ty) = x, y
-    if dx == dy:
-        return tx == ty
-    return tx.keys() == ty.keys() and all(
-        vec.keys() == ty[ij].keys() and all(v * dy == ty[ij][k] * dx for k, v in vec.items())
-        for ij, vec in tx.items())
-
-
 def _form_of(table):
     """The integer form of a clean `Fraction` table, cleared once by
     `_cleared`, in the table's key order."""
@@ -234,7 +230,8 @@ def tensor_combination(pairs):
     Runs on the integer forms: c_t * T_t is an integer table over
     c_t's denominator times den_t, and the sum accumulates over the lcm of
     those in pair order, so key order and zero tests follow the rational
-    sum.  The result carries only its integer form, divided by its gcd.
+    sum.  The result carries only its integer form, and is known skew when
+    every input is.
     """
     dim = pairs[0][1].dim
     labels = pairs[0][1].labels
@@ -259,8 +256,8 @@ def tensor_combination(pairs):
                     slot[k] = s
                 else:
                     slot.pop(k, None)
-    form = _reduced(den, {ij: vec for ij, vec in acc.items() if vec})
-    return StructureTensor._of(dim, labels, form)
+    return StructureTensor._of(dim, labels, (den, {ij: vec for ij, vec in acc.items() if vec}),
+                               all(t._skew for _, t in pairs))
 
 
 def skew_table(upper):
@@ -411,12 +408,13 @@ def contract(tensor, terms):
     with c != 0 and no zero operator (the others add nothing).  The packed
     kernel `_contraction` sums the integer terms, weighted c_t M / den_t,
     at its own width; each nonzero sum is unpacked into its digits, and
-    that integer table, divided by its gcd, is the result's integer form.
+    that integer table, which `_of` divides by its gcd, is the result's
+    integer form.
     No `Fraction` is built.  Each vector is in ascending key order and the
     pairs in row-major order.  When psi is skew and the term list is
     unchanged by swapping A and B, the result is skew: only the pairs
-    i < j are computed and `pair_table` mirrors them, so the result carries
-    its skew verdict and is not scanned for it.
+    i < j are computed and `pair_table` mirrors them, so `_of` records the
+    result's skew verdict and it is not scanned for it.
     """
     n, (L, tab) = tensor.dim, tensor.integer_form()
     scaled = []
@@ -431,10 +429,7 @@ def contract(tensor, terms):
     w, entry = _contraction(tab, n, [(num * (M // den), *ops) for num, den, ops in scaled])
     skew = _swap_closed(terms) and tensor.is_skew()
     ints = pair_table(n, lambda i, j: (x := entry(i, j)) and _unpacked(x, w), skew)
-    result = StructureTensor._of(n, tensor.labels, _reduced(M * L, ints))
-    if skew:
-        result._skew = True
-    return result
+    return StructureTensor._of(n, tensor.labels, (M * L, ints), skew)
 
 
 def derived(tensor, op):
@@ -497,9 +492,10 @@ def check_jacobi(tensor):
     order, stopping there.  The result is kept on the tensor, so each
     tensor is checked once.  The alternating rule needs skew, so a T that
     is not skew raises ValueError (`is_lie` answers False with no scan).
-    Every bracket is skew: an algebra file holds only the pairs i < j, so
-    `io` builds a skew tensor and marks it, and `contract` marks a result
-    it mirrored.
+    Every bracket is skew: an algebra file holds only the pairs i < j, and
+    the constructor `_of` records the skew verdict of every builder that
+    mirrors its pairs (`io`, `contract`, `_expand`), so no scan for
+    skewness runs first.
     """
     if tensor._jacobi is not None:
         return tensor._jacobi

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from liepencil.exact import (ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
-                             _linear_forms, _packing, _pmuladd, _ratio, _reduce, _reduced)
+                             _linear_forms, _packing, _pmuladd, _ratio, _reduce)
 from liepencil.tensors import StructureTensor
 
 DENOMINATORS = (1, 1, 2, 3)
@@ -95,7 +95,7 @@ def direct_sum(t1, t2):
     ints.update({(i + n1, j + n1): {k + n1: c * (L // d2) for k, c in vec.items()}
                  for (i, j), vec in f2.items()})
     labels = t1.labels + tuple("%s'" % s for s in t2.labels)
-    return StructureTensor._of(n1 + t2.dim, labels, _reduced(L, ints))
+    return StructureTensor._of(n1 + t2.dim, labels, (L, ints))
 
 
 # polynomials

@@ -4,11 +4,12 @@ Every tensor carries one integer form (den, {(i, j): {k: int}}), computed
 once or handed over by the kernel that built the tensor.  The tests below
 check, on generated inputs, that:
 
-* the form stands for the `Fraction` table, up to a common factor of the
-  clearing rule `exact._cleared`, for every producer: the constructor, `io`,
-  `contract`, `tensor_combination` and `scale`;
-* `__eq__`, which compares forms across their denominators, agrees with
-  `Fraction` table equality;
+* the form is the `Fraction` table cleared by `exact._cleared`, for every
+  producer: the constructor, `io`, `contract`, `tensor_combination` and
+  `scale`, so every form is canonical, divided by its gcd;
+* `StructureTensor._of` reduces a form handed to it that is not reduced;
+* `__eq__`, which compares the canonical forms, agrees with `Fraction`
+  table equality, and equal tensors hash alike;
 * the packed `check_jacobi` gives the verdict and witness of the plain
   `Fraction` reference on skew tensors, also on tensors whose Jacobi sums
   reach the width of the packed fields, and refuses any other;
@@ -41,17 +42,16 @@ from test_tensor_oracle import (ENTRIES, LIE, NON_LIE, assert_jacobi_matches_ref
 
 
 def assert_form_matches(tensor):
-    """The integer form is the cleared table times one positive factor, with
-    the table's key order at both levels, and it reads back as the table."""
+    """The integer form is the cleared table, with the table's key order at
+    both levels, and it reads back as the table."""
     den, ints = tensor.integer_form()
     table = tensor.table
     L, vecs = _cleared(table.values())
-    assert den > 0 and den % L == 0
-    factor = den // L
+    assert den == L
     assert list(ints) == list(table)
     for (ij, vec), cleared in zip(ints.items(), vecs):
         assert list(vec) == list(table[ij])
-        assert vec == {k: factor * v for k, v in cleared.items()}
+        assert vec == cleared
         assert {k: Fraction(v, den) for k, v in vec.items()} == table[ij]
 
 
@@ -91,8 +91,8 @@ def test_integer_form_after_io(tensor):
 
 
 def with_form(tensor, factor):
-    """The tensor again, handed a form that is not reduced: den and every
-    entry times factor."""
+    """The tensor again, built by `_of` from a form that is not reduced (den
+    and every entry times factor), which `_of` must reduce."""
     den, ints = refresh(tensor).integer_form()
     scaled = {ij: {k: factor * v for k, v in vec.items()} for ij, vec in ints.items()}
     return StructureTensor._of(tensor.dim, tensor.labels, (factor * den, scaled))
@@ -109,9 +109,12 @@ def test_equality_matches_fraction_tables(tensor, data):
         tensor_combination([(1, tensor), (1, other), (-1, other)]),
         tensor_combination([(1, tensor), (c, other)]),
     ]
+    assert with_form(tensor, factor).integer_form() == refresh(tensor).integer_form()
     for a in candidates:
         for b in candidates:
             assert (a == b) is (a.table == b.table)
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 # Jacobi sums at the field width.  check_jacobi packs each vector into

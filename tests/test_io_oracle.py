@@ -15,7 +15,7 @@
   coefficient or all-zero pair dropped.  A loaded tensor carries only its
   integer form, and its table is built from it when read.
 * A loaded tensor carries its skew verdict, and the verdict is right:
-  `check_skew` agrees with the mark on every generated document.
+  `check_skew` agrees with the recorded verdict on every generated document.
 """
 
 import json
@@ -173,7 +173,7 @@ def reference_algebra(doc):
 @given(algebra_documents())
 def test_algebra_parse_matches_a_fraction_reading(doc):
     tensor, _ = algebra_from_dict(doc)
-    # no command scans a loaded tensor for skewness, so its mark must hold
+    # no command scans a loaded tensor for skewness, so its verdict must hold
     assert tensor._skew is True
     assert check_skew(tensor) == (True, None)
     want = reference_algebra(doc)

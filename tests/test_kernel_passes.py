@@ -16,14 +16,19 @@ powers, the iterates and their Jacobi verdicts are read from the
 hierarchy (`nijenhuis.check_N_properties`).  On a Nijenhuis input that is
 not Lie it adds one pass per iterate, 1 + depth in all.
 
-No command scans its input for skewness: `io` marks the tensor it loads
-as skew, and `contract` marks a result it mirrored, so `check_skew` runs
-0 times per command.
+No command scans a tensor for skewness: every builder that mirrors its
+pairs i < j hands its skew verdict to `StructureTensor._of` (`io` on a
+loaded tensor, `contract` on a mirrored result, the classical and
+quasi-grading builders of `example`), and a `tensor_combination` of known
+skew tensors is known skew, so `check_skew` runs 0 times per command,
+pencil members that fail Jacobi included.
 """
 
 import contextlib
 import io
+import json
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +36,7 @@ from liepencil import io as iomod, nijenhuis, tensors
 from liepencil.cli import main
 from liepencil.tensors import StructureTensor, classify_operator, normalize_pencil
 
+from test_cli_golden import FILES
 from test_nijenhuis_oracle import max_graded_draw
 from test_tensors import two_sl2
 
@@ -113,15 +119,28 @@ def test_nijenhuis_check_reads_the_hierarchy_by_identity(calls, monkeypatch):
 
 
 def test_commands_read_the_skew_verdict_of_a_loaded_tensor(calls, monkeypatch):
+    # every example kind builds its tensors skew, every command reads the
+    # verdict of the tensor it loads, and pencil and report on a graded
+    # algebra that is not Lie scan its pencil members for Jacobi only
     scans, check_skew = [], tensors.check_skew
     monkeypatch.setattr(tensors, "check_skew",
                         lambda tensor: scans.append(tensor) or check_skew(tensor))
-    passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
-    files = ["--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
-    for command in ("report", "classify", "derive", "torsion", "pencil", "nijenhuis-check"):
+    for name in ("graded-nonlie.json", "graded-nonlie-weight-op.json"):
+        Path(name).write_text(json.dumps(FILES[name]))
+    sl3 = ["--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
+    graded = ["--algebra", "graded-nonlie.json", "--operator", "graded-nonlie-weight-op.json"]
+    cases = [(["example", "sl", "4"], 0),
+             (["example", "grading", "sl", "3", "--weights", GRADING_WEIGHTS, "--modulus", "3"], 0),
+             (["example", "quasi-grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"], 0),
+             (["example", "nilpotent-square", "sl", "3", "--partition", "2,1"], 0),
+             (["example", "splitting", "sl", "2", "--sub", "0,1", "--complement", "2"], 0)]
+    cases += [([command] + sl3, 0) for command in ("report", "classify", "derive", "torsion",
+                                                    "pencil", "nijenhuis-check")]
+    cases += [(["pencil"] + graded, 1), (["report"] + graded + ["--seed", "4"], 1)]
+    for argv, exit in cases:
         scans.clear()
-        passes(calls, [command] + files)
-        assert scans == [], command
+        passes(calls, argv, exit)
+        assert scans == [], argv
 
 
 def test_normalize_a_classified_action(calls):

@@ -11,7 +11,10 @@ package source with `ast`.  A write to or into a guarded attribute (an
 assignment, an augmented assignment, a subscript store or a `del`) is
 allowed only on `self` inside `__init__`/`__post_init__`, and anywhere
 inside the trusted constructors `_of`.  No method fills a form later: a
-tensor's form slot `._integer` is written by its constructors only.
+tensor's form slot `._integer` is written by its constructors only.  A
+tensor's skew verdict `._skew` is written only in `StructureTensor.__init__`,
+in `StructureTensor._of`, which records a builder's verdict, and by the
+`is_skew` cache; no builder marks a tensor after it is built.
 
 No `assert` statement appears in the package: `python -O` strips them, and
 a check that guards a returned result raises `IdentityFailed` instead.
@@ -80,6 +83,18 @@ def _allowed(attr, func):
     return on_self and func in CONSTRUCTORS
 
 
+def _written(node):
+    """The leaf targets a statement writes to: an assignment, an augmented
+    or annotated assignment, or a `del`."""
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        targets = []
+    return [leaf for target in targets for leaf in _leaves(target)]
+
+
 def offences(source):
     """(line, target) of every write the rule forbids."""
     out = []
@@ -87,17 +102,10 @@ def offences(source):
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, (ast.Assign, ast.Delete)):
-            targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        else:
-            targets = []
-        for target in targets:
-            for leaf in _leaves(target):
-                attr = _guarded_attribute(leaf)
-                if attr is not None and not _allowed(attr, func):
-                    out.append((node.lineno, ast.unparse(leaf)))
+        for leaf in _written(node):
+            attr = _guarded_attribute(leaf)
+            if attr is not None and not _allowed(attr, func):
+                out.append((node.lineno, ast.unparse(leaf)))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -172,6 +180,64 @@ def integer_form(t):
 def test_no_table_or_terms_written_after_construction():
     package = Path(liepencil.__file__).parent
     found = {path.name: offences(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# (class, function) of the writers of a tensor's skew verdict
+SKEW_WRITERS = {("StructureTensor", "__init__"), ("StructureTensor", "_of"),
+                ("StructureTensor", "is_skew")}
+
+
+def skew_offences(source):
+    """(line, target) of every write to a `._skew` attribute outside
+    SKEW_WRITERS."""
+    out = []
+
+    def visit(node, cls, func):
+        if isinstance(node, ast.ClassDef):
+            cls, func = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        out.extend((node.lineno, ast.unparse(leaf)) for leaf in _written(node)
+                   if isinstance(leaf, ast.Attribute) and leaf.attr == "_skew"
+                   and (cls, func) not in SKEW_WRITERS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, func)
+
+    visit(ast.parse(source), None, None)
+    return out
+
+
+def test_guard_catches_skew_marks_after_construction():
+    # the constructor records a builder's verdict; a loader that marks the
+    # tensor after building it is flagged
+    source = """
+class StructureTensor:
+    def __init__(self):
+        self._skew = None
+    @classmethod
+    def _of(cls, skew=None):
+        t = object.__new__(cls)
+        t._skew = skew or None
+        return t
+    def is_skew(self):
+        if self._skew is None:
+            self._skew = check_skew(self)[0]
+        return self._skew
+    def scale(self, c):
+        self._skew = True
+def algebra_from_dict(doc):
+    tensor = StructureTensor._of(2)
+    tensor._skew = True
+    return tensor
+class Other:
+    def _of(cls, t):
+        t._skew, t.dim = True, 2
+"""
+    assert skew_offences(source) == [(15, "self._skew"), (18, "tensor._skew"), (22, "t._skew")]
+    package = Path(liepencil.__file__).parent
+    found = {path.name: skew_offences(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
