@@ -331,10 +331,12 @@ def cmd_exp_check(args):
 
 
 def _pc_inputs(args, tensor, op=None):
-    """The orbit operator of a family check, its description, and the seeds
-    read from --seed-file (None without one); op is the operator already
-    read from --operator, if any."""
+    """The orbit operator of a family check, its description, the seeds
+    read from --seed-file (None without one) and the matrix it lifts (None
+    for the directional orbit of --gamma); op is the operator already read
+    from --operator, if any."""
     _at_least(args.degree_bound, 1, "--degree-bound")
+    lift = None
     if args.gamma:
         gamma = _parse_rationals(args.gamma, "covector")
         if len(gamma) != tensor.dim:
@@ -349,20 +351,61 @@ def _pc_inputs(args, tensor, op=None):
     seeds = iomod.load_seeds(args.seed_file, tensor.dim) if args.seed_file else None
     if seeds == []:
         raise InputProblem("--seed-file %s holds no seeds" % args.seed_file)
-    return operator, op_desc, seeds
+    return operator, op_desc, seeds, lift
 
 
-def _pc_family(args, tensor, operator, seeds):
+def _pc_family(args, tensor, operator, seeds, act):
     """(family, certificate) of a family check: the orbit of operator
     through the seeds `_pc_inputs` read, or through the centre candidates up
-    to --degree-bound when seeds is None, and its commutation check.  A seed
-    that is not central raises `SeedNotCentral`."""
+    to --degree-bound when seeds is None, and its commutation verdict.  act
+    is `classify_operator`'s action of the lifted matrix, None for --gamma.
+    A seed that is not central raises `SeedNotCentral`.
+
+    The verdict is read from a proof, with no bracket formed, for --gamma
+    and for a lift with `near_theorem(act)`; only a not-near lift is
+    scanned pair by pair (`pc_verify`), for its witness and bracket.  The
+    proof rests on `pc_generate`'s check that every seed F is central,
+    {x_i, F}_T = 0 for every generator, which runs before any orbit step;
+    the generators are then D^k F for seeds F, de-duplicated by span.
+
+    (a) Lemma.  Let P and Q be skew brackets on S(q), F a Casimir of P and
+    G a Casimir of Q.  Then {F, G}_P = 0, and {F, G}_Q = -{G, F}_Q = 0, so
+    {F, G}_R = 0 for every R in span{P, Q}.  Only skewness is used, not
+    Jacobi.
+
+    (b) --gamma.  The orbit steps are the Taylor coefficients of the shift
+    F(x + t gamma) = sum_k t^k d_gamma^k F / k!.  The shift is an
+    automorphism of S(q) that adds the constant t gamma_i to x_i, so it
+    carries {x_i, x_j}_T = sum_k c_ij^k x_k to that of pi_T + t pi_gamma,
+    pi_gamma the constant bracket gamma([x_i, x_j]); constants are central,
+    so F(x + t gamma) is a Casimir of pi_T + t pi_gamma.  For t != s these
+    two span a plane that holds pi_T (or both are pi_T when pi_gamma = 0),
+    so (a) gives {F(x + t gamma), G(x + s gamma)}_T = 0.  The left side is
+    a polynomial in (t, s) that vanishes off the diagonal, so it is 0, and
+    its coefficients {d_gamma^k F, d_gamma^l G}_T / (k! l!) are 0.
+
+    (c) A lift.  `lifted` extends D to the derivation of S(q), and
+    exp(sD), the automorphism it integrates to, carries {,}_T to {,}_T_s
+    for T_s = exp(s rho(D)).T, with rho(D).T = D T - T(D., .) - T(., D.)
+    the `derived` of `classify_operator` (the same D, as the tests check on
+    generators); so exp(sD)F is a Casimir of T_s.  If T' = 0
+    (derivation) or T' = lambda T (scalar-type), T_s is a multiple of T,
+    every D^k F is central and every pair commutes.  Otherwise (quasi,
+    near) T'' = a T + b T' makes span{T, T'} rho(D)-stable, so T_s lies in
+    it, with coordinates exp(sM)(1, 0) for M = [[0, a], [1, b]].  Their
+    determinant at (s, s') is analytic and, near 0, is s' - s plus higher
+    terms, so T_s and T_s' span the plane off a proper analytic set; there
+    (a) gives {exp(sD)F, exp(s'D)G}_T = 0, so it is 0 everywhere, and its
+    Taylor coefficients {D^k F, D^l G}_T / (k! l!) are 0.
+    """
     struct = pois.from_tensor(tensor)
     if seeds is None:
         seeds = pois.centre_candidates(struct, args.degree_bound)
         if not seeds:
             raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
     family = pois.pc_generate(struct, operator, seeds)
+    if act is None or near_theorem(act):
+        return family, pois.Certificate(True, None, None)
     return family, pois.pc_verify(family, struct)
 
 
@@ -372,11 +415,12 @@ def cmd_pc_check(args):
     tensor, _ = iomod.load_algebra(args.algebra)
     if not is_lie(tensor):
         raise InputProblem("--algebra is not a Lie algebra; pc-check needs one")
-    operator, op_desc, seeds = _pc_inputs(args, tensor)
+    operator, op_desc, seeds, lift = _pc_inputs(args, tensor)
+    act = None if lift is None else classify_operator(tensor, lift)
     seed_desc = args.seed_file or "centre candidates up to degree %d" % args.degree_bound
     doc = {"operator": op_desc, "seeds": seed_desc}
     try:
-        family, cert = _pc_family(args, tensor, operator, seeds)
+        family, cert = _pc_family(args, tensor, operator, seeds, act)
     except pois.SeedNotCentral as exc:
         doc.update(error=str(exc), seed_index=exc.seed_index, witness_generator=exc.var_index)
         return doc, EXIT_CHECK
@@ -484,7 +528,7 @@ def cmd_report(args):
     family_check = args.pc or args.gamma or args.seed_file
     if family_check:
         # read before any check, so a bad --gamma or --seed-file is always named
-        operator, op_desc, seeds = _pc_inputs(args, tensor, op)
+        operator, op_desc, seeds, lift = _pc_inputs(args, tensor, op)
     checks = []
     diagnostics = {}
 
@@ -546,7 +590,8 @@ def cmd_report(args):
 
     if jc and family_check:
         try:
-            family, cert = _pc_family(args, tensor, operator, seeds)
+            family, cert = _pc_family(args, tensor, operator, seeds,
+                                      None if lift is None else act)
         except pois.SeedNotCentral as exc:
             gate("pc-family-commutes", False, error=str(exc))
         else:
