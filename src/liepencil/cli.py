@@ -30,7 +30,7 @@ from . import io as iomod
 from . import nijenhuis as nij
 from . import poisson as pois
 from .analysis import lie_centre, lie_index, lower_central_series
-from .exact import _INTEGER, format_rat, nilpotent_index, parse_rat
+from .exact import _INTEGER, DEGREE_CAP, format_rat, nilpotent_index, parse_rat
 from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR, TAG_NOT_NEAR,
                       TAG_QUASI, TAG_SCALAR, check_jacobi, classify_operator,
                       derived_iter, is_lie, near_theorem, normalize_pencil, pencil_lie)
@@ -336,6 +336,9 @@ def _pc_inputs(args, tensor, op=None):
     for the directional orbit of --gamma); op is the operator already read
     from --operator, if any."""
     _at_least(args.degree_bound, 1, "--degree-bound")
+    if args.degree_bound > DEGREE_CAP:    # the polynomial degree cap
+        raise InputProblem("--degree-bound must be at most %d, got %d"
+                           % (DEGREE_CAP, args.degree_bound))
     lift = None
     if args.gamma:
         gamma = _parse_rationals(args.gamma, "covector")
@@ -363,7 +366,7 @@ def _pc_family(args, tensor, operator, seeds, act):
 
     The verdict is read from a proof, with no bracket formed, for --gamma
     and for a lift with `near_theorem(act)`; only a not-near lift is
-    scanned pair by pair (`pc_verify`), for its witness and bracket.  The
+    scanned pair by pair (`pc_verify`), for its witness.  The
     proof rests on `pc_generate`'s check that every seed F is central,
     {x_i, F}_T = 0 for every generator, which runs before any orbit step;
     the generators are then D^k F for seeds F, de-duplicated by span.
@@ -405,7 +408,7 @@ def _pc_family(args, tensor, operator, seeds, act):
             raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
     family = pois.pc_generate(struct, operator, seeds)
     if act is None or near_theorem(act):
-        return family, pois.Certificate(True, None, None)
+        return family, pois.Certificate(True, None)
     return family, pois.pc_verify(family, struct)
 
 

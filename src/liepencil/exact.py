@@ -26,10 +26,11 @@ mod the prime is a lower bound on the rank over Q.
 forms {k: int}, such as a tensor's bracket form read off its integer
 form, takes the rank at one integer point and proves it generic by
 Pfaffians: no Pfaffian of the point's nonsingular principal block
-bordered by two more indices may be nonzero.  The Pfaffians run on
-integer polynomials with each monomial packed into one int, one field per
-variable, and `_pmuladd` multiplies them, as it multiplies the
-polynomials `_packing` packs for `poisson.pc_verify`.
+bordered by two more indices may be nonzero.  A `SparsePoly`'s monomials
+are ints in one layout that only this module reads: the total degree in
+the top field, then x_0, ..., x_(n-1), `_WIDTH` bits each.  So a product of
+monomials is a sum of ints, and `_pmuladd` is the one polynomial product
+(`generic_rank`'s Pfaffians pack apart, in narrower fields).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add, mul
+from operator import mul
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -485,12 +486,24 @@ def nilpotent_exp(m, s):
 
 class SparsePoly:
     """Sparse multivariate polynomial over Q as one integer form: the
-    coefficient of x^e is ints[e] / den, with ints {exponent tuple: nonzero
-    int} and den > 0 divided by their gcd, so == compares forms.
-    `SparsePoly(nvars, terms)` validates terms that arrive from outside; the
-    library builds its results with the trusted `_of`.  `leading` returns a
-    `Fraction`, and every operation runs on the ints.  Printing and
-    leading-term selection use graded lex order.
+    coefficient of x^e is ints[m] / den, m the packed monomial of e
+    (`_pack`), with nonzero ints and den > 0 divided by their gcd, so ==
+    compares forms.  `SparsePoly(nvars, terms)` validates and packs
+    {exponent tuple: coefficient} terms from outside; the library builds
+    its results with the trusted `_of`.  Every operation runs on the ints;
+    graded lex order, for printing and `leading`, is int order.
+
+    Both constructors refuse a total degree above DEGREE_CAP =
+    2^(_WIDTH - 2) - 1 with ValueError, and that keeps every product of
+    the kernels exact.  A monomial of degree d < 2^_WIDTH holds at most d
+    in each field, so adding the ints of such monomials carries no field
+    over: the sum is the int of their product, and distinct monomials keep
+    distinct ints.  A partial lowers the degree, so a product of k factors,
+    each a `SparsePoly`, a partial of one or a table entry, has degree at
+    most k * DEGREE_CAP < 2^_WIDTH for k <= 3.  No kernel forms more:
+    `poisson_bracket` ({x_i, x_j} df/dx_i dg/dx_j) and `pc_verify` (df_a/dx_i
+    {x_i, x_j} df_b/dx_j) form three, a product, pi grad f and the orbit
+    derivations two.
 
     Example: (x1 - 1)*(x1 + 1) multiplies out to x1^2 - 1::
 
@@ -511,17 +524,18 @@ class SparsePoly:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent vector %r" % (exps,))
-            clean[exps] = c
+            clean[_pack(exps)] = c
         self.nvars = nvars
-        self.den, (self.ints,) = _cleared([clean])
+        self.den, (self.ints,) = _cleared([_capped(nvars, clean)])
 
     @classmethod
     def _of(cls, nvars, den, ints):
-        """Trusted constructor: den > 0 and ints nonzero ints on exponent
-        tuples of length nvars, divided by their gcd and kept, no copy."""
+        """Trusted constructor: den > 0 and ints nonzero ints on packed
+        monomials in nvars variables, divided by their gcd and kept, no
+        copy; a total degree above DEGREE_CAP raises ValueError."""
         p = object.__new__(cls)
         p.nvars = nvars
-        p.den, (p.ints,) = _reduced(den, [ints])
+        p.den, (p.ints,) = _reduced(den, [_capped(nvars, ints)])
         return p
 
     @classmethod
@@ -547,14 +561,14 @@ class SparsePoly:
                 and self.den == other.den and self.ints == other.ints)
 
     def __neg__(self):
-        return SparsePoly._of(self.nvars, self.den, {e: -c for e, c in self.ints.items()})
+        return SparsePoly._of(self.nvars, self.den, {m: -c for m, c in self.ints.items()})
 
     def __add__(self, other):
         if not isinstance(other, SparsePoly):
             other = SparsePoly.const(self.nvars, other)
         d = lcm(self.den, other.den)
-        out = {e: d // self.den * c for e, c in self.ints.items()}
-        _muladd(out, {(0,) * self.nvars: d // other.den}, other.ints)
+        out = {m: d // self.den * c for m, c in self.ints.items()}
+        _pmuladd(out, {0: d // other.den}, other.ints)
         return SparsePoly._of(self.nvars, d, out)
 
     def __sub__(self, other):
@@ -565,9 +579,9 @@ class SparsePoly:
             c = Fraction(other)
             p = c.numerator
             return SparsePoly._of(self.nvars, self.den * c.denominator,
-                                  {e: p * v for e, v in self.ints.items()} if p else {})
+                                  {m: p * v for m, v in self.ints.items()} if p else {})
         return SparsePoly._of(self.nvars, self.den * other.den,
-                              _muladd({}, self.ints, other.ints))
+                              _pmuladd({}, self.ints, other.ints))
 
     __rmul__ = __mul__
 
@@ -579,15 +593,12 @@ class SparsePoly:
             acc = acc * self
         return acc
 
-    def total_degree(self):
-        return max((sum(e) for e in self.ints), default=0)
-
     def leading(self):
         """Leading (exponents, coeff) in graded lex order; None for zero."""
         if not self.ints:
             return None
-        e = max(self.ints, key=lambda t: (sum(t), t))
-        return e, Fraction(self.ints[e], self.den)
+        m = max(self.ints)
+        return _unpack(m, self.nvars), Fraction(self.ints[m], self.den)
 
     def exact_div(self, divisor):
         """Exact polynomial quotient; raises ArithmeticError if not divisible."""
@@ -607,20 +618,21 @@ class SparsePoly:
     def format(self, names=None):
         if not self.ints:
             return "0"
+        n, den = self.nvars, self.den
         if names is None:
-            names = ["x%d" % i for i in range(self.nvars)]
+            names = ["x%d" % i for i in range(n)]
         parts = []
-        for e in sorted(self.ints, key=lambda t: (sum(t), t), reverse=True):
-            c = Fraction(self.ints[e], self.den)
+        for m in sorted(self.ints, reverse=True):
+            v = self.ints[m]
             body = "*".join(names[i] if k == 1 else "%s^%d" % (names[i], k)
-                            for i, k in enumerate(e) if k)
+                            for i, k in enumerate(_unpack(m, n)) if k)
             if not body:
-                chunk = format_rat(abs(c))
-            elif abs(c) == 1:
+                chunk = format_ratio(abs(v), den)
+            elif abs(v) == den:
                 chunk = body
             else:
-                chunk = "%s*%s" % (format_rat(abs(c)), body)
-            parts.append(("-" if c < 0 else "+", chunk))
+                chunk = "%s*%s" % (format_ratio(abs(v), den), body)
+            parts.append(("-" if v < 0 else "+", chunk))
         text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
         return text + "".join(" %s %s" % part for part in parts[1:])
 
@@ -736,49 +748,57 @@ def _reduced(den, rows):
     return den // g, dict(zip(rows, div)) if isinstance(rows, dict) else div
 
 
-# Integer polynomials {exponent tuple: nonzero int}: a `SparsePoly`'s form,
-# and the Poisson kernels' partials and sums.
+# Packed integer polynomials {monomial int: nonzero int}, in the layout of
+# the module docstring: a `SparsePoly`'s form, and the Poisson kernels'
+# partials and sums.
 
-def _muladd(acc, a, b, sign=1):
-    """acc += sign * a * b on integer polynomial dicts, in place; returns acc."""
-    for e1, c1 in a.items():
-        c1 *= sign
-        for e2, c2 in b.items():
-            e = tuple(map(add, e1, e2))
-            s = acc.get(e, 0) + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-    return acc
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+DEGREE_CAP = (1 << _WIDTH - 2) - 1
+
+
+def _pack(exps):
+    """The packed monomial of an exponent tuple, x_0 first."""
+    m = sum(exps)
+    for e in exps:
+        m = (m << _WIDTH) | e
+    return m
+
+
+def _unpack(m, nvars):
+    """The exponent tuple, x_0 first, of a packed monomial in nvars variables."""
+    return tuple([m >> s & _FIELD for s in range(_WIDTH * (nvars - 1), -1, -_WIDTH)])
+
+
+def _capped(nvars, ints):
+    """ints, once its largest monomial in nvars variables, and so every
+    one, is of total degree (its top field) at most DEGREE_CAP."""
+    top = max(ints, default=0) >> _WIDTH * nvars
+    if top > DEGREE_CAP:
+        raise ValueError("total degree %d is above the cap %d" % (top, DEGREE_CAP))
+    return ints
+
+
+def _gradient(f):
+    """The partials of f as packed integer polynomials over f.den, x_0
+    first: dividing x^e by x_i subtracts 1 from field i and from the top."""
+    n, top = f.nvars, 1 << _WIDTH * f.nvars
+    lower = [(s, top + (1 << s)) for s in range(_WIDTH * (n - 1), -1, -_WIDTH)]
+    grad = [{} for _ in range(n)]
+    for m, c in f.ints.items():
+        for part, (shift, drop) in zip(grad, lower):
+            k = m >> shift & _FIELD
+            if k:
+                part[m - drop] = c * k
+    return grad
 
 
 def _linear_forms(n):
-    """form(pairs): the integer polynomial {exponent of x_k: x} of the linear
-    form sum x * x_k in n variables, from (k, x) pairs with k ascending; a
-    zero x is dropped."""
-    unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+    """form(pairs): the packed integer polynomial of the linear form
+    sum x * x_k in n variables, from (k, x) pairs with k ascending; a zero
+    x is dropped."""
+    unit = [_pack(tuple(int(j == k) for j in range(n))) for k in range(n)]
     return lambda pairs: {unit[k]: x for k, x in pairs if x}
-
-
-# Packed integer polynomials {monomial int: nonzero int}, the monomials packed
-# into one int each (by `_packing` in `poisson.pc_verify`, one field per
-# variable in `generic_rank`): a product of monomials is a sum of ints.
-
-def _packing(nvars, width):
-    """pack for monomials in nvars variables, in fields of width bits: it
-    maps an exponent tuple to its int, the total degree, then each
-    exponent, x_0 first, one field each.  While every field of a product
-    fits in width bits, which holds up to total degree 2**width - 1, the
-    product of monomials is the sum of their ints.  Width 0 packs the one
-    monomial of degree 0.
-    """
-    def pack(exps):
-        m = sum(exps)
-        for e in exps:
-            m = (m << width) | e
-        return m
-    return pack
 
 
 def _pmuladd(acc, a, b, sign=1):

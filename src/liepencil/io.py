@@ -7,8 +7,8 @@ a skew tensor, coefficients keyed by basis index in ascending order.
 Each input is parsed once, straight into the integer form the engine runs
 on: every coefficient is read as its (p, q) ints, and the whole file is
 cleared over the lcm of the q.  No `Fraction` is built here, and the
-engine's trusted `_of` constructors take the form without a second check,
-so file input is validated here and only here.  A loaded tensor is skew by
+trusted `_of` constructors check no more than the degree cap, refused
+here first, so file input is validated here.  A loaded tensor is skew by
 construction (`skew_table` mirrors each pair i < j), and `_of` records
 that verdict as it builds the tensor, so no command scans its input for
 skewness again.
@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 from math import lcm
 
-from .exact import RatMatrix, SparsePoly, _parse_rat_form, format_rat, format_ratio
+from .exact import (DEGREE_CAP, RatMatrix, SparsePoly, _pack, _parse_rat_form, format_rat,
+                    format_ratio)
 from .tensors import StructureTensor, skew_table
 
 
@@ -139,7 +140,8 @@ def operator_from_dict(doc):
         ctx = "operator.matrix[%d]" % r
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError("row must have %d entries" % dim, ctx)
-        forms.append([_rat_form(x, ctx) for x in row])
+        # an exact "0", the common entry of a sparse operator, skips the parser
+        forms.append([(0, 1) if x == "0" else _rat_form(x, ctx) for x in row])
     L = lcm(*(q for row in forms for _, q in row))
     return RatMatrix._of(L, [[p * (L // q) for p, q in row] for row in forms])
 
@@ -154,7 +156,9 @@ def poly_from_list(nvars, data, context="poly"):
         if (not isinstance(exps, list) or len(exps) != nvars
                 or any(not _is_int(e) or e < 0 for e in exps)):
             raise ParseError("exponents must be %d nonnegative integers" % nvars, ctx)
-        terms.setdefault(tuple(exps), []).append(
+        if sum(exps) > DEGREE_CAP:
+            raise ParseError("total degree must be at most %d" % DEGREE_CAP, ctx)
+        terms.setdefault(_pack(exps), []).append(
             _rat_form(_require(term, "coeff", ctx), ctx + ".coeff"))
     L = lcm(*(q for forms in terms.values() for _, q in forms))
     ints = {e: sum(p * (L // q) for p, q in forms) for e, forms in terms.items()}

@@ -10,16 +10,17 @@ of the symmetric algebra; iterating a lifted operator on a central seed
 produces a Poisson-commutative family.
 
 The kernels read integer forms: each `SparsePoly`'s, and the table's over
-one denominator, formed once per structure.  The bracket, the centrality
-check and the lifted derivations take partials straight from a form; no
-kernel clears a polynomial.  A family is checked through pi grad f, the
-vector with entries {x_i, f} = sum_j {x_i, x_j} df/dx_j: a seed is central
-when it is 0, and {f, g} = grad f . pi grad g, so `pc_verify` forms each
-generator's gradient and pi grad once, on monomials packed into ints, and
-a pair costs n products.  The CLI reads the verdict of an argument-shift
-family and of a classified lift from a proof (`cli._pc_family`), so it
-runs `pc_verify` only on the orbit of a not-near lift; the tests keep it
-as the oracle of that proof.
+one denominator, formed once per structure.  Every product is
+`exact._pmuladd` on the stored packed monomials, which `SparsePoly`'s
+degree cap keeps exact, and partials come straight from a form
+(`exact._gradient`): no kernel clears, repacks or sizes a field.  A family
+is checked through pi grad f, the vector with entries {x_i, f} =
+sum_j {x_i, x_j} df/dx_j: a seed is central when it is 0, and {f, g} =
+grad f . pi grad g, so `pc_verify` forms each generator's gradient and
+pi grad once, and a pair costs n products.  The CLI reads the verdict of
+an argument-shift family and of a classified lift from a proof
+(`cli._pc_family`), so it runs `pc_verify` only on the orbit of a not-near
+lift; the tests keep it as the oracle of that proof.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from itertools import combinations_with_replacement
 from math import lcm
 from operator import mul
 
-from .exact import (RatMatrix, SparsePoly, _Echelon, _linear_forms, _muladd, _packing,
-                    _pmuladd, _primitive)
+from .exact import (RatMatrix, SparsePoly, _Echelon, _gradient, _linear_forms, _pmuladd,
+                    _primitive, _unpack)
 from .tensors import check_jacobi
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -78,20 +79,10 @@ def poisson_bracket(struct, f, g):
     df, dg = _gradient(f), _gradient(g)
     total = {}
     for (i, j), b in struct.ints.items():
-        piece = _muladd(_muladd({}, df[i], dg[j]), df[j], dg[i], -1)
+        piece = _pmuladd(_pmuladd({}, df[i], dg[j]), df[j], dg[i], -1)
         if piece:
-            _muladd(total, b, piece)
+            _pmuladd(total, b, piece)
     return SparsePoly._of(struct.nvars, struct.den * f.den * g.den, total)
-
-
-def _gradient(f):
-    """The partials of f as integer polynomial dicts over f.den, x_0 first."""
-    grad = [{} for _ in range(f.nvars)]
-    for e, c in f.ints.items():
-        for i, k in enumerate(e):
-            if k:
-                grad[i][e[:i] + (k - 1,) + e[i + 1:]] = c * k
-    return grad
 
 
 def _derivation(images, den):
@@ -105,7 +96,7 @@ def _derivation(images, den):
         acc = {}
         for image, part in zip(images, _gradient(f)):
             if part:
-                _muladd(acc, image, part)
+                _pmuladd(acc, image, part)
         return SparsePoly._of(n, den * f.den, acc)
     return apply
 
@@ -140,8 +131,7 @@ def lifted(op):
 def directional(gamma):
     """f -> sum_i gamma_i df/dx_i (the frozen-direction derivative)."""
     g = RatMatrix([gamma])
-    one = (0,) * g.ncols
-    return _derivation([{one: x} if x else {} for x in g.ints[0]], g.den)
+    return _derivation([{0: x} if x else {} for x in g.ints[0]], g.den)
 
 
 @dataclass
@@ -164,8 +154,7 @@ def pc_generate(struct, operator, seeds):
     """
     if any(seed.nvars != struct.nvars for seed in seeds):
         raise ValueError("seed variable count mismatch")
-    extra = max([seed.total_degree() - 1 for seed in seeds] + [0])
-    for s_idx, (_, image) in enumerate(_pi_gradients(struct, seeds, extra)):
+    for s_idx, (_, image) in enumerate(_pi_gradients(struct, seeds)):
         witness = next((i for i, v in enumerate(image) if v), None)
         if witness is not None:
             raise SeedNotCentral(s_idx, witness)
@@ -192,29 +181,19 @@ def pc_generate(struct, operator, seeds):
 class Certificate:
     ok: bool
     witness: tuple | None
-    bracket: SparsePoly | None
 
 
 def pc_verify(family, struct):
     """Check all generator pairs commute; returns a certificate naming
-    the first pair (a, b), a < b in lexicographic order, that does not,
-    with its bracket.
+    the first pair (a, b), a < b in lexicographic order, that does not.
 
     Reads {f_a, f_b} = sum_i df_a/dx_i (pi grad f_b)_i.  Each generator's
     gradient and pi grad are formed once (`_pi_gradients`), so a pair costs
-    n packed products, and a generator with pi grad f = 0 (a central one)
-    is in no pair, since {f, g} = -{g, f} = 0 for every g.  Only the
-    witness pair's bracket is built, by `poisson_bracket`.  A product's
-    total degree is at most deg f_a + deg f_b + t - 2, t the table's
-    largest degree, and pi grad f reaches t + deg f - 1, so the monomials
-    are packed in fields for total degree t + max(d_1 + max(d_2, 1) - 2, 0),
-    d_1 >= d_2 the two largest generator degrees (d_2 = 0 for a lone
-    generator): it bounds every product, every pi grad f, every gradient
-    and every table entry.
+    n products of stored forms, and a generator with pi grad f = 0 (a
+    central one) is in no pair, since {f, g} = -{g, f} = 0 for every g.
+    No bracket is built: the sum is only tested for zero.
     """
-    gens = family.generators
-    d2, d1 = ([0, 0] + sorted(g.total_degree() for g in gens))[-2:]
-    forms = _pi_gradients(struct, gens, max(d1 + max(d2, 1) - 2, 0))
+    forms = _pi_gradients(struct, family.generators)
     live = [(a, grad, image) for a, (grad, image) in enumerate(forms) if any(image)]
     for k, (a, grad, _) in enumerate(live):
         for b, _, image in live[k + 1:]:
@@ -222,27 +201,19 @@ def pc_verify(family, struct):
             for part, entry in zip(grad, image):
                 _pmuladd(acc, part, entry)
             if acc:
-                return Certificate(False, (a, b), poisson_bracket(struct, gens[a], gens[b]))
-    return Certificate(True, None, None)
+                return Certificate(False, (a, b))
+    return Certificate(True, None)
 
 
-def _pi_gradients(struct, polys, extra):
+def _pi_gradients(struct, polys):
     """[(grad f, pi grad f) for f in polys], each a list of n packed integer
     polynomials over f.den and struct.den * f.den: entry i of pi grad f is
-    sum_j {x_i, x_j} df/dx_j = {x_i, f}.  Monomials are packed by
-    `_packing` in fields of (t + extra).bit_length() bits, t the table's
-    largest degree, which hold every monomial of total degree up to
-    t + extra.  pi grad f reaches t + deg f - 1, so extra must be at least
-    deg f - 1 for every f.
-    """
-    t = max((sum(e) for b in struct.ints.values() for e in b), default=0)
-    pack = _packing(struct.nvars, (t + extra).bit_length())
-    table = [(i, j, {pack(e): c for e, c in b.items()}) for (i, j), b in struct.ints.items()]
+    sum_j {x_i, x_j} df/dx_j = {x_i, f}, formed on the stored forms."""
     out = []
     for f in polys:
-        grad = [{pack(e): c for e, c in part.items()} for part in _gradient(f)]
+        grad = _gradient(f)
         image = [{} for _ in grad]
-        for i, j, b in table:
+        for (i, j), b in struct.ints.items():
             _pmuladd(image[i], b, grad[j])
             _pmuladd(image[j], b, grad[i], -1)
         out.append((grad, image))
@@ -295,7 +266,8 @@ def centre_candidates(struct, max_degree=2):
     # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
     lin = [[{} for _ in range(n)] for _ in range(n)]
     for (a, b), terms in struct.ints.items():
-        for e, c in terms.items():
+        for m, c in terms.items():
+            e = _unpack(m, n)
             if sum(e) != 1:
                 raise ValueError("centre candidates need a linear bracket table")
             k = e.index(1)

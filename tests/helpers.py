@@ -5,16 +5,20 @@ Coefficients stay small (numerators in a narrow band, denominators from
 
 The readers below are what only the tests ask of a matrix, a polynomial or
 a Poisson structure: columns, transposes and inverses, a polynomial's
-`Fraction` terms, partials and values, and a bracket entry in either
-order.  Each is a function of the object's integer form (`den`, `ints`),
-and each result is built with the trusted constructor `_of`.
+`Fraction` terms, total degree, partials and values, and a bracket entry
+in either order.  Each is a function of the object's integer form (`den`,
+`ints`), and each result is built with the trusted constructor `_of`.  A
+polynomial's monomials are packed ints, and the readers take them apart
+with `exact._unpack` and put them together with `exact._pack`; no test
+reads the fields itself.
 
 `bareiss_rank` is the oracle of `exact.generic_rank`: the rank over Q(x)
 of a polynomial matrix of any shape and degree by fraction-free
-elimination on packed integer polynomials, with `pdiv` as its exact
-quotient.  It reads a tensor's bracket form as `structure_matrix` builds
-it, a matrix of `SparsePoly` linear forms, and `linear_forms` turns such a
-matrix into the integer linear forms that `generic_rank` takes.
+elimination on integer polynomials packed by its own `packing`, in fields
+as wide as its degrees need, with `pdiv` as its exact quotient.  It reads
+a tensor's bracket form as `structure_matrix` builds it, a matrix of
+`SparsePoly` linear forms, and `linear_forms` turns such a matrix into the
+integer linear forms that `generic_rank` takes.
 
 `coordinates` (one basis reader for many `Fraction` targets) and
 `direct_sum` (two tensors whose blocks commute) are the library routines
@@ -25,7 +29,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from liepencil.exact import (ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
-                             _linear_forms, _packing, _pmuladd, _ratio, _reduce)
+                             _linear_forms, _pack, _pmuladd, _ratio, _reduce, _unpack)
 from liepencil.tensors import StructureTensor
 
 DENOMINATORS = (1, 1, 2, 3)
@@ -103,7 +107,7 @@ def direct_sum(t1, t2):
 def variable(nvars, i):
     exps = [0] * nvars
     exps[i] = 1
-    return SparsePoly._of(nvars, 1, {tuple(exps): 1})
+    return SparsePoly._of(nvars, 1, {_pack(exps): 1})
 
 
 def linear(coeffs):
@@ -113,19 +117,29 @@ def linear(coeffs):
                           for i, c in enumerate(coeffs) if c})
 
 
+def monomials(p):
+    """[(exponent tuple, int)] of a polynomial's form, in its key order."""
+    return [(_unpack(m, p.nvars), c) for m, c in p.ints.items()]
+
+
 def terms(p):
     """{exponent tuple: nonzero Fraction} of a polynomial."""
     d = p.den
-    return {e: Fraction(c, d) for e, c in p.ints.items()}
+    return {e: Fraction(c, d) for e, c in monomials(p)}
+
+
+def total_degree(p):
+    """The largest total degree of a term; 0 for the zero polynomial."""
+    return max((sum(e) for e, _ in monomials(p)), default=0)
 
 
 def partial(p, i):
     """Formal partial derivative with respect to variable i."""
     out = {}
-    for e, c in p.ints.items():
+    for e, c in monomials(p):
         k = e[i]
         if k:
-            out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+            out[_pack(e[:i] + (k - 1,) + e[i + 1:])] = c * k
     return SparsePoly._of(p.nvars, p.den, out)
 
 
@@ -133,18 +147,33 @@ def eval_at(p, point):
     """Evaluate at a rational point given as a sequence."""
     point = [Fraction(x) for x in point]
     return sum((c * prod(x ** k for x, k in zip(point, e))
-                for e, c in p.ints.items()), ZERO) / p.den
+                for e, c in monomials(p)), ZERO) / p.den
 
 
-def coeff_vector(p, monomials):
-    """Coefficients with respect to an ordered monomial list."""
+def coeff_vector(p, monos):
+    """Coefficients with respect to an ordered list of exponent tuples."""
     d = p.den
-    return [_ratio(p.ints.get(m, 0), d) for m in monomials]
+    return [_ratio(p.ints.get(_pack(m), 0), d) for m in monos]
+
+
+def packing(nvars, width):
+    """pack for `bareiss_rank`'s monomials in nvars variables, in fields of
+    width bits: it maps an exponent tuple to its int, the total degree,
+    then each exponent, x_0 first, one field each.  While every field of a
+    product fits in width bits, which holds up to total degree
+    2**width - 1, the product of monomials is the sum of their ints.
+    Width 0 packs the one monomial of degree 0."""
+    def pack(exps):
+        m = sum(exps)
+        for e in exps:
+            m = (m << width) | e
+        return m
+    return pack
 
 
 def packing_guard(nvars, width):
     """The int with the top bit of each of the nvars + 1 fields of width
-    bits set, in the layout `exact._packing` packs."""
+    bits set, in the layout `packing` packs."""
     top_bit = 1 << width >> 1    # none in a field of width 0
     guard = 0
     for _ in range(nvars + 1):
@@ -195,9 +224,9 @@ def linear_forms(mat):
     for row in mat:
         out = []
         for p in row:
-            if any(sum(e) != 1 for e in p.ints):
+            if any(sum(e) != 1 for e, _ in monomials(p)):
                 raise ValueError("entry %s is not a linear form" % p)
-            out.append({e.index(1): c * (L // p.den) for e, c in p.ints.items()})
+            out.append({e.index(1): c * (L // p.den) for e, c in monomials(p)})
         forms.append(out)
     return forms
 
@@ -228,13 +257,13 @@ def bareiss_rank(mat):
     polys = [p for row in mat for p in row if p.ints]
     if not polys:
         return 0
-    top = 2 * min(nrows, ncols) * max(p.total_degree() for p in polys)
+    top = 2 * min(nrows, ncols) * max(total_degree(p) for p in polys)
     width = top.bit_length() + 1
-    pack, guard = _packing(polys[0].nvars, width), packing_guard(polys[0].nvars, width)
+    pack, guard = packing(polys[0].nvars, width), packing_guard(polys[0].nvars, width)
     M = []
     for row in mat:
         L = lcm(*(p.den for p in row))
-        M.append([{pack(e): c * (L // p.den) for e, c in p.ints.items()} for p in row])
+        M.append([{pack(e): c * (L // p.den) for e, c in monomials(p)} for p in row])
     rank = 0
     prev = None
     for c in range(ncols):

@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from liepencil import analysis, constructions, exact, io as iomod, nijenhuis, poisson, tensors
-from liepencil.exact import ONE, ZERO, RatMatrix, SparsePoly
+from liepencil.exact import ONE, ZERO, RatMatrix, SparsePoly, _unpack
 from liepencil.tensors import IdentityFailed, StructureTensor
 
 from helpers import inverse, terms, transpose
@@ -599,9 +599,9 @@ def bihomogeneous_components(f, weights):
     if len(weights) != f.nvars:
         raise ValueError("weight count mismatch")
     buckets = {}
-    for e, c in f.ints.items():
-        w = sum(wi * ei for wi, ei in zip(weights, e))
-        buckets.setdefault(w, {})[e] = c
+    for m, c in f.ints.items():
+        w = sum(wi * ei for wi, ei in zip(weights, _unpack(m, f.nvars)))
+        buckets.setdefault(w, {})[m] = c
     return {w: SparsePoly._of(f.nvars, f.den, ints)
             for w, ints in sorted(buckets.items())}
 

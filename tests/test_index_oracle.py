@@ -29,9 +29,9 @@ from liepencil.analysis import lie_centre, lie_index
 from liepencil.constructions import (build_classical, nilpotent_square, sl2_complete,
                                      tensor_from_matrix_basis, unit_matrix)
 from liepencil.io import algebra_from_dict
-from liepencil.exact import SparsePoly, _packing, generic_rank, rank_exact
+from liepencil.exact import SparsePoly, generic_rank, rank_exact
 
-from helpers import (bareiss_rank, eval_at, linear_forms, packing_guard, pdiv,
+from helpers import (bareiss_rank, eval_at, linear_forms, packing, packing_guard, pdiv,
                      structure_matrix, terms, variable)
 from test_cli_golden import FILES
 from test_tensor_oracle import (LIE, NONZERO, change_of_basis, fixed_lists, standard,
@@ -297,7 +297,7 @@ def test_exact_index_of_so5_and_sp4_agree():
 
 
 def test_packed_quotient_raises_when_inexact():
-    pack, guard = _packing(2, 4), packing_guard(2, 4)
+    pack, guard = packing(2, 4), packing_guard(2, 4)
     x, y, one = pack((1, 0)), pack((0, 1)), pack((0, 0))
     # (x^2 - y^2) / (x + y) = x - y
     assert (pdiv({pack((2, 0)): 1, pack((0, 2)): -1}, {x: 1, y: 1}, guard)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from liepencil.exact import RatMatrix, SparsePoly, parse_rat
+from liepencil.exact import DEGREE_CAP, RatMatrix, SparsePoly, parse_rat
 from liepencil.constructions import build_classical
 from liepencil.io import (
     ParseError, algebra_to_dict, algebra_from_dict, operator_to_dict,
@@ -834,6 +834,9 @@ CANCELLING_SEED = {"seeds": [[{"exponents": [1, 0, 1], "coeff": "4"},
                               {"exponents": [0, 1, 0], "coeff": "-1/2"}]]}
 SL2_NILSQUARE = ["--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json"]
 NONLIE_ID = ["--algebra", "skew-nonlie.json", "--operator", "id4.json"]
+# the sl2 Casimir, then a term one degree above the polynomial degree cap
+ABOVE_CAP_SEED = {"seeds": [[{"exponents": [1, 0, 1], "coeff": "4"},
+                             {"exponents": [DEGREE_CAP - 1, 1, 1], "coeff": "1"}]]}
 
 
 @pytest.mark.parametrize("argv, seeds, name", [
@@ -854,6 +857,26 @@ NONLIE_ID = ["--algebra", "skew-nonlie.json", "--operator", "id4.json"]
         "report-degree-bound-0", "report-degree-bound-non-lie"])
 def test_cli_family_check_refuses_seed_input_without_a_seed(workdir, capsys, argv, seeds,
                                                             name):
+    check_family_refusal(workdir, capsys, argv, seeds, name)
+
+
+@pytest.mark.parametrize("argv, seeds, name", [
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--degree-bound",
+      str(DEGREE_CAP + 1)], None, "--degree-bound must be at most %d" % DEGREE_CAP),
+    (["report"] + SL2_NILSQUARE + ["--pc", "--degree-bound", str(DEGREE_CAP + 1)], None,
+     "--degree-bound must be at most %d" % DEGREE_CAP),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1", "--seed-file", "s.json"],
+     ABOVE_CAP_SEED, "total degree must be at most %d [seeds[0][1]]" % DEGREE_CAP),
+    (["report"] + SL2_NILSQUARE + ["--seed-file", "s.json"], ABOVE_CAP_SEED,
+     "total degree must be at most %d [seeds[0][1]]" % DEGREE_CAP),
+], ids=["pc-check-degree-bound", "report-degree-bound", "pc-check-seed", "report-seed"])
+def test_cli_refuses_a_degree_above_the_cap(workdir, capsys, argv, seeds, name):
+    # a polynomial holds total degree DEGREE_CAP at most, so a centre search
+    # or a seed above it is an input error that names its field
+    check_family_refusal(workdir, capsys, argv, seeds, name)
+
+
+def check_family_refusal(workdir, capsys, argv, seeds, name):
     # a zero seed, or a centre search below degree 1, would check an empty
     # family and still report that it commutes
     run(["example", "nilpotent-square", "sl", "2", "--partition", "2"])

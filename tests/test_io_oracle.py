@@ -9,10 +9,12 @@
   labels, and saving what was loaded writes the same bytes.  The algebras
   include kernel results, and neither writing nor reading a file reads a
   tensor's `Fraction` table: both run on integer forms.
-* Algebra and seed documents written with unreduced, signed and zero
-  coefficients, and seeds with repeated exponents, parse to what a
+* Algebra, operator and seed documents written with unreduced, signed and
+  zero coefficients, and seeds with repeated exponents, parse to what a
   `Fraction` reading gives: the same integer form and key order, a zero
-  coefficient or all-zero pair dropped.  A loaded tensor carries only its
+  coefficient or all-zero pair dropped.  An operator entry spelled exactly
+  "0" skips the rational parser; every other spelling, and every refusal,
+  goes through it and names its row.  A loaded tensor carries only its
   integer form, and its table is built from it when read.
 * A loaded tensor carries its skew verdict, and the verdict is right:
   `check_skew` agrees with the recorded verdict on every generated document.
@@ -26,6 +28,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+from liepencil import io as iomod
 from liepencil.constructions import build_classical
 from liepencil.exact import RatMatrix, SparsePoly
 from liepencil.io import (ParseError, algebra_from_dict, algebra_to_dict, load_algebra,
@@ -147,6 +150,35 @@ def test_operator_file_round_trip(tmp_path_factory, op):
 RATIONAL_TEXT = st.builds("{}{}/{}".format, st.sampled_from(["", "+", "-"]),
                           st.integers(0, 12), st.integers(1, 12)) | st.builds(
     str, st.integers(-6, 6))
+
+
+# spellings of zero: only the first skips the parser
+ZERO_TEXT = ["0", "-0", "0/7", " 0 ", "+0", "00"]
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(ZERO_TEXT) | RATIONAL_TEXT, min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_operator_parse_matches_a_fraction_reading(rows):
+    op = operator_from_dict({"dim": len(rows), "matrix": rows})
+    want = RatMatrix([[parse_rat(x) for x in row] for row in rows])
+    assert op == want and (op.den, op.ints) == (want.den, want.ints)
+
+
+def test_only_an_exact_zero_skips_the_parser(monkeypatch):
+    parsed = []
+    rat_form = iomod._rat_form
+    monkeypatch.setattr(iomod, "_rat_form", lambda x, ctx: parsed.append(x) or rat_form(x, ctx))
+    op = operator_from_dict({"dim": 2, "matrix": [["0", "-0"], ["0/7", " 0 "]]})
+    assert op == RatMatrix.zero(2) and parsed == ["-0", "0/7", " 0 "]
+
+
+@pytest.mark.parametrize("bad", ["x", 0, "1/0", "0.0", None, " ", "0 0"])
+def test_a_bad_entry_after_zeros_is_named(bad):
+    doc = {"dim": 3, "matrix": [["0", " 0 ", "-0"], ["0/7", "0", bad], ["0", "0", "0"]]}
+    with pytest.raises(ParseError) as exc:
+        operator_from_dict(doc)
+    assert exc.value.context == "operator.matrix[1]"
 
 
 @st.composite

@@ -32,8 +32,8 @@ from hypothesis import given, strategies as st
 from liepencil.analysis import lie_centre
 from liepencil import poisson as pois
 from liepencil.constructions import build_classical
-from liepencil.exact import (ZERO, RatMatrix, SparsePoly, generic_rank, kernel_basis, rank_exact,
-                             unit_vector)
+from liepencil.exact import (DEGREE_CAP, ZERO, RatMatrix, SparsePoly, _pmuladd, _unpack,
+                             generic_rank, kernel_basis, rank_exact, unit_vector)
 from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, from_tensor,
                                pc_generate, pc_verify, poisson_bracket)
 from liepencil.tensors import StructureTensor
@@ -71,9 +71,9 @@ def reference_centre_candidates(struct, max_degree):
                 e[i] += 1
             monos.append(tuple(e))
         mono_polys = [SparsePoly.monomial(n, m) for m in monos]
-        brackets = [[reference_poisson_bracket(struct, mp, variable(n, i))
+        brackets = [[terms(reference_poisson_bracket(struct, mp, variable(n, i)))
                      for i in range(n)] for mp in mono_polys]
-        result_monos = sorted({mm for row in brackets for p in row for mm in terms(p)},
+        result_monos = sorted({mm for row in brackets for p in row for mm in p},
                               key=lambda t: (sum(t), t))
         if not result_monos:
             out.extend(mono_polys)
@@ -81,7 +81,7 @@ def reference_centre_candidates(struct, max_degree):
         rows = []
         for i in range(n):
             for rm in result_monos:
-                rows.append([terms(brackets[c][i]).get(rm, ZERO)
+                rows.append([brackets[c][i].get(rm, ZERO)
                              for c in range(len(monos))])
         for vec in kernel_basis(RatMatrix(rows)):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
@@ -100,14 +100,23 @@ def linear_table(tensor):
     return PoissonStructure(n, table)
 
 
-def reference_pc_verify(struct, gens):
-    """(first pair (a, b) in lexicographic order whose Fraction bracket is not
-    0, that bracket), or (None, None) when every pair commutes."""
-    for a, b in combinations(range(len(gens)), 2):
-        br = reference_poisson_bracket(struct, gens[a], gens[b])
-        if not br.is_zero():
-            return (a, b), br
-    return None, None
+def fraction_bracket(struct, f, g):
+    """{f, g} as {exponent tuple: Fraction}, by the Leibniz sum on `Fraction`
+    term dicts read through `terms`: no `SparsePoly` is built, so it holds
+    brackets of any degree, above the degree cap too."""
+    def partials(p):
+        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in terms(p).items() if e[i]}
+                for i in range(struct.nvars)]
+    df, dg = partials(f), partials(g)
+    out = {}
+    for (i, j), b in struct.table.items():
+        for sign, p, q in ((1, df[i], dg[j]), (-1, df[j], dg[i])):
+            for e1, c1 in terms(b).items():
+                for e2, c2 in p.items():
+                    for e3, c3 in q.items():
+                        e = tuple(a + b + c for a, b, c in zip(e1, e2, e3))
+                        out[e] = out.get(e, 0) + sign * c1 * c2 * c3
+    return {e: c for e, c in out.items() if c}
 
 
 def reference_pc_generate(operator, seeds):
@@ -273,10 +282,21 @@ def test_poisson_bracket_matches_reference(struct, data):
     assert got.nvars == n and only_fractions(got)
 
 
+def unpacked(form, nvars, den):
+    """{exponent tuple: Fraction} of a packed integer polynomial over den."""
+    return {_unpack(m, nvars): Fraction(c, den) for m, c in form.items()}
+
+
 def check_pc_verify(struct, gens):
-    """pc_verify against the reference loop; and no two monomials of a
-    gradient or pi grad f that pc_verify forms share a packed int, so every
-    packed entry has the terms of its Fraction reference."""
+    """pc_verify against the reference loop over pairs in lexicographic
+    order, which stops at the first pair whose `fraction_bracket` is not 0.
+    Every gradient and pi grad f that pc_verify forms, and every pair sum
+    grad f_a . pi grad f_b up to the witness, formed again from them by
+    `_pmuladd` and read back through `_unpack`, has the terms of its
+    Fraction reference: no two monomials share a packed int, and no field
+    of a product of three overflowed.  The witness pair's bracket, built
+    by `poisson_bracket`, is the reference bracket, or is refused when it
+    is above the degree cap."""
     family = PCFamily(list(gens), ["g%d" % k for k in range(len(gens))])
     forms = []
     pi_gradients = pois._pi_gradients
@@ -289,16 +309,28 @@ def check_pc_verify(struct, gens):
     x = [variable(n, i) for i in range(n)]
     assert len(forms) == 1
     for f, (grad, image) in zip(gens, forms[0]):
-        assert [len(part) for part in grad] == [len(terms(partial(f, i))) for i in range(n)]
-        assert ([len(entry) for entry in image]
-                == [len(terms(reference_poisson_bracket(struct, x[i], f))) for i in range(n)])
-    witness, bracket = reference_pc_verify(struct, gens)
+        assert [unpacked(part, n, f.den) for part in grad] == [terms(partial(f, i))
+                                                                for i in range(n)]
+        assert ([unpacked(entry, n, struct.den * f.den) for entry in image]
+                == [fraction_bracket(struct, x[i], f) for i in range(n)])
+    witness = bracket = None
+    for a, b in combinations(range(len(gens)), 2):
+        acc = {}
+        for part, entry in zip(forms[0][a][0], forms[0][b][1]):
+            _pmuladd(acc, part, entry)
+        bracket = fraction_bracket(struct, gens[a], gens[b])
+        assert unpacked(acc, n, gens[a].den * struct.den * gens[b].den) == bracket
+        if bracket:
+            witness = (a, b)
+            break
     assert (cert.ok, cert.witness) == (witness is None, witness)
-    if witness is None:
-        assert cert.bracket is None
-    else:
-        assert terms(cert.bracket) == terms(bracket) and only_fractions(cert.bracket)
-        assert cert.bracket == poisson_bracket(struct, *(gens[k] for k in witness))
+    if witness is not None:
+        if max(map(sum, bracket)) <= DEGREE_CAP:
+            got = poisson_bracket(struct, *(gens[k] for k in witness))
+            assert terms(got) == bracket and only_fractions(got)
+        else:
+            with pytest.raises(ValueError, match="above the cap"):
+                poisson_bracket(struct, *(gens[k] for k in witness))
 
 
 @pytest.mark.parametrize("kind", TABLE_KINDS)
@@ -310,22 +342,30 @@ def test_pc_verify_matches_reference(kind, data):
 
 def test_pc_verify_fields_hold_the_top_degree():
     # {x0, x1} = 1 on three generators: {x0 x2^2 + x1^3 / 3, x0 x1} is
-    # x0 x2^2 - x1^3, of degree 3 = deg f_a + deg f_b + 0 - 2.  In fields
-    # of 2 bits the two monomials differ; in fields of 1 bit both would
-    # pack to the same int, and their terms would cancel.
+    # x0 x2^2 - x1^3, two monomials of degree 3 that must stay apart
     n = 3
     x = [variable(n, i) for i in range(n)]
     struct = PoissonStructure(n, {(0, 1): SparsePoly.const(n, 1)})
     f = x[0] * x[2] * x[2] + x[1] * x[1] * x[1] * Fraction(1, 3)
     check_pc_verify(struct, [f, x[0] * x[1]])
     check_pc_verify(struct, [x[2], f, x[0] * x[1]])
+    # at the cap c: {x0, x1} = x0^c, {x0^c, x0^(c-1) x1} = c x0^(3c-2), the
+    # largest degree a kernel forms, all of it in one exponent field; above
+    # the cap, so poisson_bracket refuses it
+    c = DEGREE_CAP
+    struct = PoissonStructure(2, {(0, 1): SparsePoly(2, {(c, 0): 1})})
+    top = SparsePoly(2, {(c, 0): Fraction(1, 2), (0, c): 3})
+    check_pc_verify(struct, [top, SparsePoly(2, {(c - 1, 1): -2, (1, 0): 1})])
+    # three monomials of degree c on three variables, one field each at c
+    struct = PoissonStructure(3, {(0, 1): SparsePoly(3, {(0, 0, c): 1, (c, 0, 0): 5}),
+                                  (1, 2): SparsePoly(3, {(0, c, 0): Fraction(2, 3)})})
+    check_pc_verify(struct, [SparsePoly(3, {(0, 0, c): 1, (c, 0, 0): -1}),
+                             SparsePoly(3, {(0, c, 0): 1, (1, 1, c - 2): 7})])
 
 
 def test_pc_verify_fields_hold_a_lone_generator():
-    # {x0, x1} = 1: pi grad (x0 - x1)^2 = (-2 x0 + 2 x1, -2 x0 + 2 x1) is of
-    # degree 1 = t + deg f - 1 although no pair has a product of degree
-    # above 0.  In fields of 0 bits x0 and x1 pack to the same int and both
-    # entries cancel to 0.
+    # {x0, x1} = 1: pi grad (x0 - x1)^2 = (-2 x0 + 2 x1, -2 x0 + 2 x1), two
+    # monomials of degree 1 that must stay apart in a generator in no pair
     n = 2
     x = [variable(n, i) for i in range(n)]
     struct = PoissonStructure(n, {(0, 1): SparsePoly.const(n, 1)})
@@ -333,6 +373,11 @@ def test_pc_verify_fields_hold_a_lone_generator():
     check_pc_verify(struct, [f])
     check_pc_verify(struct, [SparsePoly.const(n, 3), f])
     check_pc_verify(struct, [f, SparsePoly.const(n, 3), SparsePoly.const(n, 0)])
+    # at the cap c: pi grad of x0^c + x1^c under {x0, x1} = x0^c reaches
+    # degree 2c - 1, in x0 alone
+    c = DEGREE_CAP
+    struct = PoissonStructure(n, {(0, 1): SparsePoly(n, {(c, 0): 1})})
+    check_pc_verify(struct, [SparsePoly(n, {(c, 0): 1, (0, c): -4})])
 
 
 def generated_dimension(tensor, vectors):

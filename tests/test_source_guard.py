@@ -25,7 +25,12 @@ no `float`, and imports from `math` only the integer functions `gcd`,
 
 A second rule keeps a polynomial's storage inside `exact`: `poisson.py` and
 `analysis.py` read a `SparsePoly`'s integer form (`den`, `ints`), and neither
-imports the clearing rule `_cleared` nor reads `.terms`.
+imports the clearing rule `_cleared` nor reads `.terms`.  The packed
+monomial layout stays there too: no other module names the field width
+`_WIDTH` or mask `_FIELD`, and no module but `exact` and `tensors` (whose
+contraction kernel packs its own fields) shifts an int, so every other
+module takes monomials apart only through `_unpack`, `_pack` and
+`_gradient`.
 
 Every name an import binds in the package is read by its module: an
 import left behind by a deletion is flagged, `from __future__` aside.
@@ -372,6 +377,48 @@ def bracket(f, g):
 
 
 # the one place that prints: commands return their documents to `main`
+LAYOUT = {"_WIDTH", "_FIELD"}
+# the modules that pack ints in fields of their own
+OWN_FIELDS = {"exact.py", "tensors.py"}
+
+
+def layout_offences(source, shifts=True):
+    """(line, what) of every import or read of the monomial layout's width
+    or mask, and, if shifts, of every << or >>."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, "import " + a.name) for a in node.names if a.name in LAYOUT]
+        elif isinstance(node, ast.Name) and node.id in LAYOUT:
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in LAYOUT:
+            out.append((node.lineno, ast.unparse(node)))
+        elif (shifts and isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, (ast.LShift, ast.RShift))):
+            out.append((node.lineno, "shift"))
+    return sorted(out)
+
+
+def test_only_exact_reads_the_monomial_fields():
+    source = """
+from .exact import SparsePoly, _WIDTH, _unpack
+from . import exact
+def degree(p):
+    return max(p.ints) >> exact._WIDTH * p.nvars
+def exponents(p, m):
+    m >>= 1
+    return _unpack(m, p.nvars), 1 << 3
+"""
+    assert layout_offences(source) == [(2, "import _WIDTH"), (5, "exact._WIDTH"), (5, "shift"),
+                                       (7, "shift"), (8, "shift")]
+    assert layout_offences(source, shifts=False) == [(2, "import _WIDTH"), (5, "exact._WIDTH")]
+    package = Path(liepencil.__file__).parent
+    found = {path.name: layout_offences(path.read_text(encoding="utf-8"),
+                                        path.name not in OWN_FIELDS)
+             for path in sorted(package.glob("*.py")) if path.name != "exact.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 PRINTERS = {"main", "_emit", "_print_text"}
 
 
