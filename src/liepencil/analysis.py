@@ -61,14 +61,16 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, least
     integers: the table is cleared once to integers over its lcm L, and the
     entry i < j at xi is the int sum_k L c_ij^k xi_k, mirrored with its sign
     below the diagonal.  Scaling by L does not change the rank.  Each
-    sample's rank is taken mod `exact.PRIME` by `_pivots_mod`; it is never
-    above the rank over Q, so the maximum stays a certified lower bound on
-    the generic rank and the index an upper bound.  It differs from the
-    rank over Q only where the prime divides every maximal minor at every
-    sample.  least_index is a proven lower bound on the index, such as
-    dim z (the centre lies in every stabiliser) or the exact index: no
-    sample's rank exceeds n - least_index, so sampling stops once a sample
-    reaches it, and the maximum is the one all the samples would give.
+    sample's rank is taken mod `exact.PRIME` by `_pivots_mod`, on rows
+    packed into one int each and updated whole by one multiply-add and two
+    Mersenne folds; it is never above the rank over Q, so the maximum stays
+    a certified lower bound on the generic rank and the index an upper
+    bound.  It differs from the rank over Q only where the prime divides
+    every maximal minor at every sample.  least_index is a proven lower
+    bound on the index, such as dim z (the centre lies in every stabiliser)
+    or the exact index: no sample's rank exceeds n - least_index, so
+    sampling stops once a sample reaches it, and the maximum is the one all
+    the samples would give.
     """
     ok = is_lie(tensor)
     if not ok:

@@ -21,7 +21,10 @@ rows and build a `Fraction` only for an entry they return.
 from that reduction; `solve_columns` is its one-target use.  A point
 rank, the rank of a dense int matrix read at one point, runs apart from
 `_Echelon`, by forward elimination mod one prime in `_pivots_mod`: a rank
-mod the prime is a lower bound on the rank over Q.
+mod the prime is a lower bound on the rank over Q.  Each row is packed
+once into one int, an entry mod the prime per 64-bit field, and a row
+update is one multiply-add on the whole row and two Mersenne folds that
+reduce every field at once (`_row_update`).
 `generic_rank`, the rank over Q(x) of a skew matrix of integer linear
 forms {k: int}, such as a tensor's bracket form read off its integer
 form, takes the rank at one integer point and proves it generic by
@@ -36,6 +39,7 @@ monomials is a sum of ints, and `_pmuladd` is the one polynomial product
 from __future__ import annotations
 
 import re
+import struct
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -371,6 +375,8 @@ def rank_exact(m):
 
 
 PRIME = 2 ** 31 - 1
+_ROW_WIDTH = 64                         # bits per entry of a packed row, struct's "Q"
+_FOLD = (1 << (_ROW_WIDTH - 31)) - 1    # a field's bits from bit 31 up
 
 
 def _pivots_mod(rows):
@@ -378,22 +384,62 @@ def _pivots_mod(rows):
     by forward elimination: column c is a pivot when it is independent
     of the columns left of it mod PRIME.  The pivots span the column space
     mod PRIME, and their number, the rank mod PRIME, is at most the rank
-    over Q, since a minor that vanishes over Q vanishes mod PRIME.  Every
-    live row drops its first entry at each step, so column c is entry 0."""
+    over Q, since a minor that vanishes over Q vanishes mod PRIME.
+
+    Each row of m columns is packed once into one int of 64-bit fields
+    (`_ROW_WIDTH`), its entry in column c reduced into [0, p), p = PRIME,
+    in field m - 1 - c, so a live row's leading entry is its top field.  At
+    step c every live row drops that field.  A row whose leading entry is
+    nonzero takes one multiply-add x + f * tail on the whole row, where
+    tail is the pivot row below its leading field, and then two Mersenne
+    folds on every field at once, v -> (v & p) + (v >> 31 & 2^33 - 1)
+    (`_row_update`); any other row drops the field by a mask.  A field may
+    hold p itself, so a leading entry is read as field % p.
+
+    Width: every field stays in [0, p].  Packing gives [0, p).  With f in
+    [1, p - 1], a field of x + f * tail is at most p + (p - 1) p = p^2 <
+    2^62, and so is each partial product of f * tail, so no field carries
+    into its neighbour.  A fold writes a field v as lo + 2^31 hi with
+    lo < 2^31 and maps it to lo + hi.  From v <= p^2 = 2^62 - 2^32 + 1,
+    hi <= 2^31 - 2, so the first fold leaves at most 2^32 - 3.  Then
+    hi <= 1, and hi = 1 leaves lo <= 2^31 - 3, so the second fold leaves at
+    most p.  Since 2^31 = 1 (mod p), each fold keeps every field's residue.
+    The fold masks cover only the fields below the leading one, so the
+    folds also drop the leading field.
+    """
     p = PRIME
-    rows = [[x % p for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    fmt = ">%dQ" % ncols
+    rows = [int.from_bytes(struct.pack(fmt, *[x % p for x in row]), "big") for row in rows]
+    ones = ((1 << _ROW_WIDTH * ncols) - 1) // ((1 << _ROW_WIDTH) - 1)  # 1 in each field
+    lows, highs = p * ones, _FOLD * ones
     pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        prow = next((row for row in rows if row[0]), None)
-        if prow is None:
-            rows = [row[1:] for row in rows]
+    for c in range(ncols):
+        s = _ROW_WIDTH * (ncols - 1 - c)
+        below = (1 << s) - 1
+        for i, x in enumerate(rows):
+            if (x >> s) % p:
+                break
+        else:
+            rows = [x & below for x in rows]
             continue
         pivots.append(c)
-        inv, tail = p - pow(prow[0], -1, p), prow[1:]
-        rows = [[(a + f * b) % p for a, b in zip(row[1:], tail)]
-                if (f := row[0] * inv % p) else row[1:]
-                for row in rows if row is not prow]
+        prow = rows.pop(i)
+        inv, tail = p - pow((prow >> s) % p, -1, p), prow & below
+        lo, hi = lows & below, highs & below
+        rows = [_row_update(x, f, tail, lo, hi) if (f := (x >> s) % p * inv % p) else x & below
+                for x in rows]
     return pivots
+
+
+def _row_update(x, f, tail, lo, hi):
+    """x + f * tail on packed rows, then two Mersenne folds on every field
+    that the masks cover: lo holds p = PRIME and hi 2^33 - 1 in each field
+    below x's leading one.  Fields of x and tail in [0, p] and f in
+    [1, p - 1] give fields in [0, p] (the width proof is `_pivots_mod`'s)."""
+    x += f * tail
+    x = (x & lo) + (x >> 31 & hi)
+    return (x & lo) + (x >> 31 & hi)
 
 
 def kernel_basis(m, ncols=None):

@@ -20,6 +20,10 @@ a tensor's bracket form as `structure_matrix` builds it, a matrix of
 `SparsePoly` linear forms, and `linear_forms` turns such a matrix into the
 integer linear forms that `generic_rank` takes.
 
+`reference_pivots_mod` is the oracle of `exact._pivots_mod`: the same
+forward elimination mod PRIME on list rows, one entry at a time, as the
+library ran it before it packed its rows.
+
 `coordinates` (one basis reader for many `Fraction` targets) and
 `direct_sum` (two tensors whose blocks commute) are the library routines
 the quasi-grading extension used to go through; they serve as oracles.
@@ -28,7 +32,7 @@ the quasi-grading extension used to go through; they serve as oracles.
 from fractions import Fraction
 from math import lcm, prod
 
-from liepencil.exact import (ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
+from liepencil.exact import (PRIME, ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
                              _linear_forms, _pack, _pmuladd, _ratio, _reduce, _unpack)
 from liepencil.tensors import StructureTensor
 
@@ -288,6 +292,29 @@ def bareiss_rank(mat):
         if rank == nrows:
             break
     return rank
+
+
+def reference_pivots_mod(rows):
+    """Pivot columns of dense int rows over the field of PRIME elements,
+    by forward elimination: column c is a pivot when it is independent
+    of the columns left of it mod PRIME.  The pivots span the column space
+    mod PRIME, and their number, the rank mod PRIME, is at most the rank
+    over Q, since a minor that vanishes over Q vanishes mod PRIME.  Every
+    live row drops its first entry at each step, so column c is entry 0."""
+    p = PRIME
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        prow = next((row for row in rows if row[0]), None)
+        if prow is None:
+            rows = [row[1:] for row in rows]
+            continue
+        pivots.append(c)
+        inv, tail = p - pow(prow[0], -1, p), prow[1:]
+        rows = [[(a + f * b) % p for a, b in zip(row[1:], tail)]
+                if (f := row[0] * inv % p) else row[1:]
+                for row in rows if row is not prow]
+    return pivots
 
 
 # Poisson structures

@@ -52,6 +52,24 @@ def test_lie_index_gl3():
     assert lie_index(t, mode="prob", seed=1).index == 3
 
 
+@pytest.mark.parametrize("family, n, index", [("sl", 5, 4), ("sl", 6, 5), ("sl", 7, 6),
+                                              ("gl", 6, 6), ("sp", 6, 3), ("so", 7, 3)],
+                         ids=["sl5", "sl6", "sl7", "gl6", "sp6", "so7"])
+def test_lie_index_is_the_rank_of_a_reductive_algebra(family, n, index):
+    # ind g = rank g for reductive g: at these sizes each sample's point
+    # rank runs the most elimination steps of any call the commands make
+    t = build_classical(family, n)
+    for seed in (5, 11):
+        assert lie_index(t, mode="prob", seed=seed).index == index
+
+
+@pytest.mark.parametrize("family, index", [("sl", 3), ("gl", 4)])
+def test_exact_lie_index_is_the_rank_above_the_default_cap(family, index):
+    # dim 15 and 16: the exact index takes its point pivots from `_pivots_mod`
+    rep = lie_index(build_classical(family, 4), mode="exact", max_exact_dim=16)
+    assert (rep.index, rep.method) == (index, "exact-symbolic")
+
+
 def count_point_ranks(monkeypatch):
     """The ranks `lie_index` samples, one per call of its kernel."""
     ranks = []

@@ -5,10 +5,15 @@ canonical forms as rref, rank_exact, kernel_basis and solve_columns, so the
 results must agree exactly.  The point-rank kernel `_pivots_mod`, which
 eliminates mod PRIME, is checked against `rank_exact` and `rref`: equal on
 small entries, a lower bound once PRIME divides entries, and `generic_rank`
-exact at a point where every value is 0 mod PRIME.  sympy and Hypothesis
-are test-only; the library itself stays stdlib-only.
+exact at a point where every value is 0 mod PRIME.  The packed kernel is
+also checked against `reference_pivots_mod`, the list-row elimination it
+replaced, on wide entries and on the sampled bracket forms `lie_index`
+ranks, and its row update `_row_update` at the largest field value its
+width proof allows.  sympy and Hypothesis are test-only; the library
+itself stays stdlib-only.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,9 +22,11 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+from helpers import reference_pivots_mod
+from liepencil.analysis import SAMPLE_BOUND
 from liepencil.constructions import build_classical
-from liepencil.exact import (PRIME, _pivots_mod, generic_rank, kernel_basis, rank_exact,
-                             rref, solve_columns)
+from liepencil.exact import (_FOLD, _ROW_WIDTH, PRIME, _pivots_mod, _row_update, generic_rank,
+                             kernel_basis, rank_exact, rref, solve_columns)
 
 # the example budget is the "liepencil" profile in conftest.py; the two
 # sympy tests together take about 1.5 s
@@ -135,6 +142,77 @@ def test_pivots_mod_is_a_lower_bound():
     # has rank 2 over Q and 0 mod p
     assert (_pivots_mod([[PRIME, 0], [0, 1]]), rank_exact([[PRIME, 0], [0, 1]])) == ([1], 2)
     assert (_pivots_mod([[0, PRIME], [-PRIME, 0]]), rank_exact([[0, PRIME], [-PRIME, 0]])) == ([], 2)
+
+
+# the packed _pivots_mod against the list-row elimination it replaced, on
+# entries of any size: small ints, multiples of PRIME plus small offsets
+# (0 mod PRIME and its neighbours), and ints up to 2^100
+
+WIDE_ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda k, d: k * PRIME + d, st.integers(-4, 4), st.integers(-2, 2)),
+    st.integers(-2 ** 100, 2 ** 100))
+
+
+@st.composite
+def wide_matrices(draw):
+    """Integer matrices from 0 x 0 up to 12 x 12, tall or wide, some with
+    one more row that is a combination of two others."""
+    nrows = draw(st.integers(0, 12))
+    ncols = draw(st.integers(0, 12)) if nrows else 0
+    rows = draw(st.lists(st.lists(WIDE_ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if nrows >= 2 and draw(st.booleans(), label="dependent"):
+        a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        k = draw(st.integers(-3, 3))
+        rows.append([x + k * y for x, y in zip(rows[a], rows[b])])
+    return rows
+
+
+@given(wide_matrices())
+def test_pivots_mod_matches_the_list_rows(rows):
+    assert _pivots_mod(rows) == reference_pivots_mod(rows)
+
+
+def bracket_values(tensor, point):
+    """The skew matrix of the bracket form's integer values at point, as
+    `lie_index` builds a sample."""
+    _, tab = tensor.integer_form()
+    n = tensor.dim
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), vec in tab.items():
+        rows[i][j] = sum(c * point[k] for k, c in vec.items())
+    return rows
+
+
+@given(st.sampled_from([("sl", 3), ("sp", 4), ("gl", 3)]), st.integers(0, 2 ** 32))
+def test_pivots_mod_matches_the_list_rows_on_bracket_samples(algebra, seed):
+    tensor = build_classical(*algebra)
+    rng = random.Random(seed)
+    point = [rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for _ in range(tensor.dim)]
+    rows = bracket_values(tensor, point)
+    assert _pivots_mod(rows) == reference_pivots_mod(rows)
+
+
+def test_row_update_at_the_width_bound():
+    # fields of x and tail at most p and f = p - 1: a field before the
+    # folds is at most p + (p - 1) p = p^2.  All fields at p reach p^2,
+    # which one fold already takes to p; x's field p - 2 reaches p^2 - 2,
+    # which one fold takes to 2^32 - 4, so only the second fold brings
+    # every field back to [0, p]
+    p, n, w = PRIME, 6, _ROW_WIDTH
+    mask = (1 << w) - 1
+    ones = sum(1 << w * k for k in range(n))
+    lo, hi = p * ones, _FOLD * ones
+    tail = p * ones
+    for fields in ([p] * n, [p - k for k in range(n)]):
+        row = sum(v << w * k for k, v in enumerate(fields))
+        row += p << w * n                   # a leading field, which the update drops
+        got = _row_update(row, p - 1, tail, lo, hi)
+        out = [got >> w * k & mask for k in range(n)]
+        assert got >> w * n == 0
+        assert all(v <= p for v in out)
+        assert [v % p for v in out] == [(v + (p - 1) * p) % p for v in fields]
 
 
 @pytest.mark.parametrize("family, n, rank", [("sl", 2, 2), ("sl", 3, 6), ("gl", 3, 6),
