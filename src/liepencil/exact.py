@@ -732,34 +732,37 @@ def generic_rank(forms, point=None):
     packed = [[{1 << w * k: c for k, c in form.items() if c} for form in row] for row in forms]
     values = [[sum(c * point[k] for k, c in form.items()) for form in row] for row in forms]
     memo = {0: {0: 1}}    # Pf of the empty matrix is 1; 0 packs the monomial 1
-
-    def pfaffian(mask):
-        """Pf of the principal submatrix on the set bits of mask."""
-        got = memo.get(mask)
-        if got is None:
-            low = mask & -mask
-            i, rest = low.bit_length() - 1, mask ^ low
-            got, sign, left = {}, 1, rest
-            while left:
-                bit = left & -left
-                a = packed[i][bit.bit_length() - 1]
-                if a:
-                    sub = pfaffian(rest ^ bit)
-                    if sub:
-                        _pmuladd(got, a, sub, sign)
-                sign, left = -sign, left ^ bit
-            memo[mask] = got
-        return got
-
     kept = set(_pivots_mod(values))
     while True:
         base = sum(1 << p for p in kept)
         outside = [k for k in range(n) if k not in kept]
         grown = next(((k, l) for a, k in enumerate(outside) for l in outside[a + 1:]
-                      if pfaffian(base | 1 << k | 1 << l)), None)
+                      if _pfaffian(base | 1 << k | 1 << l, packed, memo)), None)
         if grown is None:
             return len(kept)
         kept.update(grown)
+
+
+def _pfaffian(mask, packed, memo):
+    """Pf of the principal submatrix of packed on the set bits of mask,
+    expanded along its smallest index and memoised in memo by mask.  A
+    plain function, not a closure over memo, so the memo goes with the
+    caller's frame and no reference cycle keeps it."""
+    got = memo.get(mask)
+    if got is None:
+        low = mask & -mask
+        i, rest = low.bit_length() - 1, mask ^ low
+        got, sign, left = {}, 1, rest
+        while left:
+            bit = left & -left
+            a = packed[i][bit.bit_length() - 1]
+            if a:
+                sub = _pfaffian(rest ^ bit, packed, memo)
+                if sub:
+                    _pmuladd(got, a, sub, sign)
+            sign, left = -sign, left ^ bit
+        memo[mask] = got
+    return got
 
 
 # Integer forms, whose rows are all lists of ints or all {key: int} dicts.
@@ -781,16 +784,16 @@ def _cleared(rows):
 def _reduced(den, rows):
     """The form (den, rows) divided by its gcd: rows is a list or a dict of
     rows, and comes back in its own shape, the very object when the gcd
-    is 1."""
-    if den == 1:
-        return den, rows
-    vecs = list(rows.values()) if isinstance(rows, dict) else rows
-    dicts = bool(vecs) and isinstance(vecs[0], dict)
-    g = gcd(den, *(x for v in vecs for x in (v.values() if dicts else v)))
+    is 1, which ends the scan of the rows."""
+    vecs, g = rows.values() if isinstance(rows, dict) else rows, den
+    for v in vecs:                  # the gcd so far, until it is 1
+        if g == 1:
+            return den, rows
+        g = gcd(g, *(v.values() if isinstance(v, dict) else v))
     if g == 1:
         return den, rows
-    div = ([{k: x // g for k, x in v.items()} for v in vecs] if dicts
-           else [[x // g for x in v] for v in vecs])
+    div = [{k: x // g for k, x in v.items()} if isinstance(v, dict) else [x // g for x in v]
+           for v in vecs]
     return den // g, dict(zip(rows, div)) if isinstance(rows, dict) else div
 
 

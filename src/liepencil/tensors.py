@@ -25,8 +25,9 @@ pair by pair, each vector packed into one int with a field per basis index
 (`_packed`, `_unpacked`).  `contract` runs it for every such tensor: the
 derived operation here, and the torsion, both sides of the exponential
 identities and the nilpotent-square checks elsewhere.  `classify_operator`
-runs it once, on T' with the terms of T'' - b T', and compares packed ints
-with a T, stopping at the first pair that fails.  Everything after reads
+runs it twice at one width: on T for T', and on T', whose packed ints the
+first pass hands over, with the terms of T'' - b T', comparing packed ints
+with a T and stopping at the first pair that fails.  Everything after reads
 the (a, b) it proved, kept on the action: T'' and the degenerate lines are
 named by coefficients on the pencil, never built, and `normalize_pencil`
 takes the shifted T' - lambda1 T with no contraction.  `check_jacobi`
@@ -53,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, compress, count
 from math import gcd, lcm, prod
 from operator import add, lshift, mul
 
@@ -305,51 +306,100 @@ def _unpacked(x, w):
     """The int vector {r: v}, in ascending r, of a packed x whose fields
     are balanced digits, x = sum_r v_r 2^(w r) with every |v_r| < 2^(w-1).
     A field read at or above 2^(w-1) is negative, and borrowed 1 from the
-    fields above it.  Below a nonzero field the low bits of x are 0, so
-    (x & -x).bit_length() jumps to the next nonzero field."""
-    vec, r, top = {}, 0, 1 << w
+    fields above it, which x >> w returns by adding 1.  Below a nonzero
+    field the low bits of x are 0, so (x & -x).bit_length() jumps to the
+    next nonzero field."""
+    vec, r, top, half = {}, 0, 1 << w, 1 << (w - 1)
+    mask = top - 1
     while x:
-        v = x & (top - 1)
+        v = x & mask
         if not v:
             skip = ((x & -x).bit_length() - 1) // w
             x, r = x >> w * skip, r + skip
-            v = x & (top - 1)
-        v -= top if v >= top >> 1 else 0
-        vec[r], x, r = v, (x - v) >> w, r + 1
+            v = x & mask
+        x >>= w
+        if v >= half:
+            v, x = v - top, x + 1
+        vec[r], r = v, r + 1
     return vec
 
 
-def _contraction(tab, n, terms, w=0):
+def _nonzero(line):
+    """(indices, values) of the nonzero entries of line."""
+    return (list(compress(count(), line)), list(filter(None, line))) if any(line) else ((), ())
+
+
+class _SlotSums(dict):
+    """The slot sums s(p, q) = sum_k X_kp Z[q][k] of an int operator X
+    (its columns `sup`, as `_nonzero` lists them) and a table Z of packed
+    ints, row p built on its first read: sums[p][q].  Each sum runs over
+    the smaller of {k : X_kp != 0} and {k : Z[q][k] != 0}, ties to X; it
+    is the same sum, since a term with either factor 0 adds nothing.  A
+    sparse T with a dense D sums over T's side; a column with one nonzero
+    entry (the nilpotent squares' D) reads through it, with no index of
+    Z's nonzero entries built.  With skew (`_contraction`), s(p, p) is
+    read by no pair and left 0."""
+
+    def __init__(self, Z, sup, X, skew):
+        self.Z, self.sup, self.X, self.lines, self.skew = Z, sup, X, None, skew
+
+    def __missing__(self, p):
+        (ks, xs), Z = self.sup[p], self.Z
+        if len(ks) == 1:
+            row = [xs[0] * z[ks[0]] for z in Z]
+        else:
+            self.lines = self.lines or list(map(_nonzero, Z))
+            col = [x[p] for x in self.X]
+            skip = p if self.skew else -1
+            row = [0 if q == skip else sum(map(mul, xs, map(z.__getitem__, ks))
+                                                if len(ks) <= len(zs)
+                                                else map(mul, vs, map(col.__getitem__, zs)))
+                   for q, z, (zs, vs) in zip(range(len(Z)), Z, self.lines)]
+        self[p] = row
+        return row
+
+
+def _contraction(tab, n, terms, skew, w=0, packed=None):
     """The packed kernel: sum_t c_t O_t psi(A_t x_i, B_t x_j) at basis pairs.
 
     tab is the table {(k, l): {r: int}} of an integer form of psi; terms a
     list of (c, O, A, B), c an int and O, A, B int row lists or None for
-    the identity.  A vector packs into one int, sum_r v_r 2^(w r), and a
-    sum of multiples of packed vectors packs the same sum of the vectors.
-    So O psi packs as the table of sum_r psi_kl^r Ocol_r, Ocol_r the
-    packed column r of O.  The terms with the identity on both slots share
-    one such sum at each pair; any other term reads the table Y of O psi
-    through B on the right (sum_l B_lj Y_il) or through A on the left
-    (sum_k A_ki Y_kj), after Y_kj = sum_l B_lj (O psi)_kl when both slots
-    carry one.  Each table is packed once, only at the rows and columns
-    the reads reach, and a pair costs one big-int multiply-add per nonzero
-    operator entry read and per psi_ij^r whose column is not 0.  Every
-    field of the result is at most max|psi| sum_t |c_t| prod(n max|X|),
-    over the operators X of term t; the width is the least with 2^(w-1)
-    above that, or the given w if that is wider, and at it `_unpacked`
-    reads the fields back.  Returns (w, entry): entry(i, j) the packed sum
-    at the ordered pair (i, j).
+    the identity; skew says psi is skew and the term list is unchanged by
+    swapping A and B, so the result is skew and read at pairs i < j only.
+    A vector packs into one int, sum_r v_r 2^(w r), and a sum of multiples
+    of packed vectors packs the same sum of the vectors.  So O psi packs
+    as the table Y of sum_r psi_kl^r Ocol_r, Ocol_r the packed column r of
+    O, each Y packed once, only at the rows and columns the reads reach;
+    packed, the rows of psi's vectors already packed at width w, is the
+    identity's Y as it is.  The terms with the identity on both slots
+    share one such sum at each pair.  Any other term reads slot sums
+    s(p, q) = sum_k X_kp Z[q][k] (`_SlotSums`, each over the sparser
+    side): a left term c psi(A x_i, x_j) is c s(i, j) with X = A and
+    Z = Y^T, a right term c psi(x_i, B x_j) is c s(j, i) with X = B and
+    Z = Y, and when both slots carry one, Z = (Y B)^T.  On a skew psi, Y
+    is skew, so psi(x_i, B x_j) = -sum_l B_lj Y_li = -left_ji: a right
+    term reads the left terms' table, -c s(j, i) with Z = Y^T, and one
+    table serves both slots; no pair i < j reads an s(p, p), and none is
+    summed.  A pair costs one big-int multiply-add per psi_ij^r whose
+    column is not 0 and per slot it reads, and each slot sum one per entry
+    on its shorter side.  Every field of the result is at most
+    max|psi| sum_t |c_t| prod(n max|X|), over the operators X of term t;
+    without a given w (the caller's proof that its fields fit) the width
+    is the least with 2^(w-1) above that, and at it `_unpacked` reads the
+    fields back.  Returns (w, entry): entry(i, j) the packed sum at the
+    ordered pair (i, j).
     """
     span = range(n)
     ops = {id(X): X for _, *xs in terms for X in xs if X is not None}
-    sup = {key: [(list(compress(span, col)), list(filter(None, col))) if any(col) else ((), ())
-                 for col in zip(*X)] for key, X in ops.items()}
-    size = {key: n * _largest(X) for key, X in ops.items()} | {id(None): 1}
-    bound = _largest(map(dict.values, tab.values())) * sum(
-        abs(c) * size[id(O)] * size[id(A)] * size[id(B)] for c, O, A, B in terms)
-    w = max(w, bound.bit_length() + 1)
-    cols = {key: [_packed(*col, w) if col[0] else 0 for col in s] for key, s in sup.items()}
-    cols[id(None)] = [1 << (w * r) for r in span]
+    sup = {key: list(map(_nonzero, zip(*X))) for key, X in ops.items()}
+    if not w:
+        size = {key: n * _largest(X) for key, X in ops.items()} | {id(None): 1}
+        w = (_largest(map(dict.values, tab.values())) * sum(
+            abs(c) * size[id(O)] * size[id(A)] * size[id(B)] for c, O, A, B in terms)
+             ).bit_length() + 1
+    one = [1 << (w * r) for r in span]
+    cols = {key: [sum(map(mul, xs, map(one.__getitem__, ks))) if ks else 0 for ks, xs in s]
+            for key, s in sup.items()} | {id(None): one}
     # reads: id(O) -> (rows K, columns L) where O psi is read; later: the
     # terms that read a table
     direct, reads, later = [0] * n, {}, []
@@ -357,36 +407,41 @@ def _contraction(tab, n, terms, w=0):
         if A is None and B is None:
             direct = list(map(add, direct, map(c.__mul__, cols[id(O)])))
         else:
-            reads.setdefault(id(O), (set(), set()))[A is None].update(
+            reads.setdefault(id(O), (set(), set()))[A is None and not skew].update(
                 chain.from_iterable(ks for ks, _ in sup[id(B if A is None else A)]))
             later.append((c, O, A, B))
     tables = {key: [[0] * n for _ in span] for key in reads}
+    tables |= {id(None): packed} if packed else {}
     for key, (K, L) in reads.items():
         Y, at = tables[key], cols[key].__getitem__
-        for (k, l), vec in tab.items():
+        for (k, l), vec in tab.items() if Y is not packed else ():
             if k in K or l in L:
                 Y[k][l] = sum(map(mul, vec.values(), map(at, vec)))
-    # lefts[i] holds (Y^T, k, c A_ki) for the A_ki != 0, rights[j] (Y, l, c B_lj)
-    lefts, rights = [[] for _ in span], [[] for _ in span]
+    # sums: the _SlotSums of each (view, operator); lefts[i] holds (c, sums)
+    # for the left terms whose A has column i nonzero, read at s(i, j);
+    # rights[j] those of the right terms, read at s(j, i)
+    lefts, rights, sums = [[] for _ in span], [[] for _ in span], {}
     for c, O, A, B in later:
-        Y = tables[id(O)]
-        if A is not None and B is not None:
-            Y = [[sum(map(mul, xs, map(row.__getitem__, ls))) if ls else 0
-                  for ls, xs in sup[id(B)]] for row in Y]
-        if A is not None:
-            Y = list(zip(*Y))
-        for index, (ks, xs) in zip(rights if A is None else lefts, sup[id(B if A is None else A)]):
+        left, X = A is not None, A if A is not None else B
+        key = (id(O), id(B), id(A)) if left and B is not None else (id(O), left or skew, id(X))
+        if key not in sums:
+            Y = tables[id(O)]
+            if left and B is not None:
+                Y = [[sum(map(mul, xs, map(row.__getitem__, ls))) if ls else 0
+                      for ls, xs in sup[id(B)]] for row in Y]
+            sums[key] = _SlotSums(list(zip(*Y)) if left or skew else Y, sup[id(X)], X, skew)
+        for index, (ks, _) in zip(lefts if left else rights, sup[id(X)]):
             if ks:
-                index.append((Y, ks, [c * x for x in xs]))
+                index.append((c if left or not skew else -c, sums[key]))
     at, used = direct.__getitem__, set(compress(span, direct))
 
     def entry(i, j):
         vec = tab.get((i, j))
         acc = sum(map(mul, vec.values(), map(at, vec))) if vec and not used.isdisjoint(vec) else 0
-        for Y, ks, xs in lefts[i]:
-            acc += sum(map(mul, xs, map(Y[j].__getitem__, ks)))
-        for Y, ls, xs in rights[j]:
-            acc += sum(map(mul, xs, map(Y[i].__getitem__, ls)))
+        for c, rows in lefts[i]:
+            acc += c * rows[i][j]
+        for c, rows in rights[j]:
+            acc += c * rows[j][i]
         return acc
 
     return w, entry
@@ -426,8 +481,8 @@ def contract(tensor, terms):
             scaled.append((c.numerator, c.denominator * prod(m.den for m in ops if m is not None),
                            [m and m.ints for m in ops]))
     M = lcm(*(den for _, den, _ in scaled))
-    w, entry = _contraction(tab, n, [(num * (M // den), *ops) for num, den, ops in scaled])
     skew = _swap_closed(terms) and tensor.is_skew()
+    w, entry = _contraction(tab, n, [(num * (M // den), *ops) for num, den, ops in scaled], skew)
     ints = pair_table(n, lambda i, j: (x := entry(i, j)) and _unpacked(x, w), skew)
     return StructureTensor._of(n, tensor.labels, (M * L, ints), skew)
 
@@ -661,36 +716,62 @@ def _derived_at(tab, E, i, j, k):
 def classify_operator(tensor, op):
     """Classify D by solving rho(D)^2.T = a*T + b*rho(D).T exactly.
 
-    T' = rho(D).T comes from `derived`; T'' is never built as a table here.
-    With T = S0 / L0 and T' = S1 / L1 as integer forms and D = E / e,
-    T'' = X / (L1 e) for X = rho(E).S1.  The system is
+    Two passes of the packed kernel `_contraction`, both at one width w;
+    T'' is never built as a table.  With T = S0 / L0 and D = E / d, the
+    first pass sums rho(E).S0 over the pairs, which is T' times L0 d: each
+    packed sum is unpacked once into the returned T' = S1 / L1, whose
+    constructor divides the form by its gcd g = L0 d / L1, and kept, so S1
+    packs as those ints divided by g, exact since g divides every field.
+    T'' = X / (L1 d) for X = rho(E).S1.  The system is
     det X = a_num S0 + b_num S1 over the integers, with
-    a = a_num L0 / (det L1 e) and b = b_num / (det e).  p is T's first
+    a = a_num L0 / (det L1 d) and b = b_num / (det d).  p is T's first
     coordinate (i, j, k).  T' is a multiple of T when every 2 x 2 minor of
     [S0 S1] on row p vanishes, read off the forms of T and T' alone; then
     T'' is not computed.  Otherwise the first nonzero minor det, on rows p
     and q, gives the only candidate (a_num, b_num) by Cramer's rule from X
     at p and q (`_derived_at`), divided by the gcd of the three.  The
-    packed kernel `_contraction` then runs once on S1, with the terms of
+    second pass runs on S1, handed over packed, with the terms of
     det rho(E) - b_num: the candidate solves the system when that packed
     sum equals a_num S0_ij packed on every pair (i, j), and the first pair
     that fails ends the pass (not near).  The pairs are i < j when T is
     skew (T' and T'' are skew then too), else all.
 
-    Width.  The kernel's own width bounds det X - b_num S1; the floor, the
-    least w with 2^(w-1) above |a_num| max|S0|, bounds a_num S0, so equal
-    packed ints mean equal vectors.
+    Width.  With B0 = max|S0| and e = max|E| (as ints), a field of
+    rho(E).S sums 3n products E_xy S_z, so B1 = 3n e B0 bounds every
+    field of the first pass and |S1| <= B1, and B2 = 3n e B1 bounds X.
+    Cramer's rule gives |det| <= 2 B0 B1, |a_num| <= 2 B1 B2 and
+    |b_num| <= 2 B0 B2, so det X - b_num S1 and a_num S0 have fields below
+    4 B0 B1 B2 and their difference below 6 B0 B1 B2.  w is the least
+    width with 2^(w-1) above 6 B0 B1 B2: every field of both passes is a
+    balanced digit, so `_unpacked` reads T' exactly and equal packed ints
+    mean equal vectors.
 
     A quasi or near action keeps what the pass proved, (T, T', D, a, b), in
-    its `_proof`; no command reads T'' as a tensor, so none is built.
+    its `_proof`; no command reads T'' as a tensor, so none is built.  An
+    operator that is not n x n raises ValueError, as in `contract`.
     """
-    t1 = derived(tensor, op)
+    n, skew, E = tensor.dim, tensor.is_skew(), op.ints
+    if (op.nrows, op.ncols) != (n, n):
+        raise ValueError("operator shape mismatch")
+    L0, tab0 = tensor.integer_form()
+    e, B0 = _largest(E), _largest(map(dict.values, tab0.values()))
+    B1 = 3 * n * e * B0
+    w = (6 * B0 * B1 * (3 * n * e * B1)).bit_length() + 1
+    _, entry = _contraction(tab0, n, _rho(E), skew, w)
+    packed = [[0] * n for _ in range(n)]
+
+    def unpacked(i, j):
+        x = packed[i][j] = entry(i, j)
+        if skew:
+            packed[j][i] = -x
+        return x and _unpacked(x, w)
+
+    t1 = StructureTensor._of(n, tensor.labels, (L0 * op.den, pair_table(n, unpacked, skew)), skew)
     if t1.is_zero():
         return PencilAction(tensor, op, t1, TAG_DERIVATION)
-    n = tensor.dim
-    L0, tab0 = tensor.integer_form()
     L1, tab1 = t1.integer_form()
-    empty = {}
+    g, empty = L0 * op.den // L1, {}
+    packed = [[x // g for x in row] for row in packed] if g > 1 else packed
     ijp, vec = next(iter(tab0.items()))        # T != 0, else T' = 0
     kp, s0 = next(iter(vec.items()))
     s1 = tab1.get(ijp, empty).get(kp, 0)
@@ -701,15 +782,14 @@ def classify_operator(tensor, op):
         return PencilAction(tensor, op, t1, TAG_SCALAR, scalar=Fraction(s1 * L0, s0 * L1))
     ijq, kq = q
     r0, r1 = tab0.get(ijq, empty).get(kq, 0), tab1.get(ijq, empty).get(kq, 0)
-    s2, r2 = _derived_at(tab1, op.ints, *ijp, kp), _derived_at(tab1, op.ints, *ijq, kq)
+    s2, r2 = _derived_at(tab1, E, *ijp, kp), _derived_at(tab1, E, *ijq, kq)
     det, a_num, b_num = s0 * r1 - s1 * r0, s2 * r1 - s1 * r2, s0 * r2 - s2 * r0
     g = gcd(det, a_num, b_num)
     det, a_num, b_num = det // g, a_num // g, b_num // g
-    floor = abs(a_num) * _largest(map(dict.values, tab0.values())) if a_num else 0
-    terms = [(det * c, *ops) for c, *ops in _rho(op.ints)] + [(-b_num, None, None, None)]
-    w, entry = _contraction(tab1, n, terms, floor.bit_length() + 1)
+    terms = [(det * c, *ops) for c, *ops in _rho(E)] + [(-b_num, None, None, None)]
+    _, entry = _contraction(tab1, n, terms, skew, w, packed)
     target = {ij: a_num * _packed(v, v.values(), w) for ij, v in tab0.items()} if a_num else {}
-    for i, j in _pairs(n, tensor.is_skew()):
+    for i, j in _pairs(n, skew):
         if entry(i, j) != target.get((i, j), 0):
             return PencilAction(tensor, op, t1, TAG_NOT_NEAR)
     a, b = Fraction(a_num * L0, det * L1 * op.den), Fraction(b_num, det * op.den)

@@ -9,7 +9,9 @@ identity as they were written before the kernel existed, and a generic
 term-list evaluator.  Generated tensors and operators are those of
 tests/test_tensor_oracle.py (skew and not, mixed denominators, zero entries,
 Lie and forced non-Lie).  One hand-made case reaches the packed kernel's
-field bound on every field, with a negative field below a positive one.
+field bound on every field, with a negative field below a positive one,
+and the packed reader `_unpacked` is checked on its own against the vector
+it packs, up to that bound, with runs of zero fields between.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from hypothesis import given, strategies as st
 
 from liepencil.exact import RatMatrix
 from liepencil.nijenhuis import torsion, torsion_decomposition
-from liepencil.tensors import StructureTensor, contract
+from liepencil.tensors import StructureTensor, _packed, _unpacked, contract
 
 from helpers import col, columns
 from test_nijenhuis import expanded_torsion
@@ -149,3 +151,22 @@ def test_width_bound_attained():
     assert got == reference_contract(tensor, terms)
     assert got.table == {(i, j): {0: Fraction(-522), 1: Fraction(522)}
                          for i in range(2) for j in range(2)}
+
+
+@st.composite
+def balanced_vectors(draw):
+    """(w, {r: v}): fields at r < 40 with 0 < |v| < 2^(w-1), drawn mostly
+    at the bound, next to it and at +-1."""
+    w = draw(st.integers(2, 90))
+    edge = (1 << (w - 1)) - 1
+    value = st.sampled_from([edge, -edge, 1, -1, edge - 1, -edge + 1]) | st.integers(-edge, edge)
+    vec = draw(st.dictionaries(st.integers(0, 39), value, max_size=40))
+    return w, {r: v for r, v in sorted(vec.items()) if v}
+
+
+@given(balanced_vectors())
+def test_unpacked_reads_back_every_balanced_vector(case):
+    # a negative field borrows 1 from the fields above it, and zero fields
+    # in between are skipped: every field comes back, and only the nonzero
+    w, vec = case
+    assert _unpacked(_packed(vec, vec.values(), w), w) == vec

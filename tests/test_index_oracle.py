@@ -16,7 +16,9 @@ form), and `generic_rank` reads each as integer linear forms
 stays stdlib-only.
 """
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -236,6 +238,25 @@ def test_generic_rank_refuses_what_it_cannot_check():
         generic_rank([[{}, x], [x, {}]])
     with pytest.raises(ValueError, match="square"):
         generic_rank([[{}, x]])
+
+
+def test_exact_index_leaves_no_pfaffian_memo_behind():
+    # with the cycle collector off, only reference counts free what the
+    # call made: the Pfaffian memo (about 1.1 MB on sl4) must go with it
+    sl4 = build_classical("sl", 4)
+    lie_index(sl4, mode="exact", max_exact_dim=16)    # warm every lazy cache
+    was_enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert lie_index(sl4, mode="exact", max_exact_dim=16).index == 3
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if was_enabled:
+            gc.enable()
+    assert left < 100_000
 
 
 @given(st.sampled_from(LIE), st.data())

@@ -163,8 +163,9 @@ def conjugated_grading(tensor, signs):
 @pytest.mark.parametrize("family", ["gl", "sl"])
 def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
     # the classify-dense workload's operators, built here: the known answers
-    # hold, T'' is never built by `contract` on the way, and a T + b T' from
-    # the proof, built with no `contract`, gives exactly derived(T', D)'s table
+    # hold, no tensor goes through `contract` on the way (classify's own
+    # first pass builds T', and T'' is never built), and a T + b T' from the
+    # proof, built with no `contract`, gives exactly derived(T', D)'s table
     tensor = build_classical(family, 4)
     op = conjugated_grading(tensor, [1, -1, -1, 1, 1, -1, 1, 1, -1, -1, 1, -1])
     assert op.den > 100 and all(all(row) for row in op.ints[:4])   # dense, rational
@@ -177,17 +178,18 @@ def test_dense_grading_answers_without_the_dict_pass(family, monkeypatch):
         norm = normalize_pencil(action)
     assert (action.tag, action.a, action.b) == (TAG_NEAR, 0, -4)
     assert (norm.mode, norm.degenerate_lines) == (MODE_SEMISIMPLE, [(0, 1), (-4, -1)])
-    assert contracted == [tensor]            # T' only
+    assert contracted == []
     assert read_among(reads, {"T'": action.derived}) == []
     table = tensor_combination([(action.a, tensor), (action.b, action.derived)]).table
-    assert contracted == [tensor]
+    assert contracted == []
     assert layout(table) == layout(derived(action.derived, op).table)
 
 
 def test_quasi_second_is_empty_without_a_pass(monkeypatch):
     # (ad e)^2 on sl2 is quasi: the proved (a, b) = (0, 0) names T'' = 0,
     # which builds as the empty form with no `contract`, as derived(T', D)
-    # confirms; normalizing runs none either
+    # confirms; classify builds T' in its own first pass, and normalizing
+    # runs no `contract` either
     tensor = build_classical("sl", 2)
     e = ad(tensor, [Fraction(1), ZERO, ZERO])
     contracted = []
@@ -200,5 +202,5 @@ def test_quasi_second_is_empty_without_a_pass(monkeypatch):
     assert (norm.mode, norm.degenerate_lines) == ("nilpotent", [(0, 1)])
     second = tensor_combination([(action.a, tensor), (action.b, action.derived)])
     assert second.table == {} and second.integer_form() == (1, {})
-    assert contracted == [tensor]
+    assert contracted == []
     assert derived(action.derived, e * e).is_zero()

@@ -15,7 +15,9 @@ the closed form (mu_k - mu_i)(mu_k - mu_j) c_ij^k as its support.
 derived tensors, and T'' as they name it (a T + b T' when quasi or near,
 else derived(T', D)) the reference T'', on hand-made pencils of every tag
 moved to random bases and scaled, some far enough that the packed fields
-of T'' pass 64 bits.
+of T'' pass 64 bits; both of its kernel passes must run at one width w,
+with 2^(w-1) above the largest field either pass forms, read from the
+reference values.
 `check_jacobi` must give the reference's verdict and witness on
 hand-made skew tables whose least failing triple has its one nonzero term
 in each cyclic position, or comes after a triple on which two positions
@@ -36,6 +38,7 @@ Hypothesis is test-only; the library itself stays stdlib-only.
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -434,8 +437,8 @@ def lie_with_inner(algebra):
 SL2 = (3, [(0, 1, 0, -2), (0, 2, 1, 1), (1, 2, 2, -2)])     # e, h, f as in LIE
 # levels 4 and 2 on (1, 1) and (1, 2) fit (a, b) = (-8, 6), so a_num = 8; on
 # (2, 2), where D also sends x1 to -8 x0, the check's fields are -4096 and 1,
-# which a carry cancels at width 12, the bit length of a_num max|S0| = 8 * 509.
-# The kernel's own width for det X - b_num S1 is 11: the floor, 13, decides
+# which a carry cancels at width 12, the bit length of a_num max|S0| = 8 * 509,
+# so a check packed that narrow would pass it
 FLOOR_SEED = ("not-near", StructureTensor(3, {(1, 1): {0: 1}, (1, 2): {0: 1},
                                              (2, 2): {0: 509, 1: 1}}),
               RatMatrix([[-10, -8, 0], [0, -7, 0], [0, 0, -5]]))
@@ -486,21 +489,69 @@ def named_second(act):
     return derived(act.derived, act.operator)
 
 
-def test_classify_width_floor_binds(monkeypatch):
-    widths, kernel = [], tensor_module._contraction
+def classify_passes(tensor, op):
+    """classify_operator(tensor, op) and the (width, terms) of each kernel
+    pass it ran: pass 1 on T, and the check pass on T' when T' is not a
+    multiple of T."""
+    calls, kernel = [], tensor_module._contraction
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tensor_module, "_contraction",
+                      lambda *args: calls.append(args) or kernel(*args))
+        act = classify_operator(tensor, op)
+    return act, [(args[4], args[2]) for args in calls]
 
-    def recording(tab, n, terms, w=0):
-        got = kernel(tab, n, terms, w)
-        widths.append((w, got[0], kernel(tab, n, terms)[0]))
-        return got
-    monkeypatch.setattr(tensor_module, "_contraction", recording)
-    tag, tensor, op = FLOOR_SEED
-    expected, _ = reference_classify(tensor, op)
-    act = classify_operator(tensor, op)
-    assert expected[0] == tag
-    assert (act.tag, act.a, act.b) == expected[:3]
-    floor, used, own = widths[-1]       # the pencil check, after derived's call
-    assert used == floor == 13 and own == 11
+
+def den_of(table):
+    """The least common denominator of a Fraction table: its integer form's."""
+    return lcm(*(c.denominator for vec in table.values() for c in vec.values()))
+
+
+def largest_field(tensor, op, passes, second):
+    """The largest |field| the passes of classify form, from the Fraction
+    values of reference_derived.  Pass 1 sums rho(E).S0 = T' L0 d, for
+    T = S0 / L0 and D = E / d.  The check pass forms det X - b_num S1 and
+    a_num S0, S1 = T' L1 and X = T'' L1 d (second is T''), with det and
+    b_num read from its terms and a_num from the candidate's equation at
+    T's first coordinate p: det X_p = a_num S0_p + b_num S1_p."""
+    t0, t1 = tensor.table, reference_derived(tensor, op).table
+    L0, d = den_of(t0), op.den
+    fields = [abs(c) * L0 * d for vec in t1.values() for c in vec.values()]
+    if len(passes) == 2:
+        terms = passes[1][1]
+        det, b_num, L1 = terms[0][0], -terms[-1][0], den_of(t1)
+        ijp, vec = next(iter(t0.items()))
+        kp, s0 = next(iter(vec.items()))
+        a_num = (det * second.get(ijp, {}).get(kp, 0) * L1 * d
+                 - b_num * t1.get(ijp, {}).get(kp, 0) * L1) / (s0 * L0)
+        assert a_num.denominator == 1
+        for ij in set(t0) | set(t1) | set(second):
+            for k in range(tensor.dim):
+                x0, x1, x2 = (t.get(ij, {}).get(k, 0) for t in (t0, t1, second))
+                fields += [abs(det * x2 * L1 * d - b_num * x1 * L1), abs(a_num * x0 * L0)]
+    assert all(Fraction(f).denominator == 1 for f in fields)       # each an integer field
+    return int(max(fields, default=0))
+
+
+def check_width(tensor, op, passes, second):
+    """Both passes run at one width w, and 2^(w-1) is above every field
+    they form, so every field is a balanced digit."""
+    widths = {w for w, _ in passes}
+    assert len(widths) == 1
+    assert 2 ** (widths.pop() - 1) > largest_field(tensor, op, passes, second)
+
+
+@pytest.mark.parametrize("tag, tensor, op", PENCIL_SEEDS)
+def test_classify_width_holds_every_field(tag, tensor, op):
+    # the seeds as they are, and scaled as in the test below, where T''
+    # needs fields of more than 64 bits; FLOOR_SEED's check has fields
+    # -4096 and 1, which a carry cancels at width 12
+    n = tensor.dim
+    big = op.scale(Fraction(2 ** 40 + 1, 7)) + RatMatrix.identity(n).scale(Fraction(1, 3))
+    for T, D in ((tensor, op), (tensor.scale(Fraction(2 ** 30, 5)), big)):
+        expected, second = reference_classify(T, D)
+        act, passes = classify_passes(T, D)
+        assert (act.tag, act.a, act.b, act.scalar) == expected
+        check_width(T, D, passes, second)
 
 
 @pytest.mark.parametrize("tag, tensor, op", PENCIL_SEEDS)
@@ -515,8 +566,9 @@ def test_derived_at_matches_derived(tag, tensor, op):
 
 def check_classify(tensor, op):
     expected, second = reference_classify(tensor, op)
-    act = classify_operator(tensor, op)
+    act, passes = classify_passes(tensor, op)
     assert (act.tag, act.a, act.b, act.scalar) == expected
+    check_width(tensor, op, passes, second)
     if act.tag in ("quasi", "near"):
         try:
             norm = normalize_pencil(act)    # its guard raises IdentityFailed on a bad T''

@@ -214,6 +214,14 @@ def test_normalize_refuses_other_tags():
         normalize_pencil(act)
 
 
+@pytest.mark.parametrize("rows, cols", [(2, 2), (4, 4), (3, 2), (2, 3)])
+def test_classify_refuses_an_operator_of_the_wrong_shape(rows, cols):
+    # a short E would cut the kernel's sums short and could read as a tag
+    op = RatMatrix([[F(int(i == j)) for j in range(cols)] for i in range(rows)])
+    with pytest.raises(ValueError, match="operator shape mismatch"):
+        classify_operator(sl2(), op)
+
+
 def test_normalize_reads_the_certified_coefficients(monkeypatch):
     # a = 0: no shift, and the (a, b) classify proved is the guard itself
     act = classify_operator(sl2(), GRADING_OP)
