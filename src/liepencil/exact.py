@@ -16,7 +16,9 @@ elimination order is `add(row)`, which says whether the rank grew and
 copies no row it owns; a system's singleton rows are fixed first by a
 presolve, and every other row goes through `add`.  `rref`, `rank_exact`,
 `kernel_basis` and `solve_columns` hand it cleared copies of list or dict
-rows and build a `Fraction` only for an entry they return.
+rows and build a `Fraction` only for an entry they return; its kernel is
+read as integer forms (`kernel_forms`), which the centre search takes
+with no `Fraction` at all.
 `_int_coordinates` reduces a basis once and reads every integer target
 from that reduction; `solve_columns` is its one-target use.  A point
 rank, the rank of a dense int matrix read at one point, runs apart from
@@ -84,13 +86,6 @@ def format_ratio(p, q):
     """Render p / q, for ints p and q > 0, as `format_rat` renders it."""
     g = gcd(p, q)
     return str(p // g) if g == q else "%d/%d" % (p // g, q // g)
-
-
-def unit_vector(n, i):
-    """The i-th standard basis vector of Q^n as a dense list."""
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
 
 
 def rational_sqrt(x):
@@ -327,15 +322,33 @@ class _Echelon:
         pivots = sorted(self.pivot)
         return pivots, [self.owned[self.pivot[c]] for c in pivots]
 
-    def kernel(self, ncols):
-        """`kernel_basis` of the rows, read in ncols columns."""
-        basis = {c: unit_vector(ncols, c) for c in range(ncols) if c not in self.pivot}
-        for pc, p in self.pivot.items():
-            row = self.owned[p]
+    def kernel_forms(self, ncols):
+        """The canonical kernel basis in ncols columns as integer forms: per
+        free column f, in order, (den, {column: int}), the vector over den
+        with 1 at f and -x / row[pc] at the pivot column pc of each row with
+        x at f.  den is the lcm of those row[pc], so every entry is an int;
+        the terms are in ascending column order, since a row's pivot is its
+        first column."""
+        free = {c: [] for c in range(ncols) if c not in self.pivot}
+        for pc in sorted(self.pivot):
+            row = self.owned[self.pivot[pc]]
             for c, x in row.items():
-                if c in basis:
-                    basis[c][pc] = Fraction(-x, row[pc])
-        return list(basis.values())
+                entries = free.get(c)
+                if entries is not None:
+                    entries.append((pc, x, row[pc]))
+        out = []
+        for f, entries in free.items():
+            den = lcm(*(p for _, _, p in entries))
+            form = {pc: -x * (den // p) for pc, x, p in entries}
+            form[f] = den
+            out.append((den, form))
+        return out
+
+    def kernel(self, ncols):
+        """`kernel_basis` of the rows, read in ncols columns: the forms of
+        `kernel_forms` as `Fraction` vectors."""
+        return [[_ratio(form.get(c, 0), den) for c in range(ncols)]
+                for den, form in self.kernel_forms(ncols)]
 
 
 def _int_rows(rows):
@@ -842,12 +855,39 @@ def _gradient(f):
     return grad
 
 
+def _variables(n):
+    """The packed monomials x_0, ..., x_(n-1) in n variables."""
+    return [(1 << _WIDTH * n) + (1 << _WIDTH * (n - 1 - k)) for k in range(n)]
+
+
 def _linear_forms(n):
     """form(pairs): the packed integer polynomial of the linear form
     sum x * x_k in n variables, from (k, x) pairs with k ascending; a zero
     x is dropped."""
-    unit = [_pack(tuple(int(j == k) for j in range(n))) for k in range(n)]
+    unit = _variables(n)
     return lambda pairs: {unit[k]: x for k, x in pairs if x}
+
+
+def _weight_zero(n, max_degree, weights):
+    """For d = 1, ..., max_degree, the list of packed monomials x^m of
+    degree d in n variables with m . w = 0 for every int vector w in
+    weights, in the order of `combinations_with_replacement(range(n), d)`.
+
+    Each degree is enumerated from the one before as x^m x_k, k at least
+    the last variable of x^m, and each monomial carries one packed weight
+    key, sum_f (m . w_f) 2^(b f) over the weights w_f, added up as
+    key + wkey[k]; a monomial is kept when its key is 0.  b is the bit
+    length of max_degree * max|w|, and with 2^b above every |m . w_f| the
+    key is 0 exactly when every field is (the proof is in
+    `poisson.centre_candidates`)."""
+    unit = _variables(n)
+    b = (max_degree * max((abs(x) for w in weights for x in w), default=0)).bit_length()
+    wkey = [sum(w[k] << b * f for f, w in enumerate(weights)) for k in range(n)]
+    level = [(0, 0, 0)]     # (packed monomial, weight key, last variable)
+    for _ in range(max_degree):
+        level = [(m + unit[k], key + wkey[k], k) for m, key, last in level
+                 for k in range(last, n)]
+        yield [m for m, key, _ in level if not key]
 
 
 def _pmuladd(acc, a, b, sign=1):

@@ -13,7 +13,9 @@ The kernels read integer forms: each `SparsePoly`'s, and the table's over
 one denominator, formed once per structure.  Every product is
 `exact._pmuladd` on the stored packed monomials, which `SparsePoly`'s
 degree cap keeps exact, and partials come straight from a form
-(`exact._gradient`): no kernel clears, repacks or sizes a field.  A family
+(`exact._gradient`): no kernel clears, repacks or sizes a field.  The
+centre search builds its system on packed monomials too and hands its
+kernel, read as integer forms, straight to `SparsePoly._of`.  A family
 is checked through pi grad f, the vector with entries {x_i, f} =
 sum_j {x_i, x_j} df/dx_j: a seed is central when it is 0, and {f, g} =
 grad f . pi grad g, so `pc_verify` forms each generator's gradient and
@@ -26,12 +28,10 @@ lift; the tests keep it as the oracle of that proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import lcm
-from operator import mul
 
 from .exact import (RatMatrix, SparsePoly, _Echelon, _gradient, _linear_forms, _pmuladd,
-                    _primitive, _unpack)
+                    _primitive, _unpack, _variables, _weight_zero)
 from .tensors import check_jacobi
 
 # pc_generate gives up on an orbit that has not closed after this many steps
@@ -226,11 +226,13 @@ def centre_candidates(struct, max_degree=2):
     Requires a linear bracket table (degree is then preserved, so centrality
     decouples by degree).  Returns the canonical kernel bases as polynomials,
     lowest degree first.  The system is built from the table's integer form,
-    {m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
-    {monomial column: int} row per (generator, result monomial) pair.
-    Entries that cancel are dropped as the rows are built, and an
-    `_Echelon` takes the rows without a copy.  The canonical kernel basis
-    does not depend on row order, row scaling or zero rows.
+    {x^m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
+    {column: int} row per (generator, result monomial) pair
+    (`_centrality_rows`), on packed monomials.  Entries that cancel are
+    dropped as the rows are built, and an `_Echelon` takes the rows without
+    a copy.  The canonical kernel basis does not depend on row order, row
+    scaling or zero rows; it is read as integer forms (`kernel_forms`),
+    which `SparsePoly._of` takes with their terms in column order.
 
     On a table that passed Jacobi (`jacobi_verified`) the rows are built
     only for the generators i that `_generating_set` keeps.  There the
@@ -239,7 +241,7 @@ def centre_candidates(struct, max_degree=2):
     every central x, since {x, x_j} = 0 for all j gives {x, f} = 0 by
     Leibniz.  So f is central once it commutes with a set that generates q
     together with the central basis vectors, and the restricted system has
-    the same kernel.  Any other table keeps every row.
+    the same kernel.  Any other table keeps every generator.
 
     The unknowns are only the monomials of weight 0.  A basis element x_h
     acts diagonally when {x_h, x_i} = w_i x_i for every i, read off the
@@ -249,69 +251,91 @@ def centre_candidates(struct, max_degree=2):
     (m . w) c_m = 0: a central f has c_m = 0 unless m . w = 0.  On a table
     that passed Jacobi the restricted rows have the kernel of the full
     system, as above, and the full system holds generator h's rows whether
-    or not h is kept; on any other table every row is built, h's included.
-    Jacobi is not needed either way.  So the kernel K of every system
-    built lies in the span of the weight-0 columns, and dropping the other
+    or not h is kept; on any other table every generator is kept, h
+    included.  Jacobi is not needed either way.  So the kernel K of every
+    system lies in the span of the weight-0 columns, and dropping the other
     columns leaves K itself, read on fewer coordinates.  The canonical
     kernel basis depends on K alone, with the columns in order: its free
     columns are the last nonzero columns of the vectors of K, and the
     vector of a free column f is the one in K with a 1 at f and 0 at every
     other free column.  A column of nonzero weight is 0 on K, so it is a
     pivot, never free, and each basis vector is 0 there; the kept columns
-    are in their old order, so the basis read on them is the same.  The
-    row keys still number every monomial, since a row's result monomial
-    need not have weight 0.
+    are in their old order, so the basis read on them is the same.
+
+    No rows are built for a filter h, kept or not.  On the weight-0
+    columns, h's row at x^m reads (m . w) c_m = 0 with m . w = 0 for every
+    column m, so each of its rows is zero there, and a zero row does not
+    change a kernel.  This too uses Leibniz only, not Jacobi.
+
+    The columns come from one packed weight key (`exact._weight_zero`).
+    Each degree is enumerated from the one before as x^m x_k, k at least
+    the last variable of x^m, which is the order of
+    `combinations_with_replacement`, and each monomial carries the key
+    sum_f (m . w_f) 2^(b f) over the filters w_f, added up one variable at
+    a time.  A monomial is a column when its key is 0, one int comparison.
+    The width: every field is balanced, |m . w_f| <= max_degree * max|w|,
+    and with 2^b above that bound a sum sum_f s_f 2^(b f) is 0 only when
+    every s_f is.  At the lowest f with s_f != 0 the sum is
+    2^(b f) (s_f + 2^b * rest), and 2^b does not divide s_f, as
+    0 < |s_f| < 2^b.  So b is the bit length of max_degree * max|w|: a zero
+    test needs no sign bit, one bit less than reading a field back would.
+    The exponents of a column are read off its packed int (`_unpack`), and
+    a row is keyed r * n + i, r the packed result monomial and i the
+    generator, so each (generator, result monomial) pair has its own key.
     """
     n = struct.nvars
+    unit = _variables(n)
+    variable = {u: k for k, u in enumerate(unit)}
     # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
     lin = [[{} for _ in range(n)] for _ in range(n)]
-    for (a, b), terms in struct.ints.items():
-        for m, c in terms.items():
-            e = _unpack(m, n)
-            if sum(e) != 1:
+    for (a, b), form in struct.ints.items():
+        for m, c in form.items():
+            k = variable.get(m)
+            if k is None:
                 raise ValueError("centre candidates need a linear bracket table")
-            k = e.index(1)
             lin[a][b][k] = c
             lin[b][a][k] = -c
+    # the filters: basis elements that act diagonally, with a nonzero weight vector
+    diagonal = [h for h, lin_h in enumerate(lin)
+                if any(lin_h) and all(row.keys() <= {i} for i, row in enumerate(lin_h))]
+    weights = dict.fromkeys(tuple(row.get(i, 0) for i, row in enumerate(lin[h]))
+                            for h in diagonal)
     kept = _generating_set(lin) if struct.jacobi_verified else range(n)
-    # the weight vectors of the basis elements that act diagonally
-    weights = {tuple(row.get(i, 0) for i, row in enumerate(lin_h)) for lin_h in lin
-               if any(lin_h) and all(row.keys() <= {i} for i, row in enumerate(lin_h))}
+    gens = [i for i in kept if i not in diagonal]
+    # terms[j]: (offset, c) for each {x_j, x_i} = ... + c x_k, i in gens: the
+    # row of generator i at x^r, r = m - e_j + e_k, is keyed r * n + i = m * n + offset
+    terms = [[((unit[k] - unit[j]) * n + i, c) for i in gens for k, c in lin_j[i].items()]
+             for j, lin_j in enumerate(lin)]
     out = []
-    for d in range(1, max_degree + 1):
-        monos = [tuple(_exps(n, combo)) for combo in
-                 combinations_with_replacement(range(n), d)]
-        size = len(monos)
-        column = {m: col for col, m in enumerate(monos)}
-        unknowns = monos
-        for w in weights:
-            unknowns = [m for m in unknowns if not sum(map(mul, w, m))]
-        # raised[b][k]: the index of b + e_k in monos, for b of degree d - 1
-        raised = {}
-        # row i * size + column(r): generator i, result monomial r; terms[j]
-        # lists (i * size, k, c) for each {x_j, x_i} = ... + c x_k, i kept
-        rows = {}
-        terms = [[(i * size, k, c) for i in kept for k, c in lin_j[i].items()]
-                 for lin_j in lin]
-        for col, m in enumerate(unknowns):
-            for j, mj in enumerate(m):
-                if not mj:
-                    continue
-                base = m[:j] + (mj - 1,) + m[j + 1:]
-                up = raised.get(base)
-                if up is None:
-                    up = raised[base] = [column[base[:k] + (base[k] + 1,) + base[k + 1:]]
-                                         for k in range(n)]
-                for off, k, c in terms[j]:
-                    row = rows.setdefault(off + up[k], {})
-                    s = row.get(col, 0) + mj * c
-                    if s:
-                        row[col] = s
-                    else:
-                        del row[col]
-        for vec in _Echelon(list(rows.values())).kernel(len(unknowns)):
-            out.append(SparsePoly(n, {m: c for m, c in zip(unknowns, vec) if c}))
+    for columns in _weight_zero(n, max_degree, list(weights)):
+        rows = _centrality_rows(n, columns, terms)
+        for den, form in _Echelon(list(rows.values())).kernel_forms(len(columns)):
+            out.append(SparsePoly._of(n, den, {columns[c]: x for c, x in form.items()}))
     return out
+
+
+def _centrality_rows(n, columns, terms):
+    """The system of `centre_candidates` on the packed monomials columns in
+    n variables, as {row key: {column: nonzero int}}: column col, x^m, has
+    m_j c in the row keyed m * n + offset for each (offset, c) in terms[j]."""
+    rows = {}
+    for col, m in enumerate(columns):
+        base = m * n
+        for mj, terms_j in zip(_unpack(m, n), terms):
+            if not mj:
+                continue
+            for off, c in terms_j:
+                key = base + off
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {col: mj * c}
+                    continue
+                s = row.get(col, 0) + mj * c
+                if s:
+                    row[col] = s
+                else:
+                    del row[col]
+    return rows
 
 
 def _generating_set(lin):
@@ -347,9 +371,3 @@ def _generating_set(lin):
             basis.append(u)
     return kept
 
-
-def _exps(n, combo):
-    e = [0] * n
-    for i in combo:
-        e[i] += 1
-    return e

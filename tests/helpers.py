@@ -32,7 +32,7 @@ the quasi-grading extension used to go through; they serve as oracles.
 from fractions import Fraction
 from math import lcm, prod
 
-from liepencil.exact import (PRIME, ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
+from liepencil.exact import (ONE, PRIME, ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
                              _linear_forms, _pack, _pmuladd, _ratio, _reduce, _unpack)
 from liepencil.tensors import StructureTensor
 
@@ -53,6 +53,13 @@ def rand_matrix(rng, n, lo=-6, hi=6):
 
 
 # matrices
+
+def unit_vector(n, i):
+    """The i-th standard basis vector of Q^n as a dense list."""
+    v = [ZERO] * n
+    v[i] = ONE
+    return v
+
 
 def col(m, j):
     return [_ratio(row[j], m.den) for row in m.ints]

@@ -18,10 +18,10 @@ import pytest
 from liepencil import cli, constructions
 from liepencil.constructions import (GradingSpec, basis_matrices, build_classical,
                                      grading_operator, quasi_grading_extension)
-from liepencil.exact import ONE, unit_vector
+from liepencil.exact import ONE
 from liepencil.tensors import IdentityFailed, StructureTensor, pair_table
 
-from helpers import coordinates, direct_sum
+from helpers import coordinates, direct_sum, unit_vector
 
 
 def restrict(tensor, idx):

@@ -16,10 +16,14 @@ set and the centre generate the algebra, and the reference, which uses
 every generator, checks the kernel.  It also solves only for the
 monomials of weight 0 under the basis elements that act diagonally;
 tables graded by integer weights, Lie or not, check that kernel and count
-the columns it solves for.  Hypothesis is test-only; the library itself
-stays stdlib-only.
+the columns it solves for.  Those elements build no rows: a spy on
+`_centrality_rows` counts the rows of each generator.  A table whose
+weights drive a field of the packed weight key to the largest value its
+width allows checks that width.  Hypothesis is test-only; the library
+itself stays stdlib-only.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import add, mul
@@ -33,12 +37,13 @@ from liepencil.analysis import lie_centre
 from liepencil import poisson as pois
 from liepencil.constructions import build_classical
 from liepencil.exact import (DEGREE_CAP, ZERO, RatMatrix, SparsePoly, _pmuladd, _unpack,
-                             generic_rank, kernel_basis, rank_exact, unit_vector)
+                             generic_rank, kernel_basis, rank_exact)
 from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, from_tensor,
                                pc_generate, pc_verify, poisson_bracket)
 from liepencil.tensors import StructureTensor
 
-from helpers import linear, linear_forms, partial, structure_matrix, terms, variable
+from helpers import (linear, linear_forms, partial, structure_matrix, terms, unit_vector,
+                     variable)
 from test_tensor_oracle import (ENTRIES, LIE, NONZERO, NON_LIE, change_of_basis, fixed_lists,
                                 operators, standard, tensors, transport)
 
@@ -59,9 +64,12 @@ def reference_poisson_bracket(struct, f, g):
 
 
 def reference_centre_candidates(struct, max_degree):
-    """Centrality system from Fraction brackets of every monomial with every
-    generator, solved as a RatMatrix."""
+    """Centrality system from Fraction brackets (`fraction_bracket`) of every
+    monomial with every generator: one sparse {column: Fraction} row per
+    (generator, result monomial) with a nonzero entry, solved by
+    `kernel_basis` in as many columns as there are monomials."""
     n = struct.nvars
+    x = [variable(n, i) for i in range(n)]
     out = []
     for d in range(1, max_degree + 1):
         monos = []
@@ -70,20 +78,13 @@ def reference_centre_candidates(struct, max_degree):
             for i in combo:
                 e[i] += 1
             monos.append(tuple(e))
-        mono_polys = [SparsePoly.monomial(n, m) for m in monos]
-        brackets = [[terms(reference_poisson_bracket(struct, mp, variable(n, i)))
-                     for i in range(n)] for mp in mono_polys]
-        result_monos = sorted({mm for row in brackets for p in row for mm in p},
-                              key=lambda t: (sum(t), t))
-        if not result_monos:
-            out.extend(mono_polys)
-            continue
-        rows = []
-        for i in range(n):
-            for rm in result_monos:
-                rows.append([brackets[c][i].get(rm, ZERO)
-                             for c in range(len(monos))])
-        for vec in kernel_basis(RatMatrix(rows)):
+        rows = {}
+        for col, m in enumerate(monos):
+            mono = SparsePoly.monomial(n, m)
+            for i in range(n):
+                for r, c in fraction_bracket(struct, mono, x[i]).items():
+                    rows.setdefault((i, r), {})[col] = c
+        for vec in kernel_basis(list(rows.values()), len(monos)):
             out.append(SparsePoly(n, {m: c for m, c in zip(monos, vec) if c}))
     return out
 
@@ -105,13 +106,17 @@ def fraction_bracket(struct, f, g):
     term dicts read through `terms`: no `SparsePoly` is built, so it holds
     brackets of any degree, above the degree cap too."""
     def partials(p):
-        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in terms(p).items() if e[i]}
+        t = terms(p)
+        return [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in t.items() if e[i]}
                 for i in range(struct.nvars)]
     df, dg = partials(f), partials(g)
     out = {}
     for (i, j), b in struct.table.items():
-        for sign, p, q in ((1, df[i], dg[j]), (-1, df[j], dg[i])):
-            for e1, c1 in terms(b).items():
+        products = [(sign, p, q) for sign, p, q in ((1, df[i], dg[j]), (-1, df[j], dg[i]))
+                    if p and q]
+        tb = terms(b) if products else {}
+        for sign, p, q in products:
+            for e1, c1 in tb.items():
                 for e2, c2 in p.items():
                     for e3, c3 in q.items():
                         e = tuple(a + b + c for a, b, c in zip(e1, e2, e3))
@@ -482,29 +487,34 @@ def test_dropping_the_last_chosen_generator_is_caught():
     assert [term_layout(p) for p in mutated] != reference
 
 
-def diagonal_weights(tensor):
-    """The weight vectors (w_i) of the basis elements x_h with
+def diagonal_elements(tensor):
+    """{h: the weight vector (w_i)} for the basis elements x_h with
     [x_h, x_i] = w_i x_i for every i, by Fraction brackets."""
     n = tensor.dim
-    out = []
+    out = {}
     for h in range(n):
         brackets = [tensor.bracket(h, i) for i in range(n)]
         if all(set(vec) <= {i} for i, vec in enumerate(brackets)):
-            out.append([vec.get(i, ZERO) for i, vec in enumerate(brackets)])
+            out[h] = [vec.get(i, ZERO) for i, vec in enumerate(brackets)]
     return out
+
+
+def diagonal_weights(tensor):
+    """The weight vectors of `diagonal_elements`, in basis order."""
+    return list(diagonal_elements(tensor).values())
 
 
 def solved_columns(struct, max_degree):
     """The number of columns `centre_candidates` solves for at each degree,
-    read off the kernel calls of its eliminations."""
+    read off the integer kernel reads (`kernel_forms`) of its eliminations."""
     seen = []
 
     class Recording(pois._Echelon):
         __slots__ = ()
 
-        def kernel(self, ncols):
+        def kernel_forms(self, ncols):
             seen.append(ncols)
-            return super().kernel(ncols)
+            return super().kernel_forms(ncols)
 
     echelon = pois._Echelon
     pois._Echelon = Recording
@@ -576,6 +586,107 @@ def test_a_central_diagonal_element_filters_nothing():
     check_centre_candidates(tensor, 3)
     check_centre_candidates(tensor, 3, verified=True)
     assert solved_columns(linear_table(tensor), 3) == [4, 10, 20]
+
+
+def graded_table(n, weights, rest=()):
+    """A tensor on n basis elements where each x_h in weights acts diagonally,
+    [x_h, x_i] = weights[h][i] x_i, and rest holds (i, j, k, c) for the
+    other brackets [x_i, x_j] = c x_k."""
+    table = {}
+    for h, w in weights.items():
+        for i, c in enumerate(w):
+            if c:
+                table.setdefault((h, i), {})[i] = c
+                table.setdefault((i, h), {})[i] = -c
+    for i, j, k, c in rest:
+        table.setdefault((i, j), {})[k] = c
+        table.setdefault((j, i), {})[k] = -c
+    return StructureTensor(n, table)
+
+
+def test_weight_key_field_at_its_bound():
+    # x0 and x1 act diagonally on the abelian span of x2, x3, x4 with the
+    # weights w0 = (0, 0, 5, 3, -5) and w1 = (0, 0, -1, 0, 1): at degree 3
+    # the key fields are b = (3 * 5).bit_length() = 4 bits wide, and x2^3
+    # drives field 0 to 15 = 2^4 - 1, the largest |m . w| the proof allows.
+    # In fields one bit narrower, x2 x3 (weights 8 and -1) keys to
+    # 8 - 2^3 = 0; no rows are built for x0, x1 and the abelian x2, x3, x4
+    # give x2 x3 none, so it would come out central.  The one central
+    # monomial is x2 x4, of weight 0
+    w0, w1 = [0, 0, 5, 3, -5], [0, 0, -1, 0, 1]
+    tensor = graded_table(5, {0: w0, 1: w1})
+    assert diagonal_weights(tensor) == [w0, w1]
+    largest = max(abs(sum(w[i] for i in combo)) for w in (w0, w1)
+                  for combo in combinations_with_replacement(range(5), 3))
+    assert largest == 2 ** (3 * 5).bit_length() - 1
+    for verified in (False, True):
+        check_centre_candidates(tensor, 3, verified)
+    got = centre_candidates(from_tensor(tensor), 3)
+    assert [terms(p) for p in got] == [{(0, 0, 1, 0, 1): 1}]
+    assert (solved_columns(linear_table(tensor), 3)
+            == [weight_zero_count(tensor, d) for d in range(1, 4)])
+
+
+def built_rows(struct, max_degree):
+    """(centre_candidates(struct, max_degree), Counter of the generators of
+    the rows it built): a row keyed r * n + i is generator i's."""
+    built = Counter()
+    rows = pois._centrality_rows
+
+    def recording(n, columns, terms):
+        out = rows(n, columns, terms)
+        built.update(key % n for key in out)
+        return out
+    pois._centrality_rows = recording
+    try:
+        got = centre_candidates(struct, max_degree)
+    finally:
+        pois._centrality_rows = rows
+    return got, built
+
+
+def check_no_diagonal_rows(tensor, degree, verified=False):
+    """No row is built for a basis element that acts diagonally with nonzero
+    weights, and the candidates are the every-row reference's.  Returns the
+    Counter of generators with rows."""
+    struct = from_tensor(tensor) if verified else linear_table(tensor)
+    got, built = built_rows(struct, degree)
+    filters = [h for h, w in diagonal_elements(tensor).items() if any(w)]
+    assert [built[h] for h in filters] == [0] * len(filters)
+    assert ([term_layout(p) for p in got]
+            == [term_layout(p) for p in reference_centre_candidates(struct, degree)])
+    return built
+
+
+def test_diagonal_generators_build_no_rows_on_sl3():
+    # H1, H2 (6, 7) act diagonally: every E_ij builds rows on the ungated
+    # table, and through the gate the chosen E12, E13, E21, E31 do
+    tensor = build_classical("sl", 3)
+    assert sorted(h for h, w in diagonal_elements(tensor).items() if any(w)) == [6, 7]
+    assert sorted(check_no_diagonal_rows(tensor, 3)) == [0, 1, 2, 3, 4, 5]
+    assert sorted(check_no_diagonal_rows(tensor, 3, verified=True)) == [0, 1, 2, 4]
+
+
+def test_diagonal_generators_build_no_rows_on_a_non_lie_table():
+    # x0 acts with weights (0, 1, -1, 0, 0) beside [x1, x2] = x3 and
+    # [x3, x4] = x3 + x4, a graded table that fails Jacobi at (x1, x2, x4);
+    # x1 x2 has weight 0, and its entries in x0's rows would cancel.  Every
+    # other generator builds rows, on the every-row route
+    tensor = graded_table(5, {0: [0, 1, -1, 0, 0]},
+                          [(1, 2, 3, 1), (3, 4, 3, 1), (3, 4, 4, 1)])
+    assert not reference_jacobi_verdict(tensor)
+    assert list(diagonal_elements(tensor)) == [0]
+    assert sorted(check_no_diagonal_rows(tensor, 3)) == [1, 2, 3, 4]
+    with pytest.raises(ValueError):
+        from_tensor(tensor)
+
+
+@given(graded_tensors(), st.data())
+def test_diagonal_generators_build_no_rows_on_graded_tables(tensor, data):
+    degree = data.draw(st.integers(1, 3 if tensor.dim <= 4 else 2), label="degree")
+    check_no_diagonal_rows(tensor, degree)
+    if reference_jacobi_verdict(tensor):
+        check_no_diagonal_rows(tensor, degree, verified=True)
 
 
 @given(st.sampled_from(LIE), st.data())

@@ -14,8 +14,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 
 from liepencil.analysis import lower_central_series
-from liepencil.exact import rref, unit_vector
+from liepencil.exact import rref
 
+from helpers import unit_vector
 from test_tensor_oracle import tensors
 
 # the example budget is the "liepencil" profile in conftest.py
