@@ -367,9 +367,12 @@ def _pc_family(args, tensor, operator, seeds, act):
     The verdict is read from a proof, with no bracket formed, for --gamma
     and for a lift with `near_theorem(act)`; only a not-near lift is
     scanned pair by pair (`pc_verify`), for its witness.  The
-    proof rests on `pc_generate`'s check that every seed F is central,
-    {x_i, F}_T = 0 for every generator, which runs before any orbit step;
-    the generators are then D^k F for seeds F, de-duplicated by span.
+    proof rests on every seed F being central, {x_i, F}_T = 0 for every
+    generator: a centre candidate is central by the proof of
+    `centre_candidates`, which records it on the structure, and
+    `pc_generate` checks every other seed, such as a --seed-file's, before
+    any orbit step.  The generators are then D^k F for seeds F,
+    de-duplicated by span.
 
     (a) Lemma.  Let P and Q be skew brackets on S(q), F a Casimir of P and
     G a Casimir of Q.  Then {F, G}_P = 0, and {F, G}_Q = -{G, F}_Q = 0, so

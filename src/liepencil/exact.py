@@ -675,16 +675,28 @@ class SparsePoly:
         return quot
 
     def format(self, names=None):
+        """The terms in descending graded lex order, x_i named names[i].
+        A monomial's nonzero exponent fields are read from the top: the
+        highest set bit below the degree field lies in the field of the
+        lowest i with a nonzero exponent, which is read and cleared."""
         if not self.ints:
             return "0"
         n, den = self.nvars, self.den
         if names is None:
             names = ["x%d" % i for i in range(n)]
+        low = (1 << _WIDTH * n) - 1
         parts = []
         for m in sorted(self.ints, reverse=True):
             v = self.ints[m]
-            body = "*".join(names[i] if k == 1 else "%s^%d" % (names[i], k)
-                            for i, k in enumerate(_unpack(m, n)) if k)
+            factors = []
+            r = m & low
+            while r:
+                f = (r.bit_length() - 1) // _WIDTH
+                k = r >> _WIDTH * f
+                r -= k << _WIDTH * f
+                name = names[n - 1 - f]
+                factors.append(name if k == 1 else "%s^%d" % (name, k))
+            body = "*".join(factors)
             if not body:
                 chunk = format_ratio(abs(v), den)
             elif abs(v) == den:

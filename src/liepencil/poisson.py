@@ -1,7 +1,8 @@
 """Poisson brackets on polynomial algebras and commutative families.
 
-A Poisson structure is stored as the bracket table {x_i, x_j} for i < j with
-polynomial values; the bracket of two polynomials is the Leibniz extension
+A Poisson structure is stored as the bracket table {x_i, x_j} for i < j, its
+polynomial values as one integer form; the bracket of two polynomials is
+the Leibniz extension
 
     {f, g} = sum_(i<j) {x_i, x_j} (df/dx_i dg/dx_j - df/dx_j dg/dx_i).
 
@@ -10,13 +11,16 @@ of the symmetric algebra; iterating a lifted operator on a central seed
 produces a Poisson-commutative family.
 
 The kernels read integer forms: each `SparsePoly`'s, and the table's over
-one denominator, formed once per structure.  Every product is
+one denominator, formed once per structure; `from_tensor` takes that form
+straight from the tensor's, with no polynomial per pair.  Every product is
 `exact._pmuladd` on the stored packed monomials, which `SparsePoly`'s
 degree cap keeps exact, and partials come straight from a form
 (`exact._gradient`): no kernel clears, repacks or sizes a field.  The
 centre search builds its system on packed monomials too and hands its
-kernel, read as integer forms, straight to `SparsePoly._of`.  A family
-is checked through pi grad f, the vector with entries {x_i, f} =
+kernel, read as integer forms, straight to `SparsePoly._of`, and the
+structure records what it returned: those seeds are central by the
+search's proof, so `pc_generate` checks only the others.  A family is
+checked through pi grad f, the vector with entries {x_i, f} =
 sum_j {x_i, x_j} df/dx_j: a seed is central when it is 0, and {f, g} =
 grad f . pi grad g, so `pc_verify` forms each generator's gradient and
 pi grad once, and a pair costs n products.  The CLI reads the verdict of
@@ -48,30 +52,40 @@ class SeedNotCentral(ValueError):
                          % (seed_index, var_index))
 
 
-@dataclass
 class PoissonStructure:
-    """Bracket table on n polynomial generators.
-
-    table maps (i, j) with i < j to the polynomial {x_i, x_j}; missing pairs
-    bracket to zero.  jacobi_verified records the generator-triple check.
-    The kernels read table[(i, j)] as ints[(i, j)] / den, the table's form.
+    """Bracket table on n polynomial generators, as one integer form:
+    {x_i, x_j} for i < j is ints[(i, j)] / den, a packed integer
+    polynomial over den > 0, with the whole form divided by its gcd;
+    missing pairs bracket to zero.  `PoissonStructure(n, table)` takes
+    {(i, j): SparsePoly} from outside, `_of` wraps a form the library
+    builds.  jacobi_verified records the generator-triple check, and
+    `_central` the polynomials the last `centre_candidates` search on this
+    structure returned, which its proof makes central; only the
+    constructors and that search write it.  Nothing writes the form once
+    built.
     """
 
-    nvars: int
-    table: dict
-    jacobi_verified: bool = False
-
-    def __post_init__(self):
+    def __init__(self, nvars, table, jacobi_verified=False):
         clean = {}
-        for (i, j), p in self.table.items():
-            if not (0 <= i < j < self.nvars):
+        for (i, j), p in table.items():
+            if not (0 <= i < j < nvars):
                 raise ValueError("table keys must satisfy i < j")
             if not p.is_zero():
                 clean[(i, j)] = p
-        self.table = clean
+        self.nvars, self.jacobi_verified, self._central = nvars, jacobi_verified, ()
         self.den = den = lcm(*(p.den for p in clean.values()))
         self.ints = {ij: {e: c * (den // p.den) for e, c in p.ints.items()}
                      for ij, p in clean.items()}
+
+    @classmethod
+    def _of(cls, nvars, den, ints, jacobi_verified):
+        """Trusted constructor: ints maps pairs i < j to nonzero packed
+        integer polynomials in nvars variables, and (den, ints) has gcd 1;
+        kept, no copy and no check."""
+        s = object.__new__(cls)
+        s.nvars, s.jacobi_verified, s._central = nvars, jacobi_verified, ()
+        s.den, s.ints = den, ints
+        return s
 
 
 def poisson_bracket(struct, f, g):
@@ -106,14 +120,20 @@ def from_tensor(tensor):
 
     Skew tensors only: the table reads the pairs i < j, in row-major
     order, and `check_jacobi`, whose (cached) verdict on generator triples
-    is recorded, raises ValueError on a tensor that is not skew.
+    is recorded, raises ValueError on a tensor that is not skew.  The
+    structure is the tensor's integer form (den, ints) itself, each pair's
+    vector written as a packed linear form.  That form has gcd 1, and on a
+    skew tensor the pairs i < j hold every entry up to sign, so their part
+    has gcd 1 too: den is already the lcm of the pairs' reduced
+    denominators, which `PoissonStructure(n, table)` would form.
     """
     if not check_jacobi(tensor)[0]:
         raise ValueError("bracket table violates Jacobi on generators")
     n, (den, ints) = tensor.dim, tensor.integer_form()
     linear = _linear_forms(n)
-    return PoissonStructure(n, {(i, j): SparsePoly._of(n, den, linear(sorted(vec.items())))
-                                for (i, j), vec in sorted(ints.items()) if i < j}, True)
+    return PoissonStructure._of(n, den, {(i, j): linear(sorted(vec.items()))
+                                         for (i, j), vec in sorted(ints.items())
+                                         if i < j and vec}, True)
 
 
 def lifted(op):
@@ -145,16 +165,22 @@ class PCFamily:
 def pc_generate(struct, operator, seeds):
     """Iterate a derivation on central seeds until linear dependence.
 
-    Each seed s must commute with every generator: {x_i, s} is entry i of
-    pi grad s (`_pi_gradients`), so one gradient checks them all, and
-    SeedNotCentral names the first i that fails.  Every seed is checked
-    before any orbit is run.  The literal operator orbit is returned,
-    de-duplicated by linear span across everything collected so far: one
-    `_Echelon` holds the span, and each orbit step adds one row to it.
+    Each seed s must commute with every generator.  A seed that the last
+    `centre_candidates` search on struct returned (the very object, held
+    in `struct._central`) is central by that search's proof, and is not
+    checked again.  Any other seed is: {x_i, s} is entry i of pi grad s
+    (`_pi_gradients`), so one gradient checks them all, and SeedNotCentral
+    names the first i that fails, with the seed's index in seeds.  Every
+    seed is checked before any orbit is run.  The literal operator orbit
+    is returned, de-duplicated by linear span across everything collected
+    so far: one `_Echelon` holds the span, and each orbit step adds one
+    row to it.
     """
     if any(seed.nvars != struct.nvars for seed in seeds):
         raise ValueError("seed variable count mismatch")
-    for s_idx, (_, image) in enumerate(_pi_gradients(struct, seeds)):
+    proven = set(map(id, struct._central))
+    checked = [s_idx for s_idx, seed in enumerate(seeds) if id(seed) not in proven]
+    for s_idx, (_, image) in zip(checked, _pi_gradients(struct, [seeds[k] for k in checked])):
         witness = next((i for i, v in enumerate(image) if v), None)
         if witness is not None:
             raise SeedNotCentral(s_idx, witness)
@@ -232,7 +258,10 @@ def centre_candidates(struct, max_degree=2):
     dropped as the rows are built, and an `_Echelon` takes the rows without
     a copy.  The canonical kernel basis does not depend on row order, row
     scaling or zero rows; it is read as integer forms (`kernel_forms`),
-    which `SparsePoly._of` takes with their terms in column order.
+    which `SparsePoly._of` takes with their terms in column order.  Each
+    returned polynomial is in that kernel, so it is central, and the list
+    is recorded on struct (`_central`) for `pc_generate` to read as this
+    proof.
 
     On a table that passed Jacobi (`jacobi_verified`) the rows are built
     only for the generators i that `_generating_set` keeps.  There the
@@ -311,6 +340,7 @@ def centre_candidates(struct, max_degree=2):
         rows = _centrality_rows(n, columns, terms)
         for den, form in _Echelon(list(rows.values())).kernel_forms(len(columns)):
             out.append(SparsePoly._of(n, den, {columns[c]: x for c, x in form.items()}))
+    struct._central = tuple(out)
     return out
 
 

@@ -24,6 +24,9 @@ integer linear forms that `generic_rank` takes.
 forward elimination mod PRIME on list rows, one entry at a time, as the
 library ran it before it packed its rows.
 
+`reference_format` is the oracle of `SparsePoly.format`: the printer as it
+stood when it unpacked every exponent field of every monomial.
+
 `coordinates` (one basis reader for many `Fraction` targets) and
 `direct_sum` (two tensors whose blocks commute) are the library routines
 the quasi-grading extension used to go through; they serve as oracles.
@@ -33,7 +36,8 @@ from fractions import Fraction
 from math import lcm, prod
 
 from liepencil.exact import (ONE, PRIME, ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
-                             _linear_forms, _pack, _pmuladd, _ratio, _reduce, _unpack)
+                             _linear_forms, _pack, _pmuladd, _ratio, _reduce, _unpack,
+                             format_ratio)
 from liepencil.tensors import StructureTensor
 
 DENOMINATORS = (1, 1, 2, 3)
@@ -114,6 +118,29 @@ def direct_sum(t1, t2):
 
 
 # polynomials
+
+def reference_format(p, names=None):
+    """p as `SparsePoly.format` prints it, every monomial unpacked whole."""
+    if not p.ints:
+        return "0"
+    n, den = p.nvars, p.den
+    if names is None:
+        names = ["x%d" % i for i in range(n)]
+    parts = []
+    for m in sorted(p.ints, reverse=True):
+        v = p.ints[m]
+        body = "*".join(names[i] if k == 1 else "%s^%d" % (names[i], k)
+                        for i, k in enumerate(_unpack(m, n)) if k)
+        if not body:
+            chunk = format_ratio(abs(v), den)
+        elif abs(v) == den:
+            chunk = body
+        else:
+            chunk = "%s*%s" % (format_ratio(abs(v), den), body)
+        parts.append(("-" if v < 0 else "+", chunk))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return text + "".join(" %s %s" % part for part in parts[1:])
+
 
 def variable(nvars, i):
     exps = [0] * nvars
@@ -326,10 +353,15 @@ def reference_pivots_mod(rows):
 
 # Poisson structures
 
+def bracket_table(struct):
+    """{(i, j): {x_i, x_j}} for i < j, the nonzero entries of a Poisson
+    structure as polynomials, built from its integer form."""
+    return {ij: SparsePoly._of(struct.nvars, struct.den, dict(form))
+            for ij, form in struct.ints.items()}
+
+
 def entry(struct, i, j):
     """{x_i, x_j} for any pair order."""
-    if i == j:
-        return SparsePoly.zero(struct.nvars)
-    if i < j:
-        return struct.table.get((i, j), SparsePoly.zero(struct.nvars))
-    return -struct.table.get((j, i), SparsePoly.zero(struct.nvars))
+    if i > j:
+        return -entry(struct, j, i)
+    return SparsePoly._of(struct.nvars, struct.den, dict(struct.ints.get((i, j), {})))

@@ -206,6 +206,22 @@ def test_cli_pc_check(workdir, capsys):
     assert doc["commutes"] is True
 
 
+def test_cli_pc_check_checks_a_file_seed_after_a_central_one(workdir, capsys):
+    # a --seed-file seed is checked whatever stands before it, and the
+    # witness counts the whole file: the Casimir is central, e = x0 is not,
+    # and {x1, x0} = {h, e} = 2e is the first bracket that fails
+    run(["example", "sl", "2"])
+    x0 = variable(3, 0)
+    casimir = variable(3, 1) * variable(3, 1) + SparsePoly.const(3, 4) * x0 * variable(3, 2)
+    save_seeds([casimir, x0], workdir / "seeds.json")
+    capsys.readouterr()
+    code = run(["pc-check", "--algebra", "sl2.json", "--gamma", "0,0,1",
+                "--seed-file", "seeds.json", "--json"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["seed_index"], doc["witness_generator"]) == (1, 1)
+
+
 def test_cli_report(workdir, capsys):
     assert run(["example", "nilpotent-square", "sl", "2", "--partition", "2"]) == 0
     capsys.readouterr()

@@ -16,7 +16,8 @@ from liepencil.poisson import (
     pc_generate, pc_verify, centre_candidates,
 )
 
-from helpers import coeff_vector, entry, linear, rand_rat, terms, total_degree, variable
+from helpers import (bracket_table, coeff_vector, entry, linear, rand_rat, terms, total_degree,
+                     variable)
 from paper_checks import bihomogeneous_components, frozen_bracket
 
 
@@ -45,9 +46,9 @@ def test_linear_table_from_tensor():
     struct = from_tensor(sl2())
     assert struct.jacobi_verified
     two = SparsePoly.const(3, 2)
-    assert struct.table[(0, 1)] == -(two * x(0))
-    assert struct.table[(0, 2)] == x(1)
-    assert struct.table[(1, 2)] == -(two * x(2))
+    assert bracket_table(struct)[(0, 1)] == -(two * x(0))
+    assert bracket_table(struct)[(0, 2)] == x(1)
+    assert bracket_table(struct)[(1, 2)] == -(two * x(2))
     # antisymmetric accessor
     assert entry(struct, 1, 0) == two * x(0)
     assert entry(struct, 2, 2) == SparsePoly.zero(3)
@@ -234,7 +235,7 @@ def test_centre_candidates_abelian_and_heisenberg():
     t = sl2()
     op, _report = nilpotent_square(t, [1, 0, 0])
     heis = from_tensor(derived(t, op))
-    assert heis.table == {(1, 2): SparsePoly.const(3, 8) * x(0)}
+    assert bracket_table(heis) == {(1, 2): SparsePoly.const(3, 8) * x(0)}
     linear = centre_candidates(heis, max_degree=1)
     assert linear == [x(0)]
 
@@ -261,8 +262,8 @@ def test_frozen_bracket():
     t = sl2()
     struct = frozen_bracket(t, [F(0), F(1), F(0)])
     assert struct.jacobi_verified
-    assert struct.table == {(0, 2): SparsePoly.const(3, 1)}
-    assert frozen_bracket(t, [F(0)] * 3).table == {}
+    assert bracket_table(struct) == {(0, 2): SparsePoly.const(3, 1)}
+    assert bracket_table(frozen_bracket(t, [F(0)] * 3)) == {}
     bad = StructureTensor(3, {(0, 1): {0: F(1)}, (1, 2): {1: F(1)}})
     with pytest.raises(ValueError):
         frozen_bracket(bad, [F(1), F(0), F(0)])
@@ -276,7 +277,7 @@ def test_linear_plus_frozen_is_compatible():
     froz = frozen_bracket(t, [F(1), F(-2), F(3)])
     mixed = {}
     for pair in {(0, 1), (0, 2), (1, 2)}:
-        value = lin.table.get(pair, SparsePoly.zero(3)) + froz.table.get(pair, SparsePoly.zero(3))
+        value = entry(lin, *pair) + entry(froz, *pair)
         if not value.is_zero():
             mixed[pair] = value
     struct = PoissonStructure(3, mixed)

@@ -19,13 +19,21 @@ tables graded by integer weights, Lie or not, check that kernel and count
 the columns it solves for.  Those elements build no rows: a spy on
 `_centrality_rows` counts the rows of each generator.  A table whose
 weights drive a field of the packed weight key to the largest value its
-width allows checks that width.  Hypothesis is test-only; the library
-itself stays stdlib-only.
+width allows checks that width.  `from_tensor` wraps the tensor's own
+integer form, which must equal, key orders included, the form the table
+constructor clears from one polynomial per pair, also on tensors whose
+pairs reduce to different denominators.  The centre search records what
+it returned on the structure, and `pc_generate` checks no seed held there:
+each recorded candidate has {x_i, f} = 0 by Fraction brackets, and every
+other seed (an equal copy of a candidate, a drawn polynomial, another
+structure's candidate) is checked, with the reference's indices.
+Hypothesis is test-only; the library itself stays stdlib-only.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 from operator import add, mul
 
 import pytest
@@ -38,12 +46,12 @@ from liepencil import poisson as pois
 from liepencil.constructions import build_classical
 from liepencil.exact import (DEGREE_CAP, ZERO, RatMatrix, SparsePoly, _pmuladd, _unpack,
                              generic_rank, kernel_basis, rank_exact)
-from liepencil.poisson import (PCFamily, PoissonStructure, centre_candidates, from_tensor,
-                               pc_generate, pc_verify, poisson_bracket)
+from liepencil.poisson import (PCFamily, PoissonStructure, SeedNotCentral, centre_candidates,
+                               from_tensor, pc_generate, pc_verify, poisson_bracket)
 from liepencil.tensors import StructureTensor
 
-from helpers import (linear, linear_forms, partial, structure_matrix, terms, unit_vector,
-                     variable)
+from helpers import (bracket_table, linear, linear_forms, partial, structure_matrix, terms,
+                     unit_vector, variable)
 from test_tensor_oracle import (ENTRIES, LIE, NONZERO, NON_LIE, change_of_basis, fixed_lists,
                                 operators, standard, tensors, transport)
 
@@ -56,7 +64,7 @@ def reference_poisson_bracket(struct, f, g):
     df = [partial(f, i) for i in range(n)]
     dg = [partial(g, i) for i in range(n)]
     total = SparsePoly.zero(n)
-    for (i, j), b in struct.table.items():
+    for (i, j), b in bracket_table(struct).items():
         piece = df[i] * dg[j] - df[j] * dg[i]
         if not piece.is_zero():
             total = total + b * piece
@@ -111,7 +119,7 @@ def fraction_bracket(struct, f, g):
                 for i in range(struct.nvars)]
     df, dg = partials(f), partials(g)
     out = {}
-    for (i, j), b in struct.table.items():
+    for (i, j), b in bracket_table(struct).items():
         products = [(sign, p, q) for sign, p, q in ((1, df[i], dg[j]), (-1, df[j], dg[i]))
                     if p and q]
         tb = terms(b) if products else {}
@@ -232,7 +240,7 @@ def structures():
 
 
 def is_linear(struct):
-    return all(sum(e) == 1 for p in struct.table.values() for e in terms(p))
+    return all(sum(e) == 1 for p in bracket_table(struct).values() for e in terms(p))
 
 
 @st.composite
@@ -245,7 +253,7 @@ def families(draw, struct):
     generators reach degree 6 and more."""
     n = struct.nvars
     h = draw(polys(n, max_terms=3), label="h")
-    touched = {k for ij in struct.table for k in ij}
+    touched = {k for ij in bracket_table(struct) for k in ij}
     central = [SparsePoly.const(n, 1)]
     central += [variable(n, k) for k in range(n) if k not in touched]
     if is_linear(struct):
@@ -427,6 +435,11 @@ def check_centre_candidates(tensor, degree, verified=False):
     assert ([term_layout(p) for p in got]
             == [term_layout(p) for p in reference_centre_candidates(struct, degree)])
     assert all(only_fractions(p) for p in got)
+    # pc_generate checks no seed the search recorded, so the record is the
+    # list returned, and each of its polynomials has {x_i, f} = 0 for every i
+    assert [id(f) for f in struct._central] == [id(f) for f in got]
+    x = [variable(tensor.dim, i) for i in range(tensor.dim)]
+    assert not any(fraction_bracket(struct, xi, f) for f in got for xi in x)
     return chosen
 
 
@@ -705,17 +718,116 @@ def reference_skew(tensor):
                for (i, j), vec in table.items())
 
 
-@given(st.one_of(tensors(), linear_tensors(), lower_junk()))
+@st.composite
+def rescaled_tensors(draw):
+    """A standard Lie algebra on its basis vectors scaled by drawn nonzero
+    rationals: x_i -> a_i x_i moves c_ij^k to c_ij^k a_i a_j / a_k, so the
+    pairs' entries carry different contents and denominators."""
+    base = standard(draw(st.sampled_from(LIE)))
+    scale = draw(fixed_lists(NONZERO, base.dim), label="scale")
+    return transport(base, RatMatrix.diagonal(scale))
+
+
+def form_layout(struct):
+    """A structure's form with its key orders: (den, [(pair, [(monomial,
+    int)])])."""
+    return struct.den, [(ij, list(form.items())) for ij, form in struct.ints.items()]
+
+
+@given(st.one_of(tensors(), linear_tensors(), lower_junk(), graded_tensors(),
+                 rescaled_tensors()))
 def test_from_tensor_gate_matches_reference(tensor):
     # skew tensors only: one that is not, such as most of lower_junk's, is
-    # refused like a table that fails Jacobi
+    # refused like a table that fails Jacobi.  A tensor that passes is
+    # wrapped as its own form; the table constructor clears one SparsePoly
+    # per pair to the lcm of their reduced denominators, and the two forms
+    # agree, key orders included, with gcd 1
     if not (reference_skew(tensor) and reference_jacobi_verdict(tensor)):
         with pytest.raises(ValueError):
             from_tensor(tensor)
         return
     struct = from_tensor(tensor)
     assert struct.jacobi_verified
-    assert struct.table == linear_table(tensor).table
+    assert form_layout(struct) == form_layout(linear_table(tensor))
+    assert gcd(struct.den, *(c for form in struct.ints.values() for c in form.values())) == 1
+
+
+def test_from_tensor_form_when_the_pairs_reduce_apart():
+    # sl2 on e/2, h, 3f: [E, F] = 3/2 H, [H, E] = 2E, [H, F] = -2F, so one
+    # pair reduces to denominator 2 and two to denominator 1; den is 2
+    tensor = transport(standard(LIE[0]), RatMatrix.diagonal([Fraction(1, 2), 1, 3]))
+    struct = from_tensor(tensor)
+    table = bracket_table(struct)
+    assert sorted(p.den for p in table.values()) == [1, 1, 2]
+    assert form_layout(struct) == form_layout(linear_table(tensor))
+    assert struct.den == 2
+    assert [sorted(form.values()) for form in struct.ints.values()] == [[-4], [3], [-4]]
+
+
+def gated(tensor):
+    """The linear table of tensor with no gate, and also through
+    `from_tensor`'s gate when the tensor passes it."""
+    out = [linear_table(tensor)]
+    if reference_skew(tensor) and reference_jacobi_verdict(tensor):
+        out.append(from_tensor(tensor))
+    return out
+
+
+def reference_seed_witness(struct, seeds):
+    """(seed index, generator index) of the first seed s with a nonzero
+    Fraction bracket {x_i, s}, at its first such i; None if there is none."""
+    n = struct.nvars
+    for s_idx, seed in enumerate(seeds):
+        for i in range(n):
+            if fraction_bracket(struct, variable(n, i), seed):
+                return s_idx, i
+    return None
+
+
+def check_seeds(struct, seeds):
+    """pc_generate raises SeedNotCentral with the reference's indices, or
+    runs when every seed is central."""
+    want = reference_seed_witness(struct, seeds)
+    stop = lambda f: SparsePoly.zero(struct.nvars)
+    if want is None:
+        pc_generate(struct, stop, seeds)
+        return
+    with pytest.raises(SeedNotCentral) as exc:
+        pc_generate(struct, stop, seeds)
+    assert (exc.value.seed_index, exc.value.var_index) == want
+
+
+@given(st.one_of(linear_tensors(), graded_tensors()), st.data())
+def test_seeds_the_search_did_not_return_are_checked(tensor, data):
+    # a candidate is skipped as the very object the search returned; an
+    # equal copy of one and a drawn polynomial are checked, wherever they
+    # stand, and the indices count the whole list
+    n = tensor.dim
+    for struct in gated(tensor):
+        cands = centre_candidates(struct, 2)
+        copies = [SparsePoly._of(n, f.den, dict(f.ints)) for f in cands]
+        drawn = data.draw(st.lists(polys(n, max_exp=1, max_terms=3), max_size=3), label="drawn")
+        check_seeds(struct, data.draw(st.permutations(cands + copies + drawn), label="seeds"))
+
+
+def test_a_seed_after_the_candidates_keeps_its_index():
+    # on sl3 at degree 3 the two Casimirs are proven; x0 after them, and the
+    # candidates of another structure, are checked on this one
+    struct = from_tensor(build_classical("sl", 3))
+    n = struct.nvars
+    cands = centre_candidates(struct, 3)
+    assert len(cands) == 2
+    check_seeds(struct, cands + [variable(n, 0)])
+    with pytest.raises(SeedNotCentral) as exc:
+        pc_generate(struct, lambda f: f, cands + [variable(n, 0)])
+    assert exc.value.seed_index == 2
+    others = centre_candidates(PoissonStructure(n, {}), 1)
+    check_seeds(struct, cands + others)
+    # a later search replaces the record: the degree-3 candidates are
+    # checked again, and pass
+    later = centre_candidates(struct, 2)
+    assert [id(f) for f in struct._central] == [id(f) for f in later]
+    check_seeds(struct, cands + later)
 
 
 @st.composite

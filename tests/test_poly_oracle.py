@@ -12,7 +12,9 @@ zero terms, the tests check that:
 * no operation changes its operands' form;
 * the Poisson kernels that read forms directly (the lifted and directional
   derivations and the seed centrality check) agree with their `Fraction`
-  definitions.
+  definitions;
+* the printer, which reads only the nonzero fields of a packed monomial,
+  prints what `helpers.reference_format` prints, in 0 to 9 variables.
 """
 
 from fractions import Fraction as F
@@ -23,11 +25,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from liepencil.exact import RatMatrix, SparsePoly, _pack, format_rat
+from liepencil.exact import DEGREE_CAP, RatMatrix, SparsePoly, _pack, format_rat
 from liepencil.poisson import (PoissonStructure, SeedNotCentral, directional, lifted,
                                pc_generate, poisson_bracket)
 
-from helpers import coeff_vector, eval_at, linear, partial, terms, total_degree, variable
+from helpers import (coeff_vector, eval_at, linear, partial, reference_format, terms,
+                     total_degree, variable)
 from test_poisson_oracle import polys, structures
 
 # the example budget is the "liepencil" profile in conftest.py
@@ -233,6 +236,46 @@ def test_operations_match_the_reference(n, data):
     assert f.is_zero() == (not rf.terms) == (not f)
     assert (f == g) == (rf.terms == rg.terms)
     assert [form(f), form(g)] == before
+
+
+@st.composite
+def printed_polys(draw):
+    """(polynomial, names) in 0..9 variables: exponents 0..3, or one term
+    whose one nonzero exponent is DEGREE_CAP; coefficients negative,
+    fractional or 0 (dropped), a constant term among them; names None or
+    drawn strings, as many as the variables or more."""
+    n = draw(st.integers(0, 9), label="nvars")
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exps, ENTRIES, max_size=6), label="terms")
+    if draw(st.booleans(), label="constant"):
+        terms[(0,) * n] = draw(ENTRIES, label="constant term")
+    if n and draw(st.booleans(), label="at the cap"):
+        top = [0] * n
+        top[draw(st.integers(0, n - 1), label="capped variable")] = DEGREE_CAP
+        terms[tuple(top)] = draw(ENTRIES, label="capped coefficient")
+    names = draw(st.none() | st.lists(st.text("abxyz_0123^*", min_size=1, max_size=3),
+                                      min_size=n, max_size=n + 2), label="names")
+    return SparsePoly(n, terms), names
+
+
+@given(printed_polys())
+def test_format_matches_the_unpacking_printer(drawn):
+    # the printer reads only the nonzero fields of each packed monomial; its
+    # text is the unpacking printer's, byte for byte
+    p, names = drawn
+    assert p.format(names) == reference_format(p, names)
+    assert str(p) == reference_format(p)
+
+
+def test_format_at_the_edges():
+    cap = SparsePoly(9, {(0,) * 8 + (DEGREE_CAP,): F(-3, 2), (1,) + (0,) * 8: 1,
+                         (0,) * 9: F(5, 7)})
+    assert str(cap) == reference_format(cap) == "-3/2*x8^%d + x0 + 5/7" % DEGREE_CAP
+    assert SparsePoly.const(0, F(-4, 6)).format() == "-2/3"
+    assert SparsePoly.zero(0).format() == "0"
+    p = SparsePoly(3, {(2, 0, 1): F(-1), (0, 3, 0): F(2, 3)})
+    assert p.format(["e", "h", "f", "unused"]) == reference_format(p, ["e", "h", "f", "unused"])
+    assert p.format(["e", "h", "f"]) == "-e^2*f + 2/3*h^3"
 
 
 @given(NVARS, st.data())
