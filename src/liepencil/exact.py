@@ -13,8 +13,8 @@ state, `_Echelon`: it owns {column: nonzero int} rows in reduced row
 echelon form and the rows holding each column, so it visits no zero entry
 and eliminates the components of a sparse system independently.  Its one
 elimination order is `add(row)`, which says whether the rank grew and
-copies no row it owns; a system's singleton rows are fixed first by a
-presolve, and every other row goes through `add`.  `rref`, `rank_exact`,
+copies no row it owns; every nonempty row of a system goes through it,
+in the caller's order, which sets the fill-in.  `rref`, `rank_exact`,
 `kernel_basis` and `solve_columns` hand it cleared copies of list or dict
 rows and build a `Fraction` only for an entry they return; its kernel is
 read as integer forms (`kernel_forms`), which the centre search takes
@@ -230,46 +230,19 @@ class _Echelon:
     through fill-in and cancellation, so no zero entry is visited and an
     update stays in its connected component of the row/column graph.  Each
     updated row is divided by its content (the gcd of its entries), which
-    bounds the entries by minors of the scaled matrix.
+    bounds the entries by minors of the scaled matrix.  `add` is the one
+    route in: the reduced row echelon form does not depend on the order of
+    the rows, but the fill-in on the way does (Markowitz 1957), so a caller that has
+    measured a better order hands its rows in that order.
     """
 
     __slots__ = ("owned", "holders", "pivot")
 
     def __init__(self, rows):
-        """A singleton presolve, then `add`.  A row with one nonzero is its
-        column's pivot; deleting the column from another row subtracts a
-        multiple of it, and a row left with one entry joins the queue, so
-        the presolve cascades.  A deletion only removes an entry, so each
-        row deleted from is divided by its content once, at the end.  Every
-        other nonempty row then goes through `add`, in the order given."""
-        self.owned = M = []
-        self.holders = holders = {}
-        self.pivot = pivot = {}
-        cols = {}
-        for i, row in enumerate(rows):
-            for c in row:
-                cols.setdefault(c, []).append(i)
-        queue = [i for i, row in enumerate(rows) if len(row) == 1]
-        deleted = set()
-        while queue:
-            i = queue.pop()
-            if not rows[i]:
-                continue    # a second singleton of a column already fixed
-            (c,) = rows[i]
-            pivot[c] = len(M)
-            holders[c] = {len(M)}
-            M.append(rows[i])
-            for k in cols[c]:
-                if k != i:
-                    row = rows[k]
-                    del row[c]
-                    deleted.add(k)
-                    if len(row) == 1:
-                        queue.append(k)
-        for k in deleted:
-            _primitive(rows[k])
+        """Every nonempty row goes through `add`, in the order given."""
+        self.owned, self.holders, self.pivot = [], {}, {}
         for row in rows:
-            if len(row) > 1:
+            if row:
                 self.add(row)
 
     def _clear(self, i, p, c):

@@ -256,8 +256,12 @@ def centre_candidates(struct, max_degree=2):
     {column: int} row per (generator, result monomial) pair
     (`_centrality_rows`), on packed monomials.  Entries that cancel are
     dropped as the rows are built, and an `_Echelon` takes the rows without
-    a copy.  The canonical kernel basis does not depend on row order, row
-    scaling or zero rows; it is read as integer forms (`kernel_forms`),
+    a copy, in ascending key order (the row keys are below).  The canonical
+    kernel basis depends only on the kernel K, not on row order, row
+    scaling or zero rows, so any order gives the same basis.  This order is
+    used because it was measured: in the order the rows are built in, the
+    search took 2.6-6 times as long on sl5, gl5 and sl6 at degree 5 and on
+    sl6 at degree 6.  The basis is read as integer forms (`kernel_forms`),
     which `SparsePoly._of` takes with their terms in column order.  Each
     returned polynomial is in that kernel, so it is central, and the list
     is recorded on struct (`_central`) for `pc_generate` to read as this
@@ -338,7 +342,7 @@ def centre_candidates(struct, max_degree=2):
     out = []
     for columns in _weight_zero(n, max_degree, list(weights)):
         rows = _centrality_rows(n, columns, terms)
-        for den, form in _Echelon(list(rows.values())).kernel_forms(len(columns)):
+        for den, form in _Echelon([rows[k] for k in sorted(rows)]).kernel_forms(len(columns)):
             out.append(SparsePoly._of(n, den, {columns[c]: x for c, x in form.items()}))
     struct._central = tuple(out)
     return out

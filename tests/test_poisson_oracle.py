@@ -17,7 +17,9 @@ every generator, checks the kernel.  It also solves only for the
 monomials of weight 0 under the basis elements that act diagonally;
 tables graded by integer weights, Lie or not, check that kernel and count
 the columns it solves for.  Those elements build no rows: a spy on
-`_centrality_rows` counts the rows of each generator.  A table whose
+`_centrality_rows` counts the rows of each generator, and on sl4 and gl4
+the same spy and one on `_Echelon` check that the rows reach the
+elimination in ascending key order.  A table whose
 weights drive a field of the packed weight key to the largest value its
 width allows checks that width.  `from_tensor` wraps the tensor's own
 integer form, which must equal, key orders included, the form the table
@@ -700,6 +702,37 @@ def test_diagonal_generators_build_no_rows_on_graded_tables(tensor, data):
     check_no_diagonal_rows(tensor, degree)
     if reference_jacobi_verdict(tensor):
         check_no_diagonal_rows(tensor, degree, verified=True)
+
+
+@pytest.mark.parametrize("family", ["sl", "gl"])
+def test_rows_go_to_the_echelon_in_ascending_key_order(family, monkeypatch):
+    # at each degree the nonempty rows of `_centrality_rows` reach `add` in
+    # ascending key order, the order measured fastest: `owned`
+    # lists the rows `add` took, in the order it took them.  The rows are
+    # built in another order, so handing them over as built fails here
+    built, taken = [], []
+    rows_of = pois._centrality_rows
+
+    def recording(n, columns, terms):
+        out = rows_of(n, columns, terms)
+        built.append((list(out), [out[k] for k in sorted(out) if out[k]]))
+        return out
+
+    class Recording(pois._Echelon):
+        __slots__ = ()
+
+        def kernel_forms(self, ncols):
+            taken.append(list(self.owned))
+            return super().kernel_forms(ncols)
+
+    monkeypatch.setattr(pois, "_centrality_rows", recording)
+    monkeypatch.setattr(pois, "_Echelon", Recording)
+    centre_candidates(from_tensor(build_classical(family, 4)), 4)
+    assert len(built) == len(taken) == 4
+    assert any(keys != sorted(keys) for keys, _ in built)
+    for (_, ordered), owned in zip(built, taken):
+        assert len(owned) == len(ordered)
+        assert all(a is b for a, b in zip(owned, ordered))
 
 
 @given(st.sampled_from(LIE), st.data())

@@ -3,15 +3,15 @@
 `reference_reduce` below is `exact._reduce` as it stood when every row was
 a dense list, kept as the oracle.  On generated systems with several
 components whose rows and columns are permuted, with zero and duplicate
-rows, on all-zero systems, on one dense component, and on systems built for
-the singleton presolve (cascades of singletons, repeated singletons of one
-column, rows the presolve empties, singletons beside a dense block), and on
-the dense skew point matrices of classical Lie tables, which have no
-singleton row, the pivots, the reduced rows, the ranks and the kernel bases
-must equal the reference's, whether the rows arrive as lists or as
-{column: entry} dicts, with int or `Fraction` entries, or as int rows that
-an `_Echelon` takes uncopied.  An `_Echelon` keeps its holders and pivot
-rows current, and the presolve leaves each row it deleted from primitive.
+rows, on all-zero systems, on one dense component, on singleton cascades
+(cascades of singletons, repeated singletons of one column, rows that the
+fixed singletons empty, singletons beside a dense block), which `add` alone
+must eliminate in whatever order they come, and on the dense skew point
+matrices of classical Lie tables, the pivots, the reduced rows, the ranks
+and the kernel bases must equal the reference's, whether the rows arrive as
+lists or as {column: entry} dicts, with int or `Fraction` entries, or as
+int rows that an `_Echelon` takes uncopied.  An `_Echelon` keeps its
+holders and pivot rows current.
 """
 
 from fractions import Fraction
@@ -20,7 +20,7 @@ from math import gcd, lcm
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from liepencil.constructions import build_classical
 from liepencil.exact import (ONE, ZERO, _Echelon, _ratio, _reduce, kernel_basis,
@@ -130,13 +130,15 @@ def systems(draw):
 
 @st.composite
 def presolve_systems(draw):
-    """A list-row system for the singleton presolve.  Row k of a cascade has
-    its last nonzero in chain column k and its others in earlier chain
-    columns, so it is a singleton once those are fixed; singletons of chain
-    columns are repeated with other values; rows in two or more chain
-    columns only are emptied by the presolve; and a dense block's rows may
-    carry chain entries too.  Zero rows are appended and the rows and
-    columns permuted."""
+    """A list-row system of singleton cascades, a hard case for `add`
+    alone, which takes the rows in their permuted order and so may meet a
+    singleton only after the rows it empties.  Row k of a cascade has its
+    last nonzero in chain column k and its others in earlier chain columns,
+    so it is a singleton once those are fixed; singletons of chain columns
+    are repeated with other values; rows in two or more chain columns only
+    are emptied by the fixed singletons; and a dense block's rows may carry
+    chain entries too.  Zero rows are appended and the rows and columns
+    permuted."""
     fractions = draw(st.booleans())
     nonzero = (FRACTIONS.filter(bool) if fractions else NONZERO_INTS)
     chain = draw(st.integers(1, 5))
@@ -268,9 +270,7 @@ def lie_points(draw):
     upper unitriangular integer matrix: the point rank of the algebra on the
     basis P, a dense skew integer matrix: dense skew systems for
     `_Echelon`.  `analysis.lie_index` ranks such points mod p with
-    `exact._pivots_mod`, whose own oracle is in `tests/test_exact_oracle.py`.
-    Systems with a singleton row are discarded, so every row goes in
-    through `add`."""
+    `exact._pivots_mod`, whose own oracle is in `tests/test_exact_oracle.py`."""
     tensor = build_classical(*draw(st.sampled_from(CLASSICAL)))
     n, ints = tensor.dim, tensor.integer_form()[1]
     xi = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=n, max_size=n))
@@ -282,7 +282,6 @@ def lie_points(draw):
     P = [[sum(a * b for a, b in zip(row, col)) for col in zip(*upper)] for row in lower]
     moved = [[sum(P[a][i] * pi[a][b] * P[b][j] for a in range(n) for b in range(n))
               for j in range(n)] for i in range(n)]
-    assume(not any(sum(map(bool, row)) == 1 for row in moved))
     return moved
 
 
@@ -301,11 +300,3 @@ def test_the_state_keeps_its_invariants(rows):
     check_state(state)
     state.add({j: int(x * L) for j, x in enumerate(rows[0]) if x} or {0: 1})
     check_state(state)
-
-
-def test_presolve_divides_by_the_content_left_after_its_deletions():
-    # row 2 has content 1 until both singleton columns leave it, then 2;
-    # row 4 has content 1 until column 3 leaves it, a singleton with content 6
-    rows = [{0: 1}, {1: -1}, {0: 5, 1: 1, 2: 6, 4: -4}, {3: 7}, {3: 1, 5: 6}]
-    assert _reduce(rows) == ([0, 1, 2, 3, 5], [{0: 1}, {1: -1}, {2: 3, 4: -2}, {3: 7}, {5: 1}])
-    assert rank_exact(rows) == 5
