@@ -48,7 +48,7 @@ def lie_centre(tensor):
     return _Echelon(list(rows.values())).kernel(tensor.dim)
 
 
-def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, least_index=0):
+def lie_index(tensor, mode="prob", samples=5, seed=None, least_index=0):
     """dim minus the generic rank of the bracket form.
 
     mode "prob" samples integer covectors xi and takes the maximal rank of
@@ -56,11 +56,11 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, least
     the bracket form as the integer linear forms {k: L c_ij^k}, L as below,
     which takes the rank at one fixed point and proves it generic: the form is
     skew, so that rank is generic unless a Pfaffian of the point's
-    nonsingular pivot block bordered by two more indices is nonzero.  It
-    refuses dimensions above max_exact_dim.  The probabilistic mode runs on
-    integers: the table is cleared once to integers over its lcm L, and the
-    entry i < j at xi is the int sum_k L c_ij^k xi_k, mirrored with its sign
-    below the diagonal.  Scaling by L does not change the rank.  Each
+    nonsingular pivot block bordered by two more indices is nonzero; the
+    CLI caps its dimension (--max-exact-dim).  The probabilistic mode runs
+    on integers: the table is cleared once to integers over its lcm L, and
+    the entry i < j at xi is the int sum_k L c_ij^k xi_k, mirrored with its
+    sign below the diagonal.  Scaling by L does not change the rank.  Each
     sample's rank is taken mod `exact.PRIME` by `_pivots_mod`, on rows
     packed into one int each and updated whole by one multiply-add and two
     Mersenne folds; it is never above the rank over Q, so the maximum stays
@@ -77,9 +77,6 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, max_exact_dim=12, least
         raise ValueError("index is defined for Lie tensors only")
     n = tensor.dim
     if mode == "exact":
-        if n > max_exact_dim:
-            raise ValueError(
-                "exact-symbolic index refused above dimension %d" % max_exact_dim)
         _, tab = tensor.integer_form()
         r = generic_rank([[tab.get((i, j), {}) for j in range(n)] for i in range(n)])
         return IndexReport(n, r, n - r, "exact-symbolic")

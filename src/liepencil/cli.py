@@ -247,8 +247,7 @@ def cmd_index(args):
     if args.mode == "exact" and tensor.dim > args.max_exact_dim:
         raise InputProblem("--max-exact-dim: exact-symbolic index refused above dimension %d; "
                            "--algebra has dimension %d" % (args.max_exact_dim, tensor.dim))
-    rep = lie_index(tensor, mode=args.mode, samples=args.samples,
-                    seed=_env_seed(args), max_exact_dim=args.max_exact_dim)
+    rep = lie_index(tensor, mode=args.mode, samples=args.samples, seed=_env_seed(args))
     doc = {
         "dim": rep.dim,
         "rank": rep.rank,
@@ -369,10 +368,9 @@ def _pc_family(args, tensor, operator, seeds, act):
     scanned pair by pair (`pc_verify`), for its witness.  The
     proof rests on every seed F being central, {x_i, F}_T = 0 for every
     generator: a centre candidate is central by the proof of
-    `centre_candidates`, which records it on the structure, and
-    `pc_generate` checks every other seed, such as a --seed-file's, before
-    any orbit step.  The generators are then D^k F for seeds F,
-    de-duplicated by span.
+    `centre_candidates`, and `check_central` checks every --seed-file seed
+    before any orbit step.  The generators are then D^k F for seeds F,
+    de-duplicated by span (`pc_generate`).
 
     (a) Lemma.  Let P and Q be skew brackets on S(q), F a Casimir of P and
     G a Casimir of Q.  Then {F, G}_P = 0, and {F, G}_Q = -{G, F}_Q = 0, so
@@ -406,10 +404,12 @@ def _pc_family(args, tensor, operator, seeds, act):
     """
     struct = pois.from_tensor(tensor)
     if seeds is None:
-        seeds = pois.centre_candidates(struct, args.degree_bound)
+        seeds = pois.centre_candidates(tensor, args.degree_bound)
         if not seeds:
             raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
-    family = pois.pc_generate(struct, operator, seeds)
+    else:
+        pois.check_central(struct, seeds)
+    family = pois.pc_generate(operator, seeds)
     if act is None or near_theorem(act):
         return family, pois.Certificate(True, None)
     return family, pois.pc_verify(family, struct)
@@ -564,7 +564,7 @@ def cmd_report(args):
         # the exact index, when it runs first, is a proven bound the samples stop at
         rep_e = None
         if tensor.dim <= args.max_exact_dim:
-            rep_e = lie_index(tensor, mode="exact", max_exact_dim=args.max_exact_dim)
+            rep_e = lie_index(tensor, mode="exact")
         rep_p = lie_index(tensor, mode="prob", seed=_env_seed(args),
                           least_index=rep_e.index if rep_e else 0)
         detail = {"dim": rep_p.dim, "index": rep_p.index, "method": rep_p.method}

@@ -16,15 +16,15 @@ straight from the tensor's, with no polynomial per pair.  Every product is
 `exact._pmuladd` on the stored packed monomials, which `SparsePoly`'s
 degree cap keeps exact, and partials come straight from a form
 (`exact._gradient`): no kernel clears, repacks or sizes a field.  The
-centre search builds its system on packed monomials too and hands its
-kernel, read as integer forms, straight to `SparsePoly._of`, and the
-structure records what it returned: those seeds are central by the
-search's proof, so `pc_generate` checks only the others.  A family is
-checked through pi grad f, the vector with entries {x_i, f} =
-sum_j {x_i, x_j} df/dx_j: a seed is central when it is 0, and {f, g} =
-grad f . pi grad g, so `pc_verify` forms each generator's gradient and
-pi grad once, and a pair costs n products.  The CLI reads the verdict of
-an argument-shift family and of a classified lift from a proof
+centre search reads the tensor's integer form, builds its system on
+packed monomials and hands its kernel, read as integer forms, straight to
+`SparsePoly._of`: what it returns is central by the search's proof.  A
+family is checked through pi grad f, the vector with entries {x_i, f} =
+sum_j {x_i, x_j} df/dx_j: a seed is central when it is 0 (`check_central`),
+and {f, g} = grad f . pi grad g, so `pc_verify` forms each generator's
+gradient and pi grad once, and a pair costs n products.  The CLI checks
+only the seeds the search did not return, and reads the verdict of an
+argument-shift family and of a classified lift from a proof
 (`cli._pc_family`), so it runs `pc_verify` only on the orbit of a not-near
 lift; the tests keep it as the oracle of that proof.
 """
@@ -58,33 +58,28 @@ class PoissonStructure:
     polynomial over den > 0, with the whole form divided by its gcd;
     missing pairs bracket to zero.  `PoissonStructure(n, table)` takes
     {(i, j): SparsePoly} from outside, `_of` wraps a form the library
-    builds.  jacobi_verified records the generator-triple check, and
-    `_central` the polynomials the last `centre_candidates` search on this
-    structure returned, which its proof makes central; only the
-    constructors and that search write it.  Nothing writes the form once
-    built.
+    builds.  Nothing writes the form once built.
     """
 
-    def __init__(self, nvars, table, jacobi_verified=False):
+    def __init__(self, nvars, table):
         clean = {}
         for (i, j), p in table.items():
             if not (0 <= i < j < nvars):
                 raise ValueError("table keys must satisfy i < j")
             if not p.is_zero():
                 clean[(i, j)] = p
-        self.nvars, self.jacobi_verified, self._central = nvars, jacobi_verified, ()
+        self.nvars = nvars
         self.den = den = lcm(*(p.den for p in clean.values()))
         self.ints = {ij: {e: c * (den // p.den) for e, c in p.ints.items()}
                      for ij, p in clean.items()}
 
     @classmethod
-    def _of(cls, nvars, den, ints, jacobi_verified):
+    def _of(cls, nvars, den, ints):
         """Trusted constructor: ints maps pairs i < j to nonzero packed
         integer polynomials in nvars variables, and (den, ints) has gcd 1;
         kept, no copy and no check."""
         s = object.__new__(cls)
-        s.nvars, s.jacobi_verified, s._central = nvars, jacobi_verified, ()
-        s.den, s.ints = den, ints
+        s.nvars, s.den, s.ints = nvars, den, ints
         return s
 
 
@@ -119,12 +114,12 @@ def from_tensor(tensor):
     """Linear Poisson structure {x_i, x_j} = sum_k c_ij^k x_k of a Lie tensor.
 
     Skew tensors only: the table reads the pairs i < j, in row-major
-    order, and `check_jacobi`, whose (cached) verdict on generator triples
-    is recorded, raises ValueError on a tensor that is not skew.  The
-    structure is the tensor's integer form (den, ints) itself, each pair's
-    vector written as a packed linear form.  That form has gcd 1, and on a
-    skew tensor the pairs i < j hold every entry up to sign, so their part
-    has gcd 1 too: den is already the lcm of the pairs' reduced
+    order, and `check_jacobi`, whose verdict on generator triples is
+    cached on the tensor, raises ValueError on a tensor that is not skew.
+    The structure is the tensor's integer form (den, ints) itself, each
+    pair's vector written as a packed linear form.  That form has gcd 1,
+    and on a skew tensor the pairs i < j hold every entry up to sign, so
+    their part has gcd 1 too: den is already the lcm of the pairs' reduced
     denominators, which `PoissonStructure(n, table)` would form.
     """
     if not check_jacobi(tensor)[0]:
@@ -133,7 +128,7 @@ def from_tensor(tensor):
     linear = _linear_forms(n)
     return PoissonStructure._of(n, den, {(i, j): linear(sorted(vec.items()))
                                          for (i, j), vec in sorted(ints.items())
-                                         if i < j and vec}, True)
+                                         if i < j and vec})
 
 
 def lifted(op):
@@ -162,34 +157,33 @@ class PCFamily:
     provenance: list
 
 
-def pc_generate(struct, operator, seeds):
-    """Iterate a derivation on central seeds until linear dependence.
-
-    Each seed s must commute with every generator.  A seed that the last
-    `centre_candidates` search on struct returned (the very object, held
-    in `struct._central`) is central by that search's proof, and is not
-    checked again.  Any other seed is: {x_i, s} is entry i of pi grad s
-    (`_pi_gradients`), so one gradient checks them all, and SeedNotCentral
-    names the first i that fails, with the seed's index in seeds.  Every
-    seed is checked before any orbit is run.  The literal operator orbit
-    is returned, de-duplicated by linear span across everything collected
-    so far: one `_Echelon` holds the span, and each orbit step adds one
-    row to it.
+def check_central(struct, seeds):
+    """Raise SeedNotCentral unless every seed s commutes with every
+    generator.  {x_i, s} is entry i of pi grad s (`_pi_gradients`), so one
+    gradient checks them all, and SeedNotCentral names the first i that
+    fails, with the seed's index in seeds.
     """
     if any(seed.nvars != struct.nvars for seed in seeds):
         raise ValueError("seed variable count mismatch")
-    proven = set(map(id, struct._central))
-    checked = [s_idx for s_idx, seed in enumerate(seeds) if id(seed) not in proven]
-    for s_idx, (_, image) in zip(checked, _pi_gradients(struct, [seeds[k] for k in checked])):
+    for s_idx, (_, image) in enumerate(_pi_gradients(struct, seeds)):
         witness = next((i for i, v in enumerate(image) if v), None)
         if witness is not None:
             raise SeedNotCentral(s_idx, witness)
-    gens = []
-    prov = []
+
+
+def pc_generate(operator, seeds):
+    """Iterate a derivation on seeds until linear dependence.
+
+    The literal operator orbit is returned, de-duplicated by linear span
+    across everything collected so far: one `_Echelon` holds the span, and
+    each orbit step adds one row to it.  The family commutes when every
+    seed is central, which the caller proves (`cli._pc_family`): a centre
+    candidate by the search's proof, any other seed by `check_central`.
+    """
+    gens, prov = [], []
     span = _Echelon([])
     for s_idx, seed in enumerate(seeds):
-        current = seed
-        power = 0
+        current, power = seed, 0
         while True:
             if power > MAX_ORBIT_STEPS:
                 raise ValueError("orbit failed to close after %d steps" % MAX_ORBIT_STEPS)
@@ -246,12 +240,14 @@ def _pi_gradients(struct, polys):
     return out
 
 
-def centre_candidates(struct, max_degree=2):
-    """Basis of central polynomials per homogeneous degree 1..max_degree.
+def centre_candidates(tensor, max_degree=2):
+    """Basis of the central polynomials of the linear Poisson structure of a
+    skew tensor, per homogeneous degree 1..max_degree.
 
-    Requires a linear bracket table (degree is then preserved, so centrality
-    decouples by degree).  Returns the canonical kernel bases as polynomials,
-    lowest degree first.  The system is built from the table's integer form,
+    The bracket is linear, so degree is preserved and centrality decouples
+    by degree; `check_jacobi` raises ValueError on a tensor that is not
+    skew.  Returns the canonical kernel bases as polynomials, lowest degree
+    first.  The system is built from the tensor's integer form,
     {x^m, x_i} = sum_j m_j x^(m - e_j) sum_k c_ji^k x_k, one sparse
     {column: int} row per (generator, result monomial) pair
     (`_centrality_rows`), on packed monomials.  Entries that cancel are
@@ -263,28 +259,27 @@ def centre_candidates(struct, max_degree=2):
     search took 2.6-6 times as long on sl5, gl5 and sl6 at degree 5 and on
     sl6 at degree 6.  The basis is read as integer forms (`kernel_forms`),
     which `SparsePoly._of` takes with their terms in column order.  Each
-    returned polynomial is in that kernel, so it is central, and the list
-    is recorded on struct (`_central`) for `pc_generate` to read as this
-    proof.
+    returned polynomial is in that kernel, so it is central.
 
-    On a table that passed Jacobi (`jacobi_verified`) the rows are built
-    only for the generators i that `_generating_set` keeps.  There the
-    Poisson bracket of S(q) satisfies Jacobi, so {f, .} is a derivation of
-    it, and the x in q with {f, x} = 0 form a Lie subalgebra.  It holds
-    every central x, since {x, x_j} = 0 for all j gives {x, f} = 0 by
-    Leibniz.  So f is central once it commutes with a set that generates q
-    together with the central basis vectors, and the restricted system has
-    the same kernel.  Any other table keeps every generator.
+    On a tensor that passes Jacobi (`check_jacobi`, its cached verdict)
+    the rows are built only for the generators i that `_generating_set`
+    keeps.  There the Poisson bracket of S(q) satisfies Jacobi, so {f, .}
+    is a derivation of it, and the x in q with {f, x} = 0 form a Lie
+    subalgebra.  It holds every central x, since {x, x_j} = 0 for all j
+    gives {x, f} = 0 by Leibniz.  So f is central once it commutes with a
+    set that generates q together with the central basis vectors, and the
+    restricted system has the same kernel.  Any other tensor keeps every
+    generator.
 
     The unknowns are only the monomials of weight 0.  A basis element x_h
     acts diagonally when {x_h, x_i} = w_i x_i for every i, read off the
-    table; each one with a nonzero weight vector w is a filter.  The bracket
-    is extended by Leibniz, whatever the table, so {x_h, x^m} = (m . w) x^m,
+    form; each one with a nonzero weight vector w is a filter.  The bracket
+    is extended by Leibniz, whatever the tensor, so {x_h, x^m} = (m . w) x^m,
     and the rows of generator h in the system with every row read
-    (m . w) c_m = 0: a central f has c_m = 0 unless m . w = 0.  On a table
-    that passed Jacobi the restricted rows have the kernel of the full
+    (m . w) c_m = 0: a central f has c_m = 0 unless m . w = 0.  On a tensor
+    that passes Jacobi the restricted rows have the kernel of the full
     system, as above, and the full system holds generator h's rows whether
-    or not h is kept; on any other table every generator is kept, h
+    or not h is kept; on any other tensor every generator is kept, h
     included.  Jacobi is not needed either way.  So the kernel K of every
     system lies in the span of the weight-0 columns, and dropping the other
     columns leaves K itself, read on fewer coordinates.  The canonical
@@ -316,24 +311,19 @@ def centre_candidates(struct, max_degree=2):
     a row is keyed r * n + i, r the packed result monomial and i the
     generator, so each (generator, result monomial) pair has its own key.
     """
-    n = struct.nvars
+    lie = check_jacobi(tensor)[0]
+    n, (_, ints) = tensor.dim, tensor.integer_form()
     unit = _variables(n)
-    variable = {u: k for k, u in enumerate(unit)}
-    # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k, times the table's den
+    # lin[j][i] = {k: c}: {x_j, x_i} = sum_k c x_k times den; the form's own dicts, read only
     lin = [[{} for _ in range(n)] for _ in range(n)]
-    for (a, b), form in struct.ints.items():
-        for m, c in form.items():
-            k = variable.get(m)
-            if k is None:
-                raise ValueError("centre candidates need a linear bracket table")
-            lin[a][b][k] = c
-            lin[b][a][k] = -c
+    for (j, i), vec in ints.items():
+        lin[j][i] = vec
     # the filters: basis elements that act diagonally, with a nonzero weight vector
     diagonal = [h for h, lin_h in enumerate(lin)
                 if any(lin_h) and all(row.keys() <= {i} for i, row in enumerate(lin_h))]
     weights = dict.fromkeys(tuple(row.get(i, 0) for i, row in enumerate(lin[h]))
                             for h in diagonal)
-    kept = _generating_set(lin) if struct.jacobi_verified else range(n)
+    kept = _generating_set(lin) if lie else range(n)
     gens = [i for i in kept if i not in diagonal]
     # terms[j]: (offset, c) for each {x_j, x_i} = ... + c x_k, i in gens: the
     # row of generator i at x^r, r = m - e_j + e_k, is keyed r * n + i = m * n + offset
@@ -344,7 +334,6 @@ def centre_candidates(struct, max_degree=2):
         rows = _centrality_rows(n, columns, terms)
         for den, form in _Echelon([rows[k] for k in sorted(rows)]).kernel_forms(len(columns)):
             out.append(SparsePoly._of(n, den, {columns[c]: x for c, x in form.items()}))
-    struct._central = tuple(out)
     return out
 
 

@@ -584,9 +584,7 @@ def frozen_bracket(tensor, gamma):
             val = sum((c * gamma[k] for k, c in tensor.bracket(i, j).items()), ZERO)
             if val:
                 table[(i, j)] = SparsePoly.const(n, val)
-    struct = poisson.PoissonStructure(n, table)
-    struct.jacobi_verified = True  # constant brackets satisfy Jacobi trivially
-    return struct
+    return poisson.PoissonStructure(n, table)
 
 
 def bihomogeneous_components(f, weights):

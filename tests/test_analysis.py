@@ -65,8 +65,9 @@ def test_lie_index_is_the_rank_of_a_reductive_algebra(family, n, index):
 
 @pytest.mark.parametrize("family, index", [("sl", 3), ("gl", 4)])
 def test_exact_lie_index_is_the_rank_above_the_default_cap(family, index):
-    # dim 15 and 16: the exact index takes its point pivots from `_pivots_mod`
-    rep = lie_index(build_classical(family, 4), mode="exact", max_exact_dim=16)
+    # dim 15 and 16, above the CLI's default --max-exact-dim of 12: the exact
+    # index takes its point pivots from `_pivots_mod`
+    rep = lie_index(build_classical(family, 4), mode="exact")
     assert (rep.index, rep.method) == (index, "exact-symbolic")
 
 
@@ -131,16 +132,6 @@ def test_lie_index_refuses_non_lie():
         lie_index(build_gl_associative(2))
 
 
-def test_lie_index_exact_dimension_cap():
-    t = build_classical("sl", 4)   # dim 15 > default cap
-    with pytest.raises(ValueError):
-        lie_index(t, mode="exact")
-    small = sl2()
-    with pytest.raises(ValueError):
-        lie_index(small, mode="exact", max_exact_dim=2)
-    assert lie_index(small, mode="exact", max_exact_dim=3).index == 1
-
-
 def test_lie_centre():
     assert lie_centre(sl2()) == []
     zg = lie_centre(build_classical("gl", 2))
@@ -186,7 +177,7 @@ def reference_index_theorem(family, n, partition, seed):
     triple = sl2_complete(family, n, partition)
     t = nilpotent_square(triple.tensor, triple.e)[1].derived
     prob = lie_index(t, mode="prob", seed=seed).index
-    exact = lie_index(t, mode="exact", max_exact_dim=t.dim).index
+    exact = lie_index(t, mode="exact").index
     cent = len(centraliser(triple.tensor, triple.e))
     centre = len(lie_centre(t))
     cls = nilpotency_class(t)

@@ -4,7 +4,7 @@ Every `SparsePoly` keeps its monomials packed in one layout (`exact`), and
 its total degree is at most `DEGREE_CAP`; `SparsePoly`'s docstring proves
 that a product of up to three such factors fits the fields.  Here
 polynomials at the cap go through every kernel that multiplies them: a
-product, the Poisson bracket, `pc_generate`'s seed check, both orbit
+product, the Poisson bracket, the seed check `check_central`, both orbit
 derivations and (in `tests/test_poisson_oracle.py`) `pc_verify`, whose
 products of three reach degree 3 * DEGREE_CAP - 2.  Each result is read
 back through `_unpack` and must equal its reference on `Fraction` term
@@ -17,8 +17,8 @@ from fractions import Fraction as F
 import pytest
 
 from liepencil.exact import DEGREE_CAP, RatMatrix, SparsePoly, _pack
-from liepencil.poisson import (PoissonStructure, SeedNotCentral, _pi_gradients, directional,
-                               lifted, pc_generate, poisson_bracket)
+from liepencil.poisson import (PoissonStructure, SeedNotCentral, _pi_gradients, check_central,
+                               directional, lifted, poisson_bracket)
 
 from helpers import terms, total_degree
 from test_poisson_oracle import fraction_bracket, unpacked
@@ -67,8 +67,7 @@ def test_seed_check_at_the_cap_matches_the_reference():
     c = CAP
     struct = PoissonStructure(3, {(0, 1): SparsePoly(3, {(0, 0, c): 1, (0, 0, 1): F(2, 3)})})
     central = SparsePoly(3, {(0, 0, c): 1})
-    stop = lambda p: SparsePoly.zero(3)
-    assert pc_generate(struct, stop, [central]).generators == [central]
+    check_central(struct, [central])
     seed = SparsePoly(3, {(c, 0, 0): 1, (0, c, 0): F(1, 4), (0, 0, c): -2})
     ((_, image),) = _pi_gradients(struct, [seed])
     x = [SparsePoly(3, {tuple(int(i == k) for k in range(3)): 1}) for i in range(3)]
@@ -76,7 +75,7 @@ def test_seed_check_at_the_cap_matches_the_reference():
     assert [unpacked(entry, 3, struct.den * seed.den) for entry in image] == want
     assert max(sum(e) for entry in want for e in entry) == 2 * c - 1
     with pytest.raises(SeedNotCentral) as exc:
-        pc_generate(struct, stop, [central, seed])
+        check_central(struct, [central, seed])
     first = next(i for i, entry in enumerate(want) if entry)
     assert (exc.value.seed_index, exc.value.var_index) == (1, first)
 

@@ -244,13 +244,13 @@ def test_exact_index_leaves_no_pfaffian_memo_behind():
     # with the cycle collector off, only reference counts free what the
     # call made: the Pfaffian memo (about 1.1 MB on sl4) must go with it
     sl4 = build_classical("sl", 4)
-    lie_index(sl4, mode="exact", max_exact_dim=16)    # warm every lazy cache
+    lie_index(sl4, mode="exact")    # warm every lazy cache
     was_enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert lie_index(sl4, mode="exact", max_exact_dim=16).index == 3
+        assert lie_index(sl4, mode="exact").index == 3
         left = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -282,7 +282,7 @@ def assert_index_bounds(tensor, seed):
     """dim z <= index <= index_prob: each centre vector is a constant kernel
     vector of the structure matrix, and the rank at a point is at most the
     generic rank."""
-    exact = lie_index(tensor, "exact", max_exact_dim=tensor.dim).index
+    exact = lie_index(tensor, "exact").index
     assert len(lie_centre(tensor)) <= exact <= lie_index(tensor, "prob", seed=seed).index
 
 

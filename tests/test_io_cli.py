@@ -222,6 +222,36 @@ def test_cli_pc_check_checks_a_file_seed_after_a_central_one(workdir, capsys):
     assert (doc["seed_index"], doc["witness_generator"]) == (1, 1)
 
 
+def test_cli_checks_exactly_the_file_seeds(workdir, capsys, monkeypatch):
+    # centre candidates are central by the search's proof, so only a
+    # --seed-file's seeds reach `check_central`: once, all of them, in order
+    checked, check = [], pois.check_central
+    monkeypatch.setattr(pois, "check_central",
+                        lambda struct, seeds: checked.append(list(seeds)) or check(struct, seeds))
+    run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    x = [variable(3, i) for i in range(3)]
+    casimir = x[1] * x[1] + SparsePoly.const(3, 4) * x[0] * x[2]
+    seeds = [casimir * casimir, casimir, SparsePoly.const(3, 3)]
+    save_seeds(seeds, workdir / "seeds.json")
+    lift = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
+    assert json.loads(run_json(["classify"] + lift, capsys))["tag"] == "near"
+    for argv in (["pc-check", "--algebra", "sl2.json", "--gamma", "1,2,3"],
+                 ["pc-check"] + lift, ["report", "--pc"] + lift):
+        run_json(argv, capsys)
+        assert checked == []
+    for argv in (["pc-check"] + lift, ["report"] + lift):
+        run_json(argv + ["--seed-file", "seeds.json"], capsys)
+        assert checked == [seeds]
+        checked.clear()
+
+
+def run_json(argv, capsys):
+    """stdout of a --json run that exits 0."""
+    capsys.readouterr()
+    assert run(argv + ["--json"]) == 0
+    return capsys.readouterr().out
+
+
 def test_cli_report(workdir, capsys):
     assert run(["example", "nilpotent-square", "sl", "2", "--partition", "2"]) == 0
     capsys.readouterr()
@@ -761,8 +791,8 @@ def test_cli_grading_input_errors_name_their_flag(workdir, capsys, name, params,
 def test_cli_report_reads_the_operator_once(workdir, capsys, monkeypatch, flag):
     # the family check lifts the operator the report already read
     assert run(["example", "nilpotent-square", "sl", "3", "--partition", "2,1"]) == 0
-    struct = pois.from_tensor(load_algebra(workdir / "sl3.json")[0])
-    save_seeds(pois.centre_candidates(struct, 2), workdir / "seeds.json")
+    save_seeds(pois.centre_candidates(load_algebra(workdir / "sl3.json")[0], 2),
+               workdir / "seeds.json")
     capsys.readouterr()
     calls = []
     real = iomod.load_operator

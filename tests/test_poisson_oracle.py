@@ -10,13 +10,15 @@ linear tables of Lie algebras moved to random rational bases, abelian
 tables and non-Lie tables, constant tables, tables of arbitrary
 polynomials) the results must agree exactly: equal term dicts, only
 `Fraction` coefficients, the same kernel-basis order and the same verdicts
-and witnesses.  On a Jacobi-verified table `centre_candidates` builds rows
-only for a chosen set of generators; a Fraction closure checks that the
-set and the centre generate the algebra, and the reference, which uses
-every generator, checks the kernel.  It also solves only for the
-monomials of weight 0 under the basis elements that act diagonally;
-tables graded by integer weights, Lie or not, check that kernel and count
-the columns it solves for.  Those elements build no rows: a spy on
+and witnesses.  `centre_candidates` reads a tensor: one that is not skew
+is refused, on a Lie tensor it builds rows only for a chosen set of
+generators, and on any other it builds rows for every generator.  A
+Fraction closure checks that the chosen set and the centre generate the
+algebra, and the reference, which uses every generator, checks the kernel
+on both routes, the every-generator one on skew tensors that fail Jacobi.
+It also solves only for the monomials of weight 0 under the basis
+elements that act diagonally; tables graded by integer weights, Lie or
+not, check that kernel and count the columns it solves for.  Those elements build no rows: a spy on
 `_centrality_rows` counts the rows of each generator, and on sl4 and gl4
 the same spy and one on `_Echelon` check that the rows reach the
 elimination in ascending key order.  A table whose
@@ -24,11 +26,9 @@ weights drive a field of the packed weight key to the largest value its
 width allows checks that width.  `from_tensor` wraps the tensor's own
 integer form, which must equal, key orders included, the form the table
 constructor clears from one polynomial per pair, also on tensors whose
-pairs reduce to different denominators.  The centre search records what
-it returned on the structure, and `pc_generate` checks no seed held there:
-each recorded candidate has {x_i, f} = 0 by Fraction brackets, and every
-other seed (an equal copy of a candidate, a drawn polynomial, another
-structure's candidate) is checked, with the reference's indices.
+pairs reduce to different denominators.  Each candidate has {x_i, f} = 0
+by Fraction brackets, and `check_central` names the reference's first
+failing seed and generator on any list of seeds.
 Hypothesis is test-only; the library itself stays stdlib-only.
 """
 
@@ -49,7 +49,8 @@ from liepencil.constructions import build_classical
 from liepencil.exact import (DEGREE_CAP, ZERO, RatMatrix, SparsePoly, _pmuladd, _unpack,
                              generic_rank, kernel_basis, rank_exact)
 from liepencil.poisson import (PCFamily, PoissonStructure, SeedNotCentral, centre_candidates,
-                               from_tensor, pc_generate, pc_verify, poisson_bracket)
+                               check_central, from_tensor, pc_generate, pc_verify,
+                               poisson_bracket)
 from liepencil.tensors import StructureTensor
 
 from helpers import (bracket_table, linear, linear_forms, partial, structure_matrix, terms,
@@ -134,6 +135,16 @@ def fraction_bracket(struct, f, g):
     return {e: c for e, c in out.items() if c}
 
 
+def linear_tensor(struct):
+    """The skew tensor whose linear table struct is: c_ij^k is the
+    coefficient of x_k in {x_i, x_j}, and c_ji^k = -c_ij^k."""
+    table = {}
+    for (i, j), p in bracket_table(struct).items():
+        vec = {e.index(1): c for e, c in terms(p).items()}
+        table[(i, j)], table[(j, i)] = vec, {k: -c for k, c in vec.items()}
+    return StructureTensor(struct.nvars, table)
+
+
 def reference_pc_generate(operator, seeds):
     """(generators, provenance) of pc_generate's orbit loop, each step ranking
     the family and the candidate from scratch in Fraction arithmetic."""
@@ -153,21 +164,18 @@ def reference_pc_generate(operator, seeds):
 
 
 def reference_jacobi_verdict(tensor):
-    """Jacobi on generator triples of the linear table, by Fraction brackets."""
-    struct = linear_table(tensor)
-    n = struct.nvars
-    x = [variable(n, i) for i in range(n)]
-
-    def br(f, g):
-        return reference_poisson_bracket(struct, f, g)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = (br(br(x[i], x[j]), x[k]) + br(br(x[j], x[k]), x[i])
-                     + br(br(x[k], x[i]), x[j]))
-                if not s.is_zero():
-                    return False
+    """Jacobi on the basis triples i < j < k of a skew tensor, by Fraction
+    sums over its table: sum_m c_ij^m c_mk^r, summed cyclically, is 0 for
+    every r."""
+    table = tensor.table
+    for triple in combinations(range(tensor.dim), 3):
+        total = {}
+        for a, b, c in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+            for m, x in table.get((a, b), {}).items():
+                for r, y in table.get((m, c), {}).items():
+                    total[r] = total.get(r, 0) + x * y
+        if any(total.values()):
+            return False
     return True
 
 
@@ -259,7 +267,7 @@ def families(draw, struct):
     central = [SparsePoly.const(n, 1)]
     central += [variable(n, k) for k in range(n) if k not in touched]
     if is_linear(struct):
-        central += centre_candidates(struct, 2 if n <= 4 else 1)
+        central += centre_candidates(linear_tensor(struct), 2 if n <= 4 else 1)
     gens = []
     kinds = ["h", "central", "any", "variable"]
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=6)):
@@ -408,38 +416,36 @@ def generated_dimension(tensor, vectors):
     return len(basis)
 
 
-def chosen_centre_candidates(struct, degree, mutate=lambda chosen: chosen):
-    """(centre_candidates(struct, degree), the generators it built rows for,
+def chosen_centre_candidates(tensor, degree, mutate=lambda chosen: chosen):
+    """(centre_candidates(tensor, degree), the generators it built rows for,
     or None when it built every row); mutate may alter the chosen list."""
     chosen = []
     generating_set = pois._generating_set
     pois._generating_set = lambda lin: chosen.append(mutate(generating_set(lin))) or chosen[-1]
     try:
-        got = centre_candidates(struct, degree)
+        got = centre_candidates(tensor, degree)
     finally:
         pois._generating_set = generating_set
     assert len(chosen) <= 1
     return got, chosen[0] if chosen else None
 
 
-def check_centre_candidates(tensor, degree, verified=False):
-    """centre_candidates against the reference: on the ungated linear table
-    it builds every row; on `from_tensor`'s Jacobi-verified table it builds
-    rows for a chosen set only, which with the centre must generate q.
-    Returns the chosen set (None for every row)."""
-    struct = from_tensor(tensor) if verified else linear_table(tensor)
-    got, chosen = chosen_centre_candidates(struct, degree)
-    assert (chosen is not None) == verified
-    if verified:
+def check_centre_candidates(tensor, degree):
+    """centre_candidates on a skew tensor against the reference on its
+    linear table: on a Lie tensor it builds rows for a chosen set only,
+    which with the centre must generate q; on any other it builds every
+    row.  Each candidate has {x_i, f} = 0 for every i.  Returns the chosen
+    set (None for every row)."""
+    got, chosen = chosen_centre_candidates(tensor, degree)
+    assert (chosen is not None) == reference_jacobi_verdict(tensor)
+    if chosen is not None:
         n = tensor.dim
         gens = [unit_vector(n, i) for i in chosen] + lie_centre(tensor)
         assert generated_dimension(tensor, gens) == n
+    struct = linear_table(tensor)
     assert ([term_layout(p) for p in got]
             == [term_layout(p) for p in reference_centre_candidates(struct, degree)])
     assert all(only_fractions(p) for p in got)
-    # pc_generate checks no seed the search recorded, so the record is the
-    # list returned, and each of its polynomials has {x_i, f} = 0 for every i
-    assert [id(f) for f in struct._central] == [id(f) for f in got]
     x = [variable(tensor.dim, i) for i in range(tensor.dim)]
     assert not any(fraction_bracket(struct, xi, f) for f in got for xi in x)
     return chosen
@@ -453,26 +459,25 @@ def test_centre_candidates_matches_reference(tensor, data):
 
 @given(st.sampled_from(LIE + [HEISENBERG_MIDDLE]), st.data())
 def test_centre_candidates_on_a_generating_set_matches_reference(algebra, data):
-    # the Lie tables moved to random bases, through the Jacobi gate
+    # the Lie tables moved to random bases pass Jacobi
     base = standard(algebra)
     moved = transport(base, data.draw(change_of_basis(base.dim), label="P"))
-    check_centre_candidates(moved, data.draw(st.integers(1, 3), label="degree"), verified=True)
+    assert check_centre_candidates(moved, data.draw(st.integers(1, 3), label="degree")) is not None
 
 
 @pytest.mark.parametrize("algebra", LIE + [HEISENBERG_MIDDLE, NON_LIE])
 def test_centre_candidates_on_standard_bases(algebra):
-    # NON_LIE fails the Jacobi gate, so it only has the every-row route
+    # NON_LIE fails Jacobi, so it takes the every-row route
     degree = 3 if algebra[0] <= 4 else 2
-    check_centre_candidates(standard(algebra), degree)
-    if algebra is not NON_LIE:
-        check_centre_candidates(standard(algebra), degree, verified=True)
+    chosen = check_centre_candidates(standard(algebra), degree)
+    assert (chosen is None) == (algebra is NON_LIE)
 
 
 @pytest.mark.parametrize("family, n, kept", [("sl", 3, [0, 1, 2, 4]), ("sp", 4, [0, 1, 2, 3, 6]),
                                              ("sl", 4, [0, 1, 2, 3, 6, 9]),
                                              ("gl", 4, [0, 1, 2, 3, 4, 8, 12])])
 def test_generating_set_of_classical_algebras(family, n, kept):
-    assert check_centre_candidates(build_classical(family, n), 1, verified=True) == kept
+    assert check_centre_candidates(build_classical(family, n), 1) == kept
 
 
 def test_dropping_the_last_chosen_generator_is_caught():
@@ -484,19 +489,17 @@ def test_dropping_the_last_chosen_generator_is_caught():
     # from 2 vectors (the quadratic and cubic Casimirs) to 3, so both checks
     # catch it
     tensor = build_classical("sl", 3)
-    struct = from_tensor(tensor)
-    got, _ = chosen_centre_candidates(struct, 3)
+    got, _ = chosen_centre_candidates(tensor, 3)
     assert ([term_layout(p) for p in got]
-            == [term_layout(p) for p in reference_centre_candidates(struct, 3)])
+            == [term_layout(p) for p in reference_centre_candidates(from_tensor(tensor), 3)])
     P = RatMatrix([[Fraction(int(j in (i, i + 1))) for j in range(8)] for i in range(8)])
     moved = transport(tensor, P)
     assert diagonal_weights(moved) == []
-    struct = from_tensor(moved)
-    got, chosen = chosen_centre_candidates(struct, 3)
-    mutated, dropped = chosen_centre_candidates(struct, 3, mutate=lambda c: c[:-1])
+    got, chosen = chosen_centre_candidates(moved, 3)
+    mutated, dropped = chosen_centre_candidates(moved, 3, mutate=lambda c: c[:-1])
     assert dropped == chosen[:-1] == [0, 1, 2] and lie_centre(moved) == []
     assert generated_dimension(moved, [unit_vector(8, i) for i in dropped]) == 5
-    reference = [term_layout(p) for p in reference_centre_candidates(struct, 3)]
+    reference = [term_layout(p) for p in reference_centre_candidates(from_tensor(moved), 3)]
     assert [term_layout(p) for p in got] == reference
     assert (len(got), len(mutated)) == (2, 3)
     assert [term_layout(p) for p in mutated] != reference
@@ -519,7 +522,7 @@ def diagonal_weights(tensor):
     return list(diagonal_elements(tensor).values())
 
 
-def solved_columns(struct, max_degree):
+def solved_columns(tensor, max_degree):
     """The number of columns `centre_candidates` solves for at each degree,
     read off the integer kernel reads (`kernel_forms`) of its eliminations."""
     seen = []
@@ -534,7 +537,7 @@ def solved_columns(struct, max_degree):
     echelon = pois._Echelon
     pois._Echelon = Recording
     try:
-        centre_candidates(struct, max_degree)
+        centre_candidates(tensor, max_degree)
     finally:
         pois._Echelon = echelon
     return seen
@@ -583,13 +586,12 @@ def graded_tensors(draw):
 
 @given(graded_tensors(), st.data())
 def test_centre_candidates_on_graded_tables_matches_reference(tensor, data):
-    # every row on the ungated table; through the Jacobi gate when it passes;
-    # and the search solves for exactly the weight-0 monomials
+    # every row when the table fails Jacobi, as a drawn rest often does, a
+    # chosen set when it passes; and the search solves for exactly the
+    # weight-0 monomials
     degree = data.draw(st.integers(1, 3 if tensor.dim <= 4 else 2), label="degree")
     check_centre_candidates(tensor, degree)
-    if reference_jacobi_verdict(tensor):
-        check_centre_candidates(tensor, degree, verified=True)
-    assert (solved_columns(linear_table(tensor), degree)
+    assert (solved_columns(tensor, degree)
             == [weight_zero_count(tensor, d) for d in range(1, degree + 1)])
 
 
@@ -599,8 +601,7 @@ def test_a_central_diagonal_element_filters_nothing():
     tensor = standard((4, [(1, 2, 3, 1)]))
     assert diagonal_weights(tensor)[0] == [0, 0, 0, 0]
     check_centre_candidates(tensor, 3)
-    check_centre_candidates(tensor, 3, verified=True)
-    assert solved_columns(linear_table(tensor), 3) == [4, 10, 20]
+    assert solved_columns(tensor, 3) == [4, 10, 20]
 
 
 def graded_table(n, weights, rest=()):
@@ -634,16 +635,15 @@ def test_weight_key_field_at_its_bound():
     largest = max(abs(sum(w[i] for i in combo)) for w in (w0, w1)
                   for combo in combinations_with_replacement(range(5), 3))
     assert largest == 2 ** (3 * 5).bit_length() - 1
-    for verified in (False, True):
-        check_centre_candidates(tensor, 3, verified)
-    got = centre_candidates(from_tensor(tensor), 3)
+    check_centre_candidates(tensor, 3)
+    got = centre_candidates(tensor, 3)
     assert [terms(p) for p in got] == [{(0, 0, 1, 0, 1): 1}]
-    assert (solved_columns(linear_table(tensor), 3)
+    assert (solved_columns(tensor, 3)
             == [weight_zero_count(tensor, d) for d in range(1, 4)])
 
 
-def built_rows(struct, max_degree):
-    """(centre_candidates(struct, max_degree), Counter of the generators of
+def built_rows(tensor, max_degree):
+    """(centre_candidates(tensor, max_degree), Counter of the generators of
     the rows it built): a row keyed r * n + i is generator i's."""
     built = Counter()
     rows = pois._centrality_rows
@@ -654,32 +654,29 @@ def built_rows(struct, max_degree):
         return out
     pois._centrality_rows = recording
     try:
-        got = centre_candidates(struct, max_degree)
+        got = centre_candidates(tensor, max_degree)
     finally:
         pois._centrality_rows = rows
     return got, built
 
 
-def check_no_diagonal_rows(tensor, degree, verified=False):
+def check_no_diagonal_rows(tensor, degree):
     """No row is built for a basis element that acts diagonally with nonzero
     weights, and the candidates are the every-row reference's.  Returns the
     Counter of generators with rows."""
-    struct = from_tensor(tensor) if verified else linear_table(tensor)
-    got, built = built_rows(struct, degree)
+    got, built = built_rows(tensor, degree)
     filters = [h for h, w in diagonal_elements(tensor).items() if any(w)]
     assert [built[h] for h in filters] == [0] * len(filters)
-    assert ([term_layout(p) for p in got]
-            == [term_layout(p) for p in reference_centre_candidates(struct, degree)])
+    reference = reference_centre_candidates(linear_table(tensor), degree)
+    assert [term_layout(p) for p in got] == [term_layout(p) for p in reference]
     return built
 
 
 def test_diagonal_generators_build_no_rows_on_sl3():
-    # H1, H2 (6, 7) act diagonally: every E_ij builds rows on the ungated
-    # table, and through the gate the chosen E12, E13, E21, E31 do
+    # H1, H2 (6, 7) act diagonally: the chosen E12, E13, E21, E31 build rows
     tensor = build_classical("sl", 3)
     assert sorted(h for h, w in diagonal_elements(tensor).items() if any(w)) == [6, 7]
-    assert sorted(check_no_diagonal_rows(tensor, 3)) == [0, 1, 2, 3, 4, 5]
-    assert sorted(check_no_diagonal_rows(tensor, 3, verified=True)) == [0, 1, 2, 4]
+    assert sorted(check_no_diagonal_rows(tensor, 3)) == [0, 1, 2, 4]
 
 
 def test_diagonal_generators_build_no_rows_on_a_non_lie_table():
@@ -698,10 +695,8 @@ def test_diagonal_generators_build_no_rows_on_a_non_lie_table():
 
 @given(graded_tensors(), st.data())
 def test_diagonal_generators_build_no_rows_on_graded_tables(tensor, data):
-    degree = data.draw(st.integers(1, 3 if tensor.dim <= 4 else 2), label="degree")
-    check_no_diagonal_rows(tensor, degree)
-    if reference_jacobi_verdict(tensor):
-        check_no_diagonal_rows(tensor, degree, verified=True)
+    check_no_diagonal_rows(tensor, data.draw(st.integers(1, 3 if tensor.dim <= 4 else 2),
+                                             label="degree"))
 
 
 @pytest.mark.parametrize("family", ["sl", "gl"])
@@ -727,7 +722,7 @@ def test_rows_go_to_the_echelon_in_ascending_key_order(family, monkeypatch):
 
     monkeypatch.setattr(pois, "_centrality_rows", recording)
     monkeypatch.setattr(pois, "_Echelon", Recording)
-    centre_candidates(from_tensor(build_classical(family, 4)), 4)
+    centre_candidates(build_classical(family, 4), 4)
     assert len(built) == len(taken) == 4
     assert any(keys != sorted(keys) for keys, _ in built)
     for (_, ordered), owned in zip(built, taken):
@@ -780,7 +775,6 @@ def test_from_tensor_gate_matches_reference(tensor):
             from_tensor(tensor)
         return
     struct = from_tensor(tensor)
-    assert struct.jacobi_verified
     assert form_layout(struct) == form_layout(linear_table(tensor))
     assert gcd(struct.den, *(c for form in struct.ints.values() for c in form.values())) == 1
 
@@ -797,15 +791,6 @@ def test_from_tensor_form_when_the_pairs_reduce_apart():
     assert [sorted(form.values()) for form in struct.ints.values()] == [[-4], [3], [-4]]
 
 
-def gated(tensor):
-    """The linear table of tensor with no gate, and also through
-    `from_tensor`'s gate when the tensor passes it."""
-    out = [linear_table(tensor)]
-    if reference_skew(tensor) and reference_jacobi_verdict(tensor):
-        out.append(from_tensor(tensor))
-    return out
-
-
 def reference_seed_witness(struct, seeds):
     """(seed index, generator index) of the first seed s with a nonzero
     Fraction bracket {x_i, s}, at its first such i; None if there is none."""
@@ -818,49 +803,70 @@ def reference_seed_witness(struct, seeds):
 
 
 def check_seeds(struct, seeds):
-    """pc_generate raises SeedNotCentral with the reference's indices, or
-    runs when every seed is central."""
+    """check_central raises SeedNotCentral with the reference's indices, or
+    returns when every seed is central."""
     want = reference_seed_witness(struct, seeds)
-    stop = lambda f: SparsePoly.zero(struct.nvars)
     if want is None:
-        pc_generate(struct, stop, seeds)
+        check_central(struct, seeds)
         return
     with pytest.raises(SeedNotCentral) as exc:
-        pc_generate(struct, stop, seeds)
+        check_central(struct, seeds)
     assert (exc.value.seed_index, exc.value.var_index) == want
 
 
 @given(st.one_of(linear_tensors(), graded_tensors()), st.data())
-def test_seeds_the_search_did_not_return_are_checked(tensor, data):
-    # a candidate is skipped as the very object the search returned; an
-    # equal copy of one and a drawn polynomial are checked, wherever they
-    # stand, and the indices count the whole list
+def test_check_central_names_the_reference_witness(tensor, data):
+    # centre candidates, equal copies of them and drawn polynomials, in any
+    # order: the indices count the whole list
     n = tensor.dim
-    for struct in gated(tensor):
-        cands = centre_candidates(struct, 2)
-        copies = [SparsePoly._of(n, f.den, dict(f.ints)) for f in cands]
-        drawn = data.draw(st.lists(polys(n, max_exp=1, max_terms=3), max_size=3), label="drawn")
-        check_seeds(struct, data.draw(st.permutations(cands + copies + drawn), label="seeds"))
+    cands = centre_candidates(tensor, 2)
+    copies = [SparsePoly._of(n, f.den, dict(f.ints)) for f in cands]
+    drawn = data.draw(st.lists(polys(n, max_exp=1, max_terms=3), max_size=3), label="drawn")
+    seeds = data.draw(st.permutations(cands + copies + drawn), label="seeds")
+    check_seeds(linear_table(tensor), seeds)
 
 
 def test_a_seed_after_the_candidates_keeps_its_index():
-    # on sl3 at degree 3 the two Casimirs are proven; x0 after them, and the
-    # candidates of another structure, are checked on this one
-    struct = from_tensor(build_classical("sl", 3))
-    n = struct.nvars
-    cands = centre_candidates(struct, 3)
+    # on sl3 at degree 3 the two Casimirs are central; x0 after them, and
+    # the candidates of the abelian tensor, are not
+    tensor = build_classical("sl", 3)
+    struct, n = from_tensor(tensor), tensor.dim
+    cands = centre_candidates(tensor, 3)
     assert len(cands) == 2
+    check_seeds(struct, cands)
     check_seeds(struct, cands + [variable(n, 0)])
     with pytest.raises(SeedNotCentral) as exc:
-        pc_generate(struct, lambda f: f, cands + [variable(n, 0)])
+        check_central(struct, cands + [variable(n, 0)])
     assert exc.value.seed_index == 2
-    others = centre_candidates(PoissonStructure(n, {}), 1)
-    check_seeds(struct, cands + others)
-    # a later search replaces the record: the degree-3 candidates are
-    # checked again, and pass
-    later = centre_candidates(struct, 2)
-    assert [id(f) for f in struct._central] == [id(f) for f in later]
-    check_seeds(struct, cands + later)
+    check_seeds(struct, cands + centre_candidates(StructureTensor.zero(n), 1))
+
+
+def test_centre_search_route_follows_the_jacobi_verdict(monkeypatch):
+    # a tensor that is not skew is refused; on a skew tensor that fails
+    # Jacobi (NON_LIE moved so that no element acts diagonally) every
+    # generator builds rows and no generating set is formed; on a Lie
+    # tensor the generating set is formed once
+    with pytest.raises(ValueError):
+        centre_candidates(StructureTensor(2, {(0, 1): {0: Fraction(1)}}), 2)
+    P = RatMatrix([[Fraction(int(j in (i, i + 1))) for j in range(3)] for i in range(3)])
+    moved = transport(standard(NON_LIE), P)
+    assert not reference_jacobi_verdict(moved) and diagonal_weights(moved) == []
+    assert check_centre_candidates(moved, 3) is None
+    assert sorted(built_rows(moved, 3)[1]) == [0, 1, 2]
+    calls, generating_set = [], pois._generating_set
+    monkeypatch.setattr(pois, "_generating_set",
+                        lambda lin: calls.append(lin) or generating_set(lin))
+    centre_candidates(build_classical("sl", 3), 3)
+    assert len(calls) == 1
+
+
+@given(lower_junk(), st.integers(1, 2))
+def test_centre_search_refuses_a_tensor_that_is_not_skew(tensor, degree):
+    if reference_skew(tensor):
+        check_centre_candidates(tensor, degree)
+    else:
+        with pytest.raises(ValueError):
+            centre_candidates(tensor, degree)
 
 
 @st.composite
@@ -891,7 +897,7 @@ def test_pc_generate_matches_whole_family_rank(orbit):
     # pc_generate eliminates only each candidate against the family's kept
     # reduced rows; the reference ranks the whole family at every step
     n, operator, seeds = orbit
-    family = pc_generate(PoissonStructure(n, {}), operator, seeds)
+    family = pc_generate(operator, seeds)
     gens, prov = reference_pc_generate(operator, seeds)
     assert family.provenance == prov
     assert family.generators == gens

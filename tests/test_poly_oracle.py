@@ -26,8 +26,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from liepencil.exact import DEGREE_CAP, RatMatrix, SparsePoly, _pack, format_rat
-from liepencil.poisson import (PoissonStructure, SeedNotCentral, directional, lifted,
-                               pc_generate, poisson_bracket)
+from liepencil.poisson import (PoissonStructure, SeedNotCentral, check_central, directional,
+                               lifted, poisson_bracket)
 
 from helpers import (coeff_vector, eval_at, linear, partial, reference_format, terms,
                      total_degree, variable)
@@ -359,12 +359,11 @@ def test_seed_check_names_the_first_generator_it_fails(struct, data):
     seed = data.draw(polys(n), label="seed")
     brackets = [poisson_bracket(struct, seed, variable(n, i)) for i in range(n)]
     first = next((i for i, b in enumerate(brackets) if not b.is_zero()), None)
-    stop = lambda p: SparsePoly.zero(n)
     if first is None:
-        assert pc_generate(struct, stop, [seed]).generators == ([seed] if seed else [])
+        check_central(struct, [seed])
     else:
         with pytest.raises(SeedNotCentral) as exc:
-            pc_generate(struct, stop, [seed])
+            check_central(struct, [seed])
         assert (exc.value.seed_index, exc.value.var_index) == (0, first)
 
 
@@ -374,8 +373,7 @@ def test_seed_check_sums_both_sides_of_each_pair():
     one = SparsePoly.const(3, 1)
     struct = PoissonStructure(3, {(0, 1): one, (1, 2): one})
     x = [variable(3, i) for i in range(3)]
-    stop = lambda p: SparsePoly.zero(3)
-    assert pc_generate(struct, stop, [x[0] + x[2]]).generators == [x[0] + x[2]]
+    check_central(struct, [x[0] + x[2]])
     with pytest.raises(SeedNotCentral) as exc:
-        pc_generate(struct, stop, [x[0] + x[2] * 2])
+        check_central(struct, [x[0] + x[2] * 2])
     assert exc.value.var_index == 1

@@ -14,11 +14,7 @@ inside the trusted constructors `_of`.  No method fills a form later: a
 tensor's form slot `._integer` is written by its constructors only.  A
 tensor's skew verdict `._skew` is written only in `StructureTensor.__init__`,
 in `StructureTensor._of`, which records a builder's verdict, and by the
-`is_skew` cache; no builder marks a tensor after it is built.  In the same
-way a Poisson structure's record of proven central polynomials,
-`._central`, is written only by `PoissonStructure.__init__` and `_of`, and
-by `centre_candidates`, whose proof it records: `pc_generate` checks no
-seed held there, so no other code may mark a polynomial central.
+`is_skew` cache; no builder marks a tensor after it is built.
 
 No `assert` statement appears in the package: `python -O` strips them, and
 a check that guards a returned result raises `IdentityFailed` instead.
@@ -196,14 +192,11 @@ def test_no_table_or_terms_written_after_construction():
 # (class, function) of the writers of a tensor's skew verdict
 SKEW_WRITERS = {("StructureTensor", "__init__"), ("StructureTensor", "_of"),
                 ("StructureTensor", "is_skew")}
-# (class, function) of the writers of a Poisson structure's centrality record
-CENTRAL_WRITERS = {("PoissonStructure", "__init__"), ("PoissonStructure", "_of"),
-                   (None, "centre_candidates")}
 
 
-def record_offences(source, name, writers):
-    """(line, target) of every write to or into a `.name` attribute outside
-    writers, a set of (class, function) pairs (class None at top level)."""
+def skew_offences(source):
+    """(line, target) of every write to or into a `._skew` attribute outside
+    SKEW_WRITERS, (class, function) pairs (class None at top level)."""
     out = []
 
     def visit(node, cls, func):
@@ -215,26 +208,14 @@ def record_offences(source, name, writers):
             target = leaf
             while isinstance(target, ast.Subscript):
                 target = target.value
-            if (isinstance(target, ast.Attribute) and target.attr == name
-                    and (cls, func) not in writers):
+            if (isinstance(target, ast.Attribute) and target.attr == "_skew"
+                    and (cls, func) not in SKEW_WRITERS):
                 out.append((node.lineno, ast.unparse(leaf)))
         for child in ast.iter_child_nodes(node):
             visit(child, cls, func)
 
     visit(ast.parse(source), None, None)
     return out
-
-
-def skew_offences(source):
-    """(line, target) of every write to a `._skew` attribute outside
-    SKEW_WRITERS."""
-    return record_offences(source, "_skew", SKEW_WRITERS)
-
-
-def central_offences(source):
-    """(line, target) of every write to or into a `._central` attribute
-    outside CENTRAL_WRITERS."""
-    return record_offences(source, "_central", CENTRAL_WRITERS)
 
 
 def test_guard_catches_skew_marks_after_construction():
@@ -266,43 +247,6 @@ class Other:
     assert skew_offences(source) == [(15, "self._skew"), (18, "tensor._skew"), (22, "t._skew")]
     package = Path(liepencil.__file__).parent
     found = {path.name: skew_offences(path.read_text(encoding="utf-8"))
-             for path in sorted(package.glob("*.py"))}
-    assert {name: hits for name, hits in found.items() if hits} == {}
-
-
-def test_guard_catches_central_marks_outside_the_centre_search():
-    # the constructors start the record empty and the centre search records
-    # what it proved; a seed reader that marks its seeds central, a method
-    # or a nested helper of another function is flagged
-    source = """
-class PoissonStructure:
-    def __init__(self, n):
-        self._central = ()
-    @classmethod
-    def _of(cls, n):
-        s = object.__new__(cls)
-        s._central = ()
-        return s
-    def trust(self, seeds):
-        self._central = tuple(seeds)
-def centre_candidates(struct, max_degree=2):
-    out = []
-    struct._central = tuple(out)
-    return out
-def read_seeds(struct, seeds):
-    struct._central += tuple(seeds)
-    struct._central[0] = seeds[0]
-    del struct._central
-def pc_generate(struct, operator, seeds):
-    def mark(s):
-        struct._central, n = (s,), 1
-    return mark
-"""
-    assert central_offences(source) == [
-        (11, "self._central"), (17, "struct._central"), (18, "struct._central[0]"),
-        (19, "struct._central"), (22, "struct._central")]
-    package = Path(liepencil.__file__).parent
-    found = {path.name: central_offences(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
