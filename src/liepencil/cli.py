@@ -365,7 +365,8 @@ def _pc_family(args, tensor, operator, seeds, act):
 
     The verdict is read from a proof, with no bracket formed, for --gamma
     and for a lift with `near_theorem(act)`; only a not-near lift is
-    scanned pair by pair (`pc_verify`), for its witness.  The
+    scanned pair by pair (`pc_verify`), for its witness; the Poisson form
+    (`from_tensor`) is built for those two readers only.  The
     proof rests on every seed F being central, {x_i, F}_T = 0 for every
     generator: a centre candidate is central by the proof of
     `centre_candidates`, and `check_central` checks every --seed-file seed
@@ -402,17 +403,18 @@ def _pc_family(args, tensor, operator, seeds, act):
     (a) gives {exp(sD)F, exp(s'D)G}_T = 0, so it is 0 everywhere, and its
     Taylor coefficients {D^k F, D^l G}_T / (k! l!) are 0.
     """
-    struct = pois.from_tensor(tensor)
+    struct = None
     if seeds is None:
         seeds = pois.centre_candidates(tensor, args.degree_bound)
         if not seeds:
             raise InputProblem("no seeds: empty centre up to degree %d" % args.degree_bound)
     else:
+        struct = pois.from_tensor(tensor)
         pois.check_central(struct, seeds)
     family = pois.pc_generate(operator, seeds)
     if act is None or near_theorem(act):
         return family, pois.Certificate(True, None)
-    return family, pois.pc_verify(family, struct)
+    return family, pois.pc_verify(family, struct or pois.from_tensor(tensor))
 
 
 def cmd_pc_check(args):

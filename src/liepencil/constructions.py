@@ -10,6 +10,8 @@ Conventions fixed here:
     partner entry up to sign; S1, S2, ... are the matrices with 1 at an entry
     whose partner comes no later in row-major order and the sign at that
     partner, in row-major order of that entry;
+  * a matrix basis is expanded on integer forms: [B_i, B_j] from the
+    nonzero entries of the two, read by one elimination of the basis;
   * periodic gradings are weight assignments w_i in {0..n-1} with
     [q_i, q_j] inside q_(i+j mod n); the quasi-grading extension of one is
     its tensor's integer form re-indexed onto the adapted basis, with no
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import ONE, ZERO, RatMatrix, _int_coordinates, mat_commutator
+from .exact import ONE, ZERO, RatMatrix, _int_coordinates
 from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
                       derived, is_lie, pair_table)
 
@@ -35,24 +37,30 @@ class ArgumentError(ValueError):
 
 
 def unit_matrix(n, i, j):
-    return RatMatrix([[int(r == i and c == j) for c in range(n)] for r in range(n)])
+    return RatMatrix._of(1, [[int(r == i and c == j) for c in range(n)] for r in range(n)])
 
 
-def _flat(mat):
-    return [x for row in mat.rows for x in row]
+def _flat(ints):
+    """Integer rows of a matrix as {row-major position: nonzero int}."""
+    n = len(ints[0]) if ints else 0
+    return {r * n + c: x for r, row in enumerate(ints) for c, x in enumerate(row) if x}
 
 
 def _matrix_reader(basis_mats):
-    """Coordinates of matrices with respect to fixed basis matrices, from one
-    elimination, each target read from its integer form; a matrix outside
-    the span raises ValueError."""
-    read = _int_coordinates([_flat(b) for b in basis_mats])
+    """coords(t, den): the nonzero coordinates {k: c_k} with respect to fixed
+    basis matrices of the matrix t / den, t its `_flat` integer form, from
+    one elimination of the basis matrices' integer forms; a matrix outside
+    the span raises ValueError.  The integer form of B_k is B_k times its
+    den_k, so each coordinate read against it is multiplied back by den_k."""
+    read = _int_coordinates([[x for row in b.ints for x in row] for b in basis_mats])
+    dens = [b.den for b in basis_mats]
+    scaled = any(d != 1 for d in dens)
 
-    def coords(target):
-        sol = read([x for row in target.ints for x in row], target.den)
+    def coords(t, den):
+        sol = read(t, den)
         if sol is None:
             raise ValueError("matrix is not in the span of the basis")
-        return sol
+        return {k: c * dens[k] for k, c in sol.items()} if scaled else sol
     return coords
 
 
@@ -61,14 +69,29 @@ def tensor_from_matrix_basis(mats, labels):
     return _expand(mats, labels, _matrix_reader(mats))
 
 
+def _commutator(a, b, n):
+    """AB - BA as a `_flat` form, for n x n int matrices as {row: {column:
+    nonzero int}}: one product per pair of nonzero entries that meet."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for r, row in x.items():
+            for s, u in row.items():
+                for c, v in y.get(s, {}).items():
+                    out[r * n + c] = out.get(r * n + c, 0) + sign * u * v
+    return {k: v for k, v in out.items() if v}
+
+
 def _expand(mats, labels, coords):
     """`tensor_from_matrix_basis` over the basis reader coords; a commutator
-    outside the span, or a table that fails Jacobi, raises ValueError.  A
-    commutator is expanded once per pair i < j, and `pair_table` mirrors it,
-    so the table is skew by construction and `_of` records it."""
+    outside the span, or a table that fails Jacobi, raises ValueError.  Each
+    [B_i, B_j], i < j, is `_commutator` of the integer forms over den_i den_j,
+    and `pair_table` mirrors it, so the table is skew and `_of` records it."""
+    forms = [{r: {c: x for c, x in enumerate(row) if x}
+              for r, row in enumerate(m.ints) if any(row)} for m in mats]
+    size = mats[0].ncols if mats else 0
 
     def entry(i, j):
-        return {k: c for k, c in enumerate(coords(mat_commutator(mats[i], mats[j]))) if c}
+        return coords(_commutator(forms[i], forms[j], size), mats[i].den * mats[j].den)
 
     n = len(mats)
     tensor = StructureTensor._of(n, tuple(labels), _form_of(pair_table(n, entry, skew=True)), True)
@@ -345,7 +368,8 @@ def sl2_complete(family, n, partition):
     mats, labels = basis_matrices("sl", n)
     coords = _matrix_reader(mats)
     tensor = _expand(mats, labels, coords)
-    triple = Sl2Triple(*(coords(RatMatrix(m)) for m in (e, h, f)), tensor)
+    triple = Sl2Triple(*([coords(_flat(m), 1).get(k, ZERO) for k in range(len(mats))]
+                         for m in (e, h, f)), tensor)
     if tensor.apply(triple.h, triple.e) != [2 * c for c in triple.e]:
         raise IdentityFailed("[h,e] != 2e")
     if tensor.apply(triple.h, triple.f) != [-2 * c for c in triple.f]:

@@ -19,8 +19,8 @@ in the caller's order, which sets the fill-in.  `rref`, `rank_exact`,
 rows and build a `Fraction` only for an entry they return; its kernel is
 read as integer forms (`kernel_forms`), which the centre search takes
 with no `Fraction` at all.
-`_int_coordinates` reduces a basis once and reads every integer target
-from that reduction; `solve_columns` is its one-target use.  A point
+`_int_coordinates` reduces a basis once and reads every sparse integer
+target from that reduction; `solve_columns` is its one-target use.  A point
 rank, the rank of a dense int matrix read at one point, runs apart from
 `_Echelon`, by forward elimination mod one prime in `_pivots_mod`: a rank
 mod the prime is a lower bound on the rank over Q.  Each row is packed
@@ -198,10 +198,6 @@ class RatMatrix:
 
     def __repr__(self):
         return "RatMatrix(%r)" % ([[format_rat(x) for x in row] for row in self.rows],)
-
-
-def mat_commutator(a, b):
-    return a * b - b * a
 
 
 def _reduce(rows):
@@ -441,44 +437,43 @@ def kernel_basis(m, ncols=None):
 
 def _int_coordinates(cols):
     """read(t, den) solves sum_k c_k * cols[k] = t / den like
-    `solve_columns`, for a target given as its integer form (t a list of
-    ints, den > 0), every target from one `_reduce` of [B | I] (B the
-    columns side by side).
+    `solve_columns`, sparse in and out: the target is its integer form (t a
+    {position: nonzero int} dict, den > 0) and the answer {k: c_k} holds
+    the nonzero c_k in ascending k.  Every target is read from one
+    `_reduce` of [B | I] (B the columns side by side) on {column: int} rows.
 
     Each reduced row carries in its I block the row operation that made it.
     A row with its pivot in the B block gives one coefficient: its I block
     times the target, over the pivot.  A row with its pivot in the I block
-    must give 0 on the target, else read returns None.  Row r's I block
-    times t is accumulated from the nonzero entries of t only, through the
-    I block's nonzeros indexed by target position."""
+    must give 0 on the target, else read returns None.  The I blocks times
+    t are accumulated from the entries of t only, through the I blocks'
+    nonzeros indexed by target position, so only the rows they reach are
+    visited; the rows are in pivot order, so the coefficients are too."""
     k = len(cols)
     if not k:
-        return lambda t, den: None if any(t) else []
-    m = len(cols[0])
-    pivots, R = _reduce([list(row) + [int(i == j) for j in range(m)]
+        return lambda t, den: None if t else {}
+    pivots, R = _reduce([{**{c: x for c, x in enumerate(row) if x}, k + i: 1}
                          for i, row in enumerate(zip(*cols))])
-    by_entry = [[] for _ in range(m)]
-    solved, checks = [], []
-    for r, (row, pc) in enumerate(zip(R, pivots)):
-        for j, e in enumerate(row[k:]):
-            if e:
-                by_entry[j].append((r, e))
-        if pc < k:
-            solved.append((r, pc, row[pc]))
-        else:
-            checks.append(r)
+    by_entry = [[] for _ in cols[0]]
+    for r, row in enumerate(R):
+        for j, e in row.items():
+            if j >= k:
+                by_entry[j - k].append((r, e))
+    # (pivot column, pivot) of a row that solves a coefficient, None for a check row
+    solves = [(pc, row[pc]) if pc < k else None for row, pc in zip(R, pivots)]
 
     def read(t, den):
-        acc = [0] * len(R)
-        for x, entry in zip(t, by_entry):
+        acc = {}
+        for j, x in t.items():
+            for r, e in by_entry[j]:
+                acc[r] = acc.get(r, 0) + e * x
+        sol = {}
+        for r, x in sorted(acc.items()):
             if x:
-                for r, e in entry:
-                    acc[r] += e * x
-        if any(acc[r] for r in checks):
-            return None
-        sol = [ZERO] * k
-        for r, pc, piv in solved:
-            sol[pc] = _ratio(acc[r], piv * den)
+                if solves[r] is None:
+                    return None
+                pc, piv = solves[r]
+                sol[pc] = Fraction(x, piv * den)
         return sol
     return read
 
@@ -489,8 +484,9 @@ def solve_columns(cols, target):
     Returns the coefficient list (free coefficients set to 0) or None when the
     system is inconsistent.
     """
-    den, (t,) = _cleared([target])
-    return _int_coordinates(cols)(t, den)
+    den, (t,) = _cleared([{j: x for j, x in enumerate(target) if x}])
+    sol = _int_coordinates(cols)(t, den)
+    return None if sol is None else [sol.get(k, ZERO) for k in range(len(cols))]
 
 
 def nilpotent_index(m):

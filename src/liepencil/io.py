@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 from math import lcm
 
-from .exact import (DEGREE_CAP, RatMatrix, SparsePoly, _pack, _parse_rat_form, format_rat,
-                    format_ratio)
+from .exact import DEGREE_CAP, RatMatrix, SparsePoly, _pack, _parse_rat_form, format_ratio
 from .tensors import StructureTensor, skew_table
 
 
@@ -123,9 +122,8 @@ def algebra_from_dict(doc):
 
 
 def operator_to_dict(mat):
-    return {"dim": mat.nrows,
-            "matrix": [[format_rat(mat[i, j]) for j in range(mat.ncols)]
-                       for i in range(mat.nrows)]}
+    d = mat.den
+    return {"dim": mat.nrows, "matrix": [[format_ratio(x, d) for x in row] for row in mat.ints]}
 
 
 def operator_from_dict(doc):
@@ -187,9 +185,10 @@ def _read_json(path):
 
 
 def _write_json(doc, path):
+    """One write of the text `json.dump(doc, fp, indent=2)` streams, and a
+    newline."""
     with open(path, "w", encoding="utf-8") as fp:
-        json.dump(doc, fp, indent=2)
-        fp.write("\n")
+        fp.write(json.dumps(doc, indent=2) + "\n")
 
 
 def load_algebra(path):

@@ -27,6 +27,11 @@ library ran it before it packed its rows.
 `reference_format` is the oracle of `SparsePoly.format`: the printer as it
 stood when it unpacked every exponent field of every monomial.
 
+`mat_commutator` is the commutator by two dense products, which
+`test_coordinates_oracle.reference_tensor` expands; `product_form` is the
+one-sided product that fault injections put in place of
+`constructions._commutator`.
+
 `coordinates` (one basis reader for many `Fraction` targets) and
 `direct_sum` (two tensors whose blocks commute) are the library routines
 the quasi-grading extension used to go through; they serve as oracles.
@@ -78,6 +83,23 @@ def transpose(m):
     return RatMatrix._of(m.den, [list(c) for c in zip(*m.ints)])
 
 
+def mat_commutator(a, b):
+    """[a, b] = ab - ba by two dense products."""
+    return a * b - b * a
+
+
+def product_form(a, b, n):
+    """AB alone, for n x n integer matrices in the sparse forms that
+    `constructions._commutator` takes, as {row-major position: nonzero int}:
+    a product that is not a commutator, to put in its place."""
+    out = {}
+    for r, row in a.items():
+        for s, u in row.items():
+            for c, v in b.get(s, {}).items():
+                out[r * n + c] = out.get(r * n + c, 0) + u * v
+    return {k: v for k, v in out.items() if v}
+
+
 def inverse(m):
     if m.nrows != m.ncols:
         raise ValueError("not square")
@@ -98,8 +120,9 @@ def coordinates(cols):
     read_ints = _int_coordinates(cols)
 
     def read(target):
-        den, (t,) = _cleared([target])
-        return read_ints(t, den)
+        den, (t,) = _cleared([{j: x for j, x in enumerate(target) if x}])
+        sol = read_ints(t, den)
+        return None if sol is None else [sol.get(k, ZERO) for k in range(len(cols))]
     return read
 
 

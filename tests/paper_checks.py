@@ -51,7 +51,7 @@ from liepencil import analysis, constructions, exact, io as iomod, nijenhuis, po
 from liepencil.exact import ONE, ZERO, RatMatrix, SparsePoly, _unpack
 from liepencil.tensors import IdentityFailed, StructureTensor
 
-from helpers import inverse, terms, transpose
+from helpers import inverse, mat_commutator, terms, transpose
 
 
 # analysis
@@ -120,16 +120,28 @@ def verify_index_theorem(family, n, partition, seed=None):
 
 # constructions
 
+def matrix_reader(basis_mats):
+    """(read, coords) on a list of basis matrices: read is the basis reader
+    `constructions._matrix_reader` makes, which reads a matrix's integer
+    form, and coords reads a `RatMatrix` through it into a coordinate list."""
+    read = constructions._matrix_reader(basis_mats)
+
+    def coords(m):
+        sol = read(constructions._flat(m.ints), m.den)
+        return [sol.get(k, ZERO) for k in range(len(basis_mats))]
+    return read, coords
+
+
 def matrix_coords(basis_mats, target):
     """Coordinates of a matrix with respect to a list of basis matrices."""
-    return constructions._matrix_reader(basis_mats)(target)
+    return matrix_reader(basis_mats)[1](target)
 
 
 def build_gl_associative(n):
     """Associative product tensor of the full matrix algebra on the E_ij
     basis, each product x_i x_j read by one basis reader in row-major order."""
     mats, labels = constructions.basis_matrices("gl", n)
-    coords = constructions._matrix_reader(mats)
+    coords = matrix_reader(mats)[1]
     table = {}
     for i, x in enumerate(mats):
         for j, y in enumerate(mats):
@@ -171,10 +183,10 @@ class InvolutionSplit:
     odd_tensor: StructureTensor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.odd_coords = constructions._matrix_reader(self.odd)
+        read, self.odd_coords = matrix_reader(self.odd)
         labels = ["S%d" % (k + 1) for k in range(len(self.odd))]
         try:
-            self.odd_tensor = constructions._expand(self.odd, labels, self.odd_coords)
+            self.odd_tensor = constructions._expand(self.odd, labels, read)
         except ValueError:
             raise IdentityFailed("odd part is not a subalgebra")
 
@@ -196,8 +208,8 @@ def involution_split(n, J=None):
     sig_cols = []
     for i in range(n):
         for j in range(n):
-            sig_cols.append(constructions._flat(
-                Jinv * transpose(constructions.unit_matrix(n, i, j)) * J))
+            sig = Jinv * transpose(constructions.unit_matrix(n, i, j)) * J
+            sig_cols.append([x for row in sig.rows for x in row])
     sigma = transpose(RatMatrix(sig_cols))
     ident = RatMatrix.identity(n * n)
     odd_vecs = exact.kernel_basis(sigma + ident)
@@ -358,12 +370,12 @@ class AssocOperators:
 def assoc_operators(n, a, J=None):
     """L_a, R_a and their derived tensors on gl_n, optionally split by J."""
     gl_mats, gl_labels = constructions.basis_matrices("gl", n)
-    gl_coords = constructions._matrix_reader(gl_mats)
+    gl_read, gl_coords = matrix_reader(gl_mats)
     left_cols = [gl_coords(a * b) for b in gl_mats]
     right_cols = [gl_coords(b * a) for b in gl_mats]
     left = transpose(RatMatrix(left_cols))
     right = transpose(RatMatrix(right_cols))
-    gl_tensor = constructions._expand(gl_mats, gl_labels, gl_coords)
+    gl_tensor = constructions._expand(gl_mats, gl_labels, gl_read)
     t1 = tensors.derived(gl_tensor, left)
     checks = {}
     sandwich_ok = True
@@ -540,15 +552,14 @@ def assoc_torsion_formula(n, a, J=None):
     quarter = Fraction(-1, 4)
 
     def entry(i, j):
-        w = exact.mat_commutator(exact.mat_commutator(a, odd[i]),
-                                 exact.mat_commutator(a, odd[j]))
+        w = mat_commutator(mat_commutator(a, odd[i]), mat_commutator(a, odd[j]))
         return {k: quarter * c for k, c in enumerate(split.odd_coords(w)) if c}
 
     expected = StructureTensor._of(dim, ops.odd_tensor.labels,
                                    tensors._form_of(tensors.pair_table(dim, entry)))
     double = expected.scale(-8)     # 2 [[a, x], [a, y]]
 
-    ada_cols = [split.odd_coords(exact.mat_commutator(a, exact.mat_commutator(a, b)))
+    ada_cols = [split.odd_coords(mat_commutator(a, mat_commutator(a, b)))
                 for b in odd]
     ada_sq = transpose(RatMatrix(ada_cols))
     derived_ok = tensors.derived(ops.odd_tensor, ada_sq) == double
@@ -660,7 +671,7 @@ def shift_by_derivation(tensor, op, der):
     base2 = tensors.derived(base1, op)
     if t1 != base1:
         raise IdentityFailed("first derived tensor moved under a derivation shift")
-    corr = tensors.derived(tensor, exact.mat_commutator(der, op))
+    corr = tensors.derived(tensor, mat_commutator(der, op))
     if t2 != base2 + corr:
         raise IdentityFailed("second derived shift identity failed")
     return t1, t2

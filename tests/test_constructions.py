@@ -235,7 +235,8 @@ def test_tensor_from_matrix_basis_rejects_non_lie():
     mats, labels = basis_matrices("gl", 2)
     read = constructions._matrix_reader(mats)
     with pytest.raises(ValueError, match="Jacobi fails at"):
-        constructions._expand(mats, labels, lambda m: [c * c for c in read(m)])
+        constructions._expand(mats, labels,
+                              lambda t, den: {k: c * c for k, c in read(t, den).items()})
     assert is_lie(constructions._expand(mats, labels, read))
 
 

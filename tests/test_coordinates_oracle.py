@@ -23,11 +23,10 @@ import pytest
 from liepencil import cli, constructions, exact
 from liepencil.constructions import (basis_matrices, build_classical,
                                      sl2_complete, tensor_from_matrix_basis)
-from liepencil.exact import (ZERO, RatMatrix, _ratio, _reduce, mat_commutator, rank_exact,
-                             solve_columns)
+from liepencil.exact import ZERO, RatMatrix, _ratio, _reduce, rank_exact, solve_columns
 from liepencil.tensors import IdentityFailed, StructureTensor
 
-from helpers import coordinates, rand_rat
+from helpers import coordinates, inverse, mat_commutator, product_form, rand_rat
 from paper_checks import (assoc_operators, build_gl_associative, involution_split,
                           standard_symplectic, verify_index_theorem)
 
@@ -90,6 +89,35 @@ def test_build_classical_matches_per_pair_reference(family, n):
     want = reference_tensor(mats, labels)
     assert layout(got) == layout(want)
     assert got.labels == want.labels
+
+
+def dense_conjugate(mats, seed):
+    """P B P^-1 for each B, P a seeded invertible matrix with no zero entry
+    and denominators up to 3."""
+    rng, n = random.Random(seed), mats[0].nrows
+    while True:
+        P = RatMatrix([[Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+                        for _ in range(n)] for _ in range(n)])
+        if rank_exact(P) == n:
+            break
+    Pinv = inverse(P)
+    return [P * b * Pinv for b in mats]
+
+
+DENSE = [("gl", 3), ("sl", 3), ("so", 4), ("sp", 4)]
+
+
+@pytest.mark.parametrize("family, n", DENSE, ids=["%s%d" % c for c in DENSE])
+def test_dense_rational_basis_matches_per_pair_reference(family, n):
+    # every basis matrix is dense with den_k > 1, so every coordinate read
+    # against its integer form must be scaled back by den_k
+    mats, labels = basis_matrices(family, n)
+    mats = dense_conjugate(mats, 1)
+    assert all(m.den > 1 and all(map(all, m.ints)) for m in mats)
+    got = tensor_from_matrix_basis(mats, labels)
+    assert layout(got) == layout(reference_tensor(mats, labels))
+    # conjugation keeps the structure constants
+    assert got.integer_form() == build_classical(family, n).integer_form()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -185,7 +213,7 @@ def test_nilpotent_square_example_builds_sl_n_once(monkeypatch, tmp_path, n, par
                                                    commutators):
     # the triple hands back the algebra its guard checked; the example reuses it
     builds = count_calls(monkeypatch, constructions, "basis_matrices")
-    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    products = count_calls(monkeypatch, constructions, "_commutator")
     calls = count_reductions(monkeypatch)
     argv = ["example", "nilpotent-square", "sl", str(n), "--partition", partition,
             "--out-dir", str(tmp_path)]
@@ -198,7 +226,7 @@ def test_nilpotent_square_example_builds_sl_n_once(monkeypatch, tmp_path, n, par
 
 def test_index_theorem_builds_sl_n_once(monkeypatch):
     builds = count_calls(monkeypatch, constructions, "basis_matrices")
-    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    products = count_calls(monkeypatch, constructions, "_commutator")
     assert verify_index_theorem("sl", 4, (2, 2)).consistent
     assert builds == [("sl", 4)]
     assert len(products) == 15 * 14 // 2
@@ -206,7 +234,7 @@ def test_index_theorem_builds_sl_n_once(monkeypatch):
 
 @pytest.mark.parametrize("n, most", [(4, 100), (6, 441)])
 def test_build_sp_expands_each_commutator_once(monkeypatch, n, most):
-    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    products = count_calls(monkeypatch, constructions, "_commutator")
     calls = count_reductions(monkeypatch)
     t = build_classical("sp", n)
     assert len(products) == t.dim * (t.dim - 1) // 2 <= most
@@ -243,12 +271,15 @@ def test_nilpotent_square_refuses_before_building(monkeypatch, tmp_path, params)
 
 
 def test_assoc_operators_read_each_basis_once(monkeypatch):
-    products = count_calls(monkeypatch, constructions, "mat_commutator")
+    products = count_calls(monkeypatch, constructions, "_commutator")
     shapes = []
     real = exact._reduce
 
     def recording(rows):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        # a dict row's width is its last column; [B | I] has one in every I column
+        widths = [1 + max(row, default=-1) if isinstance(row, dict) else len(row)
+                  for row in rows]
+        shapes.append((len(rows), max(widths, default=0)))
         return real(rows)
     monkeypatch.setattr(exact, "_reduce", recording)
     ops = assoc_operators(3, RatMatrix.diagonal([1, 0, 0]), RatMatrix.identity(3))
@@ -272,7 +303,7 @@ def test_involution_split_odd_tensor_matches_reference(n, skew, seed):
 
 def test_split_whose_odd_part_does_not_close_raises(monkeypatch):
     # x y in place of [x, y]: F12 F23 = E13 is not antisymmetric
-    monkeypatch.setattr(constructions, "mat_commutator", lambda a, b: a * b)
+    monkeypatch.setattr(constructions, "_commutator", product_form)
     with pytest.raises(IdentityFailed):
         involution_split(3)
     with pytest.raises(IdentityFailed):
@@ -282,11 +313,12 @@ def test_split_whose_odd_part_does_not_close_raises(monkeypatch):
 # asserts are stripped under -O, so the script reports through its exit code
 OPTIMIZED_SPLIT_SCRIPT = """
 import sys
+from helpers import product_form
 from liepencil import constructions
 from liepencil.tensors import IdentityFailed
 if __debug__:
     sys.exit("not running under -O")
-constructions.mat_commutator = lambda a, b: a * b
+constructions._commutator = product_form
 try:
     constructions.build_classical("sp", 4)
 except IdentityFailed:
@@ -297,7 +329,8 @@ except IdentityFailed:
 def test_split_guard_survives_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(constructions.__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_SPLIT_SCRIPT],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -21,7 +21,7 @@ from liepencil.tensors import IdentityFailed, derived
 
 from helpers import variable
 from paper_checks import (build_gl_associative, poly_to_list, reference_N_properties,
-                          save_seeds)
+                          save_seeds, seeds_to_dict)
 from test_nijenhuis_oracle import torsion_kernel_draw
 
 
@@ -55,6 +55,23 @@ def test_operator_round_trip(tmp_path):
     doc = operator_to_dict(m)
     assert doc["matrix"][0][0] == "1/3"
     assert doc["matrix"][1] == ["-5/2", "7"]
+
+
+def test_write_json_writes_what_json_dump_streams(tmp_path):
+    # one write of the dumped text: the bytes of json.dump(doc, fp, indent=2)
+    # and a newline, for every kind of file, non-ASCII labels escaped alike
+    algebra = algebra_to_dict(sl2(), metadata={"family": "sl"})
+    labelled = dict(algebra, basis=["e\u0303", "h", "f\u00e9"])
+    x = [variable(3, i) for i in range(3)]
+    seeds = seeds_to_dict([x[1] * x[1] + SparsePoly.const(3, F(4, 3)) * x[0] * x[2], x[0]])
+    operator = operator_to_dict(RatMatrix([[F(1, 3), F(0)], [F(-5, 2), F(7)]]))
+    for k, doc in enumerate([algebra, labelled, operator, seeds]):
+        path, want = tmp_path / ("%d.json" % k), tmp_path / ("%d-dump.json" % k)
+        iomod._write_json(doc, path)
+        with open(want, "w", encoding="utf-8") as fp:
+            json.dump(doc, fp, indent=2)
+            fp.write("\n")
+        assert path.read_bytes() == want.read_bytes()
 
 
 def test_poly_and_seed_round_trip(tmp_path):
@@ -243,6 +260,33 @@ def test_cli_checks_exactly_the_file_seeds(workdir, capsys, monkeypatch):
         run_json(argv + ["--seed-file", "seeds.json"], capsys)
         assert checked == [seeds]
         checked.clear()
+
+
+def test_cli_builds_the_poisson_form_only_for_its_readers(workdir, capsys, monkeypatch):
+    # `from_tensor`'s form is read by `check_central` (--seed-file seeds) and
+    # by `pc_verify` (a not-near lift) alone, and built once when one reads it
+    built, build = [], pois.from_tensor
+    monkeypatch.setattr(pois, "from_tensor", lambda tensor: built.append(tensor) or build(tensor))
+    run(["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    run(["example", "sl", "3"])
+    x = [variable(3, i) for i in range(3)]
+    save_seeds([x[1] * x[1] + SparsePoly.const(3, 4) * x[0] * x[2]], workdir / "seeds.json")
+    # a sparse not-near operator on sl3, as in test_pc_theorem
+    rows = [[0] * 8 for _ in range(8)]
+    rows[6][0] = rows[7][5] = rows[7][6] = 1
+    save_operator(RatMatrix(rows), workdir / "op.json")
+    lift = ["--algebra", "sl2.json", "--operator", "sl2-grading-op.json"]
+    assert json.loads(run_json(["classify"] + lift, capsys))["tag"] == "near"
+    for argv, code, builds in [
+            (["pc-check", "--algebra", "sl2.json", "--gamma", "1,2,3"], 0, 0),
+            (["pc-check"] + lift, 0, 0),
+            (["report", "--pc"] + lift, 0, 0),
+            (["pc-check", "--seed-file", "seeds.json"] + lift, 0, 1),
+            (["pc-check", "--algebra", "sl3.json", "--operator", "op.json"], 1, 1)]:
+        built.clear()
+        capsys.readouterr()
+        assert run(argv + ["--json"]) == code
+        assert len(built) == builds, argv
 
 
 def run_json(argv, capsys):

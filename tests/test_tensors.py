@@ -11,7 +11,7 @@ import pytest
 
 import liepencil
 from liepencil import tensors
-from liepencil.exact import RatMatrix, mat_commutator
+from liepencil.exact import RatMatrix
 from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues,
                                StructureTensor, ad, check_jacobi, check_skew,
                                classify_operator,
@@ -19,7 +19,7 @@ from liepencil.tensors import (IdentityFailed, IrrationalEigenvalues,
                                normalize_pencil,
                                tensor_combination)
 
-from helpers import columns, rand_matrix, rand_vector
+from helpers import columns, mat_commutator, rand_matrix, rand_vector
 from paper_checks import (PreconditionViolated, check_vanishing_propagation, is_derivation,
                           shift_by_derivation)
 
