@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .exact import _Echelon, _pivots_mod, _reduce, generic_rank
+from .exact import _Echelon, _pivots_mod, generic_rank
 from .tensors import is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
@@ -103,36 +103,33 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, least_index=0):
 def lower_central_series(tensor):
     """Dimensions of the descending series g, [g,g], [g,[g,g]], ...
 
-    Stops when the dimension stabilises or reaches zero.  Runs on int rows
-    read off the integer form T / L: [g,g] is spanned by the rows T_ij, and
-    each later term by psi(x, e_j) = sum_i x_i T_ij / L for x in the basis
-    `_reduce` returns for the term before.  Scaling a spanning vector by a
+    Stops when the dimension stabilises or reaches zero.  Runs on {k: int}
+    rows of the integer form T / L, which go to an `_Echelon` as they are
+    built: [g,g] is spanned by copies of the T_ij, and each later term by
+    psi(x, e_j) = sum_i x_i T_ij / L, summed over the nonzero x_i of each
+    reduced row x of the term before.  Scaling a spanning vector by a
     nonzero constant leaves its span, hence every rank, unchanged.
     """
     n = tensor.dim
     _, tab = tensor.integer_form()
-    by_column = {}   # j -> [(i, T_ij as a dense int row)]
+    by_column = {}   # j -> {i: T_ij}
     for (i, j), vec in tab.items():
-        row = [0] * n
-        for k, c in vec.items():
-            row[k] = c
-        by_column.setdefault(j, []).append((i, row))
+        by_column.setdefault(j, {})[i] = vec
     dims = [n]
-    span = [row for pairs in by_column.values() for _, row in pairs]
+    span = [dict(vec) for rows in by_column.values() for vec in rows.values()]
     while True:
-        pivots, basis = _reduce(span)
-        r = len(pivots)
+        _, basis = _Echelon(span).reduced()
+        r = len(basis)
         dims.append(r)
         if r == 0 or r == dims[-2]:
             break
         span = []
         for x in basis:
-            for pairs in by_column.values():
-                acc = [0] * n
-                for i, row in pairs:
-                    xi = x[i]
-                    if xi:
-                        acc = [a + xi * b for a, b in zip(acc, row)]
-                if any(acc):
-                    span.append(acc)
+            for rows in by_column.values():
+                acc = {}
+                for i, xi in x.items():
+                    for k, c in rows.get(i, {}).items():
+                        acc[k] = acc.get(k, 0) + xi * c
+                if any(acc.values()):
+                    span.append({k: v for k, v in acc.items() if v})
     return dims

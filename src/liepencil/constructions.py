@@ -320,7 +320,7 @@ def nilpotent_square(tensor, e):
     t1 = derived(tensor, op)
     return op, NilpotentSquareReport(
         derived=t1,
-        ad_e_cubed_zero=(ade * ade * ade).is_zero(),
+        ad_e_cubed_zero=(op * ade).is_zero(),
         d_squared_zero=(op * op).is_zero(),
         image_bracket_zero=contract(tensor, [(1, None, op, op)]).is_zero(),
         image_in_kernel=contract(tensor, [(1, op, op, None)]).is_zero(),

@@ -14,11 +14,11 @@ echelon form and the rows holding each column, so it visits no zero entry
 and eliminates the components of a sparse system independently.  Its one
 elimination order is `add(row)`, which says whether the rank grew and
 copies no row it owns; every nonempty row of a system goes through it,
-in the caller's order, which sets the fill-in.  `rref`, `rank_exact`,
-`kernel_basis` and `solve_columns` hand it cleared copies of list or dict
-rows and build a `Fraction` only for an entry they return; its kernel is
-read as integer forms (`kernel_forms`), which the centre search takes
-with no `Fraction` at all.
+in the caller's order, which sets the fill-in.  It is the one entry to
+elimination: engine code hands it its own {column: int} rows, and `rref`,
+`rank_exact`, `kernel_basis` and `_int_coordinates` copies cleared by
+`_int_rows`; its kernel is read as integer forms (`kernel_forms`), which
+the centre search takes with no `Fraction` at all.
 `_int_coordinates` reduces a basis once and reads every sparse integer
 target from that reduction; `solve_columns` is its one-target use.  A point
 rank, the rank of a dense int matrix read at one point, runs apart from
@@ -200,21 +200,6 @@ class RatMatrix:
         return "RatMatrix(%r)" % ([[format_rat(x) for x in row] for row in self.rows],)
 
 
-def _reduce(rows):
-    """Sparse Gauss-Jordan elimination of a rational matrix, run on integers
-    by an `_Echelon` on int copies (`_int_rows`) of the rows, which are
-    {column: entry} dicts or equal-length lists and are left unchanged.
-
-    Returns (pivots, R): R[r] is an integer multiple of row r of the reduced
-    row echelon form, whose entries are therefore R[r][j] / R[r][pivots[r]];
-    R[r] is a {column: int} dict for dict rows and a list for list rows.
-    """
-    pivots, R = _Echelon(_int_rows(rows)).reduced()
-    if rows and not isinstance(rows[0], dict):
-        return pivots, [[row.get(j, 0) for j in range(len(rows[0]))] for row in R]
-    return pivots, R
-
-
 class _Echelon:
     """The reduced row echelon form over Q of a growing set of int rows.
 
@@ -244,25 +229,30 @@ class _Echelon:
     def _clear(self, i, p, c):
         """Row i becomes a * row i - b * row p in place, where a / b is
         row p's entry in column c over row i's in lowest terms, so its entry
-        in column c cancels; then it is divided by its content."""
+        in column c cancels; then it is divided by its content.  If row p
+        holds column c alone, that is row i less its entry at c, so divided."""
         row, prow, holders = self.owned[i], self.owned[p], self.holders
-        g = gcd(prow[c], row[c])
-        a, b = prow[c] // g, row[c] // g
-        if a != 1:
-            for k in row:
-                row[k] *= a
-        for k, x in prow.items():
-            y = row.get(k)
-            if y is None:
-                row[k] = -b * x
-                holders[k].add(i)
-            else:
-                y -= b * x
-                if y:
-                    row[k] = y
+        if len(prow) == 1:
+            del row[c]
+            holders[c].discard(i)
+        else:
+            g = gcd(prow[c], row[c])
+            a, b = prow[c] // g, row[c] // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
+            for k, x in prow.items():
+                y = row.get(k)
+                if y is None:
+                    row[k] = -b * x
+                    holders[k].add(i)
                 else:
-                    del row[k]
-                    holders[k].discard(i)
+                    y -= b * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+                        holders[k].discard(i)
         _primitive(row)
 
     def add(self, row):
@@ -287,7 +277,8 @@ class _Echelon:
         return True
 
     def reduced(self):
-        """(pivots, R) as `_reduce` returns them for dict rows, uncopied."""
+        """(pivots ascending, their owned rows uncopied): row r, divided by
+        its entry at pivots[r], is row r of the reduced row echelon form."""
         pivots = sorted(self.pivot)
         return pivots, [self.owned[self.pivot[c]] for c in pivots]
 
@@ -344,9 +335,9 @@ def _ratio(x, d):
 def rref(rows):
     """Reduced row echelon form over Q.  Returns (new rows, pivot columns)."""
     rows = list(rows)
-    pivots, R = _reduce(rows)
+    pivots, R = _Echelon(_int_rows(rows)).reduced()
     ncols = len(rows[0]) if rows else 0
-    red = [[_ratio(x, row[c]) for x in row] for row, c in zip(R, pivots)]
+    red = [[_ratio(row.get(j, 0), row[c]) for j in range(ncols)] for row, c in zip(R, pivots)]
     red += [[ZERO] * ncols for _ in range(len(rows) - len(pivots))]
     return red, pivots
 
@@ -440,7 +431,7 @@ def _int_coordinates(cols):
     `solve_columns`, sparse in and out: the target is its integer form (t a
     {position: nonzero int} dict, den > 0) and the answer {k: c_k} holds
     the nonzero c_k in ascending k.  Every target is read from one
-    `_reduce` of [B | I] (B the columns side by side) on {column: int} rows.
+    `_Echelon` of [B | I] (B the columns side by side), cleared by `_int_rows`.
 
     Each reduced row carries in its I block the row operation that made it.
     A row with its pivot in the B block gives one coefficient: its I block
@@ -452,8 +443,8 @@ def _int_coordinates(cols):
     k = len(cols)
     if not k:
         return lambda t, den: None if t else {}
-    pivots, R = _reduce([{**{c: x for c, x in enumerate(row) if x}, k + i: 1}
-                         for i, row in enumerate(zip(*cols))])
+    pivots, R = _Echelon(_int_rows([{**dict(enumerate(row)), k + i: 1}
+                                    for i, row in enumerate(zip(*cols))])).reduced()
     by_entry = [[] for _ in cols[0]]
     for r, row in enumerate(R):
         for j, e in row.items():
@@ -500,15 +491,16 @@ def nilpotent_index(m):
 
 
 def nilpotent_exp(m, s):
-    """exp(s*m) as a finite exact sum; raises ValueError unless m is nilpotent."""
-    k = nilpotent_index(m)
-    if k is None:
-        raise ValueError("matrix is not nilpotent")
+    """exp(s*m) as the finite exact sum of s^p m^p / p!, forming each power of m
+    once up to the first zero one; raises ValueError unless m^nrows = 0."""
     s = Fraction(s)
-    acc = term = RatMatrix.identity(m.nrows)
-    for p in range(1, k):
-        term = (term * m).scale(s / p)    # (s m)^p / p!
-        acc = acc + term
+    acc, power, c, p = RatMatrix.identity(m.nrows), m, ONE, 1
+    while not power.is_zero():
+        if p == m.nrows:
+            raise ValueError("matrix is not nilpotent")
+        c = c * s / p
+        acc = acc + power.scale(c)
+        power, p = power * m, p + 1
     return acc
 
 

@@ -32,6 +32,9 @@ stood when it unpacked every exponent field of every monomial.
 one-sided product that fault injections put in place of
 `constructions._commutator`.
 
+`count_products` records every `RatMatrix` product, for the tests that pin
+how many products a routine forms.
+
 `coordinates` (one basis reader for many `Fraction` targets) and
 `direct_sum` (two tensors whose blocks commute) are the library routines
 the quasi-grading extension used to go through; they serve as oracles.
@@ -40,9 +43,9 @@ the quasi-grading extension used to go through; they serve as oracles.
 from fractions import Fraction
 from math import lcm, prod
 
-from liepencil.exact import (ONE, PRIME, ZERO, RatMatrix, SparsePoly, _cleared, _int_coordinates,
-                             _linear_forms, _pack, _pmuladd, _ratio, _reduce, _unpack,
-                             format_ratio)
+from liepencil.exact import (ONE, PRIME, ZERO, RatMatrix, SparsePoly, _cleared, _Echelon,
+                             _int_coordinates, _int_rows, _linear_forms, _pack, _pmuladd,
+                             _ratio, _unpack, format_ratio)
 from liepencil.tensors import StructureTensor
 
 DENOMINATORS = (1, 1, 2, 3)
@@ -100,17 +103,29 @@ def product_form(a, b, n):
     return {k: v for k, v in out.items() if v}
 
 
+def count_products(monkeypatch):
+    """The right factor of every `RatMatrix` product from here on."""
+    calls = []
+    real = RatMatrix.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+    monkeypatch.setattr(RatMatrix, "__mul__", counting)
+    return calls
+
+
 def inverse(m):
     if m.nrows != m.ncols:
         raise ValueError("not square")
     n, d = m.nrows, m.den
     # [ints | d I] is [m | I] with every row scaled by d
-    pivots, R = _reduce([row + [d * (i == j) for j in range(n)]
-                         for i, row in enumerate(m.ints)])
+    pivots, R = _Echelon(_int_rows([row + [d * (i == j) for j in range(n)]
+                                    for i, row in enumerate(m.ints)])).reduced()
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
     L = lcm(*(row[i] for i, row in enumerate(R)))
-    return RatMatrix._of(L, [[x * (L // row[i]) for x in row[n:]]
+    return RatMatrix._of(L, [[row.get(n + j, 0) * (L // row[i]) for j in range(n)]
                              for i, row in enumerate(R)])
 
 

@@ -14,7 +14,7 @@ from liepencil.exact import RatMatrix
 from liepencil.tensors import (IdentityFailed, StructureTensor, ad, classify_operator,
                                derived, is_lie, tensor_combination)
 
-from helpers import direct_sum, rand_rat
+from helpers import count_products, direct_sum, rand_rat
 from paper_checks import (assoc_operators, build_gl_associative, check_special,
                           contractions_from_grading, deform_bracket, involution_split,
                           matrix_coords)
@@ -126,6 +126,16 @@ def test_nilpotent_square_sl2():
     assert report.image_in_kernel
     assert derived(t, op).bracket(1, 2) == {0: F(8)}   # [h, f]' = 8e
     assert classify_operator(t, op).tag == "quasi"
+
+
+@pytest.mark.parametrize("n, partition", [(2, (2,)), (4, (2, 2)), (6, (2, 2, 2))])
+def test_nilpotent_square_forms_three_products(monkeypatch, n, partition):
+    # (ad e)^2, then (ad e)^3 as (ad e)^2 (ad e), and D^2
+    triple = sl2_complete("sl", n, partition)
+    calls = count_products(monkeypatch)
+    op, report = nilpotent_square(triple.tensor, triple.e)
+    assert report.ad_e_cubed_zero and report.d_squared_zero
+    assert len(calls) == 3
 
 
 def test_sl2_complete_partitions():

@@ -23,7 +23,7 @@ import pytest
 from liepencil import cli, constructions, exact
 from liepencil.constructions import (basis_matrices, build_classical,
                                      sl2_complete, tensor_from_matrix_basis)
-from liepencil.exact import ZERO, RatMatrix, _ratio, _reduce, rank_exact, solve_columns
+from liepencil.exact import ZERO, RatMatrix, rank_exact, rref, solve_columns
 from liepencil.tensors import IdentityFailed, StructureTensor
 
 from helpers import coordinates, inverse, mat_commutator, product_form, rand_rat
@@ -37,12 +37,12 @@ def reference_solve_columns(cols, target):
     if k == 0:
         return [] if not any(target) else None
     aug = [list(row) + [t] for row, t in zip(zip(*cols), target)]
-    pivots, R = _reduce(aug)
+    red, pivots = rref(aug)
     if k in pivots:
         return None
     sol = [ZERO] * k
-    for row, pc in zip(R, pivots):
-        sol[pc] = _ratio(row[k], row[pc])
+    for row, pc in zip(red, pivots):
+        sol[pc] = row[k]
     return sol
 
 
@@ -171,8 +171,8 @@ def test_involution_split_odd_part_matches_reference(n, skew, seed):
 
 
 def count_reductions(monkeypatch):
-    """The row count of every elimination from here on: `_reduce`,
-    `rank_exact` and `kernel_basis` each build one `exact._Echelon`."""
+    """The row count of every elimination from here on: each one builds
+    one `exact._Echelon`."""
     calls = []
     real = exact._Echelon.__init__
 
@@ -273,15 +273,13 @@ def test_nilpotent_square_refuses_before_building(monkeypatch, tmp_path, params)
 def test_assoc_operators_read_each_basis_once(monkeypatch):
     products = count_calls(monkeypatch, constructions, "_commutator")
     shapes = []
-    real = exact._reduce
+    real = exact._Echelon.__init__
 
-    def recording(rows):
-        # a dict row's width is its last column; [B | I] has one in every I column
-        widths = [1 + max(row, default=-1) if isinstance(row, dict) else len(row)
-                  for row in rows]
-        shapes.append((len(rows), max(widths, default=0)))
-        return real(rows)
-    monkeypatch.setattr(exact, "_reduce", recording)
+    def recording(self, rows):
+        # a row's width is its last column; [B | I] has one in every I column
+        shapes.append((len(rows), 1 + max((max(row, default=-1) for row in rows), default=-1)))
+        real(self, rows)
+    monkeypatch.setattr(exact._Echelon, "__init__", recording)
     ops = assoc_operators(3, RatMatrix.diagonal([1, 0, 0]), RatMatrix.identity(3))
     assert ops.checks["odd_second_derived_is_a2_sandwich"]
     assert len(products) <= 81

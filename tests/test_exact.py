@@ -8,8 +8,8 @@ import pytest
 from liepencil.exact import (RatMatrix, SparsePoly, format_rat, kernel_basis, nilpotent_exp,
                              nilpotent_index, parse_rat, rank_exact, rational_sqrt, solve_columns)
 
-from helpers import (bareiss_rank, eval_at, inverse, mat_commutator, partial, rand_matrix,
-                     rand_vector, total_degree, transpose, variable)
+from helpers import (bareiss_rank, count_products, eval_at, inverse, mat_commutator, partial,
+                     rand_matrix, rand_vector, total_degree, transpose, variable)
 
 
 def F(p, q=1):
@@ -98,6 +98,26 @@ def test_nilpotent_exp_frozen_and_group_law():
         assert nilpotent_exp(m, s) * nilpotent_exp(m, -s) == RatMatrix.identity(4)
     with pytest.raises(ValueError):
         nilpotent_exp(RatMatrix.identity(2), F(1))
+
+
+def test_nilpotent_exp_forms_each_power_once(monkeypatch):
+    calls = count_products(monkeypatch)
+    square_zero = RatMatrix([[F(0), F(1), F(2)], [F(0), F(0), F(0)], [F(0), F(0), F(0)]])
+    assert nilpotent_exp(square_zero, F(3)) == RatMatrix([[F(1), F(3), F(6)], [F(0), F(1), F(0)],
+                                                          [F(0), F(0), F(1)]])
+    assert len(calls) == 1    # N^2, found zero
+    cube_zero = RatMatrix([[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(0), F(0), F(0)]])
+    assert nilpotent_exp(cube_zero, F(2)) == RatMatrix([[F(1), F(2), F(2)], [F(0), F(1), F(2)],
+                                                        [F(0), F(0), F(1)]])
+    assert len(calls) == 3
+    assert nilpotent_exp(RatMatrix.zero(0), F(1)) == RatMatrix.identity(0)
+    assert nilpotent_exp(RatMatrix.zero(2), F(1)) == RatMatrix.identity(2)
+    assert len(calls) == 3
+    # s = 0 still needs m nilpotent: m^nrows != 0 is refused
+    for m in (RatMatrix.identity(1), RatMatrix.identity(2),
+              RatMatrix([[F(0), F(1)], [F(1), F(0)]])):
+        with pytest.raises(ValueError):
+            nilpotent_exp(m, F(0))
 
 
 def test_mat_commutator():

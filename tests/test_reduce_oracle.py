@@ -1,17 +1,18 @@
 """The sparse elimination against the dense Gauss-Jordan it replaced.
 
-`reference_reduce` below is `exact._reduce` as it stood when every row was
-a dense list, kept as the oracle.  On generated systems with several
-components whose rows and columns are permuted, with zero and duplicate
+`reference_reduce` below is the dense Gauss-Jordan that `exact` ran when
+every row was a dense list, kept as the oracle.  On generated systems with
+several components whose rows and columns are permuted, with zero and duplicate
 rows, on all-zero systems, on one dense component, on singleton cascades
 (cascades of singletons, repeated singletons of one column, rows that the
 fixed singletons empty, singletons beside a dense block), which `add` alone
 must eliminate in whatever order they come, and on the dense skew point
 matrices of classical Lie tables, the pivots, the reduced rows, the ranks
 and the kernel bases must equal the reference's, whether the rows arrive as
-lists or as {column: entry} dicts, with int or `Fraction` entries, or as
-int rows that an `_Echelon` takes uncopied.  An `_Echelon` keeps its
-holders and pivot rows current.
+lists (through `rref`) or as {column: entry} dicts (through `_int_rows` and
+`_Echelon.reduced`), with int or `Fraction` entries, or as int rows that an
+`_Echelon` takes uncopied.  An `_Echelon` keeps its holders and pivot rows
+current.
 """
 
 from fractions import Fraction
@@ -23,8 +24,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from liepencil.constructions import build_classical
-from liepencil.exact import (ONE, ZERO, _Echelon, _ratio, _reduce, kernel_basis,
-                             rank_exact)
+from liepencil.exact import (ONE, ZERO, _Echelon, _int_rows, _ratio, kernel_basis,
+                             rank_exact, rref)
 
 # the example budget is the "liepencil" profile in conftest.py
 
@@ -169,11 +170,12 @@ def check_list_rows(rows):
     ncols = len(rows[0])
     ref_pivots, ref_R = reference_reduce(rows)
     before = [list(row) for row in rows]
-    pivots, R = _reduce(rows)
+    red, pivots = rref(rows)
     assert rows == before
     assert pivots == ref_pivots
-    assert all(isinstance(row, list) and len(row) == ncols for row in R)
-    assert normalised(R, pivots, ncols) == normalised(ref_R, ref_pivots, ncols)
+    assert len(red) == len(rows) and all(len(row) == ncols for row in red)
+    assert red[:len(pivots)] == normalised(ref_R, ref_pivots, ncols)
+    assert not any(map(any, red[len(pivots):]))
     assert rank_exact(rows) == len(ref_pivots)
     assert kernel_basis(rows) == reference_kernel(rows, ncols)
 
@@ -183,7 +185,7 @@ def check_dict_rows(rows):
     ref_pivots, ref_R = reference_reduce(rows)
     sparse = as_dicts(rows)
     before = [dict(row) for row in sparse]
-    pivots, R = _reduce(sparse)
+    pivots, R = _Echelon(_int_rows(sparse)).reduced()
     assert sparse == before
     assert pivots == ref_pivots
     assert all(isinstance(row, dict) and all(type(x) is int and x for x in row.values())
@@ -230,9 +232,10 @@ def test_presolve_systems_match_the_dense_reference(rows):
 
 
 def test_empty_and_all_zero_dict_systems():
-    assert _reduce([]) == ([], [])
+    assert _Echelon(_int_rows([])).reduced() == ([], [])
+    assert rref([]) == ([], [])
     assert kernel_basis([], 2) == [[ONE, ZERO], [ZERO, ONE]]
-    assert _reduce([{}, {1: 0}]) == ([], [])
+    assert _Echelon(_int_rows([{}, {1: 0}])).reduced() == ([], [])
     assert rank_exact([{}, {}]) == 0
     assert kernel_basis([{}, {0: 0}], 1) == [[ONE]]
 
@@ -240,7 +243,7 @@ def test_empty_and_all_zero_dict_systems():
 def test_columns_in_no_row_are_free():
     # columns 1 and 3 appear in no row; dict rows need their column count
     rows = [{0: 2, 2: -4}, {2: Fraction(1, 3)}]
-    assert _reduce(rows) == ([0, 2], [{0: 1}, {2: 1}])
+    assert _Echelon(_int_rows(rows)).reduced() == ([0, 2], [{0: 1}, {2: 1}])
     assert kernel_basis(rows, 4) == [[ZERO, ONE, ZERO, ZERO], [ZERO, ZERO, ZERO, ONE]]
 
 

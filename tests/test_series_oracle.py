@@ -2,10 +2,11 @@
 
 The reference spans each term of the series by psi(x, e_j), evaluated with
 `StructureTensor.apply` on the `rref` basis x of the term before, all in
-`Fraction`.  The library builds the same spanning vectors as int rows off
-the integer form and takes ranks with `exact._reduce`.  On generated
-tensors (skew and not, Lie algebras moved to random bases, among them a
-nilpotent one of class 3, and a non-Lie tensor) the dimensions must agree.
+`Fraction`.  The library builds the same spanning vectors as {k: int}
+rows off the integer form and takes ranks with `exact._Echelon`.  On
+generated tensors (skew and not, Lie algebras moved to random bases, among
+them a nilpotent one of class 3, and a non-Lie tensor) the dimensions must
+agree.
 """
 
 import pytest
