@@ -313,15 +313,16 @@ def nilpotent_square(tensor, e):
     `contract` call.  The three sufficient conditions reported (D^2 = 0, the
     image bracketing to zero: [Dx, Dy] = 0, the image landing in the kernel:
     D[Dx, y] = 0) each force D to be a quasi-derivation when they hold; both
-    image conditions are `contract` calls.
+    image conditions are `contract` calls.  D^2 = (ad e)^3 ad e, so D^2 = 0
+    is read from (ad e)^3 = 0 when that holds, and formed only otherwise.
     """
     ade = ad(tensor, e)
     op = ade * ade
     t1 = derived(tensor, op)
     return op, NilpotentSquareReport(
         derived=t1,
-        ad_e_cubed_zero=(op * ade).is_zero(),
-        d_squared_zero=(op * op).is_zero(),
+        ad_e_cubed_zero=(cubed_zero := (op * ade).is_zero()),
+        d_squared_zero=cubed_zero or (op * op).is_zero(),
         image_bracket_zero=contract(tensor, [(1, None, op, op)]).is_zero(),
         image_in_kernel=contract(tensor, [(1, op, op, None)]).is_zero(),
         formula_check=is_lie(tensor) or t1 == contract(tensor, [(2, None, ade, ade)]),

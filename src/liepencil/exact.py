@@ -490,20 +490,6 @@ def nilpotent_index(m):
     return None
 
 
-def nilpotent_exp(m, s):
-    """exp(s*m) as the finite exact sum of s^p m^p / p!, forming each power of m
-    once up to the first zero one; raises ValueError unless m^nrows = 0."""
-    s = Fraction(s)
-    acc, power, c, p = RatMatrix.identity(m.nrows), m, ONE, 1
-    while not power.is_zero():
-        if p == m.nrows:
-            raise ValueError("matrix is not nilpotent")
-        c = c * s / p
-        acc = acc + power.scale(c)
-        power, p = power * m, p + 1
-    return acc
-
-
 class SparsePoly:
     """Sparse multivariate polynomial over Q as one integer form: the
     coefficient of x^e is ints[m] / den, m the packed monomial of e

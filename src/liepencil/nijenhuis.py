@@ -20,11 +20,18 @@ proof is at the function); the per-power loop is the tests' oracle.
 Nilpotent Nijenhuis operators and operators with proportional first and
 second derived brackets both satisfy closed-form exponential deformation
 identities; both are checked pointwise with exact arithmetic by one loop,
-`_check_points`, up to the first failing point.
+`_check_points`, up to the first failing point.  In the same algebra the
+left side minus the right side of each is a polynomial in s whose
+coefficients are derived brackets: for the Nijenhuis identity
+sum_(j >= 2) (-s)^j rho(N)^j.T / j! + sum_(p >= 2) s^p rho(N^p).T / p!,
+and for the near one at m = 0, sum_(j >= 2) s^j rho(D)^j.T / j! (the
+proofs are at the two functions).  `_series` builds each sum once, and a
+point is one `tensor_combination` of its terms, so no matrix exponential
+is formed and no contraction runs per point; only the diagonal m != 0
+path contracts once at each point.
 
-The torsion and both sides of each exponential identity (bar the tensor
-sum T + c(s) T' of the near case) are sums of terms c O psi(A., B.), so
-each is one `tensors.contract` call on the one packed kernel.
+The torsion is a sum of terms c O psi(A., B.), so it is one
+`tensors.contract` call on the one packed kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import RatMatrix, nilpotent_exp
+from .exact import RatMatrix, nilpotent_index
 from .tensors import StructureTensor, contract, derived, derived_iter, is_lie, tensor_combination
 
 
@@ -173,30 +180,64 @@ def exp_identity_nijenhuis(tensor, op, points=None):
     exp(-sN) [exp(sN) x, exp(sN) y]
         = [exp(sN) x, y] + [x, exp(sN) y] - exp(sN) [x, y].
 
-    Both sides are polynomial in s of degree below three times the dimension,
-    so agreement at the 4*dim + 1 distinct points 0, 1, ..., 4*dim, taken
-    when points is None, proves the identity.
+    Proof of the expansion.  In the module of `check_N_properties`, where
+    a, u and v apply N to the output and to each input and commute, the
+    left side is exp(-sa) exp(su) exp(sv).T = exp(-s rho(N)).T, and the
+    right side is (exp(su) + exp(sv) - exp(sa)).T = T - sum_p s^p
+    rho(N^p).T / p!, p >= 1, since rho(N^p) = a^p - u^p - v^p.  Both
+    sides start T - s rho(N).T, so left minus right is
+
+        sum_(j >= 2) (-s)^j rho(N)^j.T / j! + sum_(p >= 2) s^p rho(N^p).T / p!.
+
+    With N^k = 0 each of a, u and v has index k, so rho(N)^j.T = 0 for
+    j > 3(k - 1), and rho(N^p).T = 0 once N^p = 0.  The first sum is read
+    off `derived` passes, from rho(N)^2.T, each negated, until an iterate
+    vanishes; the second takes one pass per nonzero power N^p.  The
+    iterates can vanish before the powers do, so the powers run on their
+    own.  Each point is then one `tensor_combination` of these terms: no
+    matrix exponential and no contraction per point.
+
+    The difference is a polynomial in s of degree below three times the
+    dimension, so agreement at the 4*dim + 1 distinct points 0, 1, ...,
+    4*dim, taken when points is None, proves the identity.  An operator
+    that is not nilpotent raises ValueError once a point is given.
     """
-    if points is None:
-        points = range(4 * tensor.dim + 1)
+    points = list(range(4 * tensor.dim + 1) if points is None else points)
+    terms = []
+    if points:
+        if nilpotent_index(op) is None:
+            raise ValueError("operator is not nilpotent")
+        terms = list(_series(derived_iter(tensor, op, 2), lambda t: -derived(t, op)))
+        terms += [(p, derived(tensor, x)) for p, x in _series(op * op, lambda x: x * op)]
+    return _check_points(_polynomial(tensor, terms), points)
 
-    def sides(s):
-        E, Einv = nilpotent_exp(op, s), nilpotent_exp(op, -s)
-        return (contract(tensor, [(1, Einv, E, E)]),
-                contract(tensor, [(1, None, E, None), (1, None, None, E), (-1, E, None, None)]))
-    return _check_points(sides, points)
+
+def _series(x, step):
+    """(j, x_j / j!) for j = 2, 3, ... while x_j is not zero, where
+    x_2 = x and x_(j+1) = step(x_j); x is a tensor or a matrix."""
+    j, c = 2, Fraction(1, 2)
+    while not x.is_zero():
+        yield j, x.scale(c)
+        j, c, x = j + 1, c / (j + 1), step(x)
 
 
-def _check_points(sides, points):
-    """Compare lhs with rhs, (lhs, rhs) = sides(s), at each point s (as a
-    Fraction) until the first failure.  The report lists every point
+def _polynomial(tensor, terms):
+    """s -> sum_j s^j x_j over terms [(j, x_j)], one `tensor_combination`;
+    the zero multiple of tensor fixes the dimension when terms is empty."""
+    return lambda s: tensor_combination([(0, tensor)] + [(s ** j, x) for j, x in terms])
+
+
+def _check_points(difference, points):
+    """Evaluate difference(s), an identity's left side minus its right
+    side, at each point s (as a Fraction) until the first nonzero one,
+    whose least (i, j, k) is the witness.  The report lists every point
     checked, the failing one last; an empty point list passes."""
     checked = []
     for s in map(Fraction, points):
         checked.append(s)
-        lhs, rhs = sides(s)
-        if lhs != rhs:
-            return ExpReport(False, _first_difference(lhs, rhs), points=checked)
+        if support := difference(s).integer_form()[1]:
+            (i, j), vec = min(support.items())
+            return ExpReport(False, (i, j, min(vec)), points=checked)
     return ExpReport(True, points=checked)
 
 
@@ -215,36 +256,43 @@ def exp_identity_near(tensor, op, m, points):
     once, and the report carries the precondition also for an empty point
     list; the points run through the same `_check_points` loop as the
     Nijenhuis identity.
+
+    For m = 0 the left side is exp(s rho(D)).T (as at
+    `exp_identity_nijenhuis`, with D for N and s for -s), so left minus
+    right is sum_(j >= 2) s^j rho(D)^j.T / j!, finite for a nilpotent D.
+    Its terms are read off `derived` passes from the T'' already computed
+    until an iterate vanishes, and each point is one `tensor_combination`;
+    a D that is not nilpotent raises ValueError once a point is given.
+    The m != 0 path forms v^D and v^-D at each point and contracts once.
     """
     m = Fraction(m)
     first = derived(tensor, op)
-    pre = derived(first, op) == first.scale(m)
+    second = derived(first, op)
+    pre = second == first.scale(m)
     if m:
         if not op.is_diagonal():
             raise ValueError("nonzero m needs a diagonal operator")
-        diagonal = [op[i, i] for i in range(tensor.dim)]
-        if any(w.denominator != 1 for w in diagonal):
+        weights = [op[i, i] for i in range(tensor.dim)]
+        if any(w.denominator != 1 for w in weights):
             raise ValueError("diagonal entries must be integers")
-        weights = [int(w) for w in diagonal]
         if m.denominator != 1:
             raise ValueError("m must be an integer for the diagonal path")
 
-    def sides(value):
-        if not m:
-            E, Einv, coeff = nilpotent_exp(op, value), nilpotent_exp(op, -value), value
-        else:
+        def difference(value):
             if value == 0:
                 raise ValueError("value must be nonzero")
             E = RatMatrix.diagonal([value ** w for w in weights])
             Einv = RatMatrix.diagonal([value ** -w for w in weights])
             coeff = (value ** m.numerator - 1) / m
-        return contract(tensor, [(1, E, Einv, Einv)]), tensor + first.scale(coeff)
-    rep = _check_points(sides, points)
+            return tensor_combination([(1, contract(tensor, [(1, E, Einv, Einv)])),
+                                       (-1, tensor), (-coeff, first)])
+    else:
+        terms = []
+        if points:
+            if nilpotent_index(op) is None:
+                raise ValueError("operator is not nilpotent")
+            terms = list(_series(second, lambda t: derived(t, op)))
+        difference = _polynomial(tensor, terms)
+    rep = _check_points(difference, points)
     rep.precondition_ok = pre
     return rep
-
-
-def _first_difference(t1, t2):
-    """The least (i, j, k) at which t1 and t2 differ, or None."""
-    return min(((i, j, k) for (i, j), vec in (t1 - t2).integer_form()[1].items() for k in vec),
-               default=None)

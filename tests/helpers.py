@@ -35,6 +35,12 @@ one-sided product that fault injections put in place of
 `count_products` records every `RatMatrix` product, for the tests that pin
 how many products a routine forms.
 
+`nilpotent_exp` is exp(sN) of a nilpotent N as a finite sum, and
+`reference_exp_identity_nijenhuis` and `reference_exp_identity_near`
+(m = 0) are the oracles of the two exponential identities: both sides at
+each point from exp(sN) and exp(-sN), one contraction each, up to the
+first point whose sides differ at `first_difference`.
+
 `coordinates` (one basis reader for many `Fraction` targets) and
 `direct_sum` (two tensors whose blocks commute) are the library routines
 the quasi-grading extension used to go through; they serve as oracles.
@@ -46,7 +52,8 @@ from math import lcm, prod
 from liepencil.exact import (ONE, PRIME, ZERO, RatMatrix, SparsePoly, _cleared, _Echelon,
                              _int_coordinates, _int_rows, _linear_forms, _pack, _pmuladd,
                              _ratio, _unpack, format_ratio)
-from liepencil.tensors import StructureTensor
+from liepencil.nijenhuis import ExpReport
+from liepencil.tensors import StructureTensor, contract, derived
 
 DENOMINATORS = (1, 1, 2, 3)
 
@@ -403,3 +410,60 @@ def entry(struct, i, j):
     if i > j:
         return -entry(struct, j, i)
     return SparsePoly._of(struct.nvars, struct.den, dict(struct.ints.get((i, j), {})))
+
+
+def nilpotent_exp(m, s):
+    """exp(s*m) as the finite exact sum of s^p m^p / p!, forming each power of m
+    once up to the first zero one; raises ValueError unless m^nrows = 0."""
+    s = Fraction(s)
+    acc, power, c, p = RatMatrix.identity(m.nrows), m, ONE, 1
+    while not power.is_zero():
+        if p == m.nrows:
+            raise ValueError("matrix is not nilpotent")
+        c = c * s / p
+        acc = acc + power.scale(c)
+        power, p = power * m, p + 1
+    return acc
+
+
+def first_difference(t1, t2):
+    """The least (i, j, k) at which t1 and t2 differ, or None."""
+    return min(((i, j, k) for (i, j), vec in (t1 - t2).integer_form()[1].items() for k in vec),
+               default=None)
+
+
+def _reference_points(sides, points):
+    checked = []
+    for s in map(Fraction, points):
+        checked.append(s)
+        lhs, rhs = sides(s)
+        if lhs != rhs:
+            return ExpReport(False, first_difference(lhs, rhs), points=checked)
+    return ExpReport(True, points=checked)
+
+
+def reference_exp_identity_nijenhuis(tensor, op, points=None):
+    """`nijenhuis.exp_identity_nijenhuis` point by point: exp(sN) and
+    exp(-sN), then each side by one contraction."""
+    if points is None:
+        points = range(4 * tensor.dim + 1)
+
+    def sides(s):
+        E, Einv = nilpotent_exp(op, s), nilpotent_exp(op, -s)
+        return (contract(tensor, [(1, Einv, E, E)]),
+                contract(tensor, [(1, None, E, None), (1, None, None, E), (-1, E, None, None)]))
+    return _reference_points(sides, points)
+
+
+def reference_exp_identity_near(tensor, op, points):
+    """`nijenhuis.exp_identity_near` at m = 0 point by point: exp(sD) and
+    exp(-sD), then the left side by one contraction against T + s T'."""
+    first = derived(tensor, op)
+    pre = derived(first, op) == first.scale(0)
+
+    def sides(s):
+        E, Einv = nilpotent_exp(op, s), nilpotent_exp(op, -s)
+        return contract(tensor, [(1, E, Einv, Einv)]), tensor + first.scale(s)
+    rep = _reference_points(sides, points)
+    rep.precondition_ok = pre
+    return rep

@@ -51,7 +51,7 @@ from liepencil import analysis, constructions, exact, io as iomod, nijenhuis, po
 from liepencil.exact import ONE, ZERO, RatMatrix, SparsePoly, _unpack
 from liepencil.tensors import IdentityFailed, StructureTensor
 
-from helpers import inverse, mat_commutator, terms, transpose
+from helpers import first_difference, inverse, mat_commutator, terms, transpose
 
 
 # analysis
@@ -566,7 +566,7 @@ def assoc_torsion_formula(n, a, J=None):
 
     matches = tors == expected
     nij = tors.is_zero()
-    witness = None if matches else nijenhuis._first_difference(tors, expected)
+    witness = None if matches else first_difference(tors, expected)
     return AssocTorsionReport(
         operator=ops.d_a_odd,
         torsion=tors,

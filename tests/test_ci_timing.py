@@ -7,8 +7,9 @@ rename in the engine, or a parameter dropped from a signature, would fail
 that step alone, long after the change.  Here the script is cut out of the
 workflow by the step's name (no YAML library: the heredoc between
 `<<'EOF'` and `EOF`), compiled, and each of its imports is checked:
-`liepencil.*` and the standard library are imported, and perfbench's
-`inputs` and `workloads` are only read, by their top-level definitions.
+`liepencil.*`, the standard library and the tests' `helpers` are imported,
+and perfbench's `inputs` and `workloads` are only read, by their top-level
+definitions.
 Each call to a name imported from `liepencil.*`, or to an attribute of
 one, is bound to the callee's signature (`inspect.Signature.bind`) with
 its positional count and keyword names.

@@ -130,11 +130,23 @@ def test_nilpotent_square_sl2():
 
 @pytest.mark.parametrize("n, partition", [(2, (2,)), (4, (2, 2)), (6, (2, 2, 2))])
 def test_nilpotent_square_forms_three_products(monkeypatch, n, partition):
-    # (ad e)^2, then (ad e)^3 as (ad e)^2 (ad e), and D^2
+    # (ad e)^2, then (ad e)^3 as (ad e)^2 (ad e); it is zero, so D^2 =
+    # (ad e)^3 ad e is read as zero and not formed
     triple = sl2_complete("sl", n, partition)
     calls = count_products(monkeypatch)
     op, report = nilpotent_square(triple.tensor, triple.e)
     assert report.ad_e_cubed_zero and report.d_squared_zero
+    assert len(calls) == 2
+
+
+def test_nilpotent_square_of_the_principal_sl3_nilpotent(monkeypatch):
+    # e = E12 + E23: (ad e)^3 != 0, so D^2 = (ad e)^4 is formed as a third
+    # product, and it is not zero either
+    t = build_classical("sl", 3)
+    e = [Fraction(label in ("E12", "E23")) for label in t.labels]
+    calls = count_products(monkeypatch)
+    op, report = nilpotent_square(t, e)
+    assert not report.ad_e_cubed_zero and not report.d_squared_zero
     assert len(calls) == 3
 
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from liepencil.exact import (RatMatrix, SparsePoly, format_rat, kernel_basis, nilpotent_exp,
-                             nilpotent_index, parse_rat, rank_exact, rational_sqrt, solve_columns)
+from liepencil.exact import (RatMatrix, SparsePoly, format_rat, kernel_basis, nilpotent_index,
+                             parse_rat, rank_exact, rational_sqrt, solve_columns)
 
-from helpers import (bareiss_rank, count_products, eval_at, inverse, mat_commutator, partial,
-                     rand_matrix, rand_vector, total_degree, transpose, variable)
+from helpers import (bareiss_rank, count_products, eval_at, inverse, mat_commutator,
+                     nilpotent_exp, partial, rand_matrix, rand_vector, total_degree, transpose,
+                     variable)
 
 
 def F(p, q=1):

@@ -9,9 +9,13 @@ classified action runs none, shifted or not, also after every field of the
 action and every table of its tensors has been read, and
 `example nilpotent-square` reads its formula check from the Jacobi verdict
 of the algebra.  `torsion` and `nijenhuis-check` compute the torsion once
-and read the eigenvalue witnesses off it, and `exp-check` runs one pass
-per side at each point it checks.  `nijenhuis-check` makes one torsion
-call, and on a Lie tensor that is its only pass at every `--depth`: the
+and read the eigenvalue witnesses off it.  `exp-check` reads the
+Nijenhuis identity, and the near one at m = 0, off `derived` once: one
+pass per iterate up to the first zero one, one per nonzero power N^p with
+p >= 2, and none at any point.  On a nilpotent square that is two passes
+each, and the near ones are the T' and T'' its precondition needs.  Only
+the diagonal near path at m != 0 contracts once at each point.
+`nijenhuis-check` makes one torsion call, and on a Lie tensor that is its only pass at every `--depth`: the
 powers, the iterates and their Jacobi verdicts are read from the
 hierarchy (`nijenhuis.check_N_properties`).  On a Nijenhuis input that is
 not Lie it adds one pass per iterate, 1 + depth in all.
@@ -78,8 +82,10 @@ def test_report_on_a_grading_operator(calls):
 
 def test_nijenhuis_commands_compute_one_torsion(calls):
     # torsion and nijenhuis-check read the eigenvalue witnesses off the
-    # torsion they computed; the near identity runs T', T'' and one pass per
-    # point, the certified one two passes at each of its 4 * 8 + 1 points
+    # torsion they computed; the diagonal near identity runs T', T'' and one
+    # pass per point; on the nilpotent square the certified identity runs
+    # rho(N)^2 T = 0 in two passes and N^2 = 0 in none, and the near one at
+    # m = 0 reads its expansion off T' and T'' = 0
     passes(calls, ["example", "grading", "sl", "3", "--weights", GRADING_WEIGHTS,
                    "--modulus", "3"])
     files = ["--algebra", "sl3.json", "--operator", "sl3-grading-op.json"]
@@ -92,7 +98,10 @@ def test_nijenhuis_commands_compute_one_torsion(calls):
     passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
     assert passes(calls, ["exp-check", "--algebra", "sl3.json",
                           "--operator", "sl3-nilsquare-op.json",
-                          "--kind", "nijenhuis", "--certified"]) == 66
+                          "--kind", "nijenhuis", "--certified"]) == 2
+    assert passes(calls, ["exp-check", "--algebra", "sl3.json",
+                          "--operator", "sl3-nilsquare-op.json",
+                          "--kind", "near", "--m", "0", "--points", "1,2/3"]) == 2
 
 
 def test_nijenhuis_check_reads_the_hierarchy_by_identity(calls, monkeypatch):

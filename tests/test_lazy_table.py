@@ -32,13 +32,14 @@ from hypothesis import given, strategies as st
 
 import liepencil.tensors as kernels
 from liepencil.constructions import build_classical
-from liepencil.exact import ZERO, RatMatrix, nilpotent_exp
+from liepencil.exact import ZERO, RatMatrix
 from liepencil.io import algebra_from_dict, algebra_to_dict, operator_from_dict
 from liepencil.nijenhuis import torsion
 from liepencil.tensors import (MODE_SEMISIMPLE, TAG_NEAR, StructureTensor, ad,
                                classify_operator, derived, normalize_pencil,
                                tensor_combination)
 
+from helpers import nilpotent_exp
 from test_cli_golden import FILES
 from test_contract_oracle import reference_contract
 from test_tensor_oracle import ENTRIES, operators, reference_derived, tensors

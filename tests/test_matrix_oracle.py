@@ -22,10 +22,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from liepencil.exact import (RatMatrix, kernel_basis, nilpotent_exp, rank_exact,
-                             rref)
+from liepencil.exact import RatMatrix, kernel_basis, rank_exact, rref
 
-from helpers import col, columns, inverse, transpose
+from helpers import col, columns, inverse, nilpotent_exp, transpose
 
 # the example budget is the "liepencil" profile in conftest.py
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from liepencil.exact import RatMatrix
-from liepencil.tensors import StructureTensor, classify_operator, derived
+from liepencil.tensors import StructureTensor, classify_operator, derived, skew_table
 from liepencil.constructions import (GradingSpec,
                                      build_classical,
                                      grading_operator, nilpotent_square)
@@ -147,6 +147,18 @@ def test_exp_identity_stops_at_the_first_failure():
     assert (rep.ok, rep.witness, rep.points) == (False, (1, 2, 0), [F(0), F(1)])
     assert rep.precondition_ok
     assert exp_identity_nijenhuis(t, shear, []).ok
+
+
+def test_exp_identity_runs_the_powers_past_the_iterates():
+    # [x0, x1] = -x0, [x0, x2] = -x1, [x1, x2] = -x0 - x2 with the shift N of
+    # index 3: N is a derivation (T' = 0, so every rho(N)^j T vanishes) and
+    # not Nijenhuis; only the rho(N^2) T term, N^2 != 0, makes s = 1 fail
+    t = StructureTensor(3, skew_table({(0, 1): {0: -1}, (0, 2): {1: -1},
+                                       (1, 2): {0: -1, 2: -1}}))
+    shift = RatMatrix([[F(0), F(1), F(0)], [F(0), F(0), F(1)], [F(0), F(0), F(0)]])
+    assert derived(t, shift).is_zero() and not is_nijenhuis(t, shift)[0]
+    rep = exp_identity_nijenhuis(t, shift)
+    assert (rep.ok, rep.witness, rep.points) == (False, (1, 2, 0), [F(0), F(1)])
 
 
 def test_exp_identity_near_semisimple():
