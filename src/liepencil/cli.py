@@ -30,7 +30,7 @@ from . import io as iomod
 from . import nijenhuis as nij
 from . import poisson as pois
 from .analysis import lie_centre, lie_index, lower_central_series
-from .exact import _INTEGER, DEGREE_CAP, format_rat, nilpotent_index, parse_rat
+from .exact import _INTEGER, DEGREE_CAP, format_rat, nilpotent_powers, parse_rat
 from .tensors import (IrrationalEigenvalues, TAG_DERIVATION, TAG_NEAR, TAG_NOT_NEAR,
                       TAG_QUASI, TAG_SCALAR, check_jacobi, classify_operator,
                       derived_iter, is_lie, near_theorem, normalize_pencil, pencil_lie)
@@ -104,11 +104,12 @@ def _load_operator(path, dim):
     return op
 
 
-def _parse_rationals(text, what):
+def _parse_rationals(text, flag):
+    """The comma-separated rationals in text, each read by `parse_rat`."""
     try:
         return [parse_rat(part) for part in text.split(",")]
     except (ValueError, ZeroDivisionError):
-        raise InputProblem("cannot parse %s %r" % (what, text))
+        raise InputProblem("cannot parse %s %r: rationals expected" % (flag, text))
 
 
 def _integer(text):
@@ -293,13 +294,13 @@ def cmd_nijenhuis_check(args):
 
 def cmd_exp_check(args):
     tensor, op = _load(args)
-    points = (_parse_rationals(args.points, "points") if args.points else None)
+    points = (_parse_rationals(args.points, "--points") if args.points else None)
     if args.kind == "nijenhuis":
         if args.m is not None:
             raise InputProblem("--m applies to --kind near only")
         if bool(points) == args.certified:
             raise InputProblem("give exactly one of --points and --certified")
-        if nilpotent_index(op) is None:
+        if nilpotent_powers(op) is None:
             raise InputProblem("--operator must be nilpotent for --kind nijenhuis")
         rep = nij.exp_identity_nijenhuis(tensor, op, points)
     else:
@@ -310,7 +311,7 @@ def cmd_exp_check(args):
         if not points:
             raise InputProblem("--kind near requires --points")
         if not args.m:
-            if nilpotent_index(op) is None:
+            if nilpotent_powers(op) is None:
                 raise InputProblem("--operator must be nilpotent for --kind near --m 0")
         elif not op.is_diagonal():
             raise InputProblem("--operator must be diagonal for a nonzero --m")
@@ -340,7 +341,7 @@ def _pc_inputs(args, tensor, op=None):
                            % (DEGREE_CAP, args.degree_bound))
     lift = None
     if args.gamma:
-        gamma = _parse_rationals(args.gamma, "covector")
+        gamma = _parse_rationals(args.gamma, "--gamma covector")
         if len(gamma) != tensor.dim:
             raise InputProblem("--gamma covector has %d entries, the algebra has dimension %d"
                                % (len(gamma), tensor.dim))

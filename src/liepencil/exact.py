@@ -480,14 +480,13 @@ def solve_columns(cols, target):
     return None if sol is None else [sol.get(k, ZERO) for k in range(len(cols))]
 
 
-def nilpotent_index(m):
-    """Smallest k >= 1 with m^k = 0, or None if m is not nilpotent."""
-    acc = m
-    for k in range(1, max(m.nrows, 1) + 1):    # the 0 x 0 matrix is zero
-        if acc.is_zero():
-            return k
-        acc = acc * m
-    return None
+def nilpotent_powers(m):
+    """The powers m, m^2, ... before the first zero one, or None if m is
+    not nilpotent (an n x n nilpotent m has m^n = 0); one product each."""
+    powers = [m]
+    while not powers[-1].is_zero() and len(powers) < m.nrows:
+        powers.append(powers[-1] * m)
+    return powers[:-1] if powers[-1].is_zero() else None
 
 
 class SparsePoly:

@@ -19,16 +19,13 @@ fields from it, and scans iterates only on a tensor that is not Lie (the
 proof is at the function); the per-power loop is the tests' oracle.
 Nilpotent Nijenhuis operators and operators with proportional first and
 second derived brackets both satisfy closed-form exponential deformation
-identities; both are checked pointwise with exact arithmetic by one loop,
-`_check_points`, up to the first failing point.  In the same algebra the
-left side minus the right side of each is a polynomial in s whose
-coefficients are derived brackets: for the Nijenhuis identity
-sum_(j >= 2) (-s)^j rho(N)^j.T / j! + sum_(p >= 2) s^p rho(N^p).T / p!,
-and for the near one at m = 0, sum_(j >= 2) s^j rho(D)^j.T / j! (the
-proofs are at the two functions).  `_series` builds each sum once, and a
-point is one `tensor_combination` of its terms, so no matrix exponential
-is formed and no contraction runs per point; only the diagonal m != 0
-path contracts once at each point.
+identities.  The left side minus the right side of each is a polynomial in
+the point, built once (the proofs are at the two functions): its
+coefficients are derived brackets for the Nijenhuis identity and the near
+one at m = 0, and the parts of T by weight for the diagonal near one at
+m != 0.  One loop, `_check_points`, evaluates it at each point by one
+`tensor_combination` up to the first failing point, so no matrix
+exponential is formed and no contraction runs per point.
 
 The torsion is a sum of terms c O psi(A., B.), so it is one
 `tensors.contract` call on the one packed kernel.
@@ -39,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
-from .exact import RatMatrix, nilpotent_index
+from .exact import nilpotent_powers
 from .tensors import StructureTensor, contract, derived, derived_iter, is_lie, tensor_combination
 
 
@@ -192,10 +190,9 @@ def exp_identity_nijenhuis(tensor, op, points=None):
     With N^k = 0 each of a, u and v has index k, so rho(N)^j.T = 0 for
     j > 3(k - 1), and rho(N^p).T = 0 once N^p = 0.  The first sum is read
     off `derived` passes, from rho(N)^2.T, each negated, until an iterate
-    vanishes; the second takes one pass per nonzero power N^p.  The
-    iterates can vanish before the powers do, so the powers run on their
-    own.  Each point is then one `tensor_combination` of these terms: no
-    matrix exponential and no contraction per point.
+    vanishes; the second takes one pass per nonzero power N^p, from the
+    powers `nilpotent_powers` formed to test nilpotency.  The iterates can
+    vanish before the powers do, so the powers run on their own.
 
     The difference is a polynomial in s of degree below three times the
     dimension, so agreement at the 4*dim + 1 distinct points 0, 1, ...,
@@ -205,40 +202,43 @@ def exp_identity_nijenhuis(tensor, op, points=None):
     points = list(range(4 * tensor.dim + 1) if points is None else points)
     terms = []
     if points:
-        if nilpotent_index(op) is None:
+        if (powers := nilpotent_powers(op)) is None:
             raise ValueError("operator is not nilpotent")
         terms = list(_series(derived_iter(tensor, op, 2), lambda t: -derived(t, op)))
-        terms += [(p, derived(tensor, x)) for p, x in _series(op * op, lambda x: x * op)]
-    return _check_points(_polynomial(tensor, terms), points)
+        terms += [(p, derived(tensor, x).scale(Fraction(1, prod(range(2, p + 1)))))
+                  for p, x in enumerate(powers[1:], 2)]
+    return _check_points(tensor, terms, points)
 
 
 def _series(x, step):
-    """(j, x_j / j!) for j = 2, 3, ... while x_j is not zero, where
-    x_2 = x and x_(j+1) = step(x_j); x is a tensor or a matrix."""
+    """(j, x_j / j!) for j = 2, 3, ... while the tensor x_j is not zero,
+    where x_2 = x and x_(j+1) = step(x_j)."""
     j, c = 2, Fraction(1, 2)
     while not x.is_zero():
         yield j, x.scale(c)
         j, c, x = j + 1, c / (j + 1), step(x)
 
 
-def _polynomial(tensor, terms):
-    """s -> sum_j s^j x_j over terms [(j, x_j)], one `tensor_combination`;
-    the zero multiple of tensor fixes the dimension when terms is empty."""
-    return lambda s: tensor_combination([(0, tensor)] + [(s ** j, x) for j, x in terms])
-
-
-def _check_points(difference, points):
-    """Evaluate difference(s), an identity's left side minus its right
-    side, at each point s (as a Fraction) until the first nonzero one,
-    whose least (i, j, k) is the witness.  The report lists every point
-    checked, the failing one last; an empty point list passes."""
+def _check_points(tensor, terms, points):
+    """Evaluate sum_j s^j x_j over terms [(j, x_j)], an identity's left
+    side minus its right side, at each point s by one `tensor_combination`
+    (the zero multiple of tensor fixes the dimension) until the first
+    nonzero value, whose least (i, j, k) is the witness.  The report lists
+    every point checked, the failing one last; no points pass."""
     checked = []
     for s in map(Fraction, points):
         checked.append(s)
-        if support := difference(s).integer_form()[1]:
-            (i, j), vec = min(support.items())
-            return ExpReport(False, (i, j, min(vec)), points=checked)
+        value = tensor_combination([(0, tensor)] + [(s ** j, x) for j, x in terms])
+        if ints := value.integer_form()[1]:
+            return ExpReport(False, min((*ij, min(v)) for ij, v in ints.items()), points=checked)
     return ExpReport(True, points=checked)
+
+
+def _nonzero(v):
+    """v as a Fraction; v stands for exp(s), so zero raises ValueError."""
+    if not (v := Fraction(v)):
+        raise ValueError("value must be nonzero")
+    return v
 
 
 def exp_identity_near(tensor, op, m, points):
@@ -250,49 +250,46 @@ def exp_identity_near(tensor, op, m, points):
 
     where c(s) = s for m = 0 (D must be nilpotent; each point plays the role
     of s) and c = (v^m - 1)/m for m != 0 with the point v standing in for
-    exp(s); the m != 0 path needs an integer m and an integer diagonal
-    operator so that v^D makes exact sense (a non-integer weight would make
-    v ** w a float).  T', T'' and the precondition T'' = m T' are computed
-    once, and the report carries the precondition also for an empty point
-    list; the points run through the same `_check_points` loop as the
-    Nijenhuis identity.
+    exp(s), so a zero point raises ValueError once it is reached; the m != 0
+    path needs an integer m and an integer diagonal operator.  T', T'' and
+    the precondition T'' = m T' are computed once, and the report carries
+    the precondition also for an empty point list.
 
     For m = 0 the left side is exp(s rho(D)).T (as at
     `exp_identity_nijenhuis`, with D for N and s for -s), so left minus
-    right is sum_(j >= 2) s^j rho(D)^j.T / j!, finite for a nilpotent D.
-    Its terms are read off `derived` passes from the T'' already computed
-    until an iterate vanishes, and each point is one `tensor_combination`;
-    a D that is not nilpotent raises ValueError once a point is given.
-    The m != 0 path forms v^D and v^-D at each point and contracts once.
+    right is sum_(j >= 2) s^j rho(D)^j.T / j!, finite for a nilpotent D,
+    read off `derived` passes from T''; a D that is not nilpotent raises
+    ValueError once a point is given.  For m != 0 and D = diag(w), split T
+    in one pass into the parts T_e of its entries c_ij^k with
+    e = w_k - w_i - w_j.  The left side is sum_e v^e T_e, since
+    exp(-sD) x_i = v^(-w_i) x_i, and T' = sum_e e T_e, so left minus right
+    is the Laurent polynomial sum_e v^e T_e + (T'/m - T) - v^m T'/m.
     """
     m = Fraction(m)
     first = derived(tensor, op)
     second = derived(first, op)
-    pre = second == first.scale(m)
+    terms = []
     if m:
         if not op.is_diagonal():
             raise ValueError("nonzero m needs a diagonal operator")
-        weights = [op[i, i] for i in range(tensor.dim)]
-        if any(w.denominator != 1 for w in weights):
+        if any(row[i] % op.den for i, row in enumerate(op.ints)):
             raise ValueError("diagonal entries must be integers")
         if m.denominator != 1:
             raise ValueError("m must be an integer for the diagonal path")
-
-        def difference(value):
-            if value == 0:
-                raise ValueError("value must be nonzero")
-            E = RatMatrix.diagonal([value ** w for w in weights])
-            Einv = RatMatrix.diagonal([value ** -w for w in weights])
-            coeff = (value ** m.numerator - 1) / m
-            return tensor_combination([(1, contract(tensor, [(1, E, Einv, Einv)])),
-                                       (-1, tensor), (-coeff, first)])
-    else:
-        terms = []
-        if points:
-            if nilpotent_index(op) is None:
-                raise ValueError("operator is not nilpotent")
-            terms = list(_series(second, lambda t: derived(t, op)))
-        difference = _polynomial(tensor, terms)
-    rep = _check_points(difference, points)
-    rep.precondition_ok = pre
+        w = [row[i] // op.den for i, row in enumerate(op.ints)]
+        den, ints = tensor.integer_form()
+        parts = {}
+        for (i, j), vec in ints.items():
+            for k, c in vec.items():
+                parts.setdefault(w[k] - w[i] - w[j], {}).setdefault((i, j), {})[k] = c
+        terms = [(e, StructureTensor._of(tensor.dim, tensor.labels, (den, part)))
+                 for e, part in parts.items()]
+        terms += [(0, -tensor), (0, first.scale(1 / m)), (m, first.scale(-1 / m))]
+        points = map(_nonzero, points)
+    elif points:
+        if nilpotent_powers(op) is None:
+            raise ValueError("operator is not nilpotent")
+        terms = list(_series(second, lambda t: derived(t, op)))
+    rep = _check_points(tensor, terms, points)
+    rep.precondition_ok = second == first.scale(m)
     return rep

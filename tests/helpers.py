@@ -36,10 +36,11 @@ one-sided product that fault injections put in place of
 how many products a routine forms.
 
 `nilpotent_exp` is exp(sN) of a nilpotent N as a finite sum, and
-`reference_exp_identity_nijenhuis` and `reference_exp_identity_near`
-(m = 0) are the oracles of the two exponential identities: both sides at
-each point from exp(sN) and exp(-sN), one contraction each, up to the
-first point whose sides differ at `first_difference`.
+`reference_exp_identity_nijenhuis` and `reference_exp_identity_near` are
+the oracles of the exponential identities: both sides at each point from
+exp(sN) and exp(-sN), or from v^D and v^-D for the near identity at
+m != 0, the left side one contraction, up to the first point whose sides
+differ at `first_difference`.
 
 `coordinates` (one basis reader for many `Fraction` targets) and
 `direct_sum` (two tensors whose blocks commute) are the library routines
@@ -455,15 +456,34 @@ def reference_exp_identity_nijenhuis(tensor, op, points=None):
     return _reference_points(sides, points)
 
 
-def reference_exp_identity_near(tensor, op, points):
-    """`nijenhuis.exp_identity_near` at m = 0 point by point: exp(sD) and
-    exp(-sD), then the left side by one contraction against T + s T'."""
+def reference_exp_identity_near(tensor, op, m, points):
+    """`nijenhuis.exp_identity_near` point by point, against T + c T'.  At
+    m = 0, exp(sD) and exp(-sD) and c = s; at m != 0, for an integer m and
+    an integer diagonal D, v^D and v^-D at each nonzero point v and
+    c = (v^m - 1)/m.  The left side is one contraction at each point."""
+    m = Fraction(m)
     first = derived(tensor, op)
-    pre = derived(first, op) == first.scale(0)
+    pre = derived(first, op) == first.scale(m)
+    if m:
+        if not op.is_diagonal():
+            raise ValueError("nonzero m needs a diagonal operator")
+        weights = [op[i, i] for i in range(tensor.dim)]
+        if any(w.denominator != 1 for w in weights):
+            raise ValueError("diagonal entries must be integers")
+        if m.denominator != 1:
+            raise ValueError("m must be an integer for the diagonal path")
 
-    def sides(s):
-        E, Einv = nilpotent_exp(op, s), nilpotent_exp(op, -s)
-        return contract(tensor, [(1, E, Einv, Einv)]), tensor + first.scale(s)
+        def sides(value):
+            if value == 0:
+                raise ValueError("value must be nonzero")
+            E = RatMatrix.diagonal([value ** w for w in weights])
+            Einv = RatMatrix.diagonal([value ** -w for w in weights])
+            coeff = (value ** m.numerator - 1) / m
+            return contract(tensor, [(1, E, Einv, Einv)]), tensor + first.scale(coeff)
+    else:
+        def sides(s):
+            E, Einv = nilpotent_exp(op, s), nilpotent_exp(op, -s)
+            return contract(tensor, [(1, E, Einv, Einv)]), tensor + first.scale(s)
     rep = _reference_points(sides, points)
     rep.precondition_ok = pre
     return rep

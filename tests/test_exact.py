@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from liepencil.exact import (RatMatrix, SparsePoly, format_rat, kernel_basis, nilpotent_index,
+from liepencil.exact import (RatMatrix, SparsePoly, format_rat, kernel_basis, nilpotent_powers,
                              parse_rat, rank_exact, rational_sqrt, solve_columns)
 
 from helpers import (bareiss_rank, count_products, eval_at, inverse, mat_commutator,
@@ -85,9 +85,10 @@ def test_span_rank():
 
 def test_nilpotent_exp_frozen_and_group_law():
     n = RatMatrix([[F(0), F(1)], [F(0), F(0)]])
-    assert nilpotent_index(n) == 2
-    # the empty matrix is zero, so its index is 1
-    assert nilpotent_index(RatMatrix.zero(0)) == 1
+    assert nilpotent_powers(n) == [n]    # index 2: one nonzero power
+    # the empty matrix is zero, so it has no nonzero power
+    assert nilpotent_powers(RatMatrix.zero(0)) == []
+    assert nilpotent_powers(RatMatrix.identity(2)) is None
     assert nilpotent_exp(RatMatrix.zero(0), F(3)) == RatMatrix.identity(0)
     e = nilpotent_exp(n, F(1))
     assert e == RatMatrix([[F(1), F(1)], [F(0), F(1)]])

@@ -1,13 +1,14 @@
-"""The two exponential identities against the point-by-point oracles.
+"""The exponential identities against the point-by-point oracles.
 
-`nijenhuis.exp_identity_nijenhuis` and `exp_identity_near` at m = 0 read
-each identity's difference off `derived` once and evaluate it at each point
-by one `tensor_combination` (the expansion is proved in their docstrings).
-`helpers.reference_exp_identity_nijenhuis` and
-`helpers.reference_exp_identity_near` form exp(sN) and exp(-sN) at every
-point and compare the two sides, each one contraction, as the library did
-before.  Both must give the same (ok, witness, points, precondition_ok), or
-both raise ValueError, on:
+`nijenhuis.exp_identity_nijenhuis` and `exp_identity_near` read each
+identity's difference once as a polynomial in the point, off `derived` or,
+for the near identity at m != 0, off T's parts by weight, and evaluate it
+at each point by one `tensor_combination` (the expansions are proved in
+their docstrings).  `helpers.reference_exp_identity_nijenhuis` and
+`helpers.reference_exp_identity_near` form exp(sN) and exp(-sN), or v^D and
+v^-D, at every point and compare the two sides by one contraction, as the
+library did before.  Both must give the same (ok, witness, points,
+precondition_ok), or both raise ValueError, on:
 
   * operators N that are nilpotent of every index up to the dimension
     (strictly upper triangular with entries in {0, +-1, 2, 1/2}, moved by a
@@ -19,7 +20,12 @@ both raise ValueError, on:
   * Nijenhuis pairs, on which the identities hold: nilpotent squares on sl2
     and sl3, and left multiplication by a multiple of E12 on gl2;
   * point lists that are empty, repeated, negative or fractional, and the
-    4*dim + 1 certified points of the Nijenhuis identity.
+    4*dim + 1 certified points of the Nijenhuis identity;
+  * for the near identity at m != 0, m in +-1..+-3 and diagonal operators
+    with integer weights in -3..3 (some with a weight 1/2, refused), on
+    skew brackets of dimension 2 to 5 that are drawn at random or kept to
+    the parts of weight 0 and m, on which both the precondition and the
+    identity hold, at nonzero points.
 """
 
 from fractions import Fraction
@@ -41,6 +47,9 @@ from test_nijenhuis_oracle import nilpotent_square_case
 # the example budget is the "liepencil" profile in conftest.py
 ENTRIES = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                            Fraction(1, 2)])
+NONZERO = st.lists(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3),
+                                    Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3)]),
+                   max_size=4)
 POINTS = st.lists(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                                    Fraction(-3), Fraction(1, 2), Fraction(-2, 3)]), max_size=4)
 
@@ -79,6 +88,25 @@ def brackets(draw, kind):
             for j in range(i + 1, n):
                 upper[(i, j)] = {k: draw(ENTRIES) for k in range(n)}
     return StructureTensor(n, skew_table(upper))
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(T, diag(w), m): w in -3..3, one weight 1/2 with probability about
+    1/8; T skew of dimension 2 to 5, and in about half the draws only its
+    entries of weight w_k - w_i - w_j in {0, m} are kept."""
+    n, m = draw(st.integers(2, 5)), draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    weights = [Fraction(draw(st.integers(-3, 3))) for _ in range(n)]
+    if draw(st.integers(0, 7)) == 0:
+        weights[draw(st.integers(0, n - 1))] = Fraction(1, 2)
+    graded = draw(st.booleans())
+    upper = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            vec = {k: draw(ENTRIES) for k in range(n)}
+            upper[(i, j)] = {k: c for k, c in vec.items()
+                             if not graded or weights[k] - weights[i] - weights[j] in (0, m)}
+    return StructureTensor(n, skew_table(upper)), RatMatrix.diagonal(weights), m
 
 
 def left_e12(c):
@@ -123,4 +151,11 @@ def test_the_near_identity_at_zero_matches_the_pointwise_reference(source, data)
     tensor, op = data.draw(CASES[source], label="case")
     points = data.draw(POINTS, label="points")
     assert (outcome(exp_identity_near, tensor, op, 0, points)
-            == outcome(reference_exp_identity_near, tensor, op, points))
+            == outcome(reference_exp_identity_near, tensor, op, 0, points))
+
+
+@given(case=diagonal_cases(), points=NONZERO)
+def test_the_diagonal_near_identity_matches_the_pointwise_reference(case, points):
+    tensor, op, m = case
+    assert (outcome(exp_identity_near, tensor, op, m, points)
+            == outcome(reference_exp_identity_near, tensor, op, m, points))

@@ -434,6 +434,10 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
       "--m", "-2", "--points", "2"], "--operator must have integer diagonal entries"),
     (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--points", "2,0"],
      "--points must be nonzero for a nonzero --m"),
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--points", "1,x"],
+     "cannot parse --points '1,x'"),
+    (["pc-check", "--algebra", "sl2.json", "--gamma", "1,y,2"],
+     "cannot parse --gamma covector '1,y,2'"),
     (["index", "--algebra", "sl2.json", "--mode", "exact", "--samples", "0"],
      "--samples must be at least 1, got 0"),
     (["index", "--algebra", "sl2.json", "--samples", "0"], "--samples must be at least 1"),
@@ -463,6 +467,7 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
         "pc-check-gamma-and-wrong-dimension-operator", "nijenhuis-certified-and-points",
         "near-certified", "nijenhuis-m", "nijenhuis-not-nilpotent", "near-m0-not-nilpotent",
         "near-not-diagonal", "near-diagonal-not-integer", "near-zero-point",
+        "points-not-rational", "gamma-not-rational",
         "index-exact-samples-0", "index-samples-0", "index-max-exact-dim-negative",
         "nijenhuis-depth-0", "report-max-exact-dim-negative", "report-empty-gamma",
         "report-empty-seed-file", "pc-check-empty-seed-file", "derive-empty-out",

@@ -13,8 +13,10 @@ and read the eigenvalue witnesses off it.  `exp-check` reads the
 Nijenhuis identity, and the near one at m = 0, off `derived` once: one
 pass per iterate up to the first zero one, one per nonzero power N^p with
 p >= 2, and none at any point.  On a nilpotent square that is two passes
-each, and the near ones are the T' and T'' its precondition needs.  Only
-the diagonal near path at m != 0 contracts once at each point.
+each, and the near ones are the T' and T'' its precondition needs.  The
+diagonal near path at m != 0 reads its polynomial off T's parts by weight,
+so it too runs only T' and T''.  Each `exp-check` forms the powers of N
+once in the engine, and once more for the CLI's nilpotency refusal.
 `nijenhuis-check` makes one torsion call, and on a Lie tensor that is its only pass at every `--depth`: the
 powers, the iterates and their Jacobi verdicts are read from the
 hierarchy (`nijenhuis.check_N_properties`).  On a Nijenhuis input that is
@@ -40,6 +42,7 @@ from liepencil import io as iomod, nijenhuis, tensors
 from liepencil.cli import main
 from liepencil.tensors import StructureTensor, classify_operator, normalize_pencil
 
+from helpers import count_products
 from test_cli_golden import FILES
 from test_nijenhuis_oracle import max_graded_draw
 from test_tensors import two_sl2
@@ -82,8 +85,9 @@ def test_report_on_a_grading_operator(calls):
 
 def test_nijenhuis_commands_compute_one_torsion(calls):
     # torsion and nijenhuis-check read the eigenvalue witnesses off the
-    # torsion they computed; the diagonal near identity runs T', T'' and one
-    # pass per point; on the nilpotent square the certified identity runs
+    # torsion they computed; the diagonal near identity runs T' and T'' and
+    # reads its Laurent polynomial off T's parts by weight, with no pass per
+    # point; on the nilpotent square the certified identity runs
     # rho(N)^2 T = 0 in two passes and N^2 = 0 in none, and the near one at
     # m = 0 reads its expansion off T' and T'' = 0
     passes(calls, ["example", "grading", "sl", "3", "--weights", GRADING_WEIGHTS,
@@ -91,7 +95,7 @@ def test_nijenhuis_commands_compute_one_torsion(calls):
     files = ["--algebra", "sl3.json", "--operator", "sl3-grading-op.json"]
     assert passes(calls, ["torsion"] + files) == 1
     assert passes(calls, ["exp-check"] + files + ["--kind", "near", "--m", "-3",
-                                                  "--points", "2,-1"]) == 4
+                                                  "--points", "2,-1"]) == 2
     passes(calls, ["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
     assert passes(calls, ["nijenhuis-check", "--algebra", "sl2.json",
                           "--operator", "sl2-grading-op.json"], exit=1) == 1
@@ -102,6 +106,19 @@ def test_nijenhuis_commands_compute_one_torsion(calls):
     assert passes(calls, ["exp-check", "--algebra", "sl3.json",
                           "--operator", "sl3-nilsquare-op.json",
                           "--kind", "near", "--m", "0", "--points", "1,2/3"]) == 2
+
+
+def test_exp_check_forms_each_power_of_the_operator_once(calls, monkeypatch):
+    # on the sl3 (2,1) square, N^2 = 0: one product for the CLI's refusal
+    # of an operator that is not nilpotent, and one for the engine's
+    # nilpotency test, whose powers the Nijenhuis series reads
+    passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
+    files = ["--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
+    products = count_products(monkeypatch)
+    for kind in (["nijenhuis", "--certified"], ["near", "--m", "0", "--points", "1,2/3"]):
+        products.clear()
+        passes(calls, ["exp-check"] + files + ["--kind"] + kind)
+        assert len(products) == 2
 
 
 def test_nijenhuis_check_reads_the_hierarchy_by_identity(calls, monkeypatch):

@@ -169,6 +169,11 @@ def test_exp_identity_near_semisimple():
     assert not bad.precondition_ok
     # the precondition is computed once, before any point is checked
     assert not exp_identity_near(t, GRADING, 3, []).precondition_ok
+    # v stands for exp(s): a zero point raises once the loop reaches it, so
+    # a failure before it still ends the check with a report
+    with pytest.raises(ValueError):
+        exp_identity_near(t, GRADING, -2, [F(2), F(0)])
+    assert exp_identity_near(t, GRADING, 3, [F(2), F(0)]).points == [F(2)]
 
 
 def test_exp_identity_quasi_nilpotent():
