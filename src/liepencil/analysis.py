@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .exact import _Echelon, _pivots_mod, generic_rank
-from .tensors import is_lie
+from .tensors import ArgumentError, is_lie
 
 # the probabilistic index draws covector entries from [-SAMPLE_BOUND, SAMPLE_BOUND]
 SAMPLE_BOUND = 10 ** 6
@@ -72,9 +72,8 @@ def lie_index(tensor, mode="prob", samples=5, seed=None, least_index=0):
     sampling stops once a sample reaches it, and the maximum is the one all
     the samples would give.
     """
-    ok = is_lie(tensor)
-    if not ok:
-        raise ValueError("index is defined for Lie tensors only")
+    if not is_lie(tensor):
+        raise ArgumentError("tensor", "not a Lie algebra; the index needs one")
     n = tensor.dim
     if mode == "exact":
         _, tab = tensor.integer_form()

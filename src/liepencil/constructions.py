@@ -24,16 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import ONE, ZERO, RatMatrix, _int_coordinates
-from .tensors import (StructureTensor, IdentityFailed, _form_of, ad, check_jacobi, contract,
-                      derived, is_lie, pair_table)
-
-
-class ArgumentError(ValueError):
-    """A builder's refusal naming the argument at fault, for a front end's message."""
-
-    def __init__(self, argument, message):
-        super().__init__(message)
-        self.argument = argument
+from .tensors import (ArgumentError, StructureTensor, IdentityFailed, _form_of, ad,
+                      check_jacobi, contract, derived, is_lie, pair_table)
 
 
 def unit_matrix(n, i, j):
@@ -186,7 +178,8 @@ class GradingSpec:
     def __post_init__(self):
         if self.kind == "periodic":
             if self.modulus is None or self.modulus < 1:
-                raise ValueError("periodic grading needs a positive modulus")
+                raise ArgumentError("modulus", "a periodic grading needs a modulus of at least 1, "
+                                    "got %s" % (self.modulus,))
             if any(not (0 <= w < self.modulus) for w in self.weights):
                 raise ArgumentError("weights", "periodic weights must lie in 0..modulus-1")
         elif self.kind != "quasi":

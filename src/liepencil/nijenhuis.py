@@ -25,7 +25,10 @@ coefficients are derived brackets for the Nijenhuis identity and the near
 one at m = 0, and the parts of T by weight for the diagonal near one at
 m != 0.  One loop, `_check_points`, evaluates it at each point by one
 `tensor_combination` up to the first failing point, so no matrix
-exponential is formed and no contraction runs per point.
+exponential is formed and no contraction runs per point.  Each
+precondition is refused here, before any `derived` pass, by a
+`tensors.ArgumentError` naming the parameter at fault; so a zero point at
+m != 0 is refused up front, before any point is evaluated.
 
 The torsion is a sum of terms c O psi(A., B.), so it is one
 `tensors.contract` call on the one packed kernel.
@@ -39,7 +42,8 @@ from itertools import combinations
 from math import prod
 
 from .exact import nilpotent_powers
-from .tensors import StructureTensor, contract, derived, derived_iter, is_lie, tensor_combination
+from .tensors import (ArgumentError, StructureTensor, contract, derived, derived_iter, is_lie,
+                      tensor_combination)
 
 
 def torsion(tensor, op):
@@ -197,13 +201,14 @@ def exp_identity_nijenhuis(tensor, op, points=None):
     The difference is a polynomial in s of degree below three times the
     dimension, so agreement at the 4*dim + 1 distinct points 0, 1, ...,
     4*dim, taken when points is None, proves the identity.  An operator
-    that is not nilpotent raises ValueError once a point is given.
+    that is not nilpotent raises `ArgumentError` once a point is given,
+    before any `derived` pass.
     """
     points = list(range(4 * tensor.dim + 1) if points is None else points)
     terms = []
     if points:
         if (powers := nilpotent_powers(op)) is None:
-            raise ValueError("operator is not nilpotent")
+            raise ArgumentError("op", "must be nilpotent for the Nijenhuis identity")
         terms = list(_series(derived_iter(tensor, op, 2), lambda t: -derived(t, op)))
         terms += [(p, derived(tensor, x).scale(Fraction(1, prod(range(2, p + 1)))))
                   for p, x in enumerate(powers[1:], 2)]
@@ -234,13 +239,6 @@ def _check_points(tensor, terms, points):
     return ExpReport(True, points=checked)
 
 
-def _nonzero(v):
-    """v as a Fraction; v stands for exp(s), so zero raises ValueError."""
-    if not (v := Fraction(v)):
-        raise ValueError("value must be nonzero")
-    return v
-
-
 def exp_identity_near(tensor, op, m, points):
     """Deformation identity when the second derived bracket is m times the first.
 
@@ -250,32 +248,33 @@ def exp_identity_near(tensor, op, m, points):
 
     where c(s) = s for m = 0 (D must be nilpotent; each point plays the role
     of s) and c = (v^m - 1)/m for m != 0 with the point v standing in for
-    exp(s), so a zero point raises ValueError once it is reached; the m != 0
-    path needs an integer m and an integer diagonal operator.  T', T'' and
+    exp(s); the m != 0 path needs an integer m, an integer diagonal
+    operator and nonzero points.  Every refusal raises `ArgumentError`
+    naming the parameter at fault before any `derived` pass, so a zero
+    point is refused up front, before any point is evaluated.  T', T'' and
     the precondition T'' = m T' are computed once, and the report carries
     the precondition also for an empty point list.
 
     For m = 0 the left side is exp(s rho(D)).T (as at
     `exp_identity_nijenhuis`, with D for N and s for -s), so left minus
     right is sum_(j >= 2) s^j rho(D)^j.T / j!, finite for a nilpotent D,
-    read off `derived` passes from T''; a D that is not nilpotent raises
-    ValueError once a point is given.  For m != 0 and D = diag(w), split T
+    read off `derived` passes from T''; a D that is not nilpotent is
+    refused once a point is given.  For m != 0 and D = diag(w), split T
     in one pass into the parts T_e of its entries c_ij^k with
     e = w_k - w_i - w_j.  The left side is sum_e v^e T_e, since
     exp(-sD) x_i = v^(-w_i) x_i, and T' = sum_e e T_e, so left minus right
     is the Laurent polynomial sum_e v^e T_e + (T'/m - T) - v^m T'/m.
     """
-    m = Fraction(m)
-    first = derived(tensor, op)
-    second = derived(first, op)
-    terms = []
+    m, points, terms = Fraction(m), [Fraction(p) for p in points], []
     if m:
         if not op.is_diagonal():
-            raise ValueError("nonzero m needs a diagonal operator")
+            raise ArgumentError("op", "must be diagonal for a nonzero m")
         if any(row[i] % op.den for i, row in enumerate(op.ints)):
-            raise ValueError("diagonal entries must be integers")
+            raise ArgumentError("op", "must have integer diagonal entries for a nonzero m")
         if m.denominator != 1:
-            raise ValueError("m must be an integer for the diagonal path")
+            raise ArgumentError("m", "must be an integer for the diagonal path")
+        if not all(points):
+            raise ArgumentError("points", "must be nonzero for a nonzero m")
         w = [row[i] // op.den for i, row in enumerate(op.ints)]
         den, ints = tensor.integer_form()
         parts = {}
@@ -284,11 +283,13 @@ def exp_identity_near(tensor, op, m, points):
                 parts.setdefault(w[k] - w[i] - w[j], {}).setdefault((i, j), {})[k] = c
         terms = [(e, StructureTensor._of(tensor.dim, tensor.labels, (den, part)))
                  for e, part in parts.items()]
+    elif points and nilpotent_powers(op) is None:
+        raise ArgumentError("op", "must be nilpotent for the near identity at m = 0")
+    first = derived(tensor, op)
+    second = derived(first, op)
+    if m:
         terms += [(0, -tensor), (0, first.scale(1 / m)), (m, first.scale(-1 / m))]
-        points = map(_nonzero, points)
     elif points:
-        if nilpotent_powers(op) is None:
-            raise ValueError("operator is not nilpotent")
         terms = list(_series(second, lambda t: derived(t, op)))
     rep = _check_points(tensor, terms, points)
     rep.precondition_ok = second == first.scale(m)

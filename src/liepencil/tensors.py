@@ -85,6 +85,14 @@ class IdentityFailed(ArithmeticError):
     """An identity that guards a returned result does not hold (a bug)."""
 
 
+class ArgumentError(ValueError):
+    """A refusal naming the engine parameter at fault, for a front end's message."""
+
+    def __init__(self, argument, message):
+        super().__init__(message)
+        self.argument = argument
+
+
 class StructureTensor:
     """Structure constants of a bilinear operation on a based vector space.
 
@@ -498,7 +506,7 @@ def derived(tensor, op):
 def derived_iter(tensor, op, k):
     """k-fold derived operation rho(D)^k . T."""
     if k < 0:
-        raise ValueError("negative iteration count")
+        raise ArgumentError("k", "the iteration count must be at least 0, got %d" % k)
     t = tensor
     for _ in range(k):
         t = derived(t, op)

@@ -459,8 +459,9 @@ def reference_exp_identity_nijenhuis(tensor, op, points=None):
 def reference_exp_identity_near(tensor, op, m, points):
     """`nijenhuis.exp_identity_near` point by point, against T + c T'.  At
     m = 0, exp(sD) and exp(-sD) and c = s; at m != 0, for an integer m and
-    an integer diagonal D, v^D and v^-D at each nonzero point v and
-    c = (v^m - 1)/m.  The left side is one contraction at each point."""
+    an integer diagonal D, v^D and v^-D at each point v, all of which must
+    be nonzero, and c = (v^m - 1)/m.  The left side is one contraction at
+    each point."""
     m = Fraction(m)
     first = derived(tensor, op)
     pre = derived(first, op) == first.scale(m)
@@ -472,10 +473,10 @@ def reference_exp_identity_near(tensor, op, m, points):
             raise ValueError("diagonal entries must be integers")
         if m.denominator != 1:
             raise ValueError("m must be an integer for the diagonal path")
+        if 0 in points:
+            raise ValueError("points must be nonzero")
 
         def sides(value):
-            if value == 0:
-                raise ValueError("value must be nonzero")
             E = RatMatrix.diagonal([value ** w for w in weights])
             Einv = RatMatrix.diagonal([value ** -w for w in weights])
             coeff = (value ** m.numerator - 1) / m

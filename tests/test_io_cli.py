@@ -366,7 +366,7 @@ def test_cli_number_as_rational_exits_2(workdir, capsys, name, doc, argv, field)
       "--depth", "-1"], "depth"),
     # --power counts derivations and may be 0, but not below
     (["derive", "--algebra", "sl2.json", "--operator", "sl2-nilsquare-op.json",
-      "--power", "-1"], "--power must be at least 0, got -1"),
+      "--power", "-1"], "--power: the iteration count must be at least 0, got -1"),
 ], ids=["samples-0", "samples-negative", "depth-0", "depth-negative", "power-negative"])
 def test_cli_count_below_one_exits_2(workdir, capsys, argv, name):
     # a count of zero would check nothing and still report a verdict
@@ -425,15 +425,18 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
     (["exp-check"] + SL2_OP + ["--kind", "nijenhuis", "--m", "0", "--points", "1"],
      "--m applies to --kind near"),
     (["exp-check"] + SL2_OP + ["--kind", "nijenhuis", "--points", "1"],
-     "--operator must be nilpotent for --kind nijenhuis"),
+     "--operator: must be nilpotent for the Nijenhuis identity"),
     (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "0", "--points", "1"],
-     "--operator must be nilpotent for --kind near --m 0"),
+     "--operator: must be nilpotent for the near identity at m = 0"),
     (["exp-check"] + SHEAR_OP + ["--kind", "near", "--m", "-2", "--points", "2"],
-     "--operator must be diagonal for a nonzero --m"),
+     "--operator: must be diagonal for a nonzero m"),
     (["exp-check", "--algebra", "sl2.json", "--operator", "half-op.json", "--kind", "near",
-      "--m", "-2", "--points", "2"], "--operator must have integer diagonal entries"),
+      "--m", "-2", "--points", "2"], "--operator: must have integer diagonal entries"),
     (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--points", "2,0"],
-     "--points must be nonzero for a nonzero --m"),
+     "--points: must be nonzero for a nonzero m"),
+    # the identity fails at 2 for m = 3: the zero point is refused before any point is checked
+    (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "3", "--points", "2,0"],
+     "--points: must be nonzero for a nonzero m"),
     (["exp-check"] + SL2_OP + ["--kind", "near", "--m", "-2", "--points", "1,x"],
      "cannot parse --points '1,x'"),
     (["pc-check", "--algebra", "sl2.json", "--gamma", "1,y,2"],
@@ -467,6 +470,7 @@ SHEAR_OP = ["--algebra", "sl2.json", "--operator", "sl2-shear-op.json"]
         "pc-check-gamma-and-wrong-dimension-operator", "nijenhuis-certified-and-points",
         "near-certified", "nijenhuis-m", "nijenhuis-not-nilpotent", "near-m0-not-nilpotent",
         "near-not-diagonal", "near-diagonal-not-integer", "near-zero-point",
+        "near-zero-point-after-failing-point",
         "points-not-rational", "gamma-not-rational",
         "index-exact-samples-0", "index-samples-0", "index-max-exact-dim-negative",
         "nijenhuis-depth-0", "report-max-exact-dim-negative", "report-empty-gamma",
@@ -820,8 +824,10 @@ def test_cli_example_input_errors_name_their_argument(workdir, capsys, params, m
 
 @pytest.mark.parametrize("name", ["grading", "quasi-grading"])
 @pytest.mark.parametrize("params, message", [
-    (["--weights", "1,0,1", "--modulus", "0"], "--modulus must be at least 1, got 0"),
-    (["--weights", "1,0,1", "--modulus", "-1"], "--modulus must be at least 1, got -1"),
+    (["--weights", "1,0,1", "--modulus", "0"],
+     "--modulus: a periodic grading needs a modulus of at least 1, got 0"),
+    (["--weights", "1,0,1", "--modulus", "-1"],
+     "--modulus: a periodic grading needs a modulus of at least 1, got -1"),
     (["--weights", "1,0,3", "--modulus", "2"], "--weights: periodic weights must lie in 0..modulus-1"),
     (["--weights", "1,-1,1", "--modulus", "2"], "--weights: periodic weights must lie in 0..modulus-1"),
     (["--weights", "1,1,1", "--modulus", "2"],

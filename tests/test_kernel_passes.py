@@ -16,7 +16,8 @@ p >= 2, and none at any point.  On a nilpotent square that is two passes
 each, and the near ones are the T' and T'' its precondition needs.  The
 diagonal near path at m != 0 reads its polynomial off T's parts by weight,
 so it too runs only T' and T''.  Each `exp-check` forms the powers of N
-once in the engine, and once more for the CLI's nilpotency refusal.
+once, in the engine, whose nilpotency test is the only refusal of a
+non-nilpotent N, and a refused `exp-check` runs no pass.
 `nijenhuis-check` makes one torsion call, and on a Lie tensor that is its only pass at every `--depth`: the
 powers, the iterates and their Jacobi verdicts are read from the
 hierarchy (`nijenhuis.check_N_properties`).  On a Nijenhuis input that is
@@ -108,17 +109,30 @@ def test_nijenhuis_commands_compute_one_torsion(calls):
                           "--kind", "near", "--m", "0", "--points", "1,2/3"]) == 2
 
 
+def test_exp_check_refuses_before_any_pass(calls):
+    # the engine is the one owner of each exp-check refusal, and it refuses
+    # before its first `derived` pass: no T' is built for a refused input
+    passes(calls, ["example", "nilpotent-square", "sl", "2", "--partition", "2"])
+    passes(calls, ["example", "grading", "sl", "2", "--weights", "1,0,1", "--modulus", "2"])
+    for op, kind in [("grading", ["nijenhuis", "--certified"]),
+                     ("grading", ["near", "--m", "0", "--points", "1"]),
+                     ("nilsquare", ["near", "--m", "-2", "--points", "2"]),
+                     ("grading", ["near", "--m", "3", "--points", "2,0"])]:
+        argv = ["exp-check", "--algebra", "sl2.json", "--operator", "sl2-%s-op.json" % op]
+        assert passes(calls, argv + ["--kind"] + kind, exit=2) == 0
+
+
 def test_exp_check_forms_each_power_of_the_operator_once(calls, monkeypatch):
-    # on the sl3 (2,1) square, N^2 = 0: one product for the CLI's refusal
-    # of an operator that is not nilpotent, and one for the engine's
-    # nilpotency test, whose powers the Nijenhuis series reads
+    # on the sl3 (2,1) square, N^2 = 0: one product, for the engine's
+    # nilpotency test, whose powers the Nijenhuis series reads; the CLI
+    # leaves that refusal to the engine and forms no power of its own
     passes(calls, ["example", "nilpotent-square", "sl", "3", "--partition", "2,1"])
     files = ["--algebra", "sl3.json", "--operator", "sl3-nilsquare-op.json"]
     products = count_products(monkeypatch)
     for kind in (["nijenhuis", "--certified"], ["near", "--m", "0", "--points", "1,2/3"]):
         products.clear()
         passes(calls, ["exp-check"] + files + ["--kind"] + kind)
-        assert len(products) == 2
+        assert len(products) == 1
 
 
 def test_nijenhuis_check_reads_the_hierarchy_by_identity(calls, monkeypatch):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from liepencil.exact import RatMatrix
-from liepencil.tensors import StructureTensor, classify_operator, derived, skew_table
+from liepencil.tensors import ArgumentError, StructureTensor, classify_operator, derived, skew_table
 from liepencil.constructions import (GradingSpec,
                                      build_classical,
                                      grading_operator, nilpotent_square)
@@ -169,11 +169,12 @@ def test_exp_identity_near_semisimple():
     assert not bad.precondition_ok
     # the precondition is computed once, before any point is checked
     assert not exp_identity_near(t, GRADING, 3, []).precondition_ok
-    # v stands for exp(s): a zero point raises once the loop reaches it, so
-    # a failure before it still ends the check with a report
-    with pytest.raises(ValueError):
-        exp_identity_near(t, GRADING, -2, [F(2), F(0)])
-    assert exp_identity_near(t, GRADING, 3, [F(2), F(0)]).points == [F(2)]
+    # v stands for exp(s): a zero point is refused before any point is
+    # checked, also after a point at which the identity fails (2 at m = 3)
+    for m in (-2, 3):
+        with pytest.raises(ArgumentError) as refusal:
+            exp_identity_near(t, GRADING, m, [F(2), F(0)])
+        assert refusal.value.argument == "points"
 
 
 def test_exp_identity_quasi_nilpotent():

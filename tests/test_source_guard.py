@@ -39,7 +39,10 @@ Two more rules keep the front end a single pass.  In `cli.py`, `print` and
 `_emit` are called only from `main`, `_emit` and `_print_text`: a command
 returns its document, and `main` prints it.  `io.py` names no `Fraction`,
 and uses `StructureTensor`, `SparsePoly` and `RatMatrix` only to call their
-`_of`: each file is parsed once, straight into its integer form.
+`_of`: each file is parsed once, straight into its integer form.  The
+engine owns each refusal of an argument: every `ArgumentError` it raises
+names the parameter by a literal that `cli.ARGUMENTS` maps to an option of
+the parser or to a positional label, so `main` prints the flag at fault.
 
 The last rule keeps `src/` to what the CLI runs, down to class members:
 every top-level function and class of the package is reached by name from
@@ -49,11 +52,13 @@ attribute by reached code or named by the tracer.  Code that only the tests
 call lives in the tests.
 """
 
+import argparse
 import ast
 import runpy
 from pathlib import Path
 
 import liepencil
+from liepencil import cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -462,6 +467,36 @@ print("at import")
     assert print_offences(source) == [(10, "cmd_index"), (12, "inner"), (14, None)]
     package = Path(liepencil.__file__).parent
     assert print_offences((package / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def refused_arguments(source):
+    """The literal parameter names of every `ArgumentError(name, ...)` call."""
+    return {node.args[0].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ArgumentError"}
+
+
+def test_every_refused_argument_names_a_flag():
+    # the engine owns each refusal and names its parameter; `cli.ARGUMENTS`
+    # maps that name to the flag or positional `main` prints, so each name
+    # must be a key and each value a real option of the parser
+    source = """
+raise ArgumentError("op", "must be nilpotent")
+raise tensors.ArgumentError("k", "negative")
+raise ArgumentError(name, "not a subalgebra")
+raise ValueError("x", "y")
+"""
+    assert refused_arguments(source) == {"op", "k"}
+    package = Path(liepencil.__file__).parent
+    names = set().union(*(refused_arguments(path.read_text(encoding="utf-8"))
+                          for path in package.glob("*.py")))
+    assert {"op", "m", "points", "k", "modulus", "tensor"} <= names <= set(cli.ARGUMENTS)
+    commands = next(action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for parser in commands.values() for flag in parser._option_string_actions}
+    for label in cli.ARGUMENTS.values():
+        assert set(label.split("/")) <= options | {"FAMILY", "N"}, label
 
 
 # the integer forms io builds go straight to the engine's trusted constructors
